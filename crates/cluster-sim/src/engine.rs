@@ -10,9 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dagflow::{
-    Application, DagError, DatasetId, JobId, LineageAnalysis, Schedule, ScheduleOp, StagePlan,
-};
+use dagflow::{Application, DagError, DatasetId, JobId, Schedule, ScheduleOp, StagePlan};
 
 use crate::config::{ClusterConfig, SimParams};
 use crate::executor::{run_stage, ExecutorState};
@@ -183,8 +181,8 @@ pub struct EnginePrep {
     pub(crate) plans: Vec<StagePlan>,
     /// `consumers[ji][sp]` — for stage position `sp` of job `ji`, the
     /// statically possible shuffle consumers as `(consumer_stage_index,
-    /// wide_dataset)` pairs, in the order the per-stage scan used to
-    /// produce them. Runs filter by their `needed` set at job time.
+    /// wide_dataset)` pairs, ordered by consumer stage, then by wide id.
+    /// Runs filter by their `needed` set at job time.
     pub(crate) consumers: Vec<Vec<Vec<(u32, DatasetId)>>>,
     /// Dense `(dataset, partition)` interning for the block store.
     layout: Arc<BlockLayout>,
@@ -209,35 +207,62 @@ impl std::fmt::Debug for RunScratch {
 }
 
 impl EnginePrep {
-    /// Precomputes the schedule-independent run state of an application.
+    /// Precomputes the schedule-independent run state of an application,
+    /// in time linear in the application's jobs × (their DAG edges + stage
+    /// members): one ancestor walk per job for the use lists, one pass
+    /// over each plan's shuffle reads for the consumer table.
     #[must_use]
     pub fn new(app: &Application) -> Self {
-        let la = LineageAnalysis::new(app);
-        let job_uses: Vec<Vec<usize>> = (0..app.dataset_count() as u32)
-            .map(|d| {
-                (0..app.jobs().len())
-                    .filter(|&j| la.in_job(DatasetId(d), JobId(j as u32)))
-                    .collect()
-            })
-            .collect();
+        let n = app.dataset_count();
+        // `job_uses`: one ancestor walk per job target. `stamp[d]` holds
+        // the last job whose walk reached `d`, so each dataset is visited
+        // once per job and each list is ascending by construction.
+        let mut job_uses: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut stamp = vec![usize::MAX; n];
+        let mut stack: Vec<DatasetId> = Vec::new();
+        for (ji, job) in app.jobs().iter().enumerate() {
+            stack.push(job.target);
+            while let Some(x) = stack.pop() {
+                if stamp[x.index()] == ji {
+                    continue;
+                }
+                stamp[x.index()] = ji;
+                job_uses[x.index()].push(ji);
+                stack.extend(app.dataset(x).parents.iter().copied());
+            }
+        }
         let plans: Vec<StagePlan> = (0..app.jobs().len())
             .map(|ji| StagePlan::build(app, JobId(ji as u32)))
             .collect();
+        // `consumers`: index each plan's stages by output (outputs are
+        // unique within a plan), then visit every wide read once, in
+        // (stage, wide) order, and file it under the stages producing its
+        // parents. A wide listing one parent twice (a self-join) is filed
+        // once.
+        let mut stage_of = vec![u32::MAX; n];
         let consumers = plans
             .iter()
             .map(|plan| {
-                plan.stages
-                    .iter()
-                    .map(|stage| {
-                        plan.stages
-                            .iter()
-                            .flat_map(|s| {
-                                s.shuffle_reads(app).map(move |w| (s.id.index() as u32, w))
-                            })
-                            .filter(|&(_, w)| app.dataset(w).parents.contains(&stage.output))
-                            .collect()
-                    })
-                    .collect()
+                for s in &plan.stages {
+                    stage_of[s.output.index()] = s.id.0;
+                }
+                let mut table: Vec<Vec<(u32, DatasetId)>> = vec![Vec::new(); plan.stages.len()];
+                for s in &plan.stages {
+                    for w in s.shuffle_reads(app) {
+                        for p in &app.dataset(w).parents {
+                            let Some(list) = table.get_mut(stage_of[p.index()] as usize) else {
+                                continue;
+                            };
+                            if list.last() != Some(&(s.id.0, w)) {
+                                list.push((s.id.0, w));
+                            }
+                        }
+                    }
+                }
+                for s in &plan.stages {
+                    stage_of[s.output.index()] = u32::MAX;
+                }
+                table
             })
             .collect();
         EnginePrep {
@@ -408,13 +433,14 @@ impl<'a> Engine<'a> {
             .filter(|d| persisted[d.index()])
             .map(|d| (d, self.prep.job_uses[d.index()].as_slice()))
             .collect();
+        let sizing = Sizing::new(self.app, options.partition_skew);
         let env = TaskEnv {
             app: self.app,
             cluster: &self.cluster,
             params: &self.params,
             persisted: &persisted,
             swap: &swap,
-            sizing: Sizing::new(self.app, options.partition_skew),
+            sizing: &sizing,
             trace: options.collect_traces,
         };
 
@@ -684,6 +710,157 @@ mod tests {
             seed: 1,
             ..SimParams::default()
         }
+    }
+
+    /// The construction `EnginePrep::new` replaced — a full
+    /// `LineageAnalysis`, an O(datasets × jobs) membership scan and an
+    /// O(stages²) consumer scan per job — kept as the oracle for the
+    /// linear-time one.
+    #[allow(clippy::type_complexity)]
+    fn reference_prep(
+        app: &Application,
+    ) -> (
+        Vec<Vec<usize>>,
+        Vec<StagePlan>,
+        Vec<Vec<Vec<(u32, DatasetId)>>>,
+    ) {
+        let la = dagflow::LineageAnalysis::new(app);
+        let job_uses: Vec<Vec<usize>> = (0..app.dataset_count() as u32)
+            .map(|d| {
+                (0..app.jobs().len())
+                    .filter(|&j| la.in_job(DatasetId(d), JobId(j as u32)))
+                    .collect()
+            })
+            .collect();
+        let plans: Vec<StagePlan> = (0..app.jobs().len())
+            .map(|ji| StagePlan::build(app, JobId(ji as u32)))
+            .collect();
+        let consumers = plans
+            .iter()
+            .map(|plan| {
+                plan.stages
+                    .iter()
+                    .map(|stage| {
+                        plan.stages
+                            .iter()
+                            .flat_map(|s| {
+                                s.shuffle_reads(app).map(move |w| (s.id.index() as u32, w))
+                            })
+                            .filter(|&(_, w)| app.dataset(w).parents.contains(&stage.output))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        (job_uses, plans, consumers)
+    }
+
+    /// A random application: 1–3 sources, then narrow and wide
+    /// transformations over 1–3 random older parents (a wide sometimes
+    /// lists one parent twice, a self-join), then 1–5 jobs over random
+    /// targets, repeats allowed.
+    fn random_app(seed: u64) -> Application {
+        let mut state = seed;
+        let mut pick = |bound: usize| -> usize {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut b = AppBuilder::new("random");
+        let sources = 1 + pick(3);
+        for i in 0..sources {
+            let parts = 1 + pick(6) as u32;
+            b.source(format!("s{i}"), SourceFormat::Generated, 100, 1000, parts);
+        }
+        for i in 0..4 + pick(21) {
+            let older = b.dataset_count();
+            let mut parents: Vec<DatasetId> = (0..1 + pick(3))
+                .map(|_| DatasetId(pick(older) as u32))
+                .collect();
+            let cost = ComputeCost::new(0.01, 0.0, 1e-9);
+            if pick(3) == 0 {
+                if pick(4) == 0 {
+                    parents.push(parents[0]);
+                }
+                let parts = 1 + pick(6) as u32;
+                let kind = if parents.len() > 1 {
+                    WideKind::Join
+                } else {
+                    WideKind::ReduceByKey
+                };
+                b.wide_with_partitions(format!("w{i}"), kind, &parents, 100, 1000, parts, cost);
+            } else {
+                parents.sort_unstable();
+                parents.dedup();
+                b.narrow(format!("n{i}"), NarrowKind::Map, &parents, 100, 1000, cost);
+            }
+        }
+        let count = b.dataset_count();
+        for _ in 0..1 + pick(5) {
+            let target = DatasetId((sources + pick(count - sources)) as u32);
+            b.job("count", target);
+        }
+        b.build().expect("random apps are valid")
+    }
+
+    #[test]
+    fn prep_matches_reference_construction_on_random_dags() {
+        // Shapes the oracle must have seen at least once.
+        let (mut diamond, mut self_join, mut multi_parent_wide) = (false, false, false);
+        let (mut shared_map_stage, mut outside_jobs) = (false, false);
+        for seed in 0..400 {
+            let app = random_app(seed);
+            let prep = EnginePrep::new(&app);
+            let (job_uses, plans, consumers) = reference_prep(&app);
+            assert_eq!(prep.job_uses, job_uses, "job_uses, seed {seed}");
+            assert_eq!(prep.plans, plans, "plans, seed {seed}");
+            assert_eq!(prep.consumers, consumers, "consumers, seed {seed}");
+
+            let la = dagflow::LineageAnalysis::new(&app);
+            let in_a_job = |d: DatasetId| !job_uses[d.index()].is_empty();
+            outside_jobs |= app.datasets().iter().any(|d| !in_a_job(d.id));
+            for d in app.datasets().iter().filter(|d| in_a_job(d.id)) {
+                let mut distinct = d.parents.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                if d.op.is_wide() {
+                    self_join |= distinct.len() < d.parents.len();
+                    multi_parent_wide |= distinct.len() > 1;
+                }
+                // Two parents with a common ancestor (or one the other's).
+                diamond |= distinct.iter().enumerate().any(|(i, &p)| {
+                    distinct[i + 1..].iter().any(|&q| {
+                        (0..=p.0).map(DatasetId).any(|a| {
+                            (a == p || la.is_descendant(p, a)) && (a == q || la.is_descendant(q, a))
+                        })
+                    })
+                });
+            }
+            // A map stage (not a job's result stage) planned by two jobs.
+            let mut map_outputs: Vec<DatasetId> = plans
+                .iter()
+                .flat_map(|p| {
+                    let mut outs: Vec<DatasetId> = p.stages[..p.stages.len() - 1]
+                        .iter()
+                        .map(|s| s.output)
+                        .collect();
+                    outs.sort_unstable();
+                    outs.dedup();
+                    outs
+                })
+                .collect();
+            let all = map_outputs.len();
+            map_outputs.sort_unstable();
+            map_outputs.dedup();
+            shared_map_stage |= map_outputs.len() < all;
+        }
+        assert!(diamond, "no diamond generated");
+        assert!(self_join, "no self-join wide generated");
+        assert!(multi_parent_wide, "no multi-parent wide generated");
+        assert!(shared_map_stage, "no map stage shared by two jobs");
+        assert!(outside_jobs, "no dataset outside every job");
     }
 
     #[test]

@@ -691,7 +691,7 @@ mod tests {
                 params: &params,
                 persisted: &persisted,
                 swap: &swap,
-                sizing: Sizing::new(&app, 0.0),
+                sizing: &Sizing::new(&app, 0.0),
                 trace: false,
             };
             let mut store = store_for(&app, &cluster);
@@ -738,7 +738,7 @@ mod tests {
             params: &params,
             persisted: &persisted,
             swap: &swap,
-            sizing: Sizing::new(&app, 0.0),
+            sizing: &Sizing::new(&app, 0.0),
             trace: true,
         };
         let mut store = store_for(&app, &cluster);
@@ -807,7 +807,7 @@ mod tests {
             params: &params,
             persisted: &persisted,
             swap: &swap,
-            sizing: Sizing::new(&app, 0.3),
+            sizing: &Sizing::new(&app, 0.3),
             trace: true,
         };
         let mut store = store_for(&app, &cluster);
@@ -856,7 +856,7 @@ mod tests {
             params: &params,
             persisted: &persisted,
             swap: &swap,
-            sizing: Sizing::new(&app, 0.0),
+            sizing: &Sizing::new(&app, 0.0),
             trace: false,
         };
         let mut store = store_for(&app, &cluster);

@@ -108,7 +108,7 @@ pub struct TaskEnv<'a> {
     /// `swap[y] = x` when the schedule says `u(x)` right before `p(y)`.
     pub swap: &'a HashMap<DatasetId, DatasetId>,
     /// Sizing (skew) helper.
-    pub sizing: Sizing,
+    pub sizing: &'a Sizing,
     /// Whether to record pipeline steps.
     pub trace: bool,
 }
@@ -386,6 +386,7 @@ mod tests {
         params: &'a SimParams,
         persisted: &'a [bool],
         swap: &'a HashMap<DatasetId, DatasetId>,
+        sizing: &'a Sizing,
     ) -> TaskEnv<'a> {
         TaskEnv {
             app,
@@ -393,7 +394,7 @@ mod tests {
             params,
             persisted,
             swap,
-            sizing: Sizing::new(app, 0.0),
+            sizing,
             trace: true,
         }
     }
@@ -425,7 +426,8 @@ mod tests {
         let (app, cluster, params) = env_fixture();
         let persisted = vec![false; app.dataset_count()];
         let swap = HashMap::new();
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         let cc = costs(&env, DatasetId(1), &[DatasetId(2)]);
         let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &cc);
@@ -461,7 +463,8 @@ mod tests {
         let mut persisted = vec![false; app.dataset_count()];
         persisted[1] = true; // persist "parsed"
         let swap = HashMap::new();
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         let first = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
         assert_eq!(store.resident_count(DatasetId(1)), 1);
@@ -485,7 +488,8 @@ mod tests {
         let mut persisted = vec![false; app.dataset_count()];
         persisted[1] = true;
         let swap = HashMap::new();
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
         let local = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
@@ -498,7 +502,8 @@ mod tests {
         let (app, cluster, params) = env_fixture();
         let persisted = vec![false; app.dataset_count()];
         let swap = HashMap::new();
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         let walk = walk_task(&env, &mut store, 0, DatasetId(2), 0, &[]);
         assert_eq!(walk.steps.len(), 1);
@@ -544,7 +549,8 @@ mod tests {
         persisted[y.index()] = true;
         let mut swap = HashMap::new();
         swap.insert(y, x);
-        let env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         let mut store = store_for(&app, &cluster);
         // Materialize and cache all of X first.
         for p in 0..4 {
@@ -574,7 +580,8 @@ mod tests {
         let (app, cluster, params) = env_fixture();
         let persisted = vec![false; app.dataset_count()];
         let swap = HashMap::new();
-        let mut env = make_env(&app, &cluster, &params, &persisted, &swap);
+        let sizing = Sizing::new(&app, 0.0);
+        let mut env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         env.trace = false;
         let mut store = store_for(&app, &cluster);
         let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);

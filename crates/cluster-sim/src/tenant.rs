@@ -361,7 +361,7 @@ impl<'a> TenantSet<'a> {
                 params: &tenant.params,
                 persisted: &tr.persisted,
                 swap: &tr.swap,
-                sizing: tr.sizing.clone(),
+                sizing: &tr.sizing,
                 trace: options.collect_traces,
             };
             for (sp, stage) in plan.stages.iter().enumerate() {

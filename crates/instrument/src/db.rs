@@ -2,7 +2,7 @@
 //! low-level runtime data is sent here; application/job/stage/task records
 //! follow when the application ends.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -79,7 +79,8 @@ pub struct ProfilingDatabase {
 #[derive(Debug, Default)]
 struct DbInner {
     tasks: Vec<TaskRecord>,
-    stages: HashMap<(JobId, StageId), StageRecord>,
+    /// Keyed and iterated in `(job, stage)` order.
+    stages: BTreeMap<(JobId, StageId), StageRecord>,
     observations: Vec<TransformationObservation>,
 }
 
@@ -193,7 +194,7 @@ impl ProfilingDatabase {
         self.inner.lock().tasks.clone()
     }
 
-    /// All stage records.
+    /// All stage records, sorted by `(job, stage)`.
     #[must_use]
     pub fn stages(&self) -> Vec<StageRecord> {
         self.inner.lock().stages.values().copied().collect()
@@ -205,9 +206,91 @@ impl ProfilingDatabase {
         self.inner.lock().observations.clone()
     }
 
+    /// Calls `f` with the stage table and the observations, borrowed under
+    /// the lock instead of cloned out of it.
+    pub(crate) fn with_records<R>(
+        &self,
+        f: impl FnOnce(&BTreeMap<(JobId, StageId), StageRecord>, &[TransformationObservation]) -> R,
+    ) -> R {
+        let inner = self.inner.lock();
+        f(&inner.stages, &inner.observations)
+    }
+
     /// Number of observations (cheap, for tests).
     #[must_use]
     pub fn observation_count(&self) -> usize {
         self.inner.lock().observations.len()
+    }
+
+    /// Stores hand-built records, bypassing trace splitting.
+    #[cfg(test)]
+    pub(crate) fn insert_raw(
+        &self,
+        stages: &[StageRecord],
+        observations: &[TransformationObservation],
+    ) {
+        let mut inner = self.inner.lock();
+        for s in stages {
+            inner.stages.insert((s.job, s.stage), *s);
+        }
+        inner.observations.extend_from_slice(observations);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, SimParams};
+    use dagflow::{AppBuilder, ComputeCost, NarrowKind, SourceFormat, WideKind};
+
+    use crate::inject::{inject, ProfilingOverhead};
+
+    #[test]
+    fn stages_are_sorted_by_job_then_stage() {
+        // Three jobs of two stages each (map + treeAggregate result).
+        let mut b = AppBuilder::new("sorted");
+        let src = b.source("in", SourceFormat::DistributedFs, 1_000, 80_000_000, 4);
+        let parsed = b.narrow(
+            "parsed",
+            NarrowKind::Map,
+            &[src],
+            1_000,
+            60_000_000,
+            ComputeCost::new(0.01, 1e-6, 1e-9),
+        );
+        for i in 0..3 {
+            let g = b.wide_with_partitions(
+                format!("grad[{i}]"),
+                WideKind::TreeAggregate,
+                &[parsed],
+                1,
+                64,
+                1,
+                ComputeCost::FREE,
+            );
+            b.job("aggregate", g);
+        }
+        let app = b.build().unwrap();
+        let instr = inject(&app, ProfilingOverhead::default());
+        let cluster = ClusterConfig::new(2, MachineSpec::paper_example());
+        let report = Engine::new(&instr.app, cluster, SimParams::default())
+            .run(
+                &instr.map_schedule(app.default_schedule()),
+                RunOptions {
+                    collect_traces: true,
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        let (a, b) = (ProfilingDatabase::new(), ProfilingDatabase::new());
+        a.ingest(&instr, &report);
+        b.ingest(&instr, &report);
+        let stages = a.stages();
+        let keys: Vec<(JobId, StageId)> = stages.iter().map(|s| (s.job, s.stage)).collect();
+        let expected: Vec<(JobId, StageId)> = (0..3)
+            .flat_map(|j| (0..2).map(move |s| (JobId(j), StageId(s))))
+            .collect();
+        assert_eq!(keys, expected);
+        assert_eq!(stages, b.stages(), "same records, same order");
     }
 }

@@ -2,8 +2,6 @@
 //! operator-level execution-time model of §3.3 plus partition-size
 //! aggregation (§3.2).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use dagflow::{Application, DatasetId, JobId, StageId};
@@ -24,7 +22,8 @@ pub struct DatasetMetrics {
     /// ENT, with wide transformations as Shuffle Write + Shuffle Read
     /// (Eq. 3).
     pub et_seconds: f64,
-    /// Number of (non-cache-read) observations supporting `et_seconds`.
+    /// Number of `(job, stage)` groups of non-cache-read observations,
+    /// over both halves, supporting `et_seconds`.
     pub observations: u32,
 }
 
@@ -33,88 +32,115 @@ pub struct DatasetMetrics {
 /// `total_cores` is the number of parallel task slots of the cluster the
 /// instrumented sample run used (`machines × cores`) — the denominator of
 /// the `N_waves = ⌈tasks / cores⌉` term of Eq. 2.
+///
+/// Observations are read in place under the database lock and folded into
+/// dense per-dataset state: a partition-size vector indexed by task (the
+/// last write wins), and for each half — plain / Shuffle Read, Shuffle
+/// Write — a short list of `(job, stage)` groups, each summing its ENT
+/// intervals in observation order. A dataset's half averages its groups'
+/// `mean ENT × waves` in ascending `(job, stage)` order, whatever order the
+/// traces were ingested in, so interleaved observations of different
+/// groups yield the same bits as grouped ones and repeated runs agree
+/// across processes.
 #[must_use]
 pub fn derive_metrics(
     db: &ProfilingDatabase,
     app: &Application,
     total_cores: u32,
 ) -> Vec<DatasetMetrics> {
-    let stage_tasks: HashMap<(JobId, StageId), u32> = db
-        .stages()
-        .into_iter()
-        .map(|s| ((s.job, s.stage), s.n_tasks))
-        .collect();
-    let waves = |job: JobId, stage: StageId| -> f64 {
-        let n = stage_tasks.get(&(job, stage)).copied().unwrap_or(1).max(1);
-        f64::from(n.div_ceil(total_cores.max(1)))
-    };
-
-    // Group ENT intervals per (dataset, half, job, stage).
-    #[derive(Default)]
-    struct Acc {
+    /// ENT intervals of one `(job, stage)` for one dataset half.
+    struct Group {
+        job: JobId,
+        stage: StageId,
         total: f64,
         count: u32,
     }
-    let mut groups: HashMap<(DatasetId, bool, JobId, StageId), Acc> = HashMap::new();
-    // Partition sizes per dataset: partition index → bytes (last write wins).
-    let mut sizes: HashMap<DatasetId, HashMap<u32, u64>> = HashMap::new();
-
-    for obs in db.observations() {
-        if !obs.is_shuffle_write {
-            sizes
-                .entry(obs.dataset)
-                .or_default()
-                .insert(obs.task, obs.partition_bytes);
-        }
-        if obs.is_cache_read {
-            continue;
-        }
-        let acc = groups
-            .entry((obs.dataset, obs.is_shuffle_write, obs.job, obs.stage))
-            .or_default();
-        acc.total += (obs.finish - obs.start).max(0.0);
-        acc.count += 1;
+    #[derive(Default)]
+    struct Acc {
+        /// Some observation mentions the dataset.
+        seen: bool,
+        /// Partition bytes by task index; unwritten slots read as 0.
+        sizes: Vec<u64>,
+        /// ENT groups of the read (`[0]`) and Shuffle-Write (`[1]`) halves.
+        halves: [Vec<Group>; 2],
     }
 
-    // Per dataset and half: average over (job, stage) groups of
-    // (mean ENT × waves) — Eq. 2; then sum halves — Eq. 3.
-    let mut half_et: HashMap<(DatasetId, bool), (f64, u32)> = HashMap::new();
-    for ((dataset, is_write, job, stage), acc) in &groups {
-        let stage_et = acc.total / f64::from(acc.count) * waves(*job, *stage);
-        let slot = half_et.entry((*dataset, *is_write)).or_insert((0.0, 0));
-        slot.0 += stage_et;
-        slot.1 += 1;
-    }
+    db.with_records(|stages, observations| {
+        let mut accs: Vec<Acc> = std::iter::repeat_with(Acc::default)
+            .take(app.dataset_count())
+            .collect();
+        for obs in observations {
+            let Some(acc) = accs.get_mut(obs.dataset.index()) else {
+                continue;
+            };
+            acc.seen = true;
+            if !obs.is_shuffle_write {
+                let task = obs.task as usize;
+                if acc.sizes.len() <= task {
+                    acc.sizes.resize(task + 1, 0);
+                }
+                acc.sizes[task] = obs.partition_bytes;
+            }
+            if obs.is_cache_read {
+                continue;
+            }
+            let groups = &mut acc.halves[usize::from(obs.is_shuffle_write)];
+            let ent = (obs.finish - obs.start).max(0.0);
+            // Observations arrive stage by stage, so the match is almost
+            // always the most recent group.
+            match groups
+                .iter_mut()
+                .rev()
+                .find(|g| g.job == obs.job && g.stage == obs.stage)
+            {
+                Some(g) => {
+                    g.total += ent;
+                    g.count += 1;
+                }
+                None => groups.push(Group {
+                    job: obs.job,
+                    stage: obs.stage,
+                    total: ent,
+                    count: 1,
+                }),
+            }
+        }
 
-    let mut out = Vec::new();
-    for d in app.datasets() {
-        let read = half_et.get(&(d.id, false));
-        let write = half_et.get(&(d.id, true));
-        if read.is_none() && write.is_none() && !sizes.contains_key(&d.id) {
-            continue; // never touched in the sample run
+        let waves = |job: JobId, stage: StageId| -> f64 {
+            let n = stages.get(&(job, stage)).map_or(1, |s| s.n_tasks).max(1);
+            f64::from(n.div_ceil(total_cores.max(1)))
+        };
+        let mut out = Vec::new();
+        for (d, acc) in app.datasets().iter().zip(&mut accs) {
+            if !acc.seen {
+                continue; // never touched in the sample run
+            }
+            // Per half: average over (job, stage) groups of (mean ENT ×
+            // waves) — Eq. 2; then sum halves — Eq. 3.
+            let mut et = 0.0;
+            let mut obs_count = 0;
+            for groups in &mut acc.halves {
+                if groups.is_empty() {
+                    continue;
+                }
+                groups.sort_unstable_by_key(|g| (g.job, g.stage));
+                let mut total = 0.0;
+                for g in groups.iter() {
+                    total += g.total / f64::from(g.count) * waves(g.job, g.stage);
+                }
+                let n = groups.len() as u32;
+                et += total / f64::from(n);
+                obs_count += n;
+            }
+            out.push(DatasetMetrics {
+                dataset: d.id,
+                size_bytes: acc.sizes.iter().sum(),
+                et_seconds: et,
+                observations: obs_count,
+            });
         }
-        let mut et = 0.0;
-        let mut obs_count = 0;
-        if let Some(&(total, n)) = read {
-            et += total / f64::from(n.max(1));
-            obs_count += n;
-        }
-        if let Some(&(total, n)) = write {
-            et += total / f64::from(n.max(1));
-            obs_count += n;
-        }
-        let size_bytes = sizes
-            .get(&d.id)
-            .map(|parts| parts.values().sum())
-            .unwrap_or(0);
-        out.push(DatasetMetrics {
-            dataset: d.id,
-            size_bytes,
-            et_seconds: et,
-            observations: obs_count,
-        });
-    }
-    out
+        out
+    })
 }
 
 /// Convenience: metrics as a dense lookup (`None` where unobserved).
@@ -128,4 +154,257 @@ pub fn metrics_by_dataset(
         v[m.dataset.index()] = Some(*m);
     }
     v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+
+    use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, SimParams};
+    use dagflow::{AppBuilder, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+
+    use crate::db::{StageRecord, TransformationObservation};
+    use crate::inject::{inject, ProfilingOverhead};
+
+    /// The hash-map aggregation `derive_metrics` replaced, kept as its
+    /// oracle. Its groups were summed in map iteration order, which varies
+    /// between processes; here they are summed in ascending
+    /// `(dataset, half, job, stage)` order, the order `derive_metrics` pins.
+    fn reference_derive(
+        db: &ProfilingDatabase,
+        app: &Application,
+        total_cores: u32,
+    ) -> Vec<DatasetMetrics> {
+        let stage_tasks: HashMap<(JobId, StageId), u32> = db
+            .stages()
+            .into_iter()
+            .map(|s| ((s.job, s.stage), s.n_tasks))
+            .collect();
+        let waves = |job: JobId, stage: StageId| -> f64 {
+            let n = stage_tasks.get(&(job, stage)).copied().unwrap_or(1).max(1);
+            f64::from(n.div_ceil(total_cores.max(1)))
+        };
+        let mut groups: HashMap<(DatasetId, bool, JobId, StageId), (f64, u32)> = HashMap::new();
+        let mut sizes: HashMap<DatasetId, HashMap<u32, u64>> = HashMap::new();
+        for obs in db.observations() {
+            if !obs.is_shuffle_write {
+                sizes
+                    .entry(obs.dataset)
+                    .or_default()
+                    .insert(obs.task, obs.partition_bytes);
+            }
+            if obs.is_cache_read {
+                continue;
+            }
+            let acc = groups
+                .entry((obs.dataset, obs.is_shuffle_write, obs.job, obs.stage))
+                .or_default();
+            acc.0 += (obs.finish - obs.start).max(0.0);
+            acc.1 += 1;
+        }
+        let mut ordered: Vec<_> = groups.into_iter().collect();
+        ordered.sort_unstable_by_key(|&(key, _)| key);
+        let mut half_et: HashMap<(DatasetId, bool), (f64, u32)> = HashMap::new();
+        for ((dataset, is_write, job, stage), (total, count)) in ordered {
+            let stage_et = total / f64::from(count) * waves(job, stage);
+            let slot = half_et.entry((dataset, is_write)).or_insert((0.0, 0));
+            slot.0 += stage_et;
+            slot.1 += 1;
+        }
+        let mut out = Vec::new();
+        for d in app.datasets() {
+            let read = half_et.get(&(d.id, false));
+            let write = half_et.get(&(d.id, true));
+            if read.is_none() && write.is_none() && !sizes.contains_key(&d.id) {
+                continue;
+            }
+            let mut et = 0.0;
+            let mut obs_count = 0;
+            for &(total, n) in [read, write].into_iter().flatten() {
+                et += total / f64::from(n.max(1));
+                obs_count += n;
+            }
+            out.push(DatasetMetrics {
+                dataset: d.id,
+                size_bytes: sizes.get(&d.id).map_or(0, |p| p.values().sum()),
+                et_seconds: et,
+                observations: obs_count,
+            });
+        }
+        out
+    }
+
+    fn assert_same_bits(got: &[DatasetMetrics], want: &[DatasetMetrics], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: dataset count");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.dataset, w.dataset, "{what}");
+            assert_eq!(g.size_bytes, w.size_bytes, "{what}: {} size", g.dataset);
+            assert_eq!(
+                g.et_seconds.to_bits(),
+                w.et_seconds.to_bits(),
+                "{what}: {} et {} vs {}",
+                g.dataset,
+                g.et_seconds,
+                w.et_seconds
+            );
+            assert_eq!(g.observations, w.observations, "{what}: {}", g.dataset);
+        }
+    }
+
+    /// Profiles `app` under `schedule` (noisy, skewed) into a database.
+    fn profile_db(app: &Application, schedule: &Schedule, machines: u32) -> ProfilingDatabase {
+        let instr = inject(app, ProfilingOverhead::default());
+        let cluster = ClusterConfig::new(machines, MachineSpec::paper_example());
+        let params = SimParams {
+            seed: 7,
+            ..SimParams::default()
+        };
+        let report = Engine::new(&instr.app, cluster, params)
+            .run(
+                &instr.map_schedule(schedule),
+                RunOptions {
+                    collect_traces: true,
+                    partition_skew: 0.3,
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        let db = ProfilingDatabase::new();
+        db.ingest(&instr, &report);
+        db
+    }
+
+    const COST: ComputeCost = ComputeCost {
+        fixed_s: 0.02,
+        per_record_s: 1e-6,
+        per_input_byte_s: 2e-9,
+    };
+
+    /// input → parsed → `jobs` treeAggregate jobs, nothing cached: every
+    /// job recomputes `parsed`, so its read half has one group per job.
+    fn iterative(jobs: usize) -> Application {
+        let mut b = AppBuilder::new("iter");
+        let src = b.source("in", SourceFormat::DistributedFs, 8_000, 400_000_000, 8);
+        let parsed = b.narrow("parsed", NarrowKind::Map, &[src], 8_000, 300_000_000, COST);
+        for i in 0..jobs {
+            let g = b.wide_with_partitions(
+                format!("grad[{i}]"),
+                WideKind::TreeAggregate,
+                &[parsed],
+                8,
+                1024,
+                1,
+                COST,
+            );
+            b.job("aggregate", g);
+        }
+        b.build().unwrap()
+    }
+
+    /// A diamond into a join, a self-join, and two wides sharing one map
+    /// stage, over three jobs.
+    fn joins() -> Application {
+        let mut b = AppBuilder::new("joins");
+        let s = b.source("s", SourceFormat::DistributedFs, 4_000, 200_000_000, 6);
+        let l = b.narrow("l", NarrowKind::Map, &[s], 4_000, 150_000_000, COST);
+        let r = b.narrow("r", NarrowKind::Filter, &[s], 2_000, 80_000_000, COST);
+        let j = b.wide("j", WideKind::Join, &[l, r], 3_000, 120_000_000, COST);
+        b.job("count", j);
+        let selfj = b.wide("selfj", WideKind::Join, &[l, l], 4_000, 160_000_000, COST);
+        b.job("count", selfj);
+        let w1 = b.wide("w1", WideKind::ReduceByKey, &[r], 500, 8_000_000, COST);
+        let w2 = b.wide("w2", WideKind::GroupByKey, &[r], 500, 9_000_000, COST);
+        let z = b.narrow("z", NarrowKind::Zip, &[w1, w2], 500, 17_000_000, COST);
+        b.job("collect", z);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn derive_matches_reference_on_profile_runs() {
+        let mut most_groups = 0;
+        for (name, app, schedule) in [
+            ("iterative", iterative(10), Schedule::empty()),
+            (
+                "iterative cached",
+                iterative(6),
+                Schedule::persist_all([DatasetId(1)]),
+            ),
+            ("joins", joins(), Schedule::empty()),
+            (
+                "joins cached",
+                joins(),
+                Schedule::persist_all([DatasetId(1), DatasetId(2)]),
+            ),
+        ] {
+            for machines in [1, 3] {
+                let db = profile_db(&app, &schedule, machines);
+                let cores = machines * MachineSpec::paper_example().cores;
+                let got = derive_metrics(&db, &app, cores);
+                assert!(!got.is_empty());
+                assert_same_bits(&got, &reference_derive(&db, &app, cores), name);
+                most_groups = most_groups.max(got.iter().map(|m| m.observations).max().unwrap());
+            }
+        }
+        // The uncached iterative run feeds parsed's read half from ten
+        // (job, stage) groups, so the summation order is exercised.
+        assert!(most_groups >= 10, "at most {most_groups} groups");
+    }
+
+    #[test]
+    fn interleaved_groups_give_the_same_bits_as_grouped_ones() {
+        let obs = |job: u32, task: u32, ent: f64| TransformationObservation {
+            dataset: DatasetId(1),
+            job: JobId(job),
+            stage: StageId(0),
+            task,
+            start: 0.1 * f64::from(task),
+            finish: 0.1 * f64::from(task) + ent,
+            partition_bytes: 1_000 + u64::from(task),
+            is_shuffle_write: false,
+            is_cache_read: false,
+        };
+        // Three (job, stage) groups of 3, 5 and 4 tasks with awkward ENTs:
+        // their per-group terms sum to different bits in different orders.
+        let groups: Vec<Vec<TransformationObservation>> = [(0, 3, 0.7), (1, 5, 0.3), (2, 4, 1e-3)]
+            .into_iter()
+            .map(|(job, tasks, scale)| {
+                (0..tasks)
+                    .map(|t| obs(job, t, scale * (1.0 + 1.0 / f64::from(t + 3))))
+                    .collect()
+            })
+            .collect();
+        let stages: Vec<StageRecord> = groups
+            .iter()
+            .map(|g| StageRecord {
+                job: g[0].job,
+                stage: g[0].stage,
+                n_tasks: g.len() as u32,
+            })
+            .collect();
+        let grouped: Vec<_> = groups.iter().flatten().copied().collect();
+        let reversed: Vec<_> = groups.iter().rev().flatten().copied().collect();
+        let interleaved: Vec<_> = (0..5)
+            .flat_map(|i| groups.iter().rev().filter_map(move |g| g.get(i)))
+            .copied()
+            .collect();
+        let app = iterative(2);
+        let derive = |observations: &[TransformationObservation]| {
+            let db = ProfilingDatabase::new();
+            db.insert_raw(&stages, observations);
+            (derive_metrics(&db, &app, 2), reference_derive(&db, &app, 2))
+        };
+        let (want, reference) = derive(&grouped);
+        assert_same_bits(&want, &reference, "grouped");
+        assert_eq!(want.len(), 1);
+        assert_eq!(want[0].observations, 3);
+        // Every group reports the same bytes per partition, so the
+        // last-write-wins sizes agree in every order.
+        assert_eq!(want[0].size_bytes, (0..5).map(|t| 1_000 + t).sum::<u64>());
+        for (what, order) in [("reversed", reversed), ("interleaved", interleaved)] {
+            let (got, reference) = derive(&order);
+            assert_same_bits(&got, &want, what);
+            assert_same_bits(&reference, &want, what);
+        }
+    }
 }

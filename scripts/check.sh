@@ -74,6 +74,9 @@ cargo test -q --offline --test health_golden
 echo "== health overhead (<5% steady-state fold budget; records results/BENCH_health_overhead.json) =="
 cargo bench --offline -p bench --bench health_overhead
 
+echo "== benchmark self-test (printed metrics match BENCHMARK.json; corrupted references fail) =="
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --self-test
+
 echo "== perf report (fresh BENCH_*.json vs results/baselines/) =="
 cargo run -q --release --offline --bin juggler -- perf-report
 
