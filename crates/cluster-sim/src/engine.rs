@@ -13,6 +13,7 @@ use std::sync::Arc;
 use dagflow::{Application, DagError, DatasetId, JobId, Schedule, ScheduleOp, StagePlan};
 
 use crate::config::{ClusterConfig, SimParams};
+use crate::eviction::DatasetHints;
 use crate::executor::{run_stage, ExecutorState};
 use crate::fault::{ChaosState, FaultSummary};
 use crate::memory::{BlockLayout, BlockStore};
@@ -166,9 +167,9 @@ pub(crate) fn gather_counters(
 }
 
 /// Everything about an application a run needs but no run mutates: the
-/// dataset→jobs use lists, the per-job stage plans, the static
-/// shuffle-consumer table, and the dense block layout. Built once per
-/// application (inside [`Engine::new`]) and shared across engines — the
+/// dataset→jobs use lists, the per-job stage plans and the static
+/// shuffle-consumer table. Built once per application (inside
+/// [`Engine::new`]) and shared across engines — the
 /// training pipeline hands one `Arc<EnginePrep>` to every grid point via
 /// [`Engine::with_prep`], so a thousand-cell simulation matrix plans each
 /// job exactly once instead of once per cell per job.
@@ -184,26 +185,15 @@ pub struct EnginePrep {
     /// wide_dataset)` pairs, ordered by consumer stage, then by wide id.
     /// Runs filter by their `needed` set at job time.
     pub(crate) consumers: Vec<Vec<Vec<(u32, DatasetId)>>>,
-    /// Dense `(dataset, partition)` interning for the block store.
-    layout: Arc<BlockLayout>,
-    /// Pool of per-run scratch (block store + executor state), returned at
-    /// run end and reset on reuse so repeated runs — grid cells in the
-    /// training fan-out above all — skip the per-run allocations. Shared
-    /// across the engines of a fan-out via the prep `Arc`; popped scratch
-    /// is fully reset, so pool order cannot influence results.
-    scratch: std::sync::Mutex<Vec<RunScratch>>,
-}
-
-/// Reusable per-run mutable state, pooled on [`EnginePrep`].
-struct RunScratch {
-    store: BlockStore,
-    state: ExecutorState,
-}
-
-impl std::fmt::Debug for RunScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunScratch").finish_non_exhaustive()
-    }
+    /// Pool of executor states (core grid, claim deques, median heaps,
+    /// compiled-walk buffers), returned at run end and reset on reuse so
+    /// repeated runs — grid cells in the training fan-out above all — skip
+    /// those allocations. Shared across the engines of a fan-out via the
+    /// prep `Arc`; a popped state is fully reset, so pool order cannot
+    /// influence results. The block store is not pooled: its layout
+    /// depends on the run's schedule and sets up in O(datasets +
+    /// persisted blocks).
+    scratch: std::sync::Mutex<Vec<ExecutorState>>,
 }
 
 impl EnginePrep {
@@ -269,15 +259,8 @@ impl EnginePrep {
             job_uses,
             plans,
             consumers,
-            layout: Arc::new(BlockLayout::from_app(app)),
             scratch: std::sync::Mutex::new(Vec::new()),
         }
-    }
-
-    /// The dense block layout of the application.
-    #[must_use]
-    pub fn layout(&self) -> &Arc<BlockLayout> {
-        &self.layout
     }
 
     /// The precomputed stage plans, one per job.
@@ -317,7 +300,7 @@ impl<'a> Engine<'a> {
         prep: Arc<EnginePrep>,
     ) -> Self {
         debug_assert_eq!(
-            prep.layout.dataset_count(),
+            prep.job_uses.len(),
             app.dataset_count(),
             "prep built from a different application"
         );
@@ -339,6 +322,16 @@ impl<'a> Engine<'a> {
     #[must_use]
     pub fn prep(&self) -> &Arc<EnginePrep> {
         &self.prep
+    }
+
+    /// A fresh block store for a run persisting `persisted`: block slots
+    /// for the persisted datasets only.
+    fn run_store(&self, persisted: &[bool]) -> BlockStore {
+        BlockStore::with_policy(
+            &self.cluster,
+            BlockLayout::persisted([(self.app, persisted)]),
+            self.params.eviction_policy,
+        )
     }
 
     /// Runs the application under `schedule`, overriding whatever the
@@ -376,27 +369,12 @@ impl<'a> Engine<'a> {
         let _prof = obs::prof::scope("sim");
         let machines = self.cluster.machines.max(1);
 
-        // Unpack the schedule: active persist set plus u(X)-before-p(Y)
-        // swap pairs.
-        let mut persisted = vec![false; self.app.dataset_count()];
-        let mut swap: HashMap<DatasetId, DatasetId> = HashMap::new();
-        let mut pending_unpersist: Option<DatasetId> = None;
-        for op in schedule.ops() {
-            match *op {
-                ScheduleOp::Persist(d) => {
-                    persisted[d.index()] = true;
-                    if let Some(x) = pending_unpersist.take() {
-                        swap.insert(d, x);
-                    }
-                }
-                ScheduleOp::Unpersist(d) => pending_unpersist = Some(d),
-            }
-        }
+        let (persisted, swap) = unpack_schedule(self.app, schedule);
 
-        // Per-run mutable state comes from the prep's scratch pool when a
+        // The executor state comes from the prep's scratch pool when a
         // previous run returned one (reset to pristine before use), so
         // repeated runs — above all the training fan-out's grid cells —
-        // skip the block-store and executor allocations entirely.
+        // skip its allocations.
         let mut noise = TaskNoise::new(self.params.seed, self.params.noise);
         // Absolute cluster-dynamics jitter: drawn once per run (container
         // provisioning, JVM warm-up), dominating short sample runs.
@@ -407,32 +385,15 @@ impl<'a> Engine<'a> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .pop();
-        let (mut store, mut state) = match pooled {
-            Some(RunScratch {
-                mut store,
-                mut state,
-            }) => {
-                store.reset_for(&self.cluster, self.params.eviction_policy);
+        let mut state = match pooled {
+            Some(mut state) => {
                 state.reset(machines, self.cluster.spec.cores, noise);
-                (store, state)
+                state
             }
-            None => (
-                BlockStore::with_policy(
-                    &self.cluster,
-                    Arc::clone(&self.prep.layout),
-                    self.params.eviction_policy,
-                ),
-                ExecutorState::new(machines, self.cluster.spec.cores, noise),
-            ),
+            None => ExecutorState::new(machines, self.cluster.spec.cores, noise),
         };
-        // Per-dataset job-use lists for the DAG-aware eviction policies'
-        // hints (only persisted datasets can ever be victims); the lists
-        // themselves are precomputed in `EnginePrep`.
-        let job_uses: Vec<(DatasetId, &[usize])> = (0..self.app.dataset_count() as u32)
-            .map(DatasetId)
-            .filter(|d| persisted[d.index()])
-            .map(|d| (d, self.prep.job_uses[d.index()].as_slice()))
-            .collect();
+        let mut store = self.run_store(&persisted);
+        let mut hints = JobHints::new(&persisted);
         let sizing = Sizing::new(self.app, options.partition_skew);
         let env = TaskEnv {
             app: self.app,
@@ -453,7 +414,7 @@ impl<'a> Engine<'a> {
 
         let mut chaos = ChaosState::new(&self.params.faults, self.params.retry, machines as usize);
         // Scratch buffers reused across jobs/stages.
-        let mut before: Vec<(u64, u64)> = Vec::with_capacity(job_uses.len());
+        let mut before: Vec<(u64, u64)> = Vec::new();
         let mut consumers: Vec<DatasetId> = Vec::new();
         let mut needed: Vec<bool> = Vec::new();
         let mut stage_stack: Vec<usize> = Vec::new();
@@ -468,29 +429,12 @@ impl<'a> Engine<'a> {
                 let _prof = obs::prof::scope("faults");
                 chaos.fire_due(now, &mut store, &mut state);
             }
-            // Refresh DAG-aware eviction hints: remaining references and
-            // next-use distance from this job onward. Every persisted
-            // dataset (the only possible victims) gets rewritten each job,
-            // so stale hints cannot leak across jobs.
-            for &(d, uses) in &job_uses {
-                let remaining = uses.iter().filter(|&&u| u >= ji).count() as u64;
-                let next = uses
-                    .iter()
-                    .find(|&&u| u >= ji)
-                    .map_or(u32::MAX, |&u| (u - ji) as u32);
-                store.set_hint(
-                    d,
-                    crate::eviction::DatasetHints {
-                        remaining_refs: remaining,
-                        next_use_distance: next,
-                    },
-                );
-            }
+            hints.refresh(&self.prep.job_uses, ji, &mut store);
             // Per-job hit/miss snapshot of the persisted datasets, aligned
-            // with `job_uses` (untouched datasets read as zero, matching
-            // the old map's `unwrap_or((0, 0))`).
+            // with `hints` (untouched datasets read as zero, matching the
+            // old map's `unwrap_or((0, 0))`).
             before.clear();
-            before.extend(job_uses.iter().map(|&(d, _)| {
+            before.extend(hints.datasets().map(|d| {
                 store
                     .dataset_stats(d)
                     .map_or((0, 0), |s| (s.hits, s.misses))
@@ -558,10 +502,10 @@ impl<'a> Engine<'a> {
             // Per-job deltas over the persisted datasets that have stats,
             // in dataset-id order (the old map iteration was unordered;
             // consumers look entries up by id, never by position).
-            let deltas: Vec<(DatasetId, u64, u64)> = job_uses
-                .iter()
+            let deltas: Vec<(DatasetId, u64, u64)> = hints
+                .datasets()
                 .zip(&before)
-                .filter_map(|(&(d, _), &(h0, m0))| {
+                .filter_map(|(d, &(h0, m0))| {
                     store
                         .dataset_stats(d)
                         .map(|s| (d, s.hits - h0, s.misses - m0))
@@ -594,11 +538,11 @@ impl<'a> Engine<'a> {
         let cache = CacheStats {
             peak_storage_bytes: store.peak_storage(),
             peak_exec_bytes: store.peak_exec(),
-            per_dataset: store.take_stats(),
+            per_dataset: store.into_stats(),
         };
         let (spilled_tasks, total_tasks, task_attempts) =
             (state.spilled_tasks, state.total_tasks, state.task_attempts);
-        // Return the run's mutable state to the pool (bounded so a pile of
+        // Return the executor state to the pool (bounded so a pile of
         // one-shot engines cannot hoard memory).
         {
             let mut pool = self
@@ -607,7 +551,7 @@ impl<'a> Engine<'a> {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if pool.len() < 32 {
-                pool.push(RunScratch { store, state });
+                pool.push(state);
             }
         }
         Ok(RunReport {
@@ -627,6 +571,87 @@ impl<'a> Engine<'a> {
             faults,
             contention: crate::report::ContentionSummary::default(),
         })
+    }
+}
+
+/// Unpacks a schedule into the run's persist flags (per dataset id) and
+/// its `u(X)`-before-`p(Y)` swap pairs, keyed `Y → X`.
+pub(crate) fn unpack_schedule(
+    app: &Application,
+    schedule: &Schedule,
+) -> (Vec<bool>, HashMap<DatasetId, DatasetId>) {
+    let mut persisted = vec![false; app.dataset_count()];
+    let mut swap = HashMap::new();
+    let mut pending_unpersist: Option<DatasetId> = None;
+    for op in schedule.ops() {
+        match *op {
+            ScheduleOp::Persist(d) => {
+                persisted[d.index()] = true;
+                if let Some(x) = pending_unpersist.take() {
+                    swap.insert(d, x);
+                }
+            }
+            ScheduleOp::Unpersist(d) => pending_unpersist = Some(d),
+        }
+    }
+    (persisted, swap)
+}
+
+/// DAG-aware eviction hints of a run's persisted datasets — the only
+/// possible victims — for the LRC and MRD policies. Each dataset keeps a
+/// cursor into its ascending job-use list ([`EnginePrep`]'s `job_uses`)
+/// that only moves forward as jobs advance, so a run's refreshes cost
+/// O(jobs × persisted + uses) instead of a full list scan per dataset per
+/// job.
+pub(crate) struct JobHints {
+    /// `(dataset, index of its first use at or after the current job)`,
+    /// in dataset-id order.
+    cursors: Vec<(DatasetId, usize)>,
+}
+
+impl JobHints {
+    pub(crate) fn new(persisted: &[bool]) -> Self {
+        JobHints {
+            cursors: (0..persisted.len() as u32)
+                .map(DatasetId)
+                .filter(|d| persisted[d.index()])
+                .map(|d| (d, 0))
+                .collect(),
+        }
+    }
+
+    /// The persisted datasets, in id order.
+    pub(crate) fn datasets(&self) -> impl Iterator<Item = DatasetId> + '_ {
+        self.cursors.iter().map(|&(d, _)| d)
+    }
+
+    /// Every persisted dataset's hint for job `ji`: references remaining
+    /// and distance to the next use, from `ji` onward. Calls must come in
+    /// non-decreasing job order.
+    fn advance<'s>(
+        &'s mut self,
+        job_uses: &'s [Vec<usize>],
+        ji: usize,
+    ) -> impl Iterator<Item = (DatasetId, DatasetHints)> + 's {
+        self.cursors.iter_mut().map(move |(d, cursor)| {
+            let uses = &job_uses[d.index()];
+            while uses.get(*cursor).is_some_and(|&u| u < ji) {
+                *cursor += 1;
+            }
+            let hint = DatasetHints {
+                remaining_refs: (uses.len() - *cursor) as u64,
+                next_use_distance: uses.get(*cursor).map_or(u32::MAX, |&u| (u - ji) as u32),
+            };
+            (*d, hint)
+        })
+    }
+
+    /// Rewrites every persisted dataset's hint in `store` for job `ji`, so
+    /// stale hints cannot leak across jobs.
+    pub(crate) fn refresh(&mut self, job_uses: &[Vec<usize>], ji: usize, store: &mut BlockStore) {
+        for (d, hint) in self.advance(job_uses, ji) {
+            store.set_hint(d, hint);
+        }
     }
 }
 
@@ -670,7 +695,7 @@ pub(crate) fn needed_stages(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dagflow::{AppBuilder, ComputeCost, NarrowKind, SourceFormat, WideKind};
 
@@ -759,7 +784,7 @@ mod tests {
     /// transformations over 1–3 random older parents (a wide sometimes
     /// lists one parent twice, a self-join), then 1–5 jobs over random
     /// targets, repeats allowed.
-    fn random_app(seed: u64) -> Application {
+    pub(crate) fn random_app(seed: u64) -> Application {
         let mut state = seed;
         let mut pick = |bound: usize| -> usize {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -861,6 +886,65 @@ mod tests {
         assert!(multi_parent_wide, "no multi-parent wide generated");
         assert!(shared_map_stage, "no map stage shared by two jobs");
         assert!(outside_jobs, "no dataset outside every job");
+    }
+
+    #[test]
+    fn job_hint_cursors_match_full_list_scans() {
+        for seed in 0..200 {
+            let app = random_app(seed);
+            let prep = EnginePrep::new(&app);
+            let persisted: Vec<bool> = (0..app.dataset_count())
+                .map(|d| !(d as u64 + seed).is_multiple_of(3))
+                .collect();
+            let mut hints = JobHints::new(&persisted);
+            for ji in 0..app.jobs().len() {
+                let got: Vec<(DatasetId, DatasetHints)> =
+                    hints.advance(&prep.job_uses, ji).collect();
+                // The scan the cursors replaced.
+                let want: Vec<(DatasetId, DatasetHints)> = (0..app.dataset_count() as u32)
+                    .map(DatasetId)
+                    .filter(|d| persisted[d.index()])
+                    .map(|d| {
+                        let uses = &prep.job_uses[d.index()];
+                        let hint = DatasetHints {
+                            remaining_refs: uses.iter().filter(|&&u| u >= ji).count() as u64,
+                            next_use_distance: uses
+                                .iter()
+                                .find(|&&u| u >= ji)
+                                .map_or(u32::MAX, |&u| (u - ji) as u32),
+                        };
+                        (d, hint)
+                    })
+                    .collect();
+                assert_eq!(got, want, "seed {seed}, job {ji}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_store_has_slots_for_persisted_blocks_only() {
+        // Datasets: in (8 partitions), parsed (8), grad[0..3] (1 each).
+        let app = iterative_app(3);
+        let cluster = ClusterConfig::new(2, MachineSpec::paper_example());
+        let engine = Engine::new(&app, cluster, quiet_params());
+        for (schedule, blocks) in [
+            (Schedule::empty(), 0),
+            (Schedule::persist_all([DatasetId(1)]), 8),
+            (Schedule::persist_all([DatasetId(0), DatasetId(2)]), 9),
+            (
+                Schedule::from_ops(vec![
+                    ScheduleOp::Persist(DatasetId(1)),
+                    ScheduleOp::Unpersist(DatasetId(1)),
+                    ScheduleOp::Persist(DatasetId(3)),
+                ]),
+                9,
+            ),
+        ] {
+            let (persisted, _) = unpack_schedule(&app, &schedule);
+            let store = engine.run_store(&persisted);
+            assert_eq!(store.layout().block_count(), blocks);
+            assert_eq!(store.layout().dataset_count(), app.dataset_count());
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::fault::ChaosState;
 use crate::memory::BlockStore;
 use crate::report::TaskTrace;
 use crate::rng::TaskNoise;
-use crate::task::{walk_task, ConsumerCost, TaskEnv};
+use crate::task::{StageWalk, TaskEnv};
 use crate::trace::TraceRecorder;
 
 /// How long a task will wait for its preferred (cache-local) machine before
@@ -138,13 +138,19 @@ pub struct ExecutorState {
     /// Scratch wave bookkeeping for the structured trace, cleared at every
     /// stage start (reused for the same reason as `spec_durations`).
     waves: Vec<(f64, f64, u32)>,
-    /// Per-stage hoisted shuffle-write costs, taken out of the state for
+    /// The current stage's compiled task walk, taken out of the state for
     /// the duration of a stage (`mem::take`) and put back afterwards so
-    /// the allocation is reused across the hundreds of stages of a run.
-    consumer_costs: Vec<ConsumerCost>,
+    /// its buffers are reused across the hundreds of stages of a run.
+    stage_walk: StageWalk,
     /// Per-stage persisted-dataset preference list, reused like
-    /// `consumer_costs`.
+    /// `stage_walk`.
     pref_datasets: Vec<DatasetId>,
+}
+
+impl std::fmt::Debug for ExecutorState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExecutorState").finish_non_exhaustive()
+    }
 }
 
 impl ExecutorState {
@@ -168,7 +174,7 @@ impl ExecutorState {
             slot_wait_s: 0.0,
             spec_durations: RunningMedian::default(),
             waves: Vec::new(),
-            consumer_costs: Vec::new(),
+            stage_walk: StageWalk::default(),
             pref_datasets: Vec::new(),
         }
     }
@@ -375,18 +381,14 @@ pub fn run_stage(
         / f64::from(env.cluster.spec.cores.max(1))) as u64;
 
     // Hoist the partition-independent work out of the task loop: the
-    // shuffle-write cost terms and the stage's persisted datasets
-    // (deepest-first, the locality-preference scan order). The buffers
-    // live in `ExecutorState` and are taken for the stage's duration so
-    // their allocations survive across stages; they are restored before
-    // returning.
-    let mut consumer_costs = std::mem::take(&mut state.consumer_costs);
-    consumer_costs.clear();
-    consumer_costs.extend(
-        shuffle_consumers
-            .iter()
-            .map(|&w| ConsumerCost::build(env, stage.output, w)),
-    );
+    // compiled task walk (lineage recursion flattened against this run's
+    // persisted set, shuffle-read and shuffle-write cost terms) and the
+    // stage's persisted datasets (deepest-first, the locality-preference
+    // scan order). The buffers live in `ExecutorState` and are taken for
+    // the stage's duration so their allocations survive across stages;
+    // they are restored before returning.
+    let mut stage_walk = std::mem::take(&mut state.stage_walk);
+    stage_walk.compile(env, stage.output, shuffle_consumers);
     let mut pref_datasets = std::mem::take(&mut state.pref_datasets);
     pref_datasets.clear();
     pref_datasets.extend(
@@ -435,7 +437,7 @@ pub fn run_stage(
             state.expire_claims(store, machine, start);
             let claimed = store.claim_exec(machine, exec_bytes);
 
-            let walk = walk_task(env, store, machine, stage.output, task_idx, &consumer_costs);
+            let walk = stage_walk.run(env, store, machine, task_idx);
             let (noise_factor, is_straggler) = state.noise.sample();
             // GC pauses and slow containers have an absolute magnitude: a
             // straggler never finishes faster than the floor, no matter how
@@ -507,14 +509,7 @@ pub fn run_stage(
                     let cstart = cfree.max(detect_at);
                     state.expire_claims(store, cmachine, cstart);
                     let cclaimed = store.claim_exec(cmachine, exec_bytes);
-                    let cwalk = walk_task(
-                        env,
-                        store,
-                        cmachine,
-                        stage.output,
-                        task_idx,
-                        &consumer_costs,
-                    );
+                    let cwalk = stage_walk.run(env, store, cmachine, task_idx);
                     let (cnoise, cstraggler) = state.noise.sample();
                     let mut cduration = cwalk.duration * cnoise;
                     if cstraggler {
@@ -615,7 +610,7 @@ pub fn run_stage(
         state.expire_claims(store, m, stage_finish);
     }
     // Hand the hoisted-scratch allocations back for the next stage.
-    state.consumer_costs = consumer_costs;
+    state.stage_walk = stage_walk;
     state.pref_datasets = pref_datasets;
     stage_finish
 }
@@ -633,8 +628,11 @@ mod tests {
     use crate::memory::BlockLayout;
     use crate::task::Sizing;
 
-    fn store_for(app: &Application, cluster: &ClusterConfig) -> BlockStore {
-        BlockStore::new(cluster, std::sync::Arc::new(BlockLayout::from_app(app)))
+    fn store_for(env: &TaskEnv<'_>) -> BlockStore {
+        BlockStore::new(
+            env.cluster,
+            BlockLayout::persisted([(env.app, env.persisted)]),
+        )
     }
 
     fn inert_chaos(machines: u32) -> ChaosState {
@@ -694,7 +692,7 @@ mod tests {
                 sizing: &Sizing::new(&app, 0.0),
                 trace: false,
             };
-            let mut store = store_for(&app, &cluster);
+            let mut store = store_for(&env);
             let mut state = ExecutorState::new(
                 machines,
                 cluster.spec.cores,
@@ -741,7 +739,7 @@ mod tests {
             sizing: &Sizing::new(&app, 0.0),
             trace: true,
         };
-        let mut store = store_for(&app, &cluster);
+        let mut store = store_for(&env);
         let mut state = ExecutorState::new(2, 4, TaskNoise::new(0, NoiseParams::NONE));
         let plan = StagePlan::build(&app, dagflow::JobId(0));
         let mut traces = Vec::new();
@@ -810,7 +808,7 @@ mod tests {
             sizing: &Sizing::new(&app, 0.3),
             trace: true,
         };
-        let mut store = store_for(&app, &cluster);
+        let mut store = store_for(&env);
         let mut state = ExecutorState::new(2, 4, TaskNoise::new(7, params.noise));
         let plan = StagePlan::build(&app, dagflow::JobId(0));
         let mut traces = Vec::new();
@@ -859,7 +857,7 @@ mod tests {
             sizing: &Sizing::new(&app, 0.0),
             trace: false,
         };
-        let mut store = store_for(&app, &cluster);
+        let mut store = store_for(&env);
         let mut state = ExecutorState::new(1, 4, TaskNoise::new(0, NoiseParams::NONE));
         let plan = StagePlan::build(&app, dagflow::JobId(0));
         let mut traces = Vec::new();

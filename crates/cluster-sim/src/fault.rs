@@ -624,7 +624,7 @@ mod tests {
 
     fn harness(machines: u32) -> (BlockStore, ExecutorState) {
         let cluster = ClusterConfig::new(machines, MachineSpec::paper_example());
-        let layout = std::sync::Arc::new(crate::memory::BlockLayout::from_partitions([4]));
+        let layout = crate::memory::BlockLayout::from_partitions([4]);
         let store = BlockStore::new(&cluster, layout);
         let state = ExecutorState::new(machines, 4, TaskNoise::new(0, NoiseParams::NONE));
         (store, state)

@@ -17,14 +17,17 @@
 //! `(dataset, partition)` pairs are interned to dense block indices via a
 //! [`BlockLayout`] (a prefix sum over per-dataset partition counts), so the
 //! cache-residency hot path — `residency`, `touch`/`read`, `try_insert` —
-//! is straight array indexing instead of hashing. Eviction outcomes are
-//! unchanged: every access and insert stamp comes from a strictly
-//! monotonic clock, so victim selection has a unique minimum and is
-//! independent of candidate enumeration order (this is also why the old
-//! `HashMap`-iteration enumeration was deterministic across processes).
+//! is straight array indexing instead of hashing. A run's layout gives
+//! slots only to the datasets its schedule persists
+//! ([`BlockLayout::persisted`]): no other dataset can ever hold a block,
+//! so setting a store up costs O(datasets + persisted blocks), not O(all
+//! blocks). Eviction outcomes are unchanged: every access and insert stamp
+//! comes from a strictly monotonic clock, so victim selection has a unique
+//! minimum and is independent of candidate enumeration order and of block
+//! indices (this is also why the old `HashMap`-iteration enumeration was
+//! deterministic across processes).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dagflow::{Application, DatasetId};
 
@@ -61,8 +64,8 @@ impl Default for BlockMeta {
 }
 
 /// Interns `(dataset, partition)` pairs to dense block indices: block
-/// `offsets[d] + p` for partition `p` of dataset `d`. Built once per
-/// application and shared (via `Arc`) by every run's [`BlockStore`].
+/// `offsets[d] + p` for partition `p` of dataset `d`. Built per run, owned
+/// by the run's [`BlockStore`].
 #[derive(Debug)]
 pub struct BlockLayout {
     /// `offsets[d]..offsets[d + 1]` is dataset `d`'s block range.
@@ -72,10 +75,21 @@ pub struct BlockLayout {
 }
 
 impl BlockLayout {
-    /// Layout for an application: one block slot per `(dataset, partition)`.
+    /// The layout of one run's store: one block slot per partition of each
+    /// dataset the run persists, none for the rest — only persisted
+    /// datasets are ever cached. `runs` lists `(application, persisted
+    /// flags)` pairs whose dataset ids are concatenated in order: a plain
+    /// run passes one pair, a multi-tenant run one per tenant.
     #[must_use]
-    pub fn from_app(app: &Application) -> Self {
-        Self::from_partitions(app.datasets().iter().map(|d| d.partitions))
+    pub fn persisted<'a, 'p>(
+        runs: impl IntoIterator<Item = (&'a Application, &'p [bool])>,
+    ) -> Self {
+        Self::from_partitions(runs.into_iter().flat_map(|(app, persisted)| {
+            app.datasets()
+                .iter()
+                .zip(persisted)
+                .map(|(d, &on)| if on { d.partitions } else { 0 })
+        }))
     }
 
     /// Layout from explicit per-dataset partition counts (dataset `i` has
@@ -188,7 +202,7 @@ impl Tenancy {
 /// per-dataset statistics.
 #[derive(Debug)]
 pub struct BlockStore {
-    layout: Arc<BlockLayout>,
+    layout: BlockLayout,
     policy: EvictionPolicyKind,
     /// Monotonic access/insert clock; every stamp is unique.
     clock: u64,
@@ -228,7 +242,7 @@ impl BlockStore {
     /// Creates an empty store for a cluster, evicting with LRU (Spark's
     /// default).
     #[must_use]
-    pub fn new(cluster: &ClusterConfig, layout: Arc<BlockLayout>) -> Self {
+    pub fn new(cluster: &ClusterConfig, layout: BlockLayout) -> Self {
         BlockStore::with_policy(cluster, layout, EvictionPolicyKind::Lru)
     }
 
@@ -236,7 +250,7 @@ impl BlockStore {
     #[must_use]
     pub fn with_policy(
         cluster: &ClusterConfig,
-        layout: Arc<BlockLayout>,
+        layout: BlockLayout,
         policy: EvictionPolicyKind,
     ) -> Self {
         let machines = cluster.machines as usize;
@@ -335,7 +349,7 @@ impl BlockStore {
 
     /// Clones the touched statistics of one tenant's datasets, keyed by
     /// the tenant's *local* dataset ids — the per-tenant analogue of
-    /// [`BlockStore::take_stats`], taken at the tenant's completion so
+    /// [`BlockStore::into_stats`], taken at the tenant's completion so
     /// later tenants' activity cannot leak in.
     #[must_use]
     pub fn tenant_stats(&self, tenant: usize) -> HashMap<DatasetId, DatasetCacheStats> {
@@ -361,7 +375,7 @@ impl BlockStore {
 
     /// The layout this store indexes blocks with.
     #[must_use]
-    pub fn layout(&self) -> &Arc<BlockLayout> {
+    pub fn layout(&self) -> &BlockLayout {
         &self.layout
     }
 
@@ -667,57 +681,14 @@ impl BlockStore {
     /// Final per-dataset statistics (drained): exactly the datasets that
     /// were ever touched, as the map-keyed store reported.
     #[must_use]
-    pub fn into_stats(mut self) -> HashMap<DatasetId, DatasetCacheStats> {
-        self.take_stats()
-    }
-
-    /// Moves the touched-dataset statistics out without consuming the
-    /// store, leaving `stats` empty. Used by the engine's run-scratch
-    /// pool: the store goes back to the pool and [`BlockStore::reset_for`]
-    /// rebuilds the vector on next use.
-    pub fn take_stats(&mut self) -> HashMap<DatasetId, DatasetCacheStats> {
-        std::mem::take(&mut self.stats)
+    pub fn into_stats(self) -> HashMap<DatasetId, DatasetCacheStats> {
+        self.stats
             .into_iter()
+            .zip(self.touched)
             .enumerate()
-            .filter(|&(i, _)| self.touched[i])
-            .map(|(i, s)| (DatasetId(i as u32), s))
+            .filter(|&(_, (_, touched))| touched)
+            .map(|(i, (s, _))| (DatasetId(i as u32), s))
             .collect()
-    }
-
-    /// Restores the store to the exact state a fresh
-    /// [`BlockStore::with_policy`] call for `cluster`/`policy` would
-    /// produce, reusing every allocation. The layout (and with it the
-    /// application) must match the one the store was built with; cluster
-    /// size and memory spec may differ, as they do across grid points.
-    pub fn reset_for(&mut self, cluster: &ClusterConfig, policy: EvictionPolicyKind) {
-        let machines = cluster.machines as usize;
-        let blocks = self.layout.block_count();
-        let datasets = self.layout.dataset_count();
-        self.policy = policy;
-        self.clock = 0;
-        self.unified = cluster.spec.unified_memory();
-        self.min_storage = cluster.spec.min_storage();
-        self.storage_used.clear();
-        self.storage_used.resize(machines, 0);
-        self.exec_used.clear();
-        self.exec_used.resize(machines, 0);
-        self.resident.iter_mut().for_each(Vec::clear);
-        self.resident.resize_with(machines, Vec::new);
-        self.blocks.clear();
-        self.blocks.resize(blocks, BlockMeta::default());
-        self.stats.clear();
-        self.stats.resize(datasets, DatasetCacheStats::default());
-        self.touched.clear();
-        self.touched.resize(datasets, false);
-        self.hints.clear();
-        self.hints.resize(datasets, DatasetHints::default());
-        self.total_storage = 0;
-        self.total_exec = 0;
-        self.peak_storage = 0;
-        self.peak_exec = 0;
-        self.victim_keys.clear();
-        self.victim_cands.clear();
-        self.tenancy = None;
     }
 
     /// Number of machines in the store.
@@ -739,7 +710,7 @@ mod tests {
             ram_bytes: ram,
             ..MachineSpec::paper_example()
         };
-        let layout = Arc::new(BlockLayout::from_partitions([1, 10, 10]));
+        let layout = BlockLayout::from_partitions([1, 10, 10]);
         BlockStore::new(&ClusterConfig::new(machines, spec), layout)
     }
 
@@ -990,20 +961,5 @@ mod tests {
         assert_eq!(s.tenant_contention(0), (0, 0, 0.0), "fault, not contention");
         // Charging resumes after the loss.
         assert!(s.tenancy.as_deref().unwrap().charging);
-    }
-
-    #[test]
-    fn reset_clears_tenancy() {
-        let spec = MachineSpec {
-            ram_bytes: 12_000_000_000,
-            ..MachineSpec::paper_example()
-        };
-        let mut s = tenant_store(12_000_000_000);
-        s.set_active_tenant(1);
-        s.reset_for(&ClusterConfig::new(1, spec), EvictionPolicyKind::Lru);
-        // Ids are global again: dataset 1 is D_A, not tenant 1's offset.
-        assert!(s.try_insert(0, D_A, 0, 1000));
-        assert_eq!(s.residency(D_A, 0), Some(0));
-        assert_eq!(s.tenant_contention(0), (0, 0, 0.0));
     }
 }

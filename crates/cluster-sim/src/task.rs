@@ -14,6 +14,14 @@
 //! cache it, honouring the `u(X) … p(Y)` partition swap of schedules.
 //! Like Spark, the walk does not memoize within a task: a dataset reachable
 //! via two in-stage paths is computed twice.
+//!
+//! The recursion depends on the stage and the schedule only, never on the
+//! partition, so `StageWalk::compile` flattens it once per stage
+//! execution into a list of ops, and every task of the stage runs that
+//! list in a loop (`StageWalk::run`). The list keeps the recursion's
+//! store-call order exactly: a persisted dataset's cache read comes
+//! before its subtree, its insert (and swap) after it, and a cache hit
+//! jumps past both.
 
 use std::collections::HashMap;
 
@@ -151,7 +159,7 @@ impl TaskWalk {
 /// the per-task computation produced (same expressions, same inputs), so
 /// task durations are bit-identical; only the per-task divisions go away.
 #[derive(Debug, Clone, Copy)]
-pub struct ConsumerCost {
+struct ConsumerCost {
     /// The consuming wide dataset.
     wide: DatasetId,
     /// Bytes this map task writes (`shuffled bytes / map tasks`).
@@ -167,8 +175,7 @@ pub struct ConsumerCost {
 impl ConsumerCost {
     /// Precomputes the shuffle-write terms for one `(producing stage
     /// output, consuming wide)` pair.
-    #[must_use]
-    pub fn build(env: &TaskEnv<'_>, output: DatasetId, wide: DatasetId) -> Self {
+    fn build(env: &TaskEnv<'_>, output: DatasetId, wide: DatasetId) -> Self {
         let w = env.app.dataset(wide);
         let map_tasks = f64::from(env.app.dataset(output).partitions.max(1));
         let written = shuffled_bytes(env.app, wide) / map_tasks;
@@ -182,23 +189,16 @@ impl ConsumerCost {
     }
 }
 
-/// Walks the pipeline for partition `p` of `output` on `machine`, mutating
-/// the block store (cache hits, inserts, swaps).
-///
-/// `shuffle_consumers` carries the precomputed shuffle-write costs of the
-/// wide datasets (of the current job) that read this stage's output; a
-/// `ShuffleWrite` step is appended for each.
-pub fn walk_task(
+/// Appends one `ShuffleWrite` step per consuming wide dataset to the walk
+/// of partition `p` of `output`.
+fn push_shuffle_writes(
     env: &TaskEnv<'_>,
-    store: &mut BlockStore,
-    machine: usize,
     output: DatasetId,
     p: u32,
-    shuffle_consumers: &[ConsumerCost],
-) -> TaskWalk {
-    let mut walk = TaskWalk::default();
-    materialize(env, store, machine, output, p, &mut walk);
-    for c in shuffle_consumers {
+    consumers: &[ConsumerCost],
+    walk: &mut TaskWalk,
+) {
+    for c in consumers {
         // Map-side combine work (the scan producing partial aggregates) is
         // part of the Shuffle Write half of a combining wide transformation.
         let combine = match c.combine {
@@ -211,7 +211,6 @@ pub fn walk_task(
         let dur = combine + c.write_s;
         walk.push_step(env.trace, c.wide, StepKind::ShuffleWrite, dur, c.written);
     }
-    walk
 }
 
 /// Total bytes crossing the network for a wide dataset's shuffle: combining
@@ -237,90 +236,253 @@ fn wide_combines(op: OpKind) -> bool {
     matches!(op, OpKind::Wide(k) if k.combines_map_side())
 }
 
-/// Reduce-side cost of materializing one partition of a wide dataset:
-/// network fetch of this reducer's share plus merge/compute work.
-fn shuffle_read_seconds(env: &TaskEnv<'_>, wide: DatasetId, p: u32) -> f64 {
-    let spec = &env.cluster.spec;
-    let w = env.app.dataset(wide);
-    let fetched = shuffled_bytes(env.app, wide) / f64::from(w.partitions.max(1));
-    let fetch = fetched / spec.network_bandwidth
-        + f64::from(env.cluster.machines) * env.params.shuffle_connection_s;
-    let compute = if wide_combines(w.op) {
-        // The scan work was charged map-side; merging partials is cheap.
-        (w.compute.fixed_s + w.compute.per_input_byte_s * fetched) / spec.cpu_speed
-    } else {
-        let records = env.sizing.partition_records(wide, p);
-        w.compute.task_seconds(records, fetched) / spec.cpu_speed
-    };
-    fetch + compute
+/// Reduce-side cost of materializing one partition of a wide dataset —
+/// network fetch of this reducer's share plus merge/compute work — split
+/// into its partition-independent terms, computed with the per-task
+/// expressions so every duration keeps its bits.
+#[derive(Debug, Clone, Copy)]
+enum ShuffleRead {
+    /// A combining shuffle: the scan was charged map-side and merging
+    /// partials is partition-independent, so the whole read is one
+    /// constant (`fetch + merge`).
+    Combined(f64),
+    /// A non-combining shuffle: the fetch is constant, the reduce compute
+    /// scales with the partition's records.
+    PerRecord {
+        fetch: f64,
+        fetched: f64,
+        compute: ComputeCost,
+    },
 }
 
-/// Recursively makes partition `p` of `d` available inside the task.
-fn materialize(
-    env: &TaskEnv<'_>,
-    store: &mut BlockStore,
-    machine: usize,
-    d: DatasetId,
-    p: u32,
-    walk: &mut TaskWalk,
-) {
-    let spec = &env.cluster.spec;
-    let bytes = env.sizing.partition_bytes(d, p);
-    let is_persisted = env.persisted[d.index()];
-
-    if is_persisted {
-        // One fused lookup: counts the hit/miss and returns the holder.
-        if let Some(holder) = store.read(d, p) {
-            // Local read from storage memory, or a remote fetch if locality
-            // scheduling could not place us on the holder.
-            let bw = if holder == machine {
-                spec.cache_read_bandwidth
-            } else {
-                spec.network_bandwidth
-            };
-            walk.push_step(env.trace, d, StepKind::CacheRead, bytes / bw, bytes);
-            return;
-        }
-        // Persisted but not resident: the miss is recorded; recompute below.
-    }
-
-    let ds = env.app.dataset(d);
-    match ds.op {
-        OpKind::Source(_) => {
-            walk.push_step(
-                env.trace,
-                d,
-                StepKind::SourceRead,
-                bytes / spec.disk_bandwidth,
-                bytes,
-            );
-        }
-        OpKind::Wide(_) => {
-            let dur = shuffle_read_seconds(env, d, p);
-            walk.push_step(env.trace, d, StepKind::ShuffleRead, dur, bytes);
-        }
-        OpKind::Narrow(_) => {
-            let mut input_bytes = 0.0;
-            for &par in &ds.parents {
-                input_bytes += env.sizing.partition_bytes(par, p);
-                materialize(env, store, machine, par, p, walk);
+impl ShuffleRead {
+    fn build(env: &TaskEnv<'_>, wide: DatasetId) -> Self {
+        let spec = &env.cluster.spec;
+        let w = env.app.dataset(wide);
+        let fetched = shuffled_bytes(env.app, wide) / f64::from(w.partitions.max(1));
+        let fetch = fetched / spec.network_bandwidth
+            + f64::from(env.cluster.machines) * env.params.shuffle_connection_s;
+        if wide_combines(w.op) {
+            let merge = (w.compute.fixed_s + w.compute.per_input_byte_s * fetched) / spec.cpu_speed;
+            ShuffleRead::Combined(fetch + merge)
+        } else {
+            ShuffleRead::PerRecord {
+                fetch,
+                fetched,
+                compute: w.compute,
             }
-            let records = env.sizing.partition_records(d, p);
-            let compute = ds.compute.task_seconds(records, input_bytes) / spec.cpu_speed;
-            walk.push_step(env.trace, d, StepKind::Compute, compute, bytes);
         }
     }
 
-    if is_persisted && store.try_insert(machine, d, p, bytes.max(1.0) as Bytes) {
-        apply_swap(env, store, d, p);
+    #[inline]
+    fn seconds(&self, env: &TaskEnv<'_>, wide: DatasetId, p: u32) -> f64 {
+        match *self {
+            ShuffleRead::Combined(s) => s,
+            ShuffleRead::PerRecord {
+                fetch,
+                fetched,
+                compute,
+            } => {
+                let records = env.sizing.partition_records(wide, p);
+                fetch + compute.task_seconds(records, fetched) / env.cluster.spec.cpu_speed
+            }
+        }
+    }
+}
+
+/// One op of a compiled stage walk. `Check`/`Insert` exist only for
+/// datasets the schedule persists; the other three are the recursion's
+/// leaves and its narrow post-step.
+#[derive(Debug, Clone, Copy)]
+enum WalkOp {
+    /// Cache read of a persisted dataset. On a hit the read is the whole
+    /// contribution of the dataset: skip the next `skip` ops (its subtree
+    /// and its `Insert`).
+    Check { d: DatasetId, skip: u32 },
+    /// Stable-storage read of a source partition.
+    Source { d: DatasetId },
+    /// Reduce-side read of a wide partition.
+    Shuffle { d: DatasetId, read: ShuffleRead },
+    /// A narrow transformation over the parents in
+    /// `StageWalk::parents[parents.0..parents.1]`, whose subtrees ran just
+    /// before.
+    Narrow {
+        d: DatasetId,
+        parents: (u32, u32),
+        compute: ComputeCost,
+    },
+    /// Try to cache the freshly computed persisted partition; on success
+    /// drop blocks of the schedule's swap partner, if it has one.
+    Insert {
+        d: DatasetId,
+        swap: Option<DatasetId>,
+    },
+}
+
+/// A stage's pipeline walk, compiled for one stage execution: the
+/// recursion over `output`'s in-stage lineage flattened to ops, plus the
+/// stage's shuffle-write costs. Held in a reusable buffer by the executor
+/// state, so compiling allocates nothing once the buffers have grown.
+#[derive(Debug)]
+pub(crate) struct StageWalk {
+    output: DatasetId,
+    ops: Vec<WalkOp>,
+    /// Parent lists of the `Narrow` ops, flattened.
+    parents: Vec<DatasetId>,
+    consumers: Vec<ConsumerCost>,
+}
+
+impl Default for StageWalk {
+    fn default() -> Self {
+        StageWalk {
+            output: DatasetId(0),
+            ops: Vec::new(),
+            parents: Vec::new(),
+            consumers: Vec::new(),
+        }
+    }
+}
+
+impl StageWalk {
+    /// Compiles the walk of `output` under `env`'s schedule, with one
+    /// `ShuffleWrite` per wide dataset in `shuffle_consumers` (the wide
+    /// datasets of the current job that read this stage's output).
+    pub(crate) fn compile(
+        &mut self,
+        env: &TaskEnv<'_>,
+        output: DatasetId,
+        shuffle_consumers: &[DatasetId],
+    ) {
+        self.output = output;
+        self.ops.clear();
+        self.parents.clear();
+        self.emit(env, output);
+        self.consumers.clear();
+        self.consumers.extend(
+            shuffle_consumers
+                .iter()
+                .map(|&w| ConsumerCost::build(env, output, w)),
+        );
+    }
+
+    /// Emits the ops of one dataset in the recursion's order: check,
+    /// subtree, own step, insert.
+    fn emit(&mut self, env: &TaskEnv<'_>, d: DatasetId) {
+        let persisted = env.persisted[d.index()];
+        let check = self.ops.len();
+        if persisted {
+            self.ops.push(WalkOp::Check { d, skip: 0 });
+        }
+        let ds = env.app.dataset(d);
+        match ds.op {
+            OpKind::Source(_) => self.ops.push(WalkOp::Source { d }),
+            OpKind::Wide(_) => self.ops.push(WalkOp::Shuffle {
+                d,
+                read: ShuffleRead::build(env, d),
+            }),
+            OpKind::Narrow(_) => {
+                let start = self.parents.len() as u32;
+                self.parents.extend_from_slice(&ds.parents);
+                let end = self.parents.len() as u32;
+                for &par in &ds.parents {
+                    self.emit(env, par);
+                }
+                self.ops.push(WalkOp::Narrow {
+                    d,
+                    parents: (start, end),
+                    compute: ds.compute,
+                });
+            }
+        }
+        if persisted {
+            self.ops.push(WalkOp::Insert {
+                d,
+                swap: env.swap.get(&d).copied(),
+            });
+            let span = (self.ops.len() - 1 - check) as u32;
+            if let WalkOp::Check { skip, .. } = &mut self.ops[check] {
+                *skip = span;
+            }
+        }
+    }
+
+    /// Walks the pipeline for partition `p` of the compiled output on
+    /// `machine`, mutating the block store (cache hits, inserts, swaps) in
+    /// exactly the order the recursive walk would.
+    pub(crate) fn run(
+        &self,
+        env: &TaskEnv<'_>,
+        store: &mut BlockStore,
+        machine: usize,
+        p: u32,
+    ) -> TaskWalk {
+        let spec = &env.cluster.spec;
+        let sizing = env.sizing;
+        let mut walk = TaskWalk::default();
+        let mut i = 0;
+        while let Some(&op) = self.ops.get(i) {
+            i += 1;
+            match op {
+                WalkOp::Check { d, skip } => {
+                    // One fused lookup: counts the hit/miss and returns the
+                    // holder. A miss falls through to the subtree.
+                    if let Some(holder) = store.read(d, p) {
+                        // Local read from storage memory, or a remote fetch
+                        // if locality scheduling could not place us on the
+                        // holder.
+                        let bw = if holder == machine {
+                            spec.cache_read_bandwidth
+                        } else {
+                            spec.network_bandwidth
+                        };
+                        let bytes = sizing.partition_bytes(d, p);
+                        walk.push_step(env.trace, d, StepKind::CacheRead, bytes / bw, bytes);
+                        i += skip as usize;
+                    }
+                }
+                WalkOp::Source { d } => {
+                    let bytes = sizing.partition_bytes(d, p);
+                    let dur = bytes / spec.disk_bandwidth;
+                    walk.push_step(env.trace, d, StepKind::SourceRead, dur, bytes);
+                }
+                WalkOp::Shuffle { d, read } => {
+                    let dur = read.seconds(env, d, p);
+                    let bytes = sizing.partition_bytes(d, p);
+                    walk.push_step(env.trace, d, StepKind::ShuffleRead, dur, bytes);
+                }
+                WalkOp::Narrow {
+                    d,
+                    parents: (start, end),
+                    compute,
+                } => {
+                    let mut input_bytes = 0.0;
+                    for &par in &self.parents[start as usize..end as usize] {
+                        input_bytes += sizing.partition_bytes(par, p);
+                    }
+                    let records = sizing.partition_records(d, p);
+                    let dur = compute.task_seconds(records, input_bytes) / spec.cpu_speed;
+                    let bytes = sizing.partition_bytes(d, p);
+                    walk.push_step(env.trace, d, StepKind::Compute, dur, bytes);
+                }
+                WalkOp::Insert { d, swap } => {
+                    let bytes = sizing.partition_bytes(d, p);
+                    if store.try_insert(machine, d, p, bytes.max(1.0) as Bytes) {
+                        if let Some(x) = swap {
+                            apply_swap(env, store, x, d, p);
+                        }
+                    }
+                }
+            }
+        }
+        push_shuffle_writes(env, self.output, p, &self.consumers, &mut walk);
+        walk
     }
 }
 
 /// Applies the `u(X) … p(Y)` partition-by-partition swap: as Y's blocks
 /// materialize, X's are dropped so the pair never occupies more than
 /// `max(|X|, |Y|)` plus one partition.
-fn apply_swap(env: &TaskEnv<'_>, store: &mut BlockStore, y: DatasetId, p: u32) {
-    let Some(&x) = env.swap.get(&y) else { return };
+fn apply_swap(env: &TaskEnv<'_>, store: &mut BlockStore, x: DatasetId, y: DatasetId, p: u32) {
     let py = env.app.dataset(y).partitions;
     let px = env.app.dataset(x).partitions;
     let y_resident = store.resident_count(y);
@@ -339,6 +501,107 @@ fn apply_swap(env: &TaskEnv<'_>, store: &mut BlockStore, y: DatasetId, p: u32) {
     }
 }
 
+/// The recursive walk [`StageWalk`] replaced, kept as the oracle the
+/// compiled walk is tested against: it re-derives the whole lineage walk
+/// for every task.
+#[cfg(test)]
+pub(crate) mod recursive {
+    use super::*;
+
+    /// Walks the pipeline for partition `p` of `output` on `machine`.
+    pub(crate) fn walk_task(
+        env: &TaskEnv<'_>,
+        store: &mut BlockStore,
+        machine: usize,
+        output: DatasetId,
+        p: u32,
+        shuffle_consumers: &[DatasetId],
+    ) -> TaskWalk {
+        let consumers: Vec<ConsumerCost> = shuffle_consumers
+            .iter()
+            .map(|&w| ConsumerCost::build(env, output, w))
+            .collect();
+        let mut walk = TaskWalk::default();
+        materialize(env, store, machine, output, p, &mut walk);
+        push_shuffle_writes(env, output, p, &consumers, &mut walk);
+        walk
+    }
+
+    fn shuffle_read_seconds(env: &TaskEnv<'_>, wide: DatasetId, p: u32) -> f64 {
+        let spec = &env.cluster.spec;
+        let w = env.app.dataset(wide);
+        let fetched = shuffled_bytes(env.app, wide) / f64::from(w.partitions.max(1));
+        let fetch = fetched / spec.network_bandwidth
+            + f64::from(env.cluster.machines) * env.params.shuffle_connection_s;
+        let compute = if wide_combines(w.op) {
+            (w.compute.fixed_s + w.compute.per_input_byte_s * fetched) / spec.cpu_speed
+        } else {
+            let records = env.sizing.partition_records(wide, p);
+            w.compute.task_seconds(records, fetched) / spec.cpu_speed
+        };
+        fetch + compute
+    }
+
+    /// Recursively makes partition `p` of `d` available inside the task.
+    fn materialize(
+        env: &TaskEnv<'_>,
+        store: &mut BlockStore,
+        machine: usize,
+        d: DatasetId,
+        p: u32,
+        walk: &mut TaskWalk,
+    ) {
+        let spec = &env.cluster.spec;
+        let bytes = env.sizing.partition_bytes(d, p);
+        let is_persisted = env.persisted[d.index()];
+
+        if is_persisted {
+            if let Some(holder) = store.read(d, p) {
+                let bw = if holder == machine {
+                    spec.cache_read_bandwidth
+                } else {
+                    spec.network_bandwidth
+                };
+                walk.push_step(env.trace, d, StepKind::CacheRead, bytes / bw, bytes);
+                return;
+            }
+        }
+
+        let ds = env.app.dataset(d);
+        match ds.op {
+            OpKind::Source(_) => {
+                walk.push_step(
+                    env.trace,
+                    d,
+                    StepKind::SourceRead,
+                    bytes / spec.disk_bandwidth,
+                    bytes,
+                );
+            }
+            OpKind::Wide(_) => {
+                let dur = shuffle_read_seconds(env, d, p);
+                walk.push_step(env.trace, d, StepKind::ShuffleRead, dur, bytes);
+            }
+            OpKind::Narrow(_) => {
+                let mut input_bytes = 0.0;
+                for &par in &ds.parents {
+                    input_bytes += env.sizing.partition_bytes(par, p);
+                    materialize(env, store, machine, par, p, walk);
+                }
+                let records = env.sizing.partition_records(d, p);
+                let compute = ds.compute.task_seconds(records, input_bytes) / spec.cpu_speed;
+                walk.push_step(env.trace, d, StepKind::Compute, compute, bytes);
+            }
+        }
+
+        if is_persisted && store.try_insert(machine, d, p, bytes.max(1.0) as Bytes) {
+            if let Some(&x) = env.swap.get(&d) {
+                apply_swap(env, store, x, d, p);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,8 +610,25 @@ mod tests {
     use crate::config::MachineSpec;
     use crate::memory::BlockLayout;
 
-    fn store_for(app: &Application, cluster: &ClusterConfig) -> BlockStore {
-        BlockStore::new(cluster, std::sync::Arc::new(BlockLayout::from_app(app)))
+    fn store_for(env: &TaskEnv<'_>) -> BlockStore {
+        BlockStore::new(
+            env.cluster,
+            BlockLayout::persisted([(env.app, env.persisted)]),
+        )
+    }
+
+    /// Compiles the walk of `output` and runs it for one task.
+    fn run_walk(
+        env: &TaskEnv<'_>,
+        store: &mut BlockStore,
+        machine: usize,
+        output: DatasetId,
+        p: u32,
+        shuffle_consumers: &[DatasetId],
+    ) -> TaskWalk {
+        let mut compiled = StageWalk::default();
+        compiled.compile(env, output, shuffle_consumers);
+        compiled.run(env, store, machine, p)
     }
 
     fn env_fixture() -> (Application, ClusterConfig, SimParams) {
@@ -399,13 +679,6 @@ mod tests {
         }
     }
 
-    fn costs(env: &TaskEnv<'_>, output: DatasetId, wides: &[DatasetId]) -> Vec<ConsumerCost> {
-        wides
-            .iter()
-            .map(|&w| ConsumerCost::build(env, output, w))
-            .collect()
-    }
-
     #[test]
     fn skew_factor_is_deterministic_and_bounded() {
         let d = DatasetId(5);
@@ -428,9 +701,8 @@ mod tests {
         let swap = HashMap::new();
         let sizing = Sizing::new(&app, 0.0);
         let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
-        let mut store = store_for(&app, &cluster);
-        let cc = costs(&env, DatasetId(1), &[DatasetId(2)]);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &cc);
+        let mut store = store_for(&env);
+        let walk = run_walk(&env, &mut store, 0, DatasetId(1), 0, &[DatasetId(2)]);
         // Steps: SourceRead(in), Compute(parsed), ShuffleWrite(agg).
         assert_eq!(walk.steps.len(), 3);
         assert_eq!(walk.steps[0].kind, StepKind::SourceRead);
@@ -465,10 +737,10 @@ mod tests {
         let swap = HashMap::new();
         let sizing = Sizing::new(&app, 0.0);
         let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
-        let mut store = store_for(&app, &cluster);
-        let first = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let mut store = store_for(&env);
+        let first = run_walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
         assert_eq!(store.resident_count(DatasetId(1)), 1);
-        let second = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let second = run_walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
         assert_eq!(second.steps.len(), 1);
         assert_eq!(second.steps[0].kind, StepKind::CacheRead);
         assert!(
@@ -490,10 +762,10 @@ mod tests {
         let swap = HashMap::new();
         let sizing = Sizing::new(&app, 0.0);
         let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
-        let mut store = store_for(&app, &cluster);
-        walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
-        let local = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
-        let remote = walk_task(&env, &mut store, 1, DatasetId(1), 0, &[]);
+        let mut store = store_for(&env);
+        run_walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let local = run_walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let remote = run_walk(&env, &mut store, 1, DatasetId(1), 0, &[]);
         assert!(remote.duration > local.duration * 2.0);
     }
 
@@ -504,8 +776,8 @@ mod tests {
         let swap = HashMap::new();
         let sizing = Sizing::new(&app, 0.0);
         let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
-        let mut store = store_for(&app, &cluster);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(2), 0, &[]);
+        let mut store = store_for(&env);
+        let walk = run_walk(&env, &mut store, 0, DatasetId(2), 0, &[]);
         assert_eq!(walk.steps.len(), 1);
         assert_eq!(walk.steps[0].kind, StepKind::ShuffleRead);
         // treeAggregate combines map-side: the reducer fetches 8 partial
@@ -551,15 +823,15 @@ mod tests {
         swap.insert(y, x);
         let sizing = Sizing::new(&app, 0.0);
         let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
-        let mut store = store_for(&app, &cluster);
+        let mut store = store_for(&env);
         // Materialize and cache all of X first.
         for p in 0..4 {
-            walk_task(&env, &mut store, 0, x, p, &[]);
+            run_walk(&env, &mut store, 0, x, p, &[]);
         }
         assert_eq!(store.resident_count(x), 4);
         // Now compute Y partition by partition: X shrinks in lock-step.
         for p in 0..4 {
-            walk_task(&env, &mut store, 0, y, p, &[]);
+            run_walk(&env, &mut store, 0, y, p, &[]);
             let expect_x = 4 - (p + 1);
             assert!(
                 store.resident_count(x) <= expect_x + 1,
@@ -583,9 +855,171 @@ mod tests {
         let sizing = Sizing::new(&app, 0.0);
         let mut env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
         env.trace = false;
-        let mut store = store_for(&app, &cluster);
-        let walk = walk_task(&env, &mut store, 0, DatasetId(1), 0, &[]);
+        let mut store = store_for(&env);
+        let walk = run_walk(&env, &mut store, 0, DatasetId(1), 0, &[]);
         assert!(walk.steps.is_empty());
         assert!(walk.duration > 0.0);
+    }
+
+    /// A step with its times as bits, so equality is bit equality.
+    fn step_bits(s: &PipelineStep) -> (DatasetId, StepKind, u64, u64, Bytes) {
+        (
+            s.dataset,
+            s.kind,
+            s.start.to_bits(),
+            s.finish.to_bits(),
+            s.out_bytes,
+        )
+    }
+
+    /// The compiled walk reproduces the recursive one bit for bit on
+    /// random DAGs: random persisted sets with `u(x)…p(y)` swap pairs,
+    /// stores under memory pressure that carry residency from walk to walk
+    /// (so checks hit, miss, evict and fail inserts), skew 0 and 0.3, and
+    /// tracing on. The oracle runs over the full application layout, the
+    /// compiled walk over the run's persisted-only one. After every task
+    /// the durations, steps, cache statistics and residency must agree.
+    #[test]
+    fn compiled_walk_matches_recursive_oracle_on_random_dags() {
+        use crate::eviction::EvictionPolicyKind;
+        // Shapes and store behaviour the oracle must have seen.
+        let (mut nested, mut reached_twice, mut swap_pair) = (false, false, false);
+        let (mut hits, mut evictions, mut failures, mut swapped) = (0, 0, 0, 0);
+        for seed in 0..300u64 {
+            let app = crate::engine::tests::random_app(seed);
+            let mut state = seed ^ 0xC0DE;
+            let mut pick = |bound: usize| -> usize {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) % bound as u64) as usize
+            };
+            // A narrow dataset inherits its first parent's partitions, so a
+            // walk can reach a later parent at a partition it lacks; such a
+            // dataset cannot be cached (in either walk), so it is never
+            // persisted here. `reach[d]`: partitions `d` is walked at.
+            let n = app.dataset_count();
+            let mut reach: Vec<u32> = app.datasets().iter().map(|d| d.partitions).collect();
+            for c in (0..n).rev() {
+                let ds = app.dataset(DatasetId(c as u32));
+                if matches!(ds.op, OpKind::Narrow(_)) {
+                    for par in &ds.parents {
+                        reach[par.index()] = reach[par.index()].max(reach[c]);
+                    }
+                }
+            }
+            let persisted: Vec<bool> = (0..n)
+                .map(|d| reach[d] <= app.datasets()[d].partitions && pick(3) == 0)
+                .collect();
+            let on: Vec<DatasetId> = (0..n as u32)
+                .map(DatasetId)
+                .filter(|d| persisted[d.index()])
+                .collect();
+            let mut swap = HashMap::new();
+            for &y in &on {
+                if on.len() > 1 && pick(3) == 0 {
+                    let x = on[pick(on.len())];
+                    if x != y {
+                        swap.insert(y, x);
+                    }
+                }
+            }
+            let mut spec = MachineSpec::paper_example();
+            if pick(4) != 0 {
+                // A few blocks per machine: the stores fill up and evict.
+                spec.ram_bytes = spec.memory.reserved_bytes + 500 + pick(4000) as u64;
+            }
+            let machines = 1 + pick(3);
+            let cluster = ClusterConfig::new(machines as u32, spec);
+            let params = SimParams::default();
+            let sizing = Sizing::new(&app, if seed.is_multiple_of(2) { 0.0 } else { 0.3 });
+            let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
+            let policy = EvictionPolicyKind::all()[pick(4)];
+            let full = BlockLayout::from_partitions(app.datasets().iter().map(|d| d.partitions));
+            let mut oracle = BlockStore::with_policy(&cluster, full, policy);
+            let mut store = BlockStore::with_policy(
+                &cluster,
+                BlockLayout::persisted([(&app, persisted.as_slice())]),
+                policy,
+            );
+            let prep = crate::engine::EnginePrep::new(&app);
+            let mut compiled = StageWalk::default();
+            for (ji, plan) in prep.plans().iter().enumerate() {
+                for (sp, stage) in plan.stages.iter().enumerate() {
+                    let consumers: Vec<DatasetId> =
+                        prep.consumers[ji][sp].iter().map(|&(_, w)| w).collect();
+                    compiled.compile(&env, stage.output, &consumers);
+                    let ops = &compiled.ops;
+                    for (i, op) in ops.iter().enumerate() {
+                        match *op {
+                            WalkOp::Check { skip, .. } => {
+                                nested |= ops[i + 1..=i + skip as usize]
+                                    .iter()
+                                    .any(|o| matches!(o, WalkOp::Check { .. }));
+                            }
+                            WalkOp::Insert { swap: Some(_), .. } => swap_pair = true,
+                            WalkOp::Source { d }
+                            | WalkOp::Shuffle { d, .. }
+                            | WalkOp::Narrow { d, .. } => {
+                                reached_twice |= ops[..i].iter().any(|o| {
+                                    matches!(*o,
+                                        WalkOp::Source { d: e }
+                                        | WalkOp::Shuffle { d: e, .. }
+                                        | WalkOp::Narrow { d: e, .. } if e == d)
+                                });
+                            }
+                            WalkOp::Insert { .. } => {}
+                        }
+                    }
+                    for p in 0..stage.num_tasks {
+                        let machine = pick(machines);
+                        let want = recursive::walk_task(
+                            &env,
+                            &mut oracle,
+                            machine,
+                            stage.output,
+                            p,
+                            &consumers,
+                        );
+                        let got = compiled.run(&env, &mut store, machine, p);
+                        let at = format!("seed {seed}, job {ji}, stage {sp}, task {p}");
+                        assert_eq!(got.duration.to_bits(), want.duration.to_bits(), "{at}");
+                        assert_eq!(
+                            got.steps.iter().map(step_bits).collect::<Vec<_>>(),
+                            want.steps.iter().map(step_bits).collect::<Vec<_>>(),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            store.touched_stats().collect::<Vec<_>>(),
+                            oracle.touched_stats().collect::<Vec<_>>(),
+                            "{at}"
+                        );
+                        for d in app.datasets() {
+                            for q in 0..d.partitions {
+                                assert_eq!(store.residency(d.id, q), oracle.residency(d.id, q));
+                            }
+                        }
+                        for m in 0..machines {
+                            assert_eq!(store.storage_used(m), oracle.storage_used(m), "{at}");
+                        }
+                        assert_eq!(store.peak_storage(), oracle.peak_storage(), "{at}");
+                    }
+                }
+            }
+            for (_, s) in store.touched_stats() {
+                hits += s.hits;
+                evictions += s.evictions;
+                failures += s.insert_failures;
+                swapped += s.unpersisted;
+            }
+        }
+        assert!(nested, "no persisted dataset under a persisted dataset");
+        assert!(reached_twice, "no dataset reached twice in one stage");
+        assert!(swap_pair, "no swap pair in a compiled walk");
+        assert!(hits > 0, "no cache hits");
+        assert!(evictions > 0, "no evictions");
+        assert!(failures > 0, "no failed inserts");
+        assert!(swapped > 0, "no swap drops");
     }
 }

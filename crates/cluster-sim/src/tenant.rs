@@ -34,10 +34,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dagflow::{Application, DagError, DatasetId, JobId, Schedule, ScheduleOp};
+use dagflow::{Application, DagError, DatasetId, JobId, Schedule};
 
 use crate::config::{ClusterConfig, SimParams};
-use crate::engine::{needed_stages, record_run_metrics, RunOptions};
+use crate::engine::{needed_stages, record_run_metrics, unpack_schedule, JobHints, RunOptions};
 use crate::engine::{Engine, EnginePrep};
 use crate::executor::{run_stage, ExecutorState};
 use crate::fault::ChaosState;
@@ -133,9 +133,9 @@ struct TenantRun {
     prep: Arc<EnginePrep>,
     persisted: Vec<bool>,
     swap: HashMap<DatasetId, DatasetId>,
-    /// Persisted datasets and their job-use lists, for the eviction
-    /// hints (local ids; the store shifts them).
-    uses: Vec<(DatasetId, Vec<usize>)>,
+    /// Eviction hints of the persisted datasets (local ids; the store
+    /// shifts them).
+    hints: JobHints,
     sizing: Sizing,
     state: ExecutorState,
     chaos: ChaosState,
@@ -189,46 +189,11 @@ impl<'a> TenantSet<'a> {
         let machines = self.cluster.machines.max(1);
         let full_cores = self.cluster.spec.cores;
 
-        // Concatenated block layout: tenant t owns global dataset ids
-        // `base[t]..base[t + 1]`. The pool's eviction policy is tenant
-        // 0's — one shared store has one policy.
-        let mut parts: Vec<u32> = Vec::new();
-        let mut base: Vec<u32> = Vec::with_capacity(n + 1);
-        base.push(0);
-        for t in &self.tenants {
-            parts.extend(t.app.datasets().iter().map(|d| d.partitions));
-            base.push(base.last().unwrap() + t.app.dataset_count() as u32);
-        }
-        let layout = Arc::new(BlockLayout::from_partitions(parts));
-        let mut store = BlockStore::with_policy(
-            &self.cluster,
-            layout,
-            self.tenants[0].params.eviction_policy,
-        );
-        store.enable_tenancy(base);
-
         let mut runs: Vec<TenantRun> = Vec::with_capacity(n);
         for t in &self.tenants {
-            let mut persisted = vec![false; t.app.dataset_count()];
-            let mut swap: HashMap<DatasetId, DatasetId> = HashMap::new();
-            let mut pending_unpersist: Option<DatasetId> = None;
-            for op in t.schedule.ops() {
-                match *op {
-                    ScheduleOp::Persist(d) => {
-                        persisted[d.index()] = true;
-                        if let Some(x) = pending_unpersist.take() {
-                            swap.insert(d, x);
-                        }
-                    }
-                    ScheduleOp::Unpersist(d) => pending_unpersist = Some(d),
-                }
-            }
+            let (persisted, swap) = unpack_schedule(t.app, &t.schedule);
             let prep = Arc::new(EnginePrep::new(t.app));
-            let uses: Vec<(DatasetId, Vec<usize>)> = (0..t.app.dataset_count() as u32)
-                .map(DatasetId)
-                .filter(|d| persisted[d.index()])
-                .map(|d| (d, prep.job_uses[d.index()].clone()))
-                .collect();
+            let hints = JobHints::new(&persisted);
             let mut noise = TaskNoise::new(t.params.seed, t.params.noise);
             let startup_jitter = noise.uniform() * t.params.cluster_jitter_s;
             let state = ExecutorState::new(machines, full_cores, noise);
@@ -237,7 +202,7 @@ impl<'a> TenantSet<'a> {
                 prep,
                 persisted,
                 swap,
-                uses,
+                hints,
                 sizing: Sizing::new(t.app, options.partition_skew),
                 state,
                 chaos,
@@ -252,6 +217,8 @@ impl<'a> TenantSet<'a> {
                 report: None,
             });
         }
+
+        let mut store = self.shared_store(runs.iter().map(|r| r.persisted.as_slice()));
 
         let active = |t: &Tenant<'a>| t.active();
         let active_count = self.tenants.iter().filter(|t| active(t)).count();
@@ -324,24 +291,11 @@ impl<'a> TenantSet<'a> {
                 let _prof = obs::prof::scope("faults");
                 tr.chaos.fire_due(tr.now, &mut store, &mut tr.state);
             }
-            for (d, uses) in &tr.uses {
-                let remaining = uses.iter().filter(|&&u| u >= ji).count() as u64;
-                let next = uses
-                    .iter()
-                    .find(|&&u| u >= ji)
-                    .map_or(u32::MAX, |&u| (u - ji) as u32);
-                store.set_hint(
-                    *d,
-                    crate::eviction::DatasetHints {
-                        remaining_refs: remaining,
-                        next_use_distance: next,
-                    },
-                );
-            }
+            tr.hints.refresh(&tr.prep.job_uses, ji, &mut store);
             before.clear();
-            before.extend(tr.uses.iter().map(|(d, _)| {
+            before.extend(tr.hints.datasets().map(|d| {
                 store
-                    .dataset_stats(*d)
+                    .dataset_stats(d)
                     .map_or((0, 0), |s| (s.hits, s.misses))
             }));
 
@@ -413,13 +367,13 @@ impl<'a> TenantSet<'a> {
             tr.job_times.push(tr.now - job_start);
             tr.recorder.job_span(job.0, job_start, tr.now);
             let deltas: Vec<(DatasetId, u64, u64)> = tr
-                .uses
-                .iter()
+                .hints
+                .datasets()
                 .zip(&before)
-                .filter_map(|((d, _), &(h0, m0))| {
+                .filter_map(|(d, &(h0, m0))| {
                     store
-                        .dataset_stats(*d)
-                        .map(|s| (*d, s.hits - h0, s.misses - m0))
+                        .dataset_stats(d)
+                        .map(|s| (d, s.hits - h0, s.misses - m0))
                 })
                 .collect();
             tr.per_job_cache.push(deltas);
@@ -451,6 +405,26 @@ impl<'a> TenantSet<'a> {
                 .collect(),
             makespan_s,
         })
+    }
+
+    /// The shared cache pool: one store over the tenants' concatenated
+    /// persisted-only layouts (`persisted` holds each tenant's flags, in
+    /// tenant order), where tenant `t` owns global dataset ids
+    /// `base[t]..base[t + 1]`. The pool's eviction policy is tenant 0's —
+    /// one shared store has one policy.
+    fn shared_store<'p>(&self, persisted: impl IntoIterator<Item = &'p [bool]>) -> BlockStore {
+        let layout = BlockLayout::persisted(self.tenants.iter().map(|t| t.app).zip(persisted));
+        let mut store = BlockStore::with_policy(
+            &self.cluster,
+            layout,
+            self.tenants[0].params.eviction_policy,
+        );
+        let mut base: Vec<u32> = vec![0];
+        for t in &self.tenants {
+            base.push(base.last().unwrap() + t.app.dataset_count() as u32);
+        }
+        store.enable_tenancy(base);
+        store
     }
 }
 
@@ -797,6 +771,41 @@ mod tests {
             "pool must cross-evict"
         );
         assert!(incumbent.residency_half_life_s > 0.0);
+    }
+
+    #[test]
+    fn shared_store_has_slots_for_persisted_blocks_only() {
+        // Datasets per app: in (8 partitions), parsed (8), then one
+        // 1-partition aggregate per job.
+        let app_a = iterative_app("a", 3);
+        let app_b = iterative_app("b", 2);
+        let cluster = ClusterConfig::new(2, MachineSpec::paper_example());
+        let both = Arc::new(Schedule::persist_all([DatasetId(1), DatasetId(2)]));
+        let empty = Arc::new(Schedule::empty());
+        for (sa, sb, blocks) in [
+            (persist_parsed(), both, 8 + 9),
+            (Arc::clone(&empty), persist_parsed(), 8),
+            (Arc::clone(&empty), empty, 0),
+        ] {
+            let set = TenantSet {
+                cluster,
+                tenants: vec![
+                    Tenant::new(&app_a, sa, quiet_params(1)),
+                    Tenant::new(&app_b, sb, quiet_params(2)),
+                ],
+            };
+            let persisted: Vec<Vec<bool>> = set
+                .tenants
+                .iter()
+                .map(|t| unpack_schedule(t.app, &t.schedule).0)
+                .collect();
+            let store = set.shared_store(persisted.iter().map(Vec::as_slice));
+            assert_eq!(store.layout().block_count(), blocks);
+            assert_eq!(
+                store.layout().dataset_count(),
+                app_a.dataset_count() + app_b.dataset_count()
+            );
+        }
     }
 
     #[test]

@@ -26,6 +26,9 @@ cargo test -q --offline --test metrics_registry
 echo "== doctor golden (diagnostics report is byte-stable) =="
 cargo test -q --offline --test doctor_golden
 
+echo "== artifact digest golden (paper-scale training artifacts and menus are bit-identical) =="
+cargo test -q --offline --test artifact_digest_golden
+
 echo "== trace overhead (<5% budget; records results/BENCH_trace_overhead.json) =="
 cargo bench --offline -p bench --bench trace_overhead
 
