@@ -1,5 +1,10 @@
 //! Derive macros for the offline `serde` stand-in.
 //!
+//! Each derive generates exactly one method: `Serialize::write_json`,
+//! which prints the value through the `serde::JsonWriter`, or
+//! `Deserialize::read_json`, which decodes it straight from the
+//! `serde::JsonReader`. There is no intermediate value tree.
+//!
 //! Implemented directly on `proc_macro::TokenStream` — the environment has
 //! no crates.io access, so `syn`/`quote` are unavailable. The parser only
 //! understands the shapes this workspace actually uses: non-generic structs
@@ -46,18 +51,16 @@ fn skip_attrs(toks: &[TokenTree], mut i: usize) -> usize {
 }
 
 /// Skips `pub` / `pub(...)` visibility at the cursor.
-fn skip_vis(toks: &[TokenTree], mut i: usize) -> usize {
-    if let Some(TokenTree::Ident(id)) = toks.get(i) {
-        if id.to_string() == "pub" {
-            i += 1;
-            if let Some(TokenTree::Group(g)) = toks.get(i) {
-                if g.delimiter() == Delimiter::Parenthesis {
-                    i += 1;
-                }
-            }
+fn skip_vis(toks: &[TokenTree], i: usize) -> usize {
+    match (toks.get(i), toks.get(i + 1)) {
+        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(g)))
+            if id.to_string() == "pub" && g.delimiter() == Delimiter::Parenthesis =>
+        {
+            i + 2
         }
+        (Some(TokenTree::Ident(id)), _) if id.to_string() == "pub" => i + 1,
+        _ => i,
     }
-    i
 }
 
 /// Advances past one field's type (or a variant's discriminant): everything
@@ -78,41 +81,40 @@ fn skip_to_comma(toks: &[TokenTree], mut i: usize) -> usize {
     i
 }
 
-fn parse_named_fields(group: &[TokenTree]) -> Result<Vec<String>, String> {
-    let mut names = Vec::new();
-    let mut i = 0;
-    while i < group.len() {
-        i = skip_vis(group, skip_attrs(group, i));
-        if i >= group.len() {
+/// The fields in a `{ .. }` (named) or `( .. )` (tuple) body; `None` for
+/// any other token.
+fn parse_fields(body: Option<&TokenTree>) -> Result<Option<Fields>, String> {
+    let Some(TokenTree::Group(g)) = body else {
+        return Ok(None);
+    };
+    let named = match g.delimiter() {
+        Delimiter::Brace => true,
+        Delimiter::Parenthesis => false,
+        _ => return Ok(None),
+    };
+    let toks: Vec<TokenTree> = g.stream().into_iter().collect();
+    let (mut names, mut arity, mut i) = (Vec::new(), 0, 0);
+    while i < toks.len() {
+        i = skip_vis(&toks, skip_attrs(&toks, i));
+        if i >= toks.len() {
             break;
         }
-        let TokenTree::Ident(name) = &group[i] else {
-            return Err(format!("expected field name, got `{}`", group[i]));
-        };
-        names.push(name.to_string());
-        i += 1;
-        match group.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
-            _ => return Err(format!("expected `:` after field `{}`", name)),
-        }
-        i = skip_to_comma(group, i);
-        i += 1; // past the comma (or end)
-    }
-    Ok(names)
-}
-
-fn parse_tuple_fields(group: &[TokenTree]) -> usize {
-    let mut arity = 0;
-    let mut i = 0;
-    while i < group.len() {
-        i = skip_vis(group, skip_attrs(group, i));
-        if i >= group.len() {
-            break;
+        if named {
+            match (&toks[i], toks.get(i + 1)) {
+                (TokenTree::Ident(name), Some(TokenTree::Punct(p))) if p.as_char() == ':' => {
+                    names.push(name.to_string());
+                }
+                (other, _) => return Err(format!("expected `field: Type`, got `{other}`")),
+            }
         }
         arity += 1;
-        i = skip_to_comma(group, i) + 1;
+        i = skip_to_comma(&toks, i) + 1; // past the type and its comma
     }
-    arity
+    Ok(Some(if named {
+        Fields::Named(names)
+    } else {
+        Fields::Tuple(arity)
+    }))
 }
 
 fn parse_variants(group: &[TokenTree]) -> Result<Vec<Variant>, String> {
@@ -128,18 +130,12 @@ fn parse_variants(group: &[TokenTree]) -> Result<Vec<Variant>, String> {
         };
         let name = name.to_string();
         i += 1;
-        let fields = match group.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+        let fields = match parse_fields(group.get(i))? {
+            Some(fields) => {
                 i += 1;
-                Fields::Tuple(parse_tuple_fields(&inner))
+                fields
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                i += 1;
-                Fields::Named(parse_named_fields(&inner)?)
-            }
-            _ => Fields::Unit,
+            None => Fields::Unit,
         };
         variants.push(Variant { name, fields });
         i = skip_to_comma(group, i) + 1; // past discriminant (if any) + comma
@@ -169,17 +165,10 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     }
     match kind.as_str() {
         "struct" => {
-            let fields = match toks.get(i) {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                    Fields::Named(parse_named_fields(&inner)?)
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                    Fields::Tuple(parse_tuple_fields(&inner))
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-                other => return Err(format!("unexpected struct body: {other:?}")),
+            let fields = match (parse_fields(toks.get(i))?, toks.get(i)) {
+                (Some(fields), _) => fields,
+                (None, Some(TokenTree::Punct(p))) if p.as_char() == ';' => Fields::Unit,
+                (None, other) => return Err(format!("unexpected struct body: {other:?}")),
             };
             Ok(Item::Struct { name, fields })
         }
@@ -201,188 +190,138 @@ fn letters(n: usize) -> Vec<String> {
     (0..n).map(|k| format!("__f{k}")).collect()
 }
 
+/// A pattern binding every field of `path` by reference.
+fn pattern(path: &str, fields: &Fields) -> String {
+    match fields {
+        Fields::Named(names) => format!("{path} {{ {} }}", names.join(", ")),
+        Fields::Tuple(n) => format!("{path}({})", letters(*n).join(", ")),
+        Fields::Unit => path.to_owned(),
+    }
+}
+
+/// Statements writing the fields bound by [`pattern`]: an object, a
+/// transparent newtype, an array, or `null`.
+fn write_fields(fields: &Fields) -> String {
+    let (open, close, items) = match fields {
+        Fields::Named(names) => {
+            let items = names.iter().map(|f| format!("__w.field(\"{f}\", {f}); "));
+            ("'{'", "'}'", items.collect::<String>())
+        }
+        Fields::Tuple(1) => return "::serde::Serialize::write_json(__f0, __w);".to_owned(),
+        Fields::Tuple(n) => {
+            let items = letters(*n)
+                .into_iter()
+                .map(|f| format!("__w.elem(); ::serde::Serialize::write_json({f}, __w); "));
+            ("'['", "']'", items.collect())
+        }
+        Fields::Unit => return "__w.null();".to_owned(),
+    };
+    format!("__w.open({open}); {items}__w.close({close});")
+}
+
 fn gen_serialize(item: &Item) -> String {
-    let mut s = String::new();
-    match item {
+    let (name, arms) = match item {
         Item::Struct { name, fields } => {
-            s.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\n  fn to_json_value(&self) -> ::serde::Value {{\n"
-            ));
-            match fields {
-                Fields::Named(names) => {
-                    s.push_str("    ::serde::Value::Object(vec![\n");
-                    for f in names {
-                        s.push_str(&format!(
-                            "      (\"{f}\".to_owned(), ::serde::Serialize::to_json_value(&self.{f})),\n"
-                        ));
-                    }
-                    s.push_str("    ])\n");
-                }
-                Fields::Tuple(1) => {
-                    s.push_str("    ::serde::Serialize::to_json_value(&self.0)\n");
-                }
-                Fields::Tuple(n) => {
-                    s.push_str("    ::serde::Value::Array(vec![\n");
-                    for k in 0..*n {
-                        s.push_str(&format!(
-                            "      ::serde::Serialize::to_json_value(&self.{k}),\n"
-                        ));
-                    }
-                    s.push_str("    ])\n");
-                }
-                Fields::Unit => s.push_str("    ::serde::Value::Null\n"),
-            }
-            s.push_str("  }\n}\n");
+            let arm = format!(
+                "{} => {{ {} }}\n",
+                pattern(name, fields),
+                write_fields(fields)
+            );
+            (name, arm)
         }
         Item::Enum { name, variants } => {
-            s.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\n  fn to_json_value(&self) -> ::serde::Value {{\n    match self {{\n"
-            ));
+            let mut arms = String::new();
             for v in variants {
-                let vn = &v.name;
-                match &v.fields {
-                    Fields::Unit => s.push_str(&format!(
-                        "      {name}::{vn} => ::serde::Value::Str(\"{vn}\".to_owned()),\n"
-                    )),
-                    Fields::Tuple(1) => s.push_str(&format!(
-                        "      {name}::{vn}(__f0) => ::serde::Value::Object(vec![(\"{vn}\".to_owned(), ::serde::Serialize::to_json_value(__f0))]),\n"
-                    )),
-                    Fields::Tuple(n) => {
-                        let binds = letters(*n);
-                        let elems: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_json_value({b})"))
-                            .collect();
-                        s.push_str(&format!(
-                            "      {name}::{vn}({}) => ::serde::Value::Object(vec![(\"{vn}\".to_owned(), ::serde::Value::Array(vec![{}]))]),\n",
-                            binds.join(", "),
-                            elems.join(", ")
-                        ));
-                    }
-                    Fields::Named(fields) => {
-                        let binds = fields.join(", ");
-                        let entries: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(\"{f}\".to_owned(), ::serde::Serialize::to_json_value({f}))"
-                                )
-                            })
-                            .collect();
-                        s.push_str(&format!(
-                            "      {name}::{vn} {{ {binds} }} => ::serde::Value::Object(vec![(\"{vn}\".to_owned(), ::serde::Value::Object(vec![{}]))]),\n",
-                            entries.join(", ")
-                        ));
-                    }
-                }
+                let (vn, path) = (&v.name, format!("{name}::{}", v.name));
+                let body = match v.fields {
+                    Fields::Unit => format!("__w.str(\"{vn}\");"),
+                    _ => format!(
+                        "__w.open('{{'); __w.key(\"{vn}\"); {} __w.close('}}');",
+                        write_fields(&v.fields)
+                    ),
+                };
+                arms.push_str(&format!("{} => {{ {body} }}\n", pattern(&path, &v.fields)));
             }
-            s.push_str("    }\n  }\n}\n");
+            (name, arms)
         }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n  fn write_json(&self, __w: &mut ::serde::JsonWriter) {{\n    match self {{\n{arms}    }}\n  }}\n}}\n"
+    )
+}
+
+/// An expression reading `path`'s fields. Objects accept keys in any
+/// order, validate and skip unknown keys, keep the first of duplicate
+/// keys and name a missing field in the error.
+fn read_fields(path: &str, fields: &Fields) -> String {
+    let names = match fields {
+        Fields::Named(names) => names,
+        Fields::Tuple(1) => return format!("{path}(::serde::Deserialize::read_json(__r)?)"),
+        Fields::Tuple(n) => {
+            let elems = vec![format!("__r.elem(\"{path}\")?"); *n].join(", ");
+            return format!("{{ __r.open(b'[', \"{path}\")?; let __v = {path}({elems}); __r.end_elems(\"{path}\")?; __v }}");
+        }
+        Fields::Unit => return format!("{{ __r.skip_value()?; {path} }}"),
+    };
+    let vars = letters(names.len());
+    let mut s = format!("{{ __r.open(b'{{', \"{path}\")?; ");
+    for v in &vars {
+        s.push_str(&format!("let mut {v} = None; "));
     }
-    s
+    s.push_str("while let Some(__k) = __r.next_key()? { match &*__k { ");
+    for (f, v) in names.iter().zip(&vars) {
+        s.push_str(&format!(
+            "\"{f}\" if {v}.is_none() => {v} = Some(::serde::Deserialize::read_json(__r)?), "
+        ));
+    }
+    s.push_str(&format!("_ => __r.skip_value()?, }} }} {path} {{ "));
+    for (f, v) in names.iter().zip(&vars) {
+        s.push_str(&format!(
+            "{f}: {v}.ok_or_else(|| ::serde::__missing(\"{f}\"))?, "
+        ));
+    }
+    s + "} }"
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    let mut s = String::new();
-    match item {
-        Item::Struct { name, fields } => {
-            s.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{\n  fn from_json_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n"
-            ));
-            match fields {
-                Fields::Named(names) => {
-                    s.push_str(&format!(
-                        "    let __entries = v.expect_object(\"{name}\")?;\n    Ok({name} {{\n"
-                    ));
-                    for f in names {
-                        s.push_str(&format!(
-                            "      {f}: ::serde::Deserialize::from_json_value(::serde::__field(__entries, \"{f}\")?)?,\n"
-                        ));
-                    }
-                    s.push_str("    })\n");
-                }
-                Fields::Tuple(1) => {
-                    s.push_str(&format!(
-                        "    Ok({name}(::serde::Deserialize::from_json_value(v)?))\n"
-                    ));
-                }
-                Fields::Tuple(n) => {
-                    s.push_str(&format!(
-                        "    let __items = v.expect_array(\"{name}\")?;\n    if __items.len() != {n} {{ return Err(::serde::DeError(format!(\"expected {n} elements for {name}, got {{}}\", __items.len()))); }}\n    Ok({name}(\n"
-                    ));
-                    for k in 0..*n {
-                        s.push_str(&format!(
-                            "      ::serde::Deserialize::from_json_value(&__items[{k}])?,\n"
-                        ));
-                    }
-                    s.push_str("    ))\n");
-                }
-                Fields::Unit => {
-                    s.push_str(&format!("    let _ = v;\n    Ok({name})\n"));
-                }
-            }
-            s.push_str("  }\n}\n");
-        }
+    let (name, body) = match item {
+        Item::Struct { name, fields } => (name, format!("Ok({})", read_fields(name, fields))),
         Item::Enum { name, variants } => {
-            s.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{\n  fn from_json_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n    match v {{\n"
-            ));
-            // Unit variants arrive as bare strings.
-            s.push_str("      ::serde::Value::Str(__s) => match __s.as_str() {\n");
+            // Unit variants arrive as bare strings, data variants as
+            // single-key objects.
+            let (mut units, mut datas) = (String::new(), String::new());
             for v in variants {
-                if matches!(v.fields, Fields::Unit) {
-                    let vn = &v.name;
-                    s.push_str(&format!("        \"{vn}\" => Ok({name}::{vn}),\n"));
-                }
-            }
-            s.push_str(&format!(
-                "        __other => Err(::serde::DeError(format!(\"unknown variant `{{__other}}` for {name}\"))),\n      }},\n"
-            ));
-            // Data variants arrive as single-key objects.
-            s.push_str("      ::serde::Value::Object(__entries) if __entries.len() == 1 => {\n");
-            s.push_str("        let (__tag, __val) = &__entries[0];\n");
-            s.push_str("        match __tag.as_str() {\n");
-            for v in variants {
-                let vn = &v.name;
-                match &v.fields {
-                    Fields::Unit => {}
-                    Fields::Tuple(1) => s.push_str(&format!(
-                        "          \"{vn}\" => Ok({name}::{vn}(::serde::Deserialize::from_json_value(__val)?)),\n"
+                let path = format!("{name}::{}", v.name);
+                match v.fields {
+                    Fields::Unit => units.push_str(&format!("\"{}\" => Ok({path}), ", v.name)),
+                    _ => datas.push_str(&format!(
+                        "\"{}\" => {},\n",
+                        v.name,
+                        read_fields(&path, &v.fields)
                     )),
-                    Fields::Tuple(n) => {
-                        let mut elems = String::new();
-                        for k in 0..*n {
-                            elems.push_str(&format!(
-                                "::serde::Deserialize::from_json_value(&__items[{k}])?, "
-                            ));
-                        }
-                        s.push_str(&format!(
-                            "          \"{vn}\" => {{\n            let __items = __val.expect_array(\"{name}::{vn}\")?;\n            if __items.len() != {n} {{ return Err(::serde::DeError(format!(\"expected {n} elements for {name}::{vn}, got {{}}\", __items.len()))); }}\n            Ok({name}::{vn}({elems}))\n          }},\n"
-                        ));
-                    }
-                    Fields::Named(fields) => {
-                        let mut body = String::new();
-                        for f in fields {
-                            body.push_str(&format!(
-                                "              {f}: ::serde::Deserialize::from_json_value(::serde::__field(__inner, \"{f}\")?)?,\n"
-                            ));
-                        }
-                        s.push_str(&format!(
-                            "          \"{vn}\" => {{\n            let __inner = __val.expect_object(\"{name}::{vn}\")?;\n            Ok({name}::{vn} {{\n{body}            }})\n          }},\n"
-                        ));
-                    }
                 }
             }
-            s.push_str(&format!(
-                "          __other => Err(::serde::DeError(format!(\"unknown variant `{{__other}}` for {name}\"))),\n        }}\n      }},\n"
-            ));
-            s.push_str(&format!(
-                "      __other => Err(::serde::DeError(format!(\"expected string or single-key object for {name}, got {{}}\", __other.kind()))),\n"
-            ));
-            s.push_str("    }\n  }\n}\n");
+            let unknown =
+                format!("::serde::DeError(format!(\"unknown variant `{{}}` for {name}\", __s))");
+            let mut body = format!(
+                "if __r.peek() == Some(b'\"') {{ let __s = __r.str()?; return match &*__s {{ {units}_ => Err({unknown}) }}; }}\n"
+            );
+            if datas.is_empty() {
+                body.push_str(&format!("Err(__r.expected(\"string for {name}\"))"));
+            } else {
+                let single = format!("__r.err(\"expected single-key object for {name}\")");
+                body.push_str(&format!(
+                    "__r.open(b'{{', \"{name}\")?;\nlet __s = __r.next_key()?.ok_or_else(|| {single})?;\n\
+                     let __v = match &*__s {{\n{datas}_ => return Err({unknown}),\n}};\n\
+                     if __r.next_key()?.is_some() {{ return Err({single}); }}\nOk(__v)"
+                ));
+            }
+            (name, body)
         }
-    }
-    s
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n  fn read_json(__r: &mut ::serde::JsonReader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n  }}\n}}\n"
+    )
 }
 
 fn expand(input: TokenStream, gen: fn(&Item) -> String) -> TokenStream {
@@ -400,13 +339,13 @@ fn compile_error(msg: &str) -> TokenStream {
         .expect("compile_error literal")
 }
 
-/// Derives `serde::Serialize` (stub data model).
+/// Derives `serde::Serialize` (a generated `write_json`).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
-/// Derives `serde::Deserialize` (stub data model).
+/// Derives `serde::Deserialize` (a generated `read_json`).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)

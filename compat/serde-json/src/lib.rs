@@ -1,395 +1,51 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Works over the [`serde`] stub's [`Value`] data model: a recursive-descent
-//! JSON parser, compact and pretty printers, and a [`json!`] macro covering
-//! literal objects/arrays with expression values. Printing is deterministic:
-//! object entries keep their order (struct fields as declared, map entries
-//! pre-sorted by the serializer), so equal values produce identical bytes.
+//! One writer, one reader; `Value` is just a type. [`to_string`],
+//! [`to_string_pretty`] and [`from_str`] call the [`serde`] stub's
+//! [`Serialize::write_json`] / [`Deserialize::read_json`] directly, so a
+//! typed value is printed into the output string and decoded from the
+//! input bytes with no intermediate tree, and a [`Value`] goes through
+//! exactly the same printer and parser as any other type. [`to_value`] and
+//! [`from_value`] are text round-trips kept for tests and the [`json!`]
+//! macro. Printing is deterministic: struct fields keep their declared
+//! order and map entries are sorted, so equal values produce identical
+//! bytes.
 
+pub use serde::DeError as Error;
 pub use serde::Value;
-use serde::{DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
-use std::fmt;
-
-/// Serialization/deserialization error.
-#[derive(Debug, Clone)]
-pub struct Error(String);
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Self {
-        Error(e.0)
-    }
-}
-
-/// Converts any serializable value into a [`Value`] tree.
+/// Converts any serializable value into a [`Value`] by printing and
+/// re-parsing it.
 pub fn to_value<T: Serialize>(value: T) -> Result<Value, Error> {
-    Ok(value.to_json_value())
+    from_str(&serde::to_json(&value, false))
 }
 
-/// Reconstructs a typed value from a [`Value`] tree.
+/// Reconstructs a typed value from a [`Value`] by printing and re-parsing
+/// it.
 pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
-    T::from_json_value(&value).map_err(Error::from)
+    from_str(&serde::to_json(&value, false))
 }
 
 /// Serializes to a compact JSON string.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_compact(&value.to_json_value(), &mut out);
-    Ok(out)
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(serde::to_json(value, false))
 }
 
 /// Serializes to a pretty-printed JSON string (2-space indent).
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_pretty(&value.to_json_value(), 0, &mut out);
-    Ok(out)
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(serde::to_json(value, true))
 }
 
 /// Parses a JSON string into a typed value.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse(s)?;
-    T::from_json_value(&value).map_err(Error::from)
-}
-
-// ── printer ──────────────────────────────────────────────────────────
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_float(x: f64, out: &mut String) {
-    if x.is_finite() {
-        let s = format!("{x}");
-        out.push_str(&s);
-        // Keep floats recognizably floats so integer/float distinction
-        // survives a roundtrip where it matters (e.g. "1.0" not "1").
-        if !s.contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        // JSON has no inf/nan; match serde_json's lossy convention.
-        out.push_str("null");
-    }
-}
-
-fn write_compact(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Float(x) => write_float(*x, out),
-        Value::Str(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_compact(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_pretty(v: &Value, indent: usize, out: &mut String) {
-    match v {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&"  ".repeat(indent + 1));
-                write_pretty(item, indent + 1, out);
-            }
-            out.push('\n');
-            out.push_str(&"  ".repeat(indent));
-            out.push(']');
-        }
-        Value::Object(entries) if !entries.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str(&"  ".repeat(indent + 1));
-                write_escaped(k, out);
-                out.push_str(": ");
-                write_pretty(val, indent + 1, out);
-            }
-            out.push('\n');
-            out.push_str(&"  ".repeat(indent));
-            out.push('}');
-        }
-        other => write_compact(other, out),
-    }
-}
-
-// ── parser ───────────────────────────────────────────────────────────
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(self.err(&format!("unexpected byte `{}`", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    /// Advances past a run of plain (non-quote, non-backslash) bytes and
-    /// returns it validated as UTF-8. Scanning whole segments — instead
-    /// of decoding one character at a time with a fresh `from_utf8` of
-    /// the entire remaining input per character — is what keeps string
-    /// parsing linear; the old per-char probe made document parsing
-    /// quadratic and dominated every ledger fold.
-    fn plain_segment(&mut self) -> Result<&'a str, Error> {
-        let start = self.pos;
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b'"' | b'\\') {
-                break;
-            }
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("invalid UTF-8"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        // Fast path: an escape-free string is a single borrowed segment.
-        let head = self.plain_segment()?;
-        if self.peek() == Some(b'"') {
-            self.pos += 1;
-            return Ok(head.to_owned());
-        }
-        let mut s = head.to_owned();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let segment = self.plain_segment()?;
-                    s.push_str(segment);
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err("invalid number"))
-        } else if let Ok(n) = text.parse::<i64>() {
-            Ok(Value::Int(n))
-        } else if let Ok(n) = text.parse::<u64>() {
-            Ok(Value::UInt(n))
-        } else {
-            Err(self.err("number out of range"))
-        }
-    }
-}
-
-fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
+    serde::from_json(s)
 }
 
 /// `json!` helper: lifts any serializable expression into a [`Value`].
 #[doc(hidden)]
 pub fn __value_of<T: Serialize>(value: &T) -> Value {
-    value.to_json_value()
+    to_value(value).expect("printed JSON parses")
 }
 
 /// Builds a [`Value`] from JSON-like syntax. Supports `null`, literals,

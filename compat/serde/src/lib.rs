@@ -1,30 +1,36 @@
-//! Offline stand-in for `serde`.
+//! Offline stand-in for `serde`, specialised to JSON.
 //!
 //! The build environment has no crates.io access, so this workspace ships a
-//! minimal serde replacement: a JSON-like [`Value`] data model, the
-//! [`Serialize`]/[`Deserialize`] traits expressed directly against it, and
-//! derive macros (from the sibling `serde_derive` stub) that mirror serde's
-//! externally-tagged encoding conventions:
+//! minimal serde replacement with one writer and one reader, and no
+//! intermediate tree: [`Serialize::write_json`] prints straight into a
+//! [`JsonWriter`] (compact, or pretty with a two-space indent), and
+//! [`Deserialize::read_json`] decodes straight from the input bytes through
+//! the pull reader [`JsonReader`], borrowing escape-free strings and keys.
+//! [`Value`] is just one more type implementing both traits. The derives
+//! (sibling `serde_derive` stub) generate only these two methods, with
+//! serde's externally-tagged conventions: structs are objects in field
+//! order (decoded in any key order; unknown keys validated and skipped; the
+//! first duplicate wins; a missing field is named), newtypes are
+//! transparent, longer tuple structs are arrays, unit variants are strings
+//! and data variants single-key objects (`{"Source": "DistributedFs"}`).
 //!
-//! * named-field structs become objects (fields in declaration order);
-//! * newtype structs are transparent; longer tuple structs become arrays;
-//! * unit enum variants become strings, data-carrying variants become
-//!   single-key objects (`{"Source": "DistributedFs"}`);
-//! * maps with integer-like keys stringify their keys, as `serde_json` does.
-//!
-//! Map serialization is sorted by key, so equal values always produce
-//! byte-identical JSON — the determinism contract the parallel training
-//! runner's tests rely on.
+//! Output is byte-deterministic: floats print in Rust's shortest
+//! round-trip form plus `.0` when that has no `.`/`e` (`f32` through
+//! `f64::from`, non-finite as `null`); map keys stringify integers and sort
+//! lexicographically; hash-set elements sort by value; pretty output keeps
+//! `[]`/`{}` for empty containers. The reader refuses nesting deeper than
+//! [`MAX_DEPTH`] instead of overflowing the stack.
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{BuildHasher, Hash};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// The self-describing data model every serializable type maps onto.
+/// A self-describing JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -55,22 +61,11 @@ impl Value {
         }
     }
 
-    /// Mutable lookup of an object entry by key.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        match self {
-            Value::Object(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     /// The entries of an object, or a decode error naming `what`.
     pub fn expect_object(&self, what: &str) -> Result<&[(String, Value)], DeError> {
         match self {
             Value::Object(entries) => Ok(entries),
-            other => Err(DeError(format!(
-                "expected object for {what}, got {}",
-                other.kind()
-            ))),
+            _ => Err(self.mismatch("object", what)),
         }
     }
 
@@ -78,11 +73,12 @@ impl Value {
     pub fn expect_array(&self, what: &str) -> Result<&[Value], DeError> {
         match self {
             Value::Array(items) => Ok(items),
-            other => Err(DeError(format!(
-                "expected array for {what}, got {}",
-                other.kind()
-            ))),
+            _ => Err(self.mismatch("array", what)),
         }
+    }
+
+    fn mismatch(&self, want: &str, what: &str) -> DeError {
+        DeError(format!("expected {want} for {what}, got {}", self.kind()))
     }
 
     /// Short kind name for error messages.
@@ -157,95 +153,522 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can map themselves onto the [`Value`] data model.
+/// Types that print themselves as JSON.
 pub trait Serialize {
-    /// Serializes `self` into a [`Value`] tree.
-    fn to_json_value(&self) -> Value;
+    /// Writes `self` as one JSON value.
+    fn write_json(&self, w: &mut JsonWriter);
 }
 
-/// Types reconstructible from the [`Value`] data model.
+/// Types decoded from JSON.
 pub trait Deserialize: Sized {
-    /// Decodes from a [`Value`] tree.
-    fn from_json_value(v: &Value) -> Result<Self, DeError>;
+    /// Reads one JSON value from `r`.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError>;
 }
 
-/// Derive-macro helper: fetches a required struct field.
-pub fn __field<'a>(entries: &'a [(String, Value)], name: &str) -> Result<&'a Value, DeError> {
-    entries
+/// Prints `value` as one JSON document.
+pub fn to_json<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+    let mut w = JsonWriter::new(pretty);
+    value.write_json(&mut w);
+    w.out
+}
+
+/// Decodes one JSON document; only whitespace may follow the value.
+pub fn from_json<T: Deserialize>(src: &str) -> Result<T, DeError> {
+    let mut r = JsonReader::new(src);
+    let value = T::read_json(&mut r)?;
+    if r.peek().is_some() {
+        return Err(r.err("trailing characters"));
+    }
+    Ok(value)
+}
+
+/// Derive-macro helper: the error for a struct field absent from its object.
+#[must_use]
+pub fn __missing(name: &str) -> DeError {
+    DeError(format!("missing field `{name}`"))
+}
+
+// ── writer ───────────────────────────────────────────────────────────
+
+/// Streaming JSON printer into one output `String`.
+///
+/// A container is bracketed by [`JsonWriter::open`] and
+/// [`JsonWriter::close`]; inside it every array element is preceded by
+/// [`JsonWriter::elem`] and every object value by [`JsonWriter::key`],
+/// which place the separators and, in pretty mode, the newline and
+/// indentation.
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// Nothing written yet in the innermost open container.
+    first: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer; `pretty` selects two-space-indented output.
+    #[must_use]
+    pub fn new(pretty: bool) -> Self {
+        JsonWriter {
+            out: String::new(),
+            pretty,
+            depth: 0,
+            first: true,
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Opens an array (`'['`) or an object (`'{'`).
+    pub fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    /// Closes the innermost container with `']'` or `'}'`.
+    pub fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if self.pretty && !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.first = false;
+    }
+
+    /// Starts the next array element.
+    pub fn elem(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        if self.pretty {
+            self.newline();
+        }
+    }
+
+    /// Starts the next object entry and writes its key.
+    pub fn key(&mut self, key: &str) {
+        self.elem();
+        self.str(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    /// Writes one object entry.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.write_json(self);
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes an integer.
+    pub fn int(&mut self, n: impl fmt::Display) {
+        write!(self.out, "{n}").expect("writing to a String cannot fail");
+    }
+
+    /// Writes a float in shortest round-trip form, with `.0` appended when
+    /// that form has no `.`/`e` so it stays recognizably a float. JSON has
+    /// no inf/nan: non-finite values print as `null`, as serde_json does.
+    pub fn f64(&mut self, x: f64) {
+        if !x.is_finite() {
+            return self.null();
+        }
+        let start = self.out.len();
+        write!(self.out, "{x}").expect("writing to a String cannot fail");
+        if !self.out.as_bytes()[start..]
+            .iter()
+            .any(|b| matches!(b, b'.' | b'e' | b'E'))
+        {
+            self.out.push_str(".0");
+        }
+    }
+
+    /// Writes a quoted string, escaping `"`, `\\` and control characters.
+    pub fn str(&mut self, s: &str) {
+        self.out.push('"');
+        let mut rest = s;
+        loop {
+            let n = plain_run(rest.as_bytes(), true);
+            self.out.push_str(&rest[..n]);
+            let Some(&b) = rest.as_bytes().get(n) else {
+                break;
+            };
+            match b {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                _ => write!(self.out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+            }
+            rest = &rest[n + 1..];
+        }
+        self.out.push('"');
+    }
+}
+
+/// Length of the leading run of `bytes` free of `"` and `\\` (and, with
+/// `controls`, of bytes below 0x20), tested eight bytes at a time.
+fn plain_run(bytes: &[u8], controls: bool) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    // Nonzero iff some byte of `w` is below `n` (exact for n <= 0x80).
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & (ONES << 7);
+    let plain_words = bytes.chunks_exact(8).take_while(|chunk| {
+        let w = u64::from_le_bytes((*chunk).try_into().expect("chunks_exact(8)"));
+        let hit = below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1)
+            | if controls { below(w, 0x20) } else { 0 };
+        hit == 0
+    });
+    let i = 8 * plain_words.count();
+    let stop = bytes[i..]
         .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DeError(format!("missing field `{name}`")))
+        .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20));
+    i + stop.unwrap_or(bytes.len() - i)
+}
+
+// ── reader ───────────────────────────────────────────────────────────
+
+/// Deepest container nesting the reader accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Pull reader over one JSON document.
+///
+/// Scalars are read with [`JsonReader::bool`], [`JsonReader::number`],
+/// [`JsonReader::str`] and [`JsonReader::null`]; a container is opened
+/// with [`JsonReader::open`], then walked with [`JsonReader::next_elem`]
+/// until it returns `false` (arrays) or [`JsonReader::next_key`] until it
+/// returns `None` (objects). Errors name the byte offset.
+pub struct JsonReader<'a> {
+    src: &'a str,
+    pos: usize,
+    depth: usize,
+    /// No entry read yet in the innermost open container.
+    first: bool,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `src`.
+    #[must_use]
+    pub fn new(src: &'a str) -> Self {
+        JsonReader {
+            src,
+            pos: 0,
+            depth: 0,
+            first: true,
+        }
+    }
+
+    /// An error at the current byte offset.
+    #[must_use]
+    pub fn err(&self, msg: &str) -> DeError {
+        DeError(format!("{msg} at byte {}", self.pos))
+    }
+
+    /// The next non-whitespace byte, not consumed.
+    pub fn peek(&mut self) -> Option<u8> {
+        let bytes = self.src.as_bytes();
+        loop {
+            // Pretty input indents with runs of spaces: take four at a time.
+            while bytes.get(self.pos..self.pos + 4) == Some(b"    ") {
+                self.pos += 4;
+            }
+            match bytes.get(self.pos) {
+                Some(b' ' | b'\t' | b'\n' | b'\r') => self.pos += 1,
+                next => return next.copied(),
+            }
+        }
+    }
+
+    /// The error for a value that is not the `want`ed kind.
+    pub fn expected(&mut self, want: &str) -> DeError {
+        let got = match self.peek() {
+            None => return self.err("unexpected end of input"),
+            Some(b'{') => "object",
+            Some(b'[') => "array",
+            Some(b'"') => "string",
+            Some(b't' | b'f') => "bool",
+            Some(b'n') => "null",
+            Some(b'-' | b'0'..=b'9') => "number",
+            Some(b) => return self.err(&format!("unexpected byte `{}`", b as char)),
+        };
+        self.err(&format!("expected {want}, got {got}"))
+    }
+
+    fn keyword(&mut self, word: &str) -> Result<(), DeError> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected `{word}`")))
+        }
+    }
+
+    /// Consumes a `null` if one comes next.
+    pub fn null(&mut self) -> Result<bool, DeError> {
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.keyword("null").map(|()| true)
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, DeError> {
+        match self.peek() {
+            Some(b't') => self.keyword("true").map(|()| true),
+            Some(b'f') => self.keyword("false").map(|()| false),
+            _ => Err(self.expected("bool")),
+        }
+    }
+
+    /// Reads a number as written: [`Value::Int`], or [`Value::UInt`] above
+    /// `i64::MAX`, or [`Value::Float`] when it has `.`, `e` or an inner
+    /// sign. `want` names the expected kind in a mismatch error.
+    pub fn number(&mut self, want: &str) -> Result<Value, DeError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.expected(want));
+        }
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        self.pos += 1; // the sign or the first digit
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = &self.src[start..self.pos];
+        if is_float {
+            text.parse()
+                .map(Value::Float)
+                .map_err(|_| self.err("invalid number"))
+        } else if let Ok(n) = text.parse() {
+            Ok(Value::Int(n))
+        } else if let Ok(n) = text.parse() {
+            Ok(Value::UInt(n))
+        } else {
+            Err(self.err("number out of range"))
+        }
+    }
+
+    /// Reads a string, borrowed from the input when it has no escapes.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, DeError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.expected("string"));
+        }
+        self.pos += 1;
+        let bytes = self.src.as_bytes();
+        let (start, mut plain) = (self.pos, self.pos);
+        let mut owned = String::new();
+        loop {
+            self.pos += plain_run(&bytes[self.pos..], false);
+            let segment = &self.src[plain..self.pos];
+            let escaped = match bytes.get(self.pos) {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') if plain == start => {
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(segment));
+                }
+                Some(b'"') => {
+                    self.pos += 1;
+                    owned.push_str(segment);
+                    return Ok(Cow::Owned(owned));
+                }
+                Some(_) => {
+                    owned.push_str(segment);
+                    self.pos += 1;
+                    match bytes.get(self.pos) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.unicode_escape()?,
+                        _ => return Err(self.err("bad escape")),
+                    }
+                }
+            };
+            owned.push(escaped);
+            self.pos += 1;
+            plain = self.pos;
+        }
+    }
+
+    /// The four hex digits after the `u` at the cursor; leaves the cursor
+    /// on the last digit.
+    fn hex4(&mut self) -> Result<u32, DeError> {
+        let hex = self.src.get(self.pos + 1..self.pos + 5).unwrap_or("");
+        if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(self.err("bad \\u escape"));
+        }
+        self.pos += 4;
+        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))
+    }
+
+    /// Decodes `\uXXXX`, joining a UTF-16 surrogate pair into one
+    /// character; a lone or mismatched surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, DeError> {
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if self.src.as_bytes().get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+                    return Err(self.err("unpaired surrogate in \\u escape"));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(self.err("mismatched surrogate pair in \\u escape"));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("unpaired surrogate in \\u escape")),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))
+    }
+
+    /// Opens an array (`b'['`) or an object (`b'{'`); `what` names the
+    /// decoded type in a mismatch error.
+    pub fn open(&mut self, bracket: u8, what: &str) -> Result<(), DeError> {
+        if self.peek() != Some(bracket) {
+            let want = if bracket == b'[' { "array" } else { "object" };
+            return Err(self.expected(&format!("{want} for {what}")));
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Moves to the next entry of the innermost container: `false` (and
+    /// the container closed) at `close`.
+    fn next_entry(&mut self, close: u8) -> Result<bool, DeError> {
+        let next = self.peek();
+        if next == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            self.first = false;
+            Ok(false)
+        } else if std::mem::replace(&mut self.first, false) {
+            Ok(true)
+        } else if next == Some(b',') {
+            self.pos += 1;
+            Ok(true)
+        } else {
+            Err(self.err(&format!("expected `,` or `{}`", char::from(close))))
+        }
+    }
+
+    /// `true` when another element follows; `false` closes the array.
+    pub fn next_elem(&mut self) -> Result<bool, DeError> {
+        self.next_entry(b']')
+    }
+
+    /// The next key, positioned at its value; `None` closes the object.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, DeError> {
+        if !self.next_entry(b'}')? {
+            return Ok(None);
+        }
+        let key = self.str()?;
+        if self.peek() != Some(b':') {
+            return Err(self.err("expected `:`"));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Reads the next element of a fixed-length array named `what`.
+    pub fn elem<T: Deserialize>(&mut self, what: &str) -> Result<T, DeError> {
+        if !self.next_elem()? {
+            return Err(self.err(&format!("too few elements for {what}")));
+        }
+        T::read_json(self)
+    }
+
+    /// Closes a fixed-length array named `what` after its last element.
+    pub fn end_elems(&mut self, what: &str) -> Result<(), DeError> {
+        if self.next_elem()? {
+            return Err(self.err(&format!("too many elements for {what}")));
+        }
+        Ok(())
+    }
+
+    /// Reads a whole array into any collection.
+    pub fn seq<T: Deserialize, C: Default + Extend<T>>(
+        &mut self,
+        what: &str,
+    ) -> Result<C, DeError> {
+        self.open(b'[', what)?;
+        let mut items = C::default();
+        while self.next_elem()? {
+            items.extend(Some(T::read_json(self)?));
+        }
+        Ok(items)
+    }
+
+    /// Validates and discards one value.
+    pub fn skip_value(&mut self) -> Result<(), DeError> {
+        Value::read_json(self).map(drop)
+    }
 }
 
 // ── scalar impls ─────────────────────────────────────────────────────
 
-macro_rules! impl_signed {
+macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json_value(&self) -> Value { Value::Int(i64::from(*self)) }
+            fn write_json(&self, w: &mut JsonWriter) { w.int(self) }
         }
         impl Deserialize for $t {
-            fn from_json_value(v: &Value) -> Result<Self, DeError> {
-                match *v {
-                    Value::Int(n) => <$t>::try_from(n)
-                        .map_err(|_| DeError(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::UInt(n) => <$t>::try_from(n)
-                        .map_err(|_| DeError(format!("{n} out of range for {}", stringify!($t)))),
-                    ref other => Err(DeError(format!(
-                        "expected integer for {}, got {}", stringify!($t), other.kind()
-                    ))),
-                }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+                let n = match r.number(concat!("integer for ", stringify!($t)))? {
+                    Value::Int(n) => <$t>::try_from(n).map_err(|_| n.to_string()),
+                    Value::UInt(n) => <$t>::try_from(n).map_err(|_| n.to_string()),
+                    _ => return Err(r.err(concat!("expected integer for ", stringify!($t), ", got number"))),
+                };
+                n.map_err(|n| r.err(&format!("{n} out of range for {}", stringify!($t))))
             }
         }
     )*};
 }
 
-impl_signed!(i8, i16, i32, u8, u16, u32);
-
-macro_rules! impl_wide_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_json_value(&self) -> Value {
-                match i64::try_from(*self) {
-                    Ok(n) => Value::Int(n),
-                    Err(_) => Value::UInt(*self as u64),
-                }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_json_value(v: &Value) -> Result<Self, DeError> {
-                match *v {
-                    Value::Int(n) => <$t>::try_from(n)
-                        .map_err(|_| DeError(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::UInt(n) => <$t>::try_from(n)
-                        .map_err(|_| DeError(format!("{n} out of range for {}", stringify!($t)))),
-                    ref other => Err(DeError(format!(
-                        "expected integer for {}, got {}", stringify!($t), other.kind()
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-
-impl_wide_int!(i64, isize, u64, usize);
+impl_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json_value(&self) -> Value { Value::Float(f64::from(*self)) }
+            fn write_json(&self, w: &mut JsonWriter) { w.f64(f64::from(*self)) }
         }
         impl Deserialize for $t {
-            fn from_json_value(v: &Value) -> Result<Self, DeError> {
-                match *v {
-                    Value::Float(x) => Ok(x as $t),
-                    Value::Int(n) => Ok(n as $t),
-                    Value::UInt(n) => Ok(n as $t),
-                    ref other => Err(DeError(format!(
-                        "expected number for {}, got {}", stringify!($t), other.kind()
-                    ))),
-                }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+                Ok(match r.number(concat!("number for ", stringify!($t)))? {
+                    Value::Float(x) => x as $t,
+                    Value::Int(n) => n as $t,
+                    Value::UInt(n) => n as $t,
+                    _ => unreachable!("`number` reads only numbers"),
+                })
             }
         }
     )*};
@@ -253,181 +676,130 @@ macro_rules! impl_float {
 
 impl_float!(f32, f64);
 
-impl Serialize for bool {
-    fn to_json_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError(format!("expected bool, got {}", other.kind()))),
+/// Implements both traits for a scalar: `|value, writer| write` and
+/// `|reader| read`.
+macro_rules! impl_scalar {
+    ($($t:ty => |$v:ident, $w:ident| $write:expr, |$r:ident| $read:expr;)*) => {$(
+        impl Serialize for $t {
+            fn write_json(&self, $w: &mut JsonWriter) { let $v = self; $write }
         }
-    }
-}
-
-impl Serialize for String {
-    fn to_json_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError(format!("expected string, got {}", other.kind()))),
+        impl Deserialize for $t {
+            fn read_json($r: &mut JsonReader<'_>) -> Result<Self, DeError> { $read }
         }
-    }
+    )*};
+}
+
+impl_scalar! {
+    bool => |b, w| w.bool(*b), |r| r.bool();
+    String => |s, w| w.str(s), |r| r.str().map(Cow::into_owned);
+    () => |_unit, w| w.null(), |r| r.null()?.then_some(()).ok_or_else(|| r.expected("null"));
 }
 
 impl Serialize for str {
-    fn to_json_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-}
-
-impl Serialize for () {
-    fn to_json_value(&self) -> Value {
-        Value::Null
-    }
-}
-
-impl Deserialize for () {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(()),
-            other => Err(DeError(format!("expected null, got {}", other.kind()))),
-        }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
     }
 }
 
 // ── container impls ──────────────────────────────────────────────────
 
+macro_rules! impl_pointer {
+    ($($p:ident),*) => {$(
+        impl<T: Serialize + ?Sized> Serialize for $p<T> {
+            fn write_json(&self, w: &mut JsonWriter) { (**self).write_json(w) }
+        }
+        impl<T: Deserialize> Deserialize for $p<T> {
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> { T::read_json(r).map($p::new) }
+        }
+    )*};
+}
+
+impl_pointer!(Box, Arc, Rc);
+
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        T::from_json_value(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Arc<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Arc<T> {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        T::from_json_value(v).map(Arc::new)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Rc<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Rc<T> {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        T::from_json_value(v).map(Rc::new)
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_json_value(&self) -> Value {
+    fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            Some(x) => x.to_json_value(),
-            None => Value::Null,
+            Some(x) => x.write_json(w),
+            None => w.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_json_value(other).map(Some),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
         }
     }
 }
 
+fn write_seq<'a, T: Serialize + 'a>(w: &mut JsonWriter, items: impl IntoIterator<Item = &'a T>) {
+    w.open('[');
+    for x in items {
+        w.elem();
+        x.write_json(w);
+    }
+    w.close(']');
+}
+
 impl<T: Serialize> Serialize for [T] {
-    fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_json_value).collect())
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_json_value(&self) -> Value {
-        self.as_slice().to_json_value()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        v.expect_array("Vec")?
-            .iter()
-            .map(T::from_json_value)
-            .collect()
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.seq("Vec")
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_json_value(&self) -> Value {
-        self.as_slice().to_json_value()
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
     }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        let items = v.expect_array("array")?;
-        if items.len() != N {
-            return Err(DeError(format!(
-                "expected array of {N}, got {}",
-                items.len()
-            )));
-        }
-        let parsed: Vec<T> = items
-            .iter()
-            .map(T::from_json_value)
-            .collect::<Result<_, _>>()?;
-        parsed
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let items: Vec<T> = r.seq("array")?;
+        let len = items.len();
+        items
             .try_into()
-            .map_err(|_| DeError("array length mismatch".to_owned()))
+            .map_err(|_| r.err(&format!("expected array of {N}, got {len}")))
     }
 }
 
 macro_rules! impl_tuple {
     ($( $len:literal => ($($t:ident . $idx:tt),+) ;)*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_json_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_json_value()),+])
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.open('[');
+                $(w.elem(); self.$idx.write_json(w);)+
+                w.close(']');
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_json_value(v: &Value) -> Result<Self, DeError> {
-                let items = v.expect_array("tuple")?;
-                if items.len() != $len {
-                    return Err(DeError(format!(
-                        "expected {}-tuple, got {} elements", $len, items.len()
-                    )));
-                }
-                Ok(($($t::from_json_value(&items[$idx])?,)+))
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+                const WHAT: &str = concat!($len, "-tuple");
+                r.open(b'[', WHAT)?;
+                let tuple = ($(r.elem::<$t>(WHAT)?,)+);
+                r.end_elems(WHAT)?;
+                Ok(tuple)
             }
         }
     )*};
@@ -442,82 +814,52 @@ impl_tuple! {
 }
 
 impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_json_value).collect())
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_seq(w, self);
     }
 }
 
 impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        v.expect_array("BTreeSet")?
-            .iter()
-            .map(T::from_json_value)
-            .collect()
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.seq("BTreeSet")
     }
 }
 
 impl<T: Serialize, S: BuildHasher> Serialize for HashSet<T, S> {
-    fn to_json_value(&self) -> Value {
-        let mut items: Vec<Value> = self.iter().map(Serialize::to_json_value).collect();
+    fn write_json(&self, w: &mut JsonWriter) {
+        let mut items: Vec<Value> = self
+            .iter()
+            .map(|x| from_json(&to_json(x, false)).expect("printed JSON parses"))
+            .collect();
         items.sort_by(compare_values);
-        Value::Array(items)
+        items.write_json(w);
     }
 }
 
 impl<T: Deserialize + Eq + Hash, S: BuildHasher + Default> Deserialize for HashSet<T, S> {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        v.expect_array("HashSet")?
-            .iter()
-            .map(T::from_json_value)
-            .collect()
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        r.seq("HashSet")
     }
 }
 
-/// Renders a map key: strings pass through, integers stringify (the
-/// serde_json convention for integer-keyed maps).
-fn key_to_string(v: &Value) -> String {
-    match v {
-        Value::Str(s) => s.clone(),
-        Value::Int(n) => n.to_string(),
-        Value::UInt(n) => n.to_string(),
-        Value::Bool(b) => b.to_string(),
-        other => panic!("map key must be a string or integer, got {}", other.kind()),
-    }
-}
-
-/// Inverse of [`key_to_string`]: integer-looking keys decode as integers.
-fn key_from_string(s: &str) -> Value {
-    if let Ok(n) = s.parse::<i64>() {
-        Value::Int(n)
-    } else if let Ok(n) = s.parse::<u64>() {
-        Value::UInt(n)
-    } else {
-        Value::Str(s.to_owned())
-    }
-}
-
-/// Total order over values, used to sort hash-map entries so equal maps
-/// always serialize identically.
+/// Total order over values, used to sort hash-set elements so equal sets
+/// always serialize identically: null < bool < number < string < array <
+/// object, numbers by value, arrays lexicographically, objects unordered.
 fn compare_values(a: &Value, b: &Value) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    fn rank(v: &Value) -> u8 {
-        match v {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::UInt(_) | Value::Float(_) => 2,
-            Value::Str(_) => 3,
-            Value::Array(_) => 4,
-            Value::Object(_) => 5,
-        }
-    }
-    fn num(v: &Value) -> f64 {
-        match *v {
-            Value::Int(n) => n as f64,
-            Value::UInt(n) => n as f64,
-            Value::Float(x) => x,
-            _ => 0.0,
-        }
-    }
+    let num = |v: &Value| match *v {
+        Value::Int(n) => Some(n as f64),
+        Value::UInt(n) => Some(n as f64),
+        Value::Float(x) => Some(x),
+        _ => None,
+    };
+    let rank = |v: &Value| match v {
+        Value::Null => 0,
+        Value::Bool(_) => 1,
+        Value::Int(_) | Value::UInt(_) | Value::Float(_) => 2,
+        Value::Str(_) => 3,
+        Value::Array(_) => 4,
+        Value::Object(_) => 5,
+    };
     match (a, b) {
         (Value::Str(x), Value::Str(y)) => x.cmp(y),
         (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
@@ -525,74 +867,136 @@ fn compare_values(a: &Value, b: &Value) -> std::cmp::Ordering {
             .iter()
             .zip(y)
             .map(|(p, q)| compare_values(p, q))
-            .find(|o| *o != Ordering::Equal)
+            .find(|o| o.is_ne())
             .unwrap_or_else(|| x.len().cmp(&y.len())),
-        _ if rank(a) == 2 && rank(b) == 2 => num(a).partial_cmp(&num(b)).unwrap_or(Ordering::Equal),
-        _ => rank(a).cmp(&rank(b)),
+        _ => match (num(a), num(b)) {
+            (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
+            _ => rank(a).cmp(&rank(b)),
+        },
     }
 }
 
-fn serialize_map<'a, K, V, I>(entries: I) -> Value
+/// A map key as its object-key string: strings pass through, integers and
+/// booleans stringify (the serde_json convention for integer-keyed maps).
+fn key_string<K: Serialize + ?Sized>(key: &K) -> String {
+    let text = to_json(key, false);
+    if text.starts_with('"') {
+        return from_json(&text).expect("printed JSON parses");
+    }
+    let digits = text.strip_prefix('-').unwrap_or(&text);
+    let integer = digits.bytes().all(|b| b.is_ascii_digit());
+    assert!(
+        integer || text == "true" || text == "false",
+        "map key must be a string or integer, got {text}"
+    );
+    text
+}
+
+/// Inverse of [`key_string`]: an integer-looking key decodes as an
+/// integer first, then as a string.
+fn read_key<K: Deserialize>(key: &str) -> Result<K, DeError> {
+    let integer =
+        (key.parse::<i64>().map(Value::Int)).or_else(|_| key.parse::<u64>().map(Value::UInt));
+    match integer.map(|n| from_json(&to_json(&n, false))) {
+        Ok(Ok(k)) => Ok(k),
+        _ => from_json(&to_json(key, false)),
+    }
+}
+
+fn write_map<'a, K, V, I>(w: &mut JsonWriter, entries: I)
 where
     K: Serialize + 'a,
     V: Serialize + 'a,
     I: Iterator<Item = (&'a K, &'a V)>,
 {
-    let mut out: Vec<(String, Value)> = entries
-        .map(|(k, v)| (key_to_string(&k.to_json_value()), v.to_json_value()))
-        .collect();
-    out.sort_by(|(a, _), (b, _)| a.cmp(b));
-    Value::Object(out)
+    let mut keyed: Vec<(String, &V)> = entries.map(|(k, v)| (key_string(k), v)).collect();
+    keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
+    w.open('{');
+    for (k, v) in keyed {
+        w.field(&k, v);
+    }
+    w.close('}');
 }
 
-fn deserialize_map_entries<K: Deserialize, V: Deserialize>(
-    v: &Value,
-) -> Result<Vec<(K, V)>, DeError> {
-    v.expect_object("map")?
-        .iter()
-        .map(|(k, val)| {
-            let key = K::from_json_value(&key_from_string(k))
-                .or_else(|_| K::from_json_value(&Value::Str(k.clone())))?;
-            Ok((key, V::from_json_value(val)?))
-        })
-        .collect()
+fn read_map<K: Deserialize, V: Deserialize, M: Default + Extend<(K, V)>>(
+    r: &mut JsonReader<'_>,
+) -> Result<M, DeError> {
+    r.open(b'{', "map")?;
+    let mut map = M::default();
+    while let Some(key) = r.next_key()? {
+        let key = read_key(&key)?;
+        map.extend(Some((key, V::read_json(r)?)));
+    }
+    Ok(map)
 }
 
 impl<K: Serialize, V: Serialize, S: BuildHasher> Serialize for HashMap<K, V, S> {
-    fn to_json_value(&self) -> Value {
-        serialize_map(self.iter())
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_map(w, self.iter());
     }
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize, S: BuildHasher + Default> Deserialize
     for HashMap<K, V, S>
 {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        Ok(deserialize_map_entries::<K, V>(v)?.into_iter().collect())
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        read_map(r)
     }
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_json_value(&self) -> Value {
-        serialize_map(self.iter())
+    fn write_json(&self, w: &mut JsonWriter) {
+        write_map(w, self.iter());
     }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        Ok(deserialize_map_entries::<K, V>(v)?.into_iter().collect())
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        read_map(r)
     }
 }
 
 impl Serialize for Value {
-    fn to_json_value(&self) -> Value {
-        self.clone()
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Int(n) => w.int(n),
+            Value::UInt(n) => w.int(n),
+            Value::Float(x) => w.f64(*x),
+            Value::Str(s) => w.str(s),
+            Value::Array(items) => items.write_json(w),
+            Value::Object(entries) => {
+                w.open('{');
+                for (k, v) in entries {
+                    w.field(k, v);
+                }
+                w.close('}');
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_json_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        Ok(match r.peek() {
+            Some(b'{') => {
+                r.open(b'{', "Value")?;
+                let mut entries = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    entries.push((key.into_owned(), Value::read_json(r)?));
+                }
+                Value::Object(entries)
+            }
+            Some(b'[') => Value::Array(r.seq("Value")?),
+            Some(b'"') => Value::Str(r.str()?.into_owned()),
+            Some(b't' | b'f') => Value::Bool(r.bool()?),
+            Some(b'n') => {
+                r.null()?;
+                Value::Null
+            }
+            _ => r.number("value")?,
+        })
     }
 }
 
@@ -619,29 +1023,37 @@ mod tests {
         let mut m = HashMap::new();
         m.insert(11u32, "b".to_owned());
         m.insert(2u32, "a".to_owned());
-        let v = m.to_json_value();
-        let Value::Object(entries) = &v else { panic!() };
-        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, vec!["11", "2"]); // lexicographic, but stable
-        let back: HashMap<u32, String> = HashMap::from_json_value(&v).unwrap();
+        let text = to_json(&m, false);
+        assert_eq!(text, r#"{"11":"b","2":"a"}"#); // lexicographic, but stable
+        let back: HashMap<u32, String> = from_json(&text).unwrap();
         assert_eq!(back, m);
     }
 
     #[test]
     fn option_roundtrip() {
-        assert_eq!(None::<u32>.to_json_value(), Value::Null);
-        assert_eq!(Option::<u32>::from_json_value(&Value::Null).unwrap(), None);
-        assert_eq!(
-            Option::<u32>::from_json_value(&Value::Int(3)).unwrap(),
-            Some(3)
-        );
+        assert_eq!(to_json(&None::<u32>, false), "null");
+        assert_eq!(from_json::<Option<u32>>("null").unwrap(), None);
+        assert_eq!(from_json::<Option<u32>>("3").unwrap(), Some(3));
     }
 
     #[test]
     fn wide_integers_roundtrip() {
         let big = u64::MAX - 3;
-        let v = big.to_json_value();
-        assert_eq!(u64::from_json_value(&v).unwrap(), big);
-        assert!(u32::from_json_value(&v).is_err());
+        let text = to_json(&big, false);
+        assert_eq!(from_json::<u64>(&text).unwrap(), big);
+        assert!(from_json::<u32>(&text).is_err());
+        assert_eq!(to_json(&i64::MIN, false), i64::MIN.to_string());
+    }
+
+    #[test]
+    fn pretty_writer_keeps_empty_containers_inline() {
+        let v = Value::Object(vec![
+            ("a".to_owned(), Value::Array(vec![])),
+            ("b".to_owned(), Value::Array(vec![Value::Object(vec![])])),
+        ]);
+        assert_eq!(
+            to_json(&v, true),
+            "{\n  \"a\": [],\n  \"b\": [\n    {}\n  ]\n}"
+        );
     }
 }

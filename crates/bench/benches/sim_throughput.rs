@@ -152,7 +152,7 @@ fn main() {
                 "pre_pr_seconds": PRE_PR_GRID_CELL_S,
                 "speedup_vs_pre_pr": speedup_cell,
             },
-            "profile": profile.to_json_value(),
+            "profile": profile.to_value(),
         }),
     );
 }

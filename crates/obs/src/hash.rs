@@ -97,14 +97,19 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // 0x80, then zeros until 8 bytes remain in the block, then the
-        // big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // 0x80, then zeros until 8 bytes remain in a block, then the
+        // big-endian bit length. `update` leaves `buf_len < 64`; a tail
+        // of 56 bytes or more has no room for the length, which then
+        // goes into one more, otherwise all-zero, block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        // Manual tail: update() would keep growing total_len.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -228,6 +233,61 @@ mod tests {
                 h.update(piece);
             }
             assert_eq!(to_hex(&h.finalize()), whole, "chunk size {chunk}");
+        }
+    }
+
+    /// Hashes `data` as two `update` calls split at every point in the
+    /// first 130 bytes — across the 55/56/64-byte padding boundaries of
+    /// `finalize` — and checks each against `want`.
+    fn assert_every_split(data: &[u8], want: &str) {
+        for split in 0..=data.len().min(130) {
+            let mut h = Sha256::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(to_hex(&h.finalize()), want, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn fips_two_block_vector_at_every_split() {
+        // 56 bytes: the length no longer fits the first padded block.
+        assert_every_split(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        );
+    }
+
+    #[test]
+    fn fips_million_a_at_every_split() {
+        assert_every_split(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+        );
+    }
+
+    #[test]
+    fn padding_boundary_lengths_match_one_shot_reference() {
+        // Tails of 55, 56, 63 and 64 bytes cover every padding branch;
+        // the digests are the standard SHA-256 of n × 'a'.
+        for (n, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+        ] {
+            assert_every_split(&vec![b'a'; n], want);
         }
     }
 

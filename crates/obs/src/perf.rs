@@ -160,8 +160,8 @@ pub fn regression_attribution(
     if !min_tripped {
         return None;
     }
-    let base = crate::prof::Profile::from_json_value(spec.baseline.get("profile")?).ok()?;
-    let new = crate::prof::Profile::from_json_value(fresh.get("profile")?).ok()?;
+    let base = crate::prof::Profile::from_value(spec.baseline.get("profile")?).ok()?;
+    let new = crate::prof::Profile::from_value(fresh.get("profile")?).ok()?;
     let lines = crate::prof::ProfileDiff::between(&base, &new).top_regressed(top);
     if lines.is_empty() {
         return None;
@@ -637,7 +637,7 @@ mod tests {
                     Value::Float(speedup),
                 )]),
             ),
-            ("profile".to_owned(), profile.to_json_value()),
+            ("profile".to_owned(), profile.to_value()),
         ])
     }
 

@@ -30,7 +30,7 @@
 //! stacks for inferno/speedscope flamegraphs ([`Profile::to_collapsed`],
 //! built on the shared [`fold_stacks`] folder that the sim trace exporter
 //! reuses), and canonical JSON ([`Profile::to_json`]) that round-trips
-//! through [`Profile::from_json_value`] for ledger storage and
+//! through [`Profile::from_value`] for ledger storage and
 //! node-by-node diffing ([`ProfileDiff`]).
 
 use std::cell::RefCell;
@@ -465,10 +465,10 @@ impl Profile {
     }
 
     /// Canonical JSON [`Value`] (fixed key order, integer times) — what
-    /// the profile ledger stores and [`Profile::from_json_value`] reads
+    /// the profile ledger stores and [`Profile::from_value`] reads
     /// back.
     #[must_use]
-    pub fn to_json_value(&self) -> Value {
+    pub fn to_value(&self) -> Value {
         Value::Object(vec![
             ("version".to_owned(), Value::Int(1)),
             (
@@ -478,17 +478,17 @@ impl Profile {
         ])
     }
 
-    /// Canonical compact JSON string of [`Profile::to_json_value`].
+    /// Canonical compact JSON string of [`Profile::to_value`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.to_json_value()).expect("profile serializes")
+        serde_json::to_string(&self.to_value()).expect("profile serializes")
     }
 
     /// Parses a profile from its canonical JSON form.
     ///
     /// # Errors
     /// Returns a message naming the first malformed field.
-    pub fn from_json_value(v: &Value) -> Result<Profile, String> {
+    pub fn from_value(v: &Value) -> Result<Profile, String> {
         let roots = v
             .get("roots")
             .ok_or("profile JSON missing `roots`")?
@@ -508,7 +508,7 @@ impl Profile {
     /// Returns a message for unparseable JSON or a malformed tree.
     pub fn from_json(s: &str) -> Result<Profile, String> {
         let v: Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        Profile::from_json_value(&v)
+        Profile::from_value(&v)
     }
 
     /// SHA-256 over the structure-only canonical form — names, call

@@ -17,6 +17,10 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== compat JSON: round-trip, depth limit, malformed input =="
+cargo test -q --offline -p serde -p serde_json -p serde_derive
+cargo test -q --offline --test malformed_inputs
+
 echo "== trace golden (Chrome trace_event export is byte-stable) =="
 cargo test -q --offline --test trace_golden
 

@@ -604,7 +604,7 @@ fn load_profile(store: &obs::LedgerStore, reference: &str) -> Result<obs::prof::
     let doc: serde_json::Value =
         serde_json::from_str(&raw).map_err(|e| format!("{}: {e}", path.display()))?;
     let tree = doc.get("profile").unwrap_or(&doc);
-    obs::prof::Profile::from_json_value(tree).map_err(|e| format!("{}: {e}", path.display()))
+    obs::prof::Profile::from_value(tree).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
@@ -652,7 +652,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             "structure_digest".to_owned(),
             serde_json::Value::Str(profile.structure_digest()),
         ),
-        ("profile".to_owned(), profile.to_json_value()),
+        ("profile".to_owned(), profile.to_value()),
     ]);
     let doc_json = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
     let hash = obs::sha256_hex(doc_json.as_bytes());

@@ -4,13 +4,17 @@
 //! parameters must equal the committed digests. The other goldens pin the
 //! tiny workload only; this one pins the simulator, profiler, fitting and
 //! menu arithmetic on the full-size DAGs, so a hot-path rework that moves
-//! a single bit anywhere in training fails here. Training runs at one
+//! a single bit anywhere in training fails here. Each line also pins the
+//! `juggler doctor` run manifest: the SHA-256 of its pretty ledger JSON
+//! (`RunManifest::to_json`) and its content hash, which together fix every
+//! byte the JSON printer emits for typed values. Training runs at one
 //! thread (artifacts are thread-count-invariant, which
 //! `determinism_parallel` covers separately). Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test artifact_digest_golden` only for an
 //! intended behaviour change, and review the diff.
 
-use juggler_suite::juggler::pipeline::{OfflineTraining, TrainingConfig};
+use juggler_suite::juggler::pipeline::TrainingConfig;
+use juggler_suite::juggler::provenance::RunManifest;
 use juggler_suite::obs::sha256_hex;
 use juggler_suite::workloads::all_workloads;
 
@@ -21,7 +25,14 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/artifact_digests.txt")
 }
 
-/// One line per (family, seed): `<family> <seed> artifact=<sha> menu=<sha>`.
+/// One line per (family, seed):
+/// `<family> <seed> artifact=<sha> menu=<sha> manifest=<sha> content_hash=<sha>`.
+///
+/// One sequential loop in one test: `doctor` resets the global metrics
+/// registry whose counters the manifest hashes, so it must not race
+/// another doctor call in this binary. The doctor report's artifact and
+/// menu are byte-identical to `OfflineTraining::run` + `recommend` at the
+/// paper parameters.
 fn render() -> String {
     let mut out = String::new();
     for w in all_workloads() {
@@ -31,17 +42,18 @@ fn render() -> String {
                 seed,
                 ..TrainingConfig::default()
             };
-            let trained = OfflineTraining::run(w.as_ref(), &cfg)
+            let report = juggler_suite::juggler::doctor(w.as_ref(), &cfg)
                 .unwrap_or_else(|e| panic!("{} seed {seed:#x} failed to train: {e}", w.name()));
-            let artifact = serde_json::to_string(&trained).expect("artifact serializes");
-            let p = w.paper_params();
-            let menu =
-                serde_json::to_string(&trained.recommend(p.e(), p.f())).expect("menu serializes");
+            let artifact = serde_json::to_string(&report.trained).expect("artifact serializes");
+            let menu = serde_json::to_string(&report.menu).expect("menu serializes");
+            let manifest = RunManifest::from_doctor(&report, &cfg, &w.paper_params());
             out.push_str(&format!(
-                "{} {seed:#x} artifact={} menu={}\n",
+                "{} {seed:#x} artifact={} menu={} manifest={} content_hash={}\n",
                 w.name(),
                 sha256_hex(artifact.as_bytes()),
-                sha256_hex(menu.as_bytes())
+                sha256_hex(menu.as_bytes()),
+                sha256_hex(manifest.to_json().as_bytes()),
+                manifest.content_hash
             ));
         }
     }
