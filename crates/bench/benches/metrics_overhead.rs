@@ -1,16 +1,17 @@
 //! Overhead of the metrics registry, measured two ways:
 //!
-//! 1. **Engine hot path** — a batch of paper-scale LOR runs with the
-//!    global registry off vs on (informational; sub-100ms batches are
-//!    jittery on shared machines, so this number is reported but not
-//!    gated).
-//! 2. **Offline training** with the registry off vs on — this is the
-//!    gated < 5 % budget: the call sites check `Registry::enabled()`
-//!    once, so the disabled path must stay essentially free and the
-//!    enabled path is a handful of relaxed atomic ops per run.
+//! 1. **Engine hot path** — a batch of paper-scale LOR runs with no
+//!    registry in scope ("off") vs one installed around the batch ("on")
+//!    (informational; sub-100ms batches are jittery on shared machines,
+//!    so this number is reported but not gated).
+//! 2. **Offline training** off vs on — this is the gated < 5 % budget:
+//!    each call site asks `Registry::current()` once, so the off path
+//!    must stay essentially free and the on path is a handful of relaxed
+//!    atomic ops per run.
 //!
 //! Results land in `results/BENCH_metrics_overhead.json`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use bench::print_table;
@@ -21,14 +22,17 @@ use workloads::{LogisticRegression, Workload};
 const ENGINE_RUNS: usize = 24;
 const REPS: usize = 9;
 
+/// A fresh registry installed on this thread when `enabled`, none when not.
+fn scope(enabled: bool) -> Option<obs::InstallGuard> {
+    enabled.then(|| Arc::new(obs::Registry::new()).install())
+}
+
 /// One timed batch of engine runs with the registry in the given state.
 fn engine_batch_once(enabled: bool, rep: usize) -> f64 {
-    let reg = obs::global();
-    reg.set_enabled(enabled);
-    reg.reset();
     let w = LogisticRegression;
     let app = w.build(&w.paper_params());
     let schedule = app.default_schedule().clone();
+    let _scope = scope(enabled);
     let t0 = Instant::now();
     for i in 0..ENGINE_RUNS {
         let mut params = w.sim_params();
@@ -42,26 +46,21 @@ fn engine_batch_once(enabled: bool, rep: usize) -> f64 {
         .expect("run succeeds");
         std::hint::black_box(&report);
     }
-    let elapsed = t0.elapsed().as_secs_f64();
-    reg.set_enabled(false);
-    elapsed
+    t0.elapsed().as_secs_f64()
 }
 
 /// One timed offline training (threads = 1 for a stable measurement).
 fn training_once(enabled: bool) -> f64 {
-    let reg = obs::global();
-    reg.set_enabled(enabled);
-    reg.reset();
     let w = LogisticRegression;
     let config = TrainingConfig {
         threads: 1,
         ..TrainingConfig::default()
     };
+    let _scope = scope(enabled);
     let t0 = Instant::now();
     let trained = OfflineTraining::run(&w, &config).expect("training succeeds");
     let elapsed = t0.elapsed().as_secs_f64();
     std::hint::black_box(&trained);
-    reg.set_enabled(false);
     elapsed
 }
 

@@ -40,17 +40,16 @@ pub struct RunOptions {
 /// summed over every dataset, plus executor-level spill/locality tallies.
 /// Sums are order-independent, so snapshots are deterministic regardless
 /// of `HashMap` iteration order.
-/// Feeds one finished run's counters into the global metrics registry.
-/// A single branch when the registry is disabled (the default).
+/// Feeds one finished run's counters into the metrics registry in scope,
+/// if any.
 pub(crate) fn record_run_metrics(
     counters: &TraceCounters,
     total_tasks: u64,
     faults: &FaultSummary,
 ) {
-    let reg = obs::global();
-    if !reg.enabled() {
+    let Some(reg) = obs::Registry::current() else {
         return;
-    }
+    };
     reg.counter("sim_runs_total", "simulated runs completed")
         .inc();
     reg.counter("sim_tasks_total", "tasks executed across all runs")

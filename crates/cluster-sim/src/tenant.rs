@@ -568,12 +568,11 @@ fn placeholder_report(tenant: &Tenant<'_>, ti: usize, tenants: usize, machines: 
     }
 }
 
-/// Zero-gated tenancy counters for the global metrics registry.
+/// Zero-gated tenancy counters for the metrics registry in scope, if any.
 fn record_tenancy_metrics(runs: &[TenantRun]) {
-    let reg = obs::global();
-    if !reg.enabled() {
+    let Some(reg) = obs::Registry::current() else {
         return;
-    }
+    };
     reg.counter(
         "sim_tenancy_runs_total",
         "multi-tenant simulations completed",

@@ -1,17 +1,20 @@
 //! End-to-end diagnostics behind `juggler doctor`.
 //!
-//! [`doctor`] trains a workload with the global metrics registry enabled,
-//! then *validates its own predictions*: every Pareto menu option at the
-//! paper-scale parameters is simulated once (fixed seeds) and the
-//! predicted time/size are compared against the observed run in a
-//! [`PredictionLedger`]. The result bundles the hotspot decision trace,
+//! [`doctor`] trains a workload with a metrics registry of its own
+//! installed, then *validates its own predictions*: every Pareto menu
+//! option at the paper-scale parameters is simulated once (fixed seeds)
+//! and the predicted time/size are compared against the observed run in
+//! a [`PredictionLedger`]. The result bundles the hotspot decision trace,
 //! the per-model fit reports, the ledger, and a deterministic counter
-//! snapshot.
+//! snapshot of the doctor's registry, which no other caller in the
+//! process can write into.
 //!
 //! [`DoctorReport::render`] is fully deterministic for a given
 //! (workload, config): it contains no wall-clock values — host timings
 //! live in the separate [`PipelineTimings`] field, which callers print
 //! (or don't) themselves.
+
+use std::sync::Arc;
 
 use cluster_sim::{ClusterConfig, Engine, RunOptions};
 use workloads::Workload;
@@ -39,6 +42,9 @@ pub struct DoctorReport {
     pub ledger: PredictionLedger,
     /// Deterministic counter snapshot taken after the validations.
     pub snapshot: obs::Snapshot,
+    /// The registry this run recorded into; snapshot it with timings for
+    /// the host wall-clock gauges.
+    pub registry: Arc<obs::Registry>,
     /// Single-run health baseline: this run's own manifest folded
     /// through the watchtower against the default SLO, with EWMA bands
     /// seeded from the training holdout residuals. Deliberately ignores
@@ -50,24 +56,22 @@ pub struct DoctorReport {
 }
 
 /// Trains `workload`, validates the menu's predictions, and gathers the
-/// full diagnostics bundle. Enables and resets the global metrics
-/// registry for the duration (the previous enabled state is restored).
+/// full diagnostics bundle. The run records into a fresh registry that it
+/// installs on the calling thread (and its training workers) for the
+/// duration, so concurrent callers never share counters.
 pub fn doctor(
     workload: &dyn Workload,
     config: &TrainingConfig,
 ) -> Result<DoctorReport, TrainingError> {
-    let reg = obs::global();
-    let was_enabled = reg.enabled();
-    reg.set_enabled(true);
-    reg.reset();
-    let result = doctor_inner(workload, config);
-    reg.set_enabled(was_enabled);
-    result
+    let registry = Arc::new(obs::Registry::new());
+    let _scope = registry.install();
+    doctor_inner(workload, config, registry)
 }
 
 fn doctor_inner(
     workload: &dyn Workload,
     config: &TrainingConfig,
+    registry: Arc<obs::Registry>,
 ) -> Result<DoctorReport, TrainingError> {
     let (trained, timings, diagnostics) = OfflineTraining::run_full(workload, config)?;
 
@@ -85,7 +89,7 @@ fn doctor_inner(
         let cluster = ClusterConfig::new(opt.machines.max(1), config.target_spec);
         let report =
             Engine::new(&app, cluster, sim).run_shared(&opt.schedule, RunOptions::default())?;
-        obs::global()
+        registry
             .counter(
                 "prediction_validations_total",
                 "menu options validated against a simulated run",
@@ -105,14 +109,14 @@ fn doctor_inner(
         });
     }
 
-    let snapshot = obs::global().snapshot(false);
     let mut report = DoctorReport {
         trained,
         diagnostics,
         menu,
         params: (e, f),
         ledger,
-        snapshot,
+        snapshot: registry.snapshot(false),
+        registry,
         health: Watchtower::default().fold(&[]),
         timings,
     };

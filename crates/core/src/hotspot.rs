@@ -383,18 +383,17 @@ pub fn detect_hotspots_audited(
     )
 }
 
-/// Feeds one detection's decision counters into the global metrics
-/// registry (one branch when disabled).
+/// Feeds one detection's decision counters into the metrics registry in
+/// scope, if any.
 fn record_hotspot_metrics(
     rounds: u32,
     bcr_evaluations: u64,
     reevaluations: u32,
     schedules: &[ScheduleAudit],
 ) {
-    let reg = obs::global();
-    if !reg.enabled() {
+    let Some(reg) = obs::Registry::current() else {
         return;
-    }
+    };
     reg.counter("hotspot_detections_total", "hotspot-detection invocations")
         .inc();
     reg.counter("hotspot_rounds_total", "BCR ranking rounds executed")

@@ -76,10 +76,11 @@ where
         return (0..len).map(f).collect();
     }
 
-    // Profiler phase context: workers re-establish the caller's active
-    // phase so spans opened inside `f` nest identically whether the work
-    // ran inline (1 thread) or on the pool — part of the profile
-    // structure-determinism contract. Free when profiling is off.
+    // The caller's run context: workers install its metrics registry (so
+    // their counters land in the caller's run) and re-establish its
+    // active profiler phase (so spans opened inside `f` nest identically
+    // whether the work ran inline or on the pool). Both are what make
+    // counters and profile structure thread-count-stable.
     let prof_ctx = obs::prof::fork();
 
     // Gather directly into pre-sized index-order slots — no intermediate

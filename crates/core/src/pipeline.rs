@@ -145,8 +145,7 @@ pub struct PipelineTimings {
 impl PipelineTimings {
     fn push(&mut self, stage: &str, started: std::time::Instant, runs: u32) {
         let wall_s = started.elapsed().as_secs_f64();
-        let reg = obs::global();
-        if reg.enabled() {
+        if let Some(reg) = obs::Registry::current() {
             reg.counter(
                 "pipeline_stage_runs_total",
                 "experiment runs across pipeline stages",
@@ -734,8 +733,7 @@ impl OfflineTraining {
         );
         drop(stage_prof);
 
-        let reg = obs::global();
-        if reg.enabled() {
+        if let Some(reg) = obs::Registry::current() {
             reg.counter("pipeline_trainings_total", "offline trainings completed")
                 .inc();
         }

@@ -134,8 +134,7 @@ impl RecommendationMenu {
             a.predicted_cost_machine_min
                 .total_cmp(&b.predicted_cost_machine_min)
         });
-        let reg = obs::global();
-        if reg.enabled() {
+        if let Some(reg) = obs::Registry::current() {
             reg.counter("recommend_menus_total", "recommendation menus constructed")
                 .inc();
             reg.counter("recommend_options_total", "Pareto-surviving menu options")

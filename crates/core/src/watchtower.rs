@@ -164,7 +164,7 @@ pub struct Watchtower {
 /// Schema version of the cached [`RunSample`] projection. Bump when the
 /// extraction changes shape or meaning; stale caches are discarded and
 /// rebuilt from the manifests, never migrated.
-pub const SAMPLE_SCHEMA_VERSION: u32 = 1;
+pub const SAMPLE_SCHEMA_VERSION: u32 = 2;
 
 /// One model's slice of a [`RunSample`]: identity (name + family spec),
 /// the fitted coefficients (the CUSUM's subject), and the prediction
@@ -835,7 +835,8 @@ pub fn load_history(
 /// a tab-separated line format — `run` lines carry the scalar fields,
 /// `model` lines the per-model series — with every f64 stored as its
 /// IEEE-754 bit pattern in hex, so a round trip is exact and parsing is
-/// `u64::from_str_radix`. Any malformed line invalidates the whole
+/// `u64::from_str_radix`. A closing `end` line carries the run count, so
+/// a file cut short is detected. Any malformed line invalidates the whole
 /// cache (rebuilt from manifests, never half-read), which also covers
 /// the pathological case of a model name containing a tab.
 const SAMPLE_CACHE_MAGIC: &str = "juggler-sample-cache";
@@ -870,7 +871,11 @@ fn parse_sample_cache(raw: &str) -> Option<std::collections::HashMap<String, Run
     }
     let mut samples = std::collections::HashMap::new();
     let mut current: Option<RunSample> = None;
+    let mut runs_written: Option<usize> = None;
     for line in lines {
+        if runs_written.is_some() {
+            return None;
+        }
         let mut f = line.split('\t');
         match f.next()? {
             "run" => {
@@ -914,6 +919,7 @@ fn parse_sample_cache(raw: &str) -> Option<std::collections::HashMap<String, Run
                     err_micro,
                 });
             }
+            "end" => runs_written = Some(f.next()?.parse().ok()?),
             _ => return None,
         }
         if f.next().is_some() {
@@ -923,13 +929,25 @@ fn parse_sample_cache(raw: &str) -> Option<std::collections::HashMap<String, Run
     if let Some(done) = current.take() {
         samples.insert(done.id.clone(), done);
     }
-    Some(samples)
+    (runs_written? == samples.len()).then_some(samples)
 }
 
 fn write_sample_cache(
     path: &std::path::Path,
     cache: &std::collections::HashMap<String, RunSample>,
 ) {
+    if let Some(parent) = path.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    if let Err(e) = std::fs::write(path, render_sample_cache(cache)) {
+        obs::log_warn!(
+            "health: could not persist sample cache {}: {e}",
+            path.display()
+        );
+    }
+}
+
+fn render_sample_cache(cache: &std::collections::HashMap<String, RunSample>) -> String {
     use std::fmt::Write as _;
     let mut ids: Vec<&str> = cache.keys().map(String::as_str).collect();
     ids.sort_unstable();
@@ -963,15 +981,8 @@ fn write_sample_cache(
             );
         }
     }
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(path, out) {
-        obs::log_warn!(
-            "health: could not persist sample cache {}: {e}",
-            path.display()
-        );
-    }
+    let _ = writeln!(out, "end\t{}", cache.len());
+    out
 }
 
 impl Watchtower {
@@ -1358,6 +1369,40 @@ mod tests {
     }
 
     #[test]
+    fn truncated_or_flipped_sample_cache_is_rejected_without_panics() {
+        let cache: std::collections::HashMap<String, RunSample> = window(3)
+            .iter()
+            .map(|m| (m.id(), RunSample::extract(m)))
+            .collect();
+        let raw = render_sample_cache(&cache);
+        assert_eq!(parse_sample_cache(&raw).as_ref(), Some(&cache));
+
+        // Every cut short of the final newline is rejected, never half-read.
+        let body = raw.trim_end().len();
+        for cut in (0..raw.len()).filter(|&cut| raw.is_char_boundary(cut)) {
+            assert_eq!(
+                parse_sample_cache(&raw[..cut]).is_some(),
+                cut >= body,
+                "truncation at byte {cut} of {}",
+                raw.len()
+            );
+        }
+        proptest::run_cases(
+            &proptest::ProptestConfig::with_cases(512),
+            "sample_cache_flips",
+            |rng| {
+                let mut bytes = raw.as_bytes().to_vec();
+                let at = rng.next_in(0, bytes.len() as u64) as usize;
+                bytes[at] = rng.next_in(0, 128) as u8;
+                if let Ok(text) = String::from_utf8(bytes) {
+                    let _ = parse_sample_cache(&text);
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
     fn metric_names_sanitize() {
         assert_eq!(sanitize_metric("time [0]"), "time_0");
         assert_eq!(sanitize_metric("size D2"), "size_d2");
@@ -1373,7 +1418,7 @@ mod tests {
             }
         }
         let report = Watchtower::default().fold(&w);
-        let reg = obs::Registry::new(true);
+        let reg = obs::Registry::new();
         report.register_metrics(&reg);
         let snap = reg.snapshot(false);
         let prom = snap.to_prometheus();
@@ -1382,7 +1427,7 @@ mod tests {
         assert!(prom.contains("health_model_size_d2_level 0"), "{prom}");
         assert!(prom.contains("health_runs_scanned_total 10"), "{prom}");
         // Repeat registration into a fresh registry is byte-identical.
-        let reg2 = obs::Registry::new(true);
+        let reg2 = obs::Registry::new();
         report.register_metrics(&reg2);
         assert_eq!(prom, reg2.snapshot(false).to_prometheus());
     }

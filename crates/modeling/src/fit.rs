@@ -195,8 +195,7 @@ pub fn loocv_residuals(spec: &ModelSpec, samples: &[Sample]) -> Vec<f64> {
 #[must_use]
 pub fn loocv_error(spec: &ModelSpec, samples: &[Sample]) -> f64 {
     let _prof = obs::prof::scope("loocv");
-    let reg = obs::global();
-    if reg.enabled() {
+    if let Some(reg) = obs::Registry::current() {
         reg.counter(
             "modeling_loocv_evaluations_total",
             "candidate specs scored by leave-one-out cross-validation",

@@ -23,8 +23,7 @@ pub fn nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
 
 /// [`nnls`] plus the number of Lawson–Hanson outer iterations the solve
 /// took — the model-quality diagnostics surface this, and each solve also
-/// feeds the `modeling_nnls_*` metrics when the global registry is
-/// enabled.
+/// feeds the `modeling_nnls_*` metrics when a registry is in scope.
 ///
 /// # Panics
 /// Panics if `b.len() != a.rows()`.
@@ -57,8 +56,7 @@ pub fn nnls_with_stats(a: &Matrix, b: &[f64]) -> (Vec<f64>, u64) {
         x[j] /= scales[j];
     }
     obs::prof::count("nnls_iterations", iterations);
-    let reg = obs::global();
-    if reg.enabled() {
+    if let Some(reg) = obs::Registry::current() {
         reg.counter("modeling_nnls_solves_total", "NNLS solves performed")
             .inc();
         reg.counter(

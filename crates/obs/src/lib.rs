@@ -3,9 +3,12 @@
 //! Two concerns live here because every other crate needs both:
 //!
 //! 1. **A metrics registry** ([`Registry`]) — counters, gauges, and
-//!    log2 histograms behind the same zero-cost-when-off discipline as
-//!    `cluster_sim::trace`: a disabled registry hands out no-op handles
-//!    and call sites pay one branch, no allocation, no lock. Snapshots
+//!    log2 histograms scoped to the run that records into them. A run
+//!    installs its own registry on its thread ([`Registry::install`]),
+//!    worker threads inherit it through [`prof::ForkCtx::attach`], and
+//!    call sites record only when [`Registry::current`] finds one — with
+//!    none in scope they pay one thread-local read and one branch. There
+//!    is no process-wide registry and no on/off switch. Snapshots
 //!    export to Prometheus text format and JSON, with deterministic
 //!    (sorted, byte-stable) output so exports can be golden-tested.
 //! 2. **Formatting helpers** ([`fmt_sig`], [`fmt_duration_s`],
@@ -63,6 +66,6 @@ pub use perf::{
     CheckOutcome, PerfReport,
 };
 pub use registry::{
-    global, log2_quantile, Counter, Gauge, Histogram, Metric, MetricClass, MetricKind, MetricValue,
-    Registry, Snapshot, HIST_BUCKETS,
+    log2_quantile, Counter, Gauge, Histogram, InstallGuard, Metric, MetricClass, MetricKind,
+    MetricValue, Registry, Snapshot, HIST_BUCKETS,
 };

@@ -16,8 +16,8 @@
 //! * **counter deltas** — work counts ([`count`]) attributed to the
 //!   innermost active scope (cache hits, NNLS iterations, retries).
 //!
-//! The determinism contract mirrors the metrics registry: with the
-//! profiler disabled every entry point is a no-op behind one atomic load.
+//! With the profiler disabled every entry point is a no-op behind one
+//! atomic load.
 //! Enabled, the tree *structure* — node names, call counts, and counter
 //! values — is a pure function of the work performed and therefore
 //! bit-identical at any `JUGGLER_THREADS` count, provided fan-out sites
@@ -43,6 +43,7 @@ use serde_json::Value;
 
 use crate::format::{fmt_duration_s, fmt_percent};
 use crate::hash::sha256_hex;
+use crate::registry::{InstallGuard, Registry};
 
 // ── thread-local span stack ──────────────────────────────────────────
 
@@ -93,11 +94,11 @@ impl LocalTree {
         id
     }
 
-    /// Pushes every `/`-separated segment of `path` onto the stack,
-    /// returning how many were pushed.
-    fn enter(&mut self, path: &str) -> u16 {
+    /// Pushes every segment onto the stack, returning how many were
+    /// pushed.
+    fn enter<'a>(&mut self, segments: impl Iterator<Item = &'a str>) -> u16 {
         let mut pushed = 0u16;
-        for seg in path.split('/').filter(|s| !s.is_empty()) {
+        for seg in segments {
             let parent = self.stack.last().copied();
             let id = self.child_of(parent, seg);
             self.stack.push(id);
@@ -283,7 +284,8 @@ pub fn scope(path: &str) -> Scope {
             start: None,
         };
     }
-    let pushed = LOCAL.with(|l| l.borrow_mut().enter(path));
+    let segments = path.split('/').filter(|s| !s.is_empty());
+    let pushed = LOCAL.with(|l| l.borrow_mut().enter(segments));
     Scope {
         pushed,
         start: Some(Instant::now()),
@@ -308,21 +310,25 @@ pub fn count(name: &str, delta: u64) {
     });
 }
 
-/// A captured phase context for handing to worker threads. Workers call
-/// [`ForkCtx::attach`] so their spans nest under the phase that spawned
-/// them — without this, a stage-4 grid cell profiled on a worker would
-/// surface at the tree root on 8 threads but under `stage4` on 1 thread,
-/// breaking the structure-determinism contract.
+/// A captured phase context for handing to worker threads: the caller's
+/// phase path and its metrics registry. Workers call [`ForkCtx::attach`]
+/// so their spans nest under the phase that spawned them — without this,
+/// a stage-4 grid cell profiled on a worker would surface at the tree root
+/// on 8 threads but under `stage4` on 1 thread, breaking the
+/// structure-determinism contract — and so their counters land in the
+/// caller's run.
 #[derive(Clone)]
 pub struct ForkCtx {
     path: Option<Arc<Vec<String>>>,
+    registry: Option<Arc<Registry>>,
 }
 
-/// RAII guard re-establishing a forked phase context on a worker thread;
-/// see [`ForkCtx::attach`].
+/// RAII guard re-establishing a forked phase context and registry on a
+/// worker thread; see [`ForkCtx::attach`].
 #[must_use = "an attached fork context holds until dropped"]
 pub struct AttachGuard {
     pushed: u16,
+    _registry: Option<InstallGuard>,
 }
 
 impl Drop for AttachGuard {
@@ -334,47 +340,38 @@ impl Drop for AttachGuard {
     }
 }
 
-/// Captures the calling thread's active phase path (cheap `Arc` clone per
-/// worker; `None` and fully free when the profiler is disabled).
+/// Captures the calling thread's metrics registry and active phase path
+/// (cheap `Arc` clones per worker; the path is `None` and free when the
+/// profiler is disabled).
 pub fn fork() -> ForkCtx {
-    if !profiler().enabled() {
-        return ForkCtx { path: None };
-    }
-    let path = LOCAL.with(|l| {
-        let t = l.borrow();
-        t.stack
-            .iter()
-            .map(|&id| t.nodes[id as usize].name.clone())
-            .collect::<Vec<String>>()
+    let path = profiler().enabled().then(|| {
+        LOCAL.with(|l| {
+            let t = l.borrow();
+            t.stack
+                .iter()
+                .map(|&id| t.nodes[id as usize].name.clone())
+                .collect::<Vec<String>>()
+        })
     });
-    if path.is_empty() {
-        return ForkCtx { path: None };
-    }
     ForkCtx {
-        path: Some(Arc::new(path)),
+        path: path.filter(|p| !p.is_empty()).map(Arc::new),
+        registry: Registry::current(),
     }
 }
 
 impl ForkCtx {
-    /// Re-establishes the captured path on the current thread. The guard
-    /// adds no call counts and no time of its own — it only provides the
-    /// ancestry for spans the worker opens beneath it.
+    /// Installs the captured registry and re-establishes the captured
+    /// path on the current thread. The guard adds no call counts and no
+    /// time of its own — it only provides the ancestry for spans the
+    /// worker opens beneath it.
     pub fn attach(&self) -> AttachGuard {
-        let Some(path) = &self.path else {
-            return AttachGuard { pushed: 0 };
-        };
-        let pushed = LOCAL.with(|l| {
-            let mut t = l.borrow_mut();
-            let mut pushed = 0u16;
-            for seg in path.iter() {
-                let parent = t.stack.last().copied();
-                let id = t.child_of(parent, seg);
-                t.stack.push(id);
-                pushed += 1;
-            }
-            pushed
+        let pushed = self.path.as_ref().map_or(0, |path| {
+            LOCAL.with(|l| l.borrow_mut().enter(path.iter().map(String::as_str)))
         });
-        AttachGuard { pushed }
+        AttachGuard {
+            pushed,
+            _registry: self.registry.as_ref().map(Registry::install),
+        }
     }
 }
 

@@ -1,21 +1,27 @@
 //! The metrics registry: named counters, gauges and log2 histograms with
 //! atomic recording, plus deterministic Prometheus/JSON exporters.
 //!
-//! Zero-cost-when-off contract (mirrors `cluster_sim::trace`): a disabled
-//! registry hands out *no-op* handles — recording through one is a single
-//! `Option` branch, no allocation, no lock, no atomic. Enabling the
-//! registry only affects handles created afterwards, which is why call
-//! sites check [`Registry::enabled`] before fetching handles.
+//! Run scope: a registry belongs to the run that records into it. The run
+//! creates an `Arc<Registry>` and installs it on its thread with
+//! [`Registry::install`]; instrumented code asks [`Registry::current`]
+//! and records only when a registry is in scope. Worker threads reach the
+//! caller's registry through [`crate::prof::fork`] and
+//! [`crate::prof::ForkCtx::attach`]. There is no process-wide registry and
+//! no on/off switch: with nothing installed a call site pays one
+//! thread-local read and one branch, and concurrent runs in one process
+//! never see each other's counters.
 //!
 //! Thread safety: handles are `Clone + Send + Sync`; recording uses
 //! relaxed atomics (sums are order-independent), registration takes a
 //! short mutex. Concurrent increments are exact — no sampling, no lost
 //! updates.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -114,29 +120,14 @@ impl HistogramCell {
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
-/// Handle to a registered counter. No-op (and free) when obtained from a
-/// disabled registry. Cloning shares the underlying cell.
+/// Handle to a registered counter. Cloning shares the underlying cell;
+/// the default handle records nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Option<Arc<CounterCell>>);
 
 impl Counter {
-    /// A handle that records nothing.
-    #[must_use]
-    pub fn noop() -> Self {
-        Counter(None)
-    }
-
     /// Increments by one.
     #[inline]
     pub fn inc(&self) {
@@ -160,18 +151,12 @@ impl Counter {
     }
 }
 
-/// Handle to a registered gauge (last-write-wins `f64`). No-op when
-/// obtained from a disabled registry.
+/// Handle to a registered gauge (last-write-wins `f64`); the default
+/// handle records nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Option<Arc<GaugeCell>>);
 
 impl Gauge {
-    /// A handle that records nothing.
-    #[must_use]
-    pub fn noop() -> Self {
-        Gauge(None)
-    }
-
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, value: f64) {
@@ -189,18 +174,12 @@ impl Gauge {
     }
 }
 
-/// Handle to a registered log2 histogram. No-op when obtained from a
-/// disabled registry.
+/// Handle to a registered log2 histogram; the default handle records
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Option<Arc<HistogramCell>>);
 
 impl Histogram {
-    /// A handle that records nothing.
-    #[must_use]
-    pub fn noop() -> Self {
-        Histogram(None)
-    }
-
     /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
@@ -233,14 +212,6 @@ impl Cell {
             Cell::Histogram(_) => MetricKind::Histogram,
         }
     }
-
-    fn reset(&self) {
-        match self {
-            Cell::Counter(c) => c.value.store(0, Ordering::Relaxed),
-            Cell::Gauge(g) => g.bits.store(0, Ordering::Relaxed),
-            Cell::Histogram(h) => h.reset(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -250,72 +221,77 @@ struct Entry {
     cell: Cell,
 }
 
-/// A thread-safe metrics registry.
-///
-/// Most code records into the process-wide [`global`] registry, which is
-/// **disabled by default**; `juggler metrics`, `juggler doctor`, tests and
-/// benches enable it explicitly. Local instances are handy for tests that
-/// must not observe each other's metrics.
-#[derive(Debug)]
+/// A thread-safe metrics registry, scoped to the run that records into
+/// it (see the module docs). Every registry records.
+#[derive(Debug, Default)]
 pub struct Registry {
-    enabled: AtomicBool,
     metrics: Mutex<BTreeMap<String, Entry>>,
 }
 
+thread_local! {
+    static CURRENT: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
+}
+
+/// Keeps a registry installed on this thread; dropping it restores the
+/// registry that was in scope before. See [`Registry::install`].
+#[must_use = "the registry stays installed only until the guard drops"]
+pub struct InstallGuard {
+    prev: Option<Arc<Registry>>,
+    /// Tied to the installing thread: the slot it restores is thread-local.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for InstallGuard {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        CURRENT.with(|c| *c.borrow_mut() = prev);
+    }
+}
+
 impl Registry {
-    /// A registry with the given initial enabled state.
+    /// An empty registry.
     #[must_use]
-    pub fn new(enabled: bool) -> Self {
-        Registry {
-            enabled: AtomicBool::new(enabled),
-            metrics: Mutex::new(BTreeMap::new()),
+    pub fn new() -> Self {
+        Registry::default()
+    }
+
+    /// Makes this registry the one in scope on the calling thread until
+    /// the guard drops. Installs nest: the guard restores the outer one.
+    pub fn install(self: &Arc<Self>) -> InstallGuard {
+        let prev = CURRENT.with(|c| c.replace(Some(Arc::clone(self))));
+        InstallGuard {
+            prev,
+            _thread: PhantomData,
         }
     }
 
-    /// Whether handles obtained *now* will record.
+    /// The registry in scope on the calling thread, if any. Instrumented
+    /// code records only when this returns one.
     #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the registry. Only affects handles obtained
-    /// after the call; live handles keep their recording state.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Zeroes every registered metric (registrations and help text are
-    /// kept). Live handles keep working against the zeroed cells.
-    pub fn reset(&self) {
-        let metrics = self.metrics.lock();
-        for entry in metrics.values() {
-            entry.cell.reset();
-        }
+    pub fn current() -> Option<Arc<Registry>> {
+        CURRENT.with(|c| c.borrow().clone())
     }
 
     /// Registers (or looks up) a deterministic counter. Returns a no-op
-    /// handle when the registry is disabled, or when `name` is already
-    /// registered as a different kind.
+    /// handle when `name` is already registered as a different kind.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
         match self.cell(name, help, MetricClass::Deterministic, MetricKind::Counter) {
             Some(Cell::Counter(c)) => Counter(Some(c)),
-            _ => Counter::noop(),
+            _ => Counter::default(),
         }
     }
 
     /// Registers (or looks up) a gauge of the given class. Returns a
-    /// no-op handle when the registry is disabled, or when `name` is
-    /// already registered as a different kind.
+    /// no-op handle when `name` is already registered as a different kind.
     pub fn gauge(&self, name: &str, help: &str, class: MetricClass) -> Gauge {
         match self.cell(name, help, class, MetricKind::Gauge) {
             Some(Cell::Gauge(g)) => Gauge(Some(g)),
-            _ => Gauge::noop(),
+            _ => Gauge::default(),
         }
     }
 
     /// Registers (or looks up) a deterministic log2 histogram. Returns a
-    /// no-op handle when the registry is disabled, or when `name` is
-    /// already registered as a different kind.
+    /// no-op handle when `name` is already registered as a different kind.
     pub fn histogram(&self, name: &str, help: &str) -> Histogram {
         match self.cell(
             name,
@@ -324,14 +300,11 @@ impl Registry {
             MetricKind::Histogram,
         ) {
             Some(Cell::Histogram(h)) => Histogram(Some(h)),
-            _ => Histogram::noop(),
+            _ => Histogram::default(),
         }
     }
 
     fn cell(&self, name: &str, help: &str, class: MetricClass, kind: MetricKind) -> Option<Cell> {
-        if !self.enabled() {
-            return None;
-        }
         let mut metrics = self.metrics.lock();
         let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
@@ -393,14 +366,6 @@ impl Registry {
         }
         Snapshot { metrics: out }
     }
-}
-
-/// The process-wide registry, disabled by default. `juggler doctor`,
-/// `juggler metrics`, tests and benches enable it explicitly via
-/// [`Registry::set_enabled`].
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(|| Registry::new(false))
 }
 
 /// One metric in a [`Snapshot`].
@@ -666,18 +631,81 @@ fn escape_json(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// A call site as the instrumented crates write it.
+    fn record_site() {
+        if let Some(reg) = Registry::current() {
+            reg.counter("site_total", "call-site records").inc();
+        }
+    }
+
+    fn site_count(reg: &Registry) -> Option<u64> {
+        reg.snapshot(false).counter("site_total")
+    }
+
     #[test]
-    fn disabled_registry_hands_out_noops() {
-        let reg = Registry::new(false);
-        let c = reg.counter("x_total", "a counter");
-        c.inc();
-        assert_eq!(c.get(), 0);
-        assert!(reg.snapshot(true).metrics.is_empty(), "nothing registered");
+    fn nothing_records_without_a_registry_in_scope() {
+        assert!(Registry::current().is_none());
+        let reg = Arc::new(Registry::new());
+        record_site();
+        assert_eq!(site_count(&reg), None, "not installed, nothing registered");
+        {
+            let _scope = reg.install();
+            record_site();
+        }
+        record_site();
+        assert!(Registry::current().is_none(), "guard uninstalled it");
+        assert_eq!(site_count(&reg), Some(1));
+    }
+
+    #[test]
+    fn nested_install_restores_the_outer_registry() {
+        let (outer, inner) = (Arc::new(Registry::new()), Arc::new(Registry::new()));
+        let _outer = outer.install();
+        record_site();
+        {
+            let _inner = inner.install();
+            record_site();
+            record_site();
+        }
+        record_site();
+        assert_eq!(site_count(&outer), Some(2));
+        assert_eq!(site_count(&inner), Some(2));
+        let current = Registry::current().expect("outer still installed");
+        assert!(Arc::ptr_eq(&current, &outer));
+    }
+
+    #[test]
+    fn attached_fork_records_into_the_forking_threads_registry() {
+        let reg = Arc::new(Registry::new());
+        let other = Arc::new(Registry::new());
+        let ctx = {
+            let _scope = reg.install();
+            crate::prof::fork()
+        };
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    record_site();
+                    {
+                        let _attached = ctx.attach();
+                        record_site();
+                    }
+                    record_site();
+                });
+            }
+            // A worker of an unrelated run keeps its own registry.
+            s.spawn(|| {
+                let _scope = other.install();
+                record_site();
+            });
+        });
+        assert_eq!(site_count(&reg), Some(4), "only attached records count");
+        assert_eq!(site_count(&other), Some(1));
     }
 
     #[test]
     fn counters_accumulate_and_share_cells() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let a = reg.counter("x_total", "a counter");
         let b = reg.counter("x_total", "a counter");
         a.add(3);
@@ -688,7 +716,7 @@ mod tests {
 
     #[test]
     fn kind_conflict_yields_noop() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let _c = reg.counter("x", "first registration wins");
         // Release builds return a no-op handle; debug builds assert, so
         // only exercise the conflict path when debug_assertions are off.
@@ -701,7 +729,7 @@ mod tests {
 
     #[test]
     fn gauge_stores_f64() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let g = reg.gauge("ratio", "a gauge", MetricClass::Deterministic);
         g.set(0.375);
         assert_eq!(g.get(), 0.375);
@@ -709,7 +737,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_log2_and_trims() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let h = reg.histogram("dur_us", "a histogram");
         h.record(0); // bucket 0
         h.record(1); // bucket 0
@@ -736,20 +764,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_but_keeps_registrations() {
-        let reg = Registry::new(true);
-        let c = reg.counter("x_total", "a counter");
-        c.add(5);
-        reg.reset();
-        assert_eq!(c.get(), 0, "live handle sees the zeroed cell");
-        assert_eq!(reg.snapshot(false).counter("x_total"), Some(0));
-        c.inc();
-        assert_eq!(reg.snapshot(false).counter("x_total"), Some(1));
-    }
-
-    #[test]
     fn snapshot_sorts_and_filters_timings() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         reg.gauge("z_seconds", "wall clock", MetricClass::Timing)
             .set(1.25);
         reg.counter("a_total", "a counter").inc();
@@ -763,7 +779,7 @@ mod tests {
 
     #[test]
     fn prometheus_export_shape() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         reg.counter("hits_total", "cache hits").add(7);
         reg.gauge("err_ratio", "relative error", MetricClass::Deterministic)
             .set(0.5);
@@ -783,7 +799,7 @@ mod tests {
 
     #[test]
     fn json_export_shape() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         reg.counter("hits_total", "cache \"hits\"").add(7);
         reg.gauge("bad", "non-finite", MetricClass::Deterministic)
             .set(f64::NAN);
@@ -798,7 +814,7 @@ mod tests {
     #[test]
     fn equal_snapshots_export_identically() {
         let build = || {
-            let reg = Registry::new(true);
+            let reg = Registry::new();
             reg.counter("a_total", "a").add(2);
             reg.histogram("h_us", "h").record(9);
             reg.snapshot(false)
@@ -843,7 +859,7 @@ mod tests {
 
     #[test]
     fn quantiles_flow_through_snapshot_and_json_export() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let h = reg.histogram("err_micro", "relative error in micro-units");
         for _ in 0..98 {
             h.record(80_000); // bucket 16 ([65536, 131072))
@@ -861,22 +877,12 @@ mod tests {
             "{json}"
         );
         // Empty histograms export null quantiles.
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let _ = reg.histogram("empty_micro", "no samples");
         let json = reg.snapshot(false).to_json();
         assert!(
             json.contains("\"p50\":null,\"p95\":null,\"p99\":null"),
             "{json}"
         );
-    }
-
-    #[test]
-    fn global_registry_starts_disabled() {
-        // Other tests in this binary do not touch the global registry, so
-        // this observation is race-free.
-        assert!(!global().enabled());
-        let c = global().counter("unused_total", "never records");
-        c.inc();
-        assert_eq!(c.get(), 0);
     }
 }

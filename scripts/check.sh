@@ -24,8 +24,11 @@ cargo test -q --offline --test malformed_inputs
 echo "== trace golden (Chrome trace_event export is byte-stable) =="
 cargo test -q --offline --test trace_golden
 
-echo "== metrics registry (concurrent exactness; thread-count-stable exports) =="
+echo "== metrics registry (concurrent exactness; run isolation; thread-count-stable exports) =="
 cargo test -q --offline --test metrics_registry
+
+echo "== run isolation under the parallel test runner (4 test threads, even on one core) =="
+cargo test -q --offline --test metrics_registry --test doctor_golden --test chaos --test malformed_inputs -- --test-threads=4
 
 echo "== doctor golden (diagnostics report is byte-stable) =="
 cargo test -q --offline --test doctor_golden

@@ -123,12 +123,14 @@ collapsed` folds the simulated task spans of one run through the same
 stack folder. Progress chatter on stderr is off by default; set
 JUGGLER_LOG=info (or debug) to enable it.
 
-`doctor` trains the workload with the metrics registry enabled, validates
-every Pareto option's predicted time/size against a simulated run, and
-prints model-quality (per-model LOO-CV winner and error) and decision
-(hotspot accept/reject reasons) diagnostics. `metrics` runs the same flow
-and exports the registry (Prometheus text by default); --timings includes
-host wall-clock gauges, which makes the output non-deterministic.
+`doctor` trains the workload with a metrics registry of its own, scoped
+to the run and its worker threads (there is no global registry and no
+on/off switch), validates every Pareto option's predicted time/size
+against a simulated run, and prints model-quality (per-model LOO-CV
+winner and error) and decision (hotspot accept/reject reasons)
+diagnostics. `metrics` runs the same flow and exports that run's
+registry (Prometheus text by default); --timings includes host
+wall-clock gauges, which makes the output non-deterministic.
 `doctor --format json` emits the run's provenance manifest instead of the
 human report; `metrics --output FILE` writes the export to a file.
 
@@ -702,7 +704,7 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
         ));
     }
     obs::log_info!(
-        "doctor: training {} with the metrics registry enabled...",
+        "doctor: training {} with a run-scoped metrics registry...",
         w.name()
     );
     let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
@@ -790,14 +792,14 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         ));
     }
     obs::log_info!(
-        "metrics: training {} with the metrics registry enabled...",
+        "metrics: training {} with a run-scoped metrics registry...",
         w.name()
     );
     let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
-    // --timings re-snapshots with the wall-clock gauges included; the
-    // default export contains deterministic metrics only.
+    // --timings re-snapshots the doctor's registry with the wall-clock
+    // gauges included; the default export is deterministic metrics only.
     let snapshot = if args.iter().any(|a| a == "--timings") {
-        obs::global().snapshot(true)
+        report.registry.snapshot(true)
     } else {
         report.snapshot
     };
@@ -1096,7 +1098,7 @@ fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
     match format.as_str() {
         "json" => print!("{}", report.to_json()),
         "prom" => {
-            let registry = obs::Registry::new(true);
+            let registry = obs::Registry::new();
             report.register_metrics(&registry);
             print!("{}", registry.snapshot(false).to_prometheus());
         }

@@ -28,11 +28,8 @@ fn golden_path() -> std::path::PathBuf {
 /// One line per (family, seed):
 /// `<family> <seed> artifact=<sha> menu=<sha> manifest=<sha> content_hash=<sha>`.
 ///
-/// One sequential loop in one test: `doctor` resets the global metrics
-/// registry whose counters the manifest hashes, so it must not race
-/// another doctor call in this binary. The doctor report's artifact and
-/// menu are byte-identical to `OfflineTraining::run` + `recommend` at the
-/// paper parameters.
+/// The doctor report's artifact and menu are byte-identical to
+/// `OfflineTraining::run` + `recommend` at the paper parameters.
 fn render() -> String {
     let mut out = String::new();
     for w in all_workloads() {

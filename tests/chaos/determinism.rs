@@ -4,8 +4,8 @@
 //! retries, and speculative copies live inside the single-threaded
 //! engine, so the worker pool must have no way to leak into a digest.
 //!
-//! One test function on purpose: `doctor` resets the global metrics
-//! registry, and the environment variable is process-wide.
+//! One test function on purpose: the environment variable is
+//! process-wide.
 
 use crate::common::TinyScoring;
 use juggler_suite::juggler::chaos::{run_chaos, ChaosConfig, PlanKind};

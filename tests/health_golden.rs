@@ -20,9 +20,8 @@ use juggler_suite::obs::health::Verdict;
 use juggler_suite::obs::LedgerStore;
 use juggler_suite::workloads::Workload;
 
-/// The doctor run behind every drill manifest. `OnceLock` because
-/// `doctor` resets the global metrics registry — concurrent doctor
-/// calls inside one test binary would race on the counters.
+/// The doctor run behind every drill manifest, run once and shared by
+/// every test in this binary.
 fn base_manifest() -> &'static RunManifest {
     static BASE: OnceLock<RunManifest> = OnceLock::new();
     BASE.get_or_init(|| {

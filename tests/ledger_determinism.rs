@@ -5,10 +5,6 @@
 //! the drift detector end-to-end: identical runs diff clean, a
 //! perturbed model coefficient is flagged, and the ledger store files
 //! and lists the manifest under its content-derived id.
-//!
-//! All doctor runs live in one test function: `doctor` resets the
-//! global metrics registry, so concurrent doctor calls in one test
-//! binary would race on the counters the manifest hashes.
 
 mod common;
 

@@ -1,20 +1,19 @@
-//! Corrupt-input robustness of the stored-record readers: a real `doctor`
-//! run manifest and its health report are fed back to
-//! `RunManifest::from_json` and `HealthReport::from_json` cut at every
-//! truncation point and with random byte flips. Neither reader may panic;
-//! a manifest is accepted only when its content hash verifies, which pins
-//! the accepted content to the original, and an accepted health report
-//! re-reads to itself.
-//!
-//! One test function: `doctor` resets the global metrics registry, so it
-//! must not race another doctor call in this binary.
+//! Corrupt-input robustness of the stored-record and spec readers: a real
+//! `doctor` run manifest and its health report are fed back to
+//! `RunManifest::from_json` and `HealthReport::from_json`, and the SLO and
+//! tenancy specs to `SloSpec::from_json` and `TenantsSpec::from_json`, cut
+//! at every truncation point and with random byte flips. No reader may
+//! panic; a manifest is accepted only when its content hash verifies,
+//! which pins the accepted content to the original, and an accepted
+//! health report or spec re-reads to itself.
 
 mod common;
 
 use common::TinyScoring;
 use juggler_suite::juggler::pipeline::TrainingConfig;
 use juggler_suite::juggler::provenance::RunManifest;
-use juggler_suite::juggler::HealthReport;
+use juggler_suite::juggler::{HealthReport, TenantsSpec};
+use juggler_suite::obs::SloSpec;
 use juggler_suite::workloads::Workload;
 use proptest::{run_cases, ProptestConfig};
 
@@ -90,5 +89,54 @@ fn corrupt_manifests_and_health_reports_are_rejected_without_panics() {
             }
         }
         Ok(())
+    });
+}
+
+/// Feeds `raw` with random single-byte flips to `read`: it must not
+/// panic, and whatever it accepts must re-read to itself through `write`.
+fn assert_flips_reread<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    raw: &str,
+    read: impl Fn(&str) -> Result<T, String>,
+    write: impl Fn(&T) -> String,
+) {
+    run_cases(&ProptestConfig::with_cases(512), name, |rng| {
+        let at = rng.next_in(0, raw.len() as u64) as usize;
+        let Some(text) = flipped(raw, at, rng.next_in(0, 128) as u8) else {
+            return Ok(());
+        };
+        if let Ok(parsed) = read(&text) {
+            let again = read(&write(&parsed))
+                .map_err(|e| format!("byte {at} flip: accepted value does not re-read: {e}"))?;
+            if again != parsed {
+                return Err(format!(
+                    "byte {at} flip: accepted value re-reads differently"
+                ));
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn corrupt_slo_and_tenants_specs_are_rejected_without_panics() {
+    let slo = SloSpec {
+        max_consecutive_breaches: 5,
+        warn_burn_rate: 0.75,
+        ..SloSpec::default()
+    };
+    let raw = serde_json::to_string_pretty(&slo).expect("serializes") + "\n";
+    assert_eq!(SloSpec::from_json(&raw).expect("intact spec"), slo);
+    assert_truncations_fail(&raw, SloSpec::from_json);
+    assert_flips_reread("slo_flips", &raw, SloSpec::from_json, |s| {
+        serde_json::to_string(s).expect("serializes")
+    });
+
+    let spec = TenantsSpec::drill();
+    let raw = serde_json::to_string_pretty(&spec).expect("serializes") + "\n";
+    assert_eq!(TenantsSpec::from_json(&raw).expect("intact spec"), spec);
+    assert_truncations_fail(&raw, TenantsSpec::from_json);
+    assert_flips_reread("tenants_flips", &raw, TenantsSpec::from_json, |s| {
+        serde_json::to_string(s).expect("serializes")
     });
 }

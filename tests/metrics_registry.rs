@@ -1,20 +1,23 @@
 //! Metrics-registry integration tests: concurrent recording must be
-//! exact, and the deterministic export must be byte-stable no matter how
-//! many worker threads the training pipeline used.
-//!
-//! The global-registry assertions live in one test function on purpose:
-//! tests in this binary run on concurrent threads, and the global
-//! registry is process-wide state.
+//! exact, the deterministic export must be byte-stable no matter how
+//! many worker threads the training pipeline used, and each `doctor`
+//! run's counters must belong to that run alone while other runs record
+//! in the same process.
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use common::TinyScoring;
+use juggler_suite::cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions};
 use juggler_suite::juggler::pipeline::TrainingConfig;
-use juggler_suite::obs::Registry;
+use juggler_suite::juggler::provenance::RunManifest;
+use juggler_suite::obs::{Registry, Snapshot};
+use juggler_suite::workloads::Workload;
 
 #[test]
 fn concurrent_increments_are_exact() {
-    let reg = Registry::new(true);
+    let reg = Registry::new();
     let counter = reg.counter("t_total", "test counter");
     let hist = reg.histogram("t_hist", "test histogram");
     std::thread::scope(|s| {
@@ -37,7 +40,7 @@ fn concurrent_increments_are_exact() {
 
 #[test]
 fn gauge_last_write_wins_under_contention() {
-    let reg = Registry::new(true);
+    let reg = Registry::new();
     let gauge = reg.gauge(
         "t_gauge",
         "test gauge",
@@ -84,5 +87,59 @@ fn exports_are_byte_stable_across_thread_counts() {
                 assert_eq!(&json, j0, "JSON export drifted at {threads} threads");
             }
         }
+    }
+}
+
+/// A doctor run's deterministic counters and manifest identity.
+fn doctor_run() -> (Snapshot, String, String) {
+    let config = TrainingConfig {
+        threads: 2,
+        ..TrainingConfig::default()
+    };
+    let report = juggler_suite::juggler::doctor(&TinyScoring, &config).expect("doctor succeeds");
+    let manifest = RunManifest::from_doctor(&report, &config, &TinyScoring.paper_params());
+    (report.snapshot, manifest.id(), manifest.content_hash)
+}
+
+/// Two doctors on two threads at once, next to a thread looping plain
+/// engine runs: each doctor sees exactly the counters and manifest of a
+/// doctor run alone.
+#[test]
+fn concurrent_doctors_see_only_their_own_run() {
+    let (solo_snapshot, solo_id, solo_hash) = doctor_run();
+    assert!(solo_snapshot.counter("sim_runs_total").unwrap_or(0) > 0);
+
+    let w = TinyScoring;
+    let app = w.build(&w.paper_params());
+    let schedule = app.default_schedule().clone();
+    let done = AtomicBool::new(false);
+    let (a, b) = std::thread::scope(|s| {
+        let looper = s.spawn(|| loop {
+            Engine::new(
+                &app,
+                ClusterConfig::new(3, MachineSpec::private_cluster()),
+                w.sim_params(),
+            )
+            .run(&schedule, RunOptions::default())
+            .expect("plain run succeeds");
+            if done.load(Ordering::Relaxed) {
+                break;
+            }
+        });
+        let a = s.spawn(doctor_run);
+        let b = s.spawn(doctor_run);
+        let (a, b) = (a.join().expect("doctor a"), b.join().expect("doctor b"));
+        done.store(true, Ordering::Relaxed);
+        looper.join().expect("engine loop");
+        (a, b)
+    });
+    for (snapshot, id, hash) in [a, b] {
+        assert_eq!(
+            snapshot.to_prometheus(),
+            solo_snapshot.to_prometheus(),
+            "counters leaked between concurrent runs"
+        );
+        assert_eq!(id, solo_id);
+        assert_eq!(hash, solo_hash);
     }
 }
