@@ -17,7 +17,7 @@ use crate::eviction::DatasetHints;
 use crate::executor::{run_stage, ExecutorState};
 use crate::fault::{ChaosState, FaultSummary};
 use crate::memory::{BlockLayout, BlockStore};
-use crate::report::{CacheStats, RunReport, StageTiming};
+use crate::report::{CacheStats, DatasetCacheStats, RunReport, StageTiming};
 use crate::rng::TaskNoise;
 use crate::task::{Sizing, TaskEnv};
 use crate::trace::{TraceConfig, TraceCounters, TraceRecorder};
@@ -141,8 +141,11 @@ pub(crate) fn record_run_metrics(
     }
 }
 
-pub(crate) fn gather_counters(
-    store: &BlockStore,
+/// Run-wide counters over the given cache statistics: the whole store's
+/// for a plain run ([`BlockStore::touched_stats`]), one tenant's for a
+/// tenant of a shared pool ([`BlockStore::tenant_stats`]).
+pub(crate) fn gather_counters<'s>(
+    stats: impl Iterator<Item = (DatasetId, &'s DatasetCacheStats)>,
     state: &ExecutorState,
     chaos: &ChaosState,
 ) -> TraceCounters {
@@ -155,7 +158,7 @@ pub(crate) fn gather_counters(
         blacklisted_machines,
         ..TraceCounters::default()
     };
-    for (_, s) in store.touched_stats() {
+    for (_, s) in stats {
         c.cache_hits += s.hits;
         c.cache_misses += s.misses;
         c.evictions += s.evictions;
@@ -486,7 +489,10 @@ impl<'a> Engine<'a> {
                 });
                 if recorder.enabled() {
                     recorder.stage_span(job.0, stage.id.0, stage_start, now, stage.num_tasks);
-                    recorder.counter_snapshot(now, gather_counters(&store, &state, &chaos));
+                    recorder.counter_snapshot(
+                        now,
+                        gather_counters(store.touched_stats(), &state, &chaos),
+                    );
                 }
             }
             // Serial driver work: job bookkeeping plus per-machine
@@ -513,7 +519,7 @@ impl<'a> Engine<'a> {
             per_job_cache.push(deltas);
         }
 
-        let final_counters = gather_counters(&store, &state, &chaos);
+        let final_counters = gather_counters(store.touched_stats(), &state, &chaos);
         // Per-run counter deltas attributed to the `sim` node — applied
         // once per run from the aggregate snapshot (never per task), and
         // zero-gated so fault-free profiles show only the counters that

@@ -57,6 +57,34 @@ impl EvictionPolicyKind {
             EvictionPolicyKind::Mrd,
         ]
     }
+
+    /// Sort key of one resident block under the policy: the victim is
+    /// the block with the smallest key. LRU orders by `(last_access,
+    /// dataset)`, FIFO by `(inserted, dataset)`, LRC by `(remaining_refs,
+    /// last_access, dataset)` and MRD by `(u32::MAX - next_use_distance,
+    /// last_access, dataset)`, so the farthest next use sorts first. LRU
+    /// and FIFO lead with a constant 0 to share the key type. Access and
+    /// insert stamps are unique per block, so the minimum is unique.
+    #[inline]
+    #[must_use]
+    pub fn victim_key(
+        self,
+        last_access: u64,
+        inserted: u64,
+        hints: DatasetHints,
+        dataset: DatasetId,
+    ) -> (u64, u64, DatasetId) {
+        match self {
+            EvictionPolicyKind::Lru => (0, last_access, dataset),
+            EvictionPolicyKind::Fifo => (0, inserted, dataset),
+            EvictionPolicyKind::Lrc => (hints.remaining_refs, last_access, dataset),
+            EvictionPolicyKind::Mrd => (
+                u64::from(u32::MAX - hints.next_use_distance),
+                last_access,
+                dataset,
+            ),
+        }
+    }
 }
 
 /// Per-dataset scheduling hints for the DAG-aware policies, refreshed by
@@ -70,61 +98,53 @@ pub struct DatasetHints {
     pub next_use_distance: u32,
 }
 
-/// Everything victim selection may look at for one candidate block.
-#[derive(Debug, Clone, Copy)]
-pub struct VictimCandidate {
-    /// The block's dataset.
-    pub dataset: DatasetId,
-    /// Block size.
-    pub bytes: u64,
-    /// LRU stamp (larger = more recent).
-    pub last_access: u64,
-    /// Insertion stamp (larger = newer).
-    pub inserted: u64,
-    /// Hints for the block's dataset.
-    pub hints: DatasetHints,
-}
+/// The slice-based selection [`EvictionPolicyKind::victim_key`] replaced,
+/// kept as the oracle the block store's single pass is tested against: it
+/// copies every candidate into a slice, then scans it with one
+/// `min_by_key`/`max_by_key` per policy.
+#[cfg(test)]
+pub(crate) mod slice_oracle {
+    use super::*;
 
-/// Returns the index of the candidate to evict under `kind`, or `None` if
-/// there are no candidates.
-#[must_use]
-pub fn select_victim(kind: EvictionPolicyKind, candidates: &[VictimCandidate]) -> Option<usize> {
-    if candidates.is_empty() {
-        return None;
+    /// Everything victim selection may look at for one candidate block.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct VictimCandidate {
+        pub(crate) dataset: DatasetId,
+        /// LRU stamp (larger = more recent).
+        pub(crate) last_access: u64,
+        /// Insertion stamp (larger = newer).
+        pub(crate) inserted: u64,
+        pub(crate) hints: DatasetHints,
     }
-    let idx = match kind {
-        EvictionPolicyKind::Lru => candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.last_access, c.dataset))
-            .map(|(i, _)| i),
-        EvictionPolicyKind::Fifo => candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.inserted, c.dataset))
-            .map(|(i, _)| i),
-        EvictionPolicyKind::Lrc => candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.hints.remaining_refs, c.last_access, c.dataset))
-            .map(|(i, _)| i),
-        EvictionPolicyKind::Mrd => candidates
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| {
+
+    /// Index of the candidate to evict under `kind`, or `None` if there
+    /// are no candidates.
+    pub(crate) fn select_victim(
+        kind: EvictionPolicyKind,
+        candidates: &[VictimCandidate],
+    ) -> Option<usize> {
+        let it = candidates.iter().enumerate();
+        match kind {
+            EvictionPolicyKind::Lru => it.min_by_key(|(_, c)| (c.last_access, c.dataset)),
+            EvictionPolicyKind::Fifo => it.min_by_key(|(_, c)| (c.inserted, c.dataset)),
+            EvictionPolicyKind::Lrc => {
+                it.min_by_key(|(_, c)| (c.hints.remaining_refs, c.last_access, c.dataset))
+            }
+            EvictionPolicyKind::Mrd => it.max_by_key(|(_, c)| {
                 (
                     c.hints.next_use_distance,
                     u64::MAX - c.last_access,
                     c.dataset,
                 )
-            })
-            .map(|(i, _)| i),
-    };
-    idx
+            }),
+        }
+        .map(|(i, _)| i)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::slice_oracle::{select_victim, VictimCandidate};
     use super::*;
 
     fn cand(
@@ -136,7 +156,6 @@ mod tests {
     ) -> VictimCandidate {
         VictimCandidate {
             dataset: DatasetId(dataset),
-            bytes: 100,
             last_access,
             inserted,
             hints: DatasetHints {
@@ -146,6 +165,18 @@ mod tests {
         }
     }
 
+    /// The candidate with the smallest `victim_key`, cross-checked
+    /// against the slice oracle.
+    fn pick(kind: EvictionPolicyKind, c: &[VictimCandidate]) -> Option<usize> {
+        let got = c
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| kind.victim_key(c.last_access, c.inserted, c.hints, c.dataset))
+            .map(|(i, _)| i);
+        assert_eq!(got, select_victim(kind, c), "{kind:?}");
+        got
+    }
+
     #[test]
     fn lru_picks_oldest_access() {
         let c = [
@@ -153,7 +184,7 @@ mod tests {
             cand(1, 2, 9, 9, 1),
             cand(2, 8, 2, 9, 1),
         ];
-        assert_eq!(select_victim(EvictionPolicyKind::Lru, &c), Some(1));
+        assert_eq!(pick(EvictionPolicyKind::Lru, &c), Some(1));
     }
 
     #[test]
@@ -163,7 +194,7 @@ mod tests {
             cand(1, 2, 9, 9, 1),
             cand(2, 8, 1, 9, 1),
         ];
-        assert_eq!(select_victim(EvictionPolicyKind::Fifo, &c), Some(2));
+        assert_eq!(pick(EvictionPolicyKind::Fifo, &c), Some(2));
     }
 
     #[test]
@@ -173,13 +204,13 @@ mod tests {
             cand(1, 2, 2, 1, 1),
             cand(2, 8, 3, 7, 1),
         ];
-        assert_eq!(select_victim(EvictionPolicyKind::Lrc, &c), Some(1));
+        assert_eq!(pick(EvictionPolicyKind::Lrc, &c), Some(1));
     }
 
     #[test]
     fn lrc_ties_break_by_lru() {
         let c = [cand(0, 5, 1, 2, 1), cand(1, 2, 2, 2, 1)];
-        assert_eq!(select_victim(EvictionPolicyKind::Lrc, &c), Some(1));
+        assert_eq!(pick(EvictionPolicyKind::Lrc, &c), Some(1));
     }
 
     #[test]
@@ -189,13 +220,23 @@ mod tests {
             cand(1, 2, 2, 9, 40),
             cand(2, 8, 3, 9, 7),
         ];
-        assert_eq!(select_victim(EvictionPolicyKind::Mrd, &c), Some(1));
+        assert_eq!(pick(EvictionPolicyKind::Mrd, &c), Some(1));
+    }
+
+    #[test]
+    fn mrd_ties_break_by_lru_and_never_used_sorts_first() {
+        let c = [
+            cand(0, 5, 1, 9, 7),
+            cand(1, 3, 2, 9, u32::MAX),
+            cand(2, 2, 3, 9, u32::MAX),
+        ];
+        assert_eq!(pick(EvictionPolicyKind::Mrd, &c), Some(2));
     }
 
     #[test]
     fn empty_candidates_yield_none() {
         for kind in EvictionPolicyKind::all() {
-            assert_eq!(select_victim(kind, &[]), None);
+            assert_eq!(pick(kind, &[]), None);
         }
     }
 

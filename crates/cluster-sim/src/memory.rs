@@ -26,13 +26,20 @@
 //! minimum and is independent of candidate enumeration order and of block
 //! indices (this is also why the old `HashMap`-iteration enumeration was
 //! deterministic across processes).
+//!
+//! # Eviction
+//!
+//! A victim search is one pass over the machine's resident blocks that
+//! keeps the smallest [`EvictionPolicyKind::victim_key`]; nothing is
+//! copied. A per-block "evicted before" flag means only a block's first
+//! eviction touches its dataset's `evicted_partition_ids` set.
 
 use std::collections::HashMap;
 
 use dagflow::{Application, DatasetId};
 
 use crate::config::ClusterConfig;
-use crate::eviction::{select_victim, DatasetHints, EvictionPolicyKind, VictimCandidate};
+use crate::eviction::{DatasetHints, EvictionPolicyKind};
 use crate::report::DatasetCacheStats;
 
 /// Sentinel machine index meaning "not resident".
@@ -218,6 +225,9 @@ pub struct BlockStore {
     /// Per-block state, one struct per block so a read or insert touches
     /// one cache line instead of five parallel arrays.
     blocks: Vec<BlockMeta>,
+    /// Per-block "evicted before" flag, kept out of [`BlockMeta`] so it
+    /// stays 32 bytes.
+    evicted_before: Vec<bool>,
     /// Per-dataset statistics; `touched[d]` marks datasets that ever got a
     /// stat update, reproducing the exact key set of the map-keyed store.
     stats: Vec<DatasetCacheStats>,
@@ -230,9 +240,6 @@ pub struct BlockStore {
     total_exec: u64,
     peak_storage: u64,
     peak_exec: u64,
-    /// Victim-selection scratch, reused across calls within a run.
-    victim_keys: Vec<u32>,
-    victim_cands: Vec<VictimCandidate>,
     /// Multi-tenant side state; `None` (the default) leaves every
     /// single-run code path untouched.
     tenancy: Option<Box<Tenancy>>,
@@ -265,6 +272,7 @@ impl BlockStore {
             exec_used: vec![0; machines],
             resident: vec![Vec::new(); machines],
             blocks: vec![BlockMeta::default(); blocks],
+            evicted_before: vec![false; blocks],
             stats: (0..datasets)
                 .map(|_| DatasetCacheStats::default())
                 .collect(),
@@ -274,8 +282,6 @@ impl BlockStore {
             total_exec: 0,
             peak_storage: 0,
             peak_exec: 0,
-            victim_keys: Vec::new(),
-            victim_cands: Vec::new(),
             tenancy: None,
             layout,
         }
@@ -347,20 +353,29 @@ impl BlockStore {
         (suffered, t.inflicted[tenant], half_life)
     }
 
-    /// Clones the touched statistics of one tenant's datasets, keyed by
-    /// the tenant's *local* dataset ids — the per-tenant analogue of
-    /// [`BlockStore::into_stats`], taken at the tenant's completion so
-    /// later tenants' activity cannot leak in.
-    #[must_use]
-    pub fn tenant_stats(&self, tenant: usize) -> HashMap<DatasetId, DatasetCacheStats> {
-        let Some(t) = self.tenancy.as_deref() else {
-            return HashMap::new();
-        };
-        let (lo, hi) = (t.base[tenant] as usize, t.base[tenant + 1] as usize);
+    /// Iterates the touched statistics of one tenant's datasets, keyed by
+    /// the tenant's *local* dataset ids, in id order — the per-tenant
+    /// analogue of [`BlockStore::touched_stats`]. Empty outside tenancy.
+    pub fn tenant_stats(
+        &self,
+        tenant: usize,
+    ) -> impl Iterator<Item = (DatasetId, &DatasetCacheStats)> {
+        let (lo, hi) = self.tenancy.as_deref().map_or((0, 0), |t| {
+            (t.base[tenant] as usize, t.base[tenant + 1] as usize)
+        });
+        self.touched_in(lo, hi)
+    }
+
+    /// Touched statistics of global datasets `lo..hi`, keyed relative to
+    /// `lo`.
+    fn touched_in(
+        &self,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = (DatasetId, &DatasetCacheStats)> {
         (lo..hi)
             .filter(|&g| self.touched[g])
-            .map(|g| (DatasetId((g - lo) as u32), self.stats[g].clone()))
-            .collect()
+            .map(move |g| (DatasetId((g - lo) as u32), &self.stats[g]))
     }
 
     /// Shifts a tenant-local dataset id into the combined layout's id
@@ -437,32 +452,25 @@ impl BlockStore {
     }
 
     /// Victim block on `machine` under the store's policy, excluding the
-    /// `protect`ed dataset. Candidate order does not affect the outcome
-    /// (unique clock stamps), only which scratch slots get filled.
-    fn victim(&mut self, machine: usize, protect: Option<DatasetId>) -> Option<usize> {
-        let mut keys = std::mem::take(&mut self.victim_keys);
-        let mut cands = std::mem::take(&mut self.victim_cands);
-        keys.clear();
-        cands.clear();
-        for &b in &self.resident[machine] {
-            let d = self.layout.dataset_of(b as usize);
-            if Some(d) == protect {
-                continue;
-            }
-            let meta = &self.blocks[b as usize];
-            keys.push(b);
-            cands.push(VictimCandidate {
-                dataset: d,
-                bytes: meta.bytes,
-                last_access: meta.last_access,
-                inserted: meta.inserted,
-                hints: self.hints[d.index()],
-            });
-        }
-        let chosen = select_victim(self.policy, &cands).map(|i| keys[i] as usize);
-        self.victim_keys = keys;
-        self.victim_cands = cands;
-        chosen
+    /// `protect`ed dataset: one pass over the machine's resident blocks
+    /// keeping the smallest [`EvictionPolicyKind::victim_key`]. Keys are
+    /// unique (unique clock stamps), so the resident order cannot affect
+    /// the outcome.
+    fn victim(&self, machine: usize, protect: Option<DatasetId>) -> Option<usize> {
+        self.resident[machine]
+            .iter()
+            .filter_map(|&b| {
+                let d = self.layout.dataset_of(b as usize);
+                if Some(d) == protect {
+                    return None;
+                }
+                let m = &self.blocks[b as usize];
+                let hints = self.hints[d.index()];
+                let key = self.policy.victim_key(m.last_access, m.inserted, hints, d);
+                Some((key, b))
+            })
+            .min()
+            .map(|(_, b)| b as usize)
     }
 
     /// Structural removal of a resident block (no stat updates); returns
@@ -536,7 +544,6 @@ impl BlockStore {
 
     fn evict_block(&mut self, machine: usize, block: usize) {
         let dataset = self.layout.dataset_of(block);
-        let partition = self.layout.partition_of(block);
         // Cross-tenant attribution: a charged eviction whose victim block
         // belongs to another tenant is memory contention — count it on
         // both sides and accumulate the block's cache lifetime.
@@ -551,11 +558,15 @@ impl BlockStore {
             }
         }
         let bytes = self.remove_block(machine, block);
+        let first = !std::mem::replace(&mut self.evicted_before[block], true);
+        let partition = self.layout.partition_of(block);
         let s = self.stat(dataset);
         s.resident_partitions -= 1;
         s.resident_bytes -= bytes;
         s.evictions += 1;
-        s.evicted_partition_ids.insert(partition);
+        if first {
+            s.evicted_partition_ids.insert(partition);
+        }
     }
 
     /// Claims execution memory for a task on `machine`. Storage above the
@@ -671,11 +682,7 @@ impl BlockStore {
     /// Iterates the statistics of every touched dataset, in dataset-id
     /// order.
     pub fn touched_stats(&self) -> impl Iterator<Item = (DatasetId, &DatasetCacheStats)> {
-        self.stats
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.touched[i])
-            .map(|(i, s)| (DatasetId(i as u32), s))
+        self.touched_in(0, self.stats.len())
     }
 
     /// Final per-dataset statistics (drained): exactly the datasets that
@@ -905,10 +912,10 @@ mod tests {
         assert_eq!(s.residency(D_A, 3), Some(0));
         assert_eq!(s.resident_count(D_A), 1);
         // Per-tenant stats come back in local id space.
-        let t1 = s.tenant_stats(1);
+        let t1: HashMap<_, _> = s.tenant_stats(1).collect();
         assert_eq!(t1.len(), 1);
-        assert_eq!(t1.get(&DatasetId(0)).unwrap().resident_partitions, 1);
-        let t0 = s.tenant_stats(0);
+        assert_eq!(t1[&DatasetId(0)].resident_partitions, 1);
+        let t0: HashMap<_, _> = s.tenant_stats(0).collect();
         assert!(t0.contains_key(&D_A));
         assert!(!t0.contains_key(&DatasetId(2)), "local ids only");
     }
@@ -961,5 +968,91 @@ mod tests {
         assert_eq!(s.tenant_contention(0), (0, 0, 0.0), "fault, not contention");
         // Charging resumes after the loss.
         assert!(s.tenancy.as_deref().unwrap().charging);
+    }
+
+    /// A block evicted twice counts two evictions but one evicted
+    /// partition id.
+    #[test]
+    fn re_evicted_block_records_its_partition_once() {
+        let mut s = store(1, 1_000_000_000); // M = 4.2e8
+        for round in 1..=2 {
+            assert!(s.try_insert(0, D_A, 0, 300_000_000));
+            assert!(s.try_insert(0, D_B, round, 300_000_000));
+            assert_eq!(s.residency(D_A, 0), None, "round {round}");
+        }
+        let st = s.dataset_stats(D_A).unwrap();
+        assert_eq!(st.evictions, 2);
+        assert_eq!(st.evicted_partition_ids.len(), 1);
+    }
+
+    /// The single-pass victim search picks the block the slice oracle
+    /// picks, under all four policies: random resident sets on random
+    /// machines whose stamps come from the store's own clock (random
+    /// inserts and reads, so unique), random hints with frequent ties, and
+    /// a random protected dataset or none.
+    #[test]
+    fn single_pass_victim_matches_slice_oracle() {
+        use crate::eviction::slice_oracle::{select_victim, VictimCandidate};
+        let mut picked = 0;
+        for seed in 0..500u64 {
+            let mut state = seed ^ 0x5EED;
+            let mut pick = |bound: u32| -> u32 {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) % u64::from(bound)) as u32
+            };
+            let datasets = 1 + pick(6);
+            let parts: Vec<u32> = (0..datasets).map(|_| 1 + pick(12)).collect();
+            let machines = 1 + pick(3);
+            let spec = MachineSpec {
+                ram_bytes: 12_000_000_000,
+                ..MachineSpec::paper_example()
+            };
+            let layout = BlockLayout::from_partitions(parts.iter().copied());
+            let mut s = BlockStore::new(&ClusterConfig::new(machines, spec), layout);
+            for _ in 0..pick(80) {
+                let d = DatasetId(pick(datasets));
+                let p = pick(parts[d.index()]);
+                if pick(3) == 0 {
+                    s.touch(d, p);
+                } else {
+                    s.try_insert(pick(machines) as usize, d, p, 1000);
+                }
+            }
+            for d in 0..datasets {
+                let next_use_distance = if pick(4) == 0 { u32::MAX } else { pick(3) };
+                let hint = DatasetHints {
+                    remaining_refs: u64::from(pick(3)),
+                    next_use_distance,
+                };
+                s.set_hint(DatasetId(d), hint);
+            }
+            let machine = pick(machines) as usize;
+            let protect = (pick(3) != 0).then(|| DatasetId(pick(datasets)));
+            let (blocks, cands): (Vec<usize>, Vec<VictimCandidate>) = s.resident[machine]
+                .iter()
+                .map(|&b| (b as usize, s.layout.dataset_of(b as usize)))
+                .filter(|&(_, d)| Some(d) != protect)
+                .map(|(b, d)| {
+                    let m = &s.blocks[b];
+                    let cand = VictimCandidate {
+                        dataset: d,
+                        last_access: m.last_access,
+                        inserted: m.inserted,
+                        hints: s.hints[d.index()],
+                    };
+                    (b, cand)
+                })
+                .unzip();
+            for kind in EvictionPolicyKind::all() {
+                s.policy = kind;
+                let want = select_victim(kind, &cands).map(|i| blocks[i]);
+                assert_eq!(s.victim(machine, protect), want, "seed {seed}, {kind:?}");
+                picked += usize::from(want.is_some());
+            }
+        }
+        assert!(picked > 1000, "too few non-empty candidate sets: {picked}");
     }
 }

@@ -37,7 +37,9 @@ use std::sync::Arc;
 use dagflow::{Application, DagError, DatasetId, JobId, Schedule};
 
 use crate::config::{ClusterConfig, SimParams};
-use crate::engine::{needed_stages, record_run_metrics, unpack_schedule, JobHints, RunOptions};
+use crate::engine::{
+    gather_counters, needed_stages, record_run_metrics, unpack_schedule, JobHints, RunOptions,
+};
 use crate::engine::{Engine, EnginePrep};
 use crate::executor::{run_stage, ExecutorState};
 use crate::fault::ChaosState;
@@ -45,7 +47,7 @@ use crate::memory::{BlockLayout, BlockStore};
 use crate::report::{CacheStats, ContentionSummary, RunReport, StageTiming};
 use crate::rng::TaskNoise;
 use crate::task::{Sizing, TaskEnv};
-use crate::trace::{TraceCounters, TraceRecorder};
+use crate::trace::TraceRecorder;
 
 /// One application in a [`TenantSet`]: what to run, when it arrives, and
 /// its FAIR scheduling weight.
@@ -357,7 +359,7 @@ impl<'a> TenantSet<'a> {
                         .stage_span(job.0, stage.id.0, stage_start, tr.now, stage.num_tasks);
                     tr.recorder.counter_snapshot(
                         tr.now,
-                        tenant_counters(&store, ti, &tr.state, &tr.chaos),
+                        gather_counters(store.tenant_stats(ti), &tr.state, &tr.chaos),
                     );
                 }
             }
@@ -439,7 +441,7 @@ fn finalize_tenant(
     tr: &mut TenantRun,
     store: &BlockStore,
 ) -> RunReport {
-    let final_counters = tenant_counters(store, ti, &tr.state, &tr.chaos);
+    let final_counters = gather_counters(store.tenant_stats(ti), &tr.state, &tr.chaos);
     for (value, name) in [
         (final_counters.cache_hits, "cache_hits"),
         (final_counters.cache_misses, "cache_misses"),
@@ -468,11 +470,13 @@ fn finalize_tenant(
         TraceRecorder::new(crate::trace::TraceConfig::default()),
     );
     let trace = recorder.finish(final_counters);
-    let per_dataset = store.tenant_stats(ti);
     let cache = CacheStats {
         peak_storage_bytes: store.peak_storage(),
         peak_exec_bytes: store.peak_exec(),
-        per_dataset,
+        per_dataset: store
+            .tenant_stats(ti)
+            .map(|(d, s)| (d, s.clone()))
+            .collect(),
     };
     // A lone active tenant saw no contention-capable co-tenant: its
     // summary stays quiet, so its digest matches the plain engine's.
@@ -508,34 +512,6 @@ fn finalize_tenant(
         faults,
         contention,
     }
-}
-
-/// Run-wide counters scoped to one tenant's datasets — the per-tenant
-/// analogue of the engine's `gather_counters`, which sums the whole
-/// (here: shared) store.
-fn tenant_counters(
-    store: &BlockStore,
-    tenant: usize,
-    state: &ExecutorState,
-    chaos: &ChaosState,
-) -> TraceCounters {
-    let (task_retries, speculative_tasks, blacklisted_machines) = chaos.counter_snapshot();
-    let mut c = TraceCounters {
-        spills: state.spilled_tasks,
-        locality_fallbacks: state.locality_fallbacks,
-        task_retries,
-        speculative_tasks,
-        blacklisted_machines,
-        ..TraceCounters::default()
-    };
-    for s in store.tenant_stats(tenant).values() {
-        c.cache_hits += s.hits;
-        c.cache_misses += s.misses;
-        c.evictions += s.evictions;
-        c.insert_failures += s.insert_failures;
-        c.unpersisted += s.unpersisted;
-    }
-    c
 }
 
 /// The empty report of an inactive (weight `≤ 0`) tenant: admitted,
