@@ -95,7 +95,8 @@ impl ProfilingDatabase {
     /// profiling-operator boundaries, and stores one observation per
     /// original transformation — using only profile-visible timestamps.
     pub fn ingest(&self, instr: &Instrumented, report: &RunReport) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         for trace in &report.traces {
             inner.tasks.push(TaskRecord {
                 job: trace.job,
@@ -113,15 +114,16 @@ impl ProfilingDatabase {
                     n_tasks: 0,
                 });
             rec.n_tasks = rec.n_tasks.max(trace.task + 1);
-            Self::observe_task(instr, trace, &mut inner.observations);
+            Self::observe_task(instr, trace, |o| inner.observations.push(o));
         }
     }
 
-    /// Splits one task at profile boundaries (the §3.3 ENT cases).
-    fn observe_task(
+    /// Splits one task at profile boundaries (the §3.3 ENT cases), handing
+    /// each observation to `emit` in task order.
+    pub(crate) fn observe_task(
         instr: &Instrumented,
         trace: &TaskTrace,
-        out: &mut Vec<TransformationObservation>,
+        mut emit: impl FnMut(TransformationObservation),
     ) {
         // `boundary` is the last profile-visible timestamp: task start, or
         // the finish of the most recent profiling operator.
@@ -132,7 +134,7 @@ impl ProfilingDatabase {
                 if step.kind == StepKind::CacheRead {
                     // The cached replica was read; the profile still "sees"
                     // its size but there was no computation.
-                    out.push(TransformationObservation {
+                    emit(TransformationObservation {
                         dataset: original,
                         job: trace.job,
                         stage: trace.stage,
@@ -151,7 +153,7 @@ impl ProfilingDatabase {
                 // (cases 1 and 3 of §3.3: first-in-task intervals start at
                 // task start, middle intervals at the previous profile's
                 // finish.)
-                out.push(TransformationObservation {
+                emit(TransformationObservation {
                     dataset: original,
                     job: trace.job,
                     stage: trace.stage,
@@ -169,7 +171,7 @@ impl ProfilingDatabase {
                 // plan is a copy; map back to the original.
                 let original = instr.copy_of.get(did.index()).copied().flatten();
                 if let Some(original) = original {
-                    out.push(TransformationObservation {
+                    emit(TransformationObservation {
                         dataset: original,
                         job: trace.job,
                         stage: trace.stage,

@@ -2,11 +2,15 @@
 //! operator-level execution-time model of §3.3 plus partition-size
 //! aggregation (§3.2).
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
+use cluster_sim::RunReport;
 use dagflow::{Application, DatasetId, JobId, StageId};
 
-use crate::db::ProfilingDatabase;
+use crate::db::{ProfilingDatabase, TransformationObservation};
+use crate::inject::Instrumented;
 
 /// Metrics of one (original) dataset, as Juggler's hotspot detection
 /// consumes them. The computation count `n` is *not* here — it comes from
@@ -48,70 +52,125 @@ pub fn derive_metrics(
     app: &Application,
     total_cores: u32,
 ) -> Vec<DatasetMetrics> {
-    /// ENT intervals of one `(job, stage)` for one dataset half.
-    struct Group {
-        job: JobId,
-        stage: StageId,
-        total: f64,
-        count: u32,
-    }
-    #[derive(Default)]
-    struct Acc {
-        /// Some observation mentions the dataset.
-        seen: bool,
-        /// Partition bytes by task index; unwritten slots read as 0.
-        sizes: Vec<u64>,
-        /// ENT groups of the read (`[0]`) and Shuffle-Write (`[1]`) halves.
-        halves: [Vec<Group>; 2],
-    }
-
     db.with_records(|stages, observations| {
-        let mut accs: Vec<Acc> = std::iter::repeat_with(Acc::default)
-            .take(app.dataset_count())
-            .collect();
+        let mut fold = MetricsFold::new(app);
         for obs in observations {
-            let Some(acc) = accs.get_mut(obs.dataset.index()) else {
-                continue;
-            };
-            acc.seen = true;
-            if !obs.is_shuffle_write {
-                let task = obs.task as usize;
-                if acc.sizes.len() <= task {
-                    acc.sizes.resize(task + 1, 0);
-                }
-                acc.sizes[task] = obs.partition_bytes;
-            }
-            if obs.is_cache_read {
-                continue;
-            }
-            let groups = &mut acc.halves[usize::from(obs.is_shuffle_write)];
-            let ent = (obs.finish - obs.start).max(0.0);
-            // Observations arrive stage by stage, so the match is almost
-            // always the most recent group.
-            match groups
-                .iter_mut()
-                .rev()
-                .find(|g| g.job == obs.job && g.stage == obs.stage)
-            {
-                Some(g) => {
-                    g.total += ent;
-                    g.count += 1;
-                }
-                None => groups.push(Group {
-                    job: obs.job,
-                    stage: obs.stage,
-                    total: ent,
-                    count: 1,
-                }),
-            }
+            fold.add(obs);
         }
+        fold.finish(app, total_cores, |job, stage| {
+            stages.get(&(job, stage)).map_or(1, |s| s.n_tasks)
+        })
+    })
+}
 
+/// [`derive_metrics`] of a database that ingested exactly `report`, with
+/// no database: each task's observations are folded as the trace is split
+/// and never stored. A profiling run's observation list is its largest
+/// short-lived allocation, so skipping it keeps the run's memory peak to
+/// the traces themselves.
+pub(crate) fn derive_metrics_from_report(
+    instr: &Instrumented,
+    report: &RunReport,
+    app: &Application,
+    total_cores: u32,
+) -> Vec<DatasetMetrics> {
+    let mut fold = MetricsFold::new(app);
+    // Tasks per stage, as the database's stage records count them.
+    let mut n_tasks: BTreeMap<(JobId, StageId), u32> = BTreeMap::new();
+    for trace in &report.traces {
+        let n = n_tasks.entry((trace.job, trace.stage)).or_insert(0);
+        *n = (*n).max(trace.task + 1);
+        ProfilingDatabase::observe_task(instr, trace, |obs| fold.add(&obs));
+    }
+    fold.finish(app, total_cores, |job, stage| {
+        n_tasks.get(&(job, stage)).copied().unwrap_or(1)
+    })
+}
+
+/// ENT intervals of one `(job, stage)` for one dataset half.
+struct Group {
+    job: JobId,
+    stage: StageId,
+    total: f64,
+    count: u32,
+}
+
+#[derive(Default)]
+struct Acc {
+    /// Some observation mentions the dataset.
+    seen: bool,
+    /// Partition bytes by task index; unwritten slots read as 0.
+    sizes: Vec<u64>,
+    /// ENT groups of the read (`[0]`) and Shuffle-Write (`[1]`) halves.
+    halves: [Vec<Group>; 2],
+}
+
+/// The per-dataset state [`derive_metrics`] folds observations into, in
+/// observation order.
+struct MetricsFold {
+    accs: Vec<Acc>,
+}
+
+impl MetricsFold {
+    fn new(app: &Application) -> Self {
+        MetricsFold {
+            accs: std::iter::repeat_with(Acc::default)
+                .take(app.dataset_count())
+                .collect(),
+        }
+    }
+
+    fn add(&mut self, obs: &TransformationObservation) {
+        let Some(acc) = self.accs.get_mut(obs.dataset.index()) else {
+            return;
+        };
+        acc.seen = true;
+        if !obs.is_shuffle_write {
+            let task = obs.task as usize;
+            if acc.sizes.len() <= task {
+                acc.sizes.resize(task + 1, 0);
+            }
+            acc.sizes[task] = obs.partition_bytes;
+        }
+        if obs.is_cache_read {
+            return;
+        }
+        let groups = &mut acc.halves[usize::from(obs.is_shuffle_write)];
+        let ent = (obs.finish - obs.start).max(0.0);
+        // Observations arrive stage by stage, so the match is almost
+        // always the most recent group.
+        match groups
+            .iter_mut()
+            .rev()
+            .find(|g| g.job == obs.job && g.stage == obs.stage)
+        {
+            Some(g) => {
+                g.total += ent;
+                g.count += 1;
+            }
+            None => groups.push(Group {
+                job: obs.job,
+                stage: obs.stage,
+                total: ent,
+                count: 1,
+            }),
+        }
+    }
+
+    /// The metrics of every dataset some observation mentioned, given the
+    /// task count of each `(job, stage)`.
+    fn finish(
+        mut self,
+        app: &Application,
+        total_cores: u32,
+        stage_tasks: impl Fn(JobId, StageId) -> u32,
+    ) -> Vec<DatasetMetrics> {
         let waves = |job: JobId, stage: StageId| -> f64 {
-            let n = stages.get(&(job, stage)).map_or(1, |s| s.n_tasks).max(1);
+            let n = stage_tasks(job, stage).max(1);
             f64::from(n.div_ceil(total_cores.max(1)))
         };
         let mut out = Vec::new();
-        for (d, acc) in app.datasets().iter().zip(&mut accs) {
+        for (d, acc) in app.datasets().iter().zip(&mut self.accs) {
             if !acc.seen {
                 continue; // never touched in the sample run
             }
@@ -140,7 +199,7 @@ pub fn derive_metrics(
             });
         }
         out
-    })
+    }
 }
 
 /// Convenience: metrics as a dense lookup (`None` where unobserved).
@@ -349,6 +408,34 @@ mod tests {
         // The uncached iterative run feeds parsed's read half from ten
         // (job, stage) groups, so the summation order is exercised.
         assert!(most_groups >= 10, "at most {most_groups} groups");
+    }
+
+    /// `profile_run` folds each task's observations as its trace is split;
+    /// the bits must match a database that ingested the same report.
+    #[test]
+    fn streamed_derive_matches_the_database() {
+        for (name, app, schedule) in [
+            ("iterative", iterative(10), Schedule::empty()),
+            (
+                "joins cached",
+                joins(),
+                Schedule::persist_all([DatasetId(1), DatasetId(2)]),
+            ),
+        ] {
+            for machines in [1, 3] {
+                let cluster = ClusterConfig::new(machines, MachineSpec::paper_example());
+                let params = SimParams {
+                    seed: 7,
+                    ..SimParams::default()
+                };
+                let out = crate::profile_run(&app, &schedule, cluster, params).unwrap();
+                let db = ProfilingDatabase::new();
+                db.ingest(&out.instrumented, &out.report);
+                let want = derive_metrics(&db, &app, cluster.total_cores());
+                assert!(!want.is_empty());
+                assert_same_bits(&out.metrics, &want, name);
+            }
+        }
     }
 
     #[test]

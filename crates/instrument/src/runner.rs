@@ -1,12 +1,11 @@
 //! One-call profiling runs: inject, execute on the simulator with traces,
-//! ingest into a database, and derive metrics.
+//! and derive metrics from the traces.
 
 use cluster_sim::{ClusterConfig, Engine, RunOptions, RunReport, SimParams};
 use dagflow::{Application, DagError, Schedule};
 
-use crate::db::ProfilingDatabase;
 use crate::inject::{inject, Instrumented, ProfilingOverhead};
-use crate::metrics::{derive_metrics, DatasetMetrics};
+use crate::metrics::{derive_metrics_from_report, DatasetMetrics};
 
 /// Everything a profiling run produces.
 #[derive(Debug)]
@@ -38,9 +37,7 @@ pub fn profile_run(
             ..RunOptions::default()
         },
     )?;
-    let db = ProfilingDatabase::new();
-    db.ingest(&instrumented, &report);
-    let metrics = derive_metrics(&db, app, cluster.total_cores());
+    let metrics = derive_metrics_from_report(&instrumented, &report, app, cluster.total_cores());
     Ok(ProfileRunOutput {
         instrumented,
         report,
