@@ -12,7 +12,10 @@
 //!   LRC and MRD each pick a different victim sequence.
 //!
 //! `RunReport::digest` leaves out the per-dataset set of evicted
-//! partition ids, so every line also pins a SHA-256 of those sets.
+//! partition ids, so every line also pins a SHA-256 of those sets. It
+//! also leaves out the structured trace, so the first tenant seed runs
+//! once more with tracing on and pins a SHA-256 of each tenant's
+//! serialized `RunTrace`: its spans and per-stage counter snapshots.
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test evict_heavy_golden`
 //! only for an intended behaviour change, and review the diff.
 
@@ -22,7 +25,7 @@ use std::sync::Arc;
 
 use juggler_suite::cluster_sim::{
     ClusterConfig, Engine, EvictionPolicyKind, MachineSpec, RunOptions, RunReport, TenancyReport,
-    Tenant, TenantSet,
+    Tenant, TenantSet, TraceConfig,
 };
 use juggler_suite::dagflow::{DatasetId, Schedule};
 use juggler_suite::juggler::workload_by_name;
@@ -55,7 +58,7 @@ fn cluster() -> ClusterConfig {
     )
 }
 
-fn tenant_run(seed: u64) -> TenancyReport {
+fn tenant_run(seed: u64, options: RunOptions) -> TenancyReport {
     let workloads: Vec<_> = TENANTS
         .iter()
         .map(|(name, ..)| workload_by_name(name).expect("known workload"))
@@ -82,7 +85,7 @@ fn tenant_run(seed: u64) -> TenancyReport {
             })
             .collect(),
     };
-    set.run(RunOptions::default()).expect("tenant set runs")
+    set.run(options).expect("tenant set runs")
 }
 
 fn policy_run(policy: EvictionPolicyKind) -> RunReport {
@@ -120,15 +123,26 @@ fn evictions(r: &RunReport) -> u64 {
     r.cache.per_dataset.values().map(|s| s.evictions).sum()
 }
 
-/// One line per tenant report, one makespan line per seed and one line
-/// per policy:
+/// SHA-256 of a report's serialized structured trace.
+fn trace_digest(r: &RunReport) -> String {
+    let trace = r.trace.as_ref().expect("traced run carries a trace");
+    sha256_hex(
+        serde_json::to_string(trace)
+            .expect("trace serializes")
+            .as_bytes(),
+    )
+}
+
+/// One line per tenant report, one makespan line per seed, one traced
+/// line per tenant of the first seed and one line per policy:
 /// `tenants seed=<n> <app> digest=<sha> evicted=<sha>`,
 /// `tenants seed=<n> makespan=<bits>`,
+/// `tenants-traced seed=<n> <app> trace=<sha>`,
 /// `policy <name> digest=<sha> evicted=<sha>`.
 fn render() -> String {
     let mut out = String::new();
     for seed in TENANT_SEEDS {
-        let t = tenant_run(seed);
+        let t = tenant_run(seed, RunOptions::default());
         for r in &t.reports {
             writeln!(
                 out,
@@ -143,6 +157,20 @@ fn render() -> String {
             out,
             "tenants seed={seed} makespan={:x}",
             t.makespan_s.to_bits()
+        )
+        .unwrap();
+    }
+    let seed = TENANT_SEEDS[0];
+    let traced = RunOptions {
+        trace: TraceConfig::enabled(),
+        ..RunOptions::default()
+    };
+    for r in &tenant_run(seed, traced).reports {
+        writeln!(
+            out,
+            "tenants-traced seed={seed} {} trace={}",
+            r.app,
+            trace_digest(r)
         )
         .unwrap();
     }
@@ -186,7 +214,7 @@ fn evict_heavy_runs_match_golden_digests() {
 #[test]
 fn evict_heavy_fixtures_exercise_eviction() {
     for seed in TENANT_SEEDS {
-        let t = tenant_run(seed);
+        let t = tenant_run(seed, RunOptions::default());
         assert!(t.cross_evictions_balance(), "seed {seed}");
         let cross: u64 = t
             .reports
