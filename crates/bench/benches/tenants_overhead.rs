@@ -2,14 +2,15 @@
 //! paper-scale LOR runs through the plain engine vs the same runs
 //! admitted as a single-tenant [`TenantSet`] — the path every
 //! `juggler tenants` spec with one entry takes, and the path whose
-//! reports must stay byte-identical to the pre-tenancy simulator.
-//! Gated budget: < 5 % over the plain engine (the same baseline batch
-//! `sim_throughput` tracks).
+//! reports must stay byte-identical to the pre-tenancy simulator. Both
+//! drive the same job stepper; the set adds the shared pool's tenancy
+//! bookkeeping and the per-job share check. Gated budget: < 5 % over
+//! the plain engine (the same baseline batch `sim_throughput` tracks).
 //!
-//! A third batch routes the lone tenant through the *interleaved*
-//! scheduler by admitting a weightless placeholder next to it — the
-//! slowest honest single-app path (shared pool, per-job share checks).
-//! Multi-tenant runs are opt-in, so this row is reported but not gated.
+//! A third batch admits a weightless tenant next to the lone active one.
+//! It builds nothing, so the row prices the same path plus one idle
+//! admission. Multi-tenant runs are opt-in, so this row is reported but
+//! not gated.
 //! Results land in `results/BENCH_tenants_overhead.json`.
 
 use std::sync::Arc;
@@ -28,10 +29,9 @@ const REPS: usize = 15;
 enum Path {
     /// The plain engine: no tenancy machinery at all.
     Plain,
-    /// A single-tenant set: the len-1 fast path.
+    /// A single-tenant set.
     SingleTenant,
-    /// A lone active tenant plus a weightless placeholder: the real
-    /// interleaved scheduler with one runnable application.
+    /// A lone active tenant plus a weightless one.
     LoneActive,
 }
 
@@ -169,7 +169,7 @@ fn main() {
                 String::from("baseline"),
             ],
             vec![
-                String::from("single-tenant set (fast path)"),
+                String::from("single-tenant set"),
                 format!("{best_single:.4}"),
                 format!("{single_pct:+.2}%"),
                 String::from("< 5%"),

@@ -17,7 +17,7 @@ use crate::eviction::DatasetHints;
 use crate::executor::{run_stage, ExecutorState};
 use crate::fault::{ChaosState, FaultSummary};
 use crate::memory::{BlockLayout, BlockStore};
-use crate::report::{CacheStats, DatasetCacheStats, RunReport, StageTiming};
+use crate::report::{CacheStats, ContentionSummary, RunReport, StageTiming, TaskTrace};
 use crate::rng::TaskNoise;
 use crate::task::{Sizing, TaskEnv};
 use crate::trace::{TraceConfig, TraceCounters, TraceRecorder};
@@ -36,17 +36,9 @@ pub struct RunOptions {
     pub trace: TraceConfig,
 }
 
-/// Cumulative run-wide counters for a trace snapshot: cache behaviour
-/// summed over every dataset, plus executor-level spill/locality tallies.
-/// Sums are order-independent, so snapshots are deterministic regardless
-/// of `HashMap` iteration order.
 /// Feeds one finished run's counters into the metrics registry in scope,
 /// if any.
-pub(crate) fn record_run_metrics(
-    counters: &TraceCounters,
-    total_tasks: u64,
-    faults: &FaultSummary,
-) {
+fn record_run_metrics(counters: &TraceCounters, total_tasks: u64, faults: &FaultSummary) {
     let Some(reg) = obs::Registry::current() else {
         return;
     };
@@ -141,14 +133,10 @@ pub(crate) fn record_run_metrics(
     }
 }
 
-/// Run-wide counters over the given cache statistics: the whole store's
-/// for a plain run ([`BlockStore::touched_stats`]), one tenant's for a
-/// tenant of a shared pool ([`BlockStore::tenant_stats`]).
-pub(crate) fn gather_counters<'s>(
-    stats: impl Iterator<Item = (DatasetId, &'s DatasetCacheStats)>,
-    state: &ExecutorState,
-    chaos: &ChaosState,
-) -> TraceCounters {
+/// Cumulative run-wide counters for a trace snapshot: cache behaviour
+/// summed over the run's datasets ([`BlockStore::active_stats`]), plus
+/// executor-level spill/locality and fault tallies.
+fn gather_counters(store: &BlockStore, state: &ExecutorState, chaos: &ChaosState) -> TraceCounters {
     let (task_retries, speculative_tasks, blacklisted_machines) = chaos.counter_snapshot();
     let mut c = TraceCounters {
         spills: state.spilled_tasks,
@@ -158,7 +146,7 @@ pub(crate) fn gather_counters<'s>(
         blacklisted_machines,
         ..TraceCounters::default()
     };
-    for (_, s) in stats {
+    for (_, s) in store.active_stats() {
         c.cache_hits += s.hits;
         c.cache_misses += s.misses;
         c.evictions += s.evictions;
@@ -369,157 +357,270 @@ impl<'a> Engine<'a> {
         // the per-run granularity keeps armed-idle overhead inside the
         // profiler's <5% budget even on thousand-cell training grids.
         let _prof = obs::prof::scope("sim");
-        let machines = self.cluster.machines.max(1);
+        let mut stepper = JobStepper::new(
+            self.app,
+            &self.cluster,
+            &self.params,
+            Arc::clone(&self.prep),
+            schedule,
+            options,
+        );
+        let mut store = self.run_store(stepper.persisted());
+        while !stepper.done() {
+            stepper.step_job(&mut store, &self.cluster, 0.0);
+        }
+        let schedule = shared.map_or_else(|| Arc::new(schedule.clone()), Arc::clone);
+        Ok(stepper.finish(&store, schedule))
+    }
+}
 
-        let (persisted, swap) = unpack_schedule(self.app, schedule);
+/// One application's run in progress: the state the engine keeps while it
+/// runs the application's jobs in order (§5.3) — stage pruning against
+/// the cache, driver overhead and per-job cache deltas. [`Engine::run`]
+/// steps one stepper to completion over a private store;
+/// [`crate::TenantSet::run`] interleaves one per active tenant over a
+/// shared pool.
+pub(crate) struct JobStepper<'a> {
+    app: &'a Application,
+    params: &'a SimParams,
+    prep: Arc<EnginePrep>,
+    collect_traces: bool,
+    machines: u32,
+    /// Cores per machine the executor grid is currently sized for.
+    cores: u32,
+    persisted: Vec<bool>,
+    swap: HashMap<DatasetId, DatasetId>,
+    hints: JobHints,
+    sizing: Sizing,
+    state: ExecutorState,
+    chaos: ChaosState,
+    /// Seconds since the application started.
+    now: f64,
+    next_job: usize,
+    job_times: Vec<f64>,
+    per_job_cache: Vec<Vec<(DatasetId, u64, u64)>>,
+    stage_times: Vec<StageTiming>,
+    traces: Vec<TaskTrace>,
+    recorder: TraceRecorder,
+    // Scratch buffers reused across jobs and stages.
+    before: Vec<(u64, u64)>,
+    consumers: Vec<DatasetId>,
+    needed: Vec<bool>,
+    stage_stack: Vec<usize>,
+}
 
-        // The executor state comes from the prep's scratch pool when a
-        // previous run returned one (reset to pristine before use), so
-        // repeated runs — above all the training fan-out's grid cells —
-        // skip its allocations.
-        let mut noise = TaskNoise::new(self.params.seed, self.params.noise);
+impl<'a> JobStepper<'a> {
+    /// Starts a run of `app` under `schedule` on `cluster`: unpacks the
+    /// schedule and draws the run's startup jitter. The executor state
+    /// comes from the prep's scratch pool when a previous run returned
+    /// one (reset to pristine before use), so repeated runs — above all
+    /// the training fan-out's grid cells — skip its allocations.
+    pub(crate) fn new(
+        app: &'a Application,
+        cluster: &ClusterConfig,
+        params: &'a SimParams,
+        prep: Arc<EnginePrep>,
+        schedule: &Schedule,
+        options: RunOptions,
+    ) -> Self {
+        let machines = cluster.machines.max(1);
+        let cores = cluster.spec.cores;
+        let (persisted, swap) = unpack_schedule(app, schedule);
+        let mut noise = TaskNoise::new(params.seed, params.noise);
         // Absolute cluster-dynamics jitter: drawn once per run (container
         // provisioning, JVM warm-up), dominating short sample runs.
-        let startup_jitter = noise.uniform() * self.params.cluster_jitter_s;
-        let pooled = self
-            .prep
+        let startup_jitter = noise.uniform() * params.cluster_jitter_s;
+        let pooled = prep
             .scratch
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .pop();
-        let mut state = match pooled {
+        let state = match pooled {
             Some(mut state) => {
-                state.reset(machines, self.cluster.spec.cores, noise);
+                state.reset(machines, cores, noise);
                 state
             }
-            None => ExecutorState::new(machines, self.cluster.spec.cores, noise),
+            None => ExecutorState::new(machines, cores, noise),
         };
-        let mut store = self.run_store(&persisted);
-        let mut hints = JobHints::new(&persisted);
-        let sizing = Sizing::new(self.app, options.partition_skew);
+        let jobs = app.jobs().len();
+        JobStepper {
+            app,
+            params,
+            prep,
+            collect_traces: options.collect_traces,
+            machines,
+            cores,
+            hints: JobHints::new(&persisted),
+            sizing: Sizing::new(app, options.partition_skew),
+            persisted,
+            swap,
+            state,
+            chaos: ChaosState::new(&params.faults, params.retry, machines as usize),
+            now: params.app_startup_s + startup_jitter,
+            next_job: 0,
+            job_times: Vec::with_capacity(jobs),
+            per_job_cache: Vec::with_capacity(jobs),
+            stage_times: Vec::new(),
+            traces: Vec::new(),
+            recorder: TraceRecorder::new(options.trace),
+            before: Vec::new(),
+            consumers: Vec::new(),
+            needed: Vec::new(),
+            stage_stack: Vec::new(),
+        }
+    }
+
+    /// The run's persist flags, per dataset id.
+    pub(crate) fn persisted(&self) -> &[bool] {
+        &self.persisted
+    }
+
+    /// Seconds since the application started.
+    pub(crate) fn now(&self) -> f64 {
+        self.now
+    }
+
+    /// Seconds task attempts queued for a free slot so far.
+    pub(crate) fn slot_wait_s(&self) -> f64 {
+        self.state.slot_wait_s
+    }
+
+    /// Whether every job has run.
+    pub(crate) fn done(&self) -> bool {
+        self.next_job == self.app.jobs().len()
+    }
+
+    /// Runs the next job on `cluster`, whose per-machine core count may
+    /// differ from the previous job's (the executor grid is resized at
+    /// the boundary). `clock_offset_s` maps the run's clock onto the
+    /// store's simulation clock; the store ignores it outside tenancy.
+    pub(crate) fn step_job(
+        &mut self,
+        store: &mut BlockStore,
+        cluster: &ClusterConfig,
+        clock_offset_s: f64,
+    ) {
+        if cluster.spec.cores != self.cores {
+            self.cores = cluster.spec.cores;
+            self.state.resize_cores(self.machines, self.cores);
+        }
+        let ji = self.next_job;
+        let job = JobId(ji as u32);
+        let job_start = self.now;
+        store.set_sim_now(clock_offset_s + job_start);
+        // Boundary fault events (executor loss, memory pressure) due at
+        // this job start take effect now; events scheduled after the last
+        // boundary are reported as "not fired" in the summary instead of
+        // being silently dropped.
+        {
+            let _prof = obs::prof::scope("faults");
+            self.chaos.fire_due(job_start, store, &mut self.state);
+        }
+        self.hints.refresh(&self.prep.job_uses, ji, store);
+        // Per-job hit/miss snapshot of the persisted datasets, aligned
+        // with `hints` (untouched datasets read as zero).
+        self.before.clear();
+        self.before.extend(self.hints.datasets().map(|d| {
+            store
+                .dataset_stats(d)
+                .map_or((0, 0), |s| (s.hits, s.misses))
+        }));
+
+        let plan = &self.prep.plans[ji];
+        needed_stages(
+            self.app,
+            plan,
+            &self.persisted,
+            store,
+            &mut self.needed,
+            &mut self.stage_stack,
+        );
         let env = TaskEnv {
             app: self.app,
-            cluster: &self.cluster,
-            params: &self.params,
-            persisted: &persisted,
-            swap: &swap,
-            sizing: &sizing,
-            trace: options.collect_traces,
+            cluster,
+            params: self.params,
+            persisted: &self.persisted,
+            swap: &self.swap,
+            sizing: &self.sizing,
+            trace: self.collect_traces,
         };
-
-        let mut now = self.params.app_startup_s + startup_jitter;
-        let mut job_times = Vec::with_capacity(self.app.jobs().len());
-        let mut per_job_cache = Vec::with_capacity(self.app.jobs().len());
-        let mut stage_times = Vec::new();
-        let mut traces = Vec::new();
-        let mut recorder = TraceRecorder::new(options.trace);
-
-        let mut chaos = ChaosState::new(&self.params.faults, self.params.retry, machines as usize);
-        // Scratch buffers reused across jobs/stages.
-        let mut before: Vec<(u64, u64)> = Vec::new();
-        let mut consumers: Vec<DatasetId> = Vec::new();
-        let mut needed: Vec<bool> = Vec::new();
-        let mut stage_stack: Vec<usize> = Vec::new();
-        for ji in 0..self.app.jobs().len() {
-            let job = JobId(ji as u32);
-            let job_start = now;
-            // Boundary fault events (executor loss, memory pressure) due
-            // at this job start take effect now; events scheduled after
-            // the last boundary are reported as "not fired" in the
-            // summary instead of being silently dropped.
-            {
-                let _prof = obs::prof::scope("faults");
-                chaos.fire_due(now, &mut store, &mut state);
+        for (sp, stage) in plan.stages.iter().enumerate() {
+            if !self.needed[stage.id.index()] {
+                continue;
             }
-            hints.refresh(&self.prep.job_uses, ji, &mut store);
-            // Per-job hit/miss snapshot of the persisted datasets, aligned
-            // with `hints` (untouched datasets read as zero, matching the
-            // old map's `unwrap_or((0, 0))`).
-            before.clear();
-            before.extend(hints.datasets().map(|d| {
+            // Wide datasets of needed downstream stages that read this
+            // stage's output: the static table filtered by this run's
+            // `needed` set, in the order the per-stage scan produced.
+            self.consumers.clear();
+            self.consumers.extend(
+                self.prep.consumers[ji][sp]
+                    .iter()
+                    .filter(|&&(cs, _)| self.needed[cs as usize])
+                    .map(|&(_, w)| w),
+            );
+            let stage_start = self.now;
+            store.set_sim_now(clock_offset_s + stage_start);
+            let stage_prof = obs::prof::scope("stages");
+            self.now = run_stage(
+                &env,
+                store,
+                &mut self.state,
+                &mut self.chaos,
+                job,
+                stage,
+                &self.consumers,
+                stage_start,
+                &mut self.traces,
+                &mut self.recorder,
+            );
+            drop(stage_prof);
+            self.stage_times.push(StageTiming {
+                job,
+                stage: stage.id,
+                start: stage_start,
+                finish: self.now,
+                tasks: stage.num_tasks,
+            });
+            if self.recorder.enabled() {
+                self.recorder
+                    .stage_span(job.0, stage.id.0, stage_start, self.now, stage.num_tasks);
+                self.recorder
+                    .counter_snapshot(self.now, gather_counters(store, &self.state, &self.chaos));
+            }
+        }
+        // Serial driver work: job bookkeeping plus per-machine
+        // coordination (the area-B term), with a small absolute wobble
+        // from cluster dynamics.
+        self.now += self.params.driver_per_job_s
+            + self.params.driver_per_machine_s * f64::from(self.machines)
+            + self.state.noise.uniform() * self.params.cluster_jitter_s * 0.02;
+        self.job_times.push(self.now - job_start);
+        self.recorder.job_span(job.0, job_start, self.now);
+
+        // Per-job deltas over the persisted datasets that have stats, in
+        // dataset-id order (consumers look entries up by id).
+        let deltas: Vec<(DatasetId, u64, u64)> = self
+            .hints
+            .datasets()
+            .zip(&self.before)
+            .filter_map(|(d, &(h0, m0))| {
                 store
                     .dataset_stats(d)
-                    .map_or((0, 0), |s| (s.hits, s.misses))
-            }));
+                    .map(|s| (d, s.hits - h0, s.misses - m0))
+            })
+            .collect();
+        self.per_job_cache.push(deltas);
+        self.next_job += 1;
+        store.set_sim_now(clock_offset_s + self.now);
+    }
 
-            let plan = &self.prep.plans[ji];
-            needed_stages(
-                self.app,
-                plan,
-                &persisted,
-                &store,
-                &mut needed,
-                &mut stage_stack,
-            );
-            for (sp, stage) in plan.stages.iter().enumerate() {
-                if !needed[stage.id.index()] {
-                    continue;
-                }
-                // Wide datasets of needed downstream stages that read this
-                // stage's output: the static table filtered by this run's
-                // `needed` set, in the order the per-stage scan produced.
-                consumers.clear();
-                consumers.extend(
-                    self.prep.consumers[ji][sp]
-                        .iter()
-                        .filter(|&&(cs, _)| needed[cs as usize])
-                        .map(|&(_, w)| w),
-                );
-                let stage_start = now;
-                let stage_prof = obs::prof::scope("stages");
-                now = run_stage(
-                    &env,
-                    &mut store,
-                    &mut state,
-                    &mut chaos,
-                    job,
-                    stage,
-                    &consumers,
-                    now,
-                    &mut traces,
-                    &mut recorder,
-                );
-                drop(stage_prof);
-                stage_times.push(StageTiming {
-                    job,
-                    stage: stage.id,
-                    start: stage_start,
-                    finish: now,
-                    tasks: stage.num_tasks,
-                });
-                if recorder.enabled() {
-                    recorder.stage_span(job.0, stage.id.0, stage_start, now, stage.num_tasks);
-                    recorder.counter_snapshot(
-                        now,
-                        gather_counters(store.touched_stats(), &state, &chaos),
-                    );
-                }
-            }
-            // Serial driver work: job bookkeeping plus per-machine
-            // coordination (the area-B term), with a small absolute wobble
-            // from cluster dynamics.
-            now += self.params.driver_per_job_s
-                + self.params.driver_per_machine_s * f64::from(machines)
-                + state.noise.uniform() * self.params.cluster_jitter_s * 0.02;
-            job_times.push(now - job_start);
-            recorder.job_span(job.0, job_start, now);
-
-            // Per-job deltas over the persisted datasets that have stats,
-            // in dataset-id order (the old map iteration was unordered;
-            // consumers look entries up by id, never by position).
-            let deltas: Vec<(DatasetId, u64, u64)> = hints
-                .datasets()
-                .zip(&before)
-                .filter_map(|(d, &(h0, m0))| {
-                    store
-                        .dataset_stats(d)
-                        .map(|s| (d, s.hits - h0, s.misses - m0))
-                })
-                .collect();
-            per_job_cache.push(deltas);
-        }
-
-        let final_counters = gather_counters(store.touched_stats(), &state, &chaos);
+    /// Assembles the finished run's report from `store`'s view of the run
+    /// (its active tenant's statistics under tenancy), feeds the run's
+    /// counters to the profiler and the metrics registry in scope, and
+    /// returns the executor state to the pool. The contention summary is
+    /// left quiet for the caller to fill in.
+    pub(crate) fn finish(self, store: &BlockStore, schedule: Arc<Schedule>) -> RunReport {
+        let final_counters = gather_counters(store, &self.state, &self.chaos);
         // Per-run counter deltas attributed to the `sim` node — applied
         // once per run from the aggregate snapshot (never per task), and
         // zero-gated so fault-free profiles show only the counters that
@@ -537,14 +638,15 @@ impl<'a> Engine<'a> {
                 obs::prof::count(name, value);
             }
         }
-        let faults = chaos.finish(now);
-        record_run_metrics(&final_counters, state.total_tasks, &faults);
-        let trace = recorder.finish(final_counters);
+        let faults = self.chaos.finish(self.now);
+        record_run_metrics(&final_counters, self.state.total_tasks, &faults);
+        let trace = self.recorder.finish(final_counters);
         let cache = CacheStats {
             peak_storage_bytes: store.peak_storage(),
             peak_exec_bytes: store.peak_exec(),
-            per_dataset: store.into_stats(),
+            per_dataset: store.active_stats().map(|(d, s)| (d, s.clone())).collect(),
         };
+        let state = self.state;
         let (spilled_tasks, total_tasks, task_attempts) =
             (state.spilled_tasks, state.total_tasks, state.task_attempts);
         // Return the executor state to the pool (bounded so a pile of
@@ -559,23 +661,23 @@ impl<'a> Engine<'a> {
                 pool.push(state);
             }
         }
-        Ok(RunReport {
+        RunReport {
             app: self.app.name().to_owned(),
-            schedule: shared.map_or_else(|| Arc::new(schedule.clone()), Arc::clone),
-            machines,
-            total_time_s: now,
-            job_times_s: job_times,
+            schedule,
+            machines: self.machines,
+            total_time_s: self.now,
+            job_times_s: self.job_times,
             cache,
-            per_job_cache,
-            stage_times,
-            traces,
+            per_job_cache: self.per_job_cache,
+            stage_times: self.stage_times,
+            traces: self.traces,
             trace,
             spilled_tasks,
             total_tasks,
             task_attempts,
             faults,
-            contention: crate::report::ContentionSummary::default(),
-        })
+            contention: ContentionSummary::default(),
+        }
     }
 }
 
@@ -608,14 +710,14 @@ pub(crate) fn unpack_schedule(
 /// that only moves forward as jobs advance, so a run's refreshes cost
 /// O(jobs × persisted + uses) instead of a full list scan per dataset per
 /// job.
-pub(crate) struct JobHints {
+struct JobHints {
     /// `(dataset, index of its first use at or after the current job)`,
     /// in dataset-id order.
     cursors: Vec<(DatasetId, usize)>,
 }
 
 impl JobHints {
-    pub(crate) fn new(persisted: &[bool]) -> Self {
+    fn new(persisted: &[bool]) -> Self {
         JobHints {
             cursors: (0..persisted.len() as u32)
                 .map(DatasetId)
@@ -626,7 +728,7 @@ impl JobHints {
     }
 
     /// The persisted datasets, in id order.
-    pub(crate) fn datasets(&self) -> impl Iterator<Item = DatasetId> + '_ {
+    fn datasets(&self) -> impl Iterator<Item = DatasetId> + '_ {
         self.cursors.iter().map(|&(d, _)| d)
     }
 
@@ -653,7 +755,7 @@ impl JobHints {
 
     /// Rewrites every persisted dataset's hint in `store` for job `ji`, so
     /// stale hints cannot leak across jobs.
-    pub(crate) fn refresh(&mut self, job_uses: &[Vec<usize>], ji: usize, store: &mut BlockStore) {
+    fn refresh(&mut self, job_uses: &[Vec<usize>], ji: usize, store: &mut BlockStore) {
         for (d, hint) in self.advance(job_uses, ji) {
             store.set_hint(d, hint);
         }
@@ -664,7 +766,7 @@ impl JobHints {
 /// residency: the result stage always runs; a map stage is skipped when
 /// every wide dataset consuming it is fully resident (Spark would read the
 /// cached blocks and skip the parent stages entirely).
-pub(crate) fn needed_stages(
+fn needed_stages(
     app: &Application,
     plan: &StagePlan,
     persisted: &[bool],

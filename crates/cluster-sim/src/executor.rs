@@ -183,15 +183,8 @@ impl ExecutorState {
     /// build for the given cluster shape and noise source, reusing the
     /// existing allocations (claim deques, median heaps, stage scratch).
     pub fn reset(&mut self, machines: u32, cores: u32, noise: TaskNoise) {
-        self.core_free.clear();
-        self.core_free.resize(total_slots(machines, cores), 0.0);
-        self.machine_best.clear();
-        self.machine_best
-            .extend((0..machines as usize).map(|m| (m * cores as usize, 0.0)));
-        self.cores = (cores as usize).max(1);
         self.exec_claims.iter_mut().for_each(|q| q.clear());
-        self.exec_claims
-            .resize_with(machines as usize, Default::default);
+        self.resize_cores(machines, cores);
         self.noise = noise;
         self.spilled_tasks = 0;
         self.total_tasks = 0;

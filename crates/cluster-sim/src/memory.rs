@@ -34,8 +34,6 @@
 //! copied. A per-block "evicted before" flag means only a block's first
 //! eviction touches its dataset's `evicted_partition_ids` set.
 
-use std::collections::HashMap;
-
 use dagflow::{Application, DatasetId};
 
 use crate::config::ClusterConfig;
@@ -86,16 +84,21 @@ impl BlockLayout {
     /// dataset the run persists, none for the rest — only persisted
     /// datasets are ever cached. `runs` lists `(application, persisted
     /// flags)` pairs whose dataset ids are concatenated in order: a plain
-    /// run passes one pair, a multi-tenant run one per tenant.
+    /// run passes one pair, a multi-tenant run one per tenant. Datasets
+    /// past the end of a flag slice are not persisted, so an empty slice
+    /// gives an application no slots at all.
     #[must_use]
     pub fn persisted<'a, 'p>(
         runs: impl IntoIterator<Item = (&'a Application, &'p [bool])>,
     ) -> Self {
         Self::from_partitions(runs.into_iter().flat_map(|(app, persisted)| {
-            app.datasets()
-                .iter()
-                .zip(persisted)
-                .map(|(d, &on)| if on { d.partitions } else { 0 })
+            app.datasets().iter().map(|d| {
+                if persisted.get(d.id.index()) == Some(&true) {
+                    d.partitions
+                } else {
+                    0
+                }
+            })
         }))
     }
 
@@ -353,15 +356,13 @@ impl BlockStore {
         (suffered, t.inflicted[tenant], half_life)
     }
 
-    /// Iterates the touched statistics of one tenant's datasets, keyed by
-    /// the tenant's *local* dataset ids, in id order — the per-tenant
-    /// analogue of [`BlockStore::touched_stats`]. Empty outside tenancy.
-    pub fn tenant_stats(
-        &self,
-        tenant: usize,
-    ) -> impl Iterator<Item = (DatasetId, &DatasetCacheStats)> {
-        let (lo, hi) = self.tenancy.as_deref().map_or((0, 0), |t| {
-            (t.base[tenant] as usize, t.base[tenant + 1] as usize)
+    /// Iterates the touched statistics of the run the store is serving,
+    /// in id order: every touched dataset outside tenancy (the same view
+    /// as [`BlockStore::touched_stats`]), the active tenant's datasets
+    /// keyed by its *local* ids inside it.
+    pub fn active_stats(&self) -> impl Iterator<Item = (DatasetId, &DatasetCacheStats)> {
+        let (lo, hi) = self.tenancy.as_deref().map_or((0, self.stats.len()), |t| {
+            (t.base[t.active] as usize, t.base[t.active + 1] as usize)
         });
         self.touched_in(lo, hi)
     }
@@ -685,19 +686,6 @@ impl BlockStore {
         self.touched_in(0, self.stats.len())
     }
 
-    /// Final per-dataset statistics (drained): exactly the datasets that
-    /// were ever touched, as the map-keyed store reported.
-    #[must_use]
-    pub fn into_stats(self) -> HashMap<DatasetId, DatasetCacheStats> {
-        self.stats
-            .into_iter()
-            .zip(self.touched)
-            .enumerate()
-            .filter(|&(_, (_, touched))| touched)
-            .map(|(i, (s, _))| (DatasetId(i as u32), s))
-            .collect()
-    }
-
     /// Number of machines in the store.
     #[must_use]
     pub fn machine_count(&self) -> usize {
@@ -707,6 +695,8 @@ impl BlockStore {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::config::MachineSpec;
 
@@ -881,10 +871,8 @@ mod tests {
         let mut s = store(1, 12_000_000_000);
         s.try_insert(0, D_A, 0, 1000);
         assert!(s.dataset_stats(D_B).is_none());
-        assert_eq!(s.touched_stats().count(), 1);
-        let map = s.into_stats();
-        assert_eq!(map.len(), 1);
-        assert!(map.contains_key(&D_A));
+        let touched: Vec<_> = s.active_stats().map(|(d, _)| d).collect();
+        assert_eq!(touched, [D_A]);
     }
 
     /// Two-tenant store over the toy layout: tenant 0 owns datasets
@@ -912,12 +900,43 @@ mod tests {
         assert_eq!(s.residency(D_A, 3), Some(0));
         assert_eq!(s.resident_count(D_A), 1);
         // Per-tenant stats come back in local id space.
-        let t1: HashMap<_, _> = s.tenant_stats(1).collect();
+        s.set_active_tenant(1);
+        let t1: HashMap<_, _> = s.active_stats().collect();
         assert_eq!(t1.len(), 1);
         assert_eq!(t1[&DatasetId(0)].resident_partitions, 1);
-        let t0: HashMap<_, _> = s.tenant_stats(0).collect();
+        s.set_active_tenant(0);
+        let t0: HashMap<_, _> = s.active_stats().collect();
         assert!(t0.contains_key(&D_A));
         assert!(!t0.contains_key(&DatasetId(2)), "local ids only");
+    }
+
+    #[test]
+    fn active_stats_are_the_whole_store_or_one_tenants_slice() {
+        // Outside tenancy the view is every touched dataset.
+        let mut plain = store(1, 12_000_000_000);
+        plain.try_insert(0, D_A, 0, 1000);
+        plain.try_insert(0, D_B, 1, 1000);
+        assert_eq!(
+            plain.active_stats().collect::<Vec<_>>(),
+            plain.touched_stats().collect::<Vec<_>>()
+        );
+        // Inside it, the active tenant's global range, keyed locally.
+        let mut s = tenant_store(12_000_000_000);
+        s.set_active_tenant(0);
+        s.try_insert(0, D_A, 0, 1000);
+        s.set_active_tenant(1);
+        s.try_insert(0, DatasetId(0), 1, 1000);
+        s.read(DatasetId(0), 2);
+        for (tenant, range) in [(0, 0..2), (1, 2..3)] {
+            s.set_active_tenant(tenant);
+            let slice: Vec<_> = s
+                .touched_stats()
+                .filter(|(d, _)| range.contains(&d.0))
+                .map(|(d, st)| (DatasetId(d.0 - range.start), st))
+                .collect();
+            assert!(!slice.is_empty());
+            assert_eq!(s.active_stats().collect::<Vec<_>>(), slice);
+        }
     }
 
     #[test]

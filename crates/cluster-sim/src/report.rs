@@ -189,7 +189,7 @@ impl ContentionSummary {
 }
 
 /// Result of one simulated application run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Application name.
     pub app: String,

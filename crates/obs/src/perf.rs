@@ -419,9 +419,9 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
             Check::new("armed_idle.overhead_pct", CheckOp::Max(5.0)),
         ]),
         // Tenancy machinery for a lone application: the single-tenant
-        // fast path is the path every one-entry spec takes, so it is
-        // gated to the 5 % budget. The interleaved lone-active row
-        // (weightless ghost) is opt-in and reported but not gated.
+        // set is the path every one-entry spec takes, so it is gated to
+        // the 5 % budget. The lone-active row (plus a weightless ghost)
+        // is opt-in and reported but not gated.
         "tenants_overhead" => Some(vec![
             Check::new("workload", CheckOp::Equals),
             Check::new("reps", CheckOp::Equals),

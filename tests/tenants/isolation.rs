@@ -35,9 +35,8 @@ fn single_tenant_set_is_byte_identical_to_the_engine() {
 
 #[test]
 fn weight_zero_co_tenant_is_invisible() {
-    // Unlike the len-1 fast path above, this exercises the real
-    // interleaved scheduler with a lone *active* tenant: the admitted
-    // but weightless SQL tenant must leave no trace in LOR's report.
+    // A lone *active* tenant next to an admitted but weightless SQL
+    // tenant: the ghost must leave no trace in LOR's report.
     let (a, b) = (LogisticRegression, SqlStarJoin);
     let app_a = support::drill_app(&a);
     let app_b = support::drill_app(&b);
