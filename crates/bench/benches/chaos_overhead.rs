@@ -14,15 +14,9 @@
 //! the jittery engine batch of `trace_overhead`. Results land in
 //! `results/BENCH_chaos_overhead.json`.
 
-use std::time::Instant;
+use bench::harness::{self, Budget, LorBatch, BUDGET_PCT, ENGINE_RUNS};
+use cluster_sim::{FaultKind, FaultPlan, RetryPolicy, RunOptions, SimParams};
 
-use bench::print_table;
-use cluster_sim::{
-    ClusterConfig, Engine, FaultKind, FaultPlan, MachineSpec, RetryPolicy, RunOptions,
-};
-use workloads::{LogisticRegression, Workload};
-
-const ENGINE_RUNS: usize = 24;
 const REPS: usize = 15;
 
 /// Which chaos state a batch runs under.
@@ -62,8 +56,8 @@ fn never_plan() -> FaultPlan {
         )
 }
 
-fn apply(state: State, params: &mut cluster_sim::SimParams) {
-    match state {
+fn apply(state: State) -> impl Fn(&mut SimParams) {
+    move |params| match state {
         State::Plain => {}
         State::ArmedIdle => {
             params.faults = never_plan();
@@ -80,48 +74,15 @@ fn apply(state: State, params: &mut cluster_sim::SimParams) {
     }
 }
 
-fn run_one(state: State, seed: u64) -> cluster_sim::RunReport {
-    let w = LogisticRegression;
-    let app = w.build(&w.paper_params());
-    let schedule = app.default_schedule().clone();
-    let mut params = w.sim_params();
-    params.seed = seed;
-    apply(state, &mut params);
-    Engine::new(
-        &app,
-        ClusterConfig::new(4, MachineSpec::private_cluster()),
-        params,
-    )
-    .run(&schedule, RunOptions::default())
-    .expect("run succeeds")
-}
-
-/// One timed batch of engine runs.
-fn engine_batch_once(state: State, rep: usize) -> f64 {
-    let w = LogisticRegression;
-    let app = w.build(&w.paper_params());
-    let schedule = app.default_schedule().clone();
-    let cluster = ClusterConfig::new(4, MachineSpec::private_cluster());
-    let t0 = Instant::now();
-    for i in 0..ENGINE_RUNS {
-        let mut params = w.sim_params();
-        params.seed = 0xC4A0 + (rep * ENGINE_RUNS + i) as u64;
-        apply(state, &mut params);
-        let report = Engine::new(&app, cluster, params)
-            .run(&schedule, RunOptions::default())
-            .expect("run succeeds");
-        std::hint::black_box(&report);
-    }
-    t0.elapsed().as_secs_f64()
-}
-
 fn main() {
+    let batch = LorBatch::new(0xC4A0);
+
     // Correctness preflight: armed-but-idle chaos must not change the
     // simulated outcome — with or without speculation tracking — only
     // (at most) the wall-clock of simulating it.
-    let plain = run_one(State::Plain, 0xC4A05);
+    let plain = batch.run(0xC4A05, apply(State::Plain), RunOptions::default());
     for state in [State::ArmedIdle, State::SpeculationArmed] {
-        let armed = run_one(state, 0xC4A05);
+        let armed = batch.run(0xC4A05, apply(state), RunOptions::default());
         assert_eq!(plain.total_time_s, armed.total_time_s);
         assert_eq!(plain.total_tasks, armed.total_tasks);
         assert_eq!(armed.task_attempts, armed.total_tasks);
@@ -129,26 +90,16 @@ fn main() {
         assert!(armed.faults.outcomes.iter().all(|o| !o.fired));
     }
 
-    // Best-of-`REPS` for all three states, *interleaved* so slow drift
-    // (thermal, background load) hits every state evenly.
-    let (mut best_plain, mut best_armed, mut best_spec) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for rep in 0..REPS {
-        best_plain = best_plain.min(engine_batch_once(State::Plain, rep));
-        best_armed = best_armed.min(engine_batch_once(State::ArmedIdle, rep));
-        best_spec = best_spec.min(engine_batch_once(State::SpeculationArmed, rep));
-    }
-    let pct = |t: f64| {
-        if best_plain <= 0.0 {
-            0.0
-        } else {
-            (t - best_plain) / best_plain * 100.0
-        }
-    };
-    let armed_pct = pct(best_armed);
-    let spec_pct = pct(best_spec);
+    let states = [State::Plain, State::ArmedIdle, State::SpeculationArmed];
+    let [best_plain, best_armed, best_spec] = harness::interleaved_best(REPS, states, |s, rep| {
+        batch.time(rep, |seed| batch.run(seed, apply(s), RunOptions::default()))
+    });
+    let armed_pct = harness::overhead_pct(best_plain, best_armed);
+    let spec_pct = harness::overhead_pct(best_plain, best_spec);
+    let gate = Budget::at_most("armed-idle chaos overhead %", armed_pct, BUDGET_PCT);
 
-    print_table(
+    harness::publish(
+        "chaos_overhead",
         &format!("Chaos-machinery overhead with no faults (best of {REPS}, interleaved)"),
         &["scenario", "batch (s)", "overhead", "gated"],
         &[
@@ -171,12 +122,6 @@ fn main() {
                 String::from("informational"),
             ],
         ],
-    );
-    let within_budget = armed_pct < 5.0;
-    println!("\narmed-idle chaos overhead within the 5% budget: {within_budget}");
-
-    bench::save_results(
-        "BENCH_chaos_overhead",
         &serde_json::json!({
             "workload": "LOR",
             "reps": REPS,
@@ -190,8 +135,9 @@ fn main() {
                 "seconds": best_spec,
                 "overhead_pct": spec_pct,
             },
-            "budget_pct": 5.0,
-            "within_budget": within_budget,
+            "budget_pct": BUDGET_PCT,
+            "within_budget": gate.met(),
         }),
+        &[gate],
     );
 }

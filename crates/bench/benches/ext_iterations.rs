@@ -52,10 +52,10 @@ fn main() {
         let aware = ext.predict_with_iterations(p.e(), p.f(), f64::from(iters));
         rows.push(vec![
             iters.to_string(),
-            bench::fmt_secs(actual),
-            bench::fmt_secs(naive),
+            obs::fmt_duration_s(actual),
+            obs::fmt_duration_s(naive),
             format!("{:.0}%", accuracy_pct(naive, actual)),
-            bench::fmt_secs(aware),
+            obs::fmt_duration_s(aware),
             format!("{:.0}%", accuracy_pct(aware, actual)),
         ]);
     }

@@ -72,10 +72,10 @@ fn main() {
         let fixed_pred = fixed.predict(paper.e(), paper.f());
         rows.push(vec![
             k.to_string(),
-            bench::fmt_secs(truth),
-            bench::fmt_secs(ext_pred),
+            obs::fmt_duration_s(truth),
+            obs::fmt_duration_s(ext_pred),
             format!("{:.0}%", accuracy_pct(ext_pred, truth)),
-            bench::fmt_secs(fixed_pred),
+            obs::fmt_duration_s(fixed_pred),
             format!("{:.0}%", accuracy_pct(fixed_pred, truth)),
         ]);
     }

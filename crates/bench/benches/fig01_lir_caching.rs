@@ -8,7 +8,7 @@
 //! This bench reruns exactly that experiment: the default (cache-nothing)
 //! schedule vs `p(1)` on every configuration.
 
-use bench::{fmt_secs, print_table};
+use bench::print_table;
 use cluster_sim::MachineSpec;
 use dagflow::{DatasetId, Schedule};
 use workloads::{LinearRegression, Workload};
@@ -36,8 +36,8 @@ fn main() {
             cost_ratios.push(cr);
             vec![
                 d.machines.to_string(),
-                fmt_secs(d.total_time_s),
-                fmt_secs(c.total_time_s),
+                obs::fmt_duration_s(d.total_time_s),
+                obs::fmt_duration_s(c.total_time_s),
                 format!("{:.1}", d.cost_machine_minutes()),
                 format!("{:.1}", c.cost_machine_minutes()),
                 format!("{:.0}%", tr * 100.0),

@@ -15,7 +15,7 @@
 //!   machine whose real cost is an order of magnitude above optimal.
 
 use baselines::ErnestTrainer;
-use bench::{fmt_secs, optimal_config, print_table, MACHINE_RANGE};
+use bench::{optimal_config, print_table, MACHINE_RANGE};
 use cluster_sim::MachineSpec;
 use dagflow::DatasetId;
 use workloads::{SupportVectorMachine, Workload, WorkloadParams};
@@ -49,10 +49,10 @@ fn main() {
             let ernest = model.predict(1.0, r.machines);
             vec![
                 r.machines.to_string(),
-                fmt_secs(r.total_time_s),
+                obs::fmt_duration_s(r.total_time_s),
                 format!("{:.1}", r.cost_machine_minutes()),
                 format!("{:.0}%", evicted * 100.0),
-                fmt_secs(ernest),
+                obs::fmt_duration_s(ernest),
                 format!("{:+.0}%", (ernest / r.total_time_s - 1.0) * 100.0),
             ]
         })

@@ -47,10 +47,10 @@ fn main() {
                 w.name().to_owned(),
                 format!("#{}", i + 1),
                 machines.to_string(),
-                bench::fmt_secs(actual),
-                bench::fmt_secs(juggler_pred),
+                obs::fmt_duration_s(actual),
+                obs::fmt_duration_s(juggler_pred),
                 format!("{ja:.0}%"),
-                bench::fmt_secs(ernest_pred),
+                obs::fmt_duration_s(ernest_pred),
                 format!("{ea:.0}%"),
             ]);
         }

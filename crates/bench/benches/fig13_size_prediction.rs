@@ -5,7 +5,7 @@
 //! parameters, against the actual sizes in the actual runs. The paper's
 //! worst-case error is 0.91 %.
 
-use bench::{fmt_bytes, print_table};
+use bench::print_table;
 use modeling::accuracy_pct;
 
 fn main() {
@@ -25,8 +25,8 @@ fn main() {
                     w.name().to_owned(),
                     format!("#{}", i + 1),
                     d.to_string(),
-                    fmt_bytes(predicted),
-                    fmt_bytes(actual),
+                    obs::fmt_bytes(predicted),
+                    obs::fmt_bytes(actual),
                     format!("{:.2}%", accuracy_pct(predicted as f64, actual as f64)),
                 ]);
             }

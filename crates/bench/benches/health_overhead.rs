@@ -11,10 +11,7 @@
 //! `results/BENCH_health_overhead.json` and are gated by the
 //! `health_overhead` policy in `results/baselines/`.
 
-use std::time::Instant;
-
-use bench::print_table;
-use juggler::pipeline::{OfflineTraining, TrainingConfig};
+use bench::harness::{self, Budget, BUDGET_PCT};
 use juggler::provenance::RunManifest;
 use juggler::watchtower::{load_history, Watchtower};
 use obs::LedgerStore;
@@ -46,55 +43,8 @@ fn seed_ledger(dir: &std::path::Path, base: &RunManifest) {
     }
 }
 
-fn training_once(config: &TrainingConfig) -> f64 {
-    let w = LogisticRegression;
-    let t0 = Instant::now();
-    let trained = OfflineTraining::run(&w, config).expect("training succeeds");
-    let elapsed = t0.elapsed().as_secs_f64();
-    std::hint::black_box(&trained);
-    elapsed
-}
-
-fn doctor_once(config: &TrainingConfig) -> f64 {
-    let t0 = Instant::now();
-    let report = juggler::doctor(&LogisticRegression, config).expect("doctor succeeds");
-    let elapsed = t0.elapsed().as_secs_f64();
-    std::hint::black_box(&report);
-    elapsed
-}
-
-fn cold_fold_once(store: &LedgerStore) -> f64 {
-    let t0 = Instant::now();
-    let window = load_history(store, "LOR", None, 0).expect("history loads");
-    let report = Watchtower::default().fold(&window);
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(window.len(), MANIFESTS, "the whole ledger must be folded");
-    std::hint::black_box(report.digest());
-    elapsed
-}
-
-fn warm_fold_once(store: &LedgerStore, cache: &std::path::Path) -> f64 {
-    let t0 = Instant::now();
-    let report = Watchtower::default()
-        .fold_ledger(store, "LOR", None, 0, Some(cache))
-        .expect("cached fold succeeds");
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        report.window.len(),
-        MANIFESTS,
-        "the whole ledger must be folded"
-    );
-    std::hint::black_box(report.digest());
-    elapsed
-}
-
 fn main() {
-    // threads = 1 for a stable measurement (same convention as the
-    // other overhead benches).
-    let config = TrainingConfig {
-        threads: 1,
-        ..TrainingConfig::default()
-    };
+    let config = harness::training_config();
     let report = juggler::doctor(&LogisticRegression, &config).expect("doctor succeeds");
     let base = RunManifest::from_doctor(&report, &config, &LogisticRegression.paper_params());
 
@@ -108,30 +58,65 @@ fn main() {
         .fold_ledger(&store, "LOR", None, 0, Some(&cache))
         .expect("cache populates");
 
-    // Interleaved best-of-REPS so slow drift (thermal, background load)
-    // hits the numerator and denominator evenly.
-    let (mut best_train, mut best_doctor) = (f64::INFINITY, f64::INFINITY);
-    let (mut best_cold, mut best_warm) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..REPS {
-        best_train = best_train.min(training_once(&config));
-        best_doctor = best_doctor.min(doctor_once(&config));
-        best_cold = best_cold.min(cold_fold_once(&store));
-        best_warm = best_warm.min(warm_fold_once(&store, &cache));
+    #[derive(Clone, Copy)]
+    enum Step {
+        Training,
+        Doctor,
+        ColdFold,
+        WarmFold,
     }
+    let steps = [Step::Training, Step::Doctor, Step::ColdFold, Step::WarmFold];
+    let [best_train, best_doctor, best_cold, best_warm] =
+        harness::interleaved_best(REPS, steps, |step, _| match step {
+            Step::Training => harness::time_training(&config),
+            Step::Doctor => harness::time(|| {
+                juggler::doctor(&LogisticRegression, &config).expect("doctor succeeds")
+            }),
+            Step::ColdFold => {
+                let (secs, (window, _report)) = harness::timed(|| {
+                    let window = load_history(&store, "LOR", None, 0).expect("history loads");
+                    let report = Watchtower::default().fold(&window);
+                    (window, report)
+                });
+                assert_eq!(window.len(), MANIFESTS, "the whole ledger must be folded");
+                secs
+            }
+            Step::WarmFold => {
+                let (secs, report) = harness::timed(|| {
+                    Watchtower::default()
+                        .fold_ledger(&store, "LOR", None, 0, Some(&cache))
+                        .expect("cached fold succeeds")
+                });
+                assert_eq!(
+                    report.window.len(),
+                    MANIFESTS,
+                    "the whole ledger must be folded"
+                );
+                secs
+            }
+        });
     let _ = std::fs::remove_dir_all(&dir);
 
-    let pct = |fold: f64, base: f64| {
-        if base <= 0.0 {
+    // A share of the doctor run, not an on-vs-off delta: the fold is
+    // extra work after a doctor run, not a slower version of it.
+    let share_pct = |fold: f64| {
+        if best_doctor <= 0.0 {
             0.0
         } else {
-            fold / base * 100.0
+            fold / best_doctor * 100.0
         }
     };
-    let overhead_pct = pct(best_warm, best_doctor);
-    let cold_overhead_pct = pct(best_cold, best_doctor);
-    let within_budget = overhead_pct < 5.0;
+    let overhead_pct = share_pct(best_warm);
+    let cold_overhead_pct = share_pct(best_cold);
+    let gate = Budget::at_most(
+        "steady-state fold, % of one doctor run",
+        overhead_pct,
+        BUDGET_PCT,
+    );
+    println!("\ncold fold: {cold_overhead_pct:.2}% of one doctor run (informational)");
 
-    print_table(
+    harness::publish(
+        "health_overhead",
         &format!("Watchtower fold cost (best of {REPS}, interleaved, {MANIFESTS} manifests)"),
         &["scenario", "seconds"],
         &[
@@ -152,14 +137,6 @@ fn main() {
                 format!("{best_warm:.4}"),
             ],
         ],
-    );
-    println!(
-        "\nsteady-state fold is {overhead_pct:.2}% of one doctor run (cold: \
-         {cold_overhead_pct:.2}%); within the 5% budget: {within_budget}"
-    );
-
-    bench::save_results(
-        "BENCH_health_overhead",
         &serde_json::json!({
             "workload": "LOR",
             "manifests": MANIFESTS,
@@ -176,13 +153,9 @@ fn main() {
                 "cold_seconds": best_cold,
                 "cold_overhead_pct": cold_overhead_pct,
             },
-            "budget_pct": 5.0,
-            "within_budget": within_budget,
+            "budget_pct": BUDGET_PCT,
+            "within_budget": gate.met(),
         }),
-    );
-    assert!(
-        within_budget,
-        "the steady-state fold of {MANIFESTS} manifests costs {overhead_pct:.2}% of a \
-         doctor run, over the 5% budget"
+        &[gate],
     );
 }

@@ -1,9 +1,9 @@
-//! Criterion microbenchmarks of the core algorithms: hotspot detection on
-//! growing DAGs, lineage analysis, NNLS fitting with model selection, the
-//! simulator's task throughput, and one full offline training.
+//! Microbenchmarks of the core algorithms, best of `REPS` each: lineage
+//! analysis and hotspot detection on synthetic iterative DAGs of 50–800
+//! iterations, NNLS fitting with model selection, one simulated LOR
+//! sample run, and one full PCA offline training.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
+use bench::harness;
 use cluster_sim::{ClusterConfig, Engine, MachineSpec, NoiseParams, RunOptions, SimParams};
 use dagflow::{
     AppBuilder, Application, ComputeCost, LineageAnalysis, NarrowKind, Schedule, SourceFormat,
@@ -57,19 +57,20 @@ fn synthetic_app(iters: usize) -> Application {
     b.build().unwrap()
 }
 
-fn bench_lineage(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lineage_analysis");
+const REPS: usize = 20;
+
+fn main() {
+    let mut rows = Vec::new();
+    let mut row = |group: &str, case: String, secs: f64| {
+        rows.push(vec![group.to_owned(), case, obs::fmt_duration_s(secs)]);
+    };
+
     for iters in [50usize, 200, 800] {
         let app = synthetic_app(iters);
-        group.bench_with_input(BenchmarkId::from_parameter(iters), &app, |b, app| {
-            b.iter(|| LineageAnalysis::new(app).computation_counts()[2]);
-        });
+        let secs = harness::best_of(REPS, || LineageAnalysis::new(&app).computation_counts()[2]);
+        row("lineage_analysis", format!("{iters} iterations"), secs);
     }
-    group.finish();
-}
 
-fn bench_hotspot(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hotspot_detection");
     for iters in [50usize, 200, 800] {
         let app = synthetic_app(iters);
         let metrics = DatasetMetricsView {
@@ -78,72 +79,51 @@ fn bench_hotspot(c: &mut Criterion) {
                 .collect(),
             size: app.datasets().iter().map(|d| d.bytes).collect(),
         };
-        group.bench_with_input(BenchmarkId::from_parameter(iters), &(), |b, ()| {
-            b.iter(|| detect_hotspots(&app, &metrics, &HotspotConfig::default()).len());
+        let secs = harness::best_of(REPS, || {
+            detect_hotspots(&app, &metrics, &HotspotConfig::default()).len()
         });
+        row("hotspot_detection", format!("{iters} iterations"), secs);
     }
-    group.finish();
-}
 
-fn bench_model_fitting(c: &mut Criterion) {
-    let samples: Vec<Sample> = {
-        let mut v = Vec::new();
-        for &e in &[1.0e4, 4.0e4, 7.0e4] {
-            for &f in &[1.0e4, 3.0e4, 5.0e4] {
-                v.push(Sample::ef(e, f, 10.0 + 96.0 * e + 0.008 * e * f));
-            }
-        }
-        v
-    };
-    c.bench_function("fit_best_size_models", |b| {
-        b.iter(|| {
-            fit_best(&ModelSpec::size_candidates(), &samples)
-                .unwrap()
-                .cv_error
-        });
+    let samples: Vec<Sample> = [1.0e4, 4.0e4, 7.0e4]
+        .iter()
+        .flat_map(|&e| {
+            [1.0e4, 3.0e4, 5.0e4].map(|f| Sample::ef(e, f, 10.0 + 96.0 * e + 0.008 * e * f))
+        })
+        .collect();
+    let secs = harness::best_of(REPS, || {
+        fit_best(&ModelSpec::size_candidates(), &samples)
+            .expect("size models fit")
+            .cv_error
     });
-}
+    row("model_fitting", "fit_best size models".into(), secs);
 
-fn bench_simulator(c: &mut Criterion) {
     let w = LogisticRegression;
-    let params = w.sample_params();
-    let app = w.build(&params);
+    let app = w.build(&w.sample_params());
     let cluster = ClusterConfig::new(4, MachineSpec::private_cluster());
     let sim = SimParams {
         noise: NoiseParams::NONE,
         ..SimParams::default()
     };
-    c.bench_function("simulate_lor_sample_run", |b| {
-        b.iter(|| {
-            let engine = Engine::new(&app, cluster, sim.clone());
-            engine
-                .run(&Schedule::empty(), RunOptions::default())
-                .unwrap()
-                .total_time_s
-        });
+    let secs = harness::best_of(REPS, || {
+        Engine::new(&app, cluster, sim.clone())
+            .run(&Schedule::empty(), RunOptions::default())
+            .expect("sample run succeeds")
+            .total_time_s
     });
-}
+    row("simulator", "LOR sample run".into(), secs);
 
-fn bench_training(c: &mut Criterion) {
-    let mut group = c.benchmark_group("offline_training");
-    group.sample_size(10);
-    group.bench_function("pca_full_pipeline", |b| {
-        b.iter(|| {
-            OfflineTraining::run(&Pca, &TrainingConfig::default())
-                .unwrap()
-                .schedules
-                .len()
-        });
+    let secs = harness::best_of(10, || {
+        OfflineTraining::run(&Pca, &TrainingConfig::default())
+            .expect("training succeeds")
+            .schedules
+            .len()
     });
-    group.finish();
-}
+    row("offline_training", "PCA full pipeline".into(), secs);
 
-criterion_group!(
-    benches,
-    bench_lineage,
-    bench_hotspot,
-    bench_model_fitting,
-    bench_simulator,
-    bench_training
-);
-criterion_main!(benches);
+    bench::print_table(
+        &format!("Core microbenchmarks (best of {REPS}; training best of 10)"),
+        &["group", "case", "best"],
+        &rows,
+    );
+}

@@ -15,114 +15,59 @@
 //! benches so slow drift hits them evenly. Results land in
 //! `results/BENCH_profile_overhead.json`.
 
-use std::time::Instant;
-
-use bench::print_table;
-use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions};
-use juggler::pipeline::{OfflineTraining, TrainingConfig};
-use workloads::{LogisticRegression, Workload};
+use bench::harness::{self, Budget, LorBatch, BUDGET_PCT, ENGINE_RUNS};
+use cluster_sim::RunOptions;
 
 const REPS: usize = 9;
-const ENGINE_RUNS: usize = 24;
 const IDLE_CALLS: u64 = 2_000_000;
 
-/// One timed offline training (threads = 1 for a stable measurement)
-/// with the profiler in the given state.
-fn training_once(enabled: bool) -> f64 {
+/// Seconds of `f` with the profiler reset and set to `enabled`; the
+/// profiler is disabled and cleared again afterwards, untimed.
+fn with_profiler(enabled: bool, f: impl FnOnce() -> f64) -> f64 {
     let prof = obs::prof::profiler();
     prof.set_enabled(false);
     prof.reset();
     prof.set_enabled(enabled);
-    let w = LogisticRegression;
-    let config = TrainingConfig {
-        threads: 1,
-        ..TrainingConfig::default()
-    };
-    let t0 = Instant::now();
-    let trained = OfflineTraining::run(&w, &config).expect("training succeeds");
-    let elapsed = t0.elapsed().as_secs_f64();
-    std::hint::black_box(&trained);
+    let secs = f();
     prof.set_enabled(false);
     prof.reset();
-    elapsed
+    secs
 }
 
-/// One timed batch of engine runs with the profiler in the given state.
-/// Exercises the per-run `sim`/`faults`/`stages` spans and the counter
-/// attribution path.
-fn engine_batch_once(enabled: bool, rep: usize) -> f64 {
-    let prof = obs::prof::profiler();
-    prof.set_enabled(false);
-    prof.reset();
-    prof.set_enabled(enabled);
-    let w = LogisticRegression;
-    let app = w.build(&w.paper_params());
-    let schedule = app.default_schedule().clone();
-    let t0 = Instant::now();
-    for i in 0..ENGINE_RUNS {
-        let mut params = w.sim_params();
-        params.seed = 0xF10 + (rep * ENGINE_RUNS + i) as u64;
-        let report = Engine::new(
-            &app,
-            ClusterConfig::new(4, MachineSpec::private_cluster()),
-            params,
-        )
-        .run(&schedule, RunOptions::default())
-        .expect("run succeeds");
-        std::hint::black_box(&report);
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    prof.set_enabled(false);
-    prof.reset();
-    elapsed
-}
-
-/// Nanoseconds per disabled `prof::scope` call: the armed-idle tax.
-fn idle_ns_per_scope() -> f64 {
-    let prof = obs::prof::profiler();
-    prof.set_enabled(false);
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
+fn main() {
+    let config = harness::training_config();
+    let [train_off, train_on] = harness::interleaved_best(REPS, [false, true], |enabled, _| {
+        with_profiler(enabled, || harness::time_training(&config))
+    });
+    // Exercises the per-run `sim`/`faults`/`stages` spans and the
+    // counter attribution path.
+    let batch = LorBatch::new(0xF10);
+    let [engine_off, engine_on] = harness::interleaved_best(REPS, [false, true], |enabled, rep| {
+        with_profiler(enabled, || {
+            batch.time(rep, |seed| batch.run(seed, |_| {}, RunOptions::default()))
+        })
+    });
+    // Nanoseconds per disabled `prof::scope` call: the armed-idle tax.
+    obs::prof::profiler().set_enabled(false);
+    let idle_ns = harness::best_of(REPS, || {
         for _ in 0..IDLE_CALLS {
             let s = obs::prof::scope("bench/idle");
             std::hint::black_box(&s);
         }
-        let elapsed = t0.elapsed().as_nanos() as f64;
-        best = best.min(elapsed / IDLE_CALLS as f64);
-    }
-    best
-}
+    }) * 1e9
+        / IDLE_CALLS as f64;
 
-/// Best-of-`REPS` for the off and on states, *interleaved* so slow
-/// drift (thermal, background load) hits both states evenly instead of
-/// whichever happened to run second.
-fn interleaved_best(mut measure: impl FnMut(bool, usize) -> f64) -> (f64, f64) {
-    let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
-    for rep in 0..REPS {
-        best_off = best_off.min(measure(false, rep));
-        best_on = best_on.min(measure(true, rep));
-    }
-    (best_off, best_on)
-}
+    let train_pct = harness::overhead_pct(train_off, train_on);
+    let engine_pct = harness::overhead_pct(engine_off, engine_on);
+    let gate = Budget::at_most(
+        "profiling-enabled training overhead %",
+        train_pct,
+        BUDGET_PCT,
+    );
+    println!("\narmed idle (disabled scope call): {idle_ns:.1} ns (informational)");
 
-fn pct(off: f64, on: f64) -> f64 {
-    if off <= 0.0 {
-        0.0
-    } else {
-        (on - off) / off * 100.0
-    }
-}
-
-fn main() {
-    let (train_off, train_on) = interleaved_best(|enabled, _| training_once(enabled));
-    let (engine_off, engine_on) = interleaved_best(engine_batch_once);
-    let idle_ns = idle_ns_per_scope();
-
-    let train_pct = pct(train_off, train_on);
-    let engine_pct = pct(engine_off, engine_on);
-
-    print_table(
+    harness::publish(
+        "profile_overhead",
         &format!("Phase-profiler overhead (best of {REPS}, interleaved)"),
         &["scenario", "prof off (s)", "prof on (s)", "overhead"],
         &[
@@ -139,17 +84,6 @@ fn main() {
                 format!("{engine_pct:+.2}%"),
             ],
         ],
-    );
-    println!("\narmed idle (disabled scope call): {idle_ns:.1} ns");
-
-    let within_budget = train_pct < 5.0;
-    println!(
-        "profiling-enabled training overhead within the 5% budget: {within_budget} \
-         (engine batch and armed-idle ns are informational)"
-    );
-
-    bench::save_results(
-        "BENCH_profile_overhead",
         &serde_json::json!({
             "workload": "LOR",
             "reps": REPS,
@@ -167,12 +101,9 @@ fn main() {
             "armed_idle": {
                 "ns_per_scope": idle_ns,
             },
-            "budget_pct": 5.0,
-            "within_budget": within_budget,
+            "budget_pct": BUDGET_PCT,
+            "within_budget": gate.met(),
         }),
-    );
-    assert!(
-        within_budget,
-        "profiling-enabled training overhead {train_pct:.2}% exceeds the 5% budget"
+        &[gate],
     );
 }

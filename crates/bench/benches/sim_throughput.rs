@@ -17,7 +17,8 @@
 //!   per-cell shape, so the speedup reflects the real per-cell win.
 //!
 //! Determinism is asserted on the way: every timed run must reproduce the
-//! digest of the warm-up run exactly.
+//! digest of the warm-up run exactly. No budget is enforced here;
+//! `juggler perf-report` gates the recorded speedups.
 //!
 //! The artifact also embeds a phase profile of one (untimed) run under a
 //! `"profile"` key. `juggler perf-report` diffs it against the baseline's
@@ -26,10 +27,9 @@
 //! number.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use bench::print_table;
-use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions};
+use bench::harness;
+use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, RunReport};
 use workloads::{LogisticRegression, Workload};
 
 /// Best-of-`REPS` minimum. The reference container is a shared 1-core
@@ -63,29 +63,22 @@ fn main() {
     let digest = warm.digest();
     let tasks = warm.total_tasks;
 
-    let mut best_run = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let r = engine
+    let run = || {
+        engine
             .run_shared(&schedule, RunOptions::default())
-            .expect("default schedule validates");
-        best_run = best_run.min(t0.elapsed().as_secs_f64());
-        assert_eq!(r.digest(), digest, "timed run must be bit-identical");
-    }
+            .expect("default schedule validates")
+    };
+    let best_run = harness::best_reproducing(REPS, &digest, run, RunReport::digest);
 
     // One shared app + prep, as the stage-4 fan-out holds them per grid
     // point; the timed region is one cell's share of the work.
-    let prep = std::sync::Arc::clone(engine.prep());
-    let mut best_cell = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        let cell_engine = Engine::with_prep(&app, cluster, sim.clone(), Arc::clone(&prep));
-        let r = cell_engine
+    let prep = Arc::clone(engine.prep());
+    let cell = || {
+        Engine::with_prep(&app, cluster, sim.clone(), Arc::clone(&prep))
             .run_shared(&schedule, RunOptions::default())
-            .expect("default schedule validates");
-        best_cell = best_cell.min(t0.elapsed().as_secs_f64());
-        assert_eq!(r.digest(), digest, "cell run must be bit-identical");
-    }
+            .expect("default schedule validates")
+    };
+    let best_cell = harness::best_reproducing(REPS, &digest, cell, RunReport::digest);
 
     // One profiled (untimed) run for the embedded phase attribution.
     let prof = obs::prof::profiler();
@@ -99,18 +92,11 @@ fn main() {
     let profile = prof.take_profile();
     prof.set_enabled(false);
 
-    let speedup_run = if PRE_PR_RUN_ONLY_S > 0.0 {
-        PRE_PR_RUN_ONLY_S / best_run
-    } else {
-        1.0
-    };
-    let speedup_cell = if PRE_PR_GRID_CELL_S > 0.0 {
-        PRE_PR_GRID_CELL_S / best_cell
-    } else {
-        1.0
-    };
+    let speedup_run = PRE_PR_RUN_ONLY_S / best_run;
+    let speedup_cell = PRE_PR_GRID_CELL_S / best_cell;
 
-    print_table(
+    harness::publish(
+        "sim_throughput",
         &format!("Single-run simulator throughput (LOR paper scale, best of {REPS})"),
         &["scenario", "seconds", "tasks/s", "pre-PR s", "speedup"],
         &[
@@ -129,11 +115,6 @@ fn main() {
                 format!("{speedup_cell:.2}x"),
             ],
         ],
-    );
-    println!("\ndigests bit-identical across all timed runs: yes");
-
-    bench::save_results(
-        "BENCH_sim_throughput",
         &serde_json::json!({
             "workload": w.name(),
             "reps": REPS,
@@ -154,5 +135,6 @@ fn main() {
             },
             "profile": profile.to_value(),
         }),
+        &[],
     );
 }

@@ -6,7 +6,7 @@
 //! hotspot detection produces (measured through a real instrumented
 //! sample run).
 
-use bench::{fmt_bytes, print_table};
+use bench::print_table;
 use cluster_sim::{ClusterConfig, MachineSpec};
 use dagflow::LineageAnalysis;
 use instrument::profile_run;
@@ -38,7 +38,7 @@ fn main() {
             format!("{}k", params.examples / 1000),
             format!("{}k", params.features / 1000),
             params.iterations.to_string(),
-            fmt_bytes(app.input_bytes()),
+            obs::fmt_bytes(app.input_bytes()),
             app.dataset_count().to_string(),
             la.intermediates().len().to_string(),
             schedules.len().to_string(),

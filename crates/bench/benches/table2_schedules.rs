@@ -32,7 +32,7 @@ fn main() {
                 (i + 1).to_string(),
                 s.schedule.notation(),
                 format!("{:.2}", s.benefit_s),
-                bench::fmt_bytes(s.budget_bytes),
+                obs::fmt_bytes(s.budget_bytes),
             ]);
         }
         rows.push(vec![

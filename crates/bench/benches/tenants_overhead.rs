@@ -14,14 +14,11 @@
 //! Results land in `results/BENCH_tenants_overhead.json`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use bench::print_table;
-use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, RunReport, Tenant, TenantSet};
-use dagflow::{Application, Schedule};
-use workloads::{LogisticRegression, Workload};
+use bench::harness::{self, Budget, LorBatch, BUDGET_PCT, ENGINE_RUNS};
+use cluster_sim::{RunOptions, RunReport, Tenant, TenantSet};
+use dagflow::Application;
 
-const ENGINE_RUNS: usize = 24;
 const REPS: usize = 15;
 
 /// Which admission path a batch runs under.
@@ -35,130 +32,51 @@ enum Path {
     LoneActive,
 }
 
-fn fixture() -> (Application, Arc<Schedule>, ClusterConfig) {
-    let w = LogisticRegression;
-    let app = w.build(&w.paper_params());
-    let schedule = Arc::new(app.default_schedule().clone());
-    let cluster = ClusterConfig::new(4, MachineSpec::private_cluster());
-    (app, schedule, cluster)
-}
-
-fn params(seed: u64) -> cluster_sim::SimParams {
-    let mut p = LogisticRegression.sim_params();
-    p.seed = seed;
-    p
-}
-
-fn run_one(
-    path: Path,
-    app: &Application,
-    ghost: &Application,
-    schedule: &Arc<Schedule>,
-    cluster: ClusterConfig,
-    seed: u64,
-) -> RunReport {
-    match path {
-        Path::Plain => Engine::new(app, cluster, params(seed))
-            .run_shared(schedule, RunOptions::default())
-            .expect("run succeeds"),
-        Path::SingleTenant => {
-            let set = TenantSet {
-                cluster,
-                tenants: vec![Tenant::new(app, Arc::clone(schedule), params(seed))],
-            };
-            let mut tr = set.run(RunOptions::default()).expect("run succeeds");
-            tr.reports.pop().expect("one report")
-        }
-        Path::LoneActive => {
-            let set = TenantSet {
-                cluster,
-                tenants: vec![
-                    Tenant::new(app, Arc::clone(schedule), params(seed)),
-                    Tenant {
-                        weight: 0.0,
-                        ..Tenant::new(ghost, Arc::clone(schedule), params(seed ^ 1))
-                    },
-                ],
-            };
-            let mut tr = set.run(RunOptions::default()).expect("run succeeds");
-            tr.reports.swap_remove(0)
-        }
-    }
-}
-
-/// One timed batch of runs down the given path.
-fn batch_once(
-    path: Path,
-    app: &Application,
-    ghost: &Application,
-    schedule: &Arc<Schedule>,
-    cluster: ClusterConfig,
-    rep: usize,
-) -> f64 {
-    let t0 = Instant::now();
-    for i in 0..ENGINE_RUNS {
-        let seed = 0x7E40 + (rep * ENGINE_RUNS + i) as u64;
-        let report = run_one(path, app, ghost, schedule, cluster, seed);
-        std::hint::black_box(&report);
-    }
-    t0.elapsed().as_secs_f64()
+fn run_one(path: Path, batch: &LorBatch, ghost: &Application, seed: u64) -> RunReport {
+    let tenant = |app, seed| Tenant::new(app, Arc::clone(&batch.schedule), LorBatch::params(seed));
+    let tenants = match path {
+        Path::Plain => return batch.run(seed, |_| {}, RunOptions::default()),
+        Path::SingleTenant => vec![tenant(&batch.app, seed)],
+        Path::LoneActive => vec![
+            tenant(&batch.app, seed),
+            Tenant {
+                weight: 0.0,
+                ..tenant(ghost, seed ^ 1)
+            },
+        ],
+    };
+    let set = TenantSet {
+        cluster: batch.cluster,
+        tenants,
+    };
+    let mut tr = set.run(RunOptions::default()).expect("run succeeds");
+    tr.reports.swap_remove(0)
 }
 
 fn main() {
-    let (app, schedule, cluster) = fixture();
-    let ghost = app.clone();
+    let batch = LorBatch::new(0x7E40);
+    let ghost = batch.app.clone();
 
     // Correctness preflight: both tenancy paths must reproduce the plain
     // engine byte-for-byte before their speed means anything.
-    let plain = run_one(Path::Plain, &app, &ghost, &schedule, cluster, 0x7E4A7);
+    let plain = run_one(Path::Plain, &batch, &ghost, 0x7E4A7);
     for path in [Path::SingleTenant, Path::LoneActive] {
-        let tenant = run_one(path, &app, &ghost, &schedule, cluster, 0x7E4A7);
+        let tenant = run_one(path, &batch, &ghost, 0x7E4A7);
         assert_eq!(plain.digest(), tenant.digest());
         assert_eq!(plain.total_time_s, tenant.total_time_s);
         assert_eq!(plain.cache, tenant.cache);
     }
 
-    // Best-of-`REPS` for all three paths, *interleaved* so slow drift
-    // (thermal, background load) hits every path evenly.
-    let (mut best_plain, mut best_single, mut best_lone) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for rep in 0..REPS {
-        best_plain = best_plain.min(batch_once(
-            Path::Plain,
-            &app,
-            &ghost,
-            &schedule,
-            cluster,
-            rep,
-        ));
-        best_single = best_single.min(batch_once(
-            Path::SingleTenant,
-            &app,
-            &ghost,
-            &schedule,
-            cluster,
-            rep,
-        ));
-        best_lone = best_lone.min(batch_once(
-            Path::LoneActive,
-            &app,
-            &ghost,
-            &schedule,
-            cluster,
-            rep,
-        ));
-    }
-    let pct = |t: f64| {
-        if best_plain <= 0.0 {
-            0.0
-        } else {
-            (t - best_plain) / best_plain * 100.0
-        }
-    };
-    let single_pct = pct(best_single);
-    let lone_pct = pct(best_lone);
+    let paths = [Path::Plain, Path::SingleTenant, Path::LoneActive];
+    let [best_plain, best_single, best_lone] = harness::interleaved_best(REPS, paths, |p, rep| {
+        batch.time(rep, |seed| run_one(p, &batch, &ghost, seed))
+    });
+    let single_pct = harness::overhead_pct(best_plain, best_single);
+    let lone_pct = harness::overhead_pct(best_plain, best_lone);
+    let gate = Budget::at_most("single-tenant overhead %", single_pct, BUDGET_PCT);
 
-    print_table(
+    harness::publish(
+        "tenants_overhead",
         &format!("Tenancy overhead for a lone application (best of {REPS}, interleaved)"),
         &["path", "batch (s)", "overhead", "gated"],
         &[
@@ -181,12 +99,6 @@ fn main() {
                 String::from("informational"),
             ],
         ],
-    );
-    let within_budget = single_pct < 5.0;
-    println!("\nsingle-tenant overhead within the 5% budget: {within_budget}");
-
-    bench::save_results(
-        "BENCH_tenants_overhead",
         &serde_json::json!({
             "workload": "LOR",
             "reps": REPS,
@@ -200,8 +112,9 @@ fn main() {
                 "seconds": best_lone,
                 "overhead_pct": lone_pct,
             },
-            "budget_pct": 5.0,
-            "within_budget": within_budget,
+            "budget_pct": BUDGET_PCT,
+            "within_budget": gate.met(),
         }),
+        &[gate],
     );
 }

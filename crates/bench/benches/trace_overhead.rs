@@ -8,87 +8,42 @@
 //!
 //! Results land in `results/BENCH_trace_overhead.json`.
 
-use std::time::Instant;
+use bench::harness::{self, Budget, LorBatch, BUDGET_PCT, ENGINE_RUNS};
+use cluster_sim::{RunOptions, TraceConfig};
+use juggler::pipeline::TrainingConfig;
 
-use bench::print_table;
-use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, TraceConfig};
-use juggler::pipeline::{OfflineTraining, TrainingConfig};
-use workloads::{LogisticRegression, Workload};
-
-const ENGINE_RUNS: usize = 24;
 const REPS: usize = 9;
 
-/// One timed batch of engine runs.
-fn engine_batch_once(trace: TraceConfig, rep: usize) -> f64 {
-    let w = LogisticRegression;
-    let app = w.build(&w.paper_params());
-    let schedule = app.default_schedule().clone();
-    let t0 = Instant::now();
-    for i in 0..ENGINE_RUNS {
-        let mut params = w.sim_params();
-        params.seed = 0xA11 + (rep * ENGINE_RUNS + i) as u64;
-        let report = Engine::new(
-            &app,
-            ClusterConfig::new(4, MachineSpec::private_cluster()),
-            params,
-        )
-        .run(
-            &schedule,
-            RunOptions {
-                trace,
-                ..RunOptions::default()
-            },
-        )
-        .expect("run succeeds");
-        assert_eq!(report.trace.is_some(), trace.enabled);
-        std::hint::black_box(&report);
-    }
-    t0.elapsed().as_secs_f64()
-}
-
-/// One timed offline training (threads = 1 for a stable measurement).
-fn training_once(trace: TraceConfig) -> f64 {
-    let w = LogisticRegression;
-    let config = TrainingConfig {
-        threads: 1,
-        trace,
-        ..TrainingConfig::default()
-    };
-    let t0 = Instant::now();
-    let trained = OfflineTraining::run(&w, &config).expect("training succeeds");
-    let elapsed = t0.elapsed().as_secs_f64();
-    std::hint::black_box(&trained);
-    elapsed
-}
-
-/// Best-of-`REPS` for the off and on states, *interleaved* so slow
-/// drift (thermal, background load) hits both states evenly instead of
-/// whichever happened to run second.
-fn interleaved_best(mut measure: impl FnMut(TraceConfig, usize) -> f64) -> (f64, f64) {
-    let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
-    for rep in 0..REPS {
-        best_off = best_off.min(measure(TraceConfig::default(), rep));
-        best_on = best_on.min(measure(TraceConfig::enabled(), rep));
-    }
-    (best_off, best_on)
-}
-
-fn pct(off: f64, on: f64) -> f64 {
-    if off <= 0.0 {
-        0.0
-    } else {
-        (on - off) / off * 100.0
-    }
-}
-
 fn main() {
-    let (engine_off, engine_on) = interleaved_best(engine_batch_once);
-    let (train_off, train_on) = interleaved_best(|trace, _| training_once(trace));
+    let states = [TraceConfig::default(), TraceConfig::enabled()];
+    let batch = LorBatch::new(0xA11);
+    let [engine_off, engine_on] = harness::interleaved_best(REPS, states, |trace, rep| {
+        batch.time(rep, |seed| {
+            let report = batch.run(
+                seed,
+                |_| {},
+                RunOptions {
+                    trace,
+                    ..RunOptions::default()
+                },
+            );
+            assert_eq!(report.trace.is_some(), trace.enabled);
+            report
+        })
+    });
+    let [train_off, train_on] = harness::interleaved_best(REPS, states, |trace, _| {
+        harness::time_training(&TrainingConfig {
+            trace,
+            ..harness::training_config()
+        })
+    });
 
-    let engine_pct = pct(engine_off, engine_on);
-    let train_pct = pct(train_off, train_on);
+    let engine_pct = harness::overhead_pct(engine_off, engine_on);
+    let train_pct = harness::overhead_pct(train_off, train_on);
+    let gate = Budget::at_most("trace-enabled training overhead %", train_pct, BUDGET_PCT);
 
-    print_table(
+    harness::publish(
+        "trace_overhead",
         &format!("Structured-trace overhead (best of {REPS}, interleaved)"),
         &["scenario", "trace off (s)", "trace on (s)", "overhead"],
         &[
@@ -105,15 +60,6 @@ fn main() {
                 format!("{train_pct:+.2}%"),
             ],
         ],
-    );
-    let within_budget = train_pct < 5.0;
-    println!(
-        "\ntraining trace-enabled overhead within the 5% budget: {within_budget} \
-         (engine batch is informational)"
-    );
-
-    bench::save_results(
-        "BENCH_trace_overhead",
         &serde_json::json!({
             "workload": "LOR",
             "reps": REPS,
@@ -128,8 +74,9 @@ fn main() {
                 "trace_on_seconds": train_on,
                 "overhead_pct": train_pct,
             },
-            "budget_pct": 5.0,
-            "within_budget": within_budget,
+            "budget_pct": BUDGET_PCT,
+            "within_budget": gate.met(),
         }),
+        &[gate],
     );
 }

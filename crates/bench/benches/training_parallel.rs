@@ -2,53 +2,44 @@
 //! training of a multi-schedule workload, sequential vs parallel across
 //! thread counts. Verifies on the way that every thread count yields a
 //! byte-identical artifact, then records the timings (and speedups over
-//! the sequential run) to `results/BENCH_training_parallel.json`.
+//! the sequential run) to `results/BENCH_training_parallel.json`. On a
+//! host with at least 8 cores the run fails below a 4× speedup at 8
+//! threads.
 
-use std::time::Instant;
-
-use bench::print_table;
-use juggler::pipeline::{OfflineTraining, TrainingConfig};
+use bench::harness::{self, Budget};
+use juggler::pipeline::{OfflineTraining, TrainedJuggler, TrainingConfig};
 use workloads::{LogisticRegression, Workload};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 3;
 
-fn train_once(w: &dyn Workload, threads: usize) -> (f64, String) {
+fn train(threads: usize) -> TrainedJuggler {
     let config = TrainingConfig {
         threads,
         ..TrainingConfig::default()
     };
-    let t0 = Instant::now();
-    let trained = OfflineTraining::run(w, &config).expect("training succeeds");
-    let secs = t0.elapsed().as_secs_f64();
-    (
-        secs,
-        serde_json::to_string(&trained).expect("artifact serializes"),
-    )
+    OfflineTraining::run(&LogisticRegression, &config).expect("training succeeds")
+}
+
+fn artifact(trained: &TrainedJuggler) -> String {
+    serde_json::to_string(trained).expect("artifact serializes")
 }
 
 fn main() {
     // LOR has a multi-schedule family (Table 2), so stage 4 fans a
     // (schedules × 9)-cell matrix — the case the runner is built for.
-    let w = LogisticRegression;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!("host parallelism: {cores}");
 
+    // Every timed run at every thread count must reproduce the
+    // sequential warm-up artifact byte for byte.
+    let reference = artifact(&train(1));
     let mut rows = Vec::new();
     let mut series = Vec::new();
     let mut baseline_s = 0.0;
     let mut speedup_at_8 = 0.0;
-    let mut reference: Option<String> = None;
-    for &threads in &THREAD_COUNTS {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let (secs, artifact) = train_once(&w, threads);
-            best = best.min(secs);
-            match &reference {
-                None => reference = Some(artifact),
-                Some(r) => assert_eq!(r, &artifact, "artifact must not depend on thread count"),
-            }
-        }
+    for threads in THREAD_COUNTS {
+        let best = harness::best_reproducing(REPS, &reference, || train(threads), artifact);
         if threads == 1 {
             baseline_s = best;
         }
@@ -63,7 +54,7 @@ fn main() {
         }
         rows.push(vec![
             threads.to_string(),
-            format!("{:.3}", best),
+            format!("{best:.3}"),
             format!("{speedup:.2}x"),
             if gated {
                 "yes".into()
@@ -79,31 +70,27 @@ fn main() {
         }));
     }
 
-    print_table(
-        "Offline training wall clock (LOR, best of 3)",
-        &["threads", "seconds", "speedup", "gated"],
-        &rows,
-    );
-    println!("\nartifacts byte-identical across all thread counts: yes");
-
     // The ≥4× speedup-at-8-threads gate only applies on hosts with at
     // least 8 cores; elsewhere it is skipped with an explicit note so a
     // 1-core CI box cannot silently "pass" (or fail) a claim it cannot
     // measure.
     let gate_applicable = cores >= 8;
-    if gate_applicable {
-        println!("speedup gate (>=4x at 8 threads): {speedup_at_8:.2}x");
-    } else {
+    let gate = gate_applicable
+        .then(|| Budget::at_least("training speedup at 8 threads", speedup_at_8, 4.0));
+    if !gate_applicable {
         println!(
             "speedup gate (>=4x at 8 threads): SKIPPED — host parallelism \
              is {cores}, below the 8 workers the gate needs"
         );
     }
 
-    bench::save_results(
-        "BENCH_training_parallel",
+    harness::publish(
+        "training_parallel",
+        &format!("Offline training wall clock (LOR, best of {REPS})"),
+        &["threads", "seconds", "speedup", "gated"],
+        &rows,
         &serde_json::json!({
-            "workload": w.name(),
+            "workload": LogisticRegression.name(),
             "reps": REPS,
             "host_parallelism": cores,
             "artifacts_identical": true,
@@ -118,5 +105,6 @@ fn main() {
             },
             "series": series,
         }),
+        gate.as_slice(),
     );
 }

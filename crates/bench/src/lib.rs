@@ -4,7 +4,10 @@
 //! `harness = false`) that regenerates its rows/series from the simulator;
 //! this crate holds the pieces they share: paper-scale actual runs,
 //! 1–12-machine sweeps, optimal-configuration search, and plain-text table
-//! rendering.
+//! rendering. The overhead and throughput benches time their work through
+//! [`harness`].
+
+pub mod harness;
 
 use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, RunReport};
 use dagflow::Schedule;
@@ -194,31 +197,9 @@ pub fn save_results(bench_name: &str, value: &serde_json::Value) {
     }
 }
 
-/// Formats seconds compactly (delegates to the shared [`obs`] helper so
-/// every human-facing duration in the workspace uses the same units).
-#[must_use]
-pub fn fmt_secs(s: f64) -> String {
-    obs::fmt_duration_s(s)
-}
-
-/// Formats bytes compactly (delegates to the shared [`obs`] helper).
-#[must_use]
-pub fn fmt_bytes(b: u64) -> String {
-    obs::fmt_bytes(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn format_helpers() {
-        assert_eq!(fmt_secs(30.0), "30 s");
-        assert_eq!(fmt_secs(150.0), "2.5 min");
-        assert_eq!(fmt_secs(7200.0), "2 h");
-        assert_eq!(fmt_bytes(1_500), "1.5 kB");
-        assert_eq!(fmt_bytes(35_800_000_000), "35.8 GB");
-    }
 
     #[test]
     fn optimal_config_picks_min_cost() {

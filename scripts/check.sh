@@ -92,6 +92,12 @@ cargo test -q --offline --test health_golden
 echo "== health overhead (<5% steady-state fold budget; records results/BENCH_health_overhead.json) =="
 cargo bench --offline -p bench --bench health_overhead
 
+echo "== figure artifacts (regenerating fig01/02/12/14 reproduces the committed results/fig*.json) =="
+for fig in fig01_lir_caching fig02_svm_areas fig12_prediction_accuracy fig14_cluster_config; do
+    cargo bench --offline -q -p bench --bench "$fig" >/dev/null
+done
+git diff --exit-code -- 'results/fig*.json'
+
 echo "== benchmark self-test (printed metrics match BENCHMARK.json; corrupted references fail) =="
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --self-test
 

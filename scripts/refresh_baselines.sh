@@ -5,10 +5,12 @@
 # regenerated specs — baseline churn should always be an explicit,
 # reviewable commit, never a side effect of `scripts/check.sh`.
 #
-# To refresh the BENCH artifacts themselves first:
-#   cargo bench --offline -p bench --bench trace_overhead
-#   cargo bench --offline -p bench --bench metrics_overhead
-#   cargo bench --offline -p bench --bench training_parallel
+# To refresh the BENCH artifacts themselves first, run the eight benches
+# that write them (each fails if a gated row is over its budget):
+#   for b in chaos_overhead health_overhead metrics_overhead profile_overhead \
+#            sim_throughput tenants_overhead trace_overhead training_parallel; do
+#       cargo bench --offline -p bench --bench "$b"
+#   done
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
