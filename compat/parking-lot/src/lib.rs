@@ -3,6 +3,8 @@
 //! directly). Poisoning is ignored — a panicked holder's data is still
 //! returned, matching parking_lot semantics.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{self, TryLockError};
 
 pub use sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};

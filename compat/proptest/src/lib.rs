@@ -12,6 +12,8 @@
 //!   test name and case index), so failures are reproducible across runs;
 //! * `PROPTEST_CASES` overrides the case count, as in real proptest.
 
+#![forbid(unsafe_code)]
+
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 

@@ -6,6 +6,8 @@
 //! properties the calibration tests assert (uniform in [0,1), mean ½,
 //! deterministic per seed).
 
+#![forbid(unsafe_code)]
+
 /// Low-level source of random bits.
 pub trait RngCore {
     /// Next 64 random bits.

@@ -11,6 +11,8 @@
 //! (named, tuple, unit) and enums (unit, tuple, struct variants), with
 //! arbitrary attributes skipped.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Fields {

@@ -11,6 +11,8 @@
 //! order and map entries are sorted, so equal values produce identical
 //! bytes.
 
+#![forbid(unsafe_code)]
+
 pub use serde::DeError as Error;
 pub use serde::Value;
 use serde::{Deserialize, Serialize};

@@ -21,6 +21,8 @@
 //! `[]`/`{}` for empty containers. The reader refuses nesting deeper than
 //! [`MAX_DEPTH`] instead of overflowing the stack.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::borrow::Cow;

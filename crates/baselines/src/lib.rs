@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # baselines — the systems Juggler is compared against (paper §7)
 //!
 //! Three families of comparators, each reimplemented from its paper's cost

@@ -7,6 +7,8 @@
 //! rendering. The overhead and throughput benches time their work through
 //! [`harness`].
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 
 use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, RunReport};

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # cluster-sim — a discrete-event Spark-like cluster simulator
 //!
 //! The execution substrate for the Juggler (SIGMOD '22) reproduction. The

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # juggler — autonomous cost optimization and performance prediction
 //!
 //! Reproduction of **Juggler** (Al-Sayeh, Memishi, Jibril, Paradies,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # dagflow — RDD-style lineage DAGs for the Juggler reproduction
 //!
 //! This crate is the structural substrate under the Juggler (SIGMOD '22)

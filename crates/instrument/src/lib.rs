@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # instrument — the Spark_i reproduction (paper §4)
 //!
 //! Juggler needs low-level runtime data Spark does not expose: the start

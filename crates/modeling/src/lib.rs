@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # modeling — model fitting for Juggler's calibration stages
 //!
 //! Juggler fits two families of linear-in-coefficients models (paper §5.2,

@@ -158,30 +158,35 @@ impl LedgerStore {
 
     /// Resolves a run reference to a manifest path. Accepts an id or
     /// unambiguous id prefix within the store, or a direct path to a
-    /// manifest file anywhere.
+    /// manifest file anywhere. Ids match on file stems alone (no document
+    /// is opened), so a corrupt manifest still resolves and its reader
+    /// reports the parse error. An empty reference is refused.
     pub fn resolve(&self, reference: &str) -> Result<PathBuf, String> {
+        if reference.is_empty() {
+            return Err("empty run reference".to_owned());
+        }
         let direct = Path::new(reference);
         if direct.is_file() {
             return Ok(direct.to_path_buf());
         }
-        let runs = self
-            .list()
+        let entries = self
+            .entries()
             .map_err(|e| format!("reading ledger {}: {e}", self.root.display()))?;
-        let matches: Vec<&StoredRun> = runs
+        let matches: Vec<&LedgerEntryMeta> = entries
             .iter()
-            .filter(|r| r.id.starts_with(reference))
+            .filter(|e| e.id.starts_with(reference))
             .collect();
         match matches.as_slice() {
             [one] => Ok(one.path.clone()),
             [] => Err(format!(
                 "no run matching `{reference}` in {} ({} stored)",
                 self.root.display(),
-                runs.len()
+                entries.len()
             )),
             many => Err(format!(
                 "ambiguous run reference `{reference}`: matches {}",
                 many.iter()
-                    .map(|r| r.id.as_str())
+                    .map(|e| e.id.as_str())
                     .collect::<Vec<_>>()
                     .join(", ")
             )),
@@ -367,6 +372,27 @@ mod tests {
             ["aa00000000000000", "bb00000000000000", "cc00000000000000"]
         );
         assert!(runs.iter().all(|r| r.recorded_unix_ns > 0));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn corrupt_manifest_resolves_by_its_own_id() {
+        let store = tmp_store("corrupt");
+        let path = store.record("cc33445566778899", "{not json").unwrap();
+        assert!(store.list().unwrap().is_empty(), "list skips it");
+        assert_eq!(store.resolve("cc3344").unwrap(), path);
+        // The reader, not the resolver, reports the damage.
+        let (_, raw) = store.load("cc3344").unwrap();
+        assert!(serde_json::from_str::<Value>(&raw).is_err());
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn empty_reference_is_refused() {
+        let store = tmp_store("empty_ref");
+        store.record("deadbeefdeadbeef", DOC).unwrap();
+        let err = store.resolve("").unwrap_err();
+        assert!(err.contains("empty run reference"), "{err}");
         let _ = std::fs::remove_dir_all(store.root());
     }
 

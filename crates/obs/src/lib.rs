@@ -45,9 +45,11 @@
 //! `juggler-core::watchtower` folds the run ledger through.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod format;
-mod hash;
+pub mod hash;
 pub mod health;
 mod ledger;
 pub mod log;

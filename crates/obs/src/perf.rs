@@ -459,6 +459,15 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
             Check::new("reps", CheckOp::Equals),
             Check::new("artifacts_identical", CheckOp::Equals),
         ]),
+        // SHA-256 portable vs dispatched throughput: the digests must
+        // agree and the measured shape must not drift. The ≥3× SHA-NI
+        // floor is the bench's own gate (skipped on CPUs without SHA-NI),
+        // so no host-dependent speed is pinned here.
+        "hash_throughput" => Some(vec![
+            Check::new("reps", CheckOp::Equals),
+            Check::new("digests_identical", CheckOp::Equals),
+            Check::new("manifest_window.manifests", CheckOp::Equals),
+        ]),
         // Single-run simulator throughput vs the frozen pre-rework
         // constants. The workload shape, the frozen constants, and the
         // determinism flag must not drift. The speedup bar is a

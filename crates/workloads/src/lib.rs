@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # workloads — the five HiBench ML applications of the evaluation
 //!
 //! Generators for the iterative machine-learning applications Juggler is

@@ -42,6 +42,13 @@ cargo bench --offline -p bench --bench trace_overhead
 echo "== metrics overhead (<5% budget; records results/BENCH_metrics_overhead.json) =="
 cargo bench --offline -p bench --bench metrics_overhead
 
+echo "== hash parity (SHA-NI and portable SHA-256 agree; every digest golden is unchanged) =="
+cargo test -q --offline -p obs --lib -- hash::
+cargo test -q --offline --test ledger_determinism --test artifact_digest_golden
+
+echo "== hash throughput (>=3x SHA-NI speedup at 5.5 KB where the CPU has it; records results/BENCH_hash_throughput.json) =="
+cargo bench --offline -p bench --bench hash_throughput
+
 echo "== ledger determinism (manifest hash is thread-count-stable) =="
 cargo test -q --offline --test ledger_determinism
 

@@ -18,6 +18,8 @@
 //! juggler perf-report                        # gate BENCH_*.json against results/baselines/
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Umbrella crate for the Juggler reproduction.
 //!
 //! Re-exports every member crate under one roof so that examples and
