@@ -206,7 +206,9 @@ fn pattern(path: &str, fields: &Fields) -> String {
 fn write_fields(fields: &Fields) -> String {
     let (open, close, items) = match fields {
         Fields::Named(names) => {
-            let items = names.iter().map(|f| format!("__w.field(\"{f}\", {f}); "));
+            let items = names
+                .iter()
+                .map(|f| format!("__w.ident_field(\"{f}\", {f}); "));
             ("'{'", "'}'", items.collect::<String>())
         }
         Fields::Tuple(1) => return "::serde::Serialize::write_json(__f0, __w);".to_owned(),

@@ -336,6 +336,43 @@ fn malformed_documents_are_errors() {
 }
 
 #[test]
+fn malformed_numbers_name_the_fault() {
+    for (bad, want) in [
+        ("[-]", "invalid number at byte 2"),
+        ("[-x]", "invalid number at byte 2"),
+        ("[1e400]", "number out of range at byte 6"),
+        ("[-1e400]", "number out of range at byte 7"),
+        ("[1.5e999]", "number out of range at byte 8"),
+    ] {
+        let err = from_str::<Value>(bad).unwrap_err().to_string();
+        assert_eq!(err, want, "{bad:?}");
+        assert!(from_str::<Vec<f64>>(bad).is_err(), "{bad:?} read as f64");
+    }
+    assert!(from_str::<Vec<f32>>("[1e400]").is_err());
+}
+
+#[test]
+fn integers_beyond_u64_read_as_the_nearest_float() {
+    let text = "[18446744073709551616]";
+    let nearest = 18_446_744_073_709_551_616.0_f64;
+    assert_eq!(from_str::<Vec<f64>>(text).unwrap(), [nearest]);
+    assert_eq!(from_str::<Vec<f32>>(text).unwrap(), [nearest as f32]);
+    assert_eq!(
+        from_str::<Value>(text).unwrap(),
+        Value::Array(vec![Value::Float(nearest)])
+    );
+    let long = format!("[{}]", "9".repeat(400));
+    assert!(
+        from_str::<Value>(&long).is_err(),
+        "a number beyond f64 read"
+    );
+    // Integer targets keep the out-of-range error.
+    let err = from_str::<Vec<u64>>(text).unwrap_err().to_string();
+    assert_eq!(err, "number out of range at byte 21");
+    assert!(from_str::<Vec<i64>>("[-9223372036854775809]").is_err());
+}
+
+#[test]
 fn nesting_deeper_than_the_limit_is_an_error_not_a_stack_overflow() {
     let deep_arrays = "[".repeat(200_000);
     let err = from_str::<Value>(&deep_arrays).unwrap_err().to_string();

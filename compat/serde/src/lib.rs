@@ -23,11 +23,13 @@
 
 #![forbid(unsafe_code)]
 
+mod num;
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -171,7 +173,7 @@ pub trait Deserialize: Sized {
 pub fn to_json<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
     let mut w = JsonWriter::new(pretty);
     value.write_json(&mut w);
-    w.out
+    String::from_utf8(w.out).expect("the writer emits UTF-8")
 }
 
 /// Decodes one JSON document; only whitespace may follow the value.
@@ -192,7 +194,7 @@ pub fn __missing(name: &str) -> DeError {
 
 // ── writer ───────────────────────────────────────────────────────────
 
-/// Streaming JSON printer into one output `String`.
+/// Streaming JSON printer into one output buffer.
 ///
 /// A container is bracketed by [`JsonWriter::open`] and
 /// [`JsonWriter::close`]; inside it every array element is preceded by
@@ -200,7 +202,8 @@ pub fn __missing(name: &str) -> DeError {
 /// which place the separators and, in pretty mode, the newline and
 /// indentation.
 pub struct JsonWriter {
-    out: String,
+    /// UTF-8 by construction: whole `&str`s and ASCII bytes only.
+    out: Vec<u8>,
     pretty: bool,
     depth: usize,
     /// Nothing written yet in the innermost open container.
@@ -212,7 +215,8 @@ impl JsonWriter {
     #[must_use]
     pub fn new(pretty: bool) -> Self {
         JsonWriter {
-            out: String::new(),
+            // Small documents fit; a ~3.4 KB manifest skips six doublings.
+            out: Vec::with_capacity(256),
             pretty,
             depth: 0,
             first: true,
@@ -220,15 +224,24 @@ impl JsonWriter {
     }
 
     fn newline(&mut self) {
-        self.out.push('\n');
-        for _ in 0..self.depth {
-            self.out.push_str("  ");
+        const SPACES: &[u8; 64] = &[b' '; 64];
+        self.out.push(b'\n');
+        let mut indent = 2 * self.depth;
+        while indent > 0 {
+            let n = indent.min(SPACES.len());
+            self.out.extend_from_slice(&SPACES[..n]);
+            indent -= n;
         }
+    }
+
+    fn push_bracket(&mut self, bracket: char) {
+        debug_assert!(matches!(bracket, '[' | ']' | '{' | '}'), "{bracket:?}");
+        self.out.push(bracket as u8);
     }
 
     /// Opens an array (`'['`) or an object (`'{'`).
     pub fn open(&mut self, bracket: char) {
-        self.out.push(bracket);
+        self.push_bracket(bracket);
         self.depth += 1;
         self.first = true;
     }
@@ -239,14 +252,15 @@ impl JsonWriter {
         if self.pretty && !self.first {
             self.newline();
         }
-        self.out.push(bracket);
+        self.push_bracket(bracket);
         self.first = false;
     }
 
     /// Starts the next array element.
+    #[inline]
     pub fn elem(&mut self) {
         if !self.first {
-            self.out.push(',');
+            self.out.push(b',');
         }
         self.first = false;
         if self.pretty {
@@ -258,7 +272,8 @@ impl JsonWriter {
     pub fn key(&mut self, key: &str) {
         self.elem();
         self.str(key);
-        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.out
+            .extend_from_slice(if self.pretty { b": " } else { b":" });
     }
 
     /// Writes one object entry.
@@ -267,59 +282,83 @@ impl JsonWriter {
         value.write_json(self);
     }
 
+    /// Derive-macro helper: [`JsonWriter::field`] for a key that is a Rust
+    /// identifier, so it needs no escaping and is copied as is.
+    #[doc(hidden)]
+    #[inline]
+    pub fn ident_field<T: Serialize + ?Sized>(&mut self, key: &'static str, value: &T) {
+        debug_assert!(
+            key.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                && key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'),
+            "`{key}` is not an identifier"
+        );
+        self.elem();
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out
+            .extend_from_slice(if self.pretty { b"\": " } else { b"\":" });
+        value.write_json(self);
+    }
+
     /// Writes `null`.
     pub fn null(&mut self) {
-        self.out.push_str("null");
+        self.out.extend_from_slice(b"null");
     }
 
     /// Writes `true` or `false`.
     pub fn bool(&mut self, b: bool) {
-        self.out.push_str(if b { "true" } else { "false" });
+        self.out
+            .extend_from_slice(if b { b"true" } else { b"false" });
     }
 
-    /// Writes an integer.
-    pub fn int(&mut self, n: impl fmt::Display) {
-        write!(self.out, "{n}").expect("writing to a String cannot fail");
+    /// Writes a signed integer.
+    pub fn int(&mut self, n: i64) {
+        num::write_i64(&mut self.out, n);
     }
 
-    /// Writes a float in shortest round-trip form, with `.0` appended when
-    /// that form has no `.`/`e` so it stays recognizably a float. JSON has
+    /// Writes an unsigned integer.
+    pub fn uint(&mut self, n: u64) {
+        num::write_u64(&mut self.out, n);
+    }
+
+    /// Writes a float in shortest round-trip form (the text of
+    /// `format!("{x}")`: positional, never an exponent), with `.0` appended
+    /// when that has no fraction so it stays recognizably a float. JSON has
     /// no inf/nan: non-finite values print as `null`, as serde_json does.
     pub fn f64(&mut self, x: f64) {
-        if !x.is_finite() {
-            return self.null();
-        }
-        let start = self.out.len();
-        write!(self.out, "{x}").expect("writing to a String cannot fail");
-        if !self.out.as_bytes()[start..]
-            .iter()
-            .any(|b| matches!(b, b'.' | b'e' | b'E'))
-        {
-            self.out.push_str(".0");
+        if x.is_finite() {
+            num::write_f64(&mut self.out, x);
+        } else {
+            self.null();
         }
     }
 
     /// Writes a quoted string, escaping `"`, `\\` and control characters.
     pub fn str(&mut self, s: &str) {
-        self.out.push('"');
-        let mut rest = s;
+        self.out.push(b'"');
+        let mut rest = s.as_bytes();
         loop {
-            let n = plain_run(rest.as_bytes(), true);
-            self.out.push_str(&rest[..n]);
-            let Some(&b) = rest.as_bytes().get(n) else {
+            let n = plain_run(rest, true);
+            self.out.extend_from_slice(&rest[..n]);
+            let Some(&b) = rest.get(n) else {
                 break;
             };
             match b {
-                b'"' => self.out.push_str("\\\""),
-                b'\\' => self.out.push_str("\\\\"),
-                b'\n' => self.out.push_str("\\n"),
-                b'\r' => self.out.push_str("\\r"),
-                b'\t' => self.out.push_str("\\t"),
-                _ => write!(self.out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+                b'"' => self.out.extend_from_slice(b"\\\""),
+                b'\\' => self.out.extend_from_slice(b"\\\\"),
+                b'\n' => self.out.extend_from_slice(b"\\n"),
+                b'\r' => self.out.extend_from_slice(b"\\r"),
+                b'\t' => self.out.extend_from_slice(b"\\t"),
+                _ => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    self.out.extend_from_slice(b"\\u00");
+                    self.out.push(HEX[usize::from(b >> 4)]);
+                    self.out.push(HEX[usize::from(b & 15)]);
+                }
             }
             rest = &rest[n + 1..];
         }
-        self.out.push('"');
+        self.out.push(b'"');
     }
 }
 
@@ -327,20 +366,39 @@ impl JsonWriter {
 /// `controls`, of bytes below 0x20), tested eight bytes at a time.
 fn plain_run(bytes: &[u8], controls: bool) -> usize {
     const ONES: u64 = 0x0101_0101_0101_0101;
-    // Nonzero iff some byte of `w` is below `n` (exact for n <= 0x80).
+    // High bit set in each byte of `w` below `n` (n <= 0x80), and maybe in
+    // bytes above the lowest such byte: the lowest set bit is exact.
     let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & (ONES << 7);
-    let plain_words = bytes.chunks_exact(8).take_while(|chunk| {
-        let w = u64::from_le_bytes((*chunk).try_into().expect("chunks_exact(8)"));
+    let mut i = 0;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         let hit = below(w ^ (ONES * u64::from(b'"')), 1)
             | below(w ^ (ONES * u64::from(b'\\')), 1)
             | if controls { below(w, 0x20) } else { 0 };
-        hit == 0
-    });
-    let i = 8 * plain_words.count();
+        if hit != 0 {
+            return i + (hit.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
     let stop = bytes[i..]
         .iter()
         .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20));
     i + stop.unwrap_or(bytes.len() - i)
+}
+
+/// Length of the leading run of spaces in `bytes`, tested eight bytes at
+/// a time.
+fn space_run(bytes: &[u8]) -> usize {
+    const SPACES: u64 = 0x2020_2020_2020_2020;
+    let mut i = 0;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let other = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ SPACES;
+        if other != 0 {
+            return i + (other.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    i + bytes[i..].iter().take_while(|&&b| b == b' ').count()
 }
 
 // ── reader ───────────────────────────────────────────────────────────
@@ -382,15 +440,23 @@ impl<'a> JsonReader<'a> {
     }
 
     /// The next non-whitespace byte, not consumed.
+    #[inline]
     pub fn peek(&mut self) -> Option<u8> {
+        match self.src.as_bytes().get(self.pos) {
+            Some(&b) if b > b' ' => Some(b),
+            _ => self.skip_whitespace(),
+        }
+    }
+
+    /// [`JsonReader::peek`] when whitespace may come first.
+    fn skip_whitespace(&mut self) -> Option<u8> {
         let bytes = self.src.as_bytes();
         loop {
-            // Pretty input indents with runs of spaces: take four at a time.
-            while bytes.get(self.pos..self.pos + 4) == Some(b"    ") {
-                self.pos += 4;
-            }
             match bytes.get(self.pos) {
-                Some(b' ' | b'\t' | b'\n' | b'\r') => self.pos += 1,
+                // Pretty input indents each line with a run of spaces: skip
+                // it eight bytes at a time.
+                Some(b' ' | b'\n') => self.pos += 1 + space_run(&bytes[self.pos + 1..]),
+                Some(b'\t' | b'\r') => self.pos += 1,
                 next => return next.copied(),
             }
         }
@@ -439,8 +505,16 @@ impl<'a> JsonReader<'a> {
 
     /// Reads a number as written: [`Value::Int`], or [`Value::UInt`] above
     /// `i64::MAX`, or [`Value::Float`] when it has `.`, `e` or an inner
-    /// sign. `want` names the expected kind in a mismatch error.
+    /// sign, or is an integer beyond `u64` (the nearest float, as
+    /// serde_json reads it). A value beyond `f64` is out of range. `want`
+    /// names the expected kind in a mismatch error.
     pub fn number(&mut self, want: &str) -> Result<Value, DeError> {
+        self.number_as(want, false)
+    }
+
+    /// [`JsonReader::number`]; for an `integer` target an integer beyond
+    /// `u64` is out of range rather than a float.
+    fn number_as(&mut self, want: &str, integer: bool) -> Result<Value, DeError> {
         if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
             return Err(self.expected(want));
         }
@@ -457,17 +531,45 @@ impl<'a> JsonReader<'a> {
             self.pos += 1;
         }
         let text = &self.src[start..self.pos];
-        if is_float {
-            text.parse()
-                .map(Value::Float)
-                .map_err(|_| self.err("invalid number"))
-        } else if let Ok(n) = text.parse() {
-            Ok(Value::Int(n))
-        } else if let Ok(n) = text.parse() {
-            Ok(Value::UInt(n))
-        } else {
-            Err(self.err("number out of range"))
+        if text == "-" {
+            return Err(self.err("invalid number"));
         }
+        if !is_float {
+            if let Ok(n) = text.parse() {
+                return Ok(Value::Int(n));
+            } else if let Ok(n) = text.parse() {
+                return Ok(Value::UInt(n));
+            } else if integer {
+                return Err(self.err("number out of range"));
+            }
+        }
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Value::Float(x)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
+    }
+
+    /// A plain run of at most 19 digits at the cursor (so it fits `u64`)
+    /// that ends the number, and its length; `None` for anything
+    /// [`JsonReader::number`] must judge: a sign, a fraction, an exponent
+    /// or a longer run.
+    fn plain_digits(&mut self) -> Option<(u64, usize)> {
+        self.peek()?;
+        let bytes = &self.src.as_bytes()[self.pos..];
+        let len = bytes
+            .iter()
+            .take(20)
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if len == 0 || len > 19 || matches!(bytes.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            return None;
+        }
+        let n = bytes[..len]
+            .iter()
+            .fold(0, |n: u64, &b| n * 10 + u64::from(b - b'0'));
+        Some((n, len))
     }
 
     /// Reads a string, borrowed from the input when it has no escapes.
@@ -598,6 +700,10 @@ impl<'a> JsonReader<'a> {
             return Err(self.err("expected `:`"));
         }
         self.pos += 1;
+        // Pretty output puts one space after the colon.
+        if self.src.as_bytes().get(self.pos) == Some(&b' ') {
+            self.pos += 1;
+        }
         Ok(Some(key))
     }
 
@@ -638,25 +744,55 @@ impl<'a> JsonReader<'a> {
 
 // ── scalar impls ─────────────────────────────────────────────────────
 
+/// Reads an integer target `T` named `ty` (`want` is "integer for
+/// {ty}"): a plain digit run that fits `T` directly, anything else through
+/// [`int_from_number`], so every error message and offset is the one
+/// [`JsonReader::number`] gives.
+fn read_int<T: TryFrom<i64> + TryFrom<u64>>(
+    r: &mut JsonReader<'_>,
+    want: &str,
+    ty: &str,
+) -> Result<T, DeError> {
+    if let Some((n, len)) = r.plain_digits() {
+        if let Ok(n) = T::try_from(n) {
+            r.pos += len;
+            return Ok(n);
+        }
+    }
+    int_from_number(r, want, ty)
+}
+
+/// Reads an integer target `T` named `ty` through [`JsonReader::number`].
+fn int_from_number<T: TryFrom<i64> + TryFrom<u64>>(
+    r: &mut JsonReader<'_>,
+    want: &str,
+    ty: &str,
+) -> Result<T, DeError> {
+    let n = match r.number_as(want, true)? {
+        Value::Int(n) => T::try_from(n).map_err(|_| n.to_string()),
+        Value::UInt(n) => T::try_from(n).map_err(|_| n.to_string()),
+        _ => return Err(r.err(&format!("expected integer for {ty}, got number"))),
+    };
+    n.map_err(|n| r.err(&format!("{n} out of range for {ty}")))
+}
+
 macro_rules! impl_int {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $write:ident as $wide:ty),*) => {$(
         impl Serialize for $t {
-            fn write_json(&self, w: &mut JsonWriter) { w.int(self) }
+            fn write_json(&self, w: &mut JsonWriter) { w.$write(*self as $wide) }
         }
         impl Deserialize for $t {
             fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-                let n = match r.number(concat!("integer for ", stringify!($t)))? {
-                    Value::Int(n) => <$t>::try_from(n).map_err(|_| n.to_string()),
-                    Value::UInt(n) => <$t>::try_from(n).map_err(|_| n.to_string()),
-                    _ => return Err(r.err(concat!("expected integer for ", stringify!($t), ", got number"))),
-                };
-                n.map_err(|n| r.err(&format!("{n} out of range for {}", stringify!($t))))
+                read_int(r, concat!("integer for ", stringify!($t)), stringify!($t))
             }
         }
     )*};
 }
 
-impl_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
+impl_int!(
+    i8 => int as i64, i16 => int as i64, i32 => int as i64, i64 => int as i64, isize => int as i64,
+    u8 => uint as u64, u16 => uint as u64, u32 => uint as u64, u64 => uint as u64, usize => uint as u64
+);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
@@ -963,8 +1099,8 @@ impl Serialize for Value {
         match self {
             Value::Null => w.null(),
             Value::Bool(b) => w.bool(*b),
-            Value::Int(n) => w.int(n),
-            Value::UInt(n) => w.int(n),
+            Value::Int(n) => w.int(*n),
+            Value::UInt(n) => w.uint(*n),
             Value::Float(x) => w.f64(*x),
             Value::Str(s) => w.str(s),
             Value::Array(items) => items.write_json(w),
@@ -1045,6 +1181,73 @@ mod tests {
         assert_eq!(from_json::<u64>(&text).unwrap(), big);
         assert!(from_json::<u32>(&text).is_err());
         assert_eq!(to_json(&i64::MIN, false), i64::MIN.to_string());
+    }
+
+    /// The integer fast path against the `number()` path it stands in for:
+    /// the same value, or the same error at the same offset.
+    #[test]
+    fn integer_fast_path_matches_number_path() {
+        fn both<T: TryFrom<i64> + TryFrom<u64> + PartialEq + fmt::Debug>(src: &str) {
+            let mut fast = JsonReader::new(src);
+            let mut slow = JsonReader::new(src);
+            let a = read_int::<T>(&mut fast, "integer for T", "T").map_err(|e| e.0);
+            let b = int_from_number::<T>(&mut slow, "integer for T", "T").map_err(|e| e.0);
+            assert_eq!(a, b, "{src:?}");
+            assert_eq!(fast.pos, slow.pos, "{src:?}");
+        }
+        for src in [
+            "0",
+            "007",
+            "-0",
+            "12abc",
+            "1e3",
+            "300",
+            " 42 ",
+            "1.5",
+            "9999999999999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-9223372036854775808",
+            "-",
+            "x",
+            "",
+        ] {
+            both::<u8>(src);
+            both::<i32>(src);
+            both::<u64>(src);
+            both::<i64>(src);
+        }
+        assert_eq!(
+            from_json::<u8>("300").unwrap_err().0,
+            "300 out of range for u8 at byte 3"
+        );
+        assert_eq!(from_json::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(
+            from_json::<u64>("18446744073709551616").unwrap_err().0,
+            "number out of range at byte 20"
+        );
+    }
+
+    #[test]
+    fn space_runs_skip_in_words() {
+        for n in 0..40 {
+            let src = format!("{}7{}", " ".repeat(n), " ".repeat(n % 9));
+            assert_eq!(space_run(src.as_bytes()), n, "{n}");
+            assert_eq!(from_json::<u32>(&src).unwrap(), 7);
+        }
+        assert_eq!(
+            from_json::<Vec<u8>>("[\n        1,\t\r\n 2 ]").unwrap(),
+            [1, 2]
+        );
+    }
+
+    #[test]
+    fn control_characters_escape_as_hex() {
+        assert_eq!(to_json("a\u{1}\u{1f}b", false), r#""a\u0001\u001fb""#);
+        assert_eq!(
+            from_json::<String>(r#""a\u0001\u001fb""#).unwrap(),
+            "a\u{1}\u{1f}b"
+        );
     }
 
     #[test]

@@ -468,6 +468,15 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
             Check::new("digests_identical", CheckOp::Equals),
             Check::new("manifest_window.manifests", CheckOp::Equals),
         ]),
+        // JSON number text (kernel vs `format!`) and manifest
+        // parse/serialize throughput: the kernel's text must equal
+        // `format!`'s and the window must not drift. The >=1.3x f64 text
+        // speedup is the bench's own gate, so no host speed is pinned here.
+        "json_throughput" => Some(vec![
+            Check::new("reps", CheckOp::Equals),
+            Check::new("manifests", CheckOp::Equals),
+            Check::new("output_identical", CheckOp::Equals),
+        ]),
         // Single-run simulator throughput vs the frozen pre-rework
         // constants. The workload shape, the frozen constants, and the
         // determinism flag must not drift. The speedup bar is a

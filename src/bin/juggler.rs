@@ -303,22 +303,30 @@ fn cmd_train_all(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// A finite, strictly positive number for `what`.
+fn parse_positive(s: &str, what: &str) -> Result<f64, String> {
+    let x: f64 = parse_num(s, what)?;
+    if x.is_finite() && x > 0.0 {
+        Ok(x)
+    } else {
+        Err(format!(
+            "invalid {what}: `{s}` (must be a positive finite number)"
+        ))
+    }
+}
+
 fn cmd_recommend(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("recommend needs an artifact path")?;
+    let e = parse_positive(&flag(args, "-e").ok_or("missing -e <examples>")?, "-e")?;
+    let f = parse_positive(&flag(args, "-f").ok_or("missing -f <features>")?, "-f")?;
+    let ram_gb = flag(args, "--ram-gb")
+        .map(|gb| parse_positive(&gb, "--ram-gb"))
+        .transpose()?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let trained: TrainedJuggler = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-    let e: f64 = parse_num(
-        &flag(args, "-e").ok_or("missing -e <examples>")?,
-        "examples",
-    )?;
-    let f: f64 = parse_num(
-        &flag(args, "-f").ok_or("missing -f <features>")?,
-        "features",
-    )?;
 
-    let menu = match flag(args, "--ram-gb") {
+    let menu = match ram_gb {
         Some(gb) => {
-            let gb: f64 = parse_num(&gb, "--ram-gb")?;
             let spec = MachineSpec {
                 ram_bytes: (gb * 1e9) as u64,
                 ..trained.target_spec
