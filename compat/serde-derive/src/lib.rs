@@ -8,15 +8,24 @@
 //! Implemented directly on `proc_macro::TokenStream` — the environment has
 //! no crates.io access, so `syn`/`quote` are unavailable. The parser only
 //! understands the shapes this workspace actually uses: non-generic structs
-//! (named, tuple, unit) and enums (unit, tuple, struct variants), with
-//! arbitrary attributes skipped.
+//! (named, tuple, unit) and enums (unit, tuple, struct variants).
+//!
+//! Of serde's attributes it implements four, on named-field structs:
+//! field `default` and `default = "path"`, container `default` (absent
+//! fields from `Self::default()`) and container `deny_unknown_fields` (an
+//! unknown or repeated key is an error). Any other `serde` attribute is a
+//! compile error naming it. A struct with one of them names the field in
+//! a field's decode error; a struct without any generates the plain
+//! reader unchanged.
 
 #![forbid(unsafe_code)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Fields {
-    Named(Vec<String>),
+    /// Field names, and each field's `default` option (`default` or
+    /// `default="path"`), if any.
+    Named(Vec<String>, Vec<Option<String>>),
     Tuple(usize),
     Unit,
 }
@@ -30,6 +39,8 @@ enum Item {
     Struct {
         name: String,
         fields: Fields,
+        /// Container options: `default`, `deny_unknown_fields`.
+        opts: Vec<String>,
     },
     Enum {
         name: String,
@@ -37,19 +48,41 @@ enum Item {
     },
 }
 
-/// Skips `#[...]` attribute pairs at the cursor.
-fn skip_attrs(toks: &[TokenTree], mut i: usize) -> usize {
-    while i + 1 < toks.len() {
-        match (&toks[i], &toks[i + 1]) {
-            (TokenTree::Punct(p), TokenTree::Group(g))
-                if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
-            {
-                i += 2;
-            }
-            _ => break,
+fn unsupported(opt: &str) -> String {
+    let name = opt.split('=').next().unwrap_or(opt);
+    format!("serde attribute `{name}` is not supported by the vendored derive")
+}
+
+/// The `serde` options of the `#[...]` attributes at the cursor, with
+/// whitespace removed (`default="f"`), and the index past them. Other
+/// attributes (docs) are skipped; an option that `allowed` does not list
+/// (`default=` stands for any `default = "…"`) is an error.
+fn parse_attrs(
+    toks: &[TokenTree],
+    mut i: usize,
+    allowed: &[&str],
+) -> Result<(Vec<String>, usize), String> {
+    let mut opts = Vec::new();
+    while let (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g))) =
+        (toks.get(i), toks.get(i + 1))
+    {
+        if p.as_char() != '#' || g.delimiter() != Delimiter::Bracket {
+            break;
         }
+        let text: String = g.stream().to_string().split_whitespace().collect();
+        if let Some(rest) = text.strip_prefix("serde") {
+            let list = rest.strip_prefix('(').and_then(|r| r.strip_suffix(')'));
+            for opt in list.ok_or(format!("malformed `#[{text}]`"))?.split(',') {
+                let key = opt.find('=').map_or(opt, |eq| &opt[..=eq]);
+                if !allowed.contains(&key) {
+                    return Err(unsupported(opt));
+                }
+                opts.push(opt.to_owned());
+            }
+        }
+        i += 2;
     }
-    i
+    Ok((opts, i))
 }
 
 /// Skips `pub` / `pub(...)` visibility at the cursor.
@@ -84,8 +117,8 @@ fn skip_to_comma(toks: &[TokenTree], mut i: usize) -> usize {
 }
 
 /// The fields in a `{ .. }` (named) or `( .. )` (tuple) body; `None` for
-/// any other token.
-fn parse_fields(body: Option<&TokenTree>) -> Result<Option<Fields>, String> {
+/// any other token. Named fields may carry the `allowed` options.
+fn parse_fields(body: Option<&TokenTree>, allowed: &[&str]) -> Result<Option<Fields>, String> {
     let Some(TokenTree::Group(g)) = body else {
         return Ok(None);
     };
@@ -95,9 +128,11 @@ fn parse_fields(body: Option<&TokenTree>) -> Result<Option<Fields>, String> {
         _ => return Ok(None),
     };
     let toks: Vec<TokenTree> = g.stream().into_iter().collect();
-    let (mut names, mut arity, mut i) = (Vec::new(), 0, 0);
+    let (mut names, mut defaults, mut arity, mut i) = (Vec::new(), Vec::new(), 0, 0);
     while i < toks.len() {
-        i = skip_vis(&toks, skip_attrs(&toks, i));
+        let (mut opts, next) = parse_attrs(&toks, i, if named { allowed } else { &[] })?;
+        defaults.push(opts.pop());
+        i = skip_vis(&toks, next);
         if i >= toks.len() {
             break;
         }
@@ -113,7 +148,7 @@ fn parse_fields(body: Option<&TokenTree>) -> Result<Option<Fields>, String> {
         i = skip_to_comma(&toks, i) + 1; // past the type and its comma
     }
     Ok(Some(if named {
-        Fields::Named(names)
+        Fields::Named(names, defaults)
     } else {
         Fields::Tuple(arity)
     }))
@@ -123,7 +158,7 @@ fn parse_variants(group: &[TokenTree]) -> Result<Vec<Variant>, String> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < group.len() {
-        i = skip_attrs(group, i);
+        i = parse_attrs(group, i, &[])?.1;
         if i >= group.len() {
             break;
         }
@@ -132,7 +167,7 @@ fn parse_variants(group: &[TokenTree]) -> Result<Vec<Variant>, String> {
         };
         let name = name.to_string();
         i += 1;
-        let fields = match parse_fields(group.get(i))? {
+        let fields = match parse_fields(group.get(i), &[])? {
             Some(fields) => {
                 i += 1;
                 fields
@@ -147,7 +182,8 @@ fn parse_variants(group: &[TokenTree]) -> Result<Vec<Variant>, String> {
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let toks: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = skip_vis(&toks, skip_attrs(&toks, 0));
+    let (opts, next) = parse_attrs(&toks, 0, &["default", "deny_unknown_fields"])?;
+    let mut i = skip_vis(&toks, next);
     let kind = match &toks.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
         other => return Err(format!("expected `struct` or `enum`, got {other:?}")),
@@ -167,13 +203,20 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     }
     match kind.as_str() {
         "struct" => {
-            let fields = match (parse_fields(toks.get(i))?, toks.get(i)) {
+            let fields = match (
+                parse_fields(toks.get(i), &["default", "default="])?,
+                toks.get(i),
+            ) {
                 (Some(fields), _) => fields,
                 (None, Some(TokenTree::Punct(p))) if p.as_char() == ';' => Fields::Unit,
                 (None, other) => return Err(format!("unexpected struct body: {other:?}")),
             };
-            Ok(Item::Struct { name, fields })
+            match (&fields, opts.first()) {
+                (Fields::Named(..), _) | (_, None) => Ok(Item::Struct { name, fields, opts }),
+                (_, Some(opt)) => Err(unsupported(opt)),
+            }
         }
+        "enum" if !opts.is_empty() => Err(unsupported(&opts[0])),
         "enum" => match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
@@ -195,7 +238,7 @@ fn letters(n: usize) -> Vec<String> {
 /// A pattern binding every field of `path` by reference.
 fn pattern(path: &str, fields: &Fields) -> String {
     match fields {
-        Fields::Named(names) => format!("{path} {{ {} }}", names.join(", ")),
+        Fields::Named(names, _) => format!("{path} {{ {} }}", names.join(", ")),
         Fields::Tuple(n) => format!("{path}({})", letters(*n).join(", ")),
         Fields::Unit => path.to_owned(),
     }
@@ -205,7 +248,7 @@ fn pattern(path: &str, fields: &Fields) -> String {
 /// transparent newtype, an array, or `null`.
 fn write_fields(fields: &Fields) -> String {
     let (open, close, items) = match fields {
-        Fields::Named(names) => {
+        Fields::Named(names, _) => {
             let items = names
                 .iter()
                 .map(|f| format!("__w.ident_field(\"{f}\", {f}); "));
@@ -225,7 +268,7 @@ fn write_fields(fields: &Fields) -> String {
 
 fn gen_serialize(item: &Item) -> String {
     let (name, arms) = match item {
-        Item::Struct { name, fields } => {
+        Item::Struct { name, fields, .. } => {
             let arm = format!(
                 "{} => {{ {} }}\n",
                 pattern(name, fields),
@@ -256,10 +299,13 @@ fn gen_serialize(item: &Item) -> String {
 
 /// An expression reading `path`'s fields. Objects accept keys in any
 /// order, validate and skip unknown keys, keep the first of duplicate
-/// keys and name a missing field in the error.
-fn read_fields(path: &str, fields: &Fields) -> String {
-    let names = match fields {
-        Fields::Named(names) => names,
+/// keys and name a missing field in the error. With `serde` attributes
+/// (container `opts` or a field `default`) a field's decode error names
+/// the field, an absent field takes its default, and under
+/// `deny_unknown_fields` an unknown or repeated key is an error.
+fn read_fields(path: &str, fields: &Fields, opts: &[String]) -> String {
+    let (names, defaults) = match fields {
+        Fields::Named(names, defaults) => (names, defaults),
         Fields::Tuple(1) => return format!("{path}(::serde::Deserialize::read_json(__r)?)"),
         Fields::Tuple(n) => {
             let elems = vec![format!("__r.elem(\"{path}\")?"); *n].join(", ");
@@ -267,29 +313,59 @@ fn read_fields(path: &str, fields: &Fields) -> String {
         }
         Fields::Unit => return format!("{{ __r.skip_value()?; {path} }}"),
     };
+    let has = |opt: &str| opts.iter().any(|o| o == opt);
+    let checked = !opts.is_empty() || defaults.iter().any(Option::is_some);
     let vars = letters(names.len());
     let mut s = format!("{{ __r.open(b'{{', \"{path}\")?; ");
+    if has("default") {
+        s.push_str(&format!(
+            "let __d: {path} = ::std::default::Default::default(); "
+        ));
+    }
     for v in &vars {
         s.push_str(&format!("let mut {v} = None; "));
     }
     s.push_str("while let Some(__k) = __r.next_key()? { match &*__k { ");
     for (f, v) in names.iter().zip(&vars) {
-        s.push_str(&format!(
-            "\"{f}\" if {v}.is_none() => {v} = Some(::serde::Deserialize::read_json(__r)?), "
-        ));
+        let read = if checked {
+            format!("::serde::Deserialize::read_json(__r).map_err(|e| ::serde::DeError(format!(\"field `{f}`: {{}}\", e)))?")
+        } else {
+            "::serde::Deserialize::read_json(__r)?".to_owned()
+        };
+        s.push_str(&format!("\"{f}\" if {v}.is_none() => {v} = Some({read}), "));
     }
-    s.push_str(&format!("_ => __r.skip_value()?, }} }} {path} {{ "));
-    for (f, v) in names.iter().zip(&vars) {
-        s.push_str(&format!(
-            "{f}: {v}.ok_or_else(|| ::serde::__missing(\"{f}\"))?, "
-        ));
+    if has("deny_unknown_fields") {
+        let error =
+            |what| format!("return Err(__r.err(&format!(\"{what} key `{{}}` for {path}\", __k)))");
+        if !names.is_empty() {
+            s.push_str(&format!(
+                "\"{}\" => {}, ",
+                names.join("\" | \""),
+                error("duplicate")
+            ));
+        }
+        s.push_str(&format!("_ => {}, ", error("unknown")));
+    } else {
+        s.push_str("_ => __r.skip_value()?, ");
+    }
+    s.push_str(&format!("}} }} {path} {{ "));
+    for ((f, v), default) in names.iter().zip(&vars).zip(defaults) {
+        let absent = match default.as_deref().map(|d| d.strip_prefix("default=")) {
+            Some(None) => ".unwrap_or_default()".to_owned(),
+            Some(Some(fun)) => format!(".unwrap_or_else({})", fun.trim_matches('"')),
+            None if has("default") => format!(".unwrap_or(__d.{f})"),
+            None => format!(".ok_or_else(|| ::serde::__missing(\"{f}\"))?"),
+        };
+        s.push_str(&format!("{f}: {v}{absent}, "));
     }
     s + "} }"
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let (name, body) = match item {
-        Item::Struct { name, fields } => (name, format!("Ok({})", read_fields(name, fields))),
+        Item::Struct { name, fields, opts } => {
+            (name, format!("Ok({})", read_fields(name, fields, opts)))
+        }
         Item::Enum { name, variants } => {
             // Unit variants arrive as bare strings, data variants as
             // single-key objects.
@@ -301,7 +377,7 @@ fn gen_deserialize(item: &Item) -> String {
                     _ => datas.push_str(&format!(
                         "\"{}\" => {},\n",
                         v.name,
-                        read_fields(&path, &v.fields)
+                        read_fields(&path, &v.fields, &[])
                     )),
                 }
             }

@@ -289,6 +289,103 @@ fn missing_field_error_names_the_field() {
     assert!(err.to_string().contains("missing field `y`"), "{err}");
 }
 
+/// Field `default` and `default = "path"`: absent keys take the field's
+/// default, present keys are read as usual.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Knobs {
+    name: String,
+    #[serde(default)]
+    count: u32,
+    #[serde(default = "three_halves")]
+    ratio: f64,
+    #[serde(default)]
+    tags: Vec<String>,
+}
+
+fn three_halves() -> f64 {
+    1.5
+}
+
+/// Container `default` with `deny_unknown_fields`: every absent field
+/// comes from `Self::default()`, and a stray or repeated key is an error.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
+struct Budget {
+    limit: f64,
+    retries: u32,
+}
+
+impl Default for Budget {
+    fn default() -> Self {
+        Budget {
+            limit: 0.25,
+            retries: 3,
+        }
+    }
+}
+
+#[test]
+fn field_defaults_fill_absent_keys() {
+    let k: Knobs = from_str(r#"{"name": "a"}"#).unwrap();
+    assert_eq!(
+        k,
+        Knobs {
+            name: "a".to_owned(),
+            count: 0,
+            ratio: 1.5,
+            tags: vec![],
+        }
+    );
+    let k: Knobs = from_str(r#"{"ratio": 2, "name": "b", "count": 7, "tags": ["t"]}"#).unwrap();
+    assert_eq!((k.count, k.ratio, k.tags.len()), (7, 2.0, 1));
+    assert_eq!(from_str::<Knobs>(&to_string(&k).unwrap()).unwrap(), k);
+    // A field without a default stays required; unknown keys are skipped.
+    let err = from_str::<Knobs>(r#"{"count": 1, "extra": 2}"#).unwrap_err();
+    assert!(err.to_string().contains("missing field `name`"), "{err}");
+    // Only the first of duplicate keys counts, as without attributes.
+    let k: Knobs = from_str(r#"{"name": "a", "count": 1, "count": 2}"#).unwrap();
+    assert_eq!(k.count, 1);
+}
+
+#[test]
+fn field_errors_name_the_field() {
+    let err = from_str::<Knobs>(r#"{"name": "a", "ratio": "x"}"#).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("field `ratio`: expected number for f64, got string"),
+        "{err}"
+    );
+}
+
+#[test]
+fn container_default_fills_every_absent_field() {
+    assert_eq!(from_str::<Budget>("{}").unwrap(), Budget::default());
+    let b: Budget = from_str(r#"{"retries": 5}"#).unwrap();
+    assert_eq!(
+        b,
+        Budget {
+            limit: 0.25,
+            retries: 5
+        }
+    );
+    assert!(from_str::<Budget>("[]").is_err());
+}
+
+#[test]
+fn deny_unknown_fields_rejects_strays_and_duplicates() {
+    let err = from_str::<Budget>(r#"{"limit": 0.5, "limt": 0.1}"#).unwrap_err();
+    assert!(
+        err.to_string().contains("unknown key `limt` for Budget"),
+        "{err}"
+    );
+    let err = from_str::<Budget>(r#"{"retries": 1, "retries": 2}"#).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("duplicate key `retries` for Budget"),
+        "{err}"
+    );
+}
+
 #[test]
 fn floats_are_rejected_for_integer_fields() {
     assert!(from_str::<Point>(r#"{"x": 1.0, "y": 2}"#).is_err());

@@ -20,6 +20,18 @@
 //! lexicographically; hash-set elements sort by value; pretty output keeps
 //! `[]`/`{}` for empty containers. The reader refuses nesting deeper than
 //! [`MAX_DEPTH`] instead of overflowing the stack.
+//!
+//! The derives implement four `serde` attributes (field `default` and
+//! `default = "path"`, container `default` and `deny_unknown_fields`);
+//! any other is a compile error that names it:
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct Knob {
+//!     #[serde(rename = "x")]
+//!     level: u32,
+//! }
+//! ```
 
 #![forbid(unsafe_code)]
 
@@ -65,24 +77,15 @@ impl Value {
         }
     }
 
-    /// The entries of an object, or a decode error naming `what`.
-    pub fn expect_object(&self, what: &str) -> Result<&[(String, Value)], DeError> {
-        match self {
-            Value::Object(entries) => Ok(entries),
-            _ => Err(self.mismatch("object", what)),
-        }
-    }
-
     /// The elements of an array, or a decode error naming `what`.
     pub fn expect_array(&self, what: &str) -> Result<&[Value], DeError> {
         match self {
             Value::Array(items) => Ok(items),
-            _ => Err(self.mismatch("array", what)),
+            _ => Err(DeError(format!(
+                "expected array for {what}, got {}",
+                self.kind()
+            ))),
         }
-    }
-
-    fn mismatch(&self, want: &str, what: &str) -> DeError {
-        DeError(format!("expected {want} for {what}, got {}", self.kind()))
     }
 
     /// Short kind name for error messages.

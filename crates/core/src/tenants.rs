@@ -34,7 +34,7 @@ use cluster_sim::{
 };
 use dagflow::{Application, Schedule};
 use instrument::profile_run;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use workloads::Workload;
 
 use crate::chaos::drill_params;
@@ -59,48 +59,61 @@ pub fn workload_by_name(name: &str) -> Option<Box<dyn Workload>> {
 }
 
 /// One tenant of a drill spec.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TenantSpec {
     /// Workload name (`LOR`, `SQLJOIN`, …), resolved by
     /// [`workload_by_name`].
     pub workload: String,
     /// FAIR scheduler weight; ≤ 0 admits the tenant but runs nothing.
+    #[serde(default = "unit_weight")]
     pub weight: f64,
     /// Seconds after drill start at which the tenant arrives.
+    #[serde(default)]
     pub arrival_offset_s: f64,
 }
 
 /// A full tenancy-drill specification — the schema of the JSON file
 /// `juggler tenants <spec.json>` accepts. Every field except `tenants`
 /// has a drill default (see [`TenantsSpec::from_json`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TenantsSpec {
     /// Cluster size (private-cluster machine spec, RAM overridden).
+    #[serde(default = "drill_machines")]
     pub machines: u32,
     /// Base RNG seed; tenant `i` runs with `seed + i`.
+    #[serde(default = "drill_seed")]
     pub seed: u64,
     /// Per-machine RAM in bytes (the contention knob).
+    #[serde(default = "drill_ram_bytes")]
     pub ram_bytes: u64,
     /// Contention-pressure factor for the hotspot audit section (see
     /// [`HotspotConfig::pressure`]).
+    #[serde(default = "drill_pressure")]
     pub pressure: f64,
     /// The tenants, in admission order.
     pub tenants: Vec<TenantSpec>,
 }
 
-/// Reads an optional numeric spec field as f64 (integers widen).
-fn num_field(v: &serde_json::Value, key: &str) -> Result<Option<f64>, String> {
-    use serde_json::Value;
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Int(i)) => Ok(Some(*i as f64)),
-        Some(Value::UInt(u)) => Ok(Some(*u as f64)),
-        Some(Value::Float(f)) => Ok(Some(*f)),
-        Some(other) => Err(format!(
-            "field `{key}` must be a number, got {}",
-            other.kind()
-        )),
-    }
+fn unit_weight() -> f64 {
+    1.0
+}
+
+fn drill_machines() -> u32 {
+    3
+}
+
+fn drill_seed() -> u64 {
+    0x7E4A7
+}
+
+fn drill_ram_bytes() -> u64 {
+    DRILL_RAM_BYTES
+}
+
+fn drill_pressure() -> f64 {
+    0.6
 }
 
 impl TenantsSpec {
@@ -111,10 +124,10 @@ impl TenantsSpec {
     #[must_use]
     pub fn drill() -> Self {
         TenantsSpec {
-            machines: 3,
-            seed: 0x7E4A7,
-            ram_bytes: DRILL_RAM_BYTES,
-            pressure: 0.6,
+            machines: drill_machines(),
+            seed: drill_seed(),
+            ram_bytes: drill_ram_bytes(),
+            pressure: drill_pressure(),
             tenants: vec![
                 TenantSpec {
                     workload: "LOR".to_owned(),
@@ -131,39 +144,10 @@ impl TenantsSpec {
     }
 
     /// Parses a spec from its JSON representation; absent optional fields
-    /// take the built-in drill's defaults. Parsed by hand over the JSON
-    /// value tree so optional fields work (the vendored serde derive has
-    /// no `#[serde(default)]` support).
+    /// take the built-in drill's defaults, and an unknown key is an
+    /// error.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v: serde_json::Value =
-            serde_json::from_str(text).map_err(|e| format!("invalid tenants spec: {e}"))?;
-        v.expect_object("tenants spec").map_err(|e| e.0)?;
-        let drill = TenantsSpec::drill();
-        let tenants = v
-            .get("tenants")
-            .ok_or("tenants spec is missing the `tenants` array")?
-            .expect_array("tenants")
-            .map_err(|e| e.0)?
-            .iter()
-            .map(|t| {
-                let workload = match t.get("workload") {
-                    Some(serde_json::Value::Str(s)) => s.clone(),
-                    _ => return Err("every tenant needs a string `workload`".to_owned()),
-                };
-                Ok(TenantSpec {
-                    workload,
-                    weight: num_field(t, "weight")?.unwrap_or(1.0),
-                    arrival_offset_s: num_field(t, "arrival_offset_s")?.unwrap_or(0.0),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(TenantsSpec {
-            machines: num_field(&v, "machines")?.map_or(drill.machines, |m| m as u32),
-            seed: num_field(&v, "seed")?.map_or(drill.seed, |s| s as u64),
-            ram_bytes: num_field(&v, "ram_bytes")?.map_or(drill.ram_bytes, |r| r as u64),
-            pressure: num_field(&v, "pressure")?.unwrap_or(drill.pressure),
-            tenants,
-        })
+        serde_json::from_str(text).map_err(|e| format!("invalid tenants spec: {e}"))
     }
 }
 
@@ -329,6 +313,9 @@ pub fn run_tenants(spec: &TenantsSpec) -> Result<TenantsOutcome, String> {
     if spec.tenants.is_empty() {
         return Err("tenants spec names no tenants".to_owned());
     }
+    if spec.machines < 1 {
+        return Err("tenants spec needs `machines` of at least 1".to_owned());
+    }
     let workloads: Vec<Box<dyn Workload>> = spec
         .tenants
         .iter()
@@ -466,6 +453,11 @@ mod tests {
             ..TenantsSpec::drill()
         };
         assert!(run_tenants(&unknown).unwrap_err().contains("NOPE"));
+        let no_machines = TenantsSpec {
+            machines: 0,
+            ..TenantsSpec::drill()
+        };
+        assert!(run_tenants(&no_machines).unwrap_err().contains("machines"));
     }
 
     #[test]

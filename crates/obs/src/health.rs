@@ -26,7 +26,7 @@
 //! which detector, refit advice) lives in `juggler-core::watchtower` —
 //! obs only knows streams, budgets, and verdicts.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Fixed-point scale: `1.0` (100 % relative error) in micro-units.
 pub const MICRO: i64 = 1_000_000;
@@ -282,6 +282,7 @@ impl EwmaBand {
 /// [`SloSpec::from_json`]; every field has a default so a spec file only
 /// states what it tightens.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct SloSpec {
     /// Per-run and window-mean ceiling on the mean relative
     /// time-prediction error (fraction; a run above it *breaches*).
@@ -318,37 +319,8 @@ impl SloSpec {
     /// are an error (a typoed budget must not silently loosen to the
     /// default), wrong kinds are an error, absent keys keep defaults.
     pub fn from_json(raw: &str) -> Result<Self, String> {
-        let doc: Value = serde_json::from_str(raw).map_err(|e| format!("slo spec: {e}"))?;
-        let Value::Object(fields) = &doc else {
-            return Err("slo spec: expected a JSON object".into());
-        };
-        let mut slo = SloSpec::default();
-        for (key, value) in fields {
-            let num = || -> Result<f64, String> {
-                match value {
-                    Value::Int(n) => Ok(*n as f64),
-                    Value::UInt(n) => Ok(*n as f64),
-                    Value::Float(x) if x.is_finite() => Ok(*x),
-                    _ => Err(format!("slo spec: `{key}` must be a finite number")),
-                }
-            };
-            match key.as_str() {
-                "max_mean_time_rel_error" => slo.max_mean_time_rel_error = num()?,
-                "max_p95_time_rel_error" => slo.max_p95_time_rel_error = num()?,
-                "max_mean_size_rel_error" => slo.max_mean_size_rel_error = num()?,
-                "max_consecutive_breaches" => {
-                    let n = num()?;
-                    if n < 0.0 || n.fract() != 0.0 {
-                        return Err(format!("slo spec: `{key}` must be a non-negative integer"));
-                    }
-                    slo.max_consecutive_breaches = n as u32;
-                }
-                "budget_breach_fraction" => slo.budget_breach_fraction = num()?,
-                "warn_burn_rate" => slo.warn_burn_rate = num()?,
-                other => return Err(format!("slo spec: unknown key `{other}`")),
-            }
-        }
-        // num() already rejected non-finite values, so <= is exhaustive.
+        let slo: SloSpec = serde_json::from_str(raw).map_err(|e| format!("slo spec: {e}"))?;
+        // JSON has no non-finite numbers, so <= is exhaustive.
         if slo.budget_breach_fraction <= 0.0 {
             return Err("slo spec: `budget_breach_fraction` must be positive".into());
         }
@@ -572,10 +544,16 @@ mod tests {
         let err = SloSpec::from_json(r#"{"max_mean_time_err": 0.05}"#).unwrap_err();
         assert!(err.contains("unknown key"), "{err}");
         let err = SloSpec::from_json(r#"{"max_mean_time_rel_error": "a"}"#).unwrap_err();
-        assert!(err.contains("finite number"), "{err}");
+        assert!(
+            err.contains("max_mean_time_rel_error") && err.contains("expected number"),
+            "{err}"
+        );
         let err = SloSpec::from_json(r#"{"budget_breach_fraction": 0}"#).unwrap_err();
         assert!(err.contains("positive"), "{err}");
         let err = SloSpec::from_json(r#"{"max_consecutive_breaches": 2.5}"#).unwrap_err();
+        assert!(err.contains("integer"), "{err}");
+        // A derived u32 takes no float, integral or not, as serde does.
+        let err = SloSpec::from_json(r#"{"max_consecutive_breaches": 3.0}"#).unwrap_err();
         assert!(err.contains("integer"), "{err}");
     }
 

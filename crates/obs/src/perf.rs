@@ -643,7 +643,7 @@ mod tests {
                 calls: 1,
                 total_ns: sim_ns,
                 self_ns: sim_ns,
-                counters: Vec::new(),
+                counters: Default::default(),
                 children: Vec::new(),
             }],
         };

@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::format::{fmt_duration_s, fmt_percent};
@@ -237,7 +238,7 @@ fn build_node(name: &str, m: &MergedNode) -> ProfileNode {
         calls: m.calls,
         total_ns,
         self_ns: total_ns - child_sum,
-        counters: m.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+        counters: m.counters.clone(),
         children,
     }
 }
@@ -378,22 +379,28 @@ impl ForkCtx {
 // ── the exported profile ─────────────────────────────────────────────
 
 /// One node of an exported profile: aggregated calls, total/self wall
-/// time, counter deltas, and name-sorted children.
-#[derive(Debug, Clone, PartialEq)]
+/// time, counter deltas, and name-sorted children. Its JSON form is the
+/// derived one; only `name` is required.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileNode {
     /// Phase name (one path segment).
     pub name: String,
     /// How many spans ended at this node.
+    #[serde(default)]
     pub calls: u64,
     /// Wall time, ns: the node's own measurement or its children's sum,
     /// whichever is larger (parallel children can exceed the parent's
     /// wall clock).
+    #[serde(default)]
     pub total_ns: u64,
     /// Total minus children — the flamegraph weight.
+    #[serde(default)]
     pub self_ns: u64,
-    /// Counter deltas attributed to this node, key-sorted.
-    pub counters: Vec<(String, u64)>,
+    /// Counter deltas attributed to this node.
+    #[serde(default)]
+    pub counters: BTreeMap<String, u64>,
     /// Child phases, name-sorted.
+    #[serde(default)]
     pub children: Vec<ProfileNode>,
 }
 
@@ -470,7 +477,7 @@ impl Profile {
             ("version".to_owned(), Value::Int(1)),
             (
                 "roots".to_owned(),
-                Value::Array(self.roots.iter().map(node_to_json).collect()),
+                serde_json::to_value(&self.roots).expect("profile serializes"),
             ),
         ])
     }
@@ -486,17 +493,9 @@ impl Profile {
     /// # Errors
     /// Returns a message naming the first malformed field.
     pub fn from_value(v: &Value) -> Result<Profile, String> {
-        let roots = v
-            .get("roots")
-            .ok_or("profile JSON missing `roots`")?
-            .expect_array("roots")
-            .map_err(|e| e.to_string())?;
-        Ok(Profile {
-            roots: roots
-                .iter()
-                .map(node_from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-        })
+        let roots = v.get("roots").ok_or("profile JSON missing `roots`")?;
+        let roots = serde_json::from_value(roots.clone()).map_err(|e| format!("roots: {e}"))?;
+        Ok(Profile { roots })
     }
 
     /// Parses a profile from a canonical JSON string.
@@ -575,69 +574,6 @@ fn collect_stacks(node: &ProfileNode, frames: &mut Vec<String>, out: &mut Vec<(V
         collect_stacks(child, frames, out);
     }
     frames.pop();
-}
-
-fn node_to_json(node: &ProfileNode) -> Value {
-    Value::Object(vec![
-        ("name".to_owned(), Value::Str(node.name.clone())),
-        ("calls".to_owned(), Value::UInt(node.calls)),
-        ("total_ns".to_owned(), Value::UInt(node.total_ns)),
-        ("self_ns".to_owned(), Value::UInt(node.self_ns)),
-        (
-            "counters".to_owned(),
-            Value::Object(
-                node.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::UInt(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "children".to_owned(),
-            Value::Array(node.children.iter().map(node_to_json).collect()),
-        ),
-    ])
-}
-
-fn json_u64(v: &Value, what: &str) -> Result<u64, String> {
-    match v {
-        Value::Int(n) if *n >= 0 => Ok(*n as u64),
-        Value::UInt(n) => Ok(*n),
-        Value::Float(x) if *x >= 0.0 && x.fract() == 0.0 => Ok(*x as u64),
-        other => Err(format!(
-            "expected unsigned integer for {what}, got {other:?}"
-        )),
-    }
-}
-
-fn node_from_json(v: &Value) -> Result<ProfileNode, String> {
-    let name = match v.get("name") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => return Err("profile node missing string `name`".to_owned()),
-    };
-    let calls = json_u64(v.get("calls").unwrap_or(&Value::Int(0)), "calls")?;
-    let total_ns = json_u64(v.get("total_ns").unwrap_or(&Value::Int(0)), "total_ns")?;
-    let self_ns = json_u64(v.get("self_ns").unwrap_or(&Value::Int(0)), "self_ns")?;
-    let mut counters = Vec::new();
-    if let Some(c) = v.get("counters") {
-        for (k, cv) in c.expect_object("counters").map_err(|e| e.to_string())? {
-            counters.push((k.clone(), json_u64(cv, k)?));
-        }
-    }
-    let mut children = Vec::new();
-    if let Some(c) = v.get("children") {
-        for cv in c.expect_array("children").map_err(|e| e.to_string())? {
-            children.push(node_from_json(cv)?);
-        }
-    }
-    Ok(ProfileNode {
-        name,
-        calls,
-        total_ns,
-        self_ns,
-        counters,
-        children,
-    })
 }
 
 fn push_structure(node: &ProfileNode, out: &mut String) {
@@ -875,7 +811,7 @@ mod tests {
         assert_eq!(train.children.len(), 1);
         let fit = &train.children[0];
         assert_eq!((fit.name.as_str(), fit.calls), ("fit", 3));
-        assert_eq!(fit.counters, vec![("iters".to_owned(), 6)]);
+        assert_eq!(fit.counters, BTreeMap::from([("iters".to_owned(), 6)]));
         assert!(train.total_ns >= fit.total_ns);
         assert_eq!(train.self_ns, train.total_ns - fit.total_ns);
     }
@@ -917,7 +853,7 @@ mod tests {
         assert_eq!(stage2.calls, 1, "attach adds no calls to the parent");
         let sim = &stage2.children[0];
         assert_eq!((sim.name.as_str(), sim.calls), ("sim", 2));
-        assert_eq!(sim.counters, vec![("tasks".to_owned(), 10)]);
+        assert_eq!(sim.counters, BTreeMap::from([("tasks".to_owned(), 10)]));
     }
 
     #[test]
@@ -928,7 +864,7 @@ mod tests {
                 calls: 2,
                 total_ns: ns,
                 self_ns: ns,
-                counters: vec![("c".into(), 7)],
+                counters: BTreeMap::from([("c".into(), 7)]),
                 children: vec![],
             }],
         };
@@ -950,6 +886,25 @@ mod tests {
         assert_eq!(p, back);
     }
 
+    /// The profile embedded in a committed bench baseline reads back and
+    /// prints to the same pretty bytes.
+    #[test]
+    fn committed_profile_round_trips_byte_identically() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/baselines/BENCH_sim_throughput.json"
+        );
+        let raw = std::fs::read_to_string(path).expect("committed baseline");
+        let doc: Value = serde_json::from_str(&raw).expect("baseline parses");
+        let tree = &doc["baseline"]["profile"];
+        let profile = Profile::from_value(tree).expect("profile reads");
+        assert!(!profile.is_empty());
+        assert_eq!(
+            serde_json::to_string_pretty(&profile.to_value()).unwrap(),
+            serde_json::to_string_pretty(tree).unwrap()
+        );
+    }
+
     #[test]
     fn collapsed_output_folds_and_sorts() {
         let txt = fold_stacks(vec![
@@ -969,13 +924,13 @@ mod tests {
                 calls: 1,
                 total_ns: 10,
                 self_ns: 4,
-                counters: vec![],
+                counters: BTreeMap::new(),
                 children: vec![ProfileNode {
                     name: "leaf".into(),
                     calls: 1,
                     total_ns: 6,
                     self_ns: 6,
-                    counters: vec![],
+                    counters: BTreeMap::new(),
                     children: vec![],
                 }],
             }],
@@ -991,7 +946,7 @@ mod tests {
                 calls: 1,
                 total_ns: total,
                 self_ns: total,
-                counters: vec![],
+                counters: BTreeMap::new(),
                 children: vec![],
             }];
             if extra {
@@ -1000,7 +955,7 @@ mod tests {
                     calls: 1,
                     total_ns: 1,
                     self_ns: 1,
-                    counters: vec![],
+                    counters: BTreeMap::new(),
                     children: vec![],
                 });
             }

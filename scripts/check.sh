@@ -17,9 +17,10 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== compat JSON: round-trip, depth limit, malformed input, number-text parity with std; >=1.3x f64 text speedup (records results/BENCH_json_throughput.json) =="
+echo "== compat JSON: round-trip, serde attributes, depth limit, malformed input, old artifacts, profile parity, number-text parity with std; >=1.3x f64 text speedup (records results/BENCH_json_throughput.json) =="
 cargo test -q --offline -p serde -p serde_json -p serde_derive
-cargo test -q --offline --test malformed_inputs
+cargo test -q --offline --test malformed_inputs --test old_artifacts
+cargo test -q --offline -p obs --lib -- prof::tests::committed_profile_round_trips_byte_identically
 cargo bench --offline -p bench --bench json_throughput
 
 echo "== trace golden (Chrome trace_event export is byte-stable) =="

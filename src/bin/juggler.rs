@@ -17,6 +17,11 @@
 //! juggler watch                              # one-shot health sweep over every workload
 //! juggler perf-report                        # gate BENCH_*.json against results/baselines/
 //! ```
+//!
+//! Each command's line in [`USAGE`] is its flag table, and one parser
+//! ([`Args::parse`]) reads every command line against it: an unknown
+//! flag, a value flag without its value and a repeated flag exit with
+//! status 2 and the command's usage line, before any work starts.
 
 #![forbid(unsafe_code)]
 
@@ -34,37 +39,59 @@ use juggler_suite::workloads::{all_workloads, KMeans, MicroBatchStream, SqlStarJ
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some(first) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let rest = &args[1..];
+    // `runs` names its subcommand in a second word.
+    let words = 1 + usize::from(first == "runs" && args.len() > 1);
+    let command = args[..words].join(" ");
+    let usage = usage_of(&command);
+    let parsed = usage.as_deref().map_or(Ok(Args::default()), |usage| {
+        Args::parse(&args[words..], usage)
+    });
+    let args = match parsed {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}\nusage:\n{}", usage.unwrap_or_default());
+            return ExitCode::from(2);
+        }
+    };
     // Most commands either succeed or error; `runs diff` and
     // `perf-report` additionally signal drift/regression through their
     // exit code, so the dispatch carries an ExitCode.
     let result: Result<ExitCode, String> = match command.as_str() {
         "list" => done(cmd_list()),
-        "train" => done(cmd_train(rest)),
-        "train-all" => done(cmd_train_all(rest)),
-        "recommend" => done(cmd_recommend(rest)),
-        "schedules" => done(cmd_schedules(rest)),
-        "sweep" => done(cmd_sweep(rest)),
-        "dot" => done(cmd_dot(rest)),
-        "trace" => done(cmd_trace(rest)),
-        "profile" => done(cmd_profile(rest)),
-        "doctor" => done(cmd_doctor(rest)),
-        "chaos" => done(cmd_chaos(rest)),
-        "tenants" => cmd_tenants(rest),
-        "metrics" => done(cmd_metrics(rest)),
-        "runs" => cmd_runs(rest),
-        "health" => cmd_health(rest),
-        "watch" => cmd_watch(rest),
-        "perf-report" => cmd_perf_report(rest),
+        "train" => done(cmd_train(&args)),
+        "train-all" => done(cmd_train_all(&args)),
+        "recommend" => done(cmd_recommend(&args)),
+        "schedules" => done(cmd_schedules(&args)),
+        "sweep" => done(cmd_sweep(&args)),
+        "dot" => done(cmd_dot(&args)),
+        "trace" => done(cmd_trace(&args)),
+        "profile" => done(cmd_profile(&args)),
+        "doctor" => done(cmd_doctor(&args)),
+        "chaos" => done(cmd_chaos(&args)),
+        "tenants" => cmd_tenants(&args),
+        "metrics" => done(cmd_metrics(&args)),
+        "runs record" => done(cmd_runs_record(&args)),
+        "runs list" => done(cmd_runs_list(&args)),
+        "runs show" => done(cmd_runs_show(&args)),
+        "runs diff" => cmd_runs_diff(&args),
+        "runs" => Err("runs needs a subcommand: record | list | show | diff".to_owned()),
+        "health" => cmd_health(&args),
+        "watch" => cmd_watch(&args),
+        "perf-report" => cmd_perf_report(&args),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(match other.strip_prefix("runs ") {
+            Some(sub) => {
+                format!("unknown runs subcommand `{sub}` (expected record | list | show | diff)")
+            }
+            None => format!("unknown command `{other}`\n{USAGE}"),
+        }),
     };
     match result {
         Ok(code) => code,
@@ -77,6 +104,108 @@ fn main() -> ExitCode {
 
 fn done(r: Result<(), String>) -> Result<ExitCode, String> {
     r.map(|()| ExitCode::SUCCESS)
+}
+
+/// A command line split by the flags its command's usage line declares.
+#[derive(Default)]
+struct Args {
+    positional: Vec<String>,
+    /// The given flags and their values (`None` for a switch).
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Splits `tokens` by the flags `usage` declares: `[--flag]` is a
+    /// switch, and any other `-` word (`[--out FILE]`, `-e <EXAMPLES>`) is
+    /// a value flag, which takes the next token even if it starts with
+    /// `-`. An undeclared flag, a value flag with no value and a repeated
+    /// flag are errors.
+    fn parse(tokens: &[String], usage: &str) -> Result<Args, String> {
+        let declared: Vec<&str> = usage
+            .split_whitespace()
+            .map(|w| w.trim_start_matches('['))
+            .filter(|w| w.starts_with('-'))
+            .collect();
+        let mut args = Args::default();
+        let mut tokens = tokens.iter();
+        while let Some(token) = tokens.next() {
+            if token.len() < 2 || !token.starts_with('-') {
+                args.positional.push(token.clone());
+                continue;
+            }
+            let Some(word) = declared.iter().find(|w| w.trim_end_matches(']') == token) else {
+                return Err(format!("unknown flag `{token}`"));
+            };
+            if args.given(token) {
+                return Err(format!("`{token}` given twice"));
+            }
+            let value = if word.ends_with(']') {
+                None
+            } else {
+                tokens.next().cloned()
+            };
+            if value.is_none() && !word.ends_with(']') {
+                return Err(format!("`{token}` needs a value"));
+            }
+            args.flags.push((token.clone(), value));
+        }
+        Ok(args)
+    }
+
+    /// The value of `flag`, if given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        let given = self.flags.iter().find(|(f, _)| f == flag);
+        given.and_then(|(_, value)| value.as_deref())
+    }
+
+    /// Whether `flag` was given.
+    fn given(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The positional argument at `index`, or the error `missing`.
+    fn positional(&self, index: usize, missing: &str) -> Result<&str, String> {
+        self.positional
+            .get(index)
+            .map(String::as_str)
+            .ok_or_else(|| missing.to_owned())
+    }
+
+    /// The directory `flag` names, or `default` under the workspace root.
+    fn dir(&self, flag: &str, default: &str) -> PathBuf {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        self.value(flag)
+            .map_or_else(|| root.join(default), PathBuf::from)
+    }
+
+    /// `--threads N` (0, the default, is automatic).
+    fn threads(&self) -> Result<usize, String> {
+        self.value("--threads")
+            .map_or(Ok(0), |t| parse_num(t, "--threads"))
+    }
+
+    /// The default training config, on `--threads N` workers.
+    fn training_config(&self) -> Result<TrainingConfig, String> {
+        let threads = self.threads()?;
+        Ok(TrainingConfig {
+            threads,
+            ..TrainingConfig::default()
+        })
+    }
+}
+
+/// `command`'s usage line in [`USAGE`], with its continuation lines: the
+/// command's flag table.
+fn usage_of(command: &str) -> Option<String> {
+    let head = format!("  juggler {command}");
+    let mut lines = USAGE
+        .lines()
+        .skip_while(|l| *l != head && !l.starts_with(&format!("{head} ")));
+    let mut usage = lines.next()?.to_owned();
+    for more in lines.take_while(|l| l.starts_with("        ")) {
+        usage = usage + "\n" + more;
+    }
+    Some(usage)
 }
 
 const USAGE: &str = "\
@@ -184,19 +313,16 @@ scripts/refresh_baselines.sh so baseline churn is an explicit commit).
 --threads 0 (the default) auto-sizes the experiment worker pool from the
 JUGGLER_THREADS environment variable or the machine's parallelism;
 --threads 1 forces sequential runs. Artifacts are bit-identical either
-way.";
+way.
+
+Flags are strict: an unknown flag, a flag that needs a value but has
+none, and a flag given twice exit with status 2 and the command's usage
+line before any work starts. A value flag takes the next argument even
+when it starts with `-` (`-e -5` is an invalid -e, not a flag).";
 
 fn find_workload(name: &str) -> Result<Box<dyn Workload>, String> {
     juggler_suite::juggler::tenants::workload_by_name(name)
         .ok_or_else(|| format!("unknown workload `{name}` (try `juggler list`)"))
-}
-
-/// Extracts `--flag value` from an argument list.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
@@ -226,30 +352,16 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the shared `--threads N` flag (0 = automatic).
-fn threads_flag(args: &[String]) -> Result<usize, String> {
-    match args.iter().position(|a| a == "--threads") {
-        Some(i) => match args.get(i + 1) {
-            Some(t) => parse_num(t, "--threads"),
-            None => Err("--threads requires a value".into()),
-        },
-        None => Ok(0),
-    }
-}
-
-fn cmd_train(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("train needs a workload name")?;
+fn cmd_train(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "train needs a workload name")?;
     let w = find_workload(name)?;
-    let config = TrainingConfig {
-        threads: threads_flag(args)?,
-        ..TrainingConfig::default()
-    };
+    let config = args.training_config()?;
     obs::log_info!("training Juggler for {} (four offline stages)...", w.name());
     let trained = OfflineTraining::run(w.as_ref(), &config).map_err(|e| e.to_string())?;
     let json = serde_json::to_string_pretty(&trained).map_err(|e| e.to_string())?;
-    match flag(args, "--out") {
+    match args.value("--out") {
         Some(path) => {
-            std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
+            std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!(
                 "wrote {path}: {} schedules, memory factor {:.3}, training cost {:.1} machine-min",
                 trained.schedules.len(),
@@ -262,9 +374,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train_all(args: &[String]) -> Result<(), String> {
-    let threads = threads_flag(args)?;
-    let out_dir = flag(args, "--out-dir");
+fn cmd_train_all(args: &Args) -> Result<(), String> {
+    let threads = args.threads()?;
+    let out_dir = args.value("--out-dir");
     let ws = all_workloads();
     obs::log_info!(
         "training {} workloads on {} worker(s)...",
@@ -315,12 +427,13 @@ fn parse_positive(s: &str, what: &str) -> Result<f64, String> {
     }
 }
 
-fn cmd_recommend(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("recommend needs an artifact path")?;
-    let e = parse_positive(&flag(args, "-e").ok_or("missing -e <examples>")?, "-e")?;
-    let f = parse_positive(&flag(args, "-f").ok_or("missing -f <features>")?, "-f")?;
-    let ram_gb = flag(args, "--ram-gb")
-        .map(|gb| parse_positive(&gb, "--ram-gb"))
+fn cmd_recommend(args: &Args) -> Result<(), String> {
+    let path = args.positional(0, "recommend needs an artifact path")?;
+    let e = parse_positive(args.value("-e").ok_or("missing -e <examples>")?, "-e")?;
+    let f = parse_positive(args.value("-f").ok_or("missing -f <features>")?, "-f")?;
+    let ram_gb = args
+        .value("--ram-gb")
+        .map(|gb| parse_positive(gb, "--ram-gb"))
         .transpose()?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let trained: TrainedJuggler = serde_json::from_str(&json).map_err(|e| e.to_string())?;
@@ -364,8 +477,8 @@ fn cmd_recommend(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_schedules(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("schedules needs a workload name")?;
+fn cmd_schedules(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "schedules needs a workload name")?;
     let w = find_workload(name)?;
     let trained =
         OfflineTraining::run(w.as_ref(), &TrainingConfig::default()).map_err(|e| e.to_string())?;
@@ -377,30 +490,54 @@ fn cmd_schedules(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("sweep needs a workload name")?;
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "sweep needs a workload name")?;
     let w = find_workload(name)?;
     let params = w.paper_params();
     let app = w.build(&params);
 
     // An explicit --ops "p(1) u(1) p(2)" skips training entirely.
-    if let Some(ops) = flag(args, "--ops") {
-        let schedule = juggler_suite::dagflow::Schedule::parse(&ops).map_err(|e| e.to_string())?;
+    let (schedule, spec, max_machines, recommended) = if let Some(ops) = args.value("--ops") {
+        let schedule = juggler_suite::dagflow::Schedule::parse(ops).map_err(|e| e.to_string())?;
         app.check_schedule(&schedule).map_err(|e| e.to_string())?;
         println!(
             "{} with explicit schedule {}",
             w.name(),
             schedule.notation()
         );
-        println!("{:>9} {:>10} {:>14}", "machines", "time", "cost (m-min)");
-        for machines in 1..=12u32 {
-            let mut sim = w.sim_params();
-            sim.seed = 0xC11 ^ u64::from(machines);
-            let report = Engine::new(
-                &app,
-                ClusterConfig::new(machines, MachineSpec::private_cluster()),
-                sim,
-            )
+        (schedule, MachineSpec::private_cluster(), 12, None)
+    } else {
+        let trained = OfflineTraining::run(w.as_ref(), &TrainingConfig::default())
+            .map_err(|e| e.to_string())?;
+        let idx: usize = match args.value("--schedule") {
+            Some(s) => parse_num::<usize>(s, "--schedule")?.saturating_sub(1),
+            None => 0,
+        };
+        let rs = trained
+            .schedules
+            .get(idx)
+            .ok_or_else(|| format!("schedule {} does not exist", idx + 1))?;
+        let recommended = trained.machines_for(idx, params.e(), params.f());
+        println!(
+            "{} schedule #{} = {} (recommended: {} machines)",
+            w.name(),
+            idx + 1,
+            rs.schedule.notation(),
+            recommended
+        );
+        let schedule = rs.schedule.as_ref().clone();
+        (
+            schedule,
+            trained.target_spec,
+            trained.max_machines,
+            Some(recommended),
+        )
+    };
+    println!("{:>9} {:>10} {:>14}", "machines", "time", "cost (m-min)");
+    for machines in 1..=max_machines {
+        let mut sim = w.sim_params();
+        sim.seed = 0xC11 ^ u64::from(machines);
+        let report = Engine::new(&app, ClusterConfig::new(machines, spec), sim)
             .run(
                 &schedule,
                 RunOptions {
@@ -410,48 +547,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 },
             )
             .map_err(|e| e.to_string())?;
-            println!(
-                "{machines:>9} {:>10} {:>14.1}",
-                obs::fmt_duration_s(report.total_time_s),
-                report.cost_machine_minutes()
-            );
-        }
-        return Ok(());
-    }
-
-    let trained =
-        OfflineTraining::run(w.as_ref(), &TrainingConfig::default()).map_err(|e| e.to_string())?;
-    let idx: usize = match flag(args, "--schedule") {
-        Some(s) => parse_num::<usize>(&s, "--schedule")?.saturating_sub(1),
-        None => 0,
-    };
-    let rs = trained
-        .schedules
-        .get(idx)
-        .ok_or_else(|| format!("schedule {} does not exist", idx + 1))?;
-    let recommended = trained.machines_for(idx, params.e(), params.f());
-    println!(
-        "{} schedule #{} = {} (recommended: {} machines)",
-        w.name(),
-        idx + 1,
-        rs.schedule.notation(),
-        recommended
-    );
-    println!("{:>9} {:>10} {:>14}", "machines", "time", "cost (m-min)");
-    for machines in 1..=trained.max_machines {
-        let mut sim = w.sim_params();
-        sim.seed = 0xC11 ^ u64::from(machines);
-        let report = Engine::new(&app, ClusterConfig::new(machines, trained.target_spec), sim)
-            .run(
-                &rs.schedule,
-                RunOptions {
-                    collect_traces: false,
-                    partition_skew: 0.15,
-                    ..RunOptions::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-        let marker = if machines == recommended {
+        let marker = if Some(machines) == recommended {
             "  <- recommended"
         } else {
             ""
@@ -465,14 +561,14 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_dot(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("dot needs a workload name")?;
+fn cmd_dot(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "dot needs a workload name")?;
     let w = find_workload(name)?;
     // Render the sample-scale plan (paper-scale PCA has 1833 nodes).
     let app = w.build(&w.sample_params());
-    let schedule = match flag(args, "--schedule") {
+    let schedule = match args.value("--schedule") {
         Some(s) => {
-            let idx: usize = parse_num::<usize>(&s, "--schedule")?.saturating_sub(1);
+            let idx: usize = parse_num::<usize>(s, "--schedule")?.saturating_sub(1);
             let trained = OfflineTraining::run(w.as_ref(), &TrainingConfig::default())
                 .map_err(|e| e.to_string())?;
             trained
@@ -489,18 +585,18 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("trace needs a workload name")?;
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "trace needs a workload name")?;
     let w = find_workload(name)?;
-    let machines: u32 = match flag(args, "--machines") {
-        Some(m) => parse_num(&m, "--machines")?,
+    let machines: u32 = match args.value("--machines") {
+        Some(m) => parse_num(m, "--machines")?,
         None => 2,
     };
-    let width: usize = match flag(args, "--width") {
-        Some(v) => parse_num(&v, "--width")?,
+    let width: usize = match args.value("--width") {
+        Some(v) => parse_num(v, "--width")?,
         None => 100,
     };
-    let format = flag(args, "--format").unwrap_or_else(|| "gantt".to_owned());
+    let format = args.value("--format").unwrap_or("gantt");
     if format != "gantt" && format != "collapsed" {
         return Err(format!(
             "unknown --format `{format}` (expected gantt or collapsed)"
@@ -530,9 +626,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     if format == "collapsed" {
         let trace = report.trace.as_ref().expect("trace was enabled");
         let collapsed = trace.to_collapsed();
-        match flag(args, "--out") {
+        match args.value("--out") {
             Some(path) => {
-                std::fs::write(&path, &collapsed).map_err(|e| format!("writing {path}: {e}"))?;
+                std::fs::write(path, &collapsed).map_err(|e| format!("writing {path}: {e}"))?;
                 eprintln!("wrote collapsed stacks to {path} (inferno/speedscope format)");
             }
             None => print!("{collapsed}"),
@@ -554,24 +650,23 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     println!("{}", trace.summary());
 
     // Chrome trace_event export (chrome://tracing, Perfetto).
-    let out =
-        flag(args, "--out").unwrap_or_else(|| format!("trace_{}.json", w.name().to_lowercase()));
+    let out = args.value("--out").map_or_else(
+        || format!("trace_{}.json", w.name().to_lowercase()),
+        str::to_owned,
+    );
     let run_name = format!("{} sample run ({machines} machines)", w.name());
     std::fs::write(&out, trace.to_chrome_json(&run_name))
         .map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote Chrome trace_event JSON to {out} (open in chrome://tracing or Perfetto)");
-    if let Some(path) = flag(args, "--jsonl") {
-        std::fs::write(&path, trace.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
+    if let Some(path) = args.value("--jsonl") {
+        std::fs::write(path, trace.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote JSONL event log to {path}");
     }
 
     // Per-pipeline-stage wall-clock timings (stage 1 through the stage-5
     // menu construction), skipped with --no-pipeline.
-    if !args.iter().any(|a| a == "--no-pipeline") {
-        let config = TrainingConfig {
-            threads: threads_flag(args)?,
-            ..TrainingConfig::default()
-        };
+    if !args.given("--no-pipeline") {
+        let config = args.training_config()?;
         obs::log_info!("timing the offline pipeline for {}...", w.name());
         let (trained, timings) =
             OfflineTraining::run_traced(w.as_ref(), &config).map_err(|e| e.to_string())?;
@@ -595,20 +690,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 
 // ───────────────────────── phase profiling ─────────────────────────
 
-/// The profile ledger: content-addressed canonical profile documents
-/// under `results/profiles/`, kept apart from the run-manifest ledger so
-/// `juggler runs list` (which parses manifests) never trips over them.
-fn profile_store(args: &[String]) -> obs::LedgerStore {
-    match flag(args, "--store") {
-        Some(dir) => obs::LedgerStore::new(dir),
-        None => obs::LedgerStore::new(
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("results")
-                .join("profiles"),
-        ),
-    }
-}
-
 /// Loads the profile tree out of a stored profile document (or a bare
 /// profile JSON file, for hand-fed paths).
 fn load_profile(store: &obs::LedgerStore, reference: &str) -> Result<obs::prof::Profile, String> {
@@ -619,19 +700,16 @@ fn load_profile(store: &obs::LedgerStore, reference: &str) -> Result<obs::prof::
     obs::prof::Profile::from_value(tree).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("profile needs a workload name")?;
+fn cmd_profile(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "profile needs a workload name")?;
     let w = find_workload(name)?;
-    let format = flag(args, "--format").unwrap_or_else(|| "tree".to_owned());
-    if !matches!(format.as_str(), "tree" | "collapsed" | "json") {
+    let format = args.value("--format").unwrap_or("tree");
+    if !matches!(format, "tree" | "collapsed" | "json") {
         return Err(format!(
             "unknown --format `{format}` (expected tree, collapsed, or json)"
         ));
     }
-    let config = TrainingConfig {
-        threads: threads_flag(args)?,
-        ..TrainingConfig::default()
-    };
+    let config = args.training_config()?;
     obs::log_info!(
         "profile: training {} with the phase profiler enabled...",
         w.name()
@@ -654,26 +732,22 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
     // File the canonical document in the profile ledger before rendering,
     // so every profile a human looks at is also diffable later.
-    let doc = serde_json::Value::Object(vec![
-        ("version".to_owned(), serde_json::Value::Int(1)),
-        (
-            "workload".to_owned(),
-            serde_json::Value::Str(w.name().to_owned()),
-        ),
-        (
-            "structure_digest".to_owned(),
-            serde_json::Value::Str(profile.structure_digest()),
-        ),
-        ("profile".to_owned(), profile.to_value()),
-    ]);
+    let doc = serde_json::json!({
+        "version": 1,
+        "workload": w.name(),
+        "structure_digest": profile.structure_digest(),
+        "profile": profile.to_value(),
+    });
     let doc_json = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
     let hash = obs::sha256_hex(doc_json.as_bytes());
-    let store = profile_store(args);
+    // The profile ledger lives apart from the run-manifest ledger, so
+    // `juggler runs list` (which parses manifests) never trips over it.
+    let store = obs::LedgerStore::new(args.dir("--store", "results/profiles"));
     let stored = store
         .record(&hash, &doc_json)
         .map_err(|e| format!("recording profile: {e}"))?;
 
-    match format.as_str() {
+    match format {
         "tree" => print!("{}", profile.render_tree()),
         "collapsed" => print!("{}", profile.to_collapsed()),
         _ => println!("{doc_json}"),
@@ -684,8 +758,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         stored.display()
     );
 
-    if let Some(reference) = flag(args, "--diff") {
-        let base = load_profile(&store, &reference)?;
+    if let Some(reference) = args.value("--diff") {
+        let base = load_profile(&store, reference)?;
         let diff = obs::prof::ProfileDiff::between(&base, &profile);
         println!("\nphase deltas vs {reference} (base -> new):");
         print!("{}", diff.render());
@@ -700,14 +774,11 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_doctor(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("doctor needs a workload name")?;
+fn cmd_doctor(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "doctor needs a workload name")?;
     let w = find_workload(name)?;
-    let config = TrainingConfig {
-        threads: threads_flag(args)?,
-        ..TrainingConfig::default()
-    };
-    let format = flag(args, "--format").unwrap_or_else(|| "text".to_owned());
+    let config = args.training_config()?;
+    let format = args.value("--format").unwrap_or("text");
     if format != "text" && format != "json" {
         return Err(format!(
             "unknown --format `{format}` (expected text or json)"
@@ -727,32 +798,32 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
     }
     print!("{}", report.render());
     // Host wall-clock timings are kept out of the deterministic report.
-    if args.iter().any(|a| a == "--timings") {
+    if args.given("--timings") {
         println!("\nhost stage timings (wall clock, non-deterministic)");
         print!("{}", report.timings.summary());
     }
     Ok(())
 }
 
-fn cmd_chaos(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("chaos needs a workload name")?;
+fn cmd_chaos(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "chaos needs a workload name")?;
     let w = find_workload(name)?;
     let mut cfg = juggler_suite::juggler::ChaosConfig::default();
-    if let Some(plan) = flag(args, "--plan") {
-        cfg.kind = juggler_suite::juggler::PlanKind::from_name(&plan).ok_or_else(|| {
+    if let Some(plan) = args.value("--plan") {
+        cfg.kind = juggler_suite::juggler::PlanKind::from_name(plan).ok_or_else(|| {
             format!(
                 "unknown plan `{plan}` (expected loss | slow | flaky | pressure | combo | drill)"
             )
         })?;
     }
-    if let Some(m) = flag(args, "--machines") {
-        cfg.machines = parse_num(&m, "--machines")?;
+    if let Some(m) = args.value("--machines") {
+        cfg.machines = parse_num(m, "--machines")?;
         if cfg.machines == 0 {
             return Err("--machines must be at least 1".into());
         }
     }
-    if let Some(s) = flag(args, "--seed") {
-        cfg.seed = parse_num(&s, "--seed")?;
+    if let Some(s) = args.value("--seed") {
+        cfg.seed = parse_num(s, "--seed")?;
     }
     obs::log_info!(
         "chaos: running {} fault-free, then with plan `{}`...",
@@ -764,9 +835,9 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_tenants(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_tenants(args: &Args) -> Result<ExitCode, String> {
     use juggler_suite::juggler::tenants::{run_tenants, TenantsSpec};
-    let spec = match args.first() {
+    let spec = match args.positional.first() {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read spec `{path}`: {e}"))?;
@@ -788,14 +859,11 @@ fn cmd_tenants(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("metrics needs a workload name")?;
+fn cmd_metrics(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "metrics needs a workload name")?;
     let w = find_workload(name)?;
-    let config = TrainingConfig {
-        threads: threads_flag(args)?,
-        ..TrainingConfig::default()
-    };
-    let format = flag(args, "--format").unwrap_or_else(|| "prom".to_owned());
+    let config = args.training_config()?;
+    let format = args.value("--format").unwrap_or("prom");
     if format != "prom" && format != "json" {
         return Err(format!(
             "unknown --format `{format}` (expected prom or json)"
@@ -808,18 +876,18 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
     // --timings re-snapshots the doctor's registry with the wall-clock
     // gauges included; the default export is deterministic metrics only.
-    let snapshot = if args.iter().any(|a| a == "--timings") {
+    let snapshot = if args.given("--timings") {
         report.registry.snapshot(true)
     } else {
         report.snapshot
     };
-    let rendered = match format.as_str() {
+    let rendered = match format {
         "prom" => snapshot.to_prometheus(),
         _ => format!("{}\n", snapshot.to_json()),
     };
-    match flag(args, "--output") {
+    match args.value("--output") {
         Some(path) => {
-            std::fs::write(&path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
+            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {} metrics to {path}", snapshot.metrics.len());
         }
         None => print!("{rendered}"),
@@ -829,37 +897,15 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 
 // ───────────────────────── run ledger commands ─────────────────────────
 
-/// The conventional ledger store, overridable with `--store DIR`.
-fn ledger_store(args: &[String]) -> obs::LedgerStore {
-    match flag(args, "--store") {
-        Some(dir) => obs::LedgerStore::new(dir),
-        None => obs::LedgerStore::under(Path::new(env!("CARGO_MANIFEST_DIR"))),
-    }
+/// The run ledger, `results/runs/` unless `--store DIR` says otherwise.
+fn ledger_store(args: &Args) -> obs::LedgerStore {
+    obs::LedgerStore::new(args.dir("--store", "results/runs"))
 }
 
-fn cmd_runs(args: &[String]) -> Result<ExitCode, String> {
-    let sub = args
-        .first()
-        .ok_or("runs needs a subcommand: record | list | show | diff")?;
-    let rest = &args[1..];
-    match sub.as_str() {
-        "record" => done(cmd_runs_record(rest)),
-        "list" => done(cmd_runs_list(rest)),
-        "show" => done(cmd_runs_show(rest)),
-        "diff" => cmd_runs_diff(rest),
-        other => Err(format!(
-            "unknown runs subcommand `{other}` (expected record | list | show | diff)"
-        )),
-    }
-}
-
-fn cmd_runs_record(args: &[String]) -> Result<(), String> {
-    let name = args.first().ok_or("runs record needs a workload name")?;
+fn cmd_runs_record(args: &Args) -> Result<(), String> {
+    let name = args.positional(0, "runs record needs a workload name")?;
     let w = find_workload(name)?;
-    let config = TrainingConfig {
-        threads: threads_flag(args)?,
-        ..TrainingConfig::default()
-    };
+    let config = args.training_config()?;
     obs::log_info!("runs record: training {} (doctor flow)...", w.name());
     let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
     let manifest = RunManifest::from_doctor(&report, &config, &w.paper_params());
@@ -878,16 +924,16 @@ fn cmd_runs_record(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_runs_list(args: &[String]) -> Result<(), String> {
+fn cmd_runs_list(args: &Args) -> Result<(), String> {
     let store = ledger_store(args);
     let mut runs = store
         .list()
         .map_err(|e| format!("reading ledger {}: {e}", store.root().display()))?;
-    if let Some(workload) = flag(args, "--workload") {
-        runs.retain(|r| r.workload.eq_ignore_ascii_case(&workload));
+    if let Some(workload) = args.value("--workload") {
+        runs.retain(|r| r.workload.eq_ignore_ascii_case(workload));
     }
-    if let Some(limit) = flag(args, "--limit") {
-        let limit: usize = parse_num(&limit, "--limit")?;
+    if let Some(limit) = args.value("--limit") {
+        let limit: usize = parse_num(limit, "--limit")?;
         runs.truncate(limit);
     }
     if runs.is_empty() {
@@ -921,16 +967,16 @@ fn load_manifest(store: &obs::LedgerStore, reference: &str) -> Result<RunManifes
     RunManifest::from_json(&raw).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn cmd_runs_show(args: &[String]) -> Result<(), String> {
-    let reference = args.first().ok_or("runs show needs a run id or path")?;
+fn cmd_runs_show(args: &Args) -> Result<(), String> {
+    let reference = args.positional(0, "runs show needs a run id or path")?;
     let manifest = load_manifest(&ledger_store(args), reference)?;
     print!("{}", render_manifest(&manifest));
     Ok(())
 }
 
-fn cmd_runs_diff(args: &[String]) -> Result<ExitCode, String> {
-    let a_ref = args.first().ok_or("runs diff needs two run references")?;
-    let b_ref = args.get(1).ok_or("runs diff needs two run references")?;
+fn cmd_runs_diff(args: &Args) -> Result<ExitCode, String> {
+    let a_ref = args.positional(0, "runs diff needs two run references")?;
+    let b_ref = args.positional(1, "runs diff needs two run references")?;
     let store = ledger_store(args);
     let a = load_manifest(&store, a_ref)?;
     let b = load_manifest(&store, b_ref)?;
@@ -941,11 +987,11 @@ fn cmd_runs_diff(args: &[String]) -> Result<ExitCode, String> {
         ));
     }
     let mut tol = DiffTolerances::default();
-    if let Some(v) = flag(args, "--tol-coeff") {
-        tol.coeff_rel = parse_num(&v, "--tol-coeff")?;
+    if let Some(v) = args.value("--tol-coeff") {
+        tol.coeff_rel = parse_num(v, "--tol-coeff")?;
     }
-    if let Some(v) = flag(args, "--tol-pred") {
-        tol.pred_err_abs = parse_num(&v, "--tol-pred")?;
+    if let Some(v) = args.value("--tol-pred") {
+        tol.pred_err_abs = parse_num(v, "--tol-pred")?;
     }
     let diff = ManifestDiff::between(&a, &b, &tol);
     print!("{}", diff.render());
@@ -1037,26 +1083,11 @@ fn render_manifest(m: &RunManifest) -> String {
 
 // ───────────────────────── model-health monitor ─────────────────────────
 
-/// The health-report ledger: content-addressed `HealthReport` documents
-/// under `results/health/`, kept apart from the run-manifest ledger so
-/// `juggler runs list` never parses them. `--report-store DIR`
-/// overrides (the run ledger keeps its own `--store DIR` override).
-fn health_store(args: &[String]) -> obs::LedgerStore {
-    match flag(args, "--report-store") {
-        Some(dir) => obs::LedgerStore::new(dir),
-        None => obs::LedgerStore::new(
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("results")
-                .join("health"),
-        ),
-    }
-}
-
 /// Reads the SLO spec from `--slo FILE`, or falls back to the defaults.
-fn slo_spec(args: &[String]) -> Result<SloSpec, String> {
-    match flag(args, "--slo") {
+fn slo_spec(args: &Args) -> Result<SloSpec, String> {
+    match args.value("--slo") {
         Some(path) => {
-            let raw = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+            let raw = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             SloSpec::from_json(&raw).map_err(|e| format!("{path}: {e}"))
         }
         None => Ok(SloSpec::default()),
@@ -1071,31 +1102,30 @@ fn verdict_exit(v: &Verdict) -> ExitCode {
     }
 }
 
-fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_health(args: &Args) -> Result<ExitCode, String> {
     let name = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("health needs a workload name")?
+        .positional(0, "health needs a workload name")?
         .to_ascii_uppercase();
-    let format = flag(args, "--format").unwrap_or_else(|| "tree".to_owned());
-    if !matches!(format.as_str(), "tree" | "json" | "prom") {
+    let format = args.value("--format").unwrap_or("tree");
+    if !matches!(format, "tree" | "json" | "prom") {
         return Err(format!(
             "unknown --format `{format}` (expected tree, json, or prom)"
         ));
     }
     let slo = slo_spec(args)?;
-    let since = flag(args, "--since");
-    let limit = match flag(args, "--limit") {
-        Some(v) => parse_num(&v, "--limit")?,
+    let since = args.value("--since");
+    let limit = match args.value("--limit") {
+        Some(v) => parse_num(v, "--limit")?,
         None => 0usize,
     };
     let store = ledger_store(args);
-    let reports = health_store(args);
+    // Health reports are filed apart from the run ledger, so
+    // `juggler runs list` never parses them.
+    let reports = obs::LedgerStore::new(args.dir("--report-store", "results/health"));
     // Samples are cached next to the filed reports: a steady-state
     // `juggler health` only parses manifests recorded since the last one.
     let cache = reports.root().join("sample_cache.json");
-    let report =
-        Watchtower::new(slo).fold_ledger(&store, &name, since.as_deref(), limit, Some(&cache))?;
+    let report = Watchtower::new(slo).fold_ledger(&store, &name, since, limit, Some(&cache))?;
     if report.window.is_empty() {
         return Err(format!(
             "no runs recorded for {name} in {} (try `juggler runs record {name}`)",
@@ -1105,7 +1135,7 @@ fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
     let stored = reports
         .record(&report.digest(), &report.to_json())
         .map_err(|e| format!("recording health report: {e}"))?;
-    match format.as_str() {
+    match format {
         "json" => print!("{}", report.to_json()),
         "prom" => {
             let registry = obs::Registry::new();
@@ -1118,7 +1148,7 @@ fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
     Ok(verdict_exit(&report.verdict))
 }
 
-fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_watch(args: &Args) -> Result<ExitCode, String> {
     let slo = slo_spec(args)?;
     let store = ledger_store(args);
     let runs = store
@@ -1149,28 +1179,19 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
 
 // ───────────────────────── perf-regression gate ─────────────────────────
 
-fn results_dir(args: &[String]) -> PathBuf {
-    flag(args, "--results").map_or_else(
-        || Path::new(env!("CARGO_MANIFEST_DIR")).join("results"),
-        PathBuf::from,
-    )
-}
-
-fn baselines_dir(args: &[String], results: &Path) -> PathBuf {
-    flag(args, "--baselines").map_or_else(|| results.join("baselines"), PathBuf::from)
-}
-
 /// Bench artifact name (`metrics_overhead`) from a `BENCH_*.json` file
 /// name, if it is one.
 fn bench_name(file_name: &str) -> Option<&str> {
     file_name.strip_prefix("BENCH_")?.strip_suffix(".json")
 }
 
-fn cmd_perf_report(args: &[String]) -> Result<ExitCode, String> {
-    let results = results_dir(args);
-    let baselines = baselines_dir(args, &results);
+fn cmd_perf_report(args: &Args) -> Result<ExitCode, String> {
+    let results = args.dir("--results", "results");
+    let baselines = args
+        .value("--baselines")
+        .map_or_else(|| results.join("baselines"), PathBuf::from);
 
-    if args.iter().any(|a| a == "--write-baselines") {
+    if args.given("--write-baselines") {
         return done(write_baselines(&results, &baselines));
     }
 

@@ -5,7 +5,9 @@
 //! at every truncation point and with random byte flips. No reader may
 //! panic; a manifest is accepted only when its content hash verifies,
 //! which pins the accepted content to the original, and an accepted
-//! health report or spec re-reads to itself.
+//! health report or spec re-reads to itself. A tenancy spec with a typoed
+//! key, a fractional machine count or a negative seed is rejected, and
+//! zero machines is a drill error rather than a simulator panic.
 
 mod common;
 
@@ -139,4 +141,37 @@ fn corrupt_slo_and_tenants_specs_are_rejected_without_panics() {
     assert_flips_reread("tenants_flips", &raw, TenantsSpec::from_json, |s| {
         serde_json::to_string(s).expect("serializes")
     });
+}
+
+/// Spec values the hand-written reader once took silently: a typoed key
+/// at either level, a fractional machine count and a negative seed are
+/// parse errors, and zero machines is a drill error naming `machines`,
+/// not an index panic in the simulator.
+#[test]
+fn tenants_spec_typos_and_impossible_values_are_errors() {
+    use juggler_suite::juggler::tenants::run_tenants;
+
+    let spec = TenantsSpec::from_json(r#"{"machines": 0, "tenants": [{"workload": "LOR"}]}"#)
+        .expect("zero machines parses");
+    let err = run_tenants(&spec).expect_err("zero machines cannot run");
+    assert!(err.contains("machines"), "{err}");
+
+    for (raw, key) in [
+        (
+            r#"{"machine": 9, "tenants": [{"workload": "LOR"}]}"#,
+            "machine",
+        ),
+        (
+            r#"{"tenants": [{"workload": "LOR", "wieght": 2}]}"#,
+            "wieght",
+        ),
+        (
+            r#"{"machines": 2.9, "tenants": [{"workload": "LOR"}]}"#,
+            "machines",
+        ),
+        (r#"{"seed": -3, "tenants": [{"workload": "LOR"}]}"#, "seed"),
+    ] {
+        let err = TenantsSpec::from_json(raw).expect_err(raw);
+        assert!(err.contains(key), "{raw}: {err}");
+    }
 }
