@@ -164,7 +164,7 @@ pub struct Watchtower {
 /// Schema version of the cached [`RunSample`] projection. Bump when the
 /// extraction changes shape or meaning; stale caches are discarded and
 /// rebuilt from the manifests, never migrated.
-pub const SAMPLE_SCHEMA_VERSION: u32 = 2;
+pub const SAMPLE_SCHEMA_VERSION: u32 = 3;
 
 /// One model's slice of a [`RunSample`]: identity (name + family spec),
 /// the fitted coefficients (the CUSUM's subject), and the prediction
@@ -184,7 +184,8 @@ pub struct ModelSample {
 }
 
 /// The compact, content-addressed projection of one [`RunManifest`] —
-/// everything a fold reads, at ~3 % of the manifest's bytes. Keyed by
+/// everything a fold or `juggler runs list` reads, at ~16 % of the
+/// manifest's bytes (887 B of compact JSON against 5,653 B for LOR). Keyed by
 /// the manifest's run id (a content-hash prefix), so a cached sample
 /// can never go stale: a different manifest is a different id.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -197,6 +198,10 @@ pub struct RunSample {
     pub examples: u64,
     /// Training-grid `features` at recording time.
     pub features: u64,
+    /// Training-grid `iterations` at recording time.
+    pub iterations: u32,
+    /// Schedules the manifest records.
+    pub schedules: usize,
     /// Per-model slices, time models first (schedule order).
     pub models: Vec<ModelSample>,
     /// Recorded window-mean time prediction error (negative if absent).
@@ -256,6 +261,8 @@ impl RunSample {
             workload: c.workload.clone(),
             examples: c.params.examples,
             features: c.params.features,
+            iterations: c.params.iterations,
+            schedules: c.schedules.len(),
             models,
             mean_time_rel_error: c.predictions.mean_time_rel_error,
             mean_size_rel_error: c.predictions.mean_size_rel_error,
@@ -771,297 +778,128 @@ fn sanitize_metric(name: &str) -> String {
     out
 }
 
-/// Loads the fold window for `workload` from a run-ledger store:
-/// newest-first listing filtered by workload, truncated to `limit`
-/// (0 = unlimited) and to runs no older than `since` (an id prefix),
-/// then reversed to oldest-first parsed manifests. Unparseable files
-/// are skipped with a warning.
-pub fn load_history(
-    store: &obs::LedgerStore,
-    workload: &str,
-    since: Option<&str>,
-    limit: usize,
-) -> Result<Vec<RunManifest>, String> {
+/// File name of the [`RunSample`] cache inside a ledger store's root.
+/// The cache belongs to the ledger it projects, so stores never share
+/// one; without a `.json` extension, [`obs::LedgerStore::entries`]
+/// never lists it as a run.
+pub const SAMPLE_CACHE_FILE: &str = "sample_cache";
+
+/// The persisted sample cache: the projection of every verified run in
+/// a store, as derived JSON. Run ids are content hashes, so a cached
+/// sample can never go stale — a changed manifest is a *different* run.
+/// A cache that is cut short, corrupt, or of another schema version is
+/// discarded whole and rebuilt from the manifests, never half-read.
+#[derive(Serialize, Deserialize)]
+struct SampleCache {
+    schema_version: u32,
+    samples: Vec<RunSample>,
+}
+
+impl SampleCache {
+    fn parse(raw: &str) -> Option<Vec<RunSample>> {
+        let cache: SampleCache = serde_json::from_str(raw).ok()?;
+        (cache.schema_version == SAMPLE_SCHEMA_VERSION).then_some(cache.samples)
+    }
+}
+
+/// Every verified run in `store`, newest first (the
+/// [`obs::LedgerStore::entries`] order) — the one way a stored run is
+/// read. A run's sample comes from the store's sample cache, or from
+/// [`RunManifest::from_json`] (which verifies the content hash) plus
+/// [`RunSample::extract`] when it is not cached yet. A file that does
+/// not verify, or is not filed under its own id, is skipped with a
+/// warning. The cache is rewritten, atomically, only when a run was
+/// added to or left the store, so a steady-state read parses only the
+/// cache.
+pub fn ledger_samples(store: &obs::LedgerStore) -> Result<Vec<RunSample>, String> {
     let entries = store
         .entries()
         .map_err(|e| format!("reading ledger {}: {e}", store.root().display()))?;
-    // Walk newest-first with a single typed parse per file; stop as soon
-    // as the window is satisfied so `--limit` never parses older runs.
-    let mut manifests: Vec<RunManifest> = Vec::new();
-    let mut since_seen = since.is_none();
-    for entry in entries {
-        let raw = std::fs::read_to_string(&entry.path)
-            .map_err(|e| format!("reading {}: {e}", entry.path.display()))?;
-        let manifest = match RunManifest::from_json(&raw) {
-            Ok(m) => m,
-            Err(e) => {
-                obs::log_warn!("health: skipping {}: {e}", entry.path.display());
-                continue;
+    let cache_path = store.root().join(SAMPLE_CACHE_FILE);
+    let mut cached: std::collections::HashMap<String, RunSample> =
+        match std::fs::read_to_string(&cache_path).map(|raw| SampleCache::parse(&raw)) {
+            Ok(Some(samples)) => samples.into_iter().map(|s| (s.id.clone(), s)).collect(),
+            Ok(None) => {
+                obs::log_warn!(
+                    "ledger: rebuilding stale sample cache {}",
+                    cache_path.display()
+                );
+                std::collections::HashMap::new()
             }
+            Err(_) => std::collections::HashMap::new(),
         };
-        if manifest.content.workload != workload {
+    let mut extracted = false;
+    let mut samples = Vec::with_capacity(entries.len());
+    for entry in &entries {
+        if let Some(sample) = cached.remove(&entry.id) {
+            samples.push(sample);
             continue;
         }
-        let is_since = since.is_some_and(|prefix| entry.id.starts_with(prefix));
-        manifests.push(manifest);
-        if is_since {
-            since_seen = true;
-            break;
-        }
-        if limit > 0 && since.is_none() && manifests.len() == limit {
-            break;
-        }
-    }
-    if !since_seen {
-        let prefix = since.unwrap_or_default();
-        return Err(format!("--since {prefix}: no matching run for {workload}"));
-    }
-    if limit > 0 {
-        manifests.truncate(limit);
-    }
-    manifests.reverse();
-    Ok(manifests)
-}
-
-/// On-disk sample cache: one compact document holding the projection of
-/// every manifest the fold has already seen, keyed by run id. Run ids
-/// are content hashes, so a cached sample can never go stale — a changed
-/// manifest is a *different* run. Corrupt, missing, or old-schema caches
-/// are rebuilt silently from the manifests.
-///
-/// The format is deliberately *not* JSON: the cache exists to make the
-/// steady-state `juggler health` cheap, and parsing a multi-hundred-run
-/// JSON document would cost more than the fold it saves. Instead it is
-/// a tab-separated line format — `run` lines carry the scalar fields,
-/// `model` lines the per-model series — with every f64 stored as its
-/// IEEE-754 bit pattern in hex, so a round trip is exact and parsing is
-/// `u64::from_str_radix`. A closing `end` line carries the run count, so
-/// a file cut short is detected. Any malformed line invalidates the whole
-/// cache (rebuilt from manifests, never half-read), which also covers
-/// the pathological case of a model name containing a tab.
-const SAMPLE_CACHE_MAGIC: &str = "juggler-sample-cache";
-
-fn fmt_bits(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn parse_bits(field: &str) -> Option<f64> {
-    u64::from_str_radix(field, 16).ok().map(f64::from_bits)
-}
-
-fn read_sample_cache(path: &std::path::Path) -> std::collections::HashMap<String, RunSample> {
-    let Ok(raw) = std::fs::read_to_string(path) else {
-        return std::collections::HashMap::new();
-    };
-    match parse_sample_cache(&raw) {
-        Some(samples) => samples,
-        None => {
-            obs::log_warn!("health: rebuilding stale sample cache {}", path.display());
-            std::collections::HashMap::new()
-        }
-    }
-}
-
-fn parse_sample_cache(raw: &str) -> Option<std::collections::HashMap<String, RunSample>> {
-    let mut lines = raw.lines();
-    let header = lines.next()?;
-    let version = header.strip_prefix(SAMPLE_CACHE_MAGIC)?.trim();
-    if version.parse::<u32>().ok()? != SAMPLE_SCHEMA_VERSION {
-        return None;
-    }
-    let mut samples = std::collections::HashMap::new();
-    let mut current: Option<RunSample> = None;
-    let mut runs_written: Option<usize> = None;
-    for line in lines {
-        if runs_written.is_some() {
-            return None;
-        }
-        let mut f = line.split('\t');
-        match f.next()? {
-            "run" => {
-                if let Some(done) = current.take() {
-                    samples.insert(done.id.clone(), done);
-                }
-                current = Some(RunSample {
-                    id: f.next()?.to_owned(),
-                    workload: f.next()?.to_owned(),
-                    examples: f.next()?.parse().ok()?,
-                    features: f.next()?.parse().ok()?,
-                    models: Vec::new(),
-                    mean_time_rel_error: parse_bits(f.next()?)?,
-                    mean_size_rel_error: parse_bits(f.next()?)?,
-                    time_stage_runs: f.next()?.parse().ok()?,
-                    time_stage_machine_minutes: parse_bits(f.next()?)?,
-                    size_stage_runs: f.next()?.parse().ok()?,
-                    size_stage_machine_minutes: parse_bits(f.next()?)?,
-                });
+        let raw = std::fs::read_to_string(&entry.path)
+            .map_err(|e| format!("reading {}: {e}", entry.path.display()))?;
+        match RunManifest::from_json(&raw) {
+            Ok(m) if m.id() == entry.id => {
+                samples.push(RunSample::extract(&m));
+                extracted = true;
             }
-            "model" => {
-                let sample = current.as_mut()?;
-                let name = f.next()?.to_owned();
-                let spec = f.next()?.to_owned();
-                let coeffs = f
-                    .next()?
-                    .split(' ')
-                    .filter(|s| !s.is_empty())
-                    .map(parse_bits)
-                    .collect::<Option<Vec<f64>>>()?;
-                let err_micro = f
-                    .next()?
-                    .split(' ')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().ok())
-                    .collect::<Option<Vec<i64>>>()?;
-                sample.models.push(ModelSample {
-                    name,
-                    spec,
-                    coeffs,
-                    err_micro,
-                });
-            }
-            "end" => runs_written = Some(f.next()?.parse().ok()?),
-            _ => return None,
-        }
-        if f.next().is_some() {
-            return None;
+            Ok(m) => obs::log_warn!(
+                "ledger: skipping {}: filed under another id than its own ({})",
+                entry.path.display(),
+                m.id()
+            ),
+            Err(e) => obs::log_warn!("ledger: skipping {}: {e}", entry.path.display()),
         }
     }
-    if let Some(done) = current.take() {
-        samples.insert(done.id.clone(), done);
-    }
-    (runs_written? == samples.len()).then_some(samples)
-}
-
-fn write_sample_cache(
-    path: &std::path::Path,
-    cache: &std::collections::HashMap<String, RunSample>,
-) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(path, render_sample_cache(cache)) {
-        obs::log_warn!(
-            "health: could not persist sample cache {}: {e}",
-            path.display()
-        );
-    }
-}
-
-fn render_sample_cache(cache: &std::collections::HashMap<String, RunSample>) -> String {
-    use std::fmt::Write as _;
-    let mut ids: Vec<&str> = cache.keys().map(String::as_str).collect();
-    ids.sort_unstable();
-    let mut out = format!("{SAMPLE_CACHE_MAGIC} {SAMPLE_SCHEMA_VERSION}\n");
-    for id in ids {
-        let s = &cache[id];
-        let _ = writeln!(
-            out,
-            "run\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            s.id,
-            s.workload,
-            s.examples,
-            s.features,
-            fmt_bits(s.mean_time_rel_error),
-            fmt_bits(s.mean_size_rel_error),
-            s.time_stage_runs,
-            fmt_bits(s.time_stage_machine_minutes),
-            s.size_stage_runs,
-            fmt_bits(s.size_stage_machine_minutes),
-        );
-        for m in &s.models {
-            let coeffs: Vec<String> = m.coeffs.iter().map(|c| fmt_bits(*c)).collect();
-            let errs: Vec<String> = m.err_micro.iter().map(i64::to_string).collect();
-            let _ = writeln!(
-                out,
-                "model\t{}\t{}\t{}\t{}",
-                m.name,
-                m.spec,
-                coeffs.join(" "),
-                errs.join(" "),
+    // Whatever is left in `cached` projects runs that left the store.
+    if extracted || !cached.is_empty() {
+        // Sorted by id, so the cache bytes depend on the set of runs
+        // only, never on mtimes.
+        let mut by_id = samples.clone();
+        by_id.sort_by(|a, b| a.id.cmp(&b.id));
+        let cache = SampleCache {
+            schema_version: SAMPLE_SCHEMA_VERSION,
+            samples: by_id,
+        };
+        let json = serde_json::to_string(&cache).expect("SampleCache always serializes");
+        if let Err(e) = obs::write_atomic(&cache_path, json.as_bytes()) {
+            obs::log_warn!(
+                "ledger: could not persist sample cache {}: {e}",
+                cache_path.display()
             );
         }
     }
-    let _ = writeln!(out, "end\t{}", cache.len());
-    out
+    Ok(samples)
 }
 
 impl Watchtower {
-    /// Folds a workload's window straight off a ledger store, reusing a
-    /// persisted [`RunSample`] cache so a steady-state fold parses only
-    /// manifests it has never seen (content-addressing makes the cache
-    /// trivially coherent). `since`/`limit` follow [`load_history`];
-    /// `cache_path = None` disables persistence. The result is
-    /// bit-identical to `self.fold(&load_history(...))`.
+    /// Folds a workload's window straight off a ledger store: its runs
+    /// from [`ledger_samples`], newest first, back to and including the
+    /// first whose id starts with `since` (an error when none does), cut
+    /// to the newest `limit` (0 = unlimited), folded oldest-first. The
+    /// result is bit-identical to [`Self::fold`] over the same manifests.
     pub fn fold_ledger(
         &self,
         store: &obs::LedgerStore,
         workload: &str,
         since: Option<&str>,
         limit: usize,
-        cache_path: Option<&std::path::Path>,
     ) -> Result<HealthReport, String> {
-        let entries = store
-            .entries()
-            .map_err(|e| format!("reading ledger {}: {e}", store.root().display()))?;
-        let mut cache = cache_path.map(read_sample_cache).unwrap_or_default();
-        let mut dirty = false;
-
-        let mut picked: Vec<RunSample> = Vec::new();
-        let mut since_seen = since.is_none();
-        for entry in &entries {
-            let sample = match cache.get(&entry.id) {
-                Some(s) => s.clone(),
-                None => {
-                    let raw = std::fs::read_to_string(&entry.path)
-                        .map_err(|e| format!("reading {}: {e}", entry.path.display()))?;
-                    match RunManifest::from_json(&raw) {
-                        Ok(m) => {
-                            let s = RunSample::extract(&m);
-                            cache.insert(entry.id.clone(), s.clone());
-                            dirty = true;
-                            s
-                        }
-                        Err(e) => {
-                            obs::log_warn!("health: skipping {}: {e}", entry.path.display());
-                            continue;
-                        }
-                    }
-                }
-            };
-            if sample.workload != workload {
-                continue;
-            }
-            let is_since = since.is_some_and(|prefix| entry.id.starts_with(prefix));
-            picked.push(sample);
-            if is_since {
-                since_seen = true;
-                break;
-            }
-            if limit > 0 && since.is_none() && picked.len() == limit {
-                break;
-            }
-        }
-        if !since_seen {
-            let prefix = since.unwrap_or_default();
-            return Err(format!("--since {prefix}: no matching run for {workload}"));
+        let mut window: Vec<RunSample> = ledger_samples(store)?
+            .into_iter()
+            .filter(|s| s.workload == workload)
+            .collect();
+        if let Some(prefix) = since {
+            let at = window
+                .iter()
+                .position(|s| s.id.starts_with(prefix))
+                .ok_or_else(|| format!("--since {prefix}: no matching run for {workload}"))?;
+            window.truncate(at + 1);
         }
         if limit > 0 {
-            picked.truncate(limit);
+            window.truncate(limit);
         }
-        picked.reverse();
-
-        if let Some(path) = cache_path {
-            // Prune entries whose manifests left the store, then persist
-            // only if something actually changed.
-            let live: std::collections::HashSet<&str> =
-                entries.iter().map(|e| e.id.as_str()).collect();
-            let before = cache.len();
-            cache.retain(|id, _| live.contains(id.as_str()));
-            if dirty || cache.len() != before {
-                write_sample_cache(path, &cache);
-            }
-        }
-        Ok(self.fold_samples(&picked, &[]))
+        window.reverse();
+        Ok(self.fold_samples(&window, &[]))
     }
 }
 
@@ -1299,35 +1137,38 @@ mod tests {
         }
         let dir = std::env::temp_dir().join(format!("juggler-foldledger-{}", std::process::id()));
         let store = seed_store(&dir, &w);
-        let cache = dir.join("sample_cache.json");
+        let cache = dir.join(SAMPLE_CACHE_FILE);
         let tower = Watchtower::default();
 
-        let direct = tower.fold(&load_history(&store, "TINY", None, 0).unwrap());
-        let cold = tower
-            .fold_ledger(&store, "TINY", None, 0, Some(&cache))
-            .unwrap();
+        // Full window, cold (parses every manifest, persists the cache)
+        // then warm (reads only the cache).
+        let direct = tower.fold(&w);
+        let cold = tower.fold_ledger(&store, "TINY", None, 0).unwrap();
         assert!(cache.is_file(), "cold fold persists the sample cache");
-        let warm = tower
-            .fold_ledger(&store, "TINY", None, 0, Some(&cache))
-            .unwrap();
-        let uncached = tower.fold_ledger(&store, "TINY", None, 0, None).unwrap();
+        let warm = tower.fold_ledger(&store, "TINY", None, 0).unwrap();
         assert_eq!(direct.digest(), cold.digest());
-        assert_eq!(direct.digest(), warm.digest());
-        assert_eq!(direct.digest(), uncached.digest());
         assert_eq!(direct.canonical_json(), warm.canonical_json());
 
-        // since/limit parity with load_history on the cached path.
+        // `since` reaches back to and includes the named run; `limit`
+        // keeps the newest runs. Each is checked cold and warm.
         let since = w[4].id();
-        let d2 = tower.fold(&load_history(&store, "TINY", Some(&since), 0).unwrap());
-        let c2 = tower
-            .fold_ledger(&store, "TINY", Some(&since), 0, Some(&cache))
-            .unwrap();
-        assert_eq!(d2.digest(), c2.digest());
-        let d3 = tower.fold(&load_history(&store, "TINY", None, 3).unwrap());
-        let c3 = tower
-            .fold_ledger(&store, "TINY", None, 3, Some(&cache))
-            .unwrap();
-        assert_eq!(d3.digest(), c3.digest());
+        for cold in [true, false] {
+            if cold {
+                std::fs::remove_file(&cache).unwrap();
+            }
+            let got = tower.fold_ledger(&store, "TINY", Some(&since), 0).unwrap();
+            assert_eq!(tower.fold(&w[4..]).digest(), got.digest());
+            let got = tower.fold_ledger(&store, "TINY", None, 3).unwrap();
+            assert_eq!(tower.fold(&w[5..]).digest(), got.digest());
+            let got = tower.fold_ledger(&store, "TINY", Some(&since), 2).unwrap();
+            assert_eq!(tower.fold(&w[6..]).digest(), got.digest());
+        }
+        let err = tower
+            .fold_ledger(&store, "TINY", Some("ffff"), 0)
+            .unwrap_err();
+        assert!(err.contains("no matching run"), "{err}");
+        let empty = tower.fold_ledger(&store, "OTHER", None, 0).unwrap();
+        assert!(empty.window.is_empty());
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1337,52 +1178,82 @@ mod tests {
         let w = window(5);
         let dir = std::env::temp_dir().join(format!("juggler-foldcache-{}", std::process::id()));
         let store = seed_store(&dir, &w);
-        let cache = dir.join("sample_cache.json");
+        let cache = dir.join(SAMPLE_CACHE_FILE);
         let tower = Watchtower::default();
-        let expect = tower.fold(&load_history(&store, "TINY", None, 0).unwrap());
+        let expect = tower.fold(&w);
 
         std::fs::write(&cache, "not a cache at all").unwrap();
-        let got = tower
-            .fold_ledger(&store, "TINY", None, 0, Some(&cache))
-            .unwrap();
+        let got = tower.fold_ledger(&store, "TINY", None, 0).unwrap();
         assert_eq!(expect.digest(), got.digest());
 
         // A schema bump invalidates wholesale, never half-reads.
-        let stale = format!("{SAMPLE_CACHE_MAGIC} {}\n", SAMPLE_SCHEMA_VERSION + 1);
-        std::fs::write(&cache, stale).unwrap();
-        let got = tower
-            .fold_ledger(&store, "TINY", None, 0, Some(&cache))
-            .unwrap();
+        let stale = SampleCache {
+            schema_version: SAMPLE_SCHEMA_VERSION + 1,
+            samples: w.iter().map(RunSample::extract).collect(),
+        };
+        std::fs::write(&cache, serde_json::to_string(&stale).unwrap()).unwrap();
+        let got = tower.fold_ledger(&store, "TINY", None, 0).unwrap();
         assert_eq!(expect.digest(), got.digest());
-        let rebuilt = parse_sample_cache(&std::fs::read_to_string(&cache).unwrap())
+        let rebuilt = SampleCache::parse(&std::fs::read_to_string(&cache).unwrap())
             .expect("rebuilt cache parses at the current schema");
         assert_eq!(rebuilt.len(), w.len());
 
-        // The round trip through the compact format is exact: a warm
-        // fold from the rebuilt cache still matches bit-for-bit.
-        let warm = tower
-            .fold_ledger(&store, "TINY", None, 0, Some(&cache))
-            .unwrap();
+        // The JSON round trip is exact: a warm fold from the rebuilt
+        // cache still matches bit-for-bit.
+        let warm = tower.fold_ledger(&store, "TINY", None, 0).unwrap();
         assert_eq!(expect.digest(), warm.digest());
+
+        // A run that left the store is pruned from the cache.
+        std::fs::remove_file(dir.join(format!("{}.json", w[0].id()))).unwrap();
+        let got = tower.fold_ledger(&store, "TINY", None, 0).unwrap();
+        assert_eq!(tower.fold(&w[1..]).digest(), got.digest());
+        let pruned = SampleCache::parse(&std::fs::read_to_string(&cache).unwrap()).unwrap();
+        assert_eq!(pruned.len(), w.len() - 1);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unverifiable_runs_are_skipped_and_never_cached() {
+        let w = window(3);
+        let dir = std::env::temp_dir().join(format!("juggler-foldskip-{}", std::process::id()));
+        let store = seed_store(&dir, &w);
+        store.record("bb22334455667788", "[1, 2, 3]").unwrap();
+        let mut tampered = w[0].to_json();
+        tampered = tampered.replacen("\"TINY\"", "\"TINX\"", 1);
+        store.record("cc22334455667788", &tampered).unwrap();
+        // A verified manifest filed under a foreign id is not its run.
+        store.record("dd22334455667788", &w[1].to_json()).unwrap();
+
+        let ids: Vec<String> = ledger_samples(&store)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.id)
+            .collect();
+        let want: Vec<String> = w.iter().rev().map(RunManifest::id).collect();
+        assert_eq!(
+            ids, want,
+            "only verified runs under their own ids, newest first"
+        );
+        let cache = std::fs::read_to_string(dir.join(SAMPLE_CACHE_FILE)).unwrap();
+        assert_eq!(SampleCache::parse(&cache).unwrap().len(), w.len());
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_or_flipped_sample_cache_is_rejected_without_panics() {
-        let cache: std::collections::HashMap<String, RunSample> = window(3)
-            .iter()
-            .map(|m| (m.id(), RunSample::extract(m)))
-            .collect();
-        let raw = render_sample_cache(&cache);
-        assert_eq!(parse_sample_cache(&raw).as_ref(), Some(&cache));
+        let cache = SampleCache {
+            schema_version: SAMPLE_SCHEMA_VERSION,
+            samples: window(3).iter().map(RunSample::extract).collect(),
+        };
+        let raw = serde_json::to_string(&cache).unwrap();
+        assert_eq!(SampleCache::parse(&raw), Some(cache.samples));
 
-        // Every cut short of the final newline is rejected, never half-read.
-        let body = raw.trim_end().len();
+        // Every cut short of the whole document is rejected, never half-read.
         for cut in (0..raw.len()).filter(|&cut| raw.is_char_boundary(cut)) {
-            assert_eq!(
-                parse_sample_cache(&raw[..cut]).is_some(),
-                cut >= body,
+            assert!(
+                SampleCache::parse(&raw[..cut]).is_none(),
                 "truncation at byte {cut} of {}",
                 raw.len()
             );
@@ -1395,7 +1266,7 @@ mod tests {
                 let at = rng.next_in(0, bytes.len() as u64) as usize;
                 bytes[at] = rng.next_in(0, 128) as u8;
                 if let Ok(text) = String::from_utf8(bytes) {
-                    let _ = parse_sample_cache(&text);
+                    let _ = SampleCache::parse(&text);
                 }
                 Ok(())
             },

@@ -1,24 +1,25 @@
 //! The on-disk run ledger: a content-addressed store of run manifests
 //! under `results/runs/`.
 //!
-//! The store is deliberately schema-light: it files any JSON document by
-//! its caller-supplied content hash (`<first 16 hex chars>.json`), lists
-//! what it holds, and resolves unambiguous id prefixes — the *typed*
-//! manifest (what goes in the document, what the hash covers, what counts
-//! as drift) lives in `juggler-core::provenance`. Keeping storage generic
-//! means the store itself never needs to change when the manifest schema
-//! grows; summaries below read well-known fields leniently and degrade to
-//! placeholders for foreign documents.
+//! The store only stores bytes: it files any JSON document by its
+//! caller-supplied content hash (`<first 16 hex chars>.json`), lists
+//! what it holds, and resolves unambiguous id prefixes. It never parses
+//! a document — the *typed* manifest (what goes in the document, what
+//! the hash covers, what counts as drift) and the one verified reader of
+//! a whole store live in `juggler-core` (`provenance`, `watchtower`).
+//! Keeping storage generic means the store itself never needs to change
+//! when the manifest schema grows.
 //!
 //! Recording is idempotent: the same content hashes to the same id and
-//! overwrites the same file with identical bytes, so re-recording a run
+//! replaces the same file with identical bytes, so re-recording a run
 //! is a no-op — which is exactly the property the cross-run determinism
-//! tests pin (bit-identical manifests at any worker-thread count).
+//! tests pin (bit-identical manifests at any worker-thread count). The
+//! replacement is atomic, so a concurrent reader sees the old file or
+//! the new one, never a half-written one.
 
 use std::io;
 use std::path::{Path, PathBuf};
-
-use serde::Value;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of leading hex characters of the content hash used as the run
 /// id (and file stem) — 64 bits, plenty for a local experiment ledger.
@@ -30,34 +31,9 @@ pub struct LedgerStore {
     root: PathBuf,
 }
 
-/// Summary row for one stored run (the `juggler runs list` view). Fields
-/// absent from the document degrade to empty/zero rather than erroring,
-/// so a store survives schema evolution and foreign files.
-#[derive(Debug, Clone)]
-pub struct StoredRun {
-    /// Run id (file stem; leading [`RUN_ID_LEN`] chars of the hash).
-    pub id: String,
-    /// Path of the manifest file.
-    pub path: PathBuf,
-    /// Workload name, if the document declares one.
-    pub workload: String,
-    /// `(examples, features, iterations)` parameters, when present.
-    pub params: (u64, u64, u64),
-    /// Number of schedules in the manifest, when present.
-    pub schedules: usize,
-    /// Mean relative time-prediction error, when present.
-    pub mean_time_rel_error: Option<f64>,
-    /// Full content hash declared by the document (empty if absent).
-    pub content_hash: String,
-    /// When the manifest file was recorded (file mtime, nanoseconds since
-    /// the Unix epoch; 0 if the filesystem won't say). Ordering metadata
-    /// only — deliberately *outside* the content hash, like the envelope.
-    pub recorded_unix_ns: u128,
-}
-
 /// One directory entry of a [`LedgerStore`]: identity and ordering
-/// metadata only, no document parse. The cheap spine of [`LedgerStore::list`]
-/// and of bulk readers that bring their own (typed, cached) parsing.
+/// metadata only, no document parse — the spine of bulk readers that
+/// bring their own (typed, cached) parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerEntryMeta {
     /// Run id (file stem).
@@ -89,13 +65,13 @@ impl LedgerStore {
 
     /// Files `document_json` under the id derived from `content_hash`,
     /// creating the root directory if needed. Returns the file path.
-    /// Idempotent for identical content.
+    /// Idempotent for identical content, and atomic (see [`write_atomic`]).
     pub fn record(&self, content_hash: &str, document_json: &str) -> io::Result<PathBuf> {
         std::fs::create_dir_all(&self.root)?;
         let path = self
             .root
             .join(format!("{}.json", Self::id_of(content_hash)));
-        std::fs::write(&path, document_json)?;
+        write_atomic(&path, document_json.as_bytes())?;
         Ok(path)
     }
 
@@ -130,23 +106,6 @@ impl LedgerStore {
                 .cmp(&a.recorded_unix_ns)
                 .then_with(|| a.id.cmp(&b.id))
         });
-        Ok(out)
-    }
-
-    /// All stored runs, newest first (same order as [`Self::entries`]),
-    /// with summary fields parsed out of each document. Parse failures
-    /// are skipped — the ledger must not die on a stray file.
-    pub fn list(&self) -> io::Result<Vec<StoredRun>> {
-        let mut out = Vec::new();
-        for meta in self.entries()? {
-            let Ok(raw) = std::fs::read_to_string(&meta.path) else {
-                continue;
-            };
-            let Ok(doc) = serde_json::from_str::<Value>(&raw) else {
-                continue;
-            };
-            out.push(summarize(&meta.id, &meta.path, &doc, meta.recorded_unix_ns));
-        }
         Ok(out)
     }
 
@@ -196,6 +155,26 @@ impl LedgerStore {
     }
 }
 
+/// Replaces `path` with `bytes` atomically: the bytes go to a temp file
+/// in the same directory (a dot-file ending in `.tmp`, so
+/// [`LedgerStore::entries`] never lists it), which is then renamed over
+/// `path`. A concurrent reader opens either the old file or the new one;
+/// `std::fs::write` would truncate first and let it read a prefix.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
+    let tmp = path.with_file_name(format!(
+        ".{name}.{}-{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let renamed = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    renamed
+}
+
 /// File mtime as nanoseconds since the Unix epoch (0 when unavailable).
 fn recorded_ns(path: &Path) -> u128 {
     std::fs::metadata(path)
@@ -203,46 +182,6 @@ fn recorded_ns(path: &Path) -> u128 {
         .ok()
         .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
         .map_or(0, |d| d.as_nanos())
-}
-
-/// Lenient summary extraction from a manifest document.
-fn summarize(id: &str, path: &Path, doc: &Value, recorded_unix_ns: u128) -> StoredRun {
-    let content = doc.get("content").unwrap_or(doc);
-    let as_u64 = |v: &Value| match v {
-        Value::Int(n) => u64::try_from(*n).unwrap_or(0),
-        Value::UInt(n) => *n,
-        Value::Float(x) if x.is_finite() && *x >= 0.0 => *x as u64,
-        _ => 0,
-    };
-    let params = content.get("params");
-    let param = |key: &str| params.and_then(|p| p.get(key)).map_or(0, as_u64);
-    let schedules = match content.get("schedules") {
-        Some(Value::Array(items)) => items.len(),
-        _ => 0,
-    };
-    let mean_err = content
-        .get("predictions")
-        .and_then(|p| p.get("mean_time_rel_error"))
-        .and_then(|v| match v {
-            Value::Float(x) => Some(*x),
-            Value::Int(n) => Some(*n as f64),
-            Value::UInt(n) => Some(*n as f64),
-            _ => None,
-        });
-    let text = |v: Option<&Value>| match v {
-        Some(Value::Str(s)) => s.clone(),
-        _ => String::new(),
-    };
-    StoredRun {
-        id: id.to_owned(),
-        path: path.to_path_buf(),
-        workload: text(content.get("workload")),
-        params: (param("examples"), param("features"), param("iterations")),
-        schedules,
-        mean_time_rel_error: mean_err,
-        content_hash: text(doc.get("content_hash")),
-        recorded_unix_ns,
-    }
 }
 
 #[cfg(test)]
@@ -267,6 +206,10 @@ mod tests {
         "content_hash": "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef"
     }"#;
 
+    fn ids(store: &LedgerStore) -> Vec<String> {
+        store.entries().unwrap().into_iter().map(|e| e.id).collect()
+    }
+
     #[test]
     fn record_list_resolve_roundtrip() {
         let store = tmp_store("roundtrip");
@@ -276,15 +219,14 @@ mod tests {
             path.file_name().unwrap().to_str().unwrap(),
             "deadbeefdeadbeef.json"
         );
-        let runs = store.list().unwrap();
-        assert_eq!(runs.len(), 1);
-        let r = &runs[0];
-        assert_eq!(r.id, "deadbeefdeadbeef");
-        assert_eq!(r.workload, "TINY");
-        assert_eq!(r.params, (4000, 800, 4));
-        assert_eq!(r.schedules, 1);
-        assert!((r.mean_time_rel_error.unwrap() - 0.0805).abs() < 1e-12);
-        assert_eq!(r.content_hash, hash);
+        let entries = store.entries().unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].id, "deadbeefdeadbeef");
+        assert_eq!(entries[0].path, path);
+        assert_eq!(
+            store.load("deadbeefdeadbeef").unwrap(),
+            (path.clone(), DOC.to_owned())
+        );
         // Prefix resolution.
         assert_eq!(store.resolve("deadbe").unwrap(), path);
         // Direct path resolution.
@@ -299,14 +241,56 @@ mod tests {
         let p1 = store.record(hash, DOC).unwrap();
         let p2 = store.record(hash, DOC).unwrap();
         assert_eq!(p1, p2);
-        assert_eq!(store.list().unwrap().len(), 1);
+        assert_eq!(ids(&store), ["0011223344556677"]);
+        // No temp file is left behind next to the document.
+        assert_eq!(std::fs::read_dir(store.root()).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn rerecording_is_atomic_for_a_concurrent_reader() {
+        const REWRITES: usize = 200;
+        let store = tmp_store("atomic");
+        let hash = "ab00000000000000ffff";
+        // Large enough that a truncate-then-write replacement is visible
+        // to the reader as an empty or partial file.
+        let doc = DOC.repeat(256);
+        store.record(hash, &doc).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        let (reads, failures) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let (mut reads, mut failures) = (0usize, 0usize);
+                start.wait();
+                while !done.load(Ordering::Acquire) || reads == 0 {
+                    match store.load("ab00000000000000") {
+                        Ok((_, raw)) if raw == doc => {}
+                        _ => failures += 1,
+                    }
+                    reads += 1;
+                }
+                (reads, failures)
+            });
+            start.wait();
+            for _ in 0..REWRITES {
+                store.record(hash, &doc).unwrap();
+            }
+            done.store(true, Ordering::Release);
+            reader.join().unwrap()
+        });
+        assert_eq!(
+            failures, 0,
+            "{failures} of {reads} concurrent reads saw a partial document"
+        );
+        assert_eq!(ids(&store), ["ab00000000000000"]);
+        assert_eq!(std::fs::read_dir(store.root()).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn missing_store_lists_empty_and_resolve_reports() {
         let store = tmp_store("missing");
-        assert!(store.list().unwrap().is_empty());
+        assert!(store.entries().unwrap().is_empty());
         let err = store.resolve("abc").unwrap_err();
         assert!(err.contains("no run matching"), "{err}");
     }
@@ -349,9 +333,8 @@ mod tests {
         set_mtime(&p_cc, 10);
         set_mtime(&p_bb, 20);
         set_mtime(&p_aa, 30);
-        let ids: Vec<String> = store.list().unwrap().into_iter().map(|r| r.id).collect();
         assert_eq!(
-            ids,
+            ids(&store),
             ["aa00000000000000", "bb00000000000000", "cc00000000000000"],
             "newest first"
         );
@@ -359,13 +342,13 @@ mod tests {
         set_mtime(&p_aa, 10);
         set_mtime(&p_bb, 10);
         set_mtime(&p_cc, 10);
-        let runs = store.list().unwrap();
-        let ids: Vec<&str> = runs.iter().map(|r| r.id.as_str()).collect();
+        let entries = store.entries().unwrap();
+        let ids: Vec<&str> = entries.iter().map(|e| e.id.as_str()).collect();
         assert_eq!(
             ids,
             ["aa00000000000000", "bb00000000000000", "cc00000000000000"]
         );
-        assert!(runs.iter().all(|r| r.recorded_unix_ns > 0));
+        assert!(entries.iter().all(|e| e.recorded_unix_ns > 0));
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -373,11 +356,14 @@ mod tests {
     fn corrupt_manifest_resolves_by_its_own_id() {
         let store = tmp_store("corrupt");
         let path = store.record("cc33445566778899", "{not json").unwrap();
-        assert!(store.list().unwrap().is_empty(), "list skips it");
+        // Listing never opens a document, so the damage is not its concern.
+        assert_eq!(ids(&store), ["cc33445566778899"]);
         assert_eq!(store.resolve("cc3344").unwrap(), path);
-        // The reader, not the resolver, reports the damage.
-        let (_, raw) = store.load("cc3344").unwrap();
-        assert!(serde_json::from_str::<Value>(&raw).is_err());
+        // The typed reader, not the store, reports the damage.
+        assert_eq!(
+            store.load("cc3344").unwrap(),
+            (path, "{not json".to_owned())
+        );
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -387,17 +373,6 @@ mod tests {
         store.record("deadbeefdeadbeef", DOC).unwrap();
         let err = store.resolve("").unwrap_err();
         assert!(err.contains("empty run reference"), "{err}");
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn foreign_documents_survive_listing() {
-        let store = tmp_store("foreign");
-        store.record("bb22334455667788", "[1, 2, 3]").unwrap();
-        let runs = store.list().unwrap();
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].workload, "");
-        assert_eq!(runs[0].schedules, 0);
         let _ = std::fs::remove_dir_all(store.root());
     }
 }

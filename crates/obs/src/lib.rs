@@ -62,7 +62,7 @@ pub use hash::{sha256, sha256_hex, to_hex, Sha256};
 pub use health::{
     fmt_micro_pct, to_micro, Cusum, EwmaBand, Firing, PageHinkley, SloSpec, Verdict, MICRO,
 };
-pub use ledger::{LedgerEntryMeta, LedgerStore, StoredRun, RUN_ID_LEN};
+pub use ledger::{write_atomic, LedgerEntryMeta, LedgerStore, RUN_ID_LEN};
 pub use perf::{
     default_checks, lookup, regression_attribution, BaselineSpec, BenchReport, Check, CheckOp,
     CheckOutcome, PerfReport,

@@ -98,6 +98,10 @@ cargo test -q --offline --test health_determinism
 echo "== health golden (drift drill names the onset run; tree is byte-stable) =="
 cargo test -q --offline --test health_golden
 
+echo "== ledger read path (runs list/watch/health see only verified runs; atomic re-record; sample cache stays put) =="
+cargo test -q --offline --test ledger_cli
+cargo test -q --offline -p obs --lib -- ledger::
+
 echo "== health overhead (<5% steady-state fold budget; records results/BENCH_health_overhead.json) =="
 cargo bench --offline -p bench --bench health_overhead
 

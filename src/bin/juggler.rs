@@ -32,7 +32,7 @@ use juggler_suite::cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions,
 use juggler_suite::dagflow::to_dot;
 use juggler_suite::juggler::pipeline::{OfflineTraining, TrainedJuggler, TrainingConfig};
 use juggler_suite::juggler::provenance::{DiffTolerances, ManifestDiff, RunManifest};
-use juggler_suite::juggler::watchtower::{load_history, Watchtower};
+use juggler_suite::juggler::watchtower::{ledger_samples, RunSample, Watchtower};
 use juggler_suite::obs;
 use juggler_suite::obs::health::{SloSpec, Verdict};
 use juggler_suite::workloads::{all_workloads, KMeans, MicroBatchStream, SqlStarJoin, Workload};
@@ -290,20 +290,24 @@ results/runs/). `runs diff` compares two manifests' hashed content and
 flags model-winner changes, coefficient drift beyond tolerance,
 prediction-error regressions, and counter drift; it exits 1 when drift is
 found. RUN accepts a run id, an unambiguous id prefix, or a manifest
-path. `runs list` prints newest-first; --workload and --limit narrow the
-listing.
+path. `runs list` prints the verified runs newest-first; --workload and
+--limit narrow the listing. A file in the store that fails its content
+hash, or is not a run manifest at all, is skipped with a warning by
+`runs list`, `health` and `watch` alike.
 
 `health` folds the recorded run history of one workload through the
 deterministic drift detectors (CUSUM on model-coefficient deviation,
 Page–Hinkley on prediction relative error, EWMA bands on residuals) and
 evaluates it against the error-budget SLO (defaults, or a JSON spec via
 --slo — see examples/slo.json). The resulting HealthReport is filed,
-content-addressed, under results/health/ and printed as a tree (default),
-canonical JSON, or Prometheus gauges (--format prom). --since RUN and
---limit N narrow the fold window; exit status is 1 when any model or the
-error budget is Drifted, so the command doubles as a CI gate. `watch` is
-the one-shot sweep: one verdict line per workload in the run ledger,
-exit 1 if any is Drifted.
+content-addressed, under results/health/ (--report-store) and printed as
+a tree (default), canonical JSON, or Prometheus gauges (--format prom).
+--since RUN and --limit N narrow the fold window; exit status is 1 when
+any model or the error budget is Drifted, so the command doubles as a CI
+gate. `watch` is the one-shot sweep: one verdict line per workload in
+the run ledger, exit 1 if any is Drifted. The run ledger keeps a cache
+of what these commands read from each manifest in its own directory
+(`sample_cache`), so a repeat read parses only runs recorded since.
 
 `perf-report` gates the committed/fresh BENCH_*.json artifacts
 against the baseline specs in results/baselines/ and exits 1 on any
@@ -926,9 +930,7 @@ fn cmd_runs_record(args: &Args) -> Result<(), String> {
 
 fn cmd_runs_list(args: &Args) -> Result<(), String> {
     let store = ledger_store(args);
-    let mut runs = store
-        .list()
-        .map_err(|e| format!("reading ledger {}: {e}", store.root().display()))?;
+    let mut runs = ledger_samples(&store)?;
     if let Some(workload) = args.value("--workload") {
         runs.retain(|r| r.workload.eq_ignore_ascii_case(workload));
     }
@@ -949,14 +951,11 @@ fn cmd_runs_list(args: &Args) -> Result<(), String> {
             "{:<16} {:<8} {:>9} {:>9} {:>6} {:>10} {:>14}",
             r.id,
             r.workload,
-            r.params.0,
-            r.params.1,
-            r.params.2,
+            r.examples,
+            r.features,
+            r.iterations,
             r.schedules,
-            r.mean_time_rel_error.map_or_else(
-                || "-".to_owned(),
-                |e| format!("{}%", obs::fmt_sig(e * 100.0, 3))
-            )
+            format!("{}%", obs::fmt_sig(r.mean_time_rel_error * 100.0, 3))
         );
     }
     Ok(())
@@ -1122,10 +1121,7 @@ fn cmd_health(args: &Args) -> Result<ExitCode, String> {
     // Health reports are filed apart from the run ledger, so
     // `juggler runs list` never parses them.
     let reports = obs::LedgerStore::new(args.dir("--report-store", "results/health"));
-    // Samples are cached next to the filed reports: a steady-state
-    // `juggler health` only parses manifests recorded since the last one.
-    let cache = reports.root().join("sample_cache.json");
-    let report = Watchtower::new(slo).fold_ledger(&store, &name, since, limit, Some(&cache))?;
+    let report = Watchtower::new(slo).fold_ledger(&store, &name, since, limit)?;
     if report.window.is_empty() {
         return Err(format!(
             "no runs recorded for {name} in {} (try `juggler runs record {name}`)",
@@ -1151,25 +1147,26 @@ fn cmd_health(args: &Args) -> Result<ExitCode, String> {
 fn cmd_watch(args: &Args) -> Result<ExitCode, String> {
     let slo = slo_spec(args)?;
     let store = ledger_store(args);
-    let runs = store
-        .list()
-        .map_err(|e| format!("reading ledger {}: {e}", store.root().display()))?;
-    if runs.is_empty() {
+    let mut by_workload: std::collections::BTreeMap<String, Vec<RunSample>> = Default::default();
+    for sample in ledger_samples(&store)? {
+        by_workload
+            .entry(sample.workload.clone())
+            .or_default()
+            .push(sample);
+    }
+    if by_workload.is_empty() {
         println!("no runs recorded in {}", store.root().display());
         return Ok(ExitCode::SUCCESS);
     }
-    let mut workloads: Vec<String> = runs.iter().map(|r| r.workload.clone()).collect();
-    workloads.sort();
-    workloads.dedup();
     let mut worst = Verdict::Healthy;
     println!("{:<8} {:>5}  verdict", "name", "runs");
-    for name in workloads {
-        let manifests = load_history(&store, &name, None, 0)?;
-        let report = Watchtower::new(slo.clone()).fold(&manifests);
+    for (name, mut samples) in by_workload {
+        samples.reverse();
+        let report = Watchtower::new(slo.clone()).fold_samples(&samples, &[]);
         println!(
             "{:<8} {:>5}  {}",
             name,
-            manifests.len(),
+            samples.len(),
             report.verdict.detail()
         );
         worst = worst.worst(report.verdict.clone());

@@ -1,8 +1,8 @@
 //! Determinism contract for the watchtower: the `HealthReport` digest
 //! of a fold over recorded history must be bit-identical whether
 //! `JUGGLER_THREADS` is 1, 2, or 8, across repeated folds of the same
-//! window, and across the ledger round trip (`load_history` vs folding
-//! the in-memory manifests directly). The doctor-embedded single-run
+//! window, and across the ledger round trip (`Watchtower::fold_ledger`
+//! cold and warm vs folding the in-memory manifests directly). The doctor-embedded single-run
 //! baseline rides along under the same contract.
 //!
 //! One test function on purpose: the `JUGGLER_THREADS` environment
@@ -14,7 +14,7 @@ use common::TinyScoring;
 use juggler_suite::juggler::parallel::THREADS_ENV;
 use juggler_suite::juggler::pipeline::TrainingConfig;
 use juggler_suite::juggler::provenance::RunManifest;
-use juggler_suite::juggler::watchtower::{load_history, Watchtower};
+use juggler_suite::juggler::watchtower::Watchtower;
 use juggler_suite::obs::LedgerStore;
 use juggler_suite::workloads::Workload;
 
@@ -73,9 +73,10 @@ fn health_digests_are_bit_identical_across_threads_and_refolds() {
         );
     }
 
-    // Ledger round trip: record the window, load it back through
-    // `load_history`, and the fold digest must not move. This pins that
-    // file mtimes (ordering metadata) stay out of the report content.
+    // Ledger round trip: record the window, fold it back off the store
+    // (cold, then from the sample cache), and the fold digest must not
+    // move. This pins that file mtimes (ordering metadata) stay out of
+    // the report content.
     let config = TrainingConfig::default();
     let report = juggler_suite::juggler::doctor(&TinyScoring, &config).expect("doctor succeeds");
     let manifest = RunManifest::from_doctor(&report, &config, &TinyScoring.paper_params());
@@ -91,7 +92,7 @@ fn health_digests_are_bit_identical_across_threads_and_refolds() {
             .record(&m.content_hash, &m.to_json())
             .expect("record succeeds");
         // Pin mtimes so the store lists the window in recording order —
-        // the ordering metadata `load_history` sorts by.
+        // the ordering metadata the ledger reader sorts by.
         let file = std::fs::File::options()
             .write(true)
             .open(&path)
@@ -99,15 +100,18 @@ fn health_digests_are_bit_identical_across_threads_and_refolds() {
         file.set_modified(base_time + std::time::Duration::from_secs(i as u64))
             .expect("set mtime");
     }
-    let loaded = load_history(&store, "TINY", None, 0).expect("history loads");
-    assert_eq!(loaded.len(), window.len());
     let direct = Watchtower::default().fold(&window);
-    let via_store = Watchtower::default().fold(&loaded);
-    assert_eq!(
-        direct.digest(),
-        via_store.digest(),
-        "the ledger round trip must not change the report digest \
-         (file mtimes are ordering metadata, never content)"
-    );
+    for pass in ["cold", "warm"] {
+        let via_store = Watchtower::default()
+            .fold_ledger(&store, "TINY", None, 0)
+            .expect("history folds");
+        assert_eq!(via_store.window.len(), window.len(), "{pass}");
+        assert_eq!(
+            direct.digest(),
+            via_store.digest(),
+            "the {pass} ledger round trip must not change the report digest \
+             (file mtimes are ordering metadata, never content)"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

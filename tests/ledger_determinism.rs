@@ -11,6 +11,7 @@ mod common;
 use common::TinyScoring;
 use juggler_suite::juggler::pipeline::TrainingConfig;
 use juggler_suite::juggler::provenance::{DiffTolerances, ManifestDiff, RunManifest};
+use juggler_suite::juggler::watchtower::ledger_samples;
 use juggler_suite::obs::LedgerStore;
 use juggler_suite::workloads::Workload;
 
@@ -82,7 +83,7 @@ fn manifest_content_is_bit_identical_across_threads_and_reruns() {
         path.file_stem().and_then(|s| s.to_str()),
         Some(m1.id().as_str())
     );
-    let runs = store.list().expect("list succeeds");
+    let runs = ledger_samples(&store).expect("the ledger reads back");
     assert_eq!(runs.len(), 1);
     assert_eq!(runs[0].id, m1.id());
     assert_eq!(runs[0].workload, "TINY");
