@@ -685,12 +685,6 @@ impl BlockStore {
     pub fn touched_stats(&self) -> impl Iterator<Item = (DatasetId, &DatasetCacheStats)> {
         self.touched_in(0, self.stats.len())
     }
-
-    /// Number of machines in the store.
-    #[must_use]
-    pub fn machine_count(&self) -> usize {
-        self.storage_used.len()
-    }
 }
 
 #[cfg(test)]

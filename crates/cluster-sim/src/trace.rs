@@ -170,21 +170,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Span start (snapshot time for counters), µs — events are recorded
-    /// in execution order, exporters never need to sort.
-    #[must_use]
-    pub fn timestamp_us(&self) -> u64 {
-        match *self {
-            TraceEvent::JobSpan { start_us, .. }
-            | TraceEvent::StageSpan { start_us, .. }
-            | TraceEvent::WaveSpan { start_us, .. }
-            | TraceEvent::TaskSpan { start_us, .. } => start_us,
-            TraceEvent::CounterSnapshot { at_us, .. } => at_us,
-        }
-    }
-}
-
 /// Fixed-capacity event ring: pushes past capacity drop the oldest event
 /// and bump the drop counter, so a trace of a long run keeps its tail
 /// (the part that usually holds the divergence being debugged).

@@ -134,31 +134,6 @@ impl AppBuilder {
         )
     }
 
-    /// Adds a narrow transformation with an explicit partition count (for
-    /// coalescing maps and the like).
-    #[allow(clippy::too_many_arguments)]
-    pub fn narrow_with_partitions(
-        &mut self,
-        name: impl Into<String>,
-        kind: NarrowKind,
-        parents: &[DatasetId],
-        records: u64,
-        bytes: Bytes,
-        partitions: u32,
-        compute: ComputeCost,
-    ) -> DatasetId {
-        assert!(!parents.is_empty(), "narrow transformation needs parents");
-        self.push(
-            name,
-            OpKind::Narrow(kind),
-            parents,
-            records,
-            bytes,
-            partitions,
-            compute,
-        )
-    }
-
     /// Adds a wide (shuffle) transformation. Output partition count defaults
     /// to the first parent's unless overridden with
     /// [`AppBuilder::wide_with_partitions`].

@@ -17,20 +17,24 @@
 //!   profiling shadow and rewiring children (and job targets, and persist
 //!   directives) to the shadows — exactly the dependency surgery of the
 //!   paper's Figure 6;
-//! * [`ProfilingDatabase`] collects the per-task records of an
-//!   instrumented run;
-//! * [`derive_metrics`] reconstructs per-transformation execution times
-//!   with the §3.3 model (the three ENT cases, wave-weighted averaging of
-//!   Eq. 2, and the Shuffle-Write + Shuffle-Read split of Eq. 3) and
-//!   per-dataset sizes — using *only* timestamps a profiling operator
-//!   could observe, never the simulator's ground truth.
+//! * [`ProfilingDatabase`] is the central collector: it splits each task
+//!   trace of an instrumented run at the profiling operators and folds the
+//!   observations into per-dataset state as it ingests them, keeping no
+//!   task, stage or observation rows;
+//! * [`derive_metrics`] finishes that fold into per-transformation
+//!   execution times with the §3.3 model (the three ENT cases,
+//!   wave-weighted averaging of Eq. 2, and the Shuffle-Write + Shuffle-Read
+//!   split of Eq. 3) and per-dataset sizes — using *only* timestamps a
+//!   profiling operator could observe, never the simulator's ground truth;
+//! * [`profile_run`] is the whole pipeline in one call: inject, run with
+//!   traces, ingest, derive.
 
 pub mod db;
 pub mod inject;
 pub mod metrics;
 pub mod runner;
 
-pub use db::{ProfilingDatabase, StageRecord, TaskRecord, TransformationObservation};
+pub use db::ProfilingDatabase;
 pub use inject::{inject, Instrumented, ProfilingOverhead};
 pub use metrics::{derive_metrics, DatasetMetrics};
 pub use runner::{profile_run, ProfileRunOutput};

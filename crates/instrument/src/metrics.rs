@@ -6,11 +6,9 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use cluster_sim::RunReport;
 use dagflow::{Application, DatasetId, JobId, StageId};
 
 use crate::db::{ProfilingDatabase, TransformationObservation};
-use crate::inject::Instrumented;
 
 /// Metrics of one (original) dataset, as Juggler's hotspot detection
 /// consumes them. The computation count `n` is *not* here — it comes from
@@ -37,57 +35,27 @@ pub struct DatasetMetrics {
 /// instrumented sample run used (`machines × cores`) — the denominator of
 /// the `N_waves = ⌈tasks / cores⌉` term of Eq. 2.
 ///
-/// Observations are read in place under the database lock and folded into
-/// dense per-dataset state: a partition-size vector indexed by task (the
-/// last write wins), and for each half — plain / Shuffle Read, Shuffle
-/// Write — a short list of `(job, stage)` groups, each summing its ENT
-/// intervals in observation order. A dataset's half averages its groups'
-/// `mean ENT × waves` in ascending `(job, stage)` order, whatever order the
-/// traces were ingested in, so interleaved observations of different
-/// groups yield the same bits as grouped ones and repeated runs agree
-/// across processes.
+/// The database folded every observation as it ingested it, into dense
+/// per-dataset state: a partition-size vector indexed by task (the last
+/// write wins), and for each half — plain / Shuffle Read, Shuffle Write —
+/// a short list of `(job, stage)` groups, each summing its ENT intervals in
+/// observation order. This only finishes the fold: a dataset's half
+/// averages its groups' `mean ENT × waves` in ascending `(job, stage)`
+/// order, whatever order the traces were ingested in, so interleaved
+/// observations of different groups yield the same bits as grouped ones,
+/// repeated runs agree across processes, and calling it again returns the
+/// same bits.
 #[must_use]
 pub fn derive_metrics(
     db: &ProfilingDatabase,
     app: &Application,
     total_cores: u32,
 ) -> Vec<DatasetMetrics> {
-    db.with_records(|stages, observations| {
-        let mut fold = MetricsFold::new(app);
-        for obs in observations {
-            fold.add(obs);
-        }
-        fold.finish(app, total_cores, |job, stage| {
-            stages.get(&(job, stage)).map_or(1, |s| s.n_tasks)
-        })
-    })
-}
-
-/// [`derive_metrics`] of a database that ingested exactly `report`, with
-/// no database: each task's observations are folded as the trace is split
-/// and never stored. A profiling run's observation list is its largest
-/// short-lived allocation, so skipping it keeps the run's memory peak to
-/// the traces themselves.
-pub(crate) fn derive_metrics_from_report(
-    instr: &Instrumented,
-    report: &RunReport,
-    app: &Application,
-    total_cores: u32,
-) -> Vec<DatasetMetrics> {
-    let mut fold = MetricsFold::new(app);
-    // Tasks per stage, as the database's stage records count them.
-    let mut n_tasks: BTreeMap<(JobId, StageId), u32> = BTreeMap::new();
-    for trace in &report.traces {
-        let n = n_tasks.entry((trace.job, trace.stage)).or_insert(0);
-        *n = (*n).max(trace.task + 1);
-        ProfilingDatabase::observe_task(instr, trace, |obs| fold.add(&obs));
-    }
-    fold.finish(app, total_cores, |job, stage| {
-        n_tasks.get(&(job, stage)).copied().unwrap_or(1)
-    })
+    db.fold.lock().finish(app, total_cores)
 }
 
 /// ENT intervals of one `(job, stage)` for one dataset half.
+#[derive(Debug)]
 struct Group {
     job: JobId,
     stage: StageId,
@@ -95,7 +63,7 @@ struct Group {
     count: u32,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Acc {
     /// Some observation mentions the dataset.
     seen: bool,
@@ -105,22 +73,32 @@ struct Acc {
     halves: [Vec<Group>; 2],
 }
 
-/// The per-dataset state [`derive_metrics`] folds observations into, in
-/// observation order.
-struct MetricsFold {
+/// The per-dataset state a [`ProfilingDatabase`] folds observations into,
+/// in observation order, plus the task count of each `(job, stage)`.
+#[derive(Debug, Default)]
+pub(crate) struct MetricsFold {
+    /// Indexed by original dataset id.
     accs: Vec<Acc>,
+    stage_tasks: BTreeMap<(JobId, StageId), u32>,
 }
 
 impl MetricsFold {
-    fn new(app: &Application) -> Self {
-        MetricsFold {
-            accs: std::iter::repeat_with(Acc::default)
-                .take(app.dataset_count())
-                .collect(),
+    /// Gives each of the datasets `0..datasets` an accumulator.
+    pub(crate) fn cover(&mut self, datasets: usize) {
+        if self.accs.len() < datasets {
+            self.accs.resize_with(datasets, Acc::default);
         }
     }
 
-    fn add(&mut self, obs: &TransformationObservation) {
+    /// Counts `task` of `(job, stage)`: a stage ran as many tasks as its
+    /// highest task index plus one.
+    pub(crate) fn count_task(&mut self, job: JobId, stage: StageId, task: u32) {
+        let n = self.stage_tasks.entry((job, stage)).or_insert(0);
+        *n = (*n).max(task + 1);
+    }
+
+    /// Folds one observation; a dataset without an accumulator is skipped.
+    pub(crate) fn add(&mut self, obs: &TransformationObservation) {
         let Some(acc) = self.accs.get_mut(obs.dataset.index()) else {
             return;
         };
@@ -157,16 +135,13 @@ impl MetricsFold {
         }
     }
 
-    /// The metrics of every dataset some observation mentioned, given the
-    /// task count of each `(job, stage)`.
-    fn finish(
-        mut self,
-        app: &Application,
-        total_cores: u32,
-        stage_tasks: impl Fn(JobId, StageId) -> u32,
-    ) -> Vec<DatasetMetrics> {
+    /// The metrics of every dataset of `app` some observation mentioned.
+    /// Sorts each half's groups in place, which leaves their totals as
+    /// they are.
+    fn finish(&mut self, app: &Application, total_cores: u32) -> Vec<DatasetMetrics> {
+        let stage_tasks = &self.stage_tasks;
         let waves = |job: JobId, stage: StageId| -> f64 {
-            let n = stage_tasks(job, stage).max(1);
+            let n = stage_tasks.get(&(job, stage)).copied().unwrap_or(1).max(1);
             f64::from(n.div_ceil(total_cores.max(1)))
         };
         let mut out = Vec::new();
@@ -202,51 +177,51 @@ impl MetricsFold {
     }
 }
 
-/// Convenience: metrics as a dense lookup (`None` where unobserved).
-#[must_use]
-pub fn metrics_by_dataset(
-    metrics: &[DatasetMetrics],
-    dataset_count: usize,
-) -> Vec<Option<DatasetMetrics>> {
-    let mut v = vec![None; dataset_count];
-    for m in metrics {
-        v[m.dataset.index()] = Some(*m);
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
 
-    use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, SimParams};
+    use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, RunReport, SimParams};
     use dagflow::{AppBuilder, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
 
-    use crate::db::{StageRecord, TransformationObservation};
-    use crate::inject::{inject, ProfilingOverhead};
+    use crate::inject::{inject, Instrumented, ProfilingOverhead};
 
-    /// The hash-map aggregation `derive_metrics` replaced, kept as its
+    type StageTasks = HashMap<(JobId, StageId), u32>;
+
+    /// The observations and per-stage task counts of `reports`, in
+    /// ingestion order, split by the database's own trace splitter.
+    fn observe(
+        instr: &Instrumented,
+        reports: &[&RunReport],
+    ) -> (Vec<TransformationObservation>, StageTasks) {
+        let mut observations = Vec::new();
+        let mut stage_tasks = StageTasks::new();
+        for trace in reports.iter().flat_map(|r| &r.traces) {
+            let n = stage_tasks.entry((trace.job, trace.stage)).or_insert(0);
+            *n = (*n).max(trace.task + 1);
+            ProfilingDatabase::observe_task(instr, trace, |o| observations.push(o));
+        }
+        (observations, stage_tasks)
+    }
+
+    /// The hash-map aggregation the database fold replaced, kept as its
     /// oracle. Its groups were summed in map iteration order, which varies
     /// between processes; here they are summed in ascending
     /// `(dataset, half, job, stage)` order, the order `derive_metrics` pins.
     fn reference_derive(
-        db: &ProfilingDatabase,
+        observations: &[TransformationObservation],
+        stage_tasks: &StageTasks,
         app: &Application,
         total_cores: u32,
     ) -> Vec<DatasetMetrics> {
-        let stage_tasks: HashMap<(JobId, StageId), u32> = db
-            .stages()
-            .into_iter()
-            .map(|s| ((s.job, s.stage), s.n_tasks))
-            .collect();
         let waves = |job: JobId, stage: StageId| -> f64 {
             let n = stage_tasks.get(&(job, stage)).copied().unwrap_or(1).max(1);
             f64::from(n.div_ceil(total_cores.max(1)))
         };
         let mut groups: HashMap<(DatasetId, bool, JobId, StageId), (f64, u32)> = HashMap::new();
         let mut sizes: HashMap<DatasetId, HashMap<u32, u64>> = HashMap::new();
-        for obs in db.observations() {
+        for obs in observations {
             if !obs.is_shuffle_write {
                 sizes
                     .entry(obs.dataset)
@@ -294,6 +269,17 @@ mod tests {
         out
     }
 
+    /// The oracle's metrics of `app` profiled into `reports`.
+    fn oracle(
+        instr: &Instrumented,
+        reports: &[&RunReport],
+        app: &Application,
+        total_cores: u32,
+    ) -> Vec<DatasetMetrics> {
+        let (observations, stage_tasks) = observe(instr, reports);
+        reference_derive(&observations, &stage_tasks, app, total_cores)
+    }
+
     fn assert_same_bits(got: &[DatasetMetrics], want: &[DatasetMetrics], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}: dataset count");
         for (g, w) in got.iter().zip(want) {
@@ -311,12 +297,17 @@ mod tests {
         }
     }
 
-    /// Profiles `app` under `schedule` (noisy, skewed) into a database.
-    fn profile_db(app: &Application, schedule: &Schedule, machines: u32) -> ProfilingDatabase {
+    /// Runs `app` under Spark_i and `schedule` (noisy, skewed) with traces.
+    fn traced_run(
+        app: &Application,
+        schedule: &Schedule,
+        machines: u32,
+        seed: u64,
+    ) -> (Instrumented, RunReport) {
         let instr = inject(app, ProfilingOverhead::default());
         let cluster = ClusterConfig::new(machines, MachineSpec::paper_example());
         let params = SimParams {
-            seed: 7,
+            seed,
             ..SimParams::default()
         };
         let report = Engine::new(&instr.app, cluster, params)
@@ -329,9 +320,11 @@ mod tests {
                 },
             )
             .unwrap();
-        let db = ProfilingDatabase::new();
-        db.ingest(&instr, &report);
-        db
+        (instr, report)
+    }
+
+    fn cores(machines: u32) -> u32 {
+        machines * MachineSpec::paper_example().cores
     }
 
     const COST: ComputeCost = ComputeCost {
@@ -397,11 +390,13 @@ mod tests {
             ),
         ] {
             for machines in [1, 3] {
-                let db = profile_db(&app, &schedule, machines);
-                let cores = machines * MachineSpec::paper_example().cores;
-                let got = derive_metrics(&db, &app, cores);
+                let (instr, report) = traced_run(&app, &schedule, machines, 7);
+                let db = ProfilingDatabase::new();
+                db.ingest(&instr, &report);
+                let got = derive_metrics(&db, &app, cores(machines));
                 assert!(!got.is_empty());
-                assert_same_bits(&got, &reference_derive(&db, &app, cores), name);
+                let want = oracle(&instr, &[&report], &app, cores(machines));
+                assert_same_bits(&got, &want, name);
                 most_groups = most_groups.max(got.iter().map(|m| m.observations).max().unwrap());
             }
         }
@@ -410,10 +405,44 @@ mod tests {
         assert!(most_groups >= 10, "at most {most_groups} groups");
     }
 
-    /// `profile_run` folds each task's observations as its trace is split;
-    /// the bits must match a database that ingested the same report.
+    /// Several runs ingested into one database fold like their
+    /// observations concatenated: the group sums run across reports and a
+    /// later report's partition sizes overwrite an earlier one's.
     #[test]
-    fn streamed_derive_matches_the_database() {
+    fn two_reports_in_one_database_match_the_oracle_over_both() {
+        let app = joins();
+        let (instr, cold) = traced_run(&app, &Schedule::empty(), 3, 7);
+        let cached = Schedule::persist_all([DatasetId(1), DatasetId(2)]);
+        let (_, hot) = traced_run(&app, &cached, 3, 11);
+        let db = ProfilingDatabase::new();
+        db.ingest(&instr, &cold);
+        let first = derive_metrics(&db, &app, cores(3));
+        assert_same_bits(&first, &oracle(&instr, &[&cold], &app, cores(3)), "cold");
+        db.ingest(&instr, &hot);
+        let both = derive_metrics(&db, &app, cores(3));
+        let want = oracle(&instr, &[&cold, &hot], &app, cores(3));
+        assert_same_bits(&both, &want, "cold then hot");
+        assert_ne!(both, first, "the second report moved the metrics");
+    }
+
+    /// `derive_metrics` sorts the groups it finishes in place; a second
+    /// call finds them sorted and returns the same bits.
+    #[test]
+    fn derive_twice_gives_the_same_bits() {
+        let app = iterative(10);
+        let (instr, mut report) = traced_run(&app, &Schedule::empty(), 1, 7);
+        // Last job first, so every half's groups start out descending.
+        report.traces.reverse();
+        let db = ProfilingDatabase::new();
+        db.ingest(&instr, &report);
+        let once = derive_metrics(&db, &app, cores(1));
+        let twice = derive_metrics(&db, &app, cores(1));
+        assert_same_bits(&twice, &once, "second call");
+        assert_same_bits(&once, &oracle(&instr, &[&report], &app, cores(1)), "oracle");
+    }
+
+    #[test]
+    fn profile_run_matches_the_oracle() {
         for (name, app, schedule) in [
             ("iterative", iterative(10), Schedule::empty()),
             (
@@ -429,10 +458,8 @@ mod tests {
                     ..SimParams::default()
                 };
                 let out = crate::profile_run(&app, &schedule, cluster, params).unwrap();
-                let db = ProfilingDatabase::new();
-                db.ingest(&out.instrumented, &out.report);
-                let want = derive_metrics(&db, &app, cluster.total_cores());
-                assert!(!want.is_empty());
+                assert!(!out.metrics.is_empty());
+                let want = oracle(&out.instrumented, &[&out.report], &app, cores(machines));
                 assert_same_bits(&out.metrics, &want, name);
             }
         }
@@ -461,13 +488,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        let stages: Vec<StageRecord> = groups
+        let stage_tasks: StageTasks = groups
             .iter()
-            .map(|g| StageRecord {
-                job: g[0].job,
-                stage: g[0].stage,
-                n_tasks: g.len() as u32,
-            })
+            .map(|g| ((g[0].job, g[0].stage), g.len() as u32))
             .collect();
         let grouped: Vec<_> = groups.iter().flatten().copied().collect();
         let reversed: Vec<_> = groups.iter().rev().flatten().copied().collect();
@@ -477,9 +500,16 @@ mod tests {
             .collect();
         let app = iterative(2);
         let derive = |observations: &[TransformationObservation]| {
-            let db = ProfilingDatabase::new();
-            db.insert_raw(&stages, observations);
-            (derive_metrics(&db, &app, 2), reference_derive(&db, &app, 2))
+            let mut fold = MetricsFold::default();
+            fold.cover(app.dataset_count());
+            for o in observations {
+                fold.count_task(o.job, o.stage, o.task);
+                fold.add(o);
+            }
+            (
+                fold.finish(&app, 2),
+                reference_derive(observations, &stage_tasks, &app, 2),
+            )
         };
         let (want, reference) = derive(&grouped);
         assert_same_bits(&want, &reference, "grouped");

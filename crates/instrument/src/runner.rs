@@ -1,11 +1,12 @@
 //! One-call profiling runs: inject, execute on the simulator with traces,
-//! and derive metrics from the traces.
+//! ingest the traces into a profiling database, and derive metrics.
 
 use cluster_sim::{ClusterConfig, Engine, RunOptions, RunReport, SimParams};
 use dagflow::{Application, DagError, Schedule};
 
+use crate::db::ProfilingDatabase;
 use crate::inject::{inject, Instrumented, ProfilingOverhead};
-use crate::metrics::{derive_metrics_from_report, DatasetMetrics};
+use crate::metrics::{derive_metrics, DatasetMetrics};
 
 /// Everything a profiling run produces.
 #[derive(Debug)]
@@ -37,7 +38,9 @@ pub fn profile_run(
             ..RunOptions::default()
         },
     )?;
-    let metrics = derive_metrics_from_report(&instrumented, &report, app, cluster.total_cores());
+    let db = ProfilingDatabase::new();
+    db.ingest(&instrumented, &report);
+    let metrics = derive_metrics(&db, app, cluster.total_cores());
     Ok(ProfileRunOutput {
         instrumented,
         report,

@@ -23,6 +23,10 @@ cargo test -q --offline --test malformed_inputs --test old_artifacts
 cargo test -q --offline -p obs --lib -- prof::tests::committed_profile_round_trips_byte_identically
 cargo bench --offline -p bench --bench json_throughput
 
+echo "== profiling fold (database fold == hash-map oracle; instrumentation fidelity) =="
+cargo test -q --offline -p instrument
+cargo test -q --offline --test instrumentation_fidelity
+
 echo "== trace golden (Chrome trace_event export is byte-stable) =="
 cargo test -q --offline --test trace_golden
 

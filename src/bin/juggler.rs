@@ -149,6 +149,18 @@ impl Args {
             }
             args.flags.push((token.clone(), value));
         }
+        // The flags of one `[A | B]` group exclude each other.
+        for group in usage.split('[').filter_map(|g| g.split(']').next()) {
+            if !group.contains(" | ") {
+                continue;
+            }
+            let mut given = group
+                .split_whitespace()
+                .filter(|w| w.starts_with('-') && args.given(w));
+            if let (Some(a), Some(b)) = (given.next(), given.next()) {
+                return Err(format!("`{a}` and `{b}` cannot be given together"));
+            }
+        }
         Ok(args)
     }
 
@@ -176,6 +188,17 @@ impl Args {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
         self.value(flag)
             .map_or_else(|| root.join(default), PathBuf::from)
+    }
+
+    /// The 0-based index of `--schedule N`, which counts from 1.
+    fn schedule_index(&self) -> Result<Option<usize>, String> {
+        let Some(s) = self.value("--schedule") else {
+            return Ok(None);
+        };
+        match parse_num::<usize>(s, "--schedule")? {
+            0 => Err("invalid --schedule: `0` (schedules are numbered from 1)".to_owned()),
+            n => Ok(Some(n - 1)),
+        }
     }
 
     /// `--threads N` (0, the default, is automatic).
@@ -320,9 +343,11 @@ JUGGLER_THREADS environment variable or the machine's parallelism;
 way.
 
 Flags are strict: an unknown flag, a flag that needs a value but has
-none, and a flag given twice exit with status 2 and the command's usage
-line before any work starts. A value flag takes the next argument even
-when it starts with `-` (`-e -5` is an invalid -e, not a flag).";
+none, a flag given twice, and both sides of an `[A | B]` choice exit
+with status 2 and the command's usage line before any work starts. A
+value flag takes the next argument even when it starts with `-` (`-e -5`
+is an invalid -e, not a flag). Schedules are numbered from 1, as
+`schedules` lists them.";
 
 fn find_workload(name: &str) -> Result<Box<dyn Workload>, String> {
     juggler_suite::juggler::tenants::workload_by_name(name)
@@ -511,12 +536,9 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         );
         (schedule, MachineSpec::private_cluster(), 12, None)
     } else {
+        let idx = args.schedule_index()?.unwrap_or(0);
         let trained = OfflineTraining::run(w.as_ref(), &TrainingConfig::default())
             .map_err(|e| e.to_string())?;
-        let idx: usize = match args.value("--schedule") {
-            Some(s) => parse_num::<usize>(s, "--schedule")?.saturating_sub(1),
-            None => 0,
-        };
         let rs = trained
             .schedules
             .get(idx)
@@ -570,9 +592,8 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
     let w = find_workload(name)?;
     // Render the sample-scale plan (paper-scale PCA has 1833 nodes).
     let app = w.build(&w.sample_params());
-    let schedule = match args.value("--schedule") {
-        Some(s) => {
-            let idx: usize = parse_num::<usize>(s, "--schedule")?.saturating_sub(1);
+    let schedule = match args.schedule_index()? {
+        Some(idx) => {
             let trained = OfflineTraining::run(w.as_ref(), &TrainingConfig::default())
                 .map_err(|e| e.to_string())?;
             trained

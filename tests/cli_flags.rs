@@ -1,7 +1,7 @@
 //! Every `juggler` command checks its flags against one table before any
-//! work starts: an unknown flag, a value flag without its value and a
-//! repeated flag exit with status 2, print the command's usage line on
-//! stderr and nothing on stdout.
+//! work starts: an unknown flag, a value flag without its value, a
+//! repeated flag and two flags of one `[A | B]` group exit with status 2,
+//! print the command's usage line on stderr and nothing on stdout.
 
 fn juggler(args: &[&str]) -> std::process::Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_juggler"))
@@ -40,5 +40,32 @@ fn bad_flags_exit_2_with_the_usage_line() {
         assert!(stderr.contains(error), "{args:?}: {stderr}");
         assert!(stderr.contains(usage), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed: {out:?}");
+    }
+}
+
+#[test]
+fn sweep_takes_a_schedule_or_explicit_ops_not_both() {
+    let out = juggler(&["sweep", "LOR", "--ops", "p(1)", "--schedule", "3"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("`--schedule` and `--ops` cannot be given together"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("juggler sweep <WORKLOAD>"), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed: {out:?}");
+}
+
+#[test]
+fn schedule_zero_is_rejected_before_any_work() {
+    for command in ["sweep", "dot"] {
+        let out = juggler(&[command, "LOR", "--schedule", "0"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains("schedules are numbered from 1"),
+            "{command}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command} printed: {out:?}");
     }
 }
