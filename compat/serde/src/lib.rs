@@ -341,7 +341,7 @@ impl JsonWriter {
         self.out.push(b'"');
         let mut rest = s.as_bytes();
         loop {
-            let n = plain_run(rest, true);
+            let n = plain_run(rest);
             self.out.extend_from_slice(&rest[..n]);
             let Some(&b) = rest.get(n) else {
                 break;
@@ -365,9 +365,10 @@ impl JsonWriter {
     }
 }
 
-/// Length of the leading run of `bytes` free of `"` and `\\` (and, with
-/// `controls`, of bytes below 0x20), tested eight bytes at a time.
-fn plain_run(bytes: &[u8], controls: bool) -> usize {
+/// Length of the leading run of `bytes` free of `"`, `\\` and bytes below
+/// 0x20, tested eight bytes at a time: the writer escapes each of them, and
+/// the reader stops at each (a raw control byte in a string is an error).
+fn plain_run(bytes: &[u8]) -> usize {
     const ONES: u64 = 0x0101_0101_0101_0101;
     // High bit set in each byte of `w` below `n` (n <= 0x80), and maybe in
     // bytes above the lowest such byte: the lowest set bit is exact.
@@ -377,7 +378,7 @@ fn plain_run(bytes: &[u8], controls: bool) -> usize {
         let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         let hit = below(w ^ (ONES * u64::from(b'"')), 1)
             | below(w ^ (ONES * u64::from(b'\\')), 1)
-            | if controls { below(w, 0x20) } else { 0 };
+            | below(w, 0x20);
         if hit != 0 {
             return i + (hit.trailing_zeros() / 8) as usize;
         }
@@ -385,7 +386,7 @@ fn plain_run(bytes: &[u8], controls: bool) -> usize {
     }
     let stop = bytes[i..]
         .iter()
-        .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20));
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
     i + stop.unwrap_or(bytes.len() - i)
 }
 
@@ -525,16 +526,26 @@ impl<'a> JsonReader<'a> {
         let start = self.pos;
         self.pos += 1; // the sign or the first digit
         let mut is_float = false;
+        // Grammar checks Rust's parsers skip, kept off the digit loop: a
+        // digit on both sides of `.` (Rust takes `1.`, `-.5` and `1.e5`) and
+        // no leading zero (Rust takes `007` and `00.5`).
+        let mut strict = true;
         while let Some(&b) = bytes.get(self.pos) {
             match b {
                 b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
+                b'.' => {
+                    is_float = true;
+                    strict &= bytes[self.pos - 1].is_ascii_digit()
+                        && bytes.get(self.pos + 1).is_some_and(u8::is_ascii_digit);
+                }
+                b'e' | b'E' | b'+' | b'-' => is_float = true,
                 _ => break,
             }
             self.pos += 1;
         }
         let text = &self.src[start..self.pos];
-        if text == "-" {
+        let digits = text.strip_prefix('-').unwrap_or(text).as_bytes();
+        if !strict || digits.is_empty() || matches!(digits, [b'0', b'0'..=b'9', ..]) {
             return Err(self.err("invalid number"));
         }
         if !is_float {
@@ -555,8 +566,8 @@ impl<'a> JsonReader<'a> {
 
     /// A plain run of at most 19 digits at the cursor (so it fits `u64`)
     /// that ends the number, and its length; `None` for anything
-    /// [`JsonReader::number`] must judge: a sign, a fraction, an exponent
-    /// or a longer run.
+    /// [`JsonReader::number`] must judge: a sign, a fraction, an exponent,
+    /// a leading zero or a longer run.
     fn plain_digits(&mut self) -> Option<(u64, usize)> {
         self.peek()?;
         let bytes = &self.src.as_bytes()[self.pos..];
@@ -565,7 +576,10 @@ impl<'a> JsonReader<'a> {
             .take(20)
             .take_while(|b| b.is_ascii_digit())
             .count();
-        if len == 0 || len > 19 || matches!(bytes.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+        if len == 0
+            || len > 19
+            || (len > 1 && bytes[0] == b'0')
+            || matches!(bytes.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
         {
             return None;
         }
@@ -585,7 +599,7 @@ impl<'a> JsonReader<'a> {
         let (start, mut plain) = (self.pos, self.pos);
         let mut owned = String::new();
         loop {
-            self.pos += plain_run(&bytes[self.pos..], false);
+            self.pos += plain_run(&bytes[self.pos..]);
             let segment = &self.src[plain..self.pos];
             let escaped = match bytes.get(self.pos) {
                 None => return Err(self.err("unterminated string")),
@@ -598,6 +612,7 @@ impl<'a> JsonReader<'a> {
                     owned.push_str(segment);
                     return Ok(Cow::Owned(owned));
                 }
+                Some(&b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
                     owned.push_str(segment);
                     self.pos += 1;
@@ -1229,6 +1244,59 @@ mod tests {
             from_json::<u64>("18446744073709551616").unwrap_err().0,
             "number out of range at byte 20"
         );
+    }
+
+    /// Text RFC 8259 forbids and serde_json rejects, though Rust's own
+    /// number parsers take it: leading zeros, a `.` without a digit on
+    /// both sides, and raw control bytes inside a string.
+    #[test]
+    fn non_rfc8259_text_is_rejected() {
+        for (src, err) in [
+            ("007", "invalid number at byte 3"),
+            ("-01", "invalid number at byte 3"),
+            ("00", "invalid number at byte 2"),
+        ] {
+            assert_eq!(from_json::<i64>(src).unwrap_err().0, err, "{src:?}");
+            assert_eq!(from_json::<Value>(src).unwrap_err().0, err, "{src:?}");
+        }
+        for (src, err) in [
+            ("1.", "invalid number at byte 2"),
+            ("-.5", "invalid number at byte 3"),
+            ("1.e5", "invalid number at byte 4"),
+            ("00.5", "invalid number at byte 4"),
+            ("-00.5e1", "invalid number at byte 7"),
+        ] {
+            assert_eq!(from_json::<f64>(src).unwrap_err().0, err, "{src:?}");
+        }
+        assert_eq!(
+            from_json::<Vec<f64>>("[1.5, 2.]").unwrap_err().0,
+            "invalid number at byte 8"
+        );
+        for (src, x) in [
+            ("0", 0.0),
+            ("0.5", 0.5),
+            ("-0.0", -0.0),
+            ("10.25", 10.25),
+            ("1e05", 1e5),
+            ("0E+2", 0.0),
+            ("-7.5e-1", -0.75),
+        ] {
+            let got = from_json::<f64>(src).unwrap();
+            assert_eq!(got.to_bits(), f64::to_bits(x), "{src:?}");
+        }
+        assert_eq!(from_json::<i64>("-0").unwrap(), 0);
+        assert_eq!(from_json::<u32>("10").unwrap(), 10);
+        for (src, err) in [
+            ("\"a\nb\"", "control character in string at byte 2"),
+            ("\"\u{1}\"", "control character in string at byte 1"),
+            ("\"tab\there\"", "control character in string at byte 4"),
+            ("\"a\\nb\nc\"", "control character in string at byte 5"),
+        ] {
+            assert_eq!(from_json::<String>(src).unwrap_err().0, err, "{src:?}");
+        }
+        // Escaped controls and DEL (0x7f) stay valid.
+        assert_eq!(from_json::<String>(r#""a\nb\u0001""#).unwrap(), "a\nb\u{1}");
+        assert_eq!(from_json::<String>("\"\u{7f}\"").unwrap(), "\u{7f}");
     }
 
     #[test]

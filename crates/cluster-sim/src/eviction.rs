@@ -19,8 +19,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use dagflow::DatasetId;
-
 /// Which victim-selection rule the block store uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EvictionPolicyKind {
@@ -58,32 +56,36 @@ impl EvictionPolicyKind {
         ]
     }
 
-    /// Sort key of one resident block under the policy: the victim is
-    /// the block with the smallest key. LRU orders by `(last_access,
-    /// dataset)`, FIFO by `(inserted, dataset)`, LRC by `(remaining_refs,
-    /// last_access, dataset)` and MRD by `(u32::MAX - next_use_distance,
-    /// last_access, dataset)`, so the farthest next use sorts first. LRU
-    /// and FIFO lead with a constant 0 to share the key type. Access and
-    /// insert stamps are unique per block, so the minimum is unique.
+    /// Packed sort key of one resident block under the policy: the victim
+    /// is the block with the smallest key. LRU's key is `last_access` and
+    /// FIFO's `inserted`, both below 2^64. LRC's is `(remaining_refs << 64)
+    /// | last_access` and MRD's `((u32::MAX - next_use_distance) << 64) |
+    /// last_access`, so the farthest next use sorts first and ties fall to
+    /// LRU. `hints` is called only by LRC and MRD, so an LRU or FIFO scan
+    /// never loads a hint.
+    ///
+    /// The slice oracle also breaks ties by dataset id; the key can drop
+    /// that because it never decides. Every read and insert ticks the
+    /// store's clock and gives the new stamp to at most one block, so no
+    /// two resident blocks share a `last_access` or an `inserted` stamp,
+    /// and every key carries one of those stamps in its low 64 bits.
     #[inline]
     #[must_use]
     pub fn victim_key(
         self,
         last_access: u64,
         inserted: u64,
-        hints: DatasetHints,
-        dataset: DatasetId,
-    ) -> (u64, u64, DatasetId) {
-        match self {
-            EvictionPolicyKind::Lru => (0, last_access, dataset),
-            EvictionPolicyKind::Fifo => (0, inserted, dataset),
-            EvictionPolicyKind::Lrc => (hints.remaining_refs, last_access, dataset),
-            EvictionPolicyKind::Mrd => (
-                u64::from(u32::MAX - hints.next_use_distance),
-                last_access,
-                dataset,
-            ),
-        }
+        hints: impl FnOnce() -> DatasetHints,
+    ) -> u128 {
+        let (primary, stamp) = match self {
+            EvictionPolicyKind::Lru => (0, last_access),
+            EvictionPolicyKind::Fifo => (0, inserted),
+            EvictionPolicyKind::Lrc => (hints().remaining_refs, last_access),
+            EvictionPolicyKind::Mrd => {
+                (u64::from(u32::MAX - hints().next_use_distance), last_access)
+            }
+        };
+        (u128::from(primary) << 64) | u128::from(stamp)
     }
 }
 
@@ -104,6 +106,8 @@ pub struct DatasetHints {
 /// `min_by_key`/`max_by_key` per policy.
 #[cfg(test)]
 pub(crate) mod slice_oracle {
+    use dagflow::DatasetId;
+
     use super::*;
 
     /// Everything victim selection may look at for one candidate block.
@@ -144,6 +148,8 @@ pub(crate) mod slice_oracle {
 
 #[cfg(test)]
 mod tests {
+    use dagflow::DatasetId;
+
     use super::slice_oracle::{select_victim, VictimCandidate};
     use super::*;
 
@@ -171,7 +177,7 @@ mod tests {
         let got = c
             .iter()
             .enumerate()
-            .min_by_key(|(_, c)| kind.victim_key(c.last_access, c.inserted, c.hints, c.dataset))
+            .min_by_key(|(_, c)| kind.victim_key(c.last_access, c.inserted, || c.hints))
             .map(|(i, _)| i);
         assert_eq!(got, select_victim(kind, c), "{kind:?}");
         got

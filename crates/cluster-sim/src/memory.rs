@@ -29,10 +29,13 @@
 //!
 //! # Eviction
 //!
-//! A victim search is one pass over the machine's resident blocks that
-//! keeps the smallest [`EvictionPolicyKind::victim_key`]; nothing is
-//! copied. A per-block "evicted before" flag means only a block's first
-//! eviction touches its dataset's `evicted_partition_ids` set.
+//! A victim search is one pass over the machine's resident `(block,
+//! dataset)` pairs that keeps the smallest packed
+//! [`EvictionPolicyKind::victim_key`]; nothing is copied. The policy is
+//! resolved once per search, and the owning dataset sits beside each
+//! resident block, so a candidate costs one key load and one comparison.
+//! A per-block "evicted before" flag means only a block's first eviction
+//! touches its dataset's `evicted_partition_ids` set.
 
 use dagflow::{Application, DatasetId};
 
@@ -42,6 +45,9 @@ use crate::report::DatasetCacheStats;
 
 /// Sentinel machine index meaning "not resident".
 const NO_MACHINE: u32 = u32::MAX;
+
+/// Sentinel block index meaning "no victim found".
+const NO_BLOCK: u32 = u32::MAX;
 
 /// Per-block residency state. `loc == NO_MACHINE` means not resident; the
 /// other fields are only meaningful while resident.
@@ -223,8 +229,10 @@ pub struct BlockStore {
     /// Per-machine usage.
     storage_used: Vec<u64>,
     exec_used: Vec<u64>,
-    /// Blocks resident on each machine (for victim enumeration).
-    resident: Vec<Vec<u32>>,
+    /// `(block, owning dataset)` of every block resident on each machine,
+    /// for victim enumeration: the scan skips the protected dataset
+    /// without a `layout.dataset_of` load per candidate.
+    resident: Vec<Vec<(u32, DatasetId)>>,
     /// Per-block state, one struct per block so a read or insert touches
     /// one cache line instead of five parallel arrays.
     blocks: Vec<BlockMeta>,
@@ -453,25 +461,54 @@ impl BlockStore {
     }
 
     /// Victim block on `machine` under the store's policy, excluding the
-    /// `protect`ed dataset: one pass over the machine's resident blocks
-    /// keeping the smallest [`EvictionPolicyKind::victim_key`]. Keys are
-    /// unique (unique clock stamps), so the resident order cannot affect
-    /// the outcome.
+    /// `protect`ed dataset; `None` when no other dataset holds a block
+    /// there. The policy is resolved once per search: each arm runs one
+    /// [`BlockStore::min_key_block`] scan with the
+    /// [`EvictionPolicyKind::victim_key`] of a constant policy, which
+    /// inlines to that policy's key. LRU and FIFO keys are a bare stamp
+    /// (high half zero), so those scans compare `u64`s. Keys are unique
+    /// (unique clock stamps), so the resident order cannot affect the
+    /// outcome.
     fn victim(&self, machine: usize, protect: Option<DatasetId>) -> Option<usize> {
-        self.resident[machine]
-            .iter()
-            .filter_map(|&b| {
-                let d = self.layout.dataset_of(b as usize);
-                if Some(d) == protect {
-                    return None;
-                }
-                let m = &self.blocks[b as usize];
-                let hints = self.hints[d.index()];
-                let key = self.policy.victim_key(m.last_access, m.inserted, hints, d);
-                Some((key, b))
-            })
-            .min()
-            .map(|(_, b)| b as usize)
+        use EvictionPolicyKind::{Fifo, Lrc, Lru, Mrd};
+        let hints = &self.hints;
+        let key = |kind: EvictionPolicyKind| {
+            move |m: &BlockMeta, d: DatasetId| {
+                kind.victim_key(m.last_access, m.inserted, || hints[d.index()])
+            }
+        };
+        match self.policy {
+            Lru => self.min_key_block(machine, protect, u64::MAX, |m, d| key(Lru)(m, d) as u64),
+            Fifo => self.min_key_block(machine, protect, u64::MAX, |m, d| key(Fifo)(m, d) as u64),
+            Lrc => self.min_key_block(machine, protect, u128::MAX, key(Lrc)),
+            Mrd => self.min_key_block(machine, protect, u128::MAX, key(Mrd)),
+        }
+    }
+
+    /// The block with the smallest `key` among `machine`'s resident blocks
+    /// outside `protect`; `none` must exceed every key. A first-min scan
+    /// with strict `<` and conditional moves, like the executor's
+    /// `set_core_free`: stamps come in no particular order, and a branching
+    /// scan would mispredict on many candidates.
+    #[inline]
+    fn min_key_block<K: Copy + Ord>(
+        &self,
+        machine: usize,
+        protect: Option<DatasetId>,
+        none: K,
+        key: impl Fn(&BlockMeta, DatasetId) -> K,
+    ) -> Option<usize> {
+        // Dataset ids are below the dataset count, so `u32::MAX` protects
+        // nothing.
+        let protect = protect.map_or(u32::MAX, |d| d.0);
+        let (mut best, mut best_key) = (NO_BLOCK, none);
+        for &(b, d) in &self.resident[machine] {
+            let k = key(&self.blocks[b as usize], d);
+            let better = (d.0 != protect) & (k < best_key);
+            best = std::hint::select_unpredictable(better, b, best);
+            best_key = std::hint::select_unpredictable(better, k, best_key);
+        }
+        (best != NO_BLOCK).then_some(best as usize)
     }
 
     /// Structural removal of a resident block (no stat updates); returns
@@ -481,7 +518,7 @@ impl BlockStore {
         let list = &mut self.resident[machine];
         let i = self.blocks[block].pos as usize;
         list.swap_remove(i);
-        if let Some(&moved) = list.get(i) {
+        if let Some(&(moved, _)) = list.get(i) {
             self.blocks[moved as usize].pos = i as u32;
         }
         self.blocks[block].loc = NO_MACHINE;
@@ -529,7 +566,7 @@ impl BlockStore {
             last_access: now,
             inserted: now,
         };
-        self.resident[machine].push(block as u32);
+        self.resident[machine].push((block as u32, dataset));
         if let Some(t) = self.tenancy.as_deref_mut() {
             t.inserted_s[block] = t.now_s;
         }
@@ -606,7 +643,7 @@ impl BlockStore {
         if let Some(t) = self.tenancy.as_deref_mut() {
             t.charging = false;
         }
-        while let Some(&b) = self.resident[machine].last() {
+        while let Some(&(b, _)) = self.resident[machine].last() {
             self.evict_block(machine, b as usize);
         }
         if let Some(t) = self.tenancy.as_deref_mut() {
@@ -998,6 +1035,98 @@ mod tests {
         assert_eq!(st.evicted_partition_ids.len(), 1);
     }
 
+    /// SplitMix64 draws for the randomised oracle tests.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, bound: u32) -> u32 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % u64::from(bound)) as u32
+        }
+
+        /// A random hint with frequent ties and frequent "never used
+        /// again".
+        fn hint(&mut self) -> DatasetHints {
+            let next_use_distance = if self.below(4) == 0 {
+                u32::MAX
+            } else {
+                self.below(3)
+            };
+            DatasetHints {
+                remaining_refs: u64::from(self.below(3)),
+                next_use_distance,
+            }
+        }
+    }
+
+    /// The slice oracle's victim on `machine` under the store's policy:
+    /// each resident block's dataset comes from the layout, not from the
+    /// resident entry the single pass reads.
+    fn oracle_victim(s: &BlockStore, machine: usize, protect: Option<DatasetId>) -> Option<usize> {
+        use crate::eviction::slice_oracle::{select_victim, VictimCandidate};
+        let (blocks, cands): (Vec<usize>, Vec<VictimCandidate>) = s.resident[machine]
+            .iter()
+            .map(|&(b, _)| (b as usize, s.layout.dataset_of(b as usize)))
+            .filter(|&(_, d)| Some(d) != protect)
+            .map(|(b, d)| {
+                let m = &s.blocks[b];
+                let cand = VictimCandidate {
+                    dataset: d,
+                    last_access: m.last_access,
+                    inserted: m.inserted,
+                    hints: s.hints[d.index()],
+                };
+                (b, cand)
+            })
+            .unzip();
+        select_victim(s.policy, &cands).map(|i| blocks[i])
+    }
+
+    /// Under every policy, `victim(machine, protect)` is the oracle's
+    /// pick; returns how many policies found a victim. The store's policy
+    /// is restored afterwards.
+    fn assert_victim_matches_oracle(
+        s: &mut BlockStore,
+        machine: usize,
+        protect: Option<DatasetId>,
+        ctx: &str,
+    ) -> usize {
+        let policy = s.policy;
+        let mut found = 0;
+        for kind in EvictionPolicyKind::all() {
+            s.policy = kind;
+            let want = oracle_victim(s, machine, protect);
+            assert_eq!(s.victim(machine, protect), want, "{ctx}, {kind:?}");
+            found += usize::from(want.is_some());
+        }
+        s.policy = policy;
+        found
+    }
+
+    /// Every resident entry names its block's own dataset (global id),
+    /// machine and position, and every block that claims a machine is
+    /// listed there.
+    fn assert_resident_consistent(s: &BlockStore, ctx: &str) {
+        let mut listed = 0;
+        for (m, list) in s.resident.iter().enumerate() {
+            for (i, &(b, d)) in list.iter().enumerate() {
+                assert_eq!(d, s.layout.dataset_of(b as usize), "{ctx}: block {b}");
+                let meta = &s.blocks[b as usize];
+                assert_eq!(
+                    (meta.loc, meta.pos),
+                    (m as u32, i as u32),
+                    "{ctx}: block {b}"
+                );
+            }
+            listed += list.len();
+        }
+        let claimed = s.blocks.iter().filter(|m| m.loc != NO_MACHINE).count();
+        assert_eq!(listed, claimed, "{ctx}");
+    }
+
     /// The single-pass victim search picks the block the slice oracle
     /// picks, under all four policies: random resident sets on random
     /// machines whose stamps come from the store's own clock (random
@@ -1005,67 +1134,179 @@ mod tests {
     /// a random protected dataset or none.
     #[test]
     fn single_pass_victim_matches_slice_oracle() {
-        use crate::eviction::slice_oracle::{select_victim, VictimCandidate};
         let mut picked = 0;
         for seed in 0..500u64 {
-            let mut state = seed ^ 0x5EED;
-            let mut pick = |bound: u32| -> u32 {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                ((z ^ (z >> 31)) % u64::from(bound)) as u32
-            };
-            let datasets = 1 + pick(6);
-            let parts: Vec<u32> = (0..datasets).map(|_| 1 + pick(12)).collect();
-            let machines = 1 + pick(3);
+            let mut rng = Draws(seed ^ 0x5EED);
+            let datasets = 1 + rng.below(6);
+            let parts: Vec<u32> = (0..datasets).map(|_| 1 + rng.below(12)).collect();
+            let machines = 1 + rng.below(3);
             let spec = MachineSpec {
                 ram_bytes: 12_000_000_000,
                 ..MachineSpec::paper_example()
             };
             let layout = BlockLayout::from_partitions(parts.iter().copied());
             let mut s = BlockStore::new(&ClusterConfig::new(machines, spec), layout);
-            for _ in 0..pick(80) {
-                let d = DatasetId(pick(datasets));
-                let p = pick(parts[d.index()]);
-                if pick(3) == 0 {
+            for _ in 0..rng.below(80) {
+                let d = DatasetId(rng.below(datasets));
+                let p = rng.below(parts[d.index()]);
+                if rng.below(3) == 0 {
                     s.touch(d, p);
                 } else {
-                    s.try_insert(pick(machines) as usize, d, p, 1000);
+                    s.try_insert(rng.below(machines) as usize, d, p, 1000);
                 }
             }
             for d in 0..datasets {
-                let next_use_distance = if pick(4) == 0 { u32::MAX } else { pick(3) };
-                let hint = DatasetHints {
-                    remaining_refs: u64::from(pick(3)),
-                    next_use_distance,
-                };
+                let hint = rng.hint();
                 s.set_hint(DatasetId(d), hint);
             }
-            let machine = pick(machines) as usize;
-            let protect = (pick(3) != 0).then(|| DatasetId(pick(datasets)));
-            let (blocks, cands): (Vec<usize>, Vec<VictimCandidate>) = s.resident[machine]
-                .iter()
-                .map(|&b| (b as usize, s.layout.dataset_of(b as usize)))
-                .filter(|&(_, d)| Some(d) != protect)
-                .map(|(b, d)| {
-                    let m = &s.blocks[b];
-                    let cand = VictimCandidate {
-                        dataset: d,
-                        last_access: m.last_access,
-                        inserted: m.inserted,
-                        hints: s.hints[d.index()],
-                    };
-                    (b, cand)
-                })
-                .unzip();
-            for kind in EvictionPolicyKind::all() {
-                s.policy = kind;
-                let want = select_victim(kind, &cands).map(|i| blocks[i]);
-                assert_eq!(s.victim(machine, protect), want, "seed {seed}, {kind:?}");
-                picked += usize::from(want.is_some());
-            }
+            let machine = rng.below(machines) as usize;
+            let protect = (rng.below(3) != 0).then(|| DatasetId(rng.below(datasets)));
+            picked +=
+                assert_victim_matches_oracle(&mut s, machine, protect, &format!("seed {seed}"));
         }
         assert!(picked > 1000, "too few non-empty candidate sets: {picked}");
+    }
+
+    /// Runs `steps` random operations on a pressured store and checks the
+    /// resident entries after each one and the victim search against the
+    /// oracle every few: reads, inserts of 20-120 MB blocks into 420 MB
+    /// machines (so inserts evict under the store's policy), partition
+    /// drops, execution claims that evict down to the floor, machine
+    /// losses and hint refreshes. `tenants[t]` is tenant `t`'s dataset
+    /// count (one entry for a plain store); `parts` is indexed by global
+    /// dataset id. Returns `(evictions, victims found)`.
+    fn pressured_walk(
+        s: &mut BlockStore,
+        rng: &mut Draws,
+        tenants: &[u32],
+        parts: &[u32],
+        steps: usize,
+        ctx: &str,
+    ) -> (u64, usize) {
+        let machines = s.resident.len() as u32;
+        let mut found = 0;
+        let (mut tenant, mut base) = (0, 0);
+        for step in 0..steps {
+            if tenants.len() > 1 && rng.below(4) == 0 {
+                tenant = rng.below(tenants.len() as u32) as usize;
+                base = tenants[..tenant].iter().sum::<u32>();
+                s.set_active_tenant(tenant);
+                s.set_sim_now(step as f64);
+            }
+            let d = DatasetId(rng.below(tenants[tenant]));
+            let p = rng.below(parts[(base + d.0) as usize]);
+            let m = rng.below(machines) as usize;
+            match rng.below(40) {
+                0..=11 => {
+                    s.touch(d, p);
+                }
+                12..=29 => {
+                    s.try_insert(m, d, p, u64::from(20 + rng.below(100)) * 1_000_000);
+                }
+                30..=34 => s.drop_partition(d, p),
+                35..=36 => {
+                    let claim = s.claim_exec(m, u64::from(rng.below(400)) * 1_000_000);
+                    s.release_exec(m, claim);
+                }
+                37 => s.lose_machine(m),
+                _ => {
+                    let hint = rng.hint();
+                    s.set_hint(d, hint);
+                }
+            }
+            let ctx = format!("{ctx}, step {step}");
+            assert_resident_consistent(s, &ctx);
+            if step % 8 == 0 {
+                let datasets = s.layout.dataset_count() as u32;
+                let protect = (rng.below(3) != 0).then(|| DatasetId(rng.below(datasets)));
+                found += assert_victim_matches_oracle(s, m, protect, &ctx);
+            }
+        }
+        let evictions = s.touched_stats().map(|(_, st)| st.evictions).sum();
+        (evictions, found)
+    }
+
+    /// A pressured store under each policy with random hints.
+    fn pressured_store(rng: &mut Draws, parts: &[u32]) -> BlockStore {
+        let machines = 1 + rng.below(3);
+        let spec = MachineSpec {
+            ram_bytes: 1_000_000_000, // M = 4.2e8
+            ..MachineSpec::paper_example()
+        };
+        let layout = BlockLayout::from_partitions(parts.iter().copied());
+        let policy = EvictionPolicyKind::all()[rng.below(4) as usize];
+        let mut s = BlockStore::with_policy(&ClusterConfig::new(machines, spec), layout, policy);
+        for d in 0..parts.len() {
+            let hint = rng.hint();
+            s.hints[d] = hint;
+        }
+        s
+    }
+
+    /// The oracle agreement of [`single_pass_victim_matches_slice_oracle`]
+    /// on stores that evict: evictions, partition drops and machine losses
+    /// `swap_remove` entries out of the resident lists, so the lists get
+    /// reordered and every `(block, dataset)` entry and `pos` index has
+    /// to follow its block.
+    #[test]
+    fn victim_matches_slice_oracle_under_pressure() {
+        let (mut evicted, mut found) = (0, 0);
+        for seed in 0..120u64 {
+            let mut rng = Draws(seed ^ 0xE71C);
+            let datasets = 2 + rng.below(5);
+            let parts: Vec<u32> = (0..datasets).map(|_| 1 + rng.below(16)).collect();
+            let mut s = pressured_store(&mut rng, &parts);
+            let (e, f) = pressured_walk(
+                &mut s,
+                &mut rng,
+                &[datasets],
+                &parts,
+                160,
+                &format!("seed {seed}"),
+            );
+            evicted += e;
+            found += f;
+        }
+        assert!(evicted > 2000, "too few evictions: {evicted}");
+        assert!(found > 2000, "too few non-empty candidate sets: {found}");
+    }
+
+    /// The same on a tenancy store: each tenant's local ids are shifted by
+    /// a non-zero `active_base` for every tenant past the first, and the
+    /// resident entries must hold the global id the victim search and its
+    /// protection compare.
+    #[test]
+    fn victim_matches_slice_oracle_under_tenancy() {
+        let (mut evicted, mut found, mut cross) = (0, 0, 0);
+        for seed in 0..120u64 {
+            let mut rng = Draws(seed ^ 0x7E4A);
+            let tenants: Vec<u32> = (0..2 + rng.below(2)).map(|_| 1 + rng.below(3)).collect();
+            let datasets: u32 = tenants.iter().sum();
+            let parts: Vec<u32> = (0..datasets).map(|_| 1 + rng.below(16)).collect();
+            let mut s = pressured_store(&mut rng, &parts);
+            let base = std::iter::once(0)
+                .chain(tenants.iter().scan(0, |acc, &n| {
+                    *acc += n;
+                    Some(*acc)
+                }))
+                .collect();
+            s.enable_tenancy(base);
+            let (e, f) = pressured_walk(
+                &mut s,
+                &mut rng,
+                &tenants,
+                &parts,
+                160,
+                &format!("seed {seed}"),
+            );
+            evicted += e;
+            found += f;
+            let suffered: u64 = (0..tenants.len()).map(|t| s.tenant_contention(t).0).sum();
+            assert!(suffered <= e, "seed {seed}");
+            cross += suffered;
+        }
+        assert!(cross > 500, "too few cross-tenant evictions: {cross}");
+        assert!(evicted > 2000, "too few evictions: {evicted}");
+        assert!(found > 2000, "too few non-empty candidate sets: {found}");
     }
 }

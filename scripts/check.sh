@@ -23,6 +23,9 @@ cargo test -q --offline --test malformed_inputs --test old_artifacts
 cargo test -q --offline -p obs --lib -- prof::tests::committed_profile_round_trips_byte_identically
 cargo bench --offline -p bench --bench json_throughput
 
+echo "== JSON reader strictness (RFC 8259: leading zeros, a point without digits on both sides and raw control bytes in strings are errors) =="
+cargo test -q --offline -p serde
+
 echo "== profiling fold (database fold == hash-map oracle; instrumentation fidelity) =="
 cargo test -q --offline -p instrument
 cargo test -q --offline --test instrumentation_fidelity
@@ -76,9 +79,10 @@ cargo test -q --offline --test tenants
 echo "== tenants golden (two-tenant contention drill report is byte-stable) =="
 cargo test -q --offline --test tenants_golden
 
-echo "== evict-heavy golden + victim oracle (three-tenant 2 GB run and every eviction policy are bit-identical; single-pass victim == slice oracle) =="
+echo "== evict-heavy golden + victim oracle (three-tenant 2 GB run and every eviction policy are bit-identical; single-pass victim == slice oracle on roomy, pressured and tenancy stores (the victim filter runs all three); evict throughput records results/BENCH_evict_throughput.json and fails only on unstable digests) =="
 cargo test -q --offline --test evict_heavy_golden
 cargo test -q --offline -p cluster-sim --lib -- victim eviction:: re_evicted
+cargo bench --offline -p bench --bench evict_throughput
 
 echo "== tenancy parity (a lone active tenant next to a weightless one is the plain engine, quiet and traced under faults; one stats view) =="
 cargo test -q --offline -p cluster-sim --lib -- tenant:: active_stats
