@@ -10,11 +10,12 @@
 //! understands the shapes this workspace actually uses: non-generic structs
 //! (named, tuple, unit) and enums (unit, tuple, struct variants).
 //!
-//! Of serde's attributes it implements four, on named-field structs:
-//! field `default` and `default = "path"`, container `default` (absent
-//! fields from `Self::default()`) and container `deny_unknown_fields` (an
-//! unknown or repeated key is an error). Any other `serde` attribute is a
-//! compile error naming it. A struct with one of them names the field in
+//! Of serde's attributes it implements four: field `default` and
+//! `default = "path"` and container `default` (absent fields from
+//! `Self::default()`) on named-field structs, and container
+//! `deny_unknown_fields` (an unknown or repeated key is an error) on
+//! named-field structs and on enums, where it covers struct variants.
+//! Any other `serde` attribute is a compile error naming it. A struct with one of them names the field in
 //! a field's decode error; a struct without any generates the plain
 //! reader unchanged.
 
@@ -45,6 +46,8 @@ enum Item {
     Enum {
         name: String,
         variants: Vec<Variant>,
+        /// Container options: `deny_unknown_fields` (for struct variants).
+        opts: Vec<String>,
     },
 }
 
@@ -216,16 +219,20 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                 (_, Some(opt)) => Err(unsupported(opt)),
             }
         }
-        "enum" if !opts.is_empty() => Err(unsupported(&opts[0])),
-        "enum" => match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+        "enum" => match (
+            toks.get(i),
+            opts.iter().find(|o| *o != "deny_unknown_fields"),
+        ) {
+            (_, Some(opt)) => Err(unsupported(opt)),
+            (Some(TokenTree::Group(g)), None) if g.delimiter() == Delimiter::Brace => {
                 let inner: Vec<TokenTree> = g.stream().into_iter().collect();
                 Ok(Item::Enum {
                     name,
                     variants: parse_variants(&inner)?,
+                    opts,
                 })
             }
-            other => Err(format!("unexpected enum body: {other:?}")),
+            (other, None) => Err(format!("unexpected enum body: {other:?}")),
         },
         other => Err(format!("expected `struct` or `enum`, got `{other}`")),
     }
@@ -276,7 +283,7 @@ fn gen_serialize(item: &Item) -> String {
             );
             (name, arm)
         }
-        Item::Enum { name, variants } => {
+        Item::Enum { name, variants, .. } => {
             let mut arms = String::new();
             for v in variants {
                 let (vn, path) = (&v.name, format!("{name}::{}", v.name));
@@ -366,7 +373,11 @@ fn gen_deserialize(item: &Item) -> String {
         Item::Struct { name, fields, opts } => {
             (name, format!("Ok({})", read_fields(name, fields, opts)))
         }
-        Item::Enum { name, variants } => {
+        Item::Enum {
+            name,
+            variants,
+            opts,
+        } => {
             // Unit variants arrive as bare strings, data variants as
             // single-key objects.
             let (mut units, mut datas) = (String::new(), String::new());
@@ -377,7 +388,7 @@ fn gen_deserialize(item: &Item) -> String {
                     _ => datas.push_str(&format!(
                         "\"{}\" => {},\n",
                         v.name,
-                        read_fields(&path, &v.fields, &[])
+                        read_fields(&path, &v.fields, opts)
                     )),
                 }
             }

@@ -386,6 +386,26 @@ fn deny_unknown_fields_rejects_strays_and_duplicates() {
     );
 }
 
+/// Enum `deny_unknown_fields`: a struct variant's stray key is an error.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+enum Gate {
+    Open,
+    Band { lo: f64, hi: f64 },
+}
+
+#[test]
+fn deny_unknown_fields_covers_struct_variants() {
+    let band = Gate::Band { lo: 1.0, hi: 2.0 };
+    assert_eq!(from_str::<Gate>(&to_string(&band).unwrap()).unwrap(), band);
+    assert_eq!(from_str::<Gate>(r#""Open""#).unwrap(), Gate::Open);
+    let err = from_str::<Gate>(r#"{"Band": {"lo": 1, "hi": 2, "mid": 3}}"#).unwrap_err();
+    assert!(
+        err.to_string().contains("unknown key `mid` for Gate::Band"),
+        "{err}"
+    );
+}
+
 #[test]
 fn floats_are_rejected_for_integer_fields() {
     assert!(from_str::<Point>(r#"{"x": 1.0, "y": 2}"#).is_err());

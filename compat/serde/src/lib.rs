@@ -509,8 +509,8 @@ impl<'a> JsonReader<'a> {
 
     /// Reads a number as written: [`Value::Int`], or [`Value::UInt`] above
     /// `i64::MAX`, or [`Value::Float`] when it has `.`, `e` or an inner
-    /// sign, or is an integer beyond `u64` (the nearest float, as
-    /// serde_json reads it). A value beyond `f64` is out of range. `want`
+    /// sign, is `-0` (negative zero), or is an integer beyond `u64` (the
+    /// nearest float, as serde_json reads both). A value beyond `f64` is out of range. `want`
     /// names the expected kind in a mismatch error.
     pub fn number(&mut self, want: &str) -> Result<Value, DeError> {
         self.number_as(want, false)
@@ -548,7 +548,9 @@ impl<'a> JsonReader<'a> {
         if !strict || digits.is_empty() || matches!(digits, [b'0', b'0'..=b'9', ..]) {
             return Err(self.err("invalid number"));
         }
-        if !is_float {
+        // `-0` is an integer only to an integer target: a float keeps its
+        // sign, as serde_json reads it.
+        if !is_float && (integer || text != "-0") {
             if let Ok(n) = text.parse() {
                 return Ok(Value::Int(n));
             } else if let Ok(n) = text.parse() {
@@ -1274,6 +1276,7 @@ mod tests {
         );
         for (src, x) in [
             ("0", 0.0),
+            ("-0", -0.0),
             ("0.5", 0.5),
             ("-0.0", -0.0),
             ("10.25", 10.25),
@@ -1285,6 +1288,10 @@ mod tests {
             assert_eq!(got.to_bits(), f64::to_bits(x), "{src:?}");
         }
         assert_eq!(from_json::<i64>("-0").unwrap(), 0);
+        let Value::Float(neg_zero) = from_json::<Value>("-0").unwrap() else {
+            panic!("`-0` reads as a float");
+        };
+        assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits());
         assert_eq!(from_json::<u32>("10").unwrap(), 10);
         for (src, err) in [
             ("\"a\nb\"", "control character in string at byte 2"),

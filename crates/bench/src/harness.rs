@@ -1,12 +1,14 @@
 //! The one timing harness behind the overhead and throughput benches.
 //!
-//! Every such bench measures a few states of the same work (off vs on,
-//! plain vs armed), takes each state's best of `reps` runs with the
-//! states *interleaved* so slow drift (thermal, background load) hits all
-//! of them evenly, reports the overhead of each state over its base, and
-//! gates the rows that carry a budget. The pieces live here once:
-//! [`interleaved_best`], [`best_reproducing`], the shared [`LorBatch`] and
-//! [`time_training`] workloads, [`overhead_pct`], and [`publish`].
+//! Overhead rows compare a base closure A with an instrumented closure B
+//! through [`paired_ratio`]: pairs of back-to-back runs, the median B/A
+//! ratio and a distribution-free interval for it, and a stopping rule
+//! that adds pairs until that interval is narrow enough to judge a
+//! budget. Throughput benches take each state's best of `reps` runs,
+//! interleaved so slow drift (thermal, background load) hits all states
+//! evenly ([`interleaved_best`], [`best_reproducing`]). The shared
+//! [`LorBatch`] and [`time_training`] workloads, the [`Budget`] gate and
+//! [`publish`] live here once.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,8 +21,11 @@ use workloads::{LogisticRegression, Workload};
 /// Engine runs per timed [`LorBatch`].
 pub const ENGINE_RUNS: usize = 24;
 
-/// The overhead budget every gated overhead row is held to, percent.
-pub const BUDGET_PCT: f64 = 5.0;
+/// Pairs [`paired_ratio`] runs before it first judges its interval.
+pub const MIN_PAIRS: usize = 50;
+
+/// Pairs after which [`paired_ratio`] stops however wide its interval.
+pub const MAX_PAIRS: usize = 400;
 
 /// Wall-clock seconds of one call of `f`, and its output. Only the call
 /// is timed; the caller drops the output outside the measurement.
@@ -81,6 +86,93 @@ pub fn best_reproducing<T, D: PartialEq>(
     best
 }
 
+/// The median of per-pair ratios B/A over `pairs` pairs, a
+/// distribution-free ≈95 % interval `[low, high]` for it, and the median
+/// seconds of each side.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PairedRatio {
+    pub pairs: usize,
+    pub median: f64,
+    pub low: f64,
+    pub high: f64,
+    pub a_seconds: f64,
+    pub b_seconds: f64,
+}
+
+impl PairedRatio {
+    /// The estimate over per-pair seconds `a[i]`, `b[i]`. The interval's
+    /// bounds are the sorted ratios at the 1-based ranks
+    /// ⌊n/2 − 0.98√n⌋ and ⌈n/2 + 1 + 0.98√n⌉ (clamped to 1..=n): the
+    /// count of ratios below the true median is Binomial(n, ½), and these
+    /// ranks are its normal-approximation 95 % quantiles. No resampling,
+    /// no RNG.
+    fn of(a: &[f64], b: &[f64]) -> Self {
+        let n = a.len();
+        let mut ratios: Vec<f64> = a.iter().zip(b).map(|(a, b)| b / a).collect();
+        let half = n as f64 / 2.0;
+        let reach = 0.98 * (n as f64).sqrt();
+        let rank = |r: f64| (r as usize).clamp(1, n) - 1;
+        let low = rank((half - reach).floor());
+        let high = rank((half + 1.0 + reach).ceil());
+        PairedRatio {
+            pairs: n,
+            median: median(&mut ratios),
+            low: ratios[low],
+            high: ratios[high],
+            a_seconds: median(&mut a.to_vec()),
+            b_seconds: median(&mut b.to_vec()),
+        }
+    }
+
+    /// Width of the interval, in ratio units.
+    #[must_use]
+    pub fn width(&self) -> f64 {
+        self.high - self.low
+    }
+}
+
+/// Median of `xs`, which it sorts.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// The B/A ratio of two ways of doing the same work. Pair `p` calls
+/// `a(p)` and `b(p)` back to back, each returning the seconds it timed,
+/// so both sides get the same inputs (seeds) for that pair; the side
+/// that runs first alternates from pair to pair, so neither side always
+/// pays for a cold cache or gets the other's warm-up. From [`MIN_PAIRS`]
+/// on it stops as soon as the interval is no wider than `stop_width`,
+/// and at [`MAX_PAIRS`] regardless; a result wider than `stop_width` is
+/// inconclusive.
+pub fn paired_ratio(
+    stop_width: f64,
+    mut a: impl FnMut(usize) -> f64,
+    mut b: impl FnMut(usize) -> f64,
+) -> PairedRatio {
+    let (mut secs_a, mut secs_b) = (Vec::new(), Vec::new());
+    for pair in 0..MAX_PAIRS {
+        let (ta, tb) = if pair % 2 == 0 {
+            let ta = a(pair);
+            (ta, b(pair))
+        } else {
+            let tb = b(pair);
+            (a(pair), tb)
+        };
+        secs_a.push(ta);
+        secs_b.push(tb);
+        if secs_a.len() >= MIN_PAIRS && PairedRatio::of(&secs_a, &secs_b).width() <= stop_width {
+            break;
+        }
+    }
+    PairedRatio::of(&secs_a, &secs_b)
+}
+
 /// Overhead of `t` over `base` in percent; 0 when `base` is not positive.
 #[must_use]
 pub fn overhead_pct(base: f64, t: f64) -> f64 {
@@ -92,7 +184,7 @@ pub fn overhead_pct(base: f64, t: f64) -> f64 {
 }
 
 /// The paper-scale LOR application on 4 private-cluster machines: the
-/// engine batch the overhead benches time their hot-path states on.
+/// engine batch the overhead bench times its hot-path rows on.
 pub struct LorBatch {
     pub app: Application,
     pub schedule: Arc<Schedule>,
@@ -146,7 +238,7 @@ impl LorBatch {
     }
 }
 
-/// The offline-training configuration the overhead benches time:
+/// The offline-training configuration the benches time:
 /// the paper defaults on one thread, for a stable measurement.
 #[must_use]
 pub fn training_config() -> TrainingConfig {
@@ -162,9 +254,9 @@ pub fn time_training(config: &TrainingConfig) -> f64 {
 }
 
 /// A gated measurement: `value` must stay at most (or at least) `limit`.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub struct Budget {
-    what: &'static str,
+    what: String,
     value: f64,
     limit: f64,
     at_least: bool,
@@ -173,9 +265,9 @@ pub struct Budget {
 impl Budget {
     /// `value` passes at or below `limit` (an overhead budget).
     #[must_use]
-    pub fn at_most(what: &'static str, value: f64, limit: f64) -> Self {
+    pub fn at_most(what: impl Into<String>, value: f64, limit: f64) -> Self {
         Budget {
-            what,
+            what: what.into(),
             value,
             limit,
             at_least: false,
@@ -184,9 +276,9 @@ impl Budget {
 
     /// `value` passes at or above `limit` (a speedup floor).
     #[must_use]
-    pub fn at_least(what: &'static str, value: f64, limit: f64) -> Self {
+    pub fn at_least(what: impl Into<String>, value: f64, limit: f64) -> Self {
         Budget {
-            what,
+            what: what.into(),
             value,
             limit,
             at_least: true,
@@ -225,12 +317,12 @@ fn enforce(name: &str, budgets: &[Budget]) {
     for b in budgets {
         let cmp = if b.at_least { ">=" } else { "<=" };
         let verdict = if b.met() { "met" } else { "NOT MET" };
-        println!("{}: {:.2} ({cmp} {}): {verdict}", b.what, b.value, b.limit);
+        println!("{}: {:.4} ({cmp} {}): {verdict}", b.what, b.value, b.limit);
     }
     let missed: Vec<String> = budgets
         .iter()
         .filter(|b| !b.met())
-        .map(|b| format!("{} = {:.2} (limit {})", b.what, b.value, b.limit))
+        .map(|b| format!("{} = {:.4} (limit {})", b.what, b.value, b.limit))
         .collect();
     assert!(
         missed.is_empty(),
@@ -264,6 +356,52 @@ mod tests {
     }
 
     #[test]
+    fn pairs_share_their_index_and_alternate_which_side_runs_first() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        paired_ratio(
+            1.0,
+            |p| {
+                calls.borrow_mut().push(('a', p));
+                1.0
+            },
+            |p| {
+                calls.borrow_mut().push(('b', p));
+                1.0
+            },
+        );
+        let calls = calls.into_inner();
+        assert_eq!(
+            calls.len(),
+            2 * MIN_PAIRS,
+            "a zero-width interval stops at once"
+        );
+        assert_eq!(&calls[..4], &[('a', 0), ('b', 0), ('b', 1), ('a', 1)]);
+    }
+
+    #[test]
+    fn interval_bounds_are_the_order_statistics_at_the_binomial_ranks() {
+        // n = 100: ranks ⌊50 − 9.8⌋ = 40 and ⌈51 + 9.8⌉ = 61.
+        let a = vec![1.0; 100];
+        let b: Vec<f64> = (1..=100).map(f64::from).rev().collect();
+        let est = PairedRatio::of(&a, &b);
+        assert_eq!((est.low, est.median, est.high), (40.0, 50.5, 61.0));
+        assert_eq!((est.a_seconds, est.b_seconds), (1.0, 50.5));
+        // n = 1 clamps both ranks onto the only ratio.
+        let one = PairedRatio::of(&[2.0], &[3.0]);
+        assert_eq!((one.low, one.median, one.high), (1.5, 1.5, 1.5));
+    }
+
+    #[test]
+    fn a_noisy_ratio_runs_to_the_pair_cap_and_stays_wide() {
+        let est = paired_ratio(0.025, |_| 1.0, |p| if p % 2 == 0 { 0.9 } else { 1.2 });
+        assert_eq!(est.pairs, MAX_PAIRS);
+        assert!(est.width() >= 0.025, "{est:?}");
+        let calm = paired_ratio(0.025, |_| 1.0, |p| 1.03 + 0.001 * (p % 5) as f64);
+        assert_eq!(calm.pairs, MIN_PAIRS);
+        assert!((calm.median - 1.032).abs() < 1e-12, "{calm:?}");
+    }
+
+    #[test]
     fn overhead_is_zero_on_a_zero_base() {
         assert_eq!(overhead_pct(0.0, 5.0), 0.0);
         assert_eq!(overhead_pct(2.0, 2.1), (2.1 - 2.0) / 2.0 * 100.0);
@@ -285,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "over budget: overhead = 5.01")]
+    #[should_panic(expected = "over budget: overhead = 5.0100")]
     fn budget_gate_panics_above_its_budget() {
         enforce(
             "unit",

@@ -309,6 +309,13 @@ pub struct ChaosState {
     pending_failures: Vec<(usize, f64, u32)>,
     /// Sum of `remaining` over `pending_failures` — the hot-path guard.
     pending_failure_total: u32,
+    /// Earliest `from_s` over `windows` (infinite when there are none):
+    /// an attempt starting before it meets no window, so a plan whose
+    /// windows lie ahead costs the per-attempt hook one comparison.
+    first_window_s: f64,
+    /// Earliest `at_s` over `pending_failures`, the same guard for
+    /// injected failures.
+    first_failure_s: f64,
     machine_failures: Vec<u32>,
     blacklisted: Vec<bool>,
     any_blacklisted: bool,
@@ -336,6 +343,8 @@ impl ChaosState {
             windows: Vec::new(),
             pending_failures: Vec::new(),
             pending_failure_total: 0,
+            first_window_s: f64::INFINITY,
+            first_failure_s: f64::INFINITY,
             machine_failures: vec![0; machines],
             blacklisted: vec![false; machines],
             any_blacklisted: false,
@@ -371,6 +380,7 @@ impl ChaosState {
                         factor,
                         duration_s,
                     } => {
+                        s.first_window_s = s.first_window_s.min(ev.at_s);
                         s.windows.push((
                             oi,
                             machine as usize,
@@ -380,6 +390,7 @@ impl ChaosState {
                         ));
                     }
                     FaultKind::TaskFailures { count } => {
+                        s.first_failure_s = s.first_failure_s.min(ev.at_s);
                         s.pending_failures.push((oi, ev.at_s, count));
                         s.pending_failure_total += count;
                     }
@@ -446,7 +457,7 @@ impl ChaosState {
     /// Combined slowdown factor for a task attempt starting at `start` on
     /// `machine` (1.0 when no window applies). Counts affected attempts.
     pub fn slow_factor(&mut self, machine: usize, start: f64) -> f64 {
-        if self.windows.is_empty() {
+        if start < self.first_window_s {
             return 1.0;
         }
         let mut f = 1.0;
@@ -473,7 +484,7 @@ impl ChaosState {
     /// starting at `start`, if any. The caller decides retry vs
     /// exhaustion from [`RetryPolicy::max_attempts`].
     pub fn take_failure(&mut self, start: f64) -> bool {
-        if self.pending_failure_total == 0 {
+        if self.pending_failure_total == 0 || start < self.first_failure_s {
             return false;
         }
         for i in 0..self.pending_failures.len() {

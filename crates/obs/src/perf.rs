@@ -2,20 +2,24 @@
 //! against committed baseline specs in `results/baselines/`.
 //!
 //! A baseline spec pairs a frozen copy of a benchmark artifact with a
-//! list of [`Check`]s over dotted JSON paths. Checks gate the *stable*
-//! facts a benchmark asserts (overhead percentages, budget booleans,
-//! artifact-identity flags) rather than raw wall-clock seconds, which
-//! vary with host load — so the gate stays meaningful on a laptop and
-//! in CI alike. `juggler perf-report` evaluates every spec and exits
+//! list of [`Check`]s over dotted JSON paths; its file format is the
+//! derived JSON of [`BaselineSpec`], so an unknown key or op is an
+//! error. Checks gate the *stable* facts a benchmark asserts (overhead
+//! ratios, budget booleans, artifact-identity flags) rather than raw
+//! wall-clock seconds, which vary with host load — so the gate stays
+//! meaningful on a laptop and in CI alike. `juggler perf-report` evaluates every spec and exits
 //! nonzero when any check fails; `scripts/refresh_baselines.sh` is the
 //! only sanctioned way to move a baseline, keeping churn explicit.
 
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 
 use crate::format::fmt_sig;
 
-/// How a single metric is gated against its baseline.
-#[derive(Debug, Clone, PartialEq)]
+/// How a single metric is gated against its baseline. In a spec file it
+/// is externally tagged: `"Equals"`, `{"Max": 1.05}`,
+/// `{"Band": {"tol_abs": 0.1, "tol_rel": 0.0}}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum CheckOp {
     /// Fresh value must equal the baseline value exactly (numeric
     /// comparison is kind-insensitive: `5` matches `5.0`).
@@ -36,9 +40,10 @@ pub enum CheckOp {
 }
 
 /// One gated metric: a dotted path into the benchmark JSON plus the op.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Check {
-    /// Dotted path, e.g. `engine_batch.overhead_pct`.
+    /// Dotted path, e.g. `rows.chaos_armed_idle.median`.
     pub path: String,
     /// The gate applied at that path.
     pub op: CheckOp,
@@ -56,11 +61,13 @@ impl Check {
 }
 
 /// A committed baseline: the source artifact name, the checks, and the
-/// frozen benchmark document they gate against.
-#[derive(Debug, Clone)]
+/// frozen benchmark document they gate against. Committed under
+/// `results/baselines/` as its pretty-printed JSON.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BaselineSpec {
     /// Name of the benchmark artifact this gates, e.g.
-    /// `BENCH_metrics_overhead.json`.
+    /// `BENCH_overhead.json`.
     pub source: String,
     /// The gates.
     pub checks: Vec<Check>,
@@ -180,91 +187,6 @@ impl BaselineSpec {
         }
     }
 
-    /// Pretty-printed JSON for committing under `results/baselines/`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let checks: Vec<Value> = self
-            .checks
-            .iter()
-            .map(|c| {
-                let mut fields = vec![("path".to_owned(), Value::Str(c.path.clone()))];
-                match &c.op {
-                    CheckOp::Equals => fields.push(("op".to_owned(), Value::Str("equals".into()))),
-                    CheckOp::Max(limit) => {
-                        fields.push(("op".to_owned(), Value::Str("max".into())));
-                        fields.push(("limit".to_owned(), Value::Float(*limit)));
-                    }
-                    CheckOp::Min(limit) => {
-                        fields.push(("op".to_owned(), Value::Str("min".into())));
-                        fields.push(("limit".to_owned(), Value::Float(*limit)));
-                    }
-                    CheckOp::Band { tol_abs, tol_rel } => {
-                        fields.push(("op".to_owned(), Value::Str("band".into())));
-                        fields.push(("tol_abs".to_owned(), Value::Float(*tol_abs)));
-                        fields.push(("tol_rel".to_owned(), Value::Float(*tol_rel)));
-                    }
-                }
-                Value::Object(fields)
-            })
-            .collect();
-        let doc = Value::Object(vec![
-            ("source".to_owned(), Value::Str(self.source.clone())),
-            ("checks".to_owned(), Value::Array(checks)),
-            ("baseline".to_owned(), self.baseline.clone()),
-        ]);
-        let mut text = serde_json::to_string_pretty(&doc).expect("Value always serializes");
-        text.push('\n');
-        text
-    }
-
-    /// Parses a committed spec document.
-    pub fn from_json(raw: &str) -> Result<Self, String> {
-        let doc: Value = serde_json::from_str(raw).map_err(|e| format!("baseline spec: {e}"))?;
-        let source = match doc.get("source") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => return Err("baseline spec: missing `source`".into()),
-        };
-        let baseline = doc
-            .get("baseline")
-            .cloned()
-            .ok_or("baseline spec: missing `baseline`")?;
-        let mut checks = Vec::new();
-        let Some(Value::Array(raw_checks)) = doc.get("checks") else {
-            return Err("baseline spec: missing `checks` array".into());
-        };
-        for c in raw_checks {
-            let path = match c.get("path") {
-                Some(Value::Str(p)) => p.clone(),
-                _ => return Err("baseline spec: check missing `path`".into()),
-            };
-            let op_name = match c.get("op") {
-                Some(Value::Str(o)) => o.clone(),
-                _ => return Err(format!("baseline spec: check `{path}` missing `op`")),
-            };
-            let num = |key: &str| -> Result<f64, String> {
-                c.get(key).and_then(as_f64).ok_or(format!(
-                    "baseline spec: check `{path}` op `{op_name}` missing `{key}`"
-                ))
-            };
-            let op = match op_name.as_str() {
-                "equals" => CheckOp::Equals,
-                "max" => CheckOp::Max(num("limit")?),
-                "min" => CheckOp::Min(num("limit")?),
-                "band" => CheckOp::Band {
-                    tol_abs: num("tol_abs")?,
-                    tol_rel: num("tol_rel")?,
-                },
-                other => return Err(format!("baseline spec: unknown op `{other}`")),
-            };
-            checks.push(Check { path, op });
-        }
-        Ok(BaselineSpec {
-            source,
-            checks,
-            baseline,
-        })
-    }
-
     /// Evaluates every check against a fresh benchmark document.
     #[must_use]
     pub fn evaluate(&self, fresh: &Value) -> BenchReport {
@@ -381,79 +303,44 @@ fn render_value(v: &Value) -> String {
 /// The default gate policy for the workspace's benchmark artifacts.
 ///
 /// Returns `None` for unknown artifacts (they are reported but not
-/// gated). Policy rationale: overhead *percentages* and identity
+/// gated). Policy rationale: overhead *ratios* and identity
 /// *booleans* are functions of code, not of host speed, so they are
 /// safe to gate; raw seconds are not gated at all.
 #[must_use]
 pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
-    let overhead_common = |engine_band_abs: f64| {
-        vec![
-            Check::new("workload", CheckOp::Equals),
-            Check::new("reps", CheckOp::Equals),
-            Check::new("budget_pct", CheckOp::Equals),
-            Check::new("within_budget", CheckOp::Equals),
-            Check::new("offline_training.overhead_pct", CheckOp::Max(5.0)),
-            Check::new(
-                "engine_batch.overhead_pct",
-                CheckOp::Band {
-                    tol_abs: engine_band_abs,
-                    tol_rel: 1.0,
-                },
-            ),
-        ]
-    };
     match bench {
-        "metrics_overhead" => Some(overhead_common(8.0)),
-        "trace_overhead" => Some(overhead_common(25.0)),
-        // Armed-but-idle chaos machinery on the fault-free hot path: the
-        // recorded overhead percentage must stay under the 5 % budget.
-        "chaos_overhead" => Some(vec![
-            Check::new("workload", CheckOp::Equals),
-            Check::new("reps", CheckOp::Equals),
-            Check::new("budget_pct", CheckOp::Equals),
-            Check::new("within_budget", CheckOp::Equals),
-            // The default-policy armed state is the one every fault-free
-            // run carries: gate it to the declared 5 % budget. The
-            // speculation-armed row is opt-in and reported but not gated
-            // (like trace_overhead's jittery engine batch).
-            Check::new("armed_idle.overhead_pct", CheckOp::Max(5.0)),
-        ]),
-        // Tenancy machinery for a lone application: the single-tenant
-        // set is the path every one-entry spec takes, so it is gated to
-        // the 5 % budget. The lone-active row (plus a weightless ghost)
-        // is opt-in and reported but not gated.
-        "tenants_overhead" => Some(vec![
-            Check::new("workload", CheckOp::Equals),
-            Check::new("reps", CheckOp::Equals),
-            Check::new("budget_pct", CheckOp::Equals),
-            Check::new("within_budget", CheckOp::Equals),
-            Check::new("single_tenant.overhead_pct", CheckOp::Max(5.0)),
-        ]),
-        // Phase-profiler tax on the training pipeline. The scope call
-        // sites are always compiled in, so the measurable contrast is
-        // recording on vs off: gate the *enabled* overhead to the
-        // declared 5 % budget (per-run granularity keeps it small).
-        // The armed-idle row (disabled profiler, one relaxed atomic
-        // load per call site) is a nanoseconds-scale micro-measurement,
-        // reported for visibility but too jittery to pin.
-        "profile_overhead" => Some(vec![
-            Check::new("workload", CheckOp::Equals),
-            Check::new("reps", CheckOp::Equals),
-            Check::new("budget_pct", CheckOp::Equals),
-            Check::new("within_budget", CheckOp::Equals),
-            Check::new("enabled.overhead_pct", CheckOp::Max(5.0)),
-        ]),
-        // Health-watchtower fold cost over a synthetic 100-manifest
-        // ledger, relative to one offline training run: the fold must
-        // stay under the 5 % budget so `juggler watch` is cheap enough
-        // to run after every training sweep.
-        "health_overhead" => Some(vec![
-            Check::new("workload", CheckOp::Equals),
-            Check::new("manifests", CheckOp::Equals),
-            Check::new("budget_pct", CheckOp::Equals),
-            Check::new("within_budget", CheckOp::Equals),
-            Check::new("fold.overhead_pct", CheckOp::Max(5.0)),
-        ]),
+        // The median B/A ratio of each overhead row: a budgeted row's is
+        // held to its limit (1.05: at most 5 % slower; the warm fold to
+        // 0.05 of a doctor run), and `within_budget` also fails a row
+        // whose interval stayed too wide to decide. An informational
+        // row's band reaches from the baseline median to the farthest
+        // bound of any ≈95 % interval the row showed in ten consecutive
+        // runs on a 2-vCPU Xeon, so each of those runs sits inside it.
+        "overhead" => {
+            let band = |tol_abs| CheckOp::Band {
+                tol_abs,
+                tol_rel: 0.0,
+            };
+            let rows = [
+                ("chaos_armed_idle", CheckOp::Max(1.05)),
+                ("chaos_speculation_armed", band(0.046)),
+                ("tenants_single", CheckOp::Max(1.05)),
+                ("tenants_lone_active", band(0.018)),
+                ("metrics_training", CheckOp::Max(1.05)),
+                ("metrics_engine", band(0.021)),
+                ("profile_training", CheckOp::Max(1.05)),
+                ("profile_engine", band(0.023)),
+                ("profile_idle_scope", band(2.263)),
+                ("trace_training", CheckOp::Max(1.05)),
+                ("trace_engine", band(0.066)),
+                ("health_cold_fold", band(0.014)),
+                ("health_warm_fold", CheckOp::Max(0.05)),
+            ];
+            let identity = ["workload", "manifests", "stop_width", "within_budget"]
+                .map(|path| Check::new(path, CheckOp::Equals));
+            let medians = rows.map(|(row, op)| Check::new(&format!("rows.{row}.median"), op));
+            Some(identity.into_iter().chain(medians).collect())
+        }
         "training_parallel" => Some(vec![
             Check::new("workload", CheckOp::Equals),
             Check::new("reps", CheckOp::Equals),
@@ -507,43 +394,52 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
 mod tests {
     use super::*;
 
-    fn bench_doc(overhead: f64, within: bool) -> Value {
+    fn bench_doc(engine: f64, within: bool) -> Value {
         serde_json::from_str(&format!(
             r#"{{
                 "workload": "LOR",
-                "reps": 9,
-                "budget_pct": 5.0,
                 "within_budget": {within},
-                "offline_training": {{"overhead_pct": -0.53}},
-                "engine_batch": {{"overhead_pct": {overhead}}}
+                "rows": {{
+                    "trace_training": {{"median": 1.01}},
+                    "trace_engine": {{"median": {engine}}}
+                }}
             }}"#
         ))
         .unwrap()
     }
 
     fn spec() -> BaselineSpec {
+        let band = CheckOp::Band {
+            tol_abs: 0.1,
+            tol_rel: 0.0,
+        };
         BaselineSpec::new(
-            "BENCH_metrics_overhead.json",
-            default_checks("metrics_overhead").unwrap(),
-            bench_doc(1.85, true),
+            "BENCH_overhead.json",
+            vec![
+                Check::new("workload", CheckOp::Equals),
+                Check::new("within_budget", CheckOp::Equals),
+                Check::new("rows.trace_training.median", CheckOp::Max(1.05)),
+                Check::new("rows.trace_engine.median", band),
+            ],
+            bench_doc(1.30, true),
         )
     }
 
     #[test]
     fn identical_run_passes() {
-        let report = spec().evaluate(&bench_doc(1.85, true));
+        let report = spec().evaluate(&bench_doc(1.30, true));
         assert!(report.passed(), "{report:?}");
     }
 
     #[test]
     fn small_timing_noise_passes() {
-        let report = spec().evaluate(&bench_doc(3.4, true));
+        let report = spec().evaluate(&bench_doc(1.37, true));
         assert!(report.passed(), "{report:?}");
     }
 
     #[test]
     fn budget_blowout_fails() {
-        let report = spec().evaluate(&bench_doc(22.0, false));
+        let report = spec().evaluate(&bench_doc(2.2, false));
         assert!(!report.passed());
         let failed: Vec<&str> = report
             .outcomes
@@ -551,8 +447,7 @@ mod tests {
             .filter(|o| !o.pass)
             .map(|o| o.path.as_str())
             .collect();
-        assert!(failed.contains(&"within_budget"), "{failed:?}");
-        assert!(failed.contains(&"engine_batch.overhead_pct"), "{failed:?}");
+        assert_eq!(failed, ["within_budget", "rows.trace_engine.median"]);
     }
 
     #[test]
@@ -563,20 +458,50 @@ mod tests {
         let missing = report
             .outcomes
             .iter()
-            .find(|o| o.path == "reps")
-            .expect("reps outcome");
+            .find(|o| o.path == "within_budget")
+            .expect("within_budget outcome");
         assert!(missing.detail.contains("missing"), "{}", missing.detail);
     }
 
     #[test]
     fn spec_json_roundtrip() {
         let original = spec();
-        let parsed = BaselineSpec::from_json(&original.to_json()).unwrap();
+        let text = serde_json::to_string_pretty(&original).unwrap();
+        let parsed: BaselineSpec = serde_json::from_str(&text).unwrap();
         assert_eq!(parsed.source, original.source);
         assert_eq!(parsed.checks, original.checks);
+        assert_eq!(parsed.baseline, original.baseline);
         // The re-parsed spec gates identically.
-        assert!(parsed.evaluate(&bench_doc(1.85, true)).passed());
-        assert!(!parsed.evaluate(&bench_doc(40.0, true)).passed());
+        assert!(parsed.evaluate(&bench_doc(1.30, true)).passed());
+        assert!(!parsed.evaluate(&bench_doc(4.0, true)).passed());
+    }
+
+    #[test]
+    fn checks_are_externally_tagged_and_strict() {
+        let checks = vec![
+            Check::new("a", CheckOp::Equals),
+            Check::new("b", CheckOp::Max(1.05)),
+            Check::new(
+                "c",
+                CheckOp::Band {
+                    tol_abs: 0.5,
+                    tol_rel: 0.0,
+                },
+            ),
+        ];
+        let text = serde_json::to_string(&checks).unwrap();
+        assert_eq!(
+            text,
+            r#"[{"path":"a","op":"Equals"},{"path":"b","op":{"Max":1.05}},{"path":"c","op":{"Band":{"tol_abs":0.5,"tol_rel":0.0}}}]"#
+        );
+        // An unknown op or key is an error (end to end, with the file
+        // named, in `tests/perf_report_cli.rs`).
+        for bad in [
+            r#"{"path":"a","op":"equals"}"#,
+            r#"{"path":"a","op":"Equals","limit":1}"#,
+        ] {
+            assert!(serde_json::from_str::<Check>(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -597,39 +522,42 @@ mod tests {
     #[test]
     fn render_shows_regression_summary() {
         let mut report = PerfReport::default();
-        report
-            .benches
-            .push(spec().evaluate(&bench_doc(40.0, false)));
+        report.benches.push(spec().evaluate(&bench_doc(4.0, false)));
         let text = report.render();
         assert!(text.contains("REGRESSION"), "{text}");
         assert!(text.contains("FAILED"), "{text}");
         let ok = PerfReport {
-            benches: vec![spec().evaluate(&bench_doc(1.85, true))],
+            benches: vec![spec().evaluate(&bench_doc(1.30, true))],
         };
         assert!(ok.render().contains("checks passed"));
     }
 
     #[test]
-    fn profile_overhead_policy_gates_enabled_row_only() {
-        let checks = default_checks("profile_overhead").unwrap();
-        assert!(checks
-            .iter()
-            .any(|c| c.path == "enabled.overhead_pct" && c.op == CheckOp::Max(5.0)));
-        assert!(
-            !checks.iter().any(|c| c.path.starts_with("armed_idle.")),
-            "the armed-idle micro row is informational, not gated"
-        );
-    }
-
-    #[test]
-    fn health_overhead_policy_gates_fold_cost() {
-        let checks = default_checks("health_overhead").unwrap();
-        assert!(checks
-            .iter()
-            .any(|c| c.path == "fold.overhead_pct" && c.op == CheckOp::Max(5.0)));
-        assert!(checks
-            .iter()
-            .any(|c| c.path == "manifests" && c.op == CheckOp::Equals));
+    fn overhead_policy_holds_budgeted_rows_to_their_limits() {
+        let checks = default_checks("overhead").unwrap();
+        let op = |path: &str| {
+            let found = checks.iter().find(|c| c.path == path);
+            found.map(|c| c.op.clone()).expect(path)
+        };
+        for row in [
+            "chaos_armed_idle",
+            "tenants_single",
+            "metrics_training",
+            "profile_training",
+            "trace_training",
+        ] {
+            assert_eq!(op(&format!("rows.{row}.median")), CheckOp::Max(1.05));
+        }
+        assert_eq!(op("rows.health_warm_fold.median"), CheckOp::Max(0.05));
+        assert_eq!(op("within_budget"), CheckOp::Equals);
+        // No band is wider than its row's effective tolerance before the
+        // merge (metrics engine 8 points, trace engine 95 points).
+        for (row, cap) in [("metrics_engine", 0.08), ("trace_engine", 0.95)] {
+            let CheckOp::Band { tol_abs, tol_rel } = op(&format!("rows.{row}.median")) else {
+                panic!("{row} is banded");
+            };
+            assert!(tol_abs <= cap && tol_rel == 0.0, "{row}");
+        }
         assert!(
             !checks.iter().any(|c| c.path.contains("seconds")),
             "raw seconds are never gated"

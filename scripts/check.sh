@@ -45,12 +45,6 @@ cargo test -q --offline --test doctor_golden
 echo "== artifact digest golden (paper-scale training artifacts and menus are bit-identical) =="
 cargo test -q --offline --test artifact_digest_golden
 
-echo "== trace overhead (<5% budget; records results/BENCH_trace_overhead.json) =="
-cargo bench --offline -p bench --bench trace_overhead
-
-echo "== metrics overhead (<5% budget; records results/BENCH_metrics_overhead.json) =="
-cargo bench --offline -p bench --bench metrics_overhead
-
 echo "== hash parity (SHA-NI and portable SHA-256 agree; every digest golden is unchanged) =="
 cargo test -q --offline -p obs --lib -- hash::
 cargo test -q --offline --test ledger_determinism --test artifact_digest_golden
@@ -66,9 +60,6 @@ cargo test -q --offline --test chaos
 
 echo "== chaos golden (drill report is byte-stable) =="
 cargo test -q --offline --test chaos_golden
-
-echo "== chaos overhead (<5% armed-idle budget; records results/BENCH_chaos_overhead.json) =="
-cargo bench --offline -p bench --bench chaos_overhead
 
 echo "== sim throughput (hot-path speedup vs frozen pre-rework constants; records results/BENCH_sim_throughput.json) =="
 cargo bench --offline -p bench --bench sim_throughput
@@ -88,17 +79,11 @@ echo "== tenancy parity (a lone active tenant next to a weightless one is the pl
 cargo test -q --offline -p cluster-sim --lib -- tenant:: active_stats
 cargo test -q --offline -p cluster-sim --test proptest_tenants
 
-echo "== tenants overhead (<5% single-tenant budget; records results/BENCH_tenants_overhead.json) =="
-cargo bench --offline -p bench --bench tenants_overhead
-
 echo "== profile determinism (call-tree structure digest is thread-count-stable) =="
 cargo test -q --offline --test profile_determinism
 
 echo "== profile golden (structure-only phase tree is byte-stable) =="
 cargo test -q --offline --test profile_golden
-
-echo "== profile overhead (<5% enabled budget; records results/BENCH_profile_overhead.json) =="
-cargo bench --offline -p bench --bench profile_overhead
 
 echo "== health determinism (fold digest is thread-count-stable) =="
 cargo test -q --offline --test health_determinism
@@ -110,8 +95,8 @@ echo "== ledger read path (runs list/watch/health see only verified runs; atomic
 cargo test -q --offline --test ledger_cli
 cargo test -q --offline -p obs --lib -- ledger::
 
-echo "== health overhead (<5% steady-state fold budget; records results/BENCH_health_overhead.json) =="
-cargo bench --offline -p bench --bench health_overhead
+echo "== overhead (paired median ratio; every budgeted row ≤ its limit; records results/BENCH_overhead.json) =="
+cargo bench --offline -p bench --bench overhead
 
 echo "== figure artifacts (regenerating fig01/02/12/14 reproduces the committed results/fig*.json) =="
 for fig in fig01_lir_caching fig02_svm_areas fig12_prediction_accuracy fig14_cluster_config; do

@@ -5,11 +5,10 @@
 # regenerated specs — baseline churn should always be an explicit,
 # reviewable commit, never a side effect of `scripts/check.sh`.
 #
-# To refresh the BENCH artifacts themselves first, run the ten benches
-# that write them (each fails if a gated row is over its budget):
-#   for b in chaos_overhead hash_throughput health_overhead json_throughput \
-#            metrics_overhead profile_overhead sim_throughput tenants_overhead \
-#            trace_overhead training_parallel; do
+# To refresh the BENCH artifacts themselves first, run the five benches
+# that write gated artifacts (each fails if a gated row is over its budget):
+#   for b in hash_throughput json_throughput overhead sim_throughput \
+#            training_parallel; do
 #       cargo bench --offline -p bench --bench "$b"
 #   done
 set -euo pipefail

@@ -1197,7 +1197,7 @@ fn cmd_watch(args: &Args) -> Result<ExitCode, String> {
 
 // ───────────────────────── perf-regression gate ─────────────────────────
 
-/// Bench artifact name (`metrics_overhead`) from a `BENCH_*.json` file
+/// Bench artifact name (`overhead`) from a `BENCH_*.json` file
 /// name, if it is one.
 fn bench_name(file_name: &str) -> Option<&str> {
     file_name.strip_prefix("BENCH_")?.strip_suffix(".json")
@@ -1223,8 +1223,8 @@ fn cmd_perf_report(args: &Args) -> Result<ExitCode, String> {
         }
         let raw = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let spec =
-            obs::BaselineSpec::from_json(&raw).map_err(|e| format!("{}: {e}", path.display()))?;
+        let spec: obs::BaselineSpec = serde_json::from_str(&raw)
+            .map_err(|e| format!("{}: baseline spec: {e}", path.display()))?;
         specs.push(spec);
     }
     specs.sort_by(|a, b| a.source.cmp(&b.source));
@@ -1308,8 +1308,8 @@ fn write_baselines(results: &Path, baselines: &Path) -> Result<(), String> {
             serde_json::from_str(&raw).map_err(|e| format!("{file_name}: {e}"))?;
         let spec = obs::BaselineSpec::new(file_name, checks, doc);
         let out = baselines.join(file_name);
-        std::fs::write(&out, spec.to_json())
-            .map_err(|e| format!("writing {}: {e}", out.display()))?;
+        let text = serde_json::to_string_pretty(&spec).expect("a spec always serializes");
+        std::fs::write(&out, text + "\n").map_err(|e| format!("writing {}: {e}", out.display()))?;
         println!("baseline {} ({} checks)", out.display(), spec.checks.len());
         wrote += 1;
     }
