@@ -20,7 +20,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::sync::Arc;
 
 use bench::harness::{self, Budget};
@@ -176,50 +175,6 @@ fn evictions(reports: &[RunReport]) -> u64 {
         .sum()
 }
 
-/// `git rev-parse HEAD` of the checkout the bench runs in, marked when
-/// tracked files outside the benches and results differ from it: a run
-/// at an older commit with this bench copied in still names that commit.
-fn commit() -> String {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .current_dir(&root)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-    };
-    let measured = [
-        "status",
-        "--porcelain",
-        "-uno",
-        "--",
-        ".",
-        ":!crates/bench",
-        ":!results",
-    ];
-    match (git(&["rev-parse", "HEAD"]), git(&measured)) {
-        (Some(rev), Some(changes)) if changes.is_empty() => rev,
-        (Some(rev), Some(_)) => format!("{rev} + uncommitted changes"),
-        _ => "unknown".to_owned(),
-    }
-}
-
-/// The artifact named by `--baseline <file>`, if given: as written, and
-/// its rows.
-fn baseline() -> Option<(serde_json::Value, Baseline)> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--baseline")?;
-    let path = args
-        .get(i + 1)
-        .expect("--baseline needs a file written by this bench");
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let raw = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let rows = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    Some((raw, rows))
-}
-
 fn main() {
     let fixture = Fixture::new();
     let rows = [
@@ -238,7 +193,7 @@ fn main() {
         secs
     });
 
-    let base = baseline();
+    let base = harness::baseline::<Baseline>();
     let mut table = Vec::new();
     let mut json_rows = Vec::new();
     for (i, &row) in rows.iter().enumerate() {
@@ -278,7 +233,7 @@ fn main() {
     }
     let all_stable = stable.iter().all(|&s| s);
     let mut json = serde_json::json!({
-        "commit": commit(),
+        "commit": harness::commit(),
         "reps": REPS,
         "machines": MACHINES,
         "ram_bytes": RAM_BYTES,

@@ -253,6 +253,57 @@ pub fn time_training(config: &TrainingConfig) -> f64 {
     time(|| OfflineTraining::run(&LogisticRegression, config).expect("training succeeds"))
 }
 
+/// `git rev-parse HEAD` of the checkout the bench runs in, marked when
+/// tracked files outside the benches and results differ from it: a run
+/// at an older commit with a bench copied in still names that commit.
+#[must_use]
+pub fn commit() -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(&root)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+    };
+    let measured = [
+        "status",
+        "--porcelain",
+        "-uno",
+        "--",
+        ".",
+        ":!crates/bench",
+        ":!results",
+    ];
+    match (git(&["rev-parse", "HEAD"]), git(&measured)) {
+        (Some(rev), Some(changes)) if changes.is_empty() => rev,
+        (Some(rev), Some(_)) => format!("{rev} + uncommitted changes"),
+        _ => "unknown".to_owned(),
+    }
+}
+
+/// The artifact named by `--baseline <file>` on the bench's command line,
+/// if given: as written, and read as `T` (the part of an earlier artifact
+/// of the same bench a run compares against).
+///
+/// # Panics
+/// Panics when the flag has no file, or the file is unreadable or not
+/// such an artifact.
+#[must_use]
+pub fn baseline<T: serde::Deserialize>() -> Option<(serde_json::Value, T)> {
+    let args: Vec<String> = std::env::args().collect();
+    let i = args.iter().position(|a| a == "--baseline")?;
+    let path = args
+        .get(i + 1)
+        .expect("--baseline needs a file written by this bench");
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let raw = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let parsed = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    Some((raw, parsed))
+}
+
 /// A gated measurement: `value` must stay at most (or at least) `limit`.
 #[derive(Clone)]
 pub struct Budget {

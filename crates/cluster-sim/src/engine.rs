@@ -10,7 +10,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dagflow::{Application, DagError, DatasetId, JobId, Schedule, ScheduleOp, StagePlan};
+use dagflow::{
+    Application, DagError, DatasetId, JobId, Schedule, ScheduleOp, StagePlan, StagePlanner,
+};
 
 use crate::config::{ClusterConfig, SimParams};
 use crate::eviction::DatasetHints;
@@ -25,8 +27,9 @@ use crate::trace::{TraceConfig, TraceCounters, TraceRecorder};
 /// Per-run options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
-    /// Collect per-task pipeline traces (needed by the `instrument` crate;
-    /// costs memory proportional to total tasks).
+    /// Collect per-task pipeline traces into [`RunReport::traces`] (costs
+    /// memory proportional to total tasks; [`Engine::run_observed`] hands
+    /// them to a sink one at a time instead).
     pub collect_traces: bool,
     /// Per-partition size skew amplitude (0 = perfectly even partitions).
     pub partition_skew: f64,
@@ -165,9 +168,9 @@ fn gather_counters(store: &BlockStore, state: &ExecutorState, chaos: &ChaosState
 /// job exactly once instead of once per cell per job.
 #[derive(Debug)]
 pub struct EnginePrep {
-    /// `job_uses[d]` — jobs whose DAG contains dataset `d`, for the
-    /// DAG-aware eviction policies' hints.
-    pub(crate) job_uses: Vec<Vec<usize>>,
+    /// The jobs whose DAG contains each dataset, for the DAG-aware
+    /// eviction policies' hints.
+    pub(crate) job_uses: JobUses,
     /// One stage plan per job, in job order.
     pub(crate) plans: Vec<StagePlan>,
     /// `consumers[ji][sp]` — for stage position `sp` of job `ji`, the
@@ -189,30 +192,16 @@ pub struct EnginePrep {
 impl EnginePrep {
     /// Precomputes the schedule-independent run state of an application,
     /// in time linear in the application's jobs × (their DAG edges + stage
-    /// members): one ancestor walk per job for the use lists, one pass
-    /// over each plan's shuffle reads for the consumer table.
+    /// members): one ancestor walk per job for the use lists, one
+    /// [`StagePlanner`] shared by every job's plan, one pass over each
+    /// plan's shuffle reads for the consumer table.
     #[must_use]
     pub fn new(app: &Application) -> Self {
         let n = app.dataset_count();
-        // `job_uses`: one ancestor walk per job target. `stamp[d]` holds
-        // the last job whose walk reached `d`, so each dataset is visited
-        // once per job and each list is ascending by construction.
-        let mut job_uses: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut stamp = vec![usize::MAX; n];
-        let mut stack: Vec<DatasetId> = Vec::new();
-        for (ji, job) in app.jobs().iter().enumerate() {
-            stack.push(job.target);
-            while let Some(x) = stack.pop() {
-                if stamp[x.index()] == ji {
-                    continue;
-                }
-                stamp[x.index()] = ji;
-                job_uses[x.index()].push(ji);
-                stack.extend(app.dataset(x).parents.iter().copied());
-            }
-        }
+        let job_uses = JobUses::new(app);
+        let mut planner = StagePlanner::new(app);
         let plans: Vec<StagePlan> = (0..app.jobs().len())
-            .map(|ji| StagePlan::build(app, JobId(ji as u32)))
+            .map(|ji| planner.plan(app, JobId(ji as u32)))
             .collect();
         // `consumers`: index each plan's stages by output (outputs are
         // unique within a plan), then visit every wide read once, in
@@ -260,6 +249,66 @@ impl EnginePrep {
     }
 }
 
+/// `job_uses` in compressed rows: the jobs whose DAG contains dataset `d`
+/// are `jobs[offsets[d]..offsets[d + 1]]`, ascending — two allocations per
+/// application instead of one list per dataset.
+#[derive(Debug)]
+pub(crate) struct JobUses {
+    offsets: Vec<u32>,
+    jobs: Vec<u32>,
+}
+
+impl JobUses {
+    /// One stamp-guarded ancestor walk per job target collects the
+    /// `(dataset, job)` pairs in job order; a counting sort by dataset
+    /// then files them, so each row is ascending.
+    fn new(app: &Application) -> Self {
+        let n = app.dataset_count();
+        // `stamp[d]` holds the last job whose walk reached `d`, so each
+        // dataset is visited once per job.
+        let mut stamp = vec![u32::MAX; n];
+        let mut stack: Vec<DatasetId> = Vec::new();
+        let mut pairs: Vec<(DatasetId, u32)> = Vec::new();
+        let mut offsets = vec![0u32; n + 1];
+        for (ji, job) in app.jobs().iter().enumerate() {
+            let ji = ji as u32;
+            stack.push(job.target);
+            while let Some(x) = stack.pop() {
+                if stamp[x.index()] == ji {
+                    continue;
+                }
+                stamp[x.index()] = ji;
+                pairs.push((x, ji));
+                offsets[x.index() + 1] += 1;
+                stack.extend_from_slice(&app.dataset(x).parents);
+            }
+        }
+        for d in 0..n {
+            offsets[d + 1] += offsets[d];
+        }
+        // The stamps are spent: reuse them as each row's fill cursor.
+        let mut cursor = stamp;
+        cursor.copy_from_slice(&offsets[..n]);
+        let mut jobs = vec![0u32; pairs.len()];
+        for (d, ji) in pairs {
+            let at = &mut cursor[d.index()];
+            jobs[*at as usize] = ji;
+            *at += 1;
+        }
+        JobUses { offsets, jobs }
+    }
+
+    /// The jobs using `d`, ascending.
+    pub(crate) fn row(&self, d: DatasetId) -> &[u32] {
+        &self.jobs[self.offsets[d.index()] as usize..self.offsets[d.index() + 1] as usize]
+    }
+
+    /// The number of datasets with a row.
+    fn datasets(&self) -> usize {
+        self.offsets.len() - 1
+    }
+}
+
 /// The simulation engine. Construct once per (application, cluster,
 /// parameters) and call [`Engine::run`] per schedule.
 #[derive(Debug)]
@@ -290,7 +339,7 @@ impl<'a> Engine<'a> {
         prep: Arc<EnginePrep>,
     ) -> Self {
         debug_assert_eq!(
-            prep.job_uses.len(),
+            prep.job_uses.datasets(),
             app.dataset_count(),
             "prep built from a different application"
         );
@@ -332,7 +381,7 @@ impl<'a> Engine<'a> {
     /// already hold an [`Arc<Schedule>`] should prefer [`Engine::run_shared`],
     /// which only bumps the reference count.
     pub fn run(&self, schedule: &Schedule, options: RunOptions) -> Result<RunReport, DagError> {
-        self.run_inner(schedule, None, options)
+        self.run_inner(schedule, None, options, None)
     }
 
     /// Like [`Engine::run`] but for a shared schedule: the report's
@@ -342,7 +391,22 @@ impl<'a> Engine<'a> {
         schedule: &Arc<Schedule>,
         options: RunOptions,
     ) -> Result<RunReport, DagError> {
-        self.run_inner(schedule, Some(schedule), options)
+        self.run_inner(schedule, Some(schedule), options, None)
+    }
+
+    /// Like [`Engine::run`], but hands each finished task's trace to
+    /// `sink` as the task completes instead of collecting it: the report's
+    /// `traces` stay empty whatever `options.collect_traces` says. The
+    /// trace's step list lives in a buffer the executor reuses for the
+    /// next task, so a consumer that folds traces as they arrive (the
+    /// `instrument` crate's profiling database) keeps none of them.
+    pub fn run_observed(
+        &self,
+        schedule: &Schedule,
+        options: RunOptions,
+        sink: &mut dyn FnMut(&TaskTrace),
+    ) -> Result<RunReport, DagError> {
+        self.run_inner(schedule, None, options, Some(sink))
     }
 
     fn run_inner(
@@ -350,6 +414,7 @@ impl<'a> Engine<'a> {
         schedule: &Schedule,
         shared: Option<&Arc<Schedule>>,
         options: RunOptions,
+        mut observer: Option<&mut (dyn FnMut(&TaskTrace) + '_)>,
     ) -> Result<RunReport, DagError> {
         self.app.check_schedule(schedule)?;
         // Phase profiling: one `sim` span per run, with coarse sub-phases
@@ -367,7 +432,7 @@ impl<'a> Engine<'a> {
         );
         let mut store = self.run_store(stepper.persisted());
         while !stepper.done() {
-            stepper.step_job(&mut store, &self.cluster, 0.0);
+            stepper.step_job(&mut store, &self.cluster, 0.0, observer.as_deref_mut());
         }
         let schedule = shared.map_or_else(|| Arc::new(schedule.clone()), Arc::clone);
         Ok(stepper.finish(&store, schedule))
@@ -494,11 +559,15 @@ impl<'a> JobStepper<'a> {
     /// differ from the previous job's (the executor grid is resized at
     /// the boundary). `clock_offset_s` maps the run's clock onto the
     /// store's simulation clock; the store ignores it outside tenancy.
+    /// Finished tasks' traces go to `observer` when one is given, else
+    /// to the run's own list when the run collects traces; either way
+    /// through the one per-task sink the executor calls.
     pub(crate) fn step_job(
         &mut self,
         store: &mut BlockStore,
         cluster: &ClusterConfig,
         clock_offset_s: f64,
+        observer: Option<&mut (dyn FnMut(&TaskTrace) + '_)>,
     ) {
         if cluster.spec.cores != self.cores {
             self.cores = cluster.spec.cores;
@@ -535,6 +604,13 @@ impl<'a> JobStepper<'a> {
             &mut self.needed,
             &mut self.stage_stack,
         );
+        let traces = &mut self.traces;
+        let mut collect = |t: &TaskTrace| traces.push(t.clone());
+        let mut sink: Option<&mut dyn FnMut(&TaskTrace)> = match observer {
+            Some(observer) => Some(observer),
+            None if self.collect_traces => Some(&mut collect),
+            None => None,
+        };
         let env = TaskEnv {
             app: self.app,
             cluster,
@@ -542,7 +618,7 @@ impl<'a> JobStepper<'a> {
             persisted: &self.persisted,
             swap: &self.swap,
             sizing: &self.sizing,
-            trace: self.collect_traces,
+            trace: sink.is_some(),
         };
         for (sp, stage) in plan.stages.iter().enumerate() {
             if !self.needed[stage.id.index()] {
@@ -570,7 +646,7 @@ impl<'a> JobStepper<'a> {
                 stage,
                 &self.consumers,
                 stage_start,
-                &mut self.traces,
+                sink.as_deref_mut(),
                 &mut self.recorder,
             );
             drop(stage_prof);
@@ -737,17 +813,18 @@ impl JobHints {
     /// non-decreasing job order.
     fn advance<'s>(
         &'s mut self,
-        job_uses: &'s [Vec<usize>],
+        job_uses: &'s JobUses,
         ji: usize,
     ) -> impl Iterator<Item = (DatasetId, DatasetHints)> + 's {
+        let ji = ji as u32;
         self.cursors.iter_mut().map(move |(d, cursor)| {
-            let uses = &job_uses[d.index()];
+            let uses = job_uses.row(*d);
             while uses.get(*cursor).is_some_and(|&u| u < ji) {
                 *cursor += 1;
             }
             let hint = DatasetHints {
                 remaining_refs: (uses.len() - *cursor) as u64,
-                next_use_distance: uses.get(*cursor).map_or(u32::MAX, |&u| (u - ji) as u32),
+                next_use_distance: uses.get(*cursor).map_or(u32::MAX, |&u| u - ji),
             };
             (*d, hint)
         })
@@ -755,7 +832,7 @@ impl JobHints {
 
     /// Rewrites every persisted dataset's hint in `store` for job `ji`, so
     /// stale hints cannot leak across jobs.
-    fn refresh(&mut self, job_uses: &[Vec<usize>], ji: usize, store: &mut BlockStore) {
+    fn refresh(&mut self, job_uses: &JobUses, ji: usize, store: &mut BlockStore) {
         for (d, hint) in self.advance(job_uses, ji) {
             store.set_hint(d, hint);
         }
@@ -946,7 +1023,17 @@ pub(crate) mod tests {
             let app = random_app(seed);
             let prep = EnginePrep::new(&app);
             let (job_uses, plans, consumers) = reference_prep(&app);
-            assert_eq!(prep.job_uses, job_uses, "job_uses, seed {seed}");
+            assert_eq!(prep.job_uses.datasets(), job_uses.len(), "seed {seed}");
+            for (d, want) in job_uses.iter().enumerate() {
+                let row: Vec<usize> = prep
+                    .job_uses
+                    .row(DatasetId(d as u32))
+                    .iter()
+                    .map(|&j| j as usize)
+                    .collect();
+                assert_eq!(&row, want, "job_uses of D{d}, seed {seed}");
+            }
+            // The prep's one shared planner against a fresh one per job.
             assert_eq!(prep.plans, plans, "plans, seed {seed}");
             assert_eq!(prep.consumers, consumers, "consumers, seed {seed}");
 
@@ -954,7 +1041,7 @@ pub(crate) mod tests {
             let in_a_job = |d: DatasetId| !job_uses[d.index()].is_empty();
             outside_jobs |= app.datasets().iter().any(|d| !in_a_job(d.id));
             for d in app.datasets().iter().filter(|d| in_a_job(d.id)) {
-                let mut distinct = d.parents.clone();
+                let mut distinct = d.parents.to_vec();
                 distinct.sort_unstable();
                 distinct.dedup();
                 if d.op.is_wide() {
@@ -1012,13 +1099,14 @@ pub(crate) mod tests {
                     .map(DatasetId)
                     .filter(|d| persisted[d.index()])
                     .map(|d| {
-                        let uses = &prep.job_uses[d.index()];
+                        let uses = prep.job_uses.row(d);
+                        let ji = ji as u32;
                         let hint = DatasetHints {
                             remaining_refs: uses.iter().filter(|&&u| u >= ji).count() as u64,
                             next_use_distance: uses
                                 .iter()
                                 .find(|&&u| u >= ji)
-                                .map_or(u32::MAX, |&u| (u - ji) as u32),
+                                .map_or(u32::MAX, |&u| u - ji),
                         };
                         (d, hint)
                     })

@@ -16,7 +16,7 @@ use crate::fault::ChaosState;
 use crate::memory::BlockStore;
 use crate::report::TaskTrace;
 use crate::rng::TaskNoise;
-use crate::task::{StageWalk, TaskEnv};
+use crate::task::{StageWalk, TaskEnv, TaskWalk};
 use crate::trace::TraceRecorder;
 
 /// How long a task will wait for its preferred (cache-local) machine before
@@ -145,6 +145,11 @@ pub struct ExecutorState {
     /// Per-stage persisted-dataset preference list, reused like
     /// `stage_walk`.
     pref_datasets: Vec<DatasetId>,
+    /// The current attempt's walk (duration and, when traced, steps),
+    /// reused from task to task like `stage_walk`.
+    walk: TaskWalk,
+    /// A speculative copy's walk; swapped into `walk` when the copy wins.
+    copy_walk: TaskWalk,
 }
 
 impl std::fmt::Debug for ExecutorState {
@@ -176,6 +181,8 @@ impl ExecutorState {
             waves: Vec::new(),
             stage_walk: StageWalk::default(),
             pref_datasets: Vec::new(),
+            walk: TaskWalk::default(),
+            copy_walk: TaskWalk::default(),
         }
     }
 
@@ -332,11 +339,14 @@ fn choose_slot(
 }
 
 /// Runs one stage starting at `stage_start`; returns the stage finish time
-/// and appends traces when tracing is on. Structured span events (tasks,
-/// waves) go to `recorder` when it is enabled. `chaos` carries the run's
-/// fault plan and retry policy; with an empty plan and the default policy
-/// the stage executes the exact fault-free arithmetic (zero extra RNG
-/// draws), so reports stay byte-identical.
+/// and hands each finished task's trace to `sink` when tracing is on
+/// (`env.trace`, which must agree with `sink` being given). The trace's
+/// steps are the executor's reused walk buffer, lent for the call.
+/// Structured span events (tasks, waves) go to `recorder` when it is
+/// enabled. `chaos` carries the run's fault plan and retry policy; with an
+/// empty plan and the default policy the stage executes the exact
+/// fault-free arithmetic (zero extra RNG draws), so reports stay
+/// byte-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn run_stage(
     env: &TaskEnv<'_>,
@@ -347,9 +357,10 @@ pub fn run_stage(
     stage: &Stage,
     shuffle_consumers: &[DatasetId],
     stage_start: f64,
-    traces: &mut Vec<TaskTrace>,
+    mut sink: Option<&mut (dyn FnMut(&TaskTrace) + '_)>,
     recorder: &mut TraceRecorder,
 ) -> f64 {
+    debug_assert_eq!(env.trace, sink.is_some(), "steps are recorded for a sink");
     let machines = env.cluster.machines as usize;
     let cores = env.cluster.spec.cores as usize;
     let policy = chaos.policy();
@@ -383,6 +394,8 @@ pub fn run_stage(
     let mut stage_walk = std::mem::take(&mut state.stage_walk);
     stage_walk.compile(env, stage.output, shuffle_consumers);
     let mut pref_datasets = std::mem::take(&mut state.pref_datasets);
+    let mut walk = std::mem::take(&mut state.walk);
+    let mut copy_walk = std::mem::take(&mut state.copy_walk);
     pref_datasets.clear();
     pref_datasets.extend(
         stage
@@ -414,7 +427,7 @@ pub fn run_stage(
         let mut attempt: u32 = 0;
         let mut avoid: Option<usize> = None;
         let mut retry_ready = 0.0f64;
-        let (slot, machine, start, claimed, mut walk, duration, spilled, fell_back) = loop {
+        let (slot, machine, start, claimed, duration, spilled, fell_back) = loop {
             let (machine, slot, slot_free, locality_fallback) =
                 choose_slot(state, chaos, machines, preferred, avoid);
             state.locality_fallbacks += u64::from(locality_fallback);
@@ -430,7 +443,8 @@ pub fn run_stage(
             state.expire_claims(store, machine, start);
             let claimed = store.claim_exec(machine, exec_bytes);
 
-            let walk = stage_walk.run(env, store, machine, task_idx);
+            // A retry overwrites the failed attempt's walk.
+            stage_walk.run(env, store, machine, task_idx, &mut walk);
             let (noise_factor, is_straggler) = state.noise.sample();
             // GC pauses and slow containers have an absolute magnitude: a
             // straggler never finishes faster than the floor, no matter how
@@ -475,7 +489,6 @@ pub fn run_stage(
                 machine,
                 start,
                 claimed,
-                walk,
                 duration,
                 spilled,
                 locality_fallback,
@@ -502,9 +515,9 @@ pub fn run_stage(
                     let cstart = cfree.max(detect_at);
                     state.expire_claims(store, cmachine, cstart);
                     let cclaimed = store.claim_exec(cmachine, exec_bytes);
-                    let cwalk = stage_walk.run(env, store, cmachine, task_idx);
+                    stage_walk.run(env, store, cmachine, task_idx, &mut copy_walk);
                     let (cnoise, cstraggler) = state.noise.sample();
-                    let mut cduration = cwalk.duration * cnoise;
+                    let mut cduration = copy_walk.duration * cnoise;
                     if cstraggler {
                         cduration = cduration.max(state.noise.straggler_floor_s());
                     }
@@ -528,7 +541,7 @@ pub fn run_stage(
                     if won {
                         finish = cfinish;
                         winner = (cmachine, cslot, cstart);
-                        walk = cwalk;
+                        std::mem::swap(&mut walk, &mut copy_walk);
                         eff_duration = cduration;
                     }
                     speculated = true;
@@ -571,7 +584,7 @@ pub fn run_stage(
             w.2 += 1;
         }
 
-        if env.trace {
+        if let Some(sink) = sink.as_mut() {
             // Shift step offsets to absolute times, scaled to the noisy
             // duration so steps still tile the (winning) attempt exactly.
             let scale = if walk.duration > 0.0 {
@@ -583,15 +596,19 @@ pub fn run_stage(
                 s.start = run_start + s.start * scale;
                 s.finish = run_start + s.finish * scale;
             }
-            traces.push(TaskTrace {
+            // Lend the step buffer to the trace for the call, then take
+            // it back for the next task.
+            let trace = TaskTrace {
                 job,
                 stage: stage.id,
                 task: task_idx,
                 machine: run_machine as u32,
                 start: run_start,
                 finish,
-                steps: walk.steps,
-            });
+                steps: std::mem::take(&mut walk.steps),
+            };
+            sink(&trace);
+            walk.steps = trace.steps;
         }
     }
     for (wi, &(start, finish, tasks)) in state.waves.iter().enumerate() {
@@ -605,6 +622,8 @@ pub fn run_stage(
     // Hand the hoisted-scratch allocations back for the next stage.
     state.stage_walk = stage_walk;
     state.pref_datasets = pref_datasets;
+    state.walk = walk;
+    state.copy_walk = copy_walk;
     stage_finish
 }
 
@@ -692,7 +711,6 @@ mod tests {
                 TaskNoise::new(0, NoiseParams::NONE),
             );
             let plan = StagePlan::build(&app, dagflow::JobId(0));
-            let mut traces = Vec::new();
             let mut recorder = TraceRecorder::new(TraceConfig::default());
             let mut chaos = inert_chaos(machines);
             let finish = run_stage(
@@ -704,7 +722,7 @@ mod tests {
                 plan.result_stage(),
                 &[],
                 0.0,
-                &mut traces,
+                None,
                 &mut recorder,
             );
             assert!(
@@ -747,7 +765,7 @@ mod tests {
             plan.result_stage(),
             &[],
             0.0,
-            &mut traces,
+            Some(&mut |t: &TaskTrace| traces.push(t.clone())),
             &mut recorder,
         );
         // Record where each partition was cached.
@@ -765,7 +783,7 @@ mod tests {
             plan.result_stage(),
             &[],
             10.0,
-            &mut traces,
+            Some(&mut |t: &TaskTrace| traces.push(t.clone())),
             &mut recorder,
         );
         for t in &traces {
@@ -816,7 +834,7 @@ mod tests {
             plan.result_stage(),
             &[],
             0.0,
-            &mut traces,
+            Some(&mut |t: &TaskTrace| traces.push(t.clone())),
             &mut recorder,
         );
         assert_eq!(traces.len(), 8);
@@ -824,6 +842,106 @@ mod tests {
             assert!((t.steps.first().unwrap().start - t.start).abs() < 1e-9);
             assert!((t.steps.last().unwrap().finish - t.finish).abs() < 1e-9);
         }
+    }
+
+    /// Traced runs with retries and with speculation: each task's trace is
+    /// exactly its winning attempt's walk. `m` is persisted, so an
+    /// attempt after the first (a retry, or a speculative copy) finds the
+    /// block its predecessor cached and walks one `CacheRead`, while a
+    /// first attempt walks `SourceRead, Compute`. A retry's steps must
+    /// not leak into its own trace or the next task's, and a winning
+    /// copy's trace must carry the copy's steps (the swapped-in second
+    /// buffer), tiling its span exactly.
+    #[test]
+    fn traces_carry_only_the_winning_attempt() {
+        use crate::fault::FaultKind;
+        use crate::report::StepKind;
+        let mut b = AppBuilder::new("spec");
+        let src = b.source("in", SourceFormat::DistributedFs, 4_800, 48_000_000, 48);
+        let m = b.narrow(
+            "m",
+            NarrowKind::Map,
+            &[src],
+            4_800,
+            48_000_000,
+            ComputeCost::new(0.2, 0.0, 0.0),
+        );
+        b.job("count", m);
+        let app = b.build().unwrap();
+        let mut params = no_noise_params();
+        params.noise = NoiseParams {
+            sigma: 0.05,
+            straggler_prob: 0.2,
+            straggler_factor: 6.0,
+            straggler_floor_s: 0.0,
+        };
+        let swap = HashMap::new();
+        let mut persisted = vec![false; app.dataset_count()];
+        persisted[m.index()] = true;
+        let cluster = ClusterConfig::new(3, MachineSpec::paper_example());
+        let env = TaskEnv {
+            app: &app,
+            cluster: &cluster,
+            params: &params,
+            persisted: &persisted,
+            swap: &swap,
+            sizing: &Sizing::new(&app, 0.0),
+            trace: true,
+        };
+        let plan = StagePlan::build(&app, dagflow::JobId(0));
+        let run = |plan_faults: FaultPlan, policy: RetryPolicy| {
+            let mut store = store_for(&env);
+            let mut state = ExecutorState::new(3, 4, TaskNoise::new(5, params.noise));
+            let mut chaos = ChaosState::new(&plan_faults, policy, 3);
+            chaos.fire_due(0.0, &mut store, &mut state);
+            let mut traces: Vec<TaskTrace> = Vec::new();
+            let finish = run_stage(
+                &env,
+                &mut store,
+                &mut state,
+                &mut chaos,
+                dagflow::JobId(0),
+                plan.result_stage(),
+                &[],
+                0.0,
+                Some(&mut |t: &TaskTrace| traces.push(t.clone())),
+                &mut TraceRecorder::new(TraceConfig::default()),
+            );
+            assert_eq!(traces.len(), 48);
+            let mut cache_reads = Vec::new();
+            for t in &traces {
+                let kinds: Vec<StepKind> = t.steps.iter().map(|s| s.kind).collect();
+                if kinds == [StepKind::CacheRead] {
+                    cache_reads.push(t.task);
+                } else {
+                    assert_eq!(
+                        kinds,
+                        [StepKind::SourceRead, StepKind::Compute],
+                        "task {}",
+                        t.task
+                    );
+                }
+                assert_eq!(t.steps[0].start, t.start, "task {}", t.task);
+                for w in t.steps.windows(2) {
+                    assert_eq!(w[0].finish, w[1].start, "task {}", t.task);
+                }
+                let last = t.steps.last().unwrap().finish;
+                assert!((last - t.finish).abs() < 1e-9, "task {}", t.task);
+            }
+            (cache_reads, chaos.finish(finish))
+        };
+
+        // Two failures in a row hit task 0's first two attempts; its third
+        // reads the block the first cached.
+        let failures = FaultPlan::none().event(0.0, FaultKind::TaskFailures { count: 2 });
+        let (cache_reads, summary) = run(failures, RetryPolicy::default());
+        assert_eq!(summary.retried_attempts, 2);
+        assert_eq!(cache_reads, [0], "only the retried task reads the cache");
+
+        // Every copy that won carries its own one-step walk.
+        let (cache_reads, summary) = run(FaultPlan::none(), RetryPolicy::speculative());
+        assert!(summary.speculative_wins > 0, "no copy won");
+        assert_eq!(cache_reads.len() as u64, summary.speculative_wins);
     }
 
     #[test]
@@ -853,7 +971,6 @@ mod tests {
         let mut store = store_for(&env);
         let mut state = ExecutorState::new(1, 4, TaskNoise::new(0, NoiseParams::NONE));
         let plan = StagePlan::build(&app, dagflow::JobId(0));
-        let mut traces = Vec::new();
         let mut recorder = TraceRecorder::new(TraceConfig::default());
         let mut chaos = inert_chaos(cluster.machines);
         let finish = run_stage(
@@ -865,7 +982,7 @@ mod tests {
             plan.result_stage(),
             &[],
             0.0,
-            &mut traces,
+            None,
             &mut recorder,
         );
         assert_eq!(state.spilled_tasks, 4);

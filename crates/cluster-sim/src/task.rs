@@ -407,18 +407,21 @@ impl StageWalk {
     }
 
     /// Walks the pipeline for partition `p` of the compiled output on
-    /// `machine`, mutating the block store (cache hits, inserts, swaps) in
-    /// exactly the order the recursive walk would.
+    /// `machine` into `walk` (cleared first, so its step buffer is reused
+    /// from task to task), mutating the block store (cache hits, inserts,
+    /// swaps) in exactly the order the recursive walk would.
     pub(crate) fn run(
         &self,
         env: &TaskEnv<'_>,
         store: &mut BlockStore,
         machine: usize,
         p: u32,
-    ) -> TaskWalk {
+        walk: &mut TaskWalk,
+    ) {
         let spec = &env.cluster.spec;
         let sizing = env.sizing;
-        let mut walk = TaskWalk::default();
+        walk.duration = 0.0;
+        walk.steps.clear();
         let mut i = 0;
         while let Some(&op) = self.ops.get(i) {
             i += 1;
@@ -474,8 +477,7 @@ impl StageWalk {
                 }
             }
         }
-        push_shuffle_writes(env, self.output, p, &self.consumers, &mut walk);
-        walk
+        push_shuffle_writes(env, self.output, p, &self.consumers, walk);
     }
 }
 
@@ -628,7 +630,9 @@ mod tests {
     ) -> TaskWalk {
         let mut compiled = StageWalk::default();
         compiled.compile(env, output, shuffle_consumers);
-        compiled.run(env, store, machine, p)
+        let mut walk = TaskWalk::default();
+        compiled.run(env, store, machine, p, &mut walk);
+        walk
     }
 
     fn env_fixture() -> (Application, ClusterConfig, SimParams) {
@@ -877,8 +881,9 @@ mod tests {
     /// stores under memory pressure that carry residency from walk to walk
     /// (so checks hit, miss, evict and fail inserts), skew 0 and 0.3, and
     /// tracing on. The oracle runs over the full application layout, the
-    /// compiled walk over the run's persisted-only one. After every task
-    /// the durations, steps, cache statistics and residency must agree.
+    /// compiled walk over the run's persisted-only one, into one reused
+    /// walk buffer. After every task the durations, steps, cache
+    /// statistics and residency must agree.
     #[test]
     fn compiled_walk_matches_recursive_oracle_on_random_dags() {
         use crate::eviction::EvictionPolicyKind;
@@ -945,6 +950,8 @@ mod tests {
             );
             let prep = crate::engine::EnginePrep::new(&app);
             let mut compiled = StageWalk::default();
+            // One walk buffer for every task, as the executor keeps it.
+            let mut got = TaskWalk::default();
             for (ji, plan) in prep.plans().iter().enumerate() {
                 for (sp, stage) in plan.stages.iter().enumerate() {
                     let consumers: Vec<DatasetId> =
@@ -982,7 +989,7 @@ mod tests {
                             p,
                             &consumers,
                         );
-                        let got = compiled.run(&env, &mut store, machine, p);
+                        compiled.run(&env, &mut store, machine, p, &mut got);
                         let at = format!("seed {seed}, job {ji}, stage {sp}, task {p}");
                         assert_eq!(got.duration.to_bits(), want.duration.to_bits(), "{at}");
                         assert_eq!(

@@ -208,7 +208,7 @@ impl<'a> TenantSet<'a> {
 
             store.set_active_tenant(ti);
             let stepper = steppers[ti].as_mut().expect("chosen tenant is running");
-            stepper.step_job(&mut store, &fair, tenant.arrival_offset_s);
+            stepper.step_job(&mut store, &fair, tenant.arrival_offset_s, None);
             if !stepper.done() {
                 continue;
             }

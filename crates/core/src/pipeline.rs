@@ -453,7 +453,10 @@ impl OfflineTraining {
         let stage_prof = obs::prof::scope("stage1_hotspot");
         let clock = std::time::Instant::now();
         let sample = workload.sample_params();
-        let sample_app = workload.build(&sample);
+        let sample_app = {
+            let _plan = obs::prof::scope("plan");
+            workload.build(&sample)
+        };
         let calib_cluster = ClusterConfig::new(1, config.calibration_spec);
         let (out, attempt) = crate::parallel::with_retry(TRAINING_RETRIES, |attempt| {
             profile_run(
@@ -494,6 +497,7 @@ impl OfflineTraining {
         // the fan-out: the DAG is a pure function of the parameters, so a
         // retry (or a worker) re-deriving it can only waste time, never
         // change a result.
+        let plan_prof = obs::prof::scope("plan");
         let grid_apps: Vec<Arc<Application>> = grid
             .iter()
             .map(|&(e, f)| {
@@ -501,6 +505,7 @@ impl OfflineTraining {
                 Arc::new(workload.build(&params))
             })
             .collect();
+        drop(plan_prof);
         let grid_runs = crate::parallel::run_indexed(grid.len(), threads, |gi| {
             let app = &grid_apps[gi];
             let attempt_run = |attempt: u32| {
@@ -592,10 +597,12 @@ impl OfflineTraining {
                 timings.notes.push(note);
             }
             let params = WorkloadParams::auto(scaled.e as u64, scaled.f as u64, sample.iterations);
-            let app = workload.build(&params);
             // Plan the app once; retries only need a fresh seed, not a
             // fresh `EnginePrep`.
+            let plan_prof = obs::prof::scope("plan");
+            let app = workload.build(&params);
             let prep = Arc::new(EnginePrep::new(&app));
+            drop(plan_prof);
             let (report, attempt) = crate::parallel::with_retry(TRAINING_RETRIES, |attempt| {
                 let engine = Engine::with_prep(
                     &app,
@@ -648,6 +655,7 @@ impl OfflineTraining {
         // the cheap `Engine::with_prep` handle remains. Clusters still
         // differ per cell (the recommended machine count depends on the
         // schedule), which `with_prep` is built for.
+        let plan_prof = obs::prof::scope("plan");
         let cell_shared: Vec<(Arc<Application>, Arc<EnginePrep>)> = grid
             .iter()
             .map(|&(e, f)| {
@@ -657,6 +665,7 @@ impl OfflineTraining {
                 (app, prep)
             })
             .collect();
+        drop(plan_prof);
         let matrix = crate::parallel::run_indexed(cells, threads, |k| {
             let (si, gi) = (k / grid.len(), k % grid.len());
             let rs = &schedules[si];

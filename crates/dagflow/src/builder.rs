@@ -2,7 +2,7 @@
 //! throughout.
 
 use crate::app::{Application, Job};
-use crate::dataset::{ComputeCost, Dataset, DatasetId};
+use crate::dataset::{ComputeCost, Dataset, DatasetId, Parents};
 use crate::error::DagError;
 use crate::ops::{NarrowKind, OpKind, SourceFormat, WideKind};
 use crate::schedule::Schedule;
@@ -79,7 +79,7 @@ impl AppBuilder {
             id,
             name: name.into(),
             op,
-            parents: parents.to_vec(),
+            parents: Parents::from(parents),
             records,
             bytes,
             partitions,

@@ -79,6 +79,121 @@ impl ComputeCost {
     }
 }
 
+/// A dataset's parent list. Nearly every operator reads one or two
+/// inputs, so up to two ids live inline and only a longer list (a
+/// union, a star join) goes to the heap: an application of thousands of
+/// datasets allocates nothing for its edges. Derefs to `[DatasetId]`; its
+/// JSON is the array of ids.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Parents(Repr);
+
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    /// The first `len` ids of `ids`; the rest are unused.
+    Inline {
+        len: u8,
+        ids: [DatasetId; 2],
+    },
+    Heap(Vec<DatasetId>),
+}
+
+impl Parents {
+    /// Appends one parent, moving the list to the heap when it outgrows
+    /// the inline pair.
+    fn push(&mut self, id: DatasetId) {
+        match &mut self.0 {
+            Repr::Inline { len, ids } if usize::from(*len) < ids.len() => {
+                ids[usize::from(*len)] = id;
+                *len += 1;
+            }
+            Repr::Inline { ids, .. } => {
+                let mut heap = ids.to_vec();
+                heap.push(id);
+                self.0 = Repr::Heap(heap);
+            }
+            Repr::Heap(v) => v.push(id),
+        }
+    }
+}
+
+impl Default for Parents {
+    fn default() -> Self {
+        Parents(Repr::Inline {
+            len: 0,
+            ids: [DatasetId(0); 2],
+        })
+    }
+}
+
+impl std::ops::Deref for Parents {
+    type Target = [DatasetId];
+
+    fn deref(&self) -> &[DatasetId] {
+        match &self.0 {
+            Repr::Inline { len, ids } => &ids[..usize::from(*len)],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Parents {
+    type Item = &'a DatasetId;
+    type IntoIter = std::slice::Iter<'a, DatasetId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl Extend<DatasetId> for Parents {
+    fn extend<I: IntoIterator<Item = DatasetId>>(&mut self, iter: I) {
+        for id in iter {
+            self.push(id);
+        }
+    }
+}
+
+impl FromIterator<DatasetId> for Parents {
+    fn from_iter<I: IntoIterator<Item = DatasetId>>(iter: I) -> Self {
+        let mut parents = Parents::default();
+        parents.extend(iter);
+        parents
+    }
+}
+
+impl From<&[DatasetId]> for Parents {
+    fn from(ids: &[DatasetId]) -> Self {
+        match *ids {
+            [] | [_] | [_, _] => ids.iter().copied().collect(),
+            _ => Parents(Repr::Heap(ids.to_vec())),
+        }
+    }
+}
+
+impl PartialEq<Vec<DatasetId>> for Parents {
+    fn eq(&self, other: &Vec<DatasetId>) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Parents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Parents {
+    fn write_json(&self, w: &mut serde::JsonWriter) {
+        (**self).write_json(w);
+    }
+}
+
+impl Deserialize for Parents {
+    fn read_json(r: &mut serde::JsonReader<'_>) -> Result<Self, serde::DeError> {
+        r.seq("Parents")
+    }
+}
+
 /// A dataset node in the application's lineage graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
@@ -89,7 +204,7 @@ pub struct Dataset {
     /// Operator producing this dataset.
     pub op: OpKind,
     /// Producing operator's inputs; empty iff `op` is a source.
-    pub parents: Vec<DatasetId>,
+    pub parents: Parents,
     /// Total record count across partitions (ground truth).
     pub records: u64,
     /// Total size in bytes across partitions (ground truth; what Spark would
@@ -141,7 +256,7 @@ mod tests {
             id: DatasetId(0),
             name: "x".into(),
             op: OpKind::Narrow(NarrowKind::Map),
-            parents: vec![],
+            parents: Parents::default(),
             records: 10,
             bytes: 100,
             partitions: 0,
@@ -149,6 +264,27 @@ mod tests {
         };
         assert_eq!(d.partition_bytes(), 100.0);
         assert_eq!(d.partition_records(), 10.0);
+    }
+
+    /// Up to two parents stay inline, a third moves the list to the heap;
+    /// either way it reads, compares and round-trips through JSON as the
+    /// plain id array.
+    #[test]
+    fn parents_spill_past_two_and_keep_their_json() {
+        for n in 0..5u32 {
+            let ids: Vec<DatasetId> = (0..n).map(|i| DatasetId(10 - i)).collect();
+            let parents = Parents::from(ids.as_slice());
+            assert_eq!(parents, ids);
+            assert_eq!(parents.len(), ids.len());
+            assert_eq!(matches!(parents.0, Repr::Heap(_)), n > 2, "{n} parents");
+            let pushed: Parents = ids.iter().copied().collect();
+            assert_eq!(pushed, parents, "{n} parents pushed one by one");
+            let json = serde_json::to_string(&parents).unwrap();
+            assert_eq!(json, serde_json::to_string(&ids).unwrap());
+            let back: Parents = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, parents);
+            assert_eq!(format!("{parents:?}"), format!("{ids:?}"));
+        }
     }
 
     #[test]

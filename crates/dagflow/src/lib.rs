@@ -46,12 +46,12 @@ pub mod stages;
 pub use analysis::LineageAnalysis;
 pub use app::{Application, Job, JobId};
 pub use builder::AppBuilder;
-pub use dataset::{ComputeCost, Dataset, DatasetId};
+pub use dataset::{ComputeCost, Dataset, DatasetId, Parents};
 pub use dot::to_dot;
 pub use error::DagError;
 pub use ops::{NarrowKind, OpKind, SourceFormat, WideKind};
 pub use schedule::{Schedule, ScheduleOp};
-pub use stages::{Stage, StageId, StagePlan};
+pub use stages::{Stage, StageId, StagePlan, StagePlanner};
 
 /// Byte counts for dataset and partition sizes.
 pub type Bytes = u64;

@@ -8,7 +8,6 @@
 //! transformation as exactly this pair of narrow halves.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::app::{Application, JobId};
@@ -76,26 +75,16 @@ pub struct StagePlan {
 }
 
 impl StagePlan {
-    /// Builds the stage plan for `job` of `app`.
+    /// Builds the stage plan for `job` of `app` with a fresh
+    /// [`StagePlanner`]; planning several jobs of one application should
+    /// share one planner instead.
     ///
     /// # Panics
     /// Panics if the job id is out of range (validated applications never
     /// hand one out).
     #[must_use]
     pub fn build(app: &Application, job: JobId) -> Self {
-        let target = app.job(job).target;
-        let mut stages: Vec<Stage> = Vec::new();
-        // Map stages are shared: two wide consumers of the same parent read
-        // the same shuffle files, so memoize by stage root.
-        let mut memo: HashMap<DatasetId, StageId> = HashMap::new();
-        build_stage(app, target, &mut stages, &mut memo);
-        let mut plan = StagePlan { job, stages };
-        // `build_stage` emits in post-order (parents first); re-number ids to
-        // match positions.
-        for (i, s) in plan.stages.iter_mut().enumerate() {
-            debug_assert_eq!(s.id.index(), i);
-        }
-        plan
+        StagePlanner::new(app).plan(app, job)
     }
 
     /// The stage producing the job target.
@@ -111,56 +100,134 @@ impl StagePlan {
     }
 }
 
-/// Recursively builds the stage rooted at `root` (the stage's output
-/// dataset), emitting parent stages first, and returns its id.
-fn build_stage(
-    app: &Application,
-    root: DatasetId,
-    stages: &mut Vec<Stage>,
-    memo: &mut HashMap<DatasetId, StageId>,
-) -> StageId {
-    if let Some(&sid) = memo.get(&root) {
-        return sid;
-    }
-    // Gather the pipelined group: walk parents from the root, stopping the
-    // upward walk at wide datasets (they belong to this stage as shuffle
-    // reads, but their parents are computed by map stages).
-    let mut members: Vec<DatasetId> = Vec::new();
-    let mut parent_roots: Vec<DatasetId> = Vec::new();
-    let mut stack = vec![root];
-    let mut seen = crate::bitset::BitSet::new(app.dataset_count());
-    while let Some(x) = stack.pop() {
-        if !seen.insert(x.index()) {
-            continue;
-        }
-        members.push(x);
-        let d = app.dataset(x);
-        if d.op.is_wide() {
-            // Shuffle read: each parent is the output of a map stage.
-            parent_roots.extend(d.parents.iter().copied());
-        } else {
-            stack.extend(d.parents.iter().copied());
-        }
-    }
-    members.sort_unstable();
-    parent_roots.sort_unstable();
-    parent_roots.dedup();
+/// Builds the stage plans of an application's jobs over one scratch, so
+/// planning every job allocates only what the plans own. Two stamp arrays
+/// indexed by dataset stand in for per-call sets: `memo` remembers the
+/// stage rooted at each dataset in the plan being built (map stages are
+/// shared: two wide consumers of one parent read the same shuffle files),
+/// stamped by plan so a new plan needs no clearing; `seen` marks the
+/// datasets one stage walk reached, stamped by walk.
+#[derive(Debug)]
+pub struct StagePlanner {
+    /// `memo[d] = (plan, stage)`: the stage rooted at `d`, valid when
+    /// `plan` is the current plan's stamp.
+    memo: Vec<(u32, StageId)>,
+    plan: u32,
+    /// `seen[d] == walk` when the current stage walk reached `d`.
+    seen: Vec<u32>,
+    walk: u32,
+    stack: Vec<DatasetId>,
+    members: Vec<DatasetId>,
+    /// Parent stage roots of the stages under construction, one segment
+    /// per level of the recursion.
+    roots: Vec<DatasetId>,
+}
 
-    let parents: Vec<StageId> = parent_roots
-        .into_iter()
-        .map(|p| build_stage(app, p, stages, memo))
-        .collect();
+impl StagePlanner {
+    /// A planner for the jobs of `app`.
+    #[must_use]
+    pub fn new(app: &Application) -> Self {
+        let n = app.dataset_count();
+        StagePlanner {
+            memo: vec![(0, StageId(0)); n],
+            plan: 0,
+            seen: vec![0; n],
+            walk: 0,
+            stack: Vec::new(),
+            members: Vec::new(),
+            roots: Vec::new(),
+        }
+    }
 
-    let id = StageId(stages.len() as u32);
-    stages.push(Stage {
-        id,
-        num_tasks: app.dataset(root).partitions,
-        datasets: members,
-        output: root,
-        parents,
-    });
-    memo.insert(root, id);
-    id
+    /// Builds the stage plan for `job` of `app`, the application this
+    /// planner was made for.
+    ///
+    /// # Panics
+    /// Panics if the job id is out of range.
+    #[must_use]
+    pub fn plan(&mut self, app: &Application, job: JobId) -> StagePlan {
+        debug_assert_eq!(
+            self.seen.len(),
+            app.dataset_count(),
+            "planner of another app"
+        );
+        self.plan = next_stamp(self.plan, &mut self.memo, |m| m.0 = 0);
+        let mut stages = Vec::new();
+        self.stage(app, app.job(job).target, &mut stages);
+        StagePlan { job, stages }
+    }
+
+    /// Builds the stage rooted at `root` (the stage's output dataset),
+    /// emitting parent stages first, and returns its id, which is its
+    /// position in `stages`.
+    fn stage(&mut self, app: &Application, root: DatasetId, stages: &mut Vec<Stage>) -> StageId {
+        let (plan, sid) = self.memo[root.index()];
+        if plan == self.plan {
+            return sid;
+        }
+        // Gather the pipelined group: walk parents from the root, stopping
+        // the upward walk at wide datasets (they belong to this stage as
+        // shuffle reads, but their parents are computed by map stages).
+        self.walk = next_stamp(self.walk, &mut self.seen, |w| *w = 0);
+        let base = self.roots.len();
+        self.members.clear();
+        self.stack.push(root);
+        while let Some(x) = self.stack.pop() {
+            if self.seen[x.index()] == self.walk {
+                continue;
+            }
+            self.seen[x.index()] = self.walk;
+            self.members.push(x);
+            let d = app.dataset(x);
+            if d.op.is_wide() {
+                // Shuffle read: each parent is the output of a map stage.
+                self.roots.extend_from_slice(&d.parents);
+            } else {
+                self.stack.extend_from_slice(&d.parents);
+            }
+        }
+        self.members.sort_unstable();
+        let datasets = self.members.clone();
+        self.roots[base..].sort_unstable();
+        let mut end = base;
+        for i in base..self.roots.len() {
+            if end == base || self.roots[i] != self.roots[end - 1] {
+                self.roots[end] = self.roots[i];
+                end += 1;
+            }
+        }
+        self.roots.truncate(end);
+        // Deeper levels push past `end` and truncate back to it, so this
+        // level's segment stays put while its parents are built.
+        let mut parents = Vec::with_capacity(end - base);
+        for i in base..end {
+            let parent_root = self.roots[i];
+            parents.push(self.stage(app, parent_root, stages));
+        }
+        self.roots.truncate(base);
+
+        let id = StageId(stages.len() as u32);
+        stages.push(Stage {
+            id,
+            num_tasks: app.dataset(root).partitions,
+            datasets,
+            output: root,
+            parents,
+        });
+        self.memo[root.index()] = (self.plan, id);
+        id
+    }
+}
+
+/// The stamp after `stamp`; on wrap-around every slot is reset with
+/// `clear` so no stale slot can match the restarted count.
+fn next_stamp<T>(stamp: u32, slots: &mut [T], clear: impl Fn(&mut T)) -> u32 {
+    if stamp == u32::MAX {
+        slots.iter_mut().for_each(clear);
+        1
+    } else {
+        stamp + 1
+    }
 }
 
 #[cfg(test)]
@@ -283,6 +350,116 @@ mod tests {
         let result = plan.result_stage();
         assert_eq!(result.parents, vec![StageId(0)]);
         assert_eq!(result.datasets, vec![w1, w2, z]);
+    }
+
+    /// The recursion the planner replaced — a `HashMap` memo per plan and
+    /// a fresh visited set per stage walk — kept as its oracle.
+    fn reference_plan(app: &Application, job: JobId) -> StagePlan {
+        fn build_stage(
+            app: &Application,
+            root: DatasetId,
+            stages: &mut Vec<Stage>,
+            memo: &mut std::collections::HashMap<DatasetId, StageId>,
+        ) -> StageId {
+            if let Some(&sid) = memo.get(&root) {
+                return sid;
+            }
+            let mut members = Vec::new();
+            let mut parent_roots = Vec::new();
+            let mut stack = vec![root];
+            let mut seen = crate::bitset::BitSet::new(app.dataset_count());
+            while let Some(x) = stack.pop() {
+                if !seen.insert(x.index()) {
+                    continue;
+                }
+                members.push(x);
+                let d = app.dataset(x);
+                if d.op.is_wide() {
+                    parent_roots.extend(d.parents.iter().copied());
+                } else {
+                    stack.extend(d.parents.iter().copied());
+                }
+            }
+            members.sort_unstable();
+            parent_roots.sort_unstable();
+            parent_roots.dedup();
+            let parents: Vec<StageId> = parent_roots
+                .into_iter()
+                .map(|p| build_stage(app, p, stages, memo))
+                .collect();
+            let id = StageId(stages.len() as u32);
+            stages.push(Stage {
+                id,
+                num_tasks: app.dataset(root).partitions,
+                datasets: members,
+                output: root,
+                parents,
+            });
+            memo.insert(root, id);
+            id
+        }
+        let mut stages = Vec::new();
+        build_stage(
+            app,
+            app.job(job).target,
+            &mut stages,
+            &mut std::collections::HashMap::new(),
+        );
+        StagePlan { job, stages }
+    }
+
+    /// One planner shared across every job of an application, and a fresh
+    /// one per job, build exactly the reference plans; so does a planner
+    /// whose stamps wrap around mid-application.
+    #[test]
+    fn shared_planner_matches_the_reference() {
+        let (lor, _) = crate::analysis::tests::lor_like();
+        let mut b = AppBuilder::new("multi");
+        let s = b.source("s", SourceFormat::DistributedFs, 100, 1000, 4);
+        let m = b.narrow("m", NarrowKind::Map, &[s], 100, 1000, ComputeCost::FREE);
+        let w1 = b.wide(
+            "w1",
+            WideKind::ReduceByKey,
+            &[m],
+            10,
+            100,
+            ComputeCost::FREE,
+        );
+        let w2 = b.wide(
+            "w2",
+            WideKind::Join,
+            &[m, w1, m],
+            10,
+            100,
+            ComputeCost::FREE,
+        );
+        let z = b.narrow("z", NarrowKind::Zip, &[w1, w2], 10, 200, ComputeCost::FREE);
+        b.job("a", w1);
+        b.job("b", z);
+        b.job("c", w2);
+        b.job("d", z);
+        let multi = b.build().unwrap();
+        for app in [&lor, &multi] {
+            let mut shared = StagePlanner::new(app);
+            let mut wrapping = StagePlanner::new(app);
+            (wrapping.plan, wrapping.walk) = (u32::MAX - 1, u32::MAX - 2);
+            for ji in 0..app.jobs().len() as u32 {
+                let want = reference_plan(app, JobId(ji));
+                assert_eq!(
+                    StagePlan::build(app, JobId(ji)),
+                    want,
+                    "{} job {ji}",
+                    app.name()
+                );
+                assert_eq!(shared.plan(app, JobId(ji)), want, "{} job {ji}", app.name());
+                assert_eq!(
+                    wrapping.plan(app, JobId(ji)),
+                    want,
+                    "{} job {ji}",
+                    app.name()
+                );
+            }
+        }
     }
 
     /// Stage ids equal their indices and the result stage is last — the

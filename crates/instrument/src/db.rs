@@ -5,8 +5,8 @@
 
 use parking_lot::Mutex;
 
-use cluster_sim::{RunReport, StepKind, TaskTrace};
-use dagflow::{DatasetId, JobId, StageId};
+use cluster_sim::{Engine, RunOptions, RunReport, StepKind, TaskTrace};
+use dagflow::{DagError, DatasetId, JobId, Schedule, StageId};
 
 use crate::inject::Instrumented;
 use crate::metrics::MetricsFold;
@@ -60,13 +60,39 @@ impl ProfilingDatabase {
     /// profiling-operator boundaries, and folds one observation per
     /// original transformation — using only profile-visible timestamps.
     pub fn ingest(&self, instr: &Instrumented, report: &RunReport) {
-        let mut guard = self.fold.lock();
-        let fold = &mut *guard;
+        let mut fold = self.fold.lock();
         fold.cover(instr.shadow.len());
         for trace in &report.traces {
-            fold.count_task(trace.job, trace.stage, trace.task);
-            Self::observe_task(instr, trace, |obs| fold.add(&obs));
+            Self::fold_task(&mut fold, instr, trace);
         }
+    }
+
+    /// Runs `schedule` (over the instrumented plan) with default
+    /// [`RunOptions`] on `engine`, an engine over `instr.app`, and folds
+    /// each task into the database as it finishes, exactly as
+    /// [`ProfilingDatabase::ingest`] folds a collected run: the same tasks
+    /// in the same order, so the same bits. No trace is kept, so the
+    /// returned report's `traces` are empty.
+    ///
+    /// # Errors
+    /// Fails when the schedule references datasets outside `instr.app`.
+    pub fn ingest_run(
+        &self,
+        engine: &Engine<'_>,
+        instr: &Instrumented,
+        schedule: &Schedule,
+    ) -> Result<RunReport, DagError> {
+        let mut fold = self.fold.lock();
+        fold.cover(instr.shadow.len());
+        engine.run_observed(schedule, RunOptions::default(), &mut |trace| {
+            Self::fold_task(&mut fold, instr, trace);
+        })
+    }
+
+    /// Counts one task and folds its observations.
+    fn fold_task(fold: &mut MetricsFold, instr: &Instrumented, trace: &TaskTrace) {
+        fold.count_task(trace.job, trace.stage, trace.task);
+        Self::observe_task(instr, trace, |obs| fold.add(&obs));
     }
 
     /// Splits one task at profile boundaries (the §3.3 ENT cases), handing

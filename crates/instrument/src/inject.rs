@@ -1,7 +1,8 @@
 //! Plan rewriting: injecting profiling operators (paper §4, Figure 6).
 
 use dagflow::{
-    Application, ComputeCost, Dataset, DatasetId, Job, NarrowKind, OpKind, Schedule, ScheduleOp,
+    Application, ComputeCost, Dataset, DatasetId, Job, NarrowKind, OpKind, Parents, Schedule,
+    ScheduleOp,
 };
 
 /// Cost of one profiling operator per task — the "lightweight
@@ -98,7 +99,7 @@ pub fn inject(app: &Application, overhead: ProfilingOverhead) -> Instrumented {
             id: shadow_id,
             name: format!("{}#profile", d.name),
             op: OpKind::Narrow(NarrowKind::Profile),
-            parents: vec![copy_id],
+            parents: Parents::from(&[copy_id][..]),
             records: d.records,
             bytes: d.bytes,
             partitions: d.partitions,

@@ -26,8 +26,8 @@
 //!   wave-weighted averaging of Eq. 2, and the Shuffle-Write + Shuffle-Read
 //!   split of Eq. 3) and per-dataset sizes — using *only* timestamps a
 //!   profiling operator could observe, never the simulator's ground truth;
-//! * [`profile_run`] is the whole pipeline in one call: inject, run with
-//!   traces, ingest, derive.
+//! * [`profile_run`] is the whole pipeline in one call: inject, run while
+//!   each finished task folds into a database, derive.
 
 pub mod db;
 pub mod inject;

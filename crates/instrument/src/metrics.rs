@@ -457,9 +457,24 @@ mod tests {
                     seed: 7,
                     ..SimParams::default()
                 };
-                let out = crate::profile_run(&app, &schedule, cluster, params).unwrap();
+                let out = crate::profile_run(&app, &schedule, cluster, params.clone()).unwrap();
                 assert!(!out.metrics.is_empty());
-                let want = oracle(&out.instrumented, &[&out.report], &app, cores(machines));
+                assert!(
+                    out.report.traces.is_empty(),
+                    "{name}: the streamed run kept traces"
+                );
+                // The same engine and seed, collecting its traces.
+                let collected = Engine::new(&out.instrumented.app, cluster, params)
+                    .run(
+                        &out.instrumented.map_schedule(&schedule),
+                        RunOptions {
+                            collect_traces: true,
+                            ..RunOptions::default()
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(collected.digest(), out.report.digest(), "{name}");
+                let want = oracle(&out.instrumented, &[&collected], &app, cores(machines));
                 assert_same_bits(&out.metrics, &want, name);
             }
         }

@@ -1,7 +1,9 @@
-//! One-call profiling runs: inject, execute on the simulator with traces,
-//! ingest the traces into a profiling database, and derive metrics.
+//! One-call profiling runs: inject, execute on the simulator while each
+//! finished task folds into a profiling database, and derive metrics.
 
-use cluster_sim::{ClusterConfig, Engine, RunOptions, RunReport, SimParams};
+use std::sync::Arc;
+
+use cluster_sim::{ClusterConfig, Engine, EnginePrep, RunReport, SimParams};
 use dagflow::{Application, DagError, Schedule};
 
 use crate::db::ProfilingDatabase;
@@ -13,7 +15,10 @@ use crate::metrics::{derive_metrics, DatasetMetrics};
 pub struct ProfileRunOutput {
     /// The instrumented plan and id mappings.
     pub instrumented: Instrumented,
-    /// The simulator report of the instrumented run.
+    /// The simulator report of the instrumented run. Its `traces` are
+    /// empty: each task was folded into the profiling database as it
+    /// finished and not kept (run [`Engine::run`] with
+    /// `collect_traces` for a run's traces).
     pub report: RunReport,
     /// Per-original-dataset metrics (§3.2/§3.3).
     pub metrics: Vec<DatasetMetrics>,
@@ -28,18 +33,16 @@ pub fn profile_run(
     cluster: ClusterConfig,
     params: SimParams,
 ) -> Result<ProfileRunOutput, DagError> {
-    let instrumented = inject(app, ProfilingOverhead::default());
+    let (instrumented, prep) = {
+        let _prof = obs::prof::scope("plan");
+        let instrumented = inject(app, ProfilingOverhead::default());
+        let prep = Arc::new(EnginePrep::new(&instrumented.app));
+        (instrumented, prep)
+    };
     let mapped = instrumented.map_schedule(schedule);
-    let engine = Engine::new(&instrumented.app, cluster, params);
-    let report = engine.run(
-        &mapped,
-        RunOptions {
-            collect_traces: true,
-            ..RunOptions::default()
-        },
-    )?;
+    let engine = Engine::with_prep(&instrumented.app, cluster, params, prep);
     let db = ProfilingDatabase::new();
-    db.ingest(&instrumented, &report);
+    let report = db.ingest_run(&engine, &instrumented, &mapped)?;
     let metrics = derive_metrics(&db, app, cluster.total_cores());
     Ok(ProfileRunOutput {
         instrumented,

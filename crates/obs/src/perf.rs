@@ -341,6 +341,26 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
             let medians = rows.map(|(row, op)| Check::new(&format!("rows.{row}.median"), op));
             Some(identity.into_iter().chain(medians).collect())
         }
+        // Heap allocations per one-thread training at seed 3, one row per
+        // paper family. A counting global allocator makes them a function
+        // of the code alone, so they repeat exactly on any host and a
+        // ceiling cannot flake: each holds the count the per-run layouts
+        // reached, and any allocation added to the training path trips
+        // it. The seconds beside them are not gated.
+        "training_allocs" => {
+            let ceilings = [
+                ("LIR", 23_215.0),
+                ("LOR", 29_432.0),
+                ("PCA", 48_105.0),
+                ("RFC", 32_676.0),
+                ("SVM", 38_491.0),
+            ];
+            let shape = ["seed", "threads"].map(|path| Check::new(path, CheckOp::Equals));
+            let counts = ceilings.map(|(family, max)| {
+                Check::new(&format!("rows.{family}.allocs"), CheckOp::Max(max))
+            });
+            Some(shape.into_iter().chain(counts).collect())
+        }
         "training_parallel" => Some(vec![
             Check::new("workload", CheckOp::Equals),
             Check::new("reps", CheckOp::Equals),

@@ -26,9 +26,9 @@ cargo bench --offline -p bench --bench json_throughput
 echo "== JSON reader strictness (RFC 8259: leading zeros, a point without digits on both sides and raw control bytes in strings are errors) =="
 cargo test -q --offline -p serde
 
-echo "== profiling fold (database fold == hash-map oracle; instrumentation fidelity) =="
+echo "== profiling fold (database fold == hash-map oracle; streamed fold == collect then ingest; shared planner == fresh plans; instrumentation fidelity) =="
 cargo test -q --offline -p instrument
-cargo test -q --offline --test instrumentation_fidelity
+cargo test -q --offline --test instrumentation_fidelity --test streamed_layouts
 
 echo "== trace golden (Chrome trace_event export is byte-stable) =="
 cargo test -q --offline --test trace_golden
@@ -63,6 +63,9 @@ cargo test -q --offline --test chaos_golden
 
 echo "== sim throughput (hot-path speedup vs frozen pre-rework constants; records results/BENCH_sim_throughput.json) =="
 cargo bench --offline -p bench --bench sim_throughput
+
+echo "== training allocations (heap allocator calls per one-thread training of each paper family, counted by a global allocator; records results/BENCH_training_allocs.json, whose counts perf-report holds to ceilings) =="
+cargo bench --offline -p bench --bench training_allocs
 
 echo "== tenants matrix (workload pair x weight ratio x memory pressure x seed invariants) =="
 cargo test -q --offline --test tenants

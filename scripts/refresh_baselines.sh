@@ -5,10 +5,10 @@
 # regenerated specs — baseline churn should always be an explicit,
 # reviewable commit, never a side effect of `scripts/check.sh`.
 #
-# To refresh the BENCH artifacts themselves first, run the five benches
+# To refresh the BENCH artifacts themselves first, run the six benches
 # that write gated artifacts (each fails if a gated row is over its budget):
 #   for b in hash_throughput json_throughput overhead sim_throughput \
-#            training_parallel; do
+#            training_allocs training_parallel; do
 #       cargo bench --offline -p bench --bench "$b"
 #   done
 set -euo pipefail
