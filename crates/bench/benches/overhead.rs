@@ -23,7 +23,7 @@
 //! engine batches under metrics, profiler and trace (trace records every
 //! task span, which is why it is opt-in), the cold fold (every manifest
 //! parsed and verified, the cache written back), and a disabled
-//! `prof::scope` call against an empty loop iteration.
+//! `prof::scope` call around a fixed unit of leaf work ([`leaf_work`]).
 //!
 //! Results land in `results/BENCH_overhead.json`, gated by the `overhead`
 //! policy in `results/baselines/`.
@@ -51,7 +51,7 @@ const STOP_WIDTH: f64 = 0.025;
 /// Manifests in the ledger the health rows fold.
 const MANIFESTS: usize = 100;
 /// Disabled `prof::scope` calls per timed loop.
-const IDLE_CALLS: u64 = 2_000_000;
+const IDLE_CALLS: u64 = 20_000;
 
 /// One row of the table.
 struct Row<'a> {
@@ -193,6 +193,18 @@ fn idle_loop<T>(mut f: impl FnMut(u64) -> T) -> f64 {
     harness::time(|| (0..IDLE_CALLS).for_each(|i| drop(std::hint::black_box(f(i)))))
 }
 
+/// The base of the idle-scope row: 64 dependent multiply-xorshift rounds,
+/// ~80 ns on the reference host, the size of the smallest leaf a scope
+/// wraps. A base this long keeps the ratio steady from run to run; over
+/// an empty loop iteration it is a quotient of two nanosecond figures.
+fn leaf_work(i: u64) -> u64 {
+    let mut z = std::hint::black_box(i);
+    for _ in 0..64 {
+        z = (z ^ (z >> 31)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    z
+}
+
 /// Files `MANIFESTS` healthy-regime variants of one recorded run
 /// (distinct sub-slack coefficient nudges, pinned mtimes so the listing
 /// order is reproducible) into a scratch ledger.
@@ -305,8 +317,13 @@ fn main() {
         row(
             "profile_idle_scope",
             None,
-            |_| idle_loop(|i| i),
-            |_| idle_loop(|_| obs::prof::scope("bench/idle")),
+            |_| idle_loop(leaf_work),
+            |_| {
+                idle_loop(|i| {
+                    let _scope = obs::prof::scope("bench/idle");
+                    leaf_work(i)
+                })
+            },
         ),
         row("trace_training", Some(OVERHEAD_LIMIT), train, move |_| {
             harness::time_training(traced_config)
@@ -356,7 +373,7 @@ fn main() {
             ));
         }
         if row.name == "profile_idle_scope" {
-            idle_ns = est.b_seconds * 1e9 / IDLE_CALLS as f64;
+            idle_ns = (est.b_seconds - est.a_seconds) * 1e9 / IDLE_CALLS as f64;
         }
         table.push(vec![
             row.name.to_owned(),

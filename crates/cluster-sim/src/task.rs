@@ -22,6 +22,11 @@
 //! store-call order exactly: a persisted dataset's cache read comes
 //! before its subtree, its insert (and swap) after it, and a cache hit
 //! jumps past both.
+//!
+//! When the run's partitions are even (`Sizing::skew == 0.0`, the
+//! `RunOptions` default), every op also costs the same for every task of
+//! the stage, so `compile` prices each op once into a stage row and `run`
+//! reads the row instead of re-deriving sizes per task.
 
 use std::collections::HashMap;
 
@@ -187,29 +192,19 @@ impl ConsumerCost {
             combine,
         }
     }
-}
 
-/// Appends one `ShuffleWrite` step per consuming wide dataset to the walk
-/// of partition `p` of `output`.
-fn push_shuffle_writes(
-    env: &TaskEnv<'_>,
-    output: DatasetId,
-    p: u32,
-    consumers: &[ConsumerCost],
-    walk: &mut TaskWalk,
-) {
-    for c in consumers {
+    /// Seconds of this shuffle write for partition `p` of `output`.
+    fn seconds(&self, env: &TaskEnv<'_>, output: DatasetId, p: u32) -> f64 {
         // Map-side combine work (the scan producing partial aggregates) is
         // part of the Shuffle Write half of a combining wide transformation.
-        let combine = match c.combine {
+        let combine = match self.combine {
             Some((records, compute)) => {
                 let input = env.sizing.partition_bytes(output, p);
                 compute.task_seconds(records, input) / env.cluster.spec.cpu_speed
             }
             None => 0.0,
         };
-        let dur = combine + c.write_s;
-        walk.push_step(env.trace, c.wide, StepKind::ShuffleWrite, dur, c.written);
+        combine + self.write_s
     }
 }
 
@@ -319,6 +314,17 @@ enum WalkOp {
     },
 }
 
+/// Step duration and bytes of one walk op for one partition. A cache
+/// read has two durations, `dur` from local storage memory and `remote`
+/// from another machine; every other op leaves `remote` at zero, and a
+/// shuffle write fills `dur` alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpCost {
+    dur: f64,
+    remote: f64,
+    bytes: f64,
+}
+
 /// A stage's pipeline walk, compiled for one stage execution: the
 /// recursion over `output`'s in-stage lineage flattened to ops, plus the
 /// stage's shuffle-write costs. Held in a reusable buffer by the executor
@@ -330,6 +336,11 @@ pub(crate) struct StageWalk {
     /// Parent lists of the `Narrow` ops, flattened.
     parents: Vec<DatasetId>,
     consumers: Vec<ConsumerCost>,
+    /// The stage row of an even-partition run: `rows[i]` is the cost of
+    /// `ops[i]` and `rows[ops.len() + k]` that of shuffle write `k`, the
+    /// same for every task. Empty when the run is skewed, so each task
+    /// prices its own partition.
+    rows: Vec<OpCost>,
 }
 
 impl Default for StageWalk {
@@ -339,6 +350,7 @@ impl Default for StageWalk {
             ops: Vec::new(),
             parents: Vec::new(),
             consumers: Vec::new(),
+            rows: Vec::new(),
         }
     }
 }
@@ -363,6 +375,69 @@ impl StageWalk {
                 .iter()
                 .map(|&w| ConsumerCost::build(env, output, w)),
         );
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.clear();
+        if env.sizing.skew == 0.0 {
+            // `skew_factor` is exactly 1.0 for every partition, so
+            // partition 0's costs are every task's, bit for bit.
+            let ops = self.ops.iter().map(|&op| self.op_cost(env, op, 0));
+            let writes = self.consumers.iter().map(|c| OpCost {
+                dur: c.seconds(env, output, 0),
+                ..OpCost::default()
+            });
+            rows.extend(ops.chain(writes));
+        }
+        self.rows = rows;
+    }
+
+    /// Prices `op` for partition `p`, with the expressions of the
+    /// recursive walk.
+    fn op_cost(&self, env: &TaskEnv<'_>, op: WalkOp, p: u32) -> OpCost {
+        let spec = &env.cluster.spec;
+        let sizing = env.sizing;
+        match op {
+            WalkOp::Check { d, .. } => {
+                let bytes = sizing.partition_bytes(d, p);
+                OpCost {
+                    dur: bytes / spec.cache_read_bandwidth,
+                    remote: bytes / spec.network_bandwidth,
+                    bytes,
+                }
+            }
+            WalkOp::Source { d } => {
+                let bytes = sizing.partition_bytes(d, p);
+                OpCost {
+                    dur: bytes / spec.disk_bandwidth,
+                    remote: 0.0,
+                    bytes,
+                }
+            }
+            WalkOp::Shuffle { d, read } => OpCost {
+                dur: read.seconds(env, d, p),
+                remote: 0.0,
+                bytes: sizing.partition_bytes(d, p),
+            },
+            WalkOp::Narrow {
+                d,
+                parents: (start, end),
+                compute,
+            } => {
+                let mut input_bytes = 0.0;
+                for &par in &self.parents[start as usize..end as usize] {
+                    input_bytes += sizing.partition_bytes(par, p);
+                }
+                let records = sizing.partition_records(d, p);
+                OpCost {
+                    dur: compute.task_seconds(records, input_bytes) / spec.cpu_speed,
+                    remote: 0.0,
+                    bytes: sizing.partition_bytes(d, p),
+                }
+            }
+            WalkOp::Insert { d, .. } => OpCost {
+                bytes: sizing.partition_bytes(d, p),
+                ..OpCost::default()
+            },
+        }
     }
 
     /// Emits the ops of one dataset in the recursion's order: check,
@@ -409,7 +484,8 @@ impl StageWalk {
     /// Walks the pipeline for partition `p` of the compiled output on
     /// `machine` into `walk` (cleared first, so its step buffer is reused
     /// from task to task), mutating the block store (cache hits, inserts,
-    /// swaps) in exactly the order the recursive walk would.
+    /// swaps) in exactly the order the recursive walk would. Each op's
+    /// cost comes from the stage row when there is one.
     pub(crate) fn run(
         &self,
         env: &TaskEnv<'_>,
@@ -418,12 +494,15 @@ impl StageWalk {
         p: u32,
         walk: &mut TaskWalk,
     ) {
-        let spec = &env.cluster.spec;
-        let sizing = env.sizing;
+        let cost = |at: usize, op: WalkOp| match self.rows.get(at) {
+            Some(&row) => row,
+            None => self.op_cost(env, op, p),
+        };
         walk.duration = 0.0;
         walk.steps.clear();
         let mut i = 0;
         while let Some(&op) = self.ops.get(i) {
+            let at = i;
             i += 1;
             match op {
                 WalkOp::Check { d, skip } => {
@@ -433,42 +512,26 @@ impl StageWalk {
                         // Local read from storage memory, or a remote fetch
                         // if locality scheduling could not place us on the
                         // holder.
-                        let bw = if holder == machine {
-                            spec.cache_read_bandwidth
-                        } else {
-                            spec.network_bandwidth
-                        };
-                        let bytes = sizing.partition_bytes(d, p);
-                        walk.push_step(env.trace, d, StepKind::CacheRead, bytes / bw, bytes);
+                        let c = cost(at, op);
+                        let dur = if holder == machine { c.dur } else { c.remote };
+                        walk.push_step(env.trace, d, StepKind::CacheRead, dur, c.bytes);
                         i += skip as usize;
                     }
                 }
                 WalkOp::Source { d } => {
-                    let bytes = sizing.partition_bytes(d, p);
-                    let dur = bytes / spec.disk_bandwidth;
-                    walk.push_step(env.trace, d, StepKind::SourceRead, dur, bytes);
+                    let c = cost(at, op);
+                    walk.push_step(env.trace, d, StepKind::SourceRead, c.dur, c.bytes);
                 }
-                WalkOp::Shuffle { d, read } => {
-                    let dur = read.seconds(env, d, p);
-                    let bytes = sizing.partition_bytes(d, p);
-                    walk.push_step(env.trace, d, StepKind::ShuffleRead, dur, bytes);
+                WalkOp::Shuffle { d, .. } => {
+                    let c = cost(at, op);
+                    walk.push_step(env.trace, d, StepKind::ShuffleRead, c.dur, c.bytes);
                 }
-                WalkOp::Narrow {
-                    d,
-                    parents: (start, end),
-                    compute,
-                } => {
-                    let mut input_bytes = 0.0;
-                    for &par in &self.parents[start as usize..end as usize] {
-                        input_bytes += sizing.partition_bytes(par, p);
-                    }
-                    let records = sizing.partition_records(d, p);
-                    let dur = compute.task_seconds(records, input_bytes) / spec.cpu_speed;
-                    let bytes = sizing.partition_bytes(d, p);
-                    walk.push_step(env.trace, d, StepKind::Compute, dur, bytes);
+                WalkOp::Narrow { d, .. } => {
+                    let c = cost(at, op);
+                    walk.push_step(env.trace, d, StepKind::Compute, c.dur, c.bytes);
                 }
                 WalkOp::Insert { d, swap } => {
-                    let bytes = sizing.partition_bytes(d, p);
+                    let bytes = cost(at, op).bytes;
                     if store.try_insert(machine, d, p, bytes.max(1.0) as Bytes) {
                         if let Some(x) = swap {
                             apply_swap(env, store, x, d, p);
@@ -477,7 +540,13 @@ impl StageWalk {
                 }
             }
         }
-        push_shuffle_writes(env, self.output, p, &self.consumers, walk);
+        for (k, c) in self.consumers.iter().enumerate() {
+            let dur = match self.rows.get(self.ops.len() + k) {
+                Some(row) => row.dur,
+                None => c.seconds(env, self.output, p),
+            };
+            walk.push_step(env.trace, c.wide, StepKind::ShuffleWrite, dur, c.written);
+        }
     }
 }
 
@@ -525,7 +594,10 @@ pub(crate) mod recursive {
             .collect();
         let mut walk = TaskWalk::default();
         materialize(env, store, machine, output, p, &mut walk);
-        push_shuffle_writes(env, output, p, &consumers, &mut walk);
+        for c in &consumers {
+            let dur = c.seconds(env, output, p);
+            walk.push_step(env.trace, c.wide, StepKind::ShuffleWrite, dur, c.written);
+        }
         walk
     }
 
@@ -865,6 +937,34 @@ mod tests {
         assert!(walk.duration > 0.0);
     }
 
+    /// An even-partition walk takes its costs from the stage row, not from
+    /// the partition: marked rows come back as the steps' durations.
+    #[test]
+    fn even_walk_reads_the_stage_row() {
+        let (app, cluster, params) = env_fixture();
+        let persisted = vec![false; app.dataset_count()];
+        let swap = HashMap::new();
+        let sizing = Sizing::new(&app, 0.0);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &sizing);
+        let mut store = store_for(&env);
+        let mut compiled = StageWalk::default();
+        compiled.compile(&env, DatasetId(1), &[DatasetId(2)]);
+        // Source, Narrow, then the one shuffle write.
+        assert_eq!(compiled.rows.len(), 3);
+        for (k, row) in compiled.rows.iter_mut().enumerate() {
+            row.dur = (k + 1) as f64;
+        }
+        let mut walk = TaskWalk::default();
+        compiled.run(&env, &mut store, 0, 5, &mut walk);
+        let durs: Vec<f64> = walk.steps.iter().map(|s| s.finish - s.start).collect();
+        assert_eq!(durs, [1.0, 2.0, 3.0]);
+
+        let skewed = Sizing::new(&app, 0.3);
+        let env = make_env(&app, &cluster, &params, &persisted, &swap, &skewed);
+        compiled.compile(&env, DatasetId(1), &[DatasetId(2)]);
+        assert!(compiled.rows.is_empty(), "a skewed run prices each task");
+    }
+
     /// A step with its times as bits, so equality is bit equality.
     fn step_bits(s: &PipelineStep) -> (DatasetId, StepKind, u64, u64, Bytes) {
         (
@@ -879,7 +979,8 @@ mod tests {
     /// The compiled walk reproduces the recursive one bit for bit on
     /// random DAGs: random persisted sets with `u(x)…p(y)` swap pairs,
     /// stores under memory pressure that carry residency from walk to walk
-    /// (so checks hit, miss, evict and fail inserts), skew 0 and 0.3, and
+    /// (so checks hit, miss, evict and fail inserts), skew 0 (tasks read
+    /// the stage row) and 0.3 (each task prices its partition), and
     /// tracing on. The oracle runs over the full application layout, the
     /// compiled walk over the run's persisted-only one, into one reused
     /// walk buffer. After every task the durations, steps, cache
@@ -890,6 +991,7 @@ mod tests {
         // Shapes and store behaviour the oracle must have seen.
         let (mut nested, mut reached_twice, mut swap_pair) = (false, false, false);
         let (mut hits, mut evictions, mut failures, mut swapped) = (0, 0, 0, 0);
+        let mut even_rows = 0;
         for seed in 0..300u64 {
             let app = crate::engine::tests::random_app(seed);
             let mut state = seed ^ 0xC0DE;
@@ -957,6 +1059,16 @@ mod tests {
                     let consumers: Vec<DatasetId> =
                         prep.consumers[ji][sp].iter().map(|&(_, w)| w).collect();
                     compiled.compile(&env, stage.output, &consumers);
+                    // An even run prices every op once, into the row the
+                    // tasks below read; a skewed run has no row, and each
+                    // task prices its own partition.
+                    let row_len = if sizing.skew == 0.0 {
+                        compiled.ops.len() + consumers.len()
+                    } else {
+                        0
+                    };
+                    assert_eq!(compiled.rows.len(), row_len, "seed {seed}");
+                    even_rows += row_len;
                     let ops = &compiled.ops;
                     for (i, op) in ops.iter().enumerate() {
                         match *op {
@@ -1028,5 +1140,6 @@ mod tests {
         assert!(evictions > 0, "no evictions");
         assert!(failures > 0, "no failed inserts");
         assert!(swapped > 0, "no swap drops");
+        assert!(even_rows > 0, "no even-partition stage read a stage row");
     }
 }

@@ -10,8 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::families::ModelSpec;
-use crate::linalg::Matrix;
-use crate::nnls::nnls;
+use crate::nnls::Workspace;
 
 /// One training observation: parameter point `(e, f, i)` and the measured
 /// response (dataset size or execution time).
@@ -138,21 +137,94 @@ pub struct CrossValidated {
     pub cv_error: f64,
 }
 
+/// The buffers of one model selection: the current spec's feature rows,
+/// evaluated once per spec, and the NNLS workspace that every solve of
+/// the selection (each candidate's holdouts, the winner's refit and its
+/// residuals) runs in.
+#[derive(Debug, Default)]
+struct FitBuffers {
+    /// Feature rows of every sample, `samples × terms`, row-major.
+    features: Vec<f64>,
+    nnls: Workspace,
+}
+
+impl FitBuffers {
+    /// Evaluates `spec`'s feature row at every sample.
+    fn load(&mut self, spec: &ModelSpec, samples: &[Sample]) {
+        self.features.clear();
+        for s in samples {
+            self.features
+                .extend(spec.terms.iter().map(|t| t.eval(s.e, s.f, s.i)));
+        }
+    }
+
+    /// Fits the loaded spec on every sample except `hold`; the
+    /// coefficients land in `self.nnls.x`.
+    fn solve_without(&mut self, terms: usize, samples: &[Sample], hold: Option<usize>) {
+        self.nnls.start(terms);
+        for (k, s) in samples.iter().enumerate() {
+            if hold != Some(k) {
+                self.nnls
+                    .push_row(&self.features[k * terms..(k + 1) * terms], s.y);
+            }
+        }
+        self.nnls.solve();
+    }
+
+    /// [`fit_spec`] in these buffers.
+    fn fit(&mut self, spec: &ModelSpec, samples: &[Sample]) -> Result<FittedModel, FitError> {
+        if samples.is_empty() {
+            return Err(FitError::NoSamples);
+        }
+        self.load(spec, samples);
+        self.solve_without(spec.terms.len(), samples, None);
+        Ok(FittedModel {
+            spec: spec.clone(),
+            coeffs: self.nnls.x.clone(),
+        })
+    }
+
+    /// [`loocv_residuals`] in these buffers, into `out` (cleared first).
+    fn residuals(&mut self, spec: &ModelSpec, samples: &[Sample], out: &mut Vec<f64>) {
+        out.clear();
+        let (n, terms) = (samples.len(), spec.terms.len());
+        if n < 2 || terms == 0 || terms > n - 1 {
+            return;
+        }
+        self.load(spec, samples);
+        for (hold, s) in samples.iter().enumerate() {
+            self.solve_without(terms, samples, Some(hold));
+            let row = &self.features[hold * terms..(hold + 1) * terms];
+            let pred: f64 = row.iter().zip(&self.nnls.x).map(|(x, t)| x * t).sum();
+            out.push(if s.y.abs() < 1e-12 {
+                (pred - s.y).abs()
+            } else {
+                ((pred - s.y) / s.y).abs()
+            });
+        }
+    }
+
+    /// [`loocv_error`] in these buffers; `out` holds the residuals after.
+    fn cv_error(&mut self, spec: &ModelSpec, samples: &[Sample], out: &mut Vec<f64>) -> f64 {
+        let _prof = obs::prof::scope("loocv");
+        if let Some(reg) = obs::Registry::current() {
+            reg.counter(
+                "modeling_loocv_evaluations_total",
+                "candidate specs scored by leave-one-out cross-validation",
+            )
+            .inc();
+        }
+        self.residuals(spec, samples, out);
+        if out.is_empty() {
+            return f64::INFINITY;
+        }
+        out.iter().sum::<f64>() / out.len() as f64
+    }
+}
+
 /// Fits a single spec on all samples with non-negative coefficients.
 pub fn fit_spec(spec: &ModelSpec, samples: &[Sample]) -> Result<FittedModel, FitError> {
-    if samples.is_empty() {
-        return Err(FitError::NoSamples);
-    }
-    let rows: Vec<Vec<f64>> = samples
-        .iter()
-        .map(|s| spec.features(s.e, s.f, s.i))
-        .collect();
-    let y: Vec<f64> = samples.iter().map(|s| s.y).collect();
-    let coeffs = nnls(&Matrix::from_rows(&rows), &y);
-    Ok(FittedModel {
-        spec: spec.clone(),
-        coeffs,
-    })
+    FitBuffers::default().fit(spec, samples)
 }
 
 /// Per-holdout leave-one-out relative errors of a spec, in sample order:
@@ -162,29 +234,8 @@ pub fn fit_spec(spec: &ModelSpec, samples: &[Sample]) -> Result<FittedModel, Fit
 /// terms, or more coefficients than remaining samples).
 #[must_use]
 pub fn loocv_residuals(spec: &ModelSpec, samples: &[Sample]) -> Vec<f64> {
-    let n = samples.len();
-    if n < 2 || spec.terms.is_empty() || spec.terms.len() > n - 1 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(n);
-    for hold in 0..n {
-        let train: Vec<Sample> = samples
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != hold)
-            .map(|(_, s)| *s)
-            .collect();
-        let Ok(model) = fit_spec(spec, &train) else {
-            return Vec::new();
-        };
-        let s = samples[hold];
-        let pred = model.predict(s.e, s.f, s.i);
-        out.push(if s.y.abs() < 1e-12 {
-            (pred - s.y).abs()
-        } else {
-            ((pred - s.y) / s.y).abs()
-        });
-    }
+    let mut out = Vec::new();
+    FitBuffers::default().residuals(spec, samples, &mut out);
     out
 }
 
@@ -194,19 +245,7 @@ pub fn loocv_residuals(spec: &ModelSpec, samples: &[Sample]) -> Vec<f64> {
 /// samples are penalized with infinite error.
 #[must_use]
 pub fn loocv_error(spec: &ModelSpec, samples: &[Sample]) -> f64 {
-    let _prof = obs::prof::scope("loocv");
-    if let Some(reg) = obs::Registry::current() {
-        reg.counter(
-            "modeling_loocv_evaluations_total",
-            "candidate specs scored by leave-one-out cross-validation",
-        )
-        .inc();
-    }
-    let residuals = loocv_residuals(spec, samples);
-    if residuals.is_empty() {
-        return f64::INFINITY;
-    }
-    residuals.iter().sum::<f64>() / residuals.len() as f64
+    FitBuffers::default().cv_error(spec, samples, &mut Vec::new())
 }
 
 /// One candidate's score in a [`FitReport`].
@@ -295,10 +334,14 @@ pub fn fit_best_with_report(
         return Err(FitError::NoSamples);
     }
     let _prof = obs::prof::scope("fit");
+    // One set of buffers for the whole selection: every solve below
+    // reuses them.
+    let mut bufs = FitBuffers::default();
+    let mut residuals = Vec::with_capacity(samples.len());
     let mut scores = Vec::with_capacity(candidates.len());
     let mut best: Option<(f64, usize)> = None;
     for (k, spec) in candidates.iter().enumerate() {
-        let err = loocv_error(spec, samples);
+        let err = bufs.cv_error(spec, samples, &mut residuals);
         let better = match best {
             None => true,
             Some((e, _)) => err < e - 1e-15,
@@ -314,8 +357,10 @@ pub fn fit_best_with_report(
     }
     let (cv_error, kbest) = best.expect("candidates is non-empty");
     scores[kbest].selected = true;
-    let model = fit_spec(&candidates[kbest], samples)?;
-    let residuals = loocv_residuals(&candidates[kbest], samples);
+    // The winner is refit, and its residuals recomputed, as separate
+    // solves: solve counts enter run manifests.
+    let model = bufs.fit(&candidates[kbest], samples)?;
+    bufs.residuals(&candidates[kbest], samples, &mut residuals);
     let report = FitReport {
         candidates: scores,
         winner: model.clone(),
@@ -340,6 +385,117 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The LOO-CV the workspace replaced: per holdout, a fresh training
+    /// set, a Matrix design and the Matrix-based Lawson–Hanson.
+    fn oracle_residuals(spec: &ModelSpec, samples: &[Sample]) -> Vec<f64> {
+        let n = samples.len();
+        if n < 2 || spec.terms.is_empty() || spec.terms.len() > n - 1 {
+            return Vec::new();
+        }
+        (0..n)
+            .map(|hold| {
+                let train: Vec<&Sample> =
+                    (0..n).filter(|&k| k != hold).map(|k| &samples[k]).collect();
+                let coeffs = oracle_fit(spec, &train);
+                let s = samples[hold];
+                let model = FittedModel {
+                    spec: spec.clone(),
+                    coeffs,
+                };
+                let pred = model.predict(s.e, s.f, s.i);
+                if s.y.abs() < 1e-12 {
+                    (pred - s.y).abs()
+                } else {
+                    ((pred - s.y) / s.y).abs()
+                }
+            })
+            .collect()
+    }
+
+    fn oracle_fit(spec: &ModelSpec, train: &[&Sample]) -> Vec<f64> {
+        let rows: Vec<Vec<f64>> = train.iter().map(|s| spec.features(s.e, s.f, s.i)).collect();
+        let y: Vec<f64> = train.iter().map(|s| s.y).collect();
+        crate::nnls::oracle::nnls_with_stats(&crate::linalg::Matrix::from_rows(&rows), &y).0
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `loocv_residuals`, `fit_spec` and a whole selection reproduce the
+    /// per-holdout Matrix oracle bit for bit on random samples: 2–12 rows,
+    /// specs of 1–4 terms, zero columns (`i = 0` under an `i` term),
+    /// collinear columns (`f` next to `f·i` at `i = 1`) and responses
+    /// falling in `e`, whose unconstrained optimum is negative.
+    #[test]
+    fn loocv_matches_per_holdout_oracle_bit_for_bit() {
+        let pool = [
+            Term::ONE,
+            Term::E,
+            Term::F,
+            Term::EF,
+            Term::F2,
+            Term::I,
+            Term::FI,
+        ];
+        let mut state = 7;
+        let mut unit = || crate::nnls::oracle::unit(&mut state);
+        for case in 0..600 {
+            let n = 2 + (unit() * 11.0) as usize;
+            let i_level = [0.0, 1.0, 5.0][(unit() * 3.0) as usize];
+            let slope = unit() * 4.0 - 2.0;
+            let samples: Vec<Sample> = (0..n)
+                .map(|_| {
+                    let (e, f) = (1.0 + unit() * 1e4, 1.0 + unit() * 1e3);
+                    let y = 1e3 + slope * e + 0.01 * e * f * (1.0 + 0.01 * unit());
+                    Sample {
+                        e,
+                        f,
+                        i: i_level,
+                        y,
+                    }
+                })
+                .collect();
+            let candidates: Vec<ModelSpec> = (0..3)
+                .map(|_| {
+                    let terms = 1 + (unit() * 4.0) as usize;
+                    ModelSpec::new((0..terms).map(|_| pool[(unit() * 7.0) as usize]).collect())
+                })
+                .collect();
+            let at = format!("case {case}");
+            for spec in &candidates {
+                let want = oracle_residuals(spec, &samples);
+                assert_eq!(bits(&loocv_residuals(spec, &samples)), bits(&want), "{at}");
+                let all: Vec<&Sample> = samples.iter().collect();
+                let fit = fit_spec(spec, &samples).unwrap();
+                assert_eq!(bits(&fit.coeffs), bits(&oracle_fit(spec, &all)), "{at}");
+            }
+            let (cv, report) = fit_best_with_report(&candidates, &samples).unwrap();
+            let winner = report.candidates.iter().position(|c| c.selected).unwrap();
+            let spec = &candidates[winner];
+            for (c, spec) in report.candidates.iter().zip(&candidates) {
+                let want = oracle_residuals(spec, &samples);
+                let err = if want.is_empty() {
+                    f64::INFINITY
+                } else {
+                    want.iter().sum::<f64>() / want.len() as f64
+                };
+                assert_eq!(c.cv_error.to_bits(), err.to_bits(), "{at}");
+            }
+            assert_eq!(
+                bits(&report.residuals),
+                bits(&oracle_residuals(spec, &samples)),
+                "{at}"
+            );
+            let all: Vec<&Sample> = samples.iter().collect();
+            assert_eq!(
+                bits(&cv.model.coeffs),
+                bits(&oracle_fit(spec, &all)),
+                "{at}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!
 //! Everything here is dependency-free numerics over `f64`, sized for the
 //! small design matrices these stages produce (tens of rows, at most a
-//! handful of columns).
+//! handful of columns). One model selection runs every NNLS solve (each
+//! candidate's holdouts, the winner's refit and its residuals) in one
+//! workspace it owns, so its solves allocate nothing once the buffers have
+//! grown. Every solve still runs: the `nnls` profiler scopes and the
+//! `modeling_nnls_*` counters enter run manifests.
 
 pub mod design;
 pub mod families;

@@ -15,9 +15,10 @@
 //! is a no-op — which is exactly the property the cross-run determinism
 //! tests pin (bit-identical manifests at any worker-thread count). The
 //! replacement is atomic, so a concurrent reader sees the old file or
-//! the new one, never a half-written one.
+//! the new one, never a half-written one, and durable: the bytes and the
+//! rename are synced before the write returns.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,7 +160,10 @@ impl LedgerStore {
 /// in the same directory (a dot-file ending in `.tmp`, so
 /// [`LedgerStore::entries`] never lists it), which is then renamed over
 /// `path`. A concurrent reader opens either the old file or the new one;
-/// `std::fs::write` would truncate first and let it read a prefix.
+/// `std::fs::write` would truncate first and let it read a prefix. The
+/// temp file is synced before the rename and its directory after it, so
+/// after a crash `path` holds the old bytes or the new ones, never an
+/// empty or partial file.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
@@ -168,11 +172,26 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
-    let renamed = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    let synced = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()
+    });
+    let renamed = synced.and_then(|()| std::fs::rename(&tmp, path));
     if renamed.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
-    renamed
+    renamed?;
+    sync_dir(path.parent().filter(|p| !p.as_os_str().is_empty()))
+}
+
+/// Syncs a directory, making a rename inside it durable (the current
+/// directory when `dir` is `None`). Only Unix can open a directory for
+/// syncing; elsewhere this is a no-op.
+fn sync_dir(dir: Option<&Path>) -> io::Result<()> {
+    if cfg!(unix) {
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// File mtime as nanoseconds since the Unix epoch (0 when unavailable).
@@ -285,6 +304,29 @@ mod tests {
         assert_eq!(ids(&store), ["ab00000000000000"]);
         assert_eq!(std::fs::read_dir(store.root()).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A synced write round-trips: a fresh file and a replacement both
+    /// read back byte for byte, and no temp file is left beside them.
+    #[test]
+    fn write_atomic_syncs_and_round_trips() {
+        let dir = std::env::temp_dir().join(format!("obs_ledger_sync_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        for doc in [DOC, "{}", ""] {
+            write_atomic(&path, doc.as_bytes()).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), doc);
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["cache.json"]);
+        // A write into a missing directory fails and leaves nothing.
+        let missing = dir.join("absent").join("cache.json");
+        assert!(write_atomic(&missing, b"{}").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! list of [`Check`]s over dotted JSON paths; its file format is the
 //! derived JSON of [`BaselineSpec`], so an unknown key or op is an
 //! error. Checks gate the *stable* facts a benchmark asserts (overhead
-//! ratios, budget booleans, artifact-identity flags) rather than raw
-//! wall-clock seconds, which vary with host load — so the gate stays
-//! meaningful on a laptop and in CI alike. `juggler perf-report` evaluates every spec and exits
+//! ratios, budget booleans, artifact-identity flags, allocation counts)
+//! rather than raw wall-clock seconds, which vary with host load — so
+//! the gate stays meaningful on a laptop and in CI alike; the one
+//! exception, simulator throughput, is held to a multiple of its own
+//! committed baseline. `juggler perf-report` evaluates every spec and exits
 //! nonzero when any check fails; `scripts/refresh_baselines.sh` is the
 //! only sanctioned way to move a baseline, keeping churn explicit.
 
@@ -16,7 +18,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::format::fmt_sig;
 
 /// How a single metric is gated against its baseline. In a spec file it
-/// is externally tagged: `"Equals"`, `{"Max": 1.05}`,
+/// is externally tagged: `"Equals"`, `{"Max": 1.05}`, `{"MaxRatio": 1.3}`,
 /// `{"Band": {"tol_abs": 0.1, "tol_rel": 0.0}}`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
@@ -29,6 +31,10 @@ pub enum CheckOp {
     Max(f64),
     /// Fresh value must be at least `limit`.
     Min(f64),
+    /// Fresh value must not exceed `ratio` times the baseline value: a
+    /// one-sided, baseline-relative ceiling (for seconds, where only
+    /// slower is a regression).
+    MaxRatio(f64),
     /// Fresh value must sit within `max(tol_abs, tol_rel * |baseline|)`
     /// of the baseline value.
     Band {
@@ -145,7 +151,8 @@ impl PerfReport {
 }
 
 /// Names the phases behind a throughput regression: when `bench` has a
-/// tripped [`CheckOp::Min`] check and both the frozen baseline document
+/// tripped [`CheckOp::Min`] or [`CheckOp::MaxRatio`] check and both the
+/// frozen baseline document
 /// and the fresh artifact embed a `profile` key (a canonical
 /// [`crate::prof::Profile`] JSON tree), the two profiles are diffed
 /// node-by-node and the `top` largest per-phase slowdowns are returned,
@@ -159,12 +166,14 @@ pub fn regression_attribution(
     bench: &BenchReport,
     top: usize,
 ) -> Option<Vec<String>> {
-    let min_tripped = spec
+    let throughput_tripped = spec
         .checks
         .iter()
         .zip(&bench.outcomes)
-        .any(|(check, outcome)| matches!(check.op, CheckOp::Min(_)) && !outcome.pass);
-    if !min_tripped {
+        .any(|(check, outcome)| {
+            matches!(check.op, CheckOp::Min(_) | CheckOp::MaxRatio(_)) && !outcome.pass
+        });
+    if !throughput_tripped {
         return None;
     }
     let base = crate::prof::Profile::from_value(spec.baseline.get("profile")?).ok()?;
@@ -240,6 +249,18 @@ fn evaluate_check(check: &Check, base: Option<&Value>, got: Option<&Value>) -> C
             ),
             None => (false, format!("{} is not numeric", render_value(got))),
         },
+        CheckOp::MaxRatio(ratio) => match (base.and_then(as_f64), as_f64(got)) {
+            (Some(b), Some(x)) => (
+                x <= ratio * b,
+                format!(
+                    "{} <= {} x baseline {}",
+                    fmt_sig(x, 4),
+                    fmt_sig(*ratio, 4),
+                    fmt_sig(b, 4)
+                ),
+            ),
+            _ => (false, "baseline or fresh value not numeric".into()),
+        },
         CheckOp::Band { tol_abs, tol_rel } => match (base.and_then(as_f64), as_f64(got)) {
             (Some(b), Some(x)) => {
                 let tol = tol_abs.max(tol_rel * b.abs());
@@ -300,12 +321,22 @@ fn render_value(v: &Value) -> String {
     }
 }
 
+/// How many times the committed baseline's best seconds a fresh
+/// `sim_throughput` scenario may take. The committed baseline is the
+/// fastest of fifteen consecutive runs of one build on a 2-vCPU Xeon; the
+/// slowest of them read 1.60 times it, because the host has a fast and a
+/// slow state that last seconds. Against that floor a 2x slowdown of the
+/// hot path reads at least 2.0 and fails.
+pub const SIM_THROUGHPUT_RATIO: f64 = 1.8;
+
 /// The default gate policy for the workspace's benchmark artifacts.
 ///
 /// Returns `None` for unknown artifacts (they are reported but not
 /// gated). Policy rationale: overhead *ratios* and identity
 /// *booleans* are functions of code, not of host speed, so they are
-/// safe to gate; raw seconds are not gated at all.
+/// safe to gate. The only seconds gated are `sim_throughput`'s, and
+/// only as a multiple of the committed baseline's (`MaxRatio`), which
+/// is meaningful only on hosts like the one that recorded it.
 #[must_use]
 pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
     match bench {
@@ -323,17 +354,17 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
             };
             let rows = [
                 ("chaos_armed_idle", CheckOp::Max(1.05)),
-                ("chaos_speculation_armed", band(0.046)),
+                ("chaos_speculation_armed", band(0.052)),
                 ("tenants_single", CheckOp::Max(1.05)),
-                ("tenants_lone_active", band(0.018)),
+                ("tenants_lone_active", band(0.027)),
                 ("metrics_training", CheckOp::Max(1.05)),
-                ("metrics_engine", band(0.021)),
+                ("metrics_engine", band(0.020)),
                 ("profile_training", CheckOp::Max(1.05)),
                 ("profile_engine", band(0.023)),
-                ("profile_idle_scope", band(2.263)),
+                ("profile_idle_scope", band(0.028)),
                 ("trace_training", CheckOp::Max(1.05)),
-                ("trace_engine", band(0.066)),
-                ("health_cold_fold", band(0.014)),
+                ("trace_engine", band(0.049)),
+                ("health_cold_fold", band(0.027)),
                 ("health_warm_fold", CheckOp::Max(0.05)),
             ];
             let identity = ["workload", "manifests", "stop_width", "within_budget"]
@@ -344,16 +375,16 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
         // Heap allocations per one-thread training at seed 3, one row per
         // paper family. A counting global allocator makes them a function
         // of the code alone, so they repeat exactly on any host and a
-        // ceiling cannot flake: each holds the count the per-run layouts
-        // reached, and any allocation added to the training path trips
-        // it. The seconds beside them are not gated.
+        // ceiling cannot flake: each holds the count the training path
+        // reaches, and any allocation added to it trips it. The seconds
+        // beside them are not gated.
         "training_allocs" => {
             let ceilings = [
-                ("LIR", 23_215.0),
-                ("LOR", 29_432.0),
-                ("PCA", 48_105.0),
-                ("RFC", 32_676.0),
-                ("SVM", 38_491.0),
+                ("LIR", 9_797.0),
+                ("LOR", 12_714.0),
+                ("PCA", 34_790.0),
+                ("RFC", 8_422.0),
+                ("SVM", 20_885.0),
             ];
             let shape = ["seed", "threads"].map(|path| Check::new(path, CheckOp::Equals));
             let counts = ceilings.map(|(family, max)| {
@@ -384,28 +415,21 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
             Check::new("manifests", CheckOp::Equals),
             Check::new("output_identical", CheckOp::Equals),
         ]),
-        // Single-run simulator throughput vs the frozen pre-rework
-        // constants. The workload shape, the frozen constants, and the
-        // determinism flag must not drift. The speedup bar is a
-        // regression trip-wire, NOT the ≥3× achievement bar: the fresh
-        // run is re-measured at check time on a shared box whose noisy
-        // neighbours inflate the fresh seconds (the frozen denominator
-        // cannot move), and sustained contention has been observed to
-        // deflate a calm-window 2.9× to ~1.55×. The bar sits below that
-        // worst observed window, so it only trips when the hot path
-        // loses the rework's win outright (a >2× slowdown at equal
-        // contention) — calm-window throughput is recorded in the
-        // committed artifact, where drift is visible in review.
-        "sim_throughput" => Some(vec![
-            Check::new("workload", CheckOp::Equals),
-            Check::new("machines", CheckOp::Equals),
-            Check::new("tasks_per_run", CheckOp::Equals),
-            Check::new("digests_stable", CheckOp::Equals),
-            Check::new("run_only.pre_pr_seconds", CheckOp::Equals),
-            Check::new("grid_cell.pre_pr_seconds", CheckOp::Equals),
-            Check::new("run_only.speedup_vs_pre_pr", CheckOp::Min(1.3)),
-            Check::new("grid_cell.speedup_vs_pre_pr", CheckOp::Min(1.3)),
-        ]),
+        // Single-run simulator throughput: each scenario's best-of-9
+        // seconds against the committed baseline's, measured on the same
+        // host (see `SIM_THROUGHPUT_RATIO`). The workload shape and the
+        // determinism flag must not drift.
+        "sim_throughput" => {
+            let ceiling = CheckOp::MaxRatio(SIM_THROUGHPUT_RATIO);
+            Some(vec![
+                Check::new("workload", CheckOp::Equals),
+                Check::new("machines", CheckOp::Equals),
+                Check::new("tasks_per_run", CheckOp::Equals),
+                Check::new("digests_stable", CheckOp::Equals),
+                Check::new("run_only.best_seconds", ceiling.clone()),
+                Check::new("grid_cell.best_seconds", ceiling),
+            ])
+        }
         _ => None,
     }
 }
@@ -524,6 +548,36 @@ mod tests {
         }
     }
 
+    /// `MaxRatio` is one-sided and relative to the baseline value: faster
+    /// always passes, slower passes up to the ratio, and a 2x slowdown
+    /// fails the sim-throughput ceiling.
+    #[test]
+    fn max_ratio_is_a_baseline_relative_ceiling() {
+        let doc = |s: f64| Value::Object(vec![("s".to_owned(), Value::Float(s))]);
+        let spec = BaselineSpec::new(
+            "x",
+            vec![Check::new("s", CheckOp::MaxRatio(SIM_THROUGHPUT_RATIO))],
+            doc(0.002),
+        );
+        for (fresh, pass) in [
+            (0.001, true),
+            (0.002, true),
+            (0.002 * SIM_THROUGHPUT_RATIO, true),
+            (0.002 * SIM_THROUGHPUT_RATIO * 1.001, false),
+            (0.004, false),
+        ] {
+            assert_eq!(spec.evaluate(&doc(fresh)).passed(), pass, "{fresh}");
+        }
+        let text = serde_json::to_string(&Check::new("s", CheckOp::MaxRatio(1.5))).unwrap();
+        assert_eq!(text, r#"{"path":"s","op":{"MaxRatio":1.5}}"#);
+        let policy = default_checks("sim_throughput").unwrap();
+        for scenario in ["run_only", "grid_cell"] {
+            let path = format!("{scenario}.best_seconds");
+            let check = policy.iter().find(|c| c.path == path).expect("gated");
+            assert_eq!(check.op, CheckOp::MaxRatio(SIM_THROUGHPUT_RATIO));
+        }
+    }
+
     #[test]
     fn equals_is_kind_insensitive() {
         let base: Value = serde_json::from_str(r#"{"reps": 9}"#).unwrap();
@@ -584,7 +638,7 @@ mod tests {
         );
     }
 
-    fn throughput_doc(speedup: f64, sim_ns: u64) -> Value {
+    fn throughput_doc(best_seconds: f64, sim_ns: u64) -> Value {
         let profile = crate::prof::Profile {
             roots: vec![crate::prof::ProfileNode {
                 name: "sim".to_owned(),
@@ -599,8 +653,8 @@ mod tests {
             (
                 "run_only".to_owned(),
                 Value::Object(vec![(
-                    "speedup_vs_pre_pr".to_owned(),
-                    Value::Float(speedup),
+                    "best_seconds".to_owned(),
+                    Value::Float(best_seconds),
                 )]),
             ),
             ("profile".to_owned(), profile.to_value()),
@@ -608,13 +662,13 @@ mod tests {
     }
 
     #[test]
-    fn regression_attribution_names_slow_phases_on_tripped_min() {
+    fn regression_attribution_names_slow_phases_on_tripped_ceiling() {
         let spec = BaselineSpec::new(
             "BENCH_sim_throughput.json",
-            vec![Check::new("run_only.speedup_vs_pre_pr", CheckOp::Min(1.3))],
-            throughput_doc(2.0, 100),
+            vec![Check::new("run_only.best_seconds", CheckOp::MaxRatio(1.3))],
+            throughput_doc(0.002, 100),
         );
-        let fresh = throughput_doc(1.0, 250);
+        let fresh = throughput_doc(0.004, 250);
         let bench = spec.evaluate(&fresh);
         assert!(!bench.passed());
         let lines = regression_attribution(&spec, &fresh, &bench, 3).expect("attribution lines");
@@ -623,7 +677,7 @@ mod tests {
 
         // A passing report produces no attribution, even though the fresh
         // profile is slower.
-        let ok = throughput_doc(2.5, 250);
+        let ok = throughput_doc(0.0025, 250);
         let bench_ok = spec.evaluate(&ok);
         assert!(bench_ok.passed());
         assert!(regression_attribution(&spec, &ok, &bench_ok, 3).is_none());

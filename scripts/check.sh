@@ -61,7 +61,7 @@ cargo test -q --offline --test chaos
 echo "== chaos golden (drill report is byte-stable) =="
 cargo test -q --offline --test chaos_golden
 
-echo "== sim throughput (hot-path speedup vs frozen pre-rework constants; records results/BENCH_sim_throughput.json) =="
+echo "== sim throughput (best seconds per scenario; perf-report holds each to a multiple of the committed baseline; records results/BENCH_sim_throughput.json) =="
 cargo bench --offline -p bench --bench sim_throughput
 
 echo "== training allocations (heap allocator calls per one-thread training of each paper family, counted by a global allocator; records results/BENCH_training_allocs.json, whose counts perf-report holds to ceilings) =="
