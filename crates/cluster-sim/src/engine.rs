@@ -161,11 +161,14 @@ fn gather_counters(store: &BlockStore, state: &ExecutorState, chaos: &ChaosState
 
 /// Everything about an application a run needs but no run mutates: the
 /// dataset→jobs use lists, the per-job stage plans and the static
-/// shuffle-consumer table. Built once per application (inside
-/// [`Engine::new`]) and shared across engines — the
-/// training pipeline hands one `Arc<EnginePrep>` to every grid point via
-/// [`Engine::with_prep`], so a thousand-cell simulation matrix plans each
-/// job exactly once instead of once per cell per job.
+/// shuffle-consumer table. These read only the lineage — parents, which
+/// datasets are wide, job targets — never a size or partition count, so
+/// one prep serves every application of the same lineage
+/// ([`Application::same_lineage`]). Built once per lineage (inside
+/// [`Engine::new`] for a lone engine) and shared across engines — the
+/// training pipeline hands one `Arc<EnginePrep>` to every cell of its
+/// grid via [`Engine::with_prep`], so a thousand-cell simulation matrix
+/// plans each job exactly once instead of once per cell per job.
 #[derive(Debug)]
 pub struct EnginePrep {
     /// The jobs whose DAG contains each dataset, for the DAG-aware
@@ -197,6 +200,7 @@ impl EnginePrep {
     /// plan's shuffle reads for the consumer table.
     #[must_use]
     pub fn new(app: &Application) -> Self {
+        PREPS_BUILT.with(|built| built.set(built.get() + 1));
         let n = app.dataset_count();
         let job_uses = JobUses::new(app);
         let mut planner = StagePlanner::new(app);
@@ -247,6 +251,18 @@ impl EnginePrep {
     pub fn plans(&self) -> &[StagePlan] {
         &self.plans
     }
+
+    /// How many preps [`EnginePrep::new`] has built on the calling thread
+    /// so far: lets a test pin how often a one-thread fan-out plans,
+    /// without a metric (metrics enter run manifests).
+    #[must_use]
+    pub fn built_on_this_thread() -> u64 {
+        PREPS_BUILT.with(std::cell::Cell::get)
+    }
+}
+
+thread_local! {
+    static PREPS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// `job_uses` in compressed rows: the jobs whose DAG contains dataset `d`
@@ -328,8 +344,9 @@ impl<'a> Engine<'a> {
         Engine::with_prep(app, cluster, params, Arc::new(EnginePrep::new(app)))
     }
 
-    /// Creates an engine over an already-built [`EnginePrep`] (which must
-    /// come from the same application). This is the fan-out constructor:
+    /// Creates an engine over an already-built [`EnginePrep`], which must
+    /// come from an application of the same lineage
+    /// ([`Application::same_lineage`]). This is the fan-out constructor:
     /// per-grid-point engines share the prep instead of re-deriving it.
     #[must_use]
     pub fn with_prep(
@@ -341,7 +358,7 @@ impl<'a> Engine<'a> {
         debug_assert_eq!(
             prep.job_uses.datasets(),
             app.dataset_count(),
-            "prep built from a different application"
+            "prep built from an application of another lineage"
         );
         Engine {
             app,
@@ -650,16 +667,17 @@ impl<'a> JobStepper<'a> {
                 &mut self.recorder,
             );
             drop(stage_prof);
+            let tasks = self.app.dataset(stage.output).partitions;
             self.stage_times.push(StageTiming {
                 job,
                 stage: stage.id,
                 start: stage_start,
                 finish: self.now,
-                tasks: stage.num_tasks,
+                tasks,
             });
             if self.recorder.enabled() {
                 self.recorder
-                    .stage_span(job.0, stage.id.0, stage_start, self.now, stage.num_tasks);
+                    .stage_span(job.0, stage.id.0, stage_start, self.now, tasks);
                 self.recorder
                     .counter_snapshot(self.now, gather_counters(store, &self.state, &self.chaos));
             }
@@ -1112,6 +1130,114 @@ pub(crate) mod tests {
                     })
                     .collect();
                 assert_eq!(got, want, "seed {seed}, job {ji}");
+            }
+        }
+    }
+
+    /// `app` with its datasets and jobs edited, revalidated.
+    fn edited(
+        app: &Application,
+        edit: impl FnOnce(&mut Vec<dagflow::Dataset>, &mut Vec<dagflow::Job>),
+    ) -> Application {
+        let (mut datasets, mut jobs) = (app.datasets().to_vec(), app.jobs().to_vec());
+        edit(&mut datasets, &mut jobs);
+        Application::new(app.name(), datasets, jobs, Schedule::empty()).expect("edits stay valid")
+    }
+
+    /// Whether each dataset of `app` can be cached: a narrow dataset
+    /// inherits its first parent's partitions, so a walk can reach a later
+    /// parent at a partition that parent lacks, and then its blocks have
+    /// no slot. `reach[d]` is the largest partition count `d` is walked at.
+    fn cacheable(app: &Application) -> Vec<bool> {
+        let mut reach: Vec<u32> = app.datasets().iter().map(|d| d.partitions).collect();
+        for d in app.datasets().iter().rev() {
+            if !d.op.is_wide() {
+                for p in &d.parents {
+                    reach[p.index()] = reach[p.index()].max(reach[d.id.index()]);
+                }
+            }
+        }
+        app.datasets()
+            .iter()
+            .map(|d| reach[d.id.index()] <= d.partitions)
+            .collect()
+    }
+
+    /// A prep reads only the lineage, so a resized copy of a random DAG —
+    /// other names, record counts, bytes and partition counts (narrow
+    /// datasets keep their first parent's, as the builder makes them) —
+    /// runs through the original's prep to the same report as through its
+    /// own, also right after the original ran on that prep and left an
+    /// executor state of another shape in its pool. `same_lineage` takes
+    /// the copy and rejects a changed parent, a wide↔narrow flip and a
+    /// moved job target.
+    #[test]
+    fn shared_prep_runs_a_resized_copy_like_its_own() {
+        for seed in 0..150 {
+            let app = random_app(seed);
+            let resized = edited(&app, |datasets, _| {
+                for i in 0..datasets.len() {
+                    let parts = match datasets[i].parents.first() {
+                        Some(&p) if !datasets[i].op.is_wide() => datasets[p.index()].partitions,
+                        _ => 1 + ((i as u64 * 7 + seed) % 9) as u32,
+                    };
+                    let d = &mut datasets[i];
+                    d.name = format_args!("{}.resized", d.name).into();
+                    (d.records, d.bytes, d.partitions) = (d.records * 3, d.bytes * 5 + 17, parts);
+                }
+            });
+            assert!(app.same_lineage(&resized), "seed {seed}");
+            let (ok, resized_ok) = (cacheable(&app), cacheable(&resized));
+            let persisted: Vec<DatasetId> = (0..app.dataset_count())
+                .filter(|&d| ok[d] && resized_ok[d] && (d as u64 + seed).is_multiple_of(3))
+                .map(|d| DatasetId(d as u32))
+                .collect();
+            let schedule = Schedule::persist_all(persisted);
+            let cluster = ClusterConfig::new(1 + (seed % 3) as u32, MachineSpec::paper_example());
+            let params = SimParams {
+                seed,
+                ..SimParams::default()
+            };
+            let options = RunOptions {
+                partition_skew: if seed.is_multiple_of(2) { 0.0 } else { 0.3 },
+                ..RunOptions::default()
+            };
+            let own = Engine::new(&resized, cluster, params.clone())
+                .run(&schedule, options)
+                .unwrap();
+            let shared = Arc::new(EnginePrep::new(&app));
+            Engine::with_prep(&app, cluster, params.clone(), Arc::clone(&shared))
+                .run(&schedule, options)
+                .unwrap();
+            let borrowed = Engine::with_prep(&resized, cluster, params.clone(), shared)
+                .run(&schedule, options)
+                .unwrap();
+            assert_eq!(borrowed.digest(), own.digest(), "seed {seed}");
+            assert_eq!(borrowed.total_tasks, own.total_tasks, "seed {seed}");
+
+            let last = app.dataset_count() - 1;
+            let moved_parent = edited(&app, |datasets, _| {
+                let p = datasets[last].parents[0];
+                let other = DatasetId(u32::from(p.0 == 0));
+                datasets[last].parents = dagflow::Parents::from(&[other][..]);
+            });
+            let flipped = edited(&app, |datasets, _| {
+                datasets[last].op = if datasets[last].op.is_wide() {
+                    dagflow::OpKind::Narrow(NarrowKind::Map)
+                } else {
+                    dagflow::OpKind::Wide(WideKind::ReduceByKey)
+                };
+            });
+            let retargeted = edited(&app, |_, jobs| {
+                jobs[0].target = DatasetId((jobs[0].target.0 + 1) % last as u32);
+            });
+            for (what, other) in [
+                ("changed parent", &moved_parent),
+                ("wide/narrow flip", &flipped),
+                ("moved job target", &retargeted),
+            ] {
+                assert!(!app.same_lineage(other), "seed {seed}: {what}");
+                assert!(!other.same_lineage(&app), "seed {seed}: {what}");
             }
         }
     }

@@ -407,7 +407,7 @@ pub fn run_stage(
     );
 
     let mut stage_finish = stage_start;
-    for task_idx in 0..stage.num_tasks {
+    for task_idx in 0..env.app.dataset(stage.output).partitions {
         // Serial driver dispatch: task i cannot launch before the driver
         // has processed i launches.
         let dispatch_ready = stage_start + f64::from(task_idx + 1) * env.params.task_launch_s;

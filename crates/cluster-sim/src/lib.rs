@@ -15,9 +15,9 @@
 //!   the reason a dataset bigger than the cluster's cache keeps a
 //!   `capacity/size` fraction resident and recomputes the rest every
 //!   iteration (the paper's *area A*).
-//! * **Wave-based task execution (§2.1, §3.3)** — stages run `num_tasks`
-//!   tasks over `machines × cores` slots with cache-locality preference,
-//!   seeded lognormal noise and rare stragglers.
+//! * **Wave-based task execution (§2.1, §3.3)** — stages run one task per
+//!   output partition over `machines × cores` slots with cache-locality
+//!   preference, seeded lognormal noise and rare stragglers.
 //! * **Shuffle and driver overheads** — per-job serial driver time, a
 //!   per-machine coordination term, and all-to-all shuffle reads whose
 //!   per-peer overhead grows with the number of machines (the paper's

@@ -1091,7 +1091,7 @@ mod tests {
                             WalkOp::Insert { .. } => {}
                         }
                     }
-                    for p in 0..stage.num_tasks {
+                    for p in 0..app.dataset(stage.output).partitions {
                         let machine = pick(machines);
                         let want = recursive::walk_task(
                             &env,

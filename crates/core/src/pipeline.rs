@@ -650,21 +650,18 @@ impl OfflineTraining {
         let cells = schedules.len() * grid.len();
         // The cell application depends only on the grid point — every
         // schedule (and every retry attempt) of the same `(e, f)` runs the
-        // same DAG. Build it once per grid point, plan it once
-        // (`EnginePrep`), and share both into the fan-out: per cell only
-        // the cheap `Engine::with_prep` handle remains. Clusters still
-        // differ per cell (the recommended machine count depends on the
-        // schedule), which `with_prep` is built for.
+        // same DAG. Build it once per grid point and share it into the
+        // fan-out; the nine grid points differ only in sizes, so they
+        // share one `EnginePrep` too, and per cell only the cheap
+        // `Engine::with_prep` handle remains. Clusters still differ per
+        // cell (the recommended machine count depends on the schedule),
+        // which `with_prep` is built for.
         let plan_prof = obs::prof::scope("plan");
-        let cell_shared: Vec<(Arc<Application>, Arc<EnginePrep>)> = grid
-            .iter()
-            .map(|&(e, f)| {
-                let params = WorkloadParams::auto(e as u64, f as u64, paper.iterations);
-                let app = Arc::new(workload.build(&params));
-                let prep = Arc::new(EnginePrep::new(&app));
-                (app, prep)
-            })
-            .collect();
+        let cell_shared = plan_once_per_lineage(
+            workload,
+            grid.iter()
+                .map(|&(e, f)| WorkloadParams::auto(e as u64, f as u64, paper.iterations)),
+        );
         drop(plan_prof);
         let matrix = crate::parallel::run_indexed(cells, threads, |k| {
             let (si, gi) = (k / grid.len(), k % grid.len());
@@ -770,6 +767,30 @@ impl OfflineTraining {
     }
 }
 
+/// Builds one application per parameter set and plans each lineage once:
+/// an application of the same lineage as an earlier one
+/// ([`Application::same_lineage`]; a training grid's points differ only
+/// in sizes and partition counts) shares that one's [`EnginePrep`], and
+/// with it its pool of executor states.
+fn plan_once_per_lineage(
+    workload: &dyn Workload,
+    params: impl Iterator<Item = WorkloadParams>,
+) -> Vec<(Arc<Application>, Arc<EnginePrep>)> {
+    let mut planned: Vec<(Arc<Application>, Arc<EnginePrep>)> = Vec::new();
+    for p in params {
+        let app = Arc::new(workload.build(&p));
+        let prep = planned
+            .iter()
+            .find(|(seen, _)| seen.same_lineage(&app))
+            .map_or_else(
+                || Arc::new(EnginePrep::new(&app)),
+                |(_, prep)| Arc::clone(prep),
+            );
+        planned.push((app, prep));
+    }
+    planned
+}
+
 impl OfflineTraining {
     /// §6.1 extension: fits iteration-aware execution-time models by
     /// adding an iterations axis to the stage-4 experiments — "another
@@ -793,18 +814,15 @@ impl OfflineTraining {
         let per_schedule = grid.len() * iteration_axis.len();
         let cells = trained.schedules.len() * per_schedule;
         // As in stage 4: the application depends only on `(e, f, iters)`,
-        // never on the schedule, so one app + prep per (grid point,
-        // iteration level) is shared across every schedule's cells.
-        let cube_shared: Vec<(Arc<Application>, Arc<EnginePrep>)> = grid
-            .iter()
-            .flat_map(|&(e, f)| iteration_axis.iter().map(move |&iters| (e, f, iters)))
-            .map(|(e, f, iters)| {
-                let params = WorkloadParams::auto(e as u64, f as u64, iters);
-                let app = Arc::new(workload.build(&params));
-                let prep = Arc::new(EnginePrep::new(&app));
-                (app, prep)
-            })
-            .collect();
+        // never on the schedule, so one app per (grid point, iteration
+        // level) is shared across every schedule's cells, and one prep
+        // per iteration level across its grid points.
+        let cube_shared = plan_once_per_lineage(
+            workload,
+            grid.iter()
+                .flat_map(|&(e, f)| iteration_axis.iter().map(move |&iters| (e, f, iters)))
+                .map(|(e, f, iters)| WorkloadParams::auto(e as u64, f as u64, iters)),
+        );
         let threads = resolve_threads(config.threads);
         let runs = try_run_indexed::<_, TrainingError, _>(cells, threads, |k| {
             let si = k / per_schedule;

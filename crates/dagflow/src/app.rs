@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, DatasetId};
 use crate::error::DagError;
+use crate::name::Name;
 use crate::schedule::Schedule;
 
 /// Identifier of a job within an application — its position in the job list.
@@ -33,7 +34,7 @@ impl fmt::Display for JobId {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Job {
     /// Action name (`count`, `collect`, `treeAggregate-action`, …).
-    pub action: String,
+    pub action: Name,
     /// The dataset the action consumes — the leaf of this job's DAG.
     pub target: DatasetId,
 }
@@ -125,6 +126,27 @@ impl Application {
             .filter(|d| d.op.is_source())
             .map(|d| d.bytes)
             .sum()
+    }
+
+    /// Whether `other` has this application's lineage: the same parents
+    /// for every dataset, the same wide (shuffle) datasets and the same
+    /// job targets, whatever the names, sizes, partition counts and costs.
+    /// These are all a stage plan and the simulator's per-application
+    /// precomputation read, so such applications can share them.
+    #[must_use]
+    pub fn same_lineage(&self, other: &Application) -> bool {
+        self.datasets.len() == other.datasets.len()
+            && self.jobs.len() == other.jobs.len()
+            && self
+                .jobs
+                .iter()
+                .zip(&other.jobs)
+                .all(|(a, b)| a.target == b.target)
+            && self
+                .datasets
+                .iter()
+                .zip(&other.datasets)
+                .all(|(a, b)| a.op.is_wide() == b.op.is_wide() && a.parents == b.parents)
     }
 
     /// Checks every structural invariant. `Ok` means:

@@ -4,6 +4,7 @@
 use crate::app::{Application, Job};
 use crate::dataset::{ComputeCost, Dataset, DatasetId, Parents};
 use crate::error::DagError;
+use crate::name::Name;
 use crate::ops::{NarrowKind, OpKind, SourceFormat, WideKind};
 use crate::schedule::Schedule;
 use crate::Bytes;
@@ -59,7 +60,7 @@ impl AppBuilder {
     #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         op: OpKind,
         parents: &[DatasetId],
         records: u64,
@@ -93,7 +94,7 @@ impl AppBuilder {
     /// bandwidth, so no compute cost is given here.
     pub fn source(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         format: SourceFormat,
         records: u64,
         bytes: Bytes,
@@ -114,7 +115,7 @@ impl AppBuilder {
     /// the first parent.
     pub fn narrow(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         kind: NarrowKind,
         parents: &[DatasetId],
         records: u64,
@@ -139,7 +140,7 @@ impl AppBuilder {
     /// [`AppBuilder::wide_with_partitions`].
     pub fn wide(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         kind: WideKind,
         parents: &[DatasetId],
         records: u64,
@@ -164,7 +165,7 @@ impl AppBuilder {
     #[allow(clippy::too_many_arguments)]
     pub fn wide_with_partitions(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         kind: WideKind,
         parents: &[DatasetId],
         records: u64,
@@ -185,7 +186,7 @@ impl AppBuilder {
     }
 
     /// Appends a job (action) over `target`. Jobs run in append order.
-    pub fn job(&mut self, action: impl Into<String>, target: DatasetId) {
+    pub fn job(&mut self, action: impl Into<Name>, target: DatasetId) {
         self.jobs.push(Job {
             action: action.into(),
             target,

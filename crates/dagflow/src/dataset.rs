@@ -4,6 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::name::Name;
 use crate::ops::OpKind;
 use crate::{Bytes, Seconds};
 
@@ -200,7 +201,7 @@ pub struct Dataset {
     /// Dense identifier; equals the dataset's index in the application.
     pub id: DatasetId,
     /// Human-readable name (`"points"`, `"gradient[3]"`, …).
-    pub name: String,
+    pub name: Name,
     /// Operator producing this dataset.
     pub op: OpKind,
     /// Producing operator's inputs; empty iff `op` is a source.

@@ -8,6 +8,7 @@
 //! * [`Dataset`]s (Spark RDDs) produced by [`OpKind`]s — sources, narrow
 //!   transformations, and wide (shuffle) transformations;
 //! * [`Job`]s, each triggered by one action on a target dataset;
+//! * [`Name`]s — dataset and action names held inline up to 22 bytes;
 //! * an [`Application`] — an ordered list of jobs over a shared dataset graph;
 //! * [`Schedule`]s — ordered persist/unpersist instruction lists (Juggler's
 //!   unit of caching decisions);
@@ -39,6 +40,7 @@ pub mod builder;
 pub mod dataset;
 pub mod dot;
 pub mod error;
+pub mod name;
 pub mod ops;
 pub mod schedule;
 pub mod stages;
@@ -49,6 +51,7 @@ pub use builder::AppBuilder;
 pub use dataset::{ComputeCost, Dataset, DatasetId, Parents};
 pub use dot::to_dot;
 pub use error::DagError;
+pub use name::Name;
 pub use ops::{NarrowKind, OpKind, SourceFormat, WideKind};
 pub use schedule::{Schedule, ScheduleOp};
 pub use stages::{Stage, StageId, StagePlan, StagePlanner};

@@ -31,8 +31,11 @@ impl fmt::Display for StageId {
     }
 }
 
-/// One stage: a pipelined group of transformations executed as `num_tasks`
-/// parallel tasks.
+/// One stage: a pipelined group of transformations executed as one
+/// parallel task per partition of its output dataset. A stage holds
+/// structure only — its datasets, its output, its parent stages — so two
+/// applications of the same lineage ([`Application::same_lineage`]) plan
+/// the same stages whatever their sizes and partition counts.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Stage {
     /// Stage id within the job's plan (also its index).
@@ -46,8 +49,6 @@ pub struct Stage {
     pub output: DatasetId,
     /// Stages whose shuffle output this stage consumes.
     pub parents: Vec<StageId>,
-    /// Parallel tasks (= partitions of `output`).
-    pub num_tasks: u32,
 }
 
 impl Stage {
@@ -93,10 +94,13 @@ impl StagePlan {
         self.stages.last().expect("plans always have >= 1 stage")
     }
 
-    /// Total number of tasks across all stages.
+    /// Total number of tasks across all stages when run over `app`.
     #[must_use]
-    pub fn total_tasks(&self) -> u64 {
-        self.stages.iter().map(|s| u64::from(s.num_tasks)).sum()
+    pub fn total_tasks(&self, app: &Application) -> u64 {
+        self.stages
+            .iter()
+            .map(|s| u64::from(app.dataset(s.output).partitions))
+            .sum()
     }
 }
 
@@ -209,7 +213,6 @@ impl StagePlanner {
         let id = StageId(stages.len() as u32);
         stages.push(Stage {
             id,
-            num_tasks: app.dataset(root).partitions,
             datasets,
             output: root,
             parents,
@@ -261,15 +264,15 @@ mod tests {
         let map_stage = &plan.stages[0];
         assert_eq!(map_stage.datasets, vec![s, m]);
         assert_eq!(map_stage.output, m);
-        assert_eq!(map_stage.num_tasks, 8);
+        assert_eq!(app.dataset(map_stage.output).partitions, 8);
         assert!(map_stage.parents.is_empty());
         let result = plan.result_stage();
         assert_eq!(result.datasets, vec![agg, out]);
         assert_eq!(result.output, out);
-        assert_eq!(result.num_tasks, 1);
+        assert_eq!(app.dataset(result.output).partitions, 1);
         assert_eq!(result.parents, vec![StageId(0)]);
         assert_eq!(result.shuffle_reads(&app).collect::<Vec<_>>(), vec![agg]);
-        assert_eq!(plan.total_tasks(), 9);
+        assert_eq!(plan.total_tasks(&app), 9);
     }
 
     /// A single all-narrow job is one stage.
@@ -390,7 +393,6 @@ mod tests {
             let id = StageId(stages.len() as u32);
             stages.push(Stage {
                 id,
-                num_tasks: app.dataset(root).partitions,
                 datasets: members,
                 output: root,
                 parents,

@@ -7,8 +7,8 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use dagflow::{
-    AppBuilder, Application, ComputeCost, DatasetId, JobId, LineageAnalysis, NarrowKind, Schedule,
-    SourceFormat, StagePlan, WideKind,
+    AppBuilder, Application, ComputeCost, Dataset, DatasetId, JobId, LineageAnalysis, NarrowKind,
+    Schedule, SourceFormat, StagePlan, WideKind,
 };
 
 /// Compact recipe for a random application.
@@ -140,16 +140,37 @@ proptest! {
         }
     }
 
-    /// Every job's stage plan covers the target, respects topology, and
-    /// sizes its result stage by the target's partitions.
+    /// Every job's stage plan covers the target and respects topology. A
+    /// plan is structure only: a copy of the application with other
+    /// sizes and partition counts has the same lineage and plans the same
+    /// stages, whose task total follows the copy's partitions.
     #[test]
     fn stage_plans_are_wellformed(recipe in recipe_strategy()) {
         let app = build(&recipe);
+        let resized = Application::new(
+            "resized",
+            app.datasets()
+                .iter()
+                .map(|d| Dataset {
+                    partitions: 2 * d.partitions + 1,
+                    bytes: d.bytes / 3,
+                    ..d.clone()
+                })
+                .collect(),
+            app.jobs().to_vec(),
+            Schedule::empty(),
+        )
+        .expect("a resized copy is valid");
+        prop_assert!(app.same_lineage(&resized));
         for ji in 0..app.jobs().len() {
             let plan = StagePlan::build(&app, JobId(ji as u32));
             let target = app.job(JobId(ji as u32)).target;
             prop_assert_eq!(plan.result_stage().output, target);
-            prop_assert_eq!(plan.result_stage().num_tasks, app.dataset(target).partitions);
+            prop_assert_eq!(&StagePlan::build(&resized, JobId(ji as u32)), &plan);
+            prop_assert_eq!(
+                plan.total_tasks(&resized),
+                2 * plan.total_tasks(&app) + plan.stages.len() as u64
+            );
             for s in &plan.stages {
                 for p in &s.parents {
                     prop_assert!(p.index() < s.id.index(), "parents precede children");

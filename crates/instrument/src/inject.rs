@@ -97,7 +97,7 @@ pub fn inject(app: &Application, overhead: ProfilingOverhead) -> Instrumented {
         let shadow_id = DatasetId(datasets.len() as u32);
         datasets.push(Dataset {
             id: shadow_id,
-            name: format!("{}#profile", d.name),
+            name: format_args!("{}#profile", d.name).into(),
             op: OpKind::Narrow(NarrowKind::Profile),
             parents: Parents::from(&[copy_id][..]),
             records: d.records,

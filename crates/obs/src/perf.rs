@@ -380,11 +380,11 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
         // beside them are not gated.
         "training_allocs" => {
             let ceilings = [
-                ("LIR", 9_797.0),
-                ("LOR", 12_714.0),
-                ("PCA", 34_790.0),
-                ("RFC", 8_422.0),
-                ("SVM", 20_885.0),
+                ("LIR", 5_479.0),
+                ("LOR", 6_358.0),
+                ("PCA", 8_183.0),
+                ("RFC", 6_188.0),
+                ("SVM", 8_000.0),
             ];
             let shape = ["seed", "threads"].map(|path| Check::new(path, CheckOp::Equals));
             let counts = ceilings.map(|(family, max)| {

@@ -91,7 +91,7 @@ impl Workload for KMeans {
 
         for i in 0..iters {
             let assigned = b.narrow(
-                format!("assigned[{i}]"),
+                format_args!("assigned[{i}]"),
                 NarrowKind::Map,
                 &[d1],
                 p.examples,
@@ -99,7 +99,7 @@ impl Workload for KMeans {
                 assign_scan,
             );
             let centers = b.wide_with_partitions(
-                format!("centers[{i}]"),
+                format_args!("centers[{i}]"),
                 WideKind::ReduceByKey,
                 &[assigned],
                 u64::from(self.clusters),
@@ -108,7 +108,7 @@ impl Workload for KMeans {
                 agg,
             );
             let moved = b.narrow(
-                format!("movement[{i}]"),
+                format_args!("movement[{i}]"),
                 NarrowKind::Map,
                 &[centers],
                 1,

@@ -108,7 +108,7 @@ impl Workload for LinearRegression {
         // Iterations read the (by default uncached!) parsed input directly.
         for i in 0..iters {
             let dot = b.narrow(
-                format!("dot[{i}]"),
+                format_args!("dot[{i}]"),
                 NarrowKind::Map,
                 &[d1],
                 p.examples,
@@ -116,7 +116,7 @@ impl Workload for LinearRegression {
                 dot_scan,
             );
             let resid = b.narrow(
-                format!("residuals[{i}]"),
+                format_args!("residuals[{i}]"),
                 NarrowKind::Map,
                 &[dot],
                 p.examples,
@@ -124,7 +124,7 @@ impl Workload for LinearRegression {
                 tiny,
             );
             let sq = b.narrow(
-                format!("squares[{i}]"),
+                format_args!("squares[{i}]"),
                 NarrowKind::Map,
                 &[resid],
                 p.examples,
@@ -132,7 +132,7 @@ impl Workload for LinearRegression {
                 tiny,
             );
             let gp = b.narrow(
-                format!("gradParts[{i}]"),
+                format_args!("gradParts[{i}]"),
                 NarrowKind::Map,
                 &[sq],
                 p.examples,
@@ -140,7 +140,7 @@ impl Workload for LinearRegression {
                 tiny,
             );
             let grad = b.wide_with_partitions(
-                format!("gradient[{i}]"),
+                format_args!("gradient[{i}]"),
                 WideKind::TreeAggregate,
                 &[gp],
                 1,
@@ -149,7 +149,7 @@ impl Workload for LinearRegression {
                 agg,
             );
             let step = b.narrow(
-                format!("step[{i}]"),
+                format_args!("step[{i}]"),
                 NarrowKind::Map,
                 &[grad],
                 1,
@@ -157,7 +157,7 @@ impl Workload for LinearRegression {
                 tiny,
             );
             let reg = b.narrow(
-                format!("regularized[{i}]"),
+                format_args!("regularized[{i}]"),
                 NarrowKind::Map,
                 &[step],
                 1,
@@ -165,20 +165,27 @@ impl Workload for LinearRegression {
                 tiny,
             );
             let w = b.narrow(
-                format!("weights[{i}]"),
+                format_args!("weights[{i}]"),
                 NarrowKind::Map,
                 &[reg],
                 1,
                 bytes(8.0 * f),
                 tiny,
             );
-            let conv = b.narrow(format!("converged[{i}]"), NarrowKind::Map, &[w], 1, 8, tiny);
+            let conv = b.narrow(
+                format_args!("converged[{i}]"),
+                NarrowKind::Map,
+                &[w],
+                1,
+                8,
+                tiny,
+            );
             b.job("treeAggregate", conv);
         }
 
         // Two evaluation jobs over the split, each with its own view.
         for k in 0..2 {
-            let v = b.narrow(format!("eval{k}"), NarrowKind::Map, &[d3], 1, 8, tiny);
+            let v = b.narrow(format_args!("eval{k}"), NarrowKind::Map, &[d3], 1, 8, tiny);
             b.job("collect", v);
         }
 
@@ -189,7 +196,7 @@ impl Workload for LinearRegression {
         let meta_cost = ComputeCost::new(0.000_05, 0.0, 1.0e-11);
         for block in 0..2 {
             let src = b.source(
-                format!("meta{block}"),
+                format_args!("meta{block}"),
                 SourceFormat::DistributedFs,
                 32,
                 1024,
@@ -198,7 +205,7 @@ impl Workload for LinearRegression {
             let mut prev = src;
             for k in 0..5 {
                 prev = b.narrow(
-                    format!("meta{block}.step{k}"),
+                    format_args!("meta{block}.step{k}"),
                     NarrowKind::Map,
                     &[prev],
                     32,
@@ -208,7 +215,7 @@ impl Workload for LinearRegression {
             }
             b.job("collect", prev);
             let view = b.narrow(
-                format!("meta{block}.report"),
+                format_args!("meta{block}.report"),
                 NarrowKind::Map,
                 &[prev],
                 1,

@@ -168,7 +168,7 @@ impl Workload for LogisticRegression {
         // which collects the model — 4·(iters−1) + 2 datasets.
         for i in 0..iters.saturating_sub(1) {
             let margin = b.narrow(
-                format!("margins[{i}]"),
+                format_args!("margins[{i}]"),
                 NarrowKind::Map,
                 &[d11],
                 p.examples,
@@ -176,7 +176,7 @@ impl Workload for LogisticRegression {
                 margin_scan,
             );
             let loss = b.narrow(
-                format!("loss[{i}]"),
+                format_args!("loss[{i}]"),
                 NarrowKind::Map,
                 &[margin],
                 p.examples,
@@ -184,7 +184,7 @@ impl Workload for LogisticRegression {
                 tiny,
             );
             let grad = b.wide_with_partitions(
-                format!("gradient[{i}]"),
+                format_args!("gradient[{i}]"),
                 WideKind::TreeAggregate,
                 &[loss],
                 1,
@@ -193,7 +193,7 @@ impl Workload for LogisticRegression {
                 agg,
             );
             let conv = b.narrow(
-                format!("converged[{i}]"),
+                format_args!("converged[{i}]"),
                 NarrowKind::Map,
                 &[grad],
                 1,

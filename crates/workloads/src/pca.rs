@@ -204,7 +204,7 @@ impl Workload for Pca {
         // 100 power iterations × 18 datasets each (one job per iteration).
         for i in 0..iters {
             let mut prev = b.narrow(
-                format!("gram[{i}].mul0"),
+                format_args!("gram[{i}].mul0"),
                 NarrowKind::Map,
                 &[d14],
                 p.examples,
@@ -213,7 +213,7 @@ impl Workload for Pca {
             );
             for k in 1..16 {
                 prev = b.narrow(
-                    format!("gram[{i}].mul{k}"),
+                    format_args!("gram[{i}].mul{k}"),
                     NarrowKind::Map,
                     &[prev],
                     p.examples,
@@ -222,7 +222,7 @@ impl Workload for Pca {
                 );
             }
             let reduced = b.wide_with_partitions(
-                format!("gram[{i}].agg"),
+                format_args!("gram[{i}].agg"),
                 WideKind::TreeAggregate,
                 &[prev],
                 1,
@@ -231,7 +231,7 @@ impl Workload for Pca {
                 agg,
             );
             let conv = b.narrow(
-                format!("gram[{i}].converged"),
+                format_args!("gram[{i}].converged"),
                 NarrowKind::Map,
                 &[reduced],
                 1,
@@ -244,7 +244,7 @@ impl Workload for Pca {
         // Eigenvector extraction: two jobs over 18 fresh datasets.
         for block in 0..2 {
             let mut prev = b.narrow(
-                format!("eigen{block}.project"),
+                format_args!("eigen{block}.project"),
                 NarrowKind::Map,
                 &[d14],
                 p.examples,
@@ -253,7 +253,7 @@ impl Workload for Pca {
             );
             for k in 1..8 {
                 prev = b.narrow(
-                    format!("eigen{block}.step{k}"),
+                    format_args!("eigen{block}.step{k}"),
                     NarrowKind::Map,
                     &[prev],
                     p.examples,
@@ -262,7 +262,7 @@ impl Workload for Pca {
                 );
             }
             let out = b.wide_with_partitions(
-                format!("eigen{block}.agg"),
+                format_args!("eigen{block}.agg"),
                 WideKind::TreeAggregate,
                 &[prev],
                 1,

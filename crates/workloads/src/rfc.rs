@@ -125,7 +125,7 @@ impl Workload for RandomForest {
         ); // 6
         for k in 1..4 {
             stat = b.narrow(
-                format!("tpStats{k}"),
+                format_args!("tpStats{k}"),
                 NarrowKind::Map,
                 &[stat],
                 p.examples,
@@ -166,7 +166,7 @@ impl Workload for RandomForest {
         // Trees: the first runs a 4-dataset pipeline, the rest 3 each.
         for t in 0..trees {
             let stats = b.narrow(
-                format!("tree{t}.nodeStats"),
+                format_args!("tree{t}.nodeStats"),
                 NarrowKind::Map,
                 &[d12],
                 p.examples,
@@ -174,7 +174,7 @@ impl Workload for RandomForest {
                 node_scan,
             );
             let splits = b.wide_with_partitions(
-                format!("tree{t}.bestSplits"),
+                format_args!("tree{t}.bestSplits"),
                 WideKind::TreeAggregate,
                 &[stats],
                 1,
@@ -185,7 +185,7 @@ impl Workload for RandomForest {
             b.job("treeAggregate", splits);
             if t == 0 {
                 let upd = b.narrow(
-                    format!("tree{t}.update"),
+                    format_args!("tree{t}.update"),
                     NarrowKind::Map,
                     &[d12],
                     p.examples,
@@ -193,7 +193,7 @@ impl Workload for RandomForest {
                     node_scan,
                 );
                 let model = b.wide_with_partitions(
-                    format!("tree{t}.model"),
+                    format_args!("tree{t}.model"),
                     WideKind::TreeAggregate,
                     &[upd],
                     1,
@@ -204,7 +204,7 @@ impl Workload for RandomForest {
                 b.job("treeAggregate", model);
             } else {
                 let model = b.wide_with_partitions(
-                    format!("tree{t}.model"),
+                    format_args!("tree{t}.model"),
                     WideKind::TreeAggregate,
                     &[d12],
                     1,

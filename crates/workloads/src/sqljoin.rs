@@ -118,14 +118,21 @@ impl Workload for SqlStarJoin {
         );
         for q in 0..queries {
             let rollup = b.wide(
-                format!("rollup[{q}]"),
+                format_args!("rollup[{q}]"),
                 WideKind::ReduceByKey,
                 &[star],
                 p.features,
                 bytes(16.0 * f),
                 agg,
             );
-            let top = b.narrow(format!("top[{q}]"), NarrowKind::Map, &[rollup], 1, 8, tiny);
+            let top = b.narrow(
+                format_args!("top[{q}]"),
+                NarrowKind::Map,
+                &[rollup],
+                1,
+                8,
+                tiny,
+            );
             b.job("collect", top);
         }
 

@@ -74,14 +74,14 @@ impl Workload for MicroBatchStream {
         );
         for i in 0..batches {
             let events = b.source(
-                format!("events[{i}]"),
+                format_args!("events[{i}]"),
                 SourceFormat::DistributedFs,
                 ((p.examples as f64 * per_batch) as u64).max(1),
                 bytes(p.input_bytes() as f64 * per_batch),
                 parts,
             );
             let parsed = b.narrow(
-                format!("parsed[{i}]"),
+                format_args!("parsed[{i}]"),
                 NarrowKind::Map,
                 &[events],
                 ((p.examples as f64 * per_batch) as u64).max(1),
@@ -89,7 +89,7 @@ impl Workload for MicroBatchStream {
                 parse,
             );
             let enriched = b.wide(
-                format!("enriched[{i}]"),
+                format_args!("enriched[{i}]"),
                 WideKind::Join,
                 &[parsed, state],
                 ((p.examples as f64 * per_batch) as u64).max(1),
@@ -97,14 +97,21 @@ impl Workload for MicroBatchStream {
                 join,
             );
             let window = b.wide(
-                format!("window[{i}]"),
+                format_args!("window[{i}]"),
                 WideKind::ReduceByKey,
                 &[enriched],
                 p.features,
                 bytes(16.0 * f),
                 agg,
             );
-            let out = b.narrow(format!("out[{i}]"), NarrowKind::Map, &[window], 1, 8, tiny);
+            let out = b.narrow(
+                format_args!("out[{i}]"),
+                NarrowKind::Map,
+                &[window],
+                1,
+                8,
+                tiny,
+            );
             b.job("collect", out);
         }
 

@@ -141,7 +141,7 @@ impl Workload for SupportVectorMachine {
         // 100 iterations × 5 datasets.
         for i in 0..iters {
             let margin = b.narrow(
-                format!("margins[{i}]"),
+                format_args!("margins[{i}]"),
                 NarrowKind::Map,
                 &[d6],
                 p.examples,
@@ -149,7 +149,7 @@ impl Workload for SupportVectorMachine {
                 margin_scan,
             );
             let hinge = b.narrow(
-                format!("hinge[{i}]"),
+                format_args!("hinge[{i}]"),
                 NarrowKind::Map,
                 &[margin],
                 p.examples,
@@ -157,7 +157,7 @@ impl Workload for SupportVectorMachine {
                 tiny,
             );
             let grad = b.wide_with_partitions(
-                format!("gradient[{i}]"),
+                format_args!("gradient[{i}]"),
                 WideKind::TreeAggregate,
                 &[hinge],
                 1,
@@ -166,7 +166,7 @@ impl Workload for SupportVectorMachine {
                 agg,
             );
             let step = b.narrow(
-                format!("step[{i}]"),
+                format_args!("step[{i}]"),
                 NarrowKind::Map,
                 &[grad],
                 1,
@@ -174,7 +174,7 @@ impl Workload for SupportVectorMachine {
                 tiny,
             );
             let conv = b.narrow(
-                format!("converged[{i}]"),
+                format_args!("converged[{i}]"),
                 NarrowKind::Map,
                 &[step],
                 1,

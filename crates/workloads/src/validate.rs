@@ -2,7 +2,7 @@
 //! custom workload (like `examples/custom_workload.rs`) must satisfy for
 //! Juggler's calibration stages to be applicable.
 
-use dagflow::LineageAnalysis;
+use dagflow::{LineageAnalysis, Name};
 
 use crate::{Workload, WorkloadParams};
 
@@ -71,8 +71,8 @@ pub fn validate_workload(w: &dyn Workload) -> Vec<WorkloadIssue> {
         WorkloadParams::auto(paper.examples / 2, paper.features / 2, sample.iterations),
         paper,
     ];
-    let mut intermediate_names: Vec<Vec<String>> = Vec::new();
-    let mut sizes: Vec<Vec<(String, u64)>> = Vec::new();
+    let mut intermediate_names: Vec<Vec<Name>> = Vec::new();
+    let mut sizes: Vec<Vec<(Name, u64)>> = Vec::new();
     for p in &scales {
         let app = w.build(p);
         if let Err(e) = app.validate() {
@@ -106,7 +106,9 @@ pub fn validate_workload(w: &dyn Workload) -> Vec<WorkloadIssue> {
             .filter_map(|s| s.iter().find(|(n, _)| *n == name).map(|(_, b)| *b))
             .collect();
         if series.windows(2).any(|w| w[1] < w[0]) {
-            issues.push(WorkloadIssue::NonMonotoneSize { dataset: name });
+            issues.push(WorkloadIssue::NonMonotoneSize {
+                dataset: name.to_string(),
+            });
         }
     }
     issues

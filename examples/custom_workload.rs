@@ -126,7 +126,7 @@ fn main() {
             .schedule
             .persisted()
             .iter()
-            .map(|&d| w.build(&w.sample_params()).dataset(d).name.clone())
+            .map(|&d| w.build(&w.sample_params()).dataset(d).name.to_string())
             .collect();
         println!(
             "  #{} {:<18} caches [{}]",

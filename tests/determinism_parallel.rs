@@ -3,9 +3,10 @@
 //! run, because every simulated experiment owns its RNG seed and results
 //! are gathered in index order.
 
+use juggler_suite::cluster_sim::EnginePrep;
 use juggler_suite::juggler::pipeline::{OfflineTraining, TrainingConfig};
 use juggler_suite::juggler::{resolve_threads, run_indexed, try_run_indexed};
-use juggler_suite::workloads::{LogisticRegression, Pca, Workload};
+use juggler_suite::workloads::{all_workloads, LogisticRegression, Pca, Workload};
 
 fn config_with_threads(threads: usize) -> TrainingConfig {
     TrainingConfig {
@@ -88,34 +89,49 @@ impl Workload for CountingWorkload<'_> {
 }
 
 /// Pins the stage-4 sharing contract: per-grid-point runs share one
-/// application (and with it one `EnginePrep`) across schedules and retry
-/// attempts instead of cloning it per cell. LOR trains 2 schedules over a
+/// application across schedules and retry attempts instead of cloning it
+/// per cell, and the nine grid points, which differ only in sizes, share
+/// one `EnginePrep`. Every paper family trains its schedules over a
 /// 9-point grid, so builds are 1 (stage-1 sample) + 9 (stage-2 grid) +
 /// 1 (stage-3 memory calibration) + 9 (stage-4, one per grid point — NOT
-/// one per cell, of which there are 18). A regression that moves the
-/// build back inside the per-cell or per-attempt closures breaks this
-/// count immediately.
+/// one per cell; LOR has 18), and preps are 1 + 9 + 1 + 1 (stage 4 plans
+/// once). A regression that moves the build back inside the per-cell or
+/// per-attempt closures, or plans each grid point again, breaks these
+/// counts immediately. A one-thread training runs on this thread, so the
+/// thread's prep count sees every prep it builds.
 #[test]
 fn grid_point_runs_share_the_app_dag() {
-    let w = LogisticRegression;
-    let counting = CountingWorkload {
-        inner: &w,
-        builds: std::sync::atomic::AtomicU32::new(0),
-    };
-    let trained =
-        OfflineTraining::run(&counting, &config_with_threads(1)).expect("training succeeds");
-    assert_eq!(trained.costs.time_models.runs, 18, "2 schedules x 9 cells");
-    assert_eq!(
-        counting.builds.load(std::sync::atomic::Ordering::Relaxed),
-        1 + 9 + 1 + 9,
-        "stage 4 must build one app per grid point, shared across schedules"
-    );
-
-    // Sharing must not change the artifact: the counting wrapper trains
-    // to the same bytes as the plain workload.
-    let plain = artifact_bytes(&w, 1);
-    let wrapped = serde_json::to_string_pretty(&trained).expect("artifact serializes");
-    assert_eq!(plain, wrapped);
+    for w in all_workloads() {
+        let counting = CountingWorkload {
+            inner: w.as_ref(),
+            builds: std::sync::atomic::AtomicU32::new(0),
+        };
+        let preps_before = EnginePrep::built_on_this_thread();
+        let trained =
+            OfflineTraining::run(&counting, &config_with_threads(1)).expect("training succeeds");
+        let preps = EnginePrep::built_on_this_thread() - preps_before;
+        assert_eq!(
+            counting.builds.load(std::sync::atomic::Ordering::Relaxed),
+            1 + 9 + 1 + 9,
+            "{}: stage 4 must build one app per grid point, shared across schedules",
+            w.name()
+        );
+        assert_eq!(
+            preps,
+            1 + 9 + 1 + 1,
+            "{}: stage 4 must plan its grid once",
+            w.name()
+        );
+        if w.name() != "LOR" {
+            continue;
+        }
+        assert_eq!(trained.costs.time_models.runs, 18, "2 schedules x 9 cells");
+        // Sharing must not change the artifact: the counting wrapper
+        // trains to the same bytes as the plain workload.
+        let plain = artifact_bytes(w.as_ref(), 1);
+        let wrapped = serde_json::to_string_pretty(&trained).expect("artifact serializes");
+        assert_eq!(plain, wrapped);
+    }
 }
 
 #[test]
