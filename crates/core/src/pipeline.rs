@@ -8,13 +8,13 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cluster_sim::{
     ClusterConfig, Engine, EnginePrep, MachineSpec, RunOptions, RunReport, TraceConfig,
 };
 use dagflow::{Application, DagError, DatasetId};
-use instrument::profile_run;
+use instrument::{inject, profile_run, profile_sizes, ProfilingOverhead};
 use workloads::{Workload, WorkloadParams};
 
 use crate::diagnostics::TrainingDiagnostics;
@@ -506,25 +506,38 @@ impl OfflineTraining {
             })
             .collect();
         drop(plan_prof);
+        // Each point injects its own sizes, but `inject` rewrites the
+        // lineage structurally, so the points of the first point's lineage
+        // (all nine, in every paper family) share one instrumented
+        // `EnginePrep`, planned by whichever of them gets there first.
+        let shared_prep: OnceLock<Arc<EnginePrep>> = OnceLock::new();
         let grid_runs = crate::parallel::run_indexed(grid.len(), threads, |gi| {
             let app = &grid_apps[gi];
+            let (instrumented, prep) = {
+                let _plan = obs::prof::scope("plan");
+                let instrumented = inject(app, ProfilingOverhead::default());
+                let plan = || Arc::new(EnginePrep::new(&instrumented.app));
+                let prep = if grid_apps[0].same_lineage(app) {
+                    Arc::clone(shared_prep.get_or_init(plan))
+                } else {
+                    plan()
+                };
+                (instrumented, prep)
+            };
+            // Only the sizes of the schedules' datasets are fitted, so the
+            // runs measure nothing else.
             let attempt_run = |attempt: u32| {
-                profile_run(
-                    app.as_ref(),
-                    app.default_schedule(),
+                let engine = Engine::with_prep(
+                    &instrumented.app,
                     calib_cluster,
                     sim(2 + gi as u64 + u64::from(attempt) * RETRY_SEED_SALT),
-                )
+                    Arc::clone(&prep),
+                );
+                profile_sizes(&engine, &instrumented, app.default_schedule(), &wanted)
             };
             match crate::parallel::with_retry(TRAINING_RETRIES, attempt_run) {
-                Ok((run, attempt)) => {
-                    let sizes: Vec<(DatasetId, u64)> = run
-                        .metrics
-                        .iter()
-                        .filter(|m| wanted.contains(&m.dataset))
-                        .map(|m| (m.dataset, m.size_bytes))
-                        .collect();
-                    Ok((run.report.cost_machine_minutes(), sizes, attempt))
+                Ok(((report, sizes), attempt)) => {
+                    Ok((report.cost_machine_minutes(), sizes, attempt))
                 }
                 Err(e) => Err(e.to_string()),
             }

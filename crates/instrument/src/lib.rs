@@ -27,7 +27,10 @@
 //!   split of Eq. 3) and per-dataset sizes — using *only* timestamps a
 //!   profiling operator could observe, never the simulator's ground truth;
 //! * [`profile_run`] is the whole pipeline in one call: inject, run while
-//!   each finished task folds into a database, derive.
+//!   each finished task folds into a database, derive;
+//! * [`profile_sizes`] runs an instrumented plan and measures only the
+//!   partition sizes of the datasets it is asked for — all parameter
+//!   calibration (§5.2) reads of a run.
 
 pub mod db;
 pub mod inject;
@@ -37,4 +40,4 @@ pub mod runner;
 pub use db::ProfilingDatabase;
 pub use inject::{inject, Instrumented, ProfilingOverhead};
 pub use metrics::{derive_metrics, DatasetMetrics};
-pub use runner::{profile_run, ProfileRunOutput};
+pub use runner::{profile_run, profile_sizes, ProfileRunOutput};

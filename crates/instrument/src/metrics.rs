@@ -63,12 +63,44 @@ struct Group {
     count: u32,
 }
 
+/// The size rule of §3.2 for one dataset, shared by the full metrics fold
+/// and the sizes-only profiling run: per task index the last partition
+/// size observed wins, and the dataset's size is their sum. A Shuffle-Write
+/// observation carries no partition size but still marks the dataset seen.
 #[derive(Debug, Default)]
-struct Acc {
+pub(crate) struct PartitionSizes {
     /// Some observation mentions the dataset.
     seen: bool,
     /// Partition bytes by task index; unwritten slots read as 0.
     sizes: Vec<u64>,
+}
+
+impl PartitionSizes {
+    /// Records `bytes` as the size of partition `task`, replacing any
+    /// earlier size of that partition.
+    pub(crate) fn write(&mut self, task: u32, bytes: u64) {
+        self.seen = true;
+        let task = task as usize;
+        if self.sizes.len() <= task {
+            self.sizes.resize(task + 1, 0);
+        }
+        self.sizes[task] = bytes;
+    }
+
+    /// Records an observation without a partition size (a Shuffle Write).
+    pub(crate) fn mark_seen(&mut self) {
+        self.seen = true;
+    }
+
+    /// The dataset's size, or `None` if no observation mentioned it.
+    pub(crate) fn total(&self) -> Option<u64> {
+        self.seen.then(|| self.sizes.iter().sum())
+    }
+}
+
+#[derive(Debug, Default)]
+struct Acc {
+    sizes: PartitionSizes,
     /// ENT groups of the read (`[0]`) and Shuffle-Write (`[1]`) halves.
     halves: [Vec<Group>; 2],
 }
@@ -80,6 +112,10 @@ pub(crate) struct MetricsFold {
     /// Indexed by original dataset id.
     accs: Vec<Acc>,
     stage_tasks: BTreeMap<(JobId, StageId), u32>,
+    /// The `(job, stage)` being counted and its task count so far, not yet
+    /// in `stage_tasks`: tasks arrive stage by stage, so the map is
+    /// written once per stage, not once per task.
+    counting: Option<((JobId, StageId), u32)>,
 }
 
 impl MetricsFold {
@@ -93,8 +129,21 @@ impl MetricsFold {
     /// Counts `task` of `(job, stage)`: a stage ran as many tasks as its
     /// highest task index plus one.
     pub(crate) fn count_task(&mut self, job: JobId, stage: StageId, task: u32) {
-        let n = self.stage_tasks.entry((job, stage)).or_insert(0);
-        *n = (*n).max(task + 1);
+        match &mut self.counting {
+            Some((key, n)) if *key == (job, stage) => *n = (*n).max(task + 1),
+            _ => {
+                self.flush_count();
+                self.counting = Some(((job, stage), task + 1));
+            }
+        }
+    }
+
+    /// Writes the current stage's task count into `stage_tasks`.
+    fn flush_count(&mut self) {
+        if let Some((key, n)) = self.counting.take() {
+            let total = self.stage_tasks.entry(key).or_insert(0);
+            *total = (*total).max(n);
+        }
     }
 
     /// Folds one observation; a dataset without an accumulator is skipped.
@@ -102,13 +151,10 @@ impl MetricsFold {
         let Some(acc) = self.accs.get_mut(obs.dataset.index()) else {
             return;
         };
-        acc.seen = true;
-        if !obs.is_shuffle_write {
-            let task = obs.task as usize;
-            if acc.sizes.len() <= task {
-                acc.sizes.resize(task + 1, 0);
-            }
-            acc.sizes[task] = obs.partition_bytes;
+        if obs.is_shuffle_write {
+            acc.sizes.mark_seen();
+        } else {
+            acc.sizes.write(obs.task, obs.partition_bytes);
         }
         if obs.is_cache_read {
             return;
@@ -139,6 +185,7 @@ impl MetricsFold {
     /// Sorts each half's groups in place, which leaves their totals as
     /// they are.
     fn finish(&mut self, app: &Application, total_cores: u32) -> Vec<DatasetMetrics> {
+        self.flush_count();
         let stage_tasks = &self.stage_tasks;
         let waves = |job: JobId, stage: StageId| -> f64 {
             let n = stage_tasks.get(&(job, stage)).copied().unwrap_or(1).max(1);
@@ -146,9 +193,9 @@ impl MetricsFold {
         };
         let mut out = Vec::new();
         for (d, acc) in app.datasets().iter().zip(&mut self.accs) {
-            if !acc.seen {
+            let Some(size_bytes) = acc.sizes.total() else {
                 continue; // never touched in the sample run
-            }
+            };
             // Per half: average over (job, stage) groups of (mean ENT ×
             // waves) — Eq. 2; then sum halves — Eq. 3.
             let mut et = 0.0;
@@ -168,7 +215,7 @@ impl MetricsFold {
             }
             out.push(DatasetMetrics {
                 dataset: d.id,
-                size_bytes: acc.sizes.iter().sum(),
+                size_bytes,
                 et_seconds: et,
                 observations: obs_count,
             });

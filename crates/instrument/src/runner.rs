@@ -1,14 +1,18 @@
 //! One-call profiling runs: inject, execute on the simulator while each
-//! finished task folds into a profiling database, and derive metrics.
+//! finished task folds into a profiling database, and derive metrics; and
+//! the sizes-only run parameter calibration needs.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cluster_sim::{ClusterConfig, Engine, EnginePrep, RunReport, SimParams};
-use dagflow::{Application, DagError, Schedule};
+use cluster_sim::{
+    ClusterConfig, Engine, EnginePrep, RunOptions, RunReport, SimParams, StepKind, TaskTrace,
+};
+use dagflow::{Application, DagError, DatasetId, Schedule};
 
 use crate::db::ProfilingDatabase;
 use crate::inject::{inject, Instrumented, ProfilingOverhead};
-use crate::metrics::{derive_metrics, DatasetMetrics};
+use crate::metrics::{derive_metrics, DatasetMetrics, PartitionSizes};
 
 /// Everything a profiling run produces.
 #[derive(Debug)]
@@ -51,11 +55,115 @@ pub fn profile_run(
     })
 }
 
+/// What one step of an instrumented task tells the sizes-only run.
+#[derive(Debug, Clone, Copy)]
+enum SizeStep {
+    /// Not a step of a requested dataset.
+    Skip,
+    /// The profiling shadow of requested dataset `slot`: its output is a
+    /// partition size.
+    Shadow(u32),
+    /// The copy of requested dataset `slot`: a Shuffle Write of it marks
+    /// the dataset seen.
+    Copy(u32),
+}
+
+/// The sizes-only counterpart of the profiling database: it reads the
+/// steps of the requested datasets' profiling shadows (and the Shuffle
+/// Writes of their copies) and folds them by the database's size rule.
+#[derive(Debug)]
+struct SizeSink {
+    /// Indexed by instrumented dataset id.
+    steps: Vec<SizeStep>,
+    /// One per requested dataset, in dataset-id order.
+    sizes: Vec<PartitionSizes>,
+}
+
+impl SizeSink {
+    fn new(instrumented: &Instrumented, datasets: &BTreeSet<DatasetId>) -> Self {
+        let mut slot_of = vec![None; instrumented.shadow.len()];
+        for (slot, d) in datasets.iter().enumerate() {
+            if let Some(entry) = slot_of.get_mut(d.index()) {
+                *entry = Some(slot as u32);
+            }
+        }
+        let requested = |original: Option<DatasetId>| original.and_then(|d| slot_of[d.index()]);
+        let steps = instrumented
+            .profiles
+            .iter()
+            .zip(&instrumented.copy_of)
+            .map(|(&profiles, &copy_of)| {
+                if let Some(slot) = requested(profiles) {
+                    SizeStep::Shadow(slot)
+                } else if let Some(slot) = requested(copy_of) {
+                    SizeStep::Copy(slot)
+                } else {
+                    SizeStep::Skip
+                }
+            })
+            .collect();
+        SizeSink {
+            steps,
+            sizes: datasets.iter().map(|_| PartitionSizes::default()).collect(),
+        }
+    }
+
+    fn observe(&mut self, trace: &TaskTrace) {
+        for step in &trace.steps {
+            match self.steps[step.dataset.index()] {
+                SizeStep::Shadow(slot) => {
+                    self.sizes[slot as usize].write(trace.task, step.out_bytes);
+                }
+                SizeStep::Copy(slot) if step.kind == StepKind::ShuffleWrite => {
+                    self.sizes[slot as usize].mark_seen();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The size of every requested dataset some task observed.
+    fn finish(&self, datasets: &BTreeSet<DatasetId>) -> Vec<(DatasetId, u64)> {
+        datasets
+            .iter()
+            .zip(&self.sizes)
+            .filter_map(|(&d, s)| s.total().map(|bytes| (d, bytes)))
+            .collect()
+    }
+}
+
+/// Runs the instrumented plan on `engine`, an engine over
+/// `instrumented.app`, with default [`RunOptions`], and measures the
+/// partition sizes of `datasets` only: for them, the `size_bytes` that
+/// [`profile_run`]'s metrics report, by the same rule, with none of the
+/// execution-time fold. `schedule` is expressed over the *original* plan.
+/// The report is bit-identical to [`profile_run`]'s for the same
+/// application, cluster and parameters. The sizes come in dataset-id
+/// order, one for each requested dataset some task observed — exactly the
+/// requested datasets [`profile_run`] reports.
+///
+/// # Errors
+/// Returns the simulator's error when it rejects the mapped schedule.
+pub fn profile_sizes(
+    engine: &Engine<'_>,
+    instrumented: &Instrumented,
+    schedule: &Schedule,
+    datasets: &BTreeSet<DatasetId>,
+) -> Result<(RunReport, Vec<(DatasetId, u64)>), DagError> {
+    let mut sink = SizeSink::new(instrumented, datasets);
+    let report = engine.run_observed(
+        &instrumented.map_schedule(schedule),
+        RunOptions::default(),
+        &mut |trace| sink.observe(trace),
+    )?;
+    Ok((report, sink.finish(datasets)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cluster_sim::{MachineSpec, NoiseParams};
-    use dagflow::{AppBuilder, ComputeCost, DatasetId, NarrowKind, SourceFormat, WideKind};
+    use dagflow::{AppBuilder, ComputeCost, NarrowKind, SourceFormat, WideKind};
 
     /// input → parsed → k treeAggregate jobs; parse compute ~1.17 s per
     /// task, aggregate combine ~0.11 s per map task.
@@ -214,5 +322,91 @@ mod tests {
             assert_eq!(x.et_seconds, y.et_seconds);
             assert_eq!(x.size_bytes, y.size_bytes);
         }
+    }
+
+    /// `(dataset, size_bytes)` of every entry of `metrics`.
+    fn sizes_of(metrics: &[DatasetMetrics]) -> Vec<(DatasetId, u64)> {
+        metrics.iter().map(|m| (m.dataset, m.size_bytes)).collect()
+    }
+
+    #[test]
+    fn sizes_only_run_matches_profile_run() {
+        let app = iterative_app(4);
+        let all: BTreeSet<DatasetId> = app.datasets().iter().map(|d| d.id).collect();
+        for schedule in [Schedule::empty(), Schedule::persist_all([DatasetId(1)])] {
+            for machines in [1, 3] {
+                let cluster = ClusterConfig::new(machines, MachineSpec::paper_example());
+                let full = profile_run(&app, &schedule, cluster, SimParams::default()).unwrap();
+                let instr = inject(&app, ProfilingOverhead::default());
+                let engine = Engine::new(&instr.app, cluster, SimParams::default());
+                let (report, sizes) = profile_sizes(&engine, &instr, &schedule, &all).unwrap();
+                assert_eq!(report.digest(), full.report.digest());
+                assert_eq!(sizes, sizes_of(&full.metrics));
+                // A subset, and an id the plan does not have, which no
+                // task can observe.
+                let some = BTreeSet::from([DatasetId(3), DatasetId(1), DatasetId(99)]);
+                let (_, sizes) = profile_sizes(&engine, &instr, &schedule, &some).unwrap();
+                let want: Vec<_> = sizes_of(&full.metrics)
+                    .into_iter()
+                    .filter(|(d, _)| some.contains(d))
+                    .collect();
+                assert_eq!(sizes, want);
+                assert_eq!(sizes.len(), 2);
+            }
+        }
+    }
+
+    /// The sink folds by the database's size rule, on task streams a
+    /// single simulated run cannot produce (every run gives one partition
+    /// the same bytes each time it is observed): a second observation of
+    /// a partition replaces the first, and a dataset only a Shuffle Write
+    /// mentions is reported with size 0.
+    #[test]
+    fn size_sink_keeps_the_last_write_and_write_only_datasets() {
+        let app = iterative_app(3);
+        let instr = inject(&app, ProfilingOverhead::default());
+        let cluster = ClusterConfig::new(1, MachineSpec::paper_example());
+        let report = Engine::new(&instr.app, cluster, quiet())
+            .run(
+                &instr.map_schedule(&Schedule::empty()),
+                RunOptions {
+                    collect_traces: true,
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        let mut doubled = report.clone();
+        for step in doubled.traces.iter_mut().flat_map(|t| &mut t.steps) {
+            step.out_bytes *= 2;
+        }
+        // grad[0]'s shadow never runs: only its copy's Shuffle Write is left.
+        let grad = DatasetId(2);
+        let mut write_only = report.clone();
+        for trace in &mut write_only.traces {
+            trace
+                .steps
+                .retain(|s| s.dataset != instr.shadow[grad.index()]);
+        }
+        let all: BTreeSet<DatasetId> = app.datasets().iter().map(|d| d.id).collect();
+        let fold = |reports: &[&RunReport]| {
+            let mut sink = SizeSink::new(&instr, &all);
+            let db = ProfilingDatabase::new();
+            for r in reports {
+                r.traces.iter().for_each(|t| sink.observe(t));
+                db.ingest(&instr, r);
+            }
+            let want = sizes_of(&derive_metrics(&db, &app, cluster.total_cores()));
+            let got = sink.finish(&all);
+            assert_eq!(got, want);
+            got
+        };
+        let once = fold(&[&report]);
+        assert_eq!(once.len(), app.dataset_count());
+        let twice: Vec<_> = once.iter().map(|&(d, b)| (d, 2 * b)).collect();
+        assert_eq!(fold(&[&report, &doubled]), twice, "the last write wins");
+        assert_eq!(fold(&[&doubled, &report]), once, "the last write wins");
+        let write_only = fold(&[&write_only]);
+        assert!(write_only.contains(&(grad, 0)), "{write_only:?}");
+        assert_eq!(write_only.len(), app.dataset_count());
     }
 }

@@ -380,11 +380,11 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
         // beside them are not gated.
         "training_allocs" => {
             let ceilings = [
-                ("LIR", 5_479.0),
-                ("LOR", 6_358.0),
-                ("PCA", 8_183.0),
-                ("RFC", 6_188.0),
-                ("SVM", 8_000.0),
+                ("LIR", 3_198.0),
+                ("LOR", 4_817.0),
+                ("PCA", 5_026.0),
+                ("RFC", 4_284.0),
+                ("SVM", 5_794.0),
             ];
             let shape = ["seed", "threads"].map(|path| Check::new(path, CheckOp::Equals));
             let counts = ceilings.map(|(family, max)| {

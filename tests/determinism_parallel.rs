@@ -88,14 +88,15 @@ impl Workload for CountingWorkload<'_> {
     }
 }
 
-/// Pins the stage-4 sharing contract: per-grid-point runs share one
+/// Pins the grid sharing contract: per-grid-point runs share one
 /// application across schedules and retry attempts instead of cloning it
-/// per cell, and the nine grid points, which differ only in sizes, share
-/// one `EnginePrep`. Every paper family trains its schedules over a
-/// 9-point grid, so builds are 1 (stage-1 sample) + 9 (stage-2 grid) +
-/// 1 (stage-3 memory calibration) + 9 (stage-4, one per grid point — NOT
-/// one per cell; LOR has 18), and preps are 1 + 9 + 1 + 1 (stage 4 plans
-/// once). A regression that moves the build back inside the per-cell or
+/// per cell, and the nine grid points of stages 2 and 4, which differ only
+/// in sizes, share one `EnginePrep` per stage. Every paper family trains
+/// its schedules over a 9-point grid, so builds are 1 (stage-1 sample) +
+/// 9 (stage-2 grid) + 1 (stage-3 memory calibration) + 9 (stage-4, one
+/// per grid point — NOT one per cell; LOR has 18), and preps are
+/// 1 + 1 + 1 + 1 (stages 2 and 4 each plan their instrumented or plain
+/// grid once). A regression that moves the build back inside the per-cell or
 /// per-attempt closures, or plans each grid point again, breaks these
 /// counts immediately. A one-thread training runs on this thread, so the
 /// thread's prep count sees every prep it builds.
@@ -118,8 +119,8 @@ fn grid_point_runs_share_the_app_dag() {
         );
         assert_eq!(
             preps,
-            1 + 9 + 1 + 1,
-            "{}: stage 4 must plan its grid once",
+            1 + 1 + 1 + 1,
+            "{}: stages 2 and 4 must each plan their grid once",
             w.name()
         );
         if w.name() != "LOR" {

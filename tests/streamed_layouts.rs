@@ -1,16 +1,20 @@
 //! The per-run layouts of the training path against the layouts they
 //! replaced: a profiling run that folds each task as it finishes must
 //! derive exactly the metrics of a run whose traces are collected and
-//! then ingested, and the stage plans one shared planner builds for every
-//! job of an application must equal plans built one job at a time.
+//! then ingested, a sizes-only run must report exactly the sizes of the
+//! full profiling run, and the stage plans one shared planner builds for
+//! every job of an application must equal plans built one job at a time.
+
+use std::collections::BTreeSet;
 
 use juggler_suite::cluster_sim::{ClusterConfig, Engine, EnginePrep, MachineSpec, RunOptions};
-use juggler_suite::dagflow::{Application, JobId, StagePlan};
+use juggler_suite::dagflow::{Application, DatasetId, JobId, Schedule, StagePlan};
 use juggler_suite::instrument::{
-    derive_metrics, inject, profile_run, DatasetMetrics, ProfilingDatabase, ProfilingOverhead,
+    derive_metrics, inject, profile_run, profile_sizes, DatasetMetrics, ProfilingDatabase,
+    ProfilingOverhead,
 };
 use juggler_suite::juggler::{workload_by_name, ParamCalibration};
-use juggler_suite::workloads::{all_workloads, WorkloadParams};
+use juggler_suite::workloads::WorkloadParams;
 
 fn assert_same_bits(got: &[DatasetMetrics], want: &[DatasetMetrics], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: dataset count");
@@ -27,13 +31,30 @@ fn assert_same_bits(got: &[DatasetMetrics], want: &[DatasetMetrics], what: &str)
     }
 }
 
-/// Every family's nine stage-2 grid points, on one and three calibration
-/// nodes: `profile_run` (streamed fold) and collect → `ingest` →
-/// `derive_metrics` agree bit for bit, and so do the two runs.
+const WORKLOADS: [&str; 8] = [
+    "LIR", "LOR", "PCA", "RFC", "SVM", "KMEANS", "SQLJOIN", "STREAM",
+];
+
+/// Every dataset of `app`.
+fn every_dataset(app: &Application) -> BTreeSet<DatasetId> {
+    app.datasets().iter().map(|d| d.id).collect()
+}
+
+/// `(dataset, size_bytes)` of `metrics`, as the sizes-only run reports them.
+fn sizes_of(metrics: &[DatasetMetrics]) -> Vec<(DatasetId, u64)> {
+    metrics.iter().map(|m| (m.dataset, m.size_bytes)).collect()
+}
+
+/// Every workload's nine stage-2 grid points, on one and three
+/// calibration nodes: `profile_run` (streamed fold) and collect →
+/// `ingest` → `derive_metrics` agree bit for bit, and so do the two runs;
+/// the sizes-only run over every dataset reports exactly `profile_run`'s
+/// datasets and sizes, after the same run.
 #[test]
 fn streamed_profile_runs_match_collect_then_ingest() {
     let mut runs = 0;
-    for w in all_workloads() {
+    for name in WORKLOADS {
+        let w = workload_by_name(name).expect("known workload");
         let (e_axis, f_axis) = w.training_axes();
         let iterations = w.sample_params().iterations;
         for (gi, &(e, f)) in ParamCalibration::training_grid(&e_axis, &f_axis)
@@ -42,7 +63,7 @@ fn streamed_profile_runs_match_collect_then_ingest() {
         {
             let app = w.build(&WorkloadParams::auto(e as u64, f as u64, iterations));
             for machines in [1, 3] {
-                let what = format!("{} point {gi}, {machines} machines", w.name());
+                let what = format!("{name} point {gi}, {machines} machines");
                 let cluster = ClusterConfig::new(machines, MachineSpec::calibration_node());
                 let mut params = w.sim_params();
                 params.seed = 2 + gi as u64;
@@ -51,7 +72,8 @@ fn streamed_profile_runs_match_collect_then_ingest() {
                 assert!(streamed.report.traces.is_empty(), "{what}");
 
                 let instr = inject(&app, ProfilingOverhead::default());
-                let collected = Engine::new(&instr.app, cluster, params)
+                let engine = Engine::new(&instr.app, cluster, params);
+                let collected = engine
                     .run(
                         &instr.map_schedule(app.default_schedule()),
                         RunOptions {
@@ -76,11 +98,71 @@ fn streamed_profile_runs_match_collect_then_ingest() {
                     "{what}"
                 );
                 assert_eq!(streamed.report.digest(), collected.digest(), "{what}");
+
+                let (report, sizes) = profile_sizes(
+                    &engine,
+                    &instr,
+                    app.default_schedule(),
+                    &every_dataset(&app),
+                )
+                .unwrap();
+                assert_eq!(sizes, sizes_of(&streamed.metrics), "{what}");
+                assert_eq!(
+                    report.total_time_s.to_bits(),
+                    streamed.report.total_time_s.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(report.digest(), streamed.report.digest(), "{what}");
                 runs += 1;
             }
         }
     }
-    assert_eq!(runs, 90);
+    assert_eq!(runs, 144);
+}
+
+/// LOR persisting every dataset on one calibration node cut to 1 GB:
+/// persisted shadows are evicted and recomputed, so partitions are
+/// observed more than once, and the sizes-only run still reports
+/// `profile_run`'s sizes.
+#[test]
+fn sizes_only_run_matches_under_memory_pressure() {
+    let w = workload_by_name("LOR").expect("known workload");
+    let (e_axis, f_axis) = w.training_axes();
+    let app = w.build(&WorkloadParams::auto(
+        *e_axis.last().unwrap() as u64,
+        *f_axis.last().unwrap() as u64,
+        w.sample_params().iterations,
+    ));
+    let cluster = ClusterConfig::new(
+        1,
+        MachineSpec {
+            ram_bytes: 1_000_000_000,
+            ..MachineSpec::calibration_node()
+        },
+    );
+    let all = every_dataset(&app);
+    let schedule = Schedule::persist_all(all.iter().copied());
+    let full = profile_run(&app, &schedule, cluster, w.sim_params()).unwrap();
+    let instr = &full.instrumented;
+    let engine = Engine::new(&instr.app, cluster, w.sim_params());
+    let (report, sizes) = profile_sizes(&engine, instr, &schedule, &all).unwrap();
+    assert_eq!(report.digest(), full.report.digest());
+    assert_eq!(sizes, sizes_of(&full.metrics));
+    let recomputed = app
+        .datasets()
+        .iter()
+        .filter(|d| {
+            report
+                .cache
+                .per_dataset
+                .get(&instr.shadow[d.id.index()])
+                .is_some_and(|s| s.evictions > 0 && s.misses > u64::from(d.partitions))
+        })
+        .count();
+    assert!(
+        recomputed > 0,
+        "no persisted shadow was evicted and recomputed"
+    );
 }
 
 /// `EnginePrep` plans every job of an application with one shared
@@ -88,10 +170,7 @@ fn streamed_profile_runs_match_collect_then_ingest() {
 /// on every workload, at sample and paper scale, plain and instrumented.
 #[test]
 fn shared_planner_matches_fresh_plans_on_every_workload() {
-    let names = [
-        "LIR", "LOR", "PCA", "RFC", "SVM", "KMEANS", "SQLJOIN", "STREAM",
-    ];
-    for name in names {
+    for name in WORKLOADS {
         let w = workload_by_name(name).expect("known workload");
         for params in [w.sample_params(), w.paper_params()] {
             let app = w.build(&params);
