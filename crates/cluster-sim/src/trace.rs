@@ -24,42 +24,29 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 
-/// Default ring-buffer capacity, events.
+/// Ring-buffer capacity of a recorded trace, events: enough for every
+/// event of a training-sized run, and a bound on a long run's memory.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// Number of log2 buckets in the task-duration histogram.
 const HIST_BUCKETS: usize = 32;
 
-/// Trace knob carried by [`crate::RunOptions`]: whether to record, and how
-/// many events the ring buffer holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Trace knob carried by [`crate::RunOptions`]: whether to record. The
+/// ring buffer holds [`DEFAULT_TRACE_CAPACITY`] events; once full, the
+/// oldest events are dropped (and counted in [`RunTrace::dropped_events`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Record structured trace events for this run.
     pub enabled: bool,
-    /// Ring-buffer capacity in events; once full, the oldest events are
-    /// dropped (and counted in [`RunTrace::dropped_events`]).
-    pub capacity: usize,
 }
 
 impl TraceConfig {
-    /// Tracing on, default capacity.
+    /// Tracing on.
     #[must_use]
     pub fn enabled() -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: DEFAULT_TRACE_CAPACITY,
-        }
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: false,
-            capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        TraceConfig { enabled: true }
     }
 }
 
@@ -339,121 +326,13 @@ impl RunTrace {
     /// are integers, so the output is byte-stable across runs.
     #[must_use]
     pub fn to_chrome_json(&self, run_name: &str) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96 + 256);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,\
-             \"args\":{{\"name\":\"driver ({})\"}}}}",
-            escape_json(run_name)
-        );
-        // Name the machine processes that actually appear.
-        let mut max_machine: Option<u32> = None;
-        for e in &self.events {
-            if let TraceEvent::TaskSpan { machine, .. } = e {
-                max_machine = Some(max_machine.map_or(*machine, |m: u32| m.max(*machine)));
-            }
-        }
-        if let Some(mm) = max_machine {
-            for m in 0..=mm {
-                let _ = write!(
-                    out,
-                    ",{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{},\"tid\":0,\
-                     \"args\":{{\"name\":\"machine {m}\"}}}}",
-                    m + 1
-                );
-            }
-        }
-        for e in &self.events {
-            out.push(',');
-            match *e {
-                TraceEvent::JobSpan {
-                    job,
-                    start_us,
-                    end_us,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"job {job}\",\"cat\":\"job\",\
-                         \"pid\":0,\"tid\":0,\"ts\":{start_us},\"dur\":{}}}",
-                        end_us.saturating_sub(start_us)
-                    );
-                }
-                TraceEvent::StageSpan {
-                    job,
-                    stage,
-                    start_us,
-                    end_us,
-                    tasks,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"stage {job}.{stage}\",\"cat\":\"stage\",\
-                         \"pid\":0,\"tid\":1,\"ts\":{start_us},\"dur\":{},\
-                         \"args\":{{\"tasks\":{tasks}}}}}",
-                        end_us.saturating_sub(start_us)
-                    );
-                }
-                TraceEvent::WaveSpan {
-                    job,
-                    stage,
-                    wave,
-                    start_us,
-                    end_us,
-                    tasks,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"wave {job}.{stage}.{wave}\",\"cat\":\"wave\",\
-                         \"pid\":0,\"tid\":2,\"ts\":{start_us},\"dur\":{},\
-                         \"args\":{{\"tasks\":{tasks}}}}}",
-                        end_us.saturating_sub(start_us)
-                    );
-                }
-                TraceEvent::TaskSpan {
-                    job,
-                    stage,
-                    task,
-                    machine,
-                    core,
-                    start_us,
-                    end_us,
-                    spilled,
-                    locality_fallback,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"task {job}.{stage}.{task}\",\"cat\":\"task\",\
-                         \"pid\":{},\"tid\":{core},\"ts\":{start_us},\"dur\":{},\
-                         \"args\":{{\"spilled\":{spilled},\"locality_fallback\":{locality_fallback}}}}}",
-                        machine + 1,
-                        end_us.saturating_sub(start_us)
-                    );
-                }
-                TraceEvent::CounterSnapshot { at_us, counters } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"C\",\"name\":\"cache\",\"pid\":0,\"tid\":0,\"ts\":{at_us},\
-                         \"args\":{{\"hits\":{},\"misses\":{}}}}}",
-                        counters.cache_hits, counters.cache_misses
-                    );
-                    let _ = write!(
-                        out,
-                        ",{{\"ph\":\"C\",\"name\":\"memory\",\"pid\":0,\"tid\":0,\"ts\":{at_us},\
-                         \"args\":{{\"evictions\":{},\"insert_failures\":{},\"unpersisted\":{}}}}}",
-                        counters.evictions, counters.insert_failures, counters.unpersisted
-                    );
-                    let _ = write!(
-                        out,
-                        ",{{\"ph\":\"C\",\"name\":\"tasks\",\"pid\":0,\"tid\":0,\"ts\":{at_us},\
-                         \"args\":{{\"spills\":{},\"locality_fallbacks\":{}}}}}",
-                        counters.spills, counters.locality_fallbacks
-                    );
-                }
-            }
-        }
-        out.push_str("]}");
-        out
+        serde::to_json(
+            &ChromeTrace {
+                trace: self,
+                run_name,
+            },
+            false,
+        )
     }
 
     /// Exports the trace in collapsed-stack format (`job;stage;machine
@@ -501,15 +380,167 @@ impl RunTrace {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => vec!['?'],
-            c => vec![c],
-        })
-        .collect()
+/// The document [`RunTrace::to_chrome_json`] prints.
+struct ChromeTrace<'a> {
+    trace: &'a RunTrace,
+    run_name: &'a str,
+}
+
+impl Serialize for ChromeTrace<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        // Event names are formatted into one reused buffer.
+        let mut name = String::new();
+        w.open('{');
+        w.field("displayTimeUnit", "ms");
+        w.key("traceEvents");
+        w.open('[');
+        let _ = write!(name, "driver ({})", self.run_name);
+        process_name(w, 0, &name);
+        // Name the machine processes that actually appear.
+        let machines = self.trace.events.iter().filter_map(|e| match e {
+            TraceEvent::TaskSpan { machine, .. } => Some(*machine),
+            _ => None,
+        });
+        if let Some(max_machine) = machines.max() {
+            for m in 0..=max_machine {
+                name.clear();
+                let _ = write!(name, "machine {m}");
+                process_name(w, m + 1, &name);
+            }
+        }
+        for e in &self.trace.events {
+            name.clear();
+            match *e {
+                TraceEvent::JobSpan {
+                    job,
+                    start_us,
+                    end_us,
+                } => {
+                    let _ = write!(name, "job {job}");
+                    span(w, &name, "job", (0, 0), (start_us, end_us));
+                    w.close('}');
+                }
+                TraceEvent::StageSpan {
+                    job,
+                    stage,
+                    start_us,
+                    end_us,
+                    tasks,
+                } => {
+                    let _ = write!(name, "stage {job}.{stage}");
+                    span(w, &name, "stage", (0, 1), (start_us, end_us));
+                    args(w, &[("tasks", tasks)]);
+                }
+                TraceEvent::WaveSpan {
+                    job,
+                    stage,
+                    wave,
+                    start_us,
+                    end_us,
+                    tasks,
+                } => {
+                    let _ = write!(name, "wave {job}.{stage}.{wave}");
+                    span(w, &name, "wave", (0, 2), (start_us, end_us));
+                    args(w, &[("tasks", tasks)]);
+                }
+                TraceEvent::TaskSpan {
+                    job,
+                    stage,
+                    task,
+                    machine,
+                    core,
+                    start_us,
+                    end_us,
+                    spilled,
+                    locality_fallback,
+                } => {
+                    let _ = write!(name, "task {job}.{stage}.{task}");
+                    span(w, &name, "task", (machine + 1, core), (start_us, end_us));
+                    args(
+                        w,
+                        &[
+                            ("spilled", spilled),
+                            ("locality_fallback", locality_fallback),
+                        ],
+                    );
+                }
+                TraceEvent::CounterSnapshot { at_us, counters: c } => {
+                    let series: [(&str, &[(&str, u64)]); 3] = [
+                        (
+                            "cache",
+                            &[("hits", c.cache_hits), ("misses", c.cache_misses)],
+                        ),
+                        (
+                            "memory",
+                            &[
+                                ("evictions", c.evictions),
+                                ("insert_failures", c.insert_failures),
+                                ("unpersisted", c.unpersisted),
+                            ],
+                        ),
+                        (
+                            "tasks",
+                            &[
+                                ("spills", c.spills),
+                                ("locality_fallbacks", c.locality_fallbacks),
+                            ],
+                        ),
+                    ];
+                    for (series, values) in series {
+                        open_event(w, "C", series, None, (0, 0));
+                        w.field("ts", &at_us);
+                        args(w, values);
+                    }
+                }
+            }
+        }
+        w.close(']');
+        w.close('}');
+    }
+}
+
+/// Starts one Chrome event: its phase, name, then `cat` (spans only),
+/// `pid` and `tid`. The caller writes the rest and closes it.
+fn open_event(w: &mut JsonWriter, ph: &str, name: &str, cat: Option<&str>, (pid, tid): (u32, u32)) {
+    w.elem();
+    w.open('{');
+    w.field("ph", ph);
+    w.field("name", name);
+    if let Some(cat) = cat {
+        w.field("cat", cat);
+    }
+    w.field("pid", &pid);
+    w.field("tid", &tid);
+}
+
+/// A metadata event naming process `pid`.
+fn process_name(w: &mut JsonWriter, pid: u32, name: &str) {
+    open_event(w, "M", "process_name", None, (pid, 0));
+    args(w, &[("name", name)]);
+}
+
+/// A complete (`X`) span event, left open for its `args`.
+fn span(
+    w: &mut JsonWriter,
+    name: &str,
+    cat: &str,
+    ids: (u32, u32),
+    (start_us, end_us): (u64, u64),
+) {
+    open_event(w, "X", name, Some(cat), ids);
+    w.field("ts", &start_us);
+    w.field("dur", &end_us.saturating_sub(start_us));
+}
+
+/// Writes an event's `args` object and closes the event.
+fn args<T: Serialize>(w: &mut JsonWriter, values: &[(&str, T)]) {
+    w.key("args");
+    w.open('{');
+    for (key, value) in values {
+        w.field(key, value);
+    }
+    w.close('}');
+    w.close('}');
 }
 
 /// Per-run recorder owned by the engine. All recording methods are no-ops
@@ -525,7 +556,9 @@ impl TraceRecorder {
     #[must_use]
     pub fn new(config: TraceConfig) -> Self {
         TraceRecorder {
-            buf: config.enabled.then(|| TraceBuffer::new(config.capacity)),
+            buf: config
+                .enabled
+                .then(|| TraceBuffer::new(DEFAULT_TRACE_CAPACITY)),
             hist: DurationHistogram::default(),
         }
     }
@@ -746,6 +779,8 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\\\"test\\\""), "run name escaped");
+        let json = trace.to_chrome_json("tab\there");
+        assert!(json.contains("\"driver (tab\\there)\""), "{json}");
     }
 
     #[test]

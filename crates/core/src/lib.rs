@@ -62,7 +62,7 @@ pub use hotspot::{
     HotspotAudit, HotspotConfig, RankedSchedule, ScheduleAudit,
 };
 pub use memory_calibration::{MemoryCalibration, MemoryFactor, ScaleOutcome, ScaledParams};
-pub use parallel::{resolve_threads, run_indexed, try_run_indexed, with_retry};
+pub use parallel::{resolve_threads, run_indexed, try_run_indexed};
 pub use param_calibration::{ParamCalibration, SizeModel};
 pub use pipeline::{
     OfflineTraining, PipelineStageTiming, PipelineTimings, TrainedJuggler, TrainingConfig,

@@ -1,4 +1,5 @@
-//! Scoped worker pool for independent simulated experiments.
+//! Scoped worker pool for independent simulated experiments, and the
+//! per-lineage planner their fan-outs share.
 //!
 //! Offline training (Figure 8) is dominated by experiment runs that are
 //! mutually independent: the 3×3 parameter-calibration grid, the
@@ -14,9 +15,20 @@
 //! bit-identical artifacts at any thread count (asserted by the
 //! `determinism_parallel` integration test).
 //!
+//! What the runs of one grid share is planned once: `GridPlan` holds one
+//! application per grid point and one [`EnginePrep`] per lineage, planned
+//! by whichever run needs it first. Nothing here retries: a training run
+//! fails only when its schedule does not fit its application, which no
+//! seed changes.
+//!
 //! Built on `std::thread::scope` — no external dependencies.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use cluster_sim::{ClusterConfig, Engine, EnginePrep, SimParams};
+use dagflow::Application;
+use workloads::{Workload, WorkloadParams};
 
 /// Environment variable overriding the worker count when a caller asks
 /// for the automatic setting (`threads == 0`).
@@ -129,28 +141,64 @@ where
     Ok(results)
 }
 
-/// Calls `f(attempt)` up to `attempts` times (attempt numbers `0..attempts`)
-/// and returns the first success together with the attempt it happened on.
-/// On persistent failure the *last* error is returned — that is the error
-/// state the caller would act on, and earlier ones are retried-away noise.
-///
-/// This is the training-pipeline counterpart of the simulator's task retry:
-/// an experiment run that dies (a schedule that fails validation at one
-/// grid point, a poisoned workload) gets a bounded number of fresh chances
-/// before the caller decides whether to fail or degrade gracefully.
-pub fn with_retry<T, E, F>(attempts: u32, mut f: F) -> Result<(T, u32), E>
-where
-    F: FnMut(u32) -> Result<T, E>,
-{
-    let attempts = attempts.max(1);
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        match f(attempt) {
-            Ok(v) => return Ok((v, attempt)),
-            Err(e) => last_err = Some(e),
+/// A training grid planned once per lineage: one application per grid
+/// point, and one [`EnginePrep`] per group of points of the same lineage
+/// ([`Application::same_lineage`]; a grid's points differ only in sizes
+/// and partition counts). A lineage's prep is planned on first use from
+/// the application its point runs — the point's own, or a structural
+/// rewrite of it such as `instrument::inject`'s, which keeps the points'
+/// lineages equal. One plan serves one of the two, never both.
+pub(crate) struct GridPlan {
+    points: Vec<PlannedPoint>,
+}
+
+struct PlannedPoint {
+    app: Application,
+    /// The first point of this point's lineage, which holds its prep.
+    lineage: usize,
+    prep: OnceLock<Arc<EnginePrep>>,
+}
+
+impl GridPlan {
+    /// Builds one application per parameter set and groups them by
+    /// lineage. Plans nothing yet.
+    pub(crate) fn build(
+        workload: &dyn Workload,
+        params: impl ExactSizeIterator<Item = WorkloadParams>,
+    ) -> Self {
+        let _plan = obs::prof::scope("plan");
+        let mut points: Vec<PlannedPoint> = Vec::with_capacity(params.len());
+        for p in params {
+            let app = workload.build(&p);
+            let lineage = (0..points.len())
+                .find(|&i| points[i].lineage == i && points[i].app.same_lineage(&app))
+                .unwrap_or(points.len());
+            points.push(PlannedPoint {
+                app,
+                lineage,
+                prep: OnceLock::new(),
+            });
         }
+        GridPlan { points }
     }
-    Err(last_err.expect("at least one attempt ran"))
+
+    /// Point `i`'s application.
+    pub(crate) fn app(&self, i: usize) -> &Application {
+        &self.points[i].app
+    }
+
+    /// The prep of point `i`'s lineage, planned from `runs` (what point
+    /// `i` runs) if no point of the lineage has needed it yet.
+    pub(crate) fn prep(&self, i: usize, runs: &Application) -> Arc<EnginePrep> {
+        let lead = &self.points[self.points[i].lineage];
+        Arc::clone(lead.prep.get_or_init(|| Arc::new(EnginePrep::new(runs))))
+    }
+
+    /// An engine running point `i`'s own application.
+    pub(crate) fn engine(&self, i: usize, cluster: ClusterConfig, sim: SimParams) -> Engine<'_> {
+        let app = self.app(i);
+        Engine::with_prep(app, cluster, sim, self.prep(i, app))
+    }
 }
 
 #[cfg(test)]
@@ -193,30 +241,6 @@ mod tests {
             });
             assert_eq!(r.unwrap_err(), "slow failure at 3", "threads={threads}");
         }
-    }
-
-    #[test]
-    fn with_retry_returns_first_success_and_attempt() {
-        let r: Result<(u32, u32), &str> =
-            with_retry(4, |attempt| if attempt < 2 { Err("boom") } else { Ok(7) });
-        assert_eq!(r, Ok((7, 2)));
-    }
-
-    #[test]
-    fn with_retry_surfaces_last_error_when_exhausted() {
-        let mut calls = 0;
-        let r: Result<((), u32), String> = with_retry(3, |attempt| {
-            calls += 1;
-            Err(format!("fail {attempt}"))
-        });
-        assert_eq!(calls, 3);
-        assert_eq!(r.unwrap_err(), "fail 2");
-    }
-
-    #[test]
-    fn with_retry_treats_zero_attempts_as_one() {
-        let r: Result<(u32, u32), &str> = with_retry(0, |_| Ok(1));
-        assert_eq!(r, Ok((1, 0)));
     }
 
     #[test]

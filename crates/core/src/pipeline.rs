@@ -8,37 +8,30 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use cluster_sim::{
-    ClusterConfig, Engine, EnginePrep, MachineSpec, RunOptions, RunReport, TraceConfig,
+    ClusterConfig, Engine, MachineSpec, RunOptions, RunReport, SimParams, TraceConfig,
 };
-use dagflow::{Application, DagError, DatasetId};
+use dagflow::{DagError, DatasetId, Schedule};
 use instrument::{inject, profile_run, profile_sizes, ProfilingOverhead};
 use workloads::{Workload, WorkloadParams};
 
 use crate::diagnostics::TrainingDiagnostics;
 use crate::hotspot::{detect_hotspots_audited, DatasetMetricsView, HotspotConfig, RankedSchedule};
 use crate::memory_calibration::{MemoryCalibration, MemoryFactor};
-use crate::parallel::{resolve_threads, try_run_indexed};
+use crate::parallel::{resolve_threads, run_indexed, try_run_indexed, GridPlan};
 use crate::param_calibration::ParamCalibration;
 use crate::recommend::{CostModel, MachineMinutes, Recommendation, RecommendationMenu};
 use crate::time_model::TimeModel;
 
-/// Attempts each training experiment gets before the pipeline reacts: the
-/// single-run stages (1: hotspot, 3: memory calibration) fail after the
-/// last attempt, while the grid stages (2: parameter calibration, 4:
-/// execution-time models) skip the failing point with a note — losing one
-/// of nine grid cells degrades the fit, it does not kill the training.
-pub const TRAINING_RETRIES: u32 = 3;
-
-/// Seed salt added per retry attempt. Far above every stage's seed-offset
-/// space, so a retried run draws fresh noise, while attempt 0 keeps the
-/// original seed — healthy workloads produce bit-identical artifacts to
-/// the pre-retry pipeline.
-const RETRY_SEED_SALT: u64 = 1 << 32;
-
-/// Errors from the offline-training pipeline.
+/// Errors from the offline-training pipeline. A simulated run fails only
+/// when its schedule does not fit its application, which no seed changes,
+/// so no experiment is retried: the single-run stages (1: hotspot, 3:
+/// memory calibration) return the error, while the grid stages (2:
+/// parameter calibration, 4: execution-time models) skip the failing
+/// point with a note — losing one of nine grid cells degrades the fit, it
+/// does not kill the training.
 #[derive(Debug)]
 pub enum TrainingError {
     /// A simulated run rejected its plan or schedule.
@@ -436,11 +429,7 @@ impl OfflineTraining {
         let _prof = obs::prof::scope("training");
         let mut timings = PipelineTimings::default();
         let mut costs = TrainingCosts::default();
-        let sim = |seed_off: u64| {
-            let mut p = workload.sim_params();
-            p.seed = config.seed.wrapping_add(seed_off);
-            p
-        };
+        let sim = |seed_off: u64| seeded(workload, config, seed_off);
         // Resolve the worker count once for the whole pipeline.
         // `resolve_threads` consults the `JUGGLER_THREADS` environment
         // variable; resolving per fan-out (worse: per `run_indexed` call)
@@ -458,20 +447,12 @@ impl OfflineTraining {
             workload.build(&sample)
         };
         let calib_cluster = ClusterConfig::new(1, config.calibration_spec);
-        let (out, attempt) = crate::parallel::with_retry(TRAINING_RETRIES, |attempt| {
-            profile_run(
-                &sample_app,
-                sample_app.default_schedule(),
-                calib_cluster,
-                sim(1 + u64::from(attempt) * RETRY_SEED_SALT),
-            )
-        })?;
-        if attempt > 0 {
-            timings.notes.push(format!(
-                "stage-1 sample run succeeded on attempt {}",
-                attempt + 1
-            ));
-        }
+        let out = profile_run(
+            &sample_app,
+            sample_app.default_schedule(),
+            calib_cluster,
+            sim(1),
+        )?;
         costs.hotspot.add(&out.report);
         let metrics = DatasetMetricsView::from_metrics(&out.metrics, sample_app.dataset_count());
         let (schedules, hotspot_audit) = {
@@ -494,67 +475,39 @@ impl OfflineTraining {
         let wanted: BTreeSet<DatasetId> =
             ParamCalibration::datasets_of(schedules.iter().map(|s| s.schedule.as_ref()));
         // One application per grid point, built up front and shared into
-        // the fan-out: the DAG is a pure function of the parameters, so a
-        // retry (or a worker) re-deriving it can only waste time, never
-        // change a result.
-        let plan_prof = obs::prof::scope("plan");
-        let grid_apps: Vec<Arc<Application>> = grid
-            .iter()
-            .map(|&(e, f)| {
-                let params = WorkloadParams::auto(e as u64, f as u64, sample.iterations);
-                Arc::new(workload.build(&params))
-            })
-            .collect();
-        drop(plan_prof);
-        // Each point injects its own sizes, but `inject` rewrites the
-        // lineage structurally, so the points of the first point's lineage
-        // (all nine, in every paper family) share one instrumented
-        // `EnginePrep`, planned by whichever of them gets there first.
-        let shared_prep: OnceLock<Arc<EnginePrep>> = OnceLock::new();
-        let grid_runs = crate::parallel::run_indexed(grid.len(), threads, |gi| {
-            let app = &grid_apps[gi];
+        // the fan-out. Each point injects its own sizes, but `inject`
+        // rewrites the lineage structurally, so the points of one lineage
+        // (all nine, in every paper family) share one instrumented prep.
+        // Only the sizes of the schedules' datasets are fitted, so the runs
+        // measure nothing else.
+        let grid_plan = GridPlan::build(
+            workload,
+            grid.iter()
+                .map(|&(e, f)| WorkloadParams::auto(e as u64, f as u64, sample.iterations)),
+        );
+        let grid_runs = run_indexed(grid.len(), threads, |gi| {
+            let app = grid_plan.app(gi);
             let (instrumented, prep) = {
                 let _plan = obs::prof::scope("plan");
                 let instrumented = inject(app, ProfilingOverhead::default());
-                let plan = || Arc::new(EnginePrep::new(&instrumented.app));
-                let prep = if grid_apps[0].same_lineage(app) {
-                    Arc::clone(shared_prep.get_or_init(plan))
-                } else {
-                    plan()
-                };
+                let prep = grid_plan.prep(gi, &instrumented.app);
                 (instrumented, prep)
             };
-            // Only the sizes of the schedules' datasets are fitted, so the
-            // runs measure nothing else.
-            let attempt_run = |attempt: u32| {
-                let engine = Engine::with_prep(
-                    &instrumented.app,
-                    calib_cluster,
-                    sim(2 + gi as u64 + u64::from(attempt) * RETRY_SEED_SALT),
-                    Arc::clone(&prep),
-                );
-                profile_sizes(&engine, &instrumented, app.default_schedule(), &wanted)
-            };
-            match crate::parallel::with_retry(TRAINING_RETRIES, attempt_run) {
-                Ok(((report, sizes), attempt)) => {
-                    Ok((report.cost_machine_minutes(), sizes, attempt))
-                }
-                Err(e) => Err(e.to_string()),
-            }
+            let engine =
+                Engine::with_prep(&instrumented.app, calib_cluster, sim(2 + gi as u64), prep);
+            profile_sizes(&engine, &instrumented, app.default_schedule(), &wanted)
+                .map(|(report, sizes)| (report.cost_machine_minutes(), sizes))
         });
+        // The grid's apps and instrumented prep are done with: free them
+        // before the later stages build theirs.
+        drop(grid_plan);
         // Accumulate in grid order — identical at any thread count. A grid
-        // point whose run died on every attempt is skipped with a note:
-        // the size models fit on the surviving eight points.
+        // point whose run was rejected is skipped with a note: the size
+        // models fit on the surviving eight points.
         let mut observations: HashMap<DatasetId, Vec<(f64, f64, u64)>> = HashMap::new();
         for (outcome, &(e, f)) in grid_runs.iter().zip(&grid) {
             match outcome {
-                Ok((machine_minutes, sizes, attempt)) => {
-                    if *attempt > 0 {
-                        timings.notes.push(format!(
-                            "stage-2 run at (e={e:.0}, f={f:.0}) succeeded on attempt {}",
-                            attempt + 1
-                        ));
-                    }
+                Ok((machine_minutes, sizes)) => {
                     costs.param_calibration.add_cost(*machine_minutes);
                     for &(dataset, size_bytes) in sizes {
                         observations
@@ -563,14 +516,10 @@ impl OfflineTraining {
                             .push((e, f, size_bytes));
                     }
                 }
-                Err(msg) => {
-                    obs::log_warn!(
-                        "stage-2 grid point (e={e:.0}, f={f:.0}) skipped after \
-                         {TRAINING_RETRIES} attempts: {msg}"
-                    );
+                Err(err) => {
+                    obs::log_warn!("stage-2 grid point (e={e:.0}, f={f:.0}) skipped: {err}");
                     timings.notes.push(format!(
-                        "stage-2 run at (e={e:.0}, f={f:.0}) failed after \
-                         {TRAINING_RETRIES} attempts; grid point skipped: {msg}"
+                        "stage-2 run at (e={e:.0}, f={f:.0}) failed; grid point skipped: {err}"
                     ));
                 }
             }
@@ -610,38 +559,19 @@ impl OfflineTraining {
                 timings.notes.push(note);
             }
             let params = WorkloadParams::auto(scaled.e as u64, scaled.f as u64, sample.iterations);
-            // Plan the app once; retries only need a fresh seed, not a
-            // fresh `EnginePrep`.
-            let plan_prof = obs::prof::scope("plan");
-            let app = workload.build(&params);
-            let prep = Arc::new(EnginePrep::new(&app));
-            drop(plan_prof);
-            let (report, attempt) = crate::parallel::with_retry(TRAINING_RETRIES, |attempt| {
-                let engine = Engine::with_prep(
-                    &app,
-                    calib_cluster,
-                    sim(20 + u64::from(attempt) * RETRY_SEED_SALT),
-                    Arc::clone(&prep),
-                );
-                engine.run_shared(
-                    &first.schedule,
-                    RunOptions {
-                        trace: config.trace,
-                        ..RunOptions::default()
-                    },
-                )
-            })?;
-            if attempt > 0 {
-                timings.notes.push(format!(
-                    "stage-3 memory-calibration run succeeded on attempt {}",
-                    attempt + 1
-                ));
-            }
+            let plan = GridPlan::build(workload, std::iter::once(params));
+            let report = plan.engine(0, calib_cluster, sim(20)).run_shared(
+                &first.schedule,
+                RunOptions {
+                    trace: config.trace,
+                    ..RunOptions::default()
+                },
+            )?;
             costs.memory_calibration.add(&report);
             if let Some(trace) = &report.trace {
                 timings.notes.push(format!("stage-3 {}", trace.summary()));
             }
-            MemoryFactor::from_run(&app, &first.schedule, &report)
+            MemoryFactor::from_run(plan.app(0), &first.schedule, &report)
         } else {
             MemoryFactor { factor: 1.0 }
         };
@@ -662,47 +592,24 @@ impl OfflineTraining {
         let paper = workload.paper_params();
         let cells = schedules.len() * grid.len();
         // The cell application depends only on the grid point — every
-        // schedule (and every retry attempt) of the same `(e, f)` runs the
-        // same DAG. Build it once per grid point and share it into the
-        // fan-out; the nine grid points differ only in sizes, so they
-        // share one `EnginePrep` too, and per cell only the cheap
-        // `Engine::with_prep` handle remains. Clusters still differ per
-        // cell (the recommended machine count depends on the schedule),
-        // which `with_prep` is built for.
-        let plan_prof = obs::prof::scope("plan");
-        let cell_shared = plan_once_per_lineage(
+        // schedule of the same `(e, f)` runs the same DAG. Build it once per
+        // grid point and share it into the fan-out; the nine grid points
+        // differ only in sizes, so they share one prep too, and per cell
+        // only the cheap engine handle remains. Clusters still differ per
+        // cell (the recommended machine count depends on the schedule).
+        let cell_plan = GridPlan::build(
             workload,
             grid.iter()
                 .map(|&(e, f)| WorkloadParams::auto(e as u64, f as u64, paper.iterations)),
         );
-        drop(plan_prof);
-        let matrix = crate::parallel::run_indexed(cells, threads, |k| {
+        let matrix = run_indexed(cells, threads, |k| {
             let (si, gi) = (k / grid.len(), k % grid.len());
-            let rs = &schedules[si];
-            let (e, f) = grid[gi];
-            let size = sizes.predict_schedule_size(&rs.schedule, e, f);
-            let machines = memory_factor
-                .recommend_machines(size, &config.target_spec)
-                .min(config.max_machines);
-            let cluster = ClusterConfig::new(machines, config.target_spec);
-            let (app, prep) = &cell_shared[gi];
-            let attempt_run = |attempt: u32| {
-                let engine = Engine::with_prep(
-                    app.as_ref(),
-                    cluster,
-                    sim(40 + k as u64 + u64::from(attempt) * RETRY_SEED_SALT),
-                    Arc::clone(prep),
-                );
-                engine.run_shared(&rs.schedule, RunOptions::default())
-            };
-            match crate::parallel::with_retry(TRAINING_RETRIES, attempt_run) {
-                Ok((report, attempt)) => Ok((
-                    report.cost_machine_minutes(),
-                    (e, f, report.total_time_s),
-                    attempt,
-                )),
-                Err(e) => Err(e.to_string()),
-            }
+            let schedule = &schedules[si].schedule;
+            let cluster = recommended_cluster(config, &sizes, &memory_factor, schedule, grid[gi]);
+            cell_plan
+                .engine(gi, cluster, sim(40 + k as u64))
+                .run_shared(schedule, RunOptions::default())
+                .map(|report| (report.cost_machine_minutes(), report.total_time_s))
         });
         let mut time_models = Vec::with_capacity(schedules.len());
         let mut time_fits = Vec::with_capacity(schedules.len());
@@ -712,28 +619,20 @@ impl OfflineTraining {
             for (ci, cell) in row.iter().enumerate() {
                 let (e, f) = grid[ci];
                 match cell {
-                    Ok((machine_minutes, point, attempt)) => {
-                        if *attempt > 0 {
-                            timings.notes.push(format!(
-                                "stage-4 run (schedule {si}, e={e:.0}, f={f:.0}) \
-                                 succeeded on attempt {}",
-                                attempt + 1
-                            ));
-                        }
+                    Ok((machine_minutes, time_s)) => {
                         costs.time_models.add_cost(*machine_minutes);
-                        points.push(*point);
+                        points.push((e, f, *time_s));
                     }
-                    // A cell whose run died on every attempt loses one of
-                    // the schedule's nine fit points; the model fits on
-                    // the rest (and fitting fails loudly if none survive).
-                    Err(msg) => {
+                    // A rejected cell loses one of the schedule's nine fit
+                    // points; the model fits on the rest (and fitting fails
+                    // loudly if none survive).
+                    Err(err) => {
                         obs::log_warn!(
-                            "stage-4 cell (schedule {si}, e={e:.0}, f={f:.0}) skipped \
-                             after {TRAINING_RETRIES} attempts: {msg}"
+                            "stage-4 cell (schedule {si}, e={e:.0}, f={f:.0}) skipped: {err}"
                         );
                         timings.notes.push(format!(
-                            "stage-4 run (schedule {si}, e={e:.0}, f={f:.0}) failed after \
-                             {TRAINING_RETRIES} attempts; point skipped: {msg}"
+                            "stage-4 run (schedule {si}, e={e:.0}, f={f:.0}) failed; \
+                             point skipped: {err}"
                         ));
                     }
                 }
@@ -780,28 +679,28 @@ impl OfflineTraining {
     }
 }
 
-/// Builds one application per parameter set and plans each lineage once:
-/// an application of the same lineage as an earlier one
-/// ([`Application::same_lineage`]; a training grid's points differ only
-/// in sizes and partition counts) shares that one's [`EnginePrep`], and
-/// with it its pool of executor states.
-fn plan_once_per_lineage(
-    workload: &dyn Workload,
-    params: impl Iterator<Item = WorkloadParams>,
-) -> Vec<(Arc<Application>, Arc<EnginePrep>)> {
-    let mut planned: Vec<(Arc<Application>, Arc<EnginePrep>)> = Vec::new();
-    for p in params {
-        let app = Arc::new(workload.build(&p));
-        let prep = planned
-            .iter()
-            .find(|(seen, _)| seen.same_lineage(&app))
-            .map_or_else(
-                || Arc::new(EnginePrep::new(&app)),
-                |(_, prep)| Arc::clone(prep),
-            );
-        planned.push((app, prep));
-    }
-    planned
+/// The workload's simulation parameters, seeded `offset` past the
+/// training seed: every experiment of a training owns one offset.
+fn seeded(workload: &dyn Workload, config: &TrainingConfig, offset: u64) -> SimParams {
+    let mut p = workload.sim_params();
+    p.seed = config.seed.wrapping_add(offset);
+    p
+}
+
+/// The target cluster a stage-4 or §6.1 cell runs `schedule` on at
+/// `(e, f)`: as many target machines as Eq. 6 recommends, capped.
+fn recommended_cluster(
+    config: &TrainingConfig,
+    sizes: &ParamCalibration,
+    memory_factor: &MemoryFactor,
+    schedule: &Schedule,
+    (e, f): (f64, f64),
+) -> ClusterConfig {
+    let size = sizes.predict_schedule_size(schedule, e, f);
+    let machines = memory_factor
+        .recommend_machines(size, &config.target_spec)
+        .min(config.max_machines);
+    ClusterConfig::new(machines, config.target_spec)
 }
 
 impl OfflineTraining {
@@ -824,41 +723,37 @@ impl OfflineTraining {
         let grid = ParamCalibration::training_grid(&e_axis, &f_axis);
         // Flatten the (schedule × grid × iterations) cube onto the worker
         // pool; the seed offset `900 + k` matches the sequential loop.
-        let per_schedule = grid.len() * iteration_axis.len();
+        let levels = iteration_axis.len();
+        let per_schedule = grid.len() * levels;
         let cells = trained.schedules.len() * per_schedule;
         // As in stage 4: the application depends only on `(e, f, iters)`,
         // never on the schedule, so one app per (grid point, iteration
         // level) is shared across every schedule's cells, and one prep
         // per iteration level across its grid points.
-        let cube_shared = plan_once_per_lineage(
+        let cube_plan = GridPlan::build(
             workload,
-            grid.iter()
-                .flat_map(|&(e, f)| iteration_axis.iter().map(move |&iters| (e, f, iters)))
-                .map(|(e, f, iters)| WorkloadParams::auto(e as u64, f as u64, iters)),
+            (0..per_schedule).map(|j| {
+                let (e, f) = grid[j / levels];
+                WorkloadParams::auto(e as u64, f as u64, iteration_axis[j % levels])
+            }),
         );
         let threads = resolve_threads(config.threads);
-        let runs = try_run_indexed::<_, TrainingError, _>(cells, threads, |k| {
-            let si = k / per_schedule;
-            let (gi, ii) = (
-                (k % per_schedule) / iteration_axis.len(),
-                k % iteration_axis.len(),
+        let runs = try_run_indexed(cells, threads, |k| {
+            let (si, j) = (k / per_schedule, k % per_schedule);
+            let schedule = &trained.schedules[si].schedule;
+            let (e, f) = grid[j / levels];
+            let cluster = recommended_cluster(
+                config,
+                &trained.sizes,
+                &trained.memory_factor,
+                schedule,
+                (e, f),
             );
-            let rs = &trained.schedules[si];
-            let (e, f) = grid[gi];
-            let iters = iteration_axis[ii];
-            let size = trained.sizes.predict_schedule_size(&rs.schedule, e, f);
-            let machines = trained
-                .memory_factor
-                .recommend_machines(size, &config.target_spec)
-                .min(config.max_machines);
-            let mut sim = workload.sim_params();
-            sim.seed = config.seed.wrapping_add(900 + k as u64);
-            let cluster = ClusterConfig::new(machines, config.target_spec);
-            let (app, prep) = &cube_shared[gi * iteration_axis.len() + ii];
-            let report = Engine::with_prep(app.as_ref(), cluster, sim, Arc::clone(prep))
-                .run_shared(&rs.schedule, RunOptions::default())
-                .map_err(TrainingError::from)?;
-            Ok((e, f, f64::from(iters), report.total_time_s))
+            let iters = f64::from(iteration_axis[j % levels]);
+            cube_plan
+                .engine(j, cluster, seeded(workload, config, 900 + k as u64))
+                .run_shared(schedule, RunOptions::default())
+                .map(|report| (e, f, iters, report.total_time_s))
         })?;
         let mut models = Vec::with_capacity(trained.schedules.len());
         for (si, points) in runs.chunks(per_schedule).enumerate() {

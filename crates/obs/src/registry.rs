@@ -527,70 +527,52 @@ impl Snapshot {
     }
 
     /// Renders the snapshot as JSON: `{"metrics": [...]}` with one object
-    /// per metric. Non-finite gauge values render as `null`.
+    /// per metric. Gauges print as floats, non-finite ones as `null`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.metrics.len() * 128 + 16);
-        out.push_str("{\"metrics\":[");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        serde::to_json(self, false)
+    }
+}
+
+impl serde::Serialize for Snapshot {
+    fn write_json(&self, w: &mut serde::JsonWriter) {
+        w.open('{');
+        w.key("metrics");
+        w.open('[');
+        for m in &self.metrics {
+            w.elem();
+            w.open('{');
+            w.field("name", m.name.as_str());
             let kind = match &m.value {
                 MetricValue::Counter(_) => MetricKind::Counter,
                 MetricValue::Gauge(_) => MetricKind::Gauge,
                 MetricValue::Histogram { .. } => MetricKind::Histogram,
             };
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"class\":\"{}\",\"help\":\"{}\"",
-                escape_json(&m.name),
-                kind.label(),
-                m.class.label(),
-                escape_json(&m.help)
-            );
+            w.field("kind", kind.label());
+            w.field("class", m.class.label());
+            w.field("help", m.help.as_str());
             match &m.value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(out, ",\"value\":{v}");
-                }
-                MetricValue::Gauge(v) => {
-                    if v.is_finite() {
-                        let _ = write!(out, ",\"value\":{v}");
-                    } else {
-                        out.push_str(",\"value\":null");
-                    }
-                }
+                MetricValue::Counter(v) => w.field("value", v),
+                MetricValue::Gauge(v) => w.field("value", v),
                 MetricValue::Histogram {
                     buckets,
                     count,
                     sum,
                     max,
                 } => {
-                    let _ = write!(out, ",\"count\":{count},\"sum\":{sum},\"max\":{max}");
+                    w.field("count", count);
+                    w.field("sum", sum);
+                    w.field("max", max);
                     for (label, q_num) in [("p50", 50), ("p95", 95), ("p99", 99)] {
-                        match log2_quantile(buckets, *count, q_num, 100) {
-                            Some(v) => {
-                                let _ = write!(out, ",\"{label}\":{v}");
-                            }
-                            None => {
-                                let _ = write!(out, ",\"{label}\":null");
-                            }
-                        }
+                        w.field(label, &log2_quantile(buckets, *count, q_num, 100));
                     }
-                    out.push_str(",\"buckets\":[");
-                    for (j, b) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{b}");
-                    }
-                    out.push(']');
+                    w.field("buckets", buckets);
                 }
             }
-            out.push('}');
+            w.close('}');
         }
-        out.push_str("]}");
-        out
+        w.close(']');
+        w.close('}');
     }
 }
 
@@ -610,21 +592,6 @@ fn fmt_prom_float(v: f64) -> String {
 
 fn escape_prom_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if c.is_control() => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -803,12 +770,18 @@ mod tests {
         reg.counter("hits_total", "cache \"hits\"").add(7);
         reg.gauge("bad", "non-finite", MetricClass::Deterministic)
             .set(f64::NAN);
+        reg.gauge("whole", "integral", MetricClass::Deterministic)
+            .set(2.0);
         let json = reg.snapshot(false).to_json();
         assert!(json.starts_with("{\"metrics\":["), "{json}");
         assert!(json.contains("\"name\":\"hits_total\""));
         assert!(json.contains("\"help\":\"cache \\\"hits\\\"\""), "{json}");
         assert!(json.contains("\"value\":7"));
         assert!(json.contains("\"value\":null"), "NaN gauge → null");
+        assert!(
+            json.contains("\"value\":2.0"),
+            "gauges print as floats: {json}"
+        );
     }
 
     #[test]

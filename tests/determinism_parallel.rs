@@ -3,10 +3,13 @@
 //! run, because every simulated experiment owns its RNG seed and results
 //! are gathered in index order.
 
+mod common;
+
+use common::TinyScoring;
 use juggler_suite::cluster_sim::EnginePrep;
 use juggler_suite::juggler::pipeline::{OfflineTraining, TrainingConfig};
 use juggler_suite::juggler::{resolve_threads, run_indexed, try_run_indexed};
-use juggler_suite::workloads::{all_workloads, LogisticRegression, Pca, Workload};
+use juggler_suite::workloads::{all_workloads, LogisticRegression, Pca, Workload, WorkloadParams};
 
 fn config_with_threads(threads: usize) -> TrainingConfig {
     TrainingConfig {
@@ -89,15 +92,15 @@ impl Workload for CountingWorkload<'_> {
 }
 
 /// Pins the grid sharing contract: per-grid-point runs share one
-/// application across schedules and retry attempts instead of cloning it
+/// application across schedules instead of cloning it
 /// per cell, and the nine grid points of stages 2 and 4, which differ only
 /// in sizes, share one `EnginePrep` per stage. Every paper family trains
 /// its schedules over a 9-point grid, so builds are 1 (stage-1 sample) +
 /// 9 (stage-2 grid) + 1 (stage-3 memory calibration) + 9 (stage-4, one
 /// per grid point — NOT one per cell; LOR has 18), and preps are
 /// 1 + 1 + 1 + 1 (stages 2 and 4 each plan their instrumented or plain
-/// grid once). A regression that moves the build back inside the per-cell or
-/// per-attempt closures, or plans each grid point again, breaks these
+/// grid once). A regression that moves the build back inside the per-cell
+/// closure, or plans each grid point again, breaks these
 /// counts immediately. A one-thread training runs on this thread, so the
 /// thread's prep count sees every prep it builds.
 #[test]
@@ -132,6 +135,74 @@ fn grid_point_runs_share_the_app_dag() {
         let plain = artifact_bytes(w.as_ref(), 1);
         let wrapped = serde_json::to_string_pretty(&trained).expect("artifact serializes");
         assert_eq!(plain, wrapped);
+    }
+}
+
+/// [`TinyScoring`], except that the grid points at the largest
+/// training-axis `e` run one extra iteration: their applications end in
+/// one more dataset pair and job, so every training grid holds two
+/// lineages. Records this thread's prep count at each `build` call, which
+/// splits a one-thread training's preps by stage.
+#[derive(Default)]
+struct TwoLineages {
+    preps_at_build: std::sync::Mutex<Vec<u64>>,
+}
+
+impl Workload for TwoLineages {
+    fn name(&self) -> &'static str {
+        "TINY-TWO-LINEAGES"
+    }
+    fn build(&self, params: &WorkloadParams) -> juggler_suite::dagflow::Application {
+        self.preps_at_build
+            .lock()
+            .expect("unpoisoned")
+            .push(EnginePrep::built_on_this_thread());
+        let (e_axis, _) = TinyScoring.training_axes();
+        let largest_e = e_axis.iter().copied().fold(0.0, f64::max) as u64;
+        if params.examples == largest_e {
+            return TinyScoring.build(&WorkloadParams {
+                iterations: params.iterations + 1,
+                ..*params
+            });
+        }
+        TinyScoring.build(params)
+    }
+    fn paper_params(&self) -> WorkloadParams {
+        TinyScoring.paper_params()
+    }
+    fn sim_params(&self) -> juggler_suite::cluster_sim::SimParams {
+        TinyScoring.sim_params()
+    }
+}
+
+/// Stages 2 and 4 plan one prep per lineage of their grid, whatever the
+/// order of the points: here three of nine points (the largest `e`) have
+/// a lineage of their own, so each stage plans two preps, and the stage-1
+/// and stage-3 runs one each. Builds run in stage order (1 + 9 + 1 + 9),
+/// so the prep counts seen at the first build of each stage split the
+/// total. The shared preps must not change the artifact at any thread
+/// count.
+#[test]
+fn grid_stages_plan_one_prep_per_lineage() {
+    let w = TwoLineages::default();
+    let trained = OfflineTraining::run(&w, &config_with_threads(1)).expect("training succeeds");
+    let end = EnginePrep::built_on_this_thread();
+    let seen = w.preps_at_build.lock().expect("unpoisoned").clone();
+    assert_eq!(seen.len(), 1 + 9 + 1 + 9, "builds per stage");
+    let per_stage = [
+        seen[1] - seen[0],
+        seen[10] - seen[1],
+        seen[11] - seen[10],
+        end - seen[11],
+    ];
+    assert_eq!(per_stage, [1, 2, 1, 2], "preps per stage");
+    let sequential = serde_json::to_string_pretty(&trained).expect("artifact serializes");
+    for threads in [2, 8] {
+        assert_eq!(
+            sequential,
+            artifact_bytes(&TwoLineages::default(), threads),
+            "artifact differs between threads=1 and threads={threads}"
+        );
     }
 }
 
