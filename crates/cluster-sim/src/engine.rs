@@ -398,7 +398,7 @@ impl<'a> Engine<'a> {
     /// already hold an [`Arc<Schedule>`] should prefer [`Engine::run_shared`],
     /// which only bumps the reference count.
     pub fn run(&self, schedule: &Schedule, options: RunOptions) -> Result<RunReport, DagError> {
-        self.run_inner(schedule, None, options, None)
+        self.run_inner(schedule, None, options, None, None)
     }
 
     /// Like [`Engine::run`] but for a shared schedule: the report's
@@ -408,7 +408,7 @@ impl<'a> Engine<'a> {
         schedule: &Arc<Schedule>,
         options: RunOptions,
     ) -> Result<RunReport, DagError> {
-        self.run_inner(schedule, Some(schedule), options, None)
+        self.run_inner(schedule, Some(schedule), options, None, None)
     }
 
     /// Like [`Engine::run`], but hands each finished task's trace to
@@ -417,13 +417,26 @@ impl<'a> Engine<'a> {
     /// trace's step list lives in a buffer the executor reuses for the
     /// next task, so a consumer that folds traces as they arrive (the
     /// `instrument` crate's profiling database) keeps none of them.
+    ///
+    /// With a `watch` (one flag per dataset id), a trace holds only the
+    /// steps of watched datasets, and a task with none is not handed to
+    /// `sink` at all. Recorded steps keep their times and bytes, and the
+    /// report is the same bits either way.
     pub fn run_observed(
         &self,
         schedule: &Schedule,
         options: RunOptions,
+        watch: Option<&[bool]>,
         sink: &mut dyn FnMut(&TaskTrace),
     ) -> Result<RunReport, DagError> {
-        self.run_inner(schedule, None, options, Some(sink))
+        if let Some(w) = watch {
+            assert_eq!(
+                w.len(),
+                self.app.dataset_count(),
+                "one watch flag per dataset"
+            );
+        }
+        self.run_inner(schedule, None, options, Some(sink), watch)
     }
 
     fn run_inner(
@@ -432,6 +445,7 @@ impl<'a> Engine<'a> {
         shared: Option<&Arc<Schedule>>,
         options: RunOptions,
         mut observer: Option<&mut (dyn FnMut(&TaskTrace) + '_)>,
+        watch: Option<&[bool]>,
     ) -> Result<RunReport, DagError> {
         self.app.check_schedule(schedule)?;
         // Phase profiling: one `sim` span per run, with coarse sub-phases
@@ -449,7 +463,13 @@ impl<'a> Engine<'a> {
         );
         let mut store = self.run_store(stepper.persisted());
         while !stepper.done() {
-            stepper.step_job(&mut store, &self.cluster, 0.0, observer.as_deref_mut());
+            stepper.step_job(
+                &mut store,
+                &self.cluster,
+                0.0,
+                observer.as_deref_mut(),
+                watch,
+            );
         }
         let schedule = shared.map_or_else(|| Arc::new(schedule.clone()), Arc::clone);
         Ok(stepper.finish(&store, schedule))
@@ -576,15 +596,17 @@ impl<'a> JobStepper<'a> {
     /// differ from the previous job's (the executor grid is resized at
     /// the boundary). `clock_offset_s` maps the run's clock onto the
     /// store's simulation clock; the store ignores it outside tenancy.
-    /// Finished tasks' traces go to `observer` when one is given, else
-    /// to the run's own list when the run collects traces; either way
-    /// through the one per-task sink the executor calls.
+    /// Finished tasks' traces go to `observer` (recording the steps of
+    /// the datasets `watch` flags, or every step without one) when one is
+    /// given, else to the run's own list when the run collects traces;
+    /// either way through the one per-task sink the executor calls.
     pub(crate) fn step_job(
         &mut self,
         store: &mut BlockStore,
         cluster: &ClusterConfig,
         clock_offset_s: f64,
         observer: Option<&mut (dyn FnMut(&TaskTrace) + '_)>,
+        watch: Option<&[bool]>,
     ) {
         if cluster.spec.cores != self.cores {
             self.cores = cluster.spec.cores;
@@ -623,6 +645,10 @@ impl<'a> JobStepper<'a> {
         );
         let traces = &mut self.traces;
         let mut collect = |t: &TaskTrace| traces.push(t.clone());
+        debug_assert!(
+            watch.is_none() || observer.is_some(),
+            "a watch needs an observer"
+        );
         let mut sink: Option<&mut dyn FnMut(&TaskTrace)> = match observer {
             Some(observer) => Some(observer),
             None if self.collect_traces => Some(&mut collect),
@@ -636,6 +662,7 @@ impl<'a> JobStepper<'a> {
             swap: &self.swap,
             sizing: &self.sizing,
             trace: sink.is_some(),
+            watch,
         };
         for (sp, stage) in plan.stages.iter().enumerate() {
             if !self.needed[stage.id.index()] {

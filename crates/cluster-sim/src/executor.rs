@@ -341,7 +341,9 @@ fn choose_slot(
 /// Runs one stage starting at `stage_start`; returns the stage finish time
 /// and hands each finished task's trace to `sink` when tracing is on
 /// (`env.trace`, which must agree with `sink` being given). The trace's
-/// steps are the executor's reused walk buffer, lent for the call.
+/// steps are the executor's reused walk buffer, lent for the call. Under
+/// a watch (`env.watch`) a trace holds only the watched datasets' steps,
+/// and a task without one is not handed on.
 /// Structured span events (tasks, waves) go to `recorder` when it is
 /// enabled. `chaos` carries the run's fault plan and retry policy; with an
 /// empty plan and the default policy the stage executes the exact
@@ -584,9 +586,14 @@ pub fn run_stage(
             w.2 += 1;
         }
 
-        if let Some(sink) = sink.as_mut() {
-            // Shift step offsets to absolute times, scaled to the noisy
-            // duration so steps still tile the (winning) attempt exactly.
+        // A watched run hands on only the tasks that recorded a step.
+        let sink = sink
+            .as_mut()
+            .filter(|_| env.watch.is_none() || !walk.steps.is_empty());
+        if let Some(sink) = sink {
+            // Shift the recorded step offsets to absolute times, scaled to
+            // the noisy duration so steps still tile the (winning)
+            // attempt exactly.
             let scale = if walk.duration > 0.0 {
                 eff_duration / walk.duration
             } else {
@@ -703,6 +710,7 @@ mod tests {
                 swap: &swap,
                 sizing: &Sizing::new(&app, 0.0),
                 trace: false,
+                watch: None,
             };
             let mut store = store_for(&env);
             let mut state = ExecutorState::new(
@@ -749,6 +757,7 @@ mod tests {
             swap: &swap,
             sizing: &Sizing::new(&app, 0.0),
             trace: true,
+            watch: None,
         };
         let mut store = store_for(&env);
         let mut state = ExecutorState::new(2, 4, TaskNoise::new(0, NoiseParams::NONE));
@@ -818,6 +827,7 @@ mod tests {
             swap: &swap,
             sizing: &Sizing::new(&app, 0.3),
             trace: true,
+            watch: None,
         };
         let mut store = store_for(&env);
         let mut state = ExecutorState::new(2, 4, TaskNoise::new(7, params.noise));
@@ -887,6 +897,7 @@ mod tests {
             swap: &swap,
             sizing: &Sizing::new(&app, 0.0),
             trace: true,
+            watch: None,
         };
         let plan = StagePlan::build(&app, dagflow::JobId(0));
         let run = |plan_faults: FaultPlan, policy: RetryPolicy| {
@@ -967,6 +978,7 @@ mod tests {
             swap: &swap,
             sizing: &Sizing::new(&app, 0.0),
             trace: false,
+            watch: None,
         };
         let mut store = store_for(&env);
         let mut state = ExecutorState::new(1, 4, TaskNoise::new(0, NoiseParams::NONE));

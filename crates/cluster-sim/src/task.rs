@@ -124,6 +124,17 @@ pub struct TaskEnv<'a> {
     pub sizing: &'a Sizing,
     /// Whether to record pipeline steps.
     pub trace: bool,
+    /// When recording, the datasets whose steps are recorded (indexed by
+    /// dataset id); `None` records every step.
+    pub watch: Option<&'a [bool]>,
+}
+
+impl TaskEnv<'_> {
+    /// Whether a step of `d` is recorded.
+    #[inline]
+    fn records(&self, d: DatasetId) -> bool {
+        self.trace && self.watch.is_none_or(|w| w[d.index()])
+    }
 }
 
 /// Outcome of walking one task's pipeline.
@@ -137,9 +148,12 @@ pub struct TaskWalk {
 }
 
 impl TaskWalk {
+    /// Adds a step of `dur` seconds; records it when `record` says so.
+    /// An unrecorded step still counts towards the duration, so recorded
+    /// steps keep the offsets they have in a run recording every step.
     fn push_step(
         &mut self,
-        trace: bool,
+        record: bool,
         dataset: DatasetId,
         kind: StepKind,
         dur: f64,
@@ -147,7 +161,7 @@ impl TaskWalk {
     ) {
         let start = self.duration;
         self.duration += dur;
-        if trace {
+        if record {
             self.steps.push(PipelineStep {
                 dataset,
                 kind,
@@ -514,21 +528,21 @@ impl StageWalk {
                         // holder.
                         let c = cost(at, op);
                         let dur = if holder == machine { c.dur } else { c.remote };
-                        walk.push_step(env.trace, d, StepKind::CacheRead, dur, c.bytes);
+                        walk.push_step(env.records(d), d, StepKind::CacheRead, dur, c.bytes);
                         i += skip as usize;
                     }
                 }
                 WalkOp::Source { d } => {
                     let c = cost(at, op);
-                    walk.push_step(env.trace, d, StepKind::SourceRead, c.dur, c.bytes);
+                    walk.push_step(env.records(d), d, StepKind::SourceRead, c.dur, c.bytes);
                 }
                 WalkOp::Shuffle { d, .. } => {
                     let c = cost(at, op);
-                    walk.push_step(env.trace, d, StepKind::ShuffleRead, c.dur, c.bytes);
+                    walk.push_step(env.records(d), d, StepKind::ShuffleRead, c.dur, c.bytes);
                 }
                 WalkOp::Narrow { d, .. } => {
                     let c = cost(at, op);
-                    walk.push_step(env.trace, d, StepKind::Compute, c.dur, c.bytes);
+                    walk.push_step(env.records(d), d, StepKind::Compute, c.dur, c.bytes);
                 }
                 WalkOp::Insert { d, swap } => {
                     let bytes = cost(at, op).bytes;
@@ -545,7 +559,13 @@ impl StageWalk {
                 Some(row) => row.dur,
                 None => c.seconds(env, self.output, p),
             };
-            walk.push_step(env.trace, c.wide, StepKind::ShuffleWrite, dur, c.written);
+            walk.push_step(
+                env.records(c.wide),
+                c.wide,
+                StepKind::ShuffleWrite,
+                dur,
+                c.written,
+            );
         }
     }
 }
@@ -596,7 +616,13 @@ pub(crate) mod recursive {
         materialize(env, store, machine, output, p, &mut walk);
         for c in &consumers {
             let dur = c.seconds(env, output, p);
-            walk.push_step(env.trace, c.wide, StepKind::ShuffleWrite, dur, c.written);
+            walk.push_step(
+                env.records(c.wide),
+                c.wide,
+                StepKind::ShuffleWrite,
+                dur,
+                c.written,
+            );
         }
         walk
     }
@@ -636,7 +662,7 @@ pub(crate) mod recursive {
                 } else {
                     spec.network_bandwidth
                 };
-                walk.push_step(env.trace, d, StepKind::CacheRead, bytes / bw, bytes);
+                walk.push_step(env.records(d), d, StepKind::CacheRead, bytes / bw, bytes);
                 return;
             }
         }
@@ -645,7 +671,7 @@ pub(crate) mod recursive {
         match ds.op {
             OpKind::Source(_) => {
                 walk.push_step(
-                    env.trace,
+                    env.records(d),
                     d,
                     StepKind::SourceRead,
                     bytes / spec.disk_bandwidth,
@@ -654,7 +680,7 @@ pub(crate) mod recursive {
             }
             OpKind::Wide(_) => {
                 let dur = shuffle_read_seconds(env, d, p);
-                walk.push_step(env.trace, d, StepKind::ShuffleRead, dur, bytes);
+                walk.push_step(env.records(d), d, StepKind::ShuffleRead, dur, bytes);
             }
             OpKind::Narrow(_) => {
                 let mut input_bytes = 0.0;
@@ -664,7 +690,7 @@ pub(crate) mod recursive {
                 }
                 let records = env.sizing.partition_records(d, p);
                 let compute = ds.compute.task_seconds(records, input_bytes) / spec.cpu_speed;
-                walk.push_step(env.trace, d, StepKind::Compute, compute, bytes);
+                walk.push_step(env.records(d), d, StepKind::Compute, compute, bytes);
             }
         }
 
@@ -752,6 +778,7 @@ mod tests {
             swap,
             sizing,
             trace: true,
+            watch: None,
         }
     }
 

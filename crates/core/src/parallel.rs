@@ -15,19 +15,22 @@
 //! bit-identical artifacts at any thread count (asserted by the
 //! `determinism_parallel` integration test).
 //!
-//! What the runs of one grid share is planned once: `GridPlan` holds one
-//! application per grid point and one [`EnginePrep`] per lineage, planned
-//! by whichever run needs it first. Nothing here retries: a training run
-//! fails only when its schedule does not fit its application, which no
-//! seed changes.
+//! What the runs of one grid share is planned once: `GridPlan` sizes one
+//! application per grid point against the grid's lineages and holds one
+//! [`EnginePrep`] (and, for instrumented runs, one `inject`) per
+//! lineage, planned by whichever run needs it first. Nothing here
+//! retries: a training run fails only when its schedule does not fit its
+//! application, which no seed changes.
 //!
 //! Built on `std::thread::scope` — no external dependencies.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cluster_sim::{ClusterConfig, Engine, EnginePrep, SimParams};
-use dagflow::Application;
+use dagflow::{Application, Lineages};
+use instrument::{inject, Instrumented, ProfilingOverhead};
 use workloads::{Workload, WorkloadParams};
 
 /// Environment variable overriding the worker count when a caller asks
@@ -142,44 +145,94 @@ where
 }
 
 /// A training grid planned once per lineage: one application per grid
-/// point, and one [`EnginePrep`] per group of points of the same lineage
-/// ([`Application::same_lineage`]; a grid's points differ only in sizes
-/// and partition counts). A lineage's prep is planned on first use from
-/// the application its point runs — the point's own, or a structural
-/// rewrite of it such as `instrument::inject`'s, which keeps the points'
-/// lineages equal. One plan serves one of the two, never both.
-pub(crate) struct GridPlan {
+/// point, sized (`Workload::build_sized`) against the lineages before it
+/// of the same iteration count, and one [`EnginePrep`] per lineage. A
+/// grid's points of one iteration count differ only in sizes and
+/// partition counts, so each repeats the lineage of a given application
+/// (stage 1's sample app for stages 2 and 3) or of an earlier point; a
+/// point that repeats none, such as the first point of each iteration
+/// count in a grid without a given lineage, is a lineage of its own,
+/// built afresh. A lineage's prep is planned on first use from the
+/// application its point runs — the point's own, or an instrumented one
+/// (see [`GridPlan::instrumented`]). One plan serves one of the two,
+/// never both.
+pub(crate) struct GridPlan<'l> {
     points: Vec<PlannedPoint>,
+    lineages: Vec<Lineage<'l>>,
 }
 
 struct PlannedPoint {
     app: Application,
-    /// The first point of this point's lineage, which holds its prep.
+    /// Index into `lineages`.
     lineage: usize,
-    prep: OnceLock<Arc<EnginePrep>>,
 }
 
-impl GridPlan {
-    /// Builds one application per parameter set and groups them by
-    /// lineage. Plans nothing yet.
+struct Lineage<'l> {
+    leader: Leader<'l>,
+    /// The iteration count the leader was built for. A workload names
+    /// its datasets by their place in the lineage of one iteration count,
+    /// so only points of that count are sized against it.
+    iterations: u32,
+    prep: OnceLock<Arc<EnginePrep>>,
+    /// `inject` of the leader, for grids that run instrumented.
+    instrumented: OnceLock<Instrumented>,
+}
+
+/// A lineage's own application.
+#[derive(Clone, Copy)]
+enum Leader<'l> {
+    /// One from outside the grid.
+    Given(&'l Application),
+    /// That of the point with this index.
+    Point(usize),
+}
+
+impl<'l> GridPlan<'l> {
+    /// Builds one application per parameter set, each against `given` (a
+    /// lineage from outside the grid, with the parameters it was built
+    /// from) and the lineages of the points before it. Plans nothing yet.
     pub(crate) fn build(
         workload: &dyn Workload,
+        given: Option<(&'l Application, WorkloadParams)>,
         params: impl ExactSizeIterator<Item = WorkloadParams>,
     ) -> Self {
         let _plan = obs::prof::scope("plan");
-        let mut points: Vec<PlannedPoint> = Vec::with_capacity(params.len());
+        let mut plan = GridPlan {
+            points: Vec::with_capacity(params.len()),
+            lineages: given
+                .map(|(app, p)| Lineage::new(Leader::Given(app), p.iterations))
+                .into_iter()
+                .collect(),
+        };
         for p in params {
-            let app = workload.build(&p);
-            let lineage = (0..points.len())
-                .find(|&i| points[i].lineage == i && points[i].app.same_lineage(&app))
-                .unwrap_or(points.len());
-            points.push(PlannedPoint {
-                app,
-                lineage,
-                prep: OnceLock::new(),
+            let same_count = |k: &usize| plan.lineages[*k].iterations == p.iterations;
+            let known = (0..plan.lineages.len()).filter(same_count);
+            let known = Lineages::new(known.map(|k| plan.leader(k)).collect());
+            let (app, matched) = if known.is_empty() {
+                (workload.build(&p), None)
+            } else {
+                let app = workload.build_sized(&p, &known);
+                let matched = known.take_matched();
+                let lineage =
+                    matched.and_then(|m| (0..plan.lineages.len()).filter(same_count).nth(m));
+                (app, lineage)
+            };
+            let lineage = matched.unwrap_or_else(|| {
+                let leader = Leader::Point(plan.points.len());
+                plan.lineages.push(Lineage::new(leader, p.iterations));
+                plan.lineages.len() - 1
             });
+            plan.points.push(PlannedPoint { app, lineage });
         }
-        GridPlan { points }
+        plan
+    }
+
+    /// Lineage `k`'s own application.
+    fn leader(&self, k: usize) -> &Application {
+        match self.lineages[k].leader {
+            Leader::Given(app) => app,
+            Leader::Point(point) => &self.points[point].app,
+        }
     }
 
     /// Point `i`'s application.
@@ -190,14 +243,44 @@ impl GridPlan {
     /// The prep of point `i`'s lineage, planned from `runs` (what point
     /// `i` runs) if no point of the lineage has needed it yet.
     pub(crate) fn prep(&self, i: usize, runs: &Application) -> Arc<EnginePrep> {
-        let lead = &self.points[self.points[i].lineage];
-        Arc::clone(lead.prep.get_or_init(|| Arc::new(EnginePrep::new(runs))))
+        let lineage = &self.lineages[self.points[i].lineage];
+        Arc::clone(lineage.prep.get_or_init(|| Arc::new(EnginePrep::new(runs))))
     }
 
     /// An engine running point `i`'s own application.
     pub(crate) fn engine(&self, i: usize, cluster: ClusterConfig, sim: SimParams) -> Engine<'_> {
         let app = self.app(i);
         Engine::with_prep(app, cluster, sim, self.prep(i, app))
+    }
+
+    /// Point `i` instrumented: its lineage's `inject` (injected once per
+    /// lineage, with the default overhead), whose id mappings serve every
+    /// point of the lineage, and point `i`'s instrumented application —
+    /// the lineage's own for its leader, [`Instrumented::sized`] for
+    /// every other point.
+    pub(crate) fn instrumented(&self, i: usize) -> (&Instrumented, Cow<'_, Application>) {
+        let k = self.points[i].lineage;
+        let lineage = &self.lineages[k];
+        let instrumented = lineage
+            .instrumented
+            .get_or_init(|| inject(self.leader(k), ProfilingOverhead::default()));
+        let app = if matches!(lineage.leader, Leader::Point(leader) if leader == i) {
+            Cow::Borrowed(&instrumented.app)
+        } else {
+            Cow::Owned(instrumented.sized(self.app(i)))
+        };
+        (instrumented, app)
+    }
+}
+
+impl<'l> Lineage<'l> {
+    fn new(leader: Leader<'l>, iterations: u32) -> Self {
+        Lineage {
+            leader,
+            iterations,
+            prep: OnceLock::new(),
+            instrumented: OnceLock::new(),
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use cluster_sim::{
     ClusterConfig, Engine, MachineSpec, RunOptions, RunReport, SimParams, TraceConfig,
 };
 use dagflow::{DagError, DatasetId, Schedule};
-use instrument::{inject, profile_run, profile_sizes, ProfilingOverhead};
+use instrument::{profile_run, profile_sizes};
 use workloads::{Workload, WorkloadParams};
 
 use crate::diagnostics::TrainingDiagnostics;
@@ -474,28 +474,29 @@ impl OfflineTraining {
         let grid = ParamCalibration::training_grid(&e_axis, &f_axis);
         let wanted: BTreeSet<DatasetId> =
             ParamCalibration::datasets_of(schedules.iter().map(|s| s.schedule.as_ref()));
-        // One application per grid point, built up front and shared into
-        // the fan-out. Each point injects its own sizes, but `inject`
-        // rewrites the lineage structurally, so the points of one lineage
-        // (all nine, in every paper family) share one instrumented prep.
-        // Only the sizes of the schedules' datasets are fitted, so the runs
-        // measure nothing else.
+        // One application per grid point, sized against the sample app's
+        // lineage (the grid runs at the sample's iteration count) and
+        // shared into the fan-out. The lineage is injected once; each
+        // point runs that instrumented plan with its own sizes, and the
+        // points of one lineage (all nine, in every paper family) share
+        // one instrumented prep. Only the sizes of the schedules' datasets
+        // are fitted, so the runs record nothing else.
         let grid_plan = GridPlan::build(
             workload,
+            Some((&sample_app, sample)),
             grid.iter()
                 .map(|&(e, f)| WorkloadParams::auto(e as u64, f as u64, sample.iterations)),
         );
         let grid_runs = run_indexed(grid.len(), threads, |gi| {
-            let app = grid_plan.app(gi);
-            let (instrumented, prep) = {
+            let (instrumented, app, prep) = {
                 let _plan = obs::prof::scope("plan");
-                let instrumented = inject(app, ProfilingOverhead::default());
-                let prep = grid_plan.prep(gi, &instrumented.app);
-                (instrumented, prep)
+                let (instrumented, app) = grid_plan.instrumented(gi);
+                let prep = grid_plan.prep(gi, &app);
+                (instrumented, app, prep)
             };
-            let engine =
-                Engine::with_prep(&instrumented.app, calib_cluster, sim(2 + gi as u64), prep);
-            profile_sizes(&engine, &instrumented, app.default_schedule(), &wanted)
+            let engine = Engine::with_prep(&app, calib_cluster, sim(2 + gi as u64), prep);
+            let schedule = grid_plan.app(gi).default_schedule();
+            profile_sizes(&engine, instrumented, schedule, &wanted)
                 .map(|(report, sizes)| (report.cost_machine_minutes(), sizes))
         });
         // The grid's apps and instrumented prep are done with: free them
@@ -559,7 +560,11 @@ impl OfflineTraining {
                 timings.notes.push(note);
             }
             let params = WorkloadParams::auto(scaled.e as u64, scaled.f as u64, sample.iterations);
-            let plan = GridPlan::build(workload, std::iter::once(params));
+            let plan = GridPlan::build(
+                workload,
+                Some((&sample_app, sample)),
+                std::iter::once(params),
+            );
             let report = plan.engine(0, calib_cluster, sim(20)).run_shared(
                 &first.schedule,
                 RunOptions {
@@ -594,11 +599,13 @@ impl OfflineTraining {
         // The cell application depends only on the grid point — every
         // schedule of the same `(e, f)` runs the same DAG. Build it once per
         // grid point and share it into the fan-out; the nine grid points
-        // differ only in sizes, so they share one prep too, and per cell
+        // differ only in sizes, so the first is built afresh, the other
+        // eight are sized against it and all share one prep, and per cell
         // only the cheap engine handle remains. Clusters still differ per
         // cell (the recommended machine count depends on the schedule).
         let cell_plan = GridPlan::build(
             workload,
+            None,
             grid.iter()
                 .map(|&(e, f)| WorkloadParams::auto(e as u64, f as u64, paper.iterations)),
         );
@@ -728,10 +735,12 @@ impl OfflineTraining {
         let cells = trained.schedules.len() * per_schedule;
         // As in stage 4: the application depends only on `(e, f, iters)`,
         // never on the schedule, so one app per (grid point, iteration
-        // level) is shared across every schedule's cells, and one prep
-        // per iteration level across its grid points.
+        // level) is shared across every schedule's cells. The first point
+        // of each iteration level is a lineage, the level's other points
+        // are sized against it, and each level shares one prep.
         let cube_plan = GridPlan::build(
             workload,
+            None,
             (0..per_schedule).map(|j| {
                 let (e, f) = grid[j / levels];
                 WorkloadParams::auto(e as u64, f as u64, iteration_axis[j % levels])

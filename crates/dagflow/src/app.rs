@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::{Dataset, DatasetId};
+use crate::dataset::{Dataset, DatasetId, Sizes};
 use crate::error::DagError;
 use crate::name::Name;
 use crate::schedule::Schedule;
@@ -62,14 +62,25 @@ impl Application {
         jobs: Vec<Job>,
         default_schedule: Schedule,
     ) -> Result<Self, DagError> {
-        let app = Application {
-            name: name.into(),
+        let app = Application::from_parts(name.into(), datasets, jobs, default_schedule);
+        app.validate()?;
+        Ok(app)
+    }
+
+    /// Assembles an application from parts without validating them: for
+    /// builders that vouch for every invariant themselves.
+    pub(crate) fn from_parts(
+        name: String,
+        datasets: Vec<Dataset>,
+        jobs: Vec<Job>,
+        default_schedule: Schedule,
+    ) -> Self {
+        Application {
+            name,
             datasets,
             jobs,
             default_schedule,
-        };
-        app.validate()?;
-        Ok(app)
+        }
     }
 
     /// Application name.
@@ -126,6 +137,53 @@ impl Application {
             .filter(|d| d.op.is_source())
             .map(|d| d.bytes)
             .sum()
+    }
+
+    /// This application's lineage with the sizes `size` gives each of its
+    /// datasets: names, operators, parents, jobs and the default schedule
+    /// stay, records, bytes, partitions and compute costs are replaced.
+    /// Validates only what sizes can break (partitions and compute costs);
+    /// the lineage was validated when this application was.
+    pub fn resized(&self, mut size: impl FnMut(&Dataset) -> Sizes) -> Result<Self, DagError> {
+        let datasets = self
+            .datasets
+            .iter()
+            .map(|d| {
+                let s = size(d);
+                let sized = Dataset {
+                    id: d.id,
+                    name: d.name.clone(),
+                    op: d.op,
+                    parents: d.parents.clone(),
+                    records: s.records,
+                    bytes: s.bytes,
+                    partitions: s.partitions,
+                    compute: s.compute,
+                };
+                sized.check_sizes().map(|()| sized)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Application::from_parts(
+            self.name.clone(),
+            datasets,
+            self.jobs.clone(),
+            self.default_schedule.clone(),
+        ))
+    }
+
+    /// Whether `other` is a sizing of this application: the same name,
+    /// default schedule and jobs, and datasets with the same names,
+    /// operators and parents, in the same order.
+    pub(crate) fn sized_by(&self, other: &Application) -> bool {
+        self.name == other.name
+            && self.default_schedule == other.default_schedule
+            && self.jobs == other.jobs
+            && self.datasets.len() == other.datasets.len()
+            && self
+                .datasets
+                .iter()
+                .zip(&other.datasets)
+                .all(|(a, b)| a.name == b.name && a.op == b.op && a.parents == b.parents)
     }
 
     /// Whether `other` has this application's lineage: the same parents
@@ -187,18 +245,7 @@ impl Application {
                     });
                 }
             }
-            if d.partitions == 0 {
-                return Err(DagError::InvalidAnnotation {
-                    dataset: d.id,
-                    detail: "partitions must be >= 1".into(),
-                });
-            }
-            if !d.compute.is_valid() {
-                return Err(DagError::InvalidAnnotation {
-                    dataset: d.id,
-                    detail: "compute cost coefficients must be finite and >= 0".into(),
-                });
-            }
+            d.check_sizes()?;
         }
         if self.jobs.is_empty() {
             return Err(DagError::NoJobs);

@@ -4,6 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::DagError;
 use crate::name::Name;
 use crate::ops::OpKind;
 use crate::{Bytes, Seconds};
@@ -74,9 +75,9 @@ impl ComputeCost {
     /// Whether every coefficient is finite and non-negative.
     #[must_use]
     pub fn is_valid(&self) -> bool {
-        [self.fixed_s, self.per_record_s, self.per_input_byte_s]
-            .iter()
-            .all(|c| c.is_finite() && *c >= 0.0)
+        // `0 <= c < inf` is false for NaN: finite and non-negative.
+        let valid = |c: f64| (0.0..f64::INFINITY).contains(&c);
+        valid(self.fixed_s) && valid(self.per_record_s) && valid(self.per_input_byte_s)
     }
 }
 
@@ -164,10 +165,23 @@ impl FromIterator<DatasetId> for Parents {
 
 impl From<&[DatasetId]> for Parents {
     fn from(ids: &[DatasetId]) -> Self {
-        match *ids {
-            [] | [_] | [_, _] => ids.iter().copied().collect(),
-            _ => Parents(Repr::Heap(ids.to_vec())),
-        }
+        // Unused inline slots hold `DatasetId(0)`, as `push` leaves them.
+        let unused = DatasetId(0);
+        Parents(match *ids {
+            [] => Repr::Inline {
+                len: 0,
+                ids: [unused; 2],
+            },
+            [a] => Repr::Inline {
+                len: 1,
+                ids: [a, unused],
+            },
+            [a, b] => Repr::Inline {
+                len: 2,
+                ids: [a, b],
+            },
+            _ => Repr::Heap(ids.to_vec()),
+        })
     }
 }
 
@@ -217,7 +231,50 @@ pub struct Dataset {
     pub compute: ComputeCost,
 }
 
+/// What sizing a lineage sets for one dataset: everything of a
+/// [`Dataset`] that may differ between the points of a training grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sizes {
+    /// Total record count.
+    pub records: u64,
+    /// Total size in bytes.
+    pub bytes: Bytes,
+    /// Number of partitions.
+    pub partitions: u32,
+    /// Compute cost of the producing operator.
+    pub compute: ComputeCost,
+}
+
 impl Dataset {
+    /// This dataset's sizes.
+    #[must_use]
+    pub fn sizes(&self) -> Sizes {
+        Sizes {
+            records: self.records,
+            bytes: self.bytes,
+            partitions: self.partitions,
+            compute: self.compute,
+        }
+    }
+
+    /// Checks what sizing can break: at least one partition and a valid
+    /// compute cost.
+    pub(crate) fn check_sizes(&self) -> Result<(), DagError> {
+        if self.partitions == 0 {
+            return Err(DagError::InvalidAnnotation {
+                dataset: self.id,
+                detail: "partitions must be >= 1".into(),
+            });
+        }
+        if !self.compute.is_valid() {
+            return Err(DagError::InvalidAnnotation {
+                dataset: self.id,
+                detail: "compute cost coefficients must be finite and >= 0".into(),
+            });
+        }
+        Ok(())
+    }
+
     /// Average partition size in bytes.
     #[must_use]
     pub fn partition_bytes(&self) -> f64 {

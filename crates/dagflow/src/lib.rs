@@ -10,6 +10,8 @@
 //! * [`Job`]s, each triggered by one action on a target dataset;
 //! * [`Name`]s — dataset and action names held inline up to 22 bytes;
 //! * an [`Application`] — an ordered list of jobs over a shared dataset graph;
+//! * [`Lineages`] — the known applications a grid point's build sizes
+//!   instead of building afresh;
 //! * [`Schedule`]s — ordered persist/unpersist instruction lists (Juggler's
 //!   unit of caching decisions);
 //! * [`LineageAnalysis`] — the merged-DAG analysis of the paper's §3.1:
@@ -47,8 +49,8 @@ pub mod stages;
 
 pub use analysis::LineageAnalysis;
 pub use app::{Application, Job, JobId};
-pub use builder::AppBuilder;
-pub use dataset::{ComputeCost, Dataset, DatasetId, Parents};
+pub use builder::{AppBuilder, Lineages};
+pub use dataset::{ComputeCost, Dataset, DatasetId, Parents, Sizes};
 pub use dot::to_dot;
 pub use error::DagError;
 pub use name::Name;

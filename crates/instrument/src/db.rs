@@ -84,7 +84,7 @@ impl ProfilingDatabase {
     ) -> Result<RunReport, DagError> {
         let mut fold = self.fold.lock();
         fold.cover(instr.shadow.len());
-        engine.run_observed(schedule, RunOptions::default(), &mut |trace| {
+        engine.run_observed(schedule, RunOptions::default(), None, &mut |trace| {
             Self::fold_task(&mut fold, instr, trace);
         })
     }

@@ -2,7 +2,7 @@
 
 use dagflow::{
     Application, ComputeCost, Dataset, DatasetId, Job, NarrowKind, OpKind, Parents, Schedule,
-    ScheduleOp,
+    ScheduleOp, Sizes,
 };
 
 /// Cost of one profiling operator per task — the "lightweight
@@ -58,6 +58,33 @@ impl Instrumented {
                 })
                 .collect(),
         )
+    }
+}
+
+impl Instrumented {
+    /// The instrumented plan of `app`, a sizing of the application this
+    /// plan was injected from (the same lineage, other sizes; see
+    /// `dagflow::Lineages`): this plan with `app`'s sizes, equal to
+    /// `inject(app, overhead).app` for the overhead this plan was injected
+    /// with. The id mappings (`copy_of`, `profiles`, `shadow`) depend only
+    /// on the lineage, so this plan's serve it too.
+    ///
+    /// # Panics
+    /// Panics if `app` has fewer datasets than the injected application.
+    #[must_use]
+    pub fn sized(&self, app: &Application) -> Application {
+        self.app
+            .resized(
+                |d| match (self.copy_of[d.id.index()], self.profiles[d.id.index()]) {
+                    (Some(original), _) => app.dataset(original).sizes(),
+                    (None, Some(original)) => Sizes {
+                        compute: d.compute,
+                        ..app.dataset(original).sizes()
+                    },
+                    (None, None) => unreachable!("every dataset is a copy or a shadow"),
+                },
+            )
+            .expect("a sizing of a valid application is valid")
     }
 }
 

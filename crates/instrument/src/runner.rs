@@ -133,10 +133,13 @@ impl SizeSink {
 }
 
 /// Runs the instrumented plan on `engine`, an engine over
-/// `instrumented.app`, with default [`RunOptions`], and measures the
-/// partition sizes of `datasets` only: for them, the `size_bytes` that
-/// [`profile_run`]'s metrics report, by the same rule, with none of the
-/// execution-time fold. `schedule` is expressed over the *original* plan.
+/// `instrumented.app` or over [`Instrumented::sized`] of it, with default
+/// [`RunOptions`], and measures the partition sizes of `datasets` only:
+/// for them, the `size_bytes` that [`profile_run`]'s metrics report, by
+/// the same rule, with none of the execution-time fold. The run records
+/// only the steps of those datasets' shadows and copies (a watched
+/// [`Engine::run_observed`]). `schedule` is expressed over the *original*
+/// plan.
 /// The report is bit-identical to [`profile_run`]'s for the same
 /// application, cluster and parameters. The sizes come in dataset-id
 /// order, one for each requested dataset some task observed — exactly the
@@ -151,9 +154,15 @@ pub fn profile_sizes(
     datasets: &BTreeSet<DatasetId>,
 ) -> Result<(RunReport, Vec<(DatasetId, u64)>), DagError> {
     let mut sink = SizeSink::new(instrumented, datasets);
+    let watch: Vec<bool> = sink
+        .steps
+        .iter()
+        .map(|step| !matches!(step, SizeStep::Skip))
+        .collect();
     let report = engine.run_observed(
         &instrumented.map_schedule(schedule),
         RunOptions::default(),
+        Some(&watch),
         &mut |trace| sink.observe(trace),
     )?;
     Ok((report, sink.finish(datasets)))

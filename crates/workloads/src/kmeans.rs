@@ -13,7 +13,7 @@
 //! then a `k`-partition reduceByKey recomputing the centers.
 
 use cluster_sim::{NoiseParams, SimParams};
-use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+use dagflow::{Application, ComputeCost, Lineages, NarrowKind, Schedule, SourceFormat, WideKind};
 
 use crate::common::{bytes, WorkloadParams};
 use crate::Workload;
@@ -49,6 +49,10 @@ impl Workload for KMeans {
     }
 
     fn build(&self, p: &WorkloadParams) -> Application {
+        self.build_sized(p, &Lineages::default())
+    }
+
+    fn build_sized(&self, p: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
         let ef = p.ef();
         let e = p.e();
         let f = p.f();
@@ -63,7 +67,7 @@ impl Workload for KMeans {
         let assign_scan = ComputeCost::new(0.004, 0.0, 4.0e-10 * k);
         let agg = ComputeCost::new(0.004, 0.0, 1.0e-9);
 
-        let mut b = AppBuilder::new("kmeans");
+        let mut b = lineages.builder("kmeans");
         let d0 = b.source(
             "input",
             SourceFormat::DistributedFs,

@@ -46,7 +46,7 @@ pub use svm::SupportVectorMachine;
 pub use validate::{validate_workload, WorkloadIssue};
 
 use cluster_sim::SimParams;
-use dagflow::Application;
+use dagflow::{Application, Lineages};
 
 /// A generatable benchmark application.
 ///
@@ -59,6 +59,18 @@ pub trait Workload: Send + Sync {
 
     /// Builds the application plan for the given parameters.
     fn build(&self, params: &WorkloadParams) -> Application;
+
+    /// Builds the same plan as [`Workload::build`] as a sizing of
+    /// `lineages` (see [`Lineages`]): a training grid sizes each point
+    /// against the lineages of the points before it instead of building
+    /// it afresh. The result must equal `build(params)` byte for byte, and
+    /// `lineages.take_matched()` must name the lineage it repeats, if
+    /// any. The generators here run their build code on
+    /// [`Lineages::builder`]; the default builds afresh and compares
+    /// ([`Lineages::adopt`]).
+    fn build_sized(&self, params: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
+        lineages.adopt(self.build(params))
+    }
 
     /// The evaluation parameters of Table 1.
     fn paper_params(&self) -> WorkloadParams;

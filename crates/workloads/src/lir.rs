@@ -23,7 +23,7 @@
 //! empty; Juggler's schedules `p(1)` and `p(1) p(3)` (Table 2).
 
 use cluster_sim::{NoiseParams, SimParams};
-use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+use dagflow::{Application, ComputeCost, Lineages, NarrowKind, Schedule, SourceFormat, WideKind};
 
 use crate::common::{bytes, WorkloadParams};
 use crate::Workload;
@@ -50,6 +50,10 @@ impl Workload for LinearRegression {
     }
 
     fn build(&self, p: &WorkloadParams) -> Application {
+        self.build_sized(p, &Lineages::default())
+    }
+
+    fn build_sized(&self, p: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
         let ef = p.ef();
         let e = p.e();
         let f = p.f();
@@ -63,7 +67,7 @@ impl Workload for LinearRegression {
         let dot_scan = ComputeCost::new(0.004, 0.0, 5.0e-9);
         let agg = ComputeCost::new(0.004, 0.0, 1.0e-9);
 
-        let mut b = AppBuilder::new("lir");
+        let mut b = lineages.builder("lir");
         let d0 = b.source(
             "input",
             SourceFormat::DistributedFs,

@@ -19,7 +19,7 @@
 //! (Table 2).
 
 use cluster_sim::{NoiseParams, SimParams};
-use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+use dagflow::{Application, ComputeCost, Lineages, NarrowKind, Schedule, SourceFormat, WideKind};
 
 use crate::common::{bytes, WorkloadParams};
 use crate::Workload;
@@ -53,6 +53,10 @@ impl Workload for LogisticRegression {
     }
 
     fn build(&self, p: &WorkloadParams) -> Application {
+        self.build_sized(p, &Lineages::default())
+    }
+
+    fn build_sized(&self, p: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
         let ef = p.ef();
         let e = p.e();
         let f = p.f();
@@ -69,7 +73,7 @@ impl Workload for LogisticRegression {
         let margin_scan = ComputeCost::new(0.004, 0.0, 2.5e-9);
         let agg = ComputeCost::new(0.004, 0.0, 1.0e-9);
 
-        let mut b = AppBuilder::new("lor");
+        let mut b = lineages.builder("lor");
         let d0 = b.source(
             "input",
             SourceFormat::DistributedFs,

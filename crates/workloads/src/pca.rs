@@ -21,7 +21,7 @@
 //! a single schedule (id 3).
 
 use cluster_sim::{NoiseParams, SimParams};
-use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+use dagflow::{Application, ComputeCost, Lineages, NarrowKind, Schedule, SourceFormat, WideKind};
 
 use crate::common::{bytes, WorkloadParams};
 use crate::Workload;
@@ -60,6 +60,10 @@ impl Workload for Pca {
     }
 
     fn build(&self, p: &WorkloadParams) -> Application {
+        self.build_sized(p, &Lineages::default())
+    }
+
+    fn build_sized(&self, p: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
         let ef = p.ef();
         let f = p.f();
         let parts = p.partitions;
@@ -76,7 +80,7 @@ impl Workload for Pca {
         let gram_scan = ComputeCost::new(0.004, 0.0, 4.0e-9); // per-iteration multiply
         let agg = ComputeCost::new(0.004, 0.0, 1.0e-9);
 
-        let mut b = AppBuilder::new("pca");
+        let mut b = lineages.builder("pca");
         let d0 = b.source(
             "input",
             SourceFormat::DistributedFs,

@@ -19,7 +19,7 @@
 //! D12 → D5 swap), exercising every branch of Algorithm 1.
 
 use cluster_sim::{NoiseParams, SimParams};
-use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+use dagflow::{Application, ComputeCost, Lineages, NarrowKind, Schedule, SourceFormat, WideKind};
 
 use crate::common::{bytes, WorkloadParams};
 use crate::Workload;
@@ -46,6 +46,10 @@ impl Workload for RandomForest {
     }
 
     fn build(&self, p: &WorkloadParams) -> Application {
+        self.build_sized(p, &Lineages::default())
+    }
+
+    fn build_sized(&self, p: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
         let ef = p.ef();
         let e = p.e();
         let f = p.f();
@@ -65,7 +69,7 @@ impl Workload for RandomForest {
         let node_scan = ComputeCost::new(0.004, 0.0, 2.0e-9);
         let agg = ComputeCost::new(0.004, 0.0, 1.0e-9);
 
-        let mut b = AppBuilder::new("rfc");
+        let mut b = lineages.builder("rfc");
         let d0 = b.source(
             "input",
             SourceFormat::DistributedFs,

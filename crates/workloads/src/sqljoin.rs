@@ -14,7 +14,7 @@
 //! `iterations` is the number of queries.
 
 use cluster_sim::{NoiseParams, SimParams};
-use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+use dagflow::{Application, ComputeCost, Lineages, NarrowKind, Schedule, SourceFormat, WideKind};
 
 use crate::common::{bytes, WorkloadParams};
 use crate::Workload;
@@ -43,6 +43,10 @@ impl Workload for SqlStarJoin {
     }
 
     fn build(&self, p: &WorkloadParams) -> Application {
+        self.build_sized(p, &Lineages::default())
+    }
+
+    fn build_sized(&self, p: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
         let ef = p.ef();
         let f = p.f();
         let parts = p.partitions;
@@ -53,7 +57,7 @@ impl Workload for SqlStarJoin {
         let join = ComputeCost::new(0.004, 0.0, 6.0e-10);
         let agg = ComputeCost::new(0.004, 0.0, 1.0e-9);
 
-        let mut b = AppBuilder::new("sqljoin");
+        let mut b = lineages.builder("sqljoin");
         let fact = b.source(
             "fact",
             SourceFormat::DistributedFs,

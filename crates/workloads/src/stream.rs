@@ -16,7 +16,7 @@
 //! `1/iterations` of the total event volume.
 
 use cluster_sim::{NoiseParams, SimParams};
-use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+use dagflow::{Application, ComputeCost, Lineages, NarrowKind, Schedule, SourceFormat, WideKind};
 
 use crate::common::{bytes, WorkloadParams};
 use crate::Workload;
@@ -45,6 +45,10 @@ impl Workload for MicroBatchStream {
     }
 
     fn build(&self, p: &WorkloadParams) -> Application {
+        self.build_sized(p, &Lineages::default())
+    }
+
+    fn build_sized(&self, p: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
         let ef = p.ef();
         let f = p.f();
         let parts = p.partitions;
@@ -56,7 +60,7 @@ impl Workload for MicroBatchStream {
         let join = ComputeCost::new(0.004, 0.0, 6.0e-10);
         let agg = ComputeCost::new(0.004, 0.0, 1.0e-9);
 
-        let mut b = AppBuilder::new("stream");
+        let mut b = lineages.builder("stream");
         let state_src = b.source(
             "stateSource",
             SourceFormat::DistributedFs,

@@ -21,7 +21,7 @@
 //! `p(2)`; Juggler's schedules `p(2)` and `p(1) p(6)`.
 
 use cluster_sim::{NoiseParams, SimParams};
-use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, Schedule, SourceFormat, WideKind};
+use dagflow::{Application, ComputeCost, Lineages, NarrowKind, Schedule, SourceFormat, WideKind};
 
 use crate::common::{bytes, WorkloadParams};
 use crate::Workload;
@@ -50,6 +50,10 @@ impl Workload for SupportVectorMachine {
     }
 
     fn build(&self, p: &WorkloadParams) -> Application {
+        self.build_sized(p, &Lineages::default())
+    }
+
+    fn build_sized(&self, p: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
         let ef = p.ef();
         let e = p.e();
         let f = p.f();
@@ -66,7 +70,7 @@ impl Workload for SupportVectorMachine {
         let margin_scan = ComputeCost::new(0.004, 0.0, 2.5e-9);
         let agg = ComputeCost::new(0.004, 0.0, 1.0e-9);
 
-        let mut b = AppBuilder::new("svm");
+        let mut b = lineages.builder("svm");
         let d0 = b.source(
             "input",
             SourceFormat::DistributedFs,

@@ -26,9 +26,9 @@ cargo bench --offline -p bench --bench json_throughput
 echo "== JSON reader strictness (RFC 8259: leading zeros, a point without digits on both sides and raw control bytes in strings are errors) =="
 cargo test -q --offline -p serde
 
-echo "== profiling fold (database fold == hash-map oracle; streamed fold == collect then ingest; shared planner == fresh plans; instrumentation fidelity) =="
+echo "== profiling fold (database fold == hash-map oracle; streamed fold == collect then ingest; watched size runs == full runs; shared planner == fresh plans; sized grid points == fresh builds; instrumentation fidelity) =="
 cargo test -q --offline -p instrument
-cargo test -q --offline --test instrumentation_fidelity --test streamed_layouts
+cargo test -q --offline --test instrumentation_fidelity --test streamed_layouts --test lineage_sizing
 
 echo "== trace golden (Chrome trace_event export is byte-stable) =="
 cargo test -q --offline --test trace_golden

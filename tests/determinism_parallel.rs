@@ -6,7 +6,10 @@
 mod common;
 
 use common::TinyScoring;
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use juggler_suite::cluster_sim::EnginePrep;
+use juggler_suite::dagflow::{Application, Lineages};
 use juggler_suite::juggler::pipeline::{OfflineTraining, TrainingConfig};
 use juggler_suite::juggler::{resolve_threads, run_indexed, try_run_indexed};
 use juggler_suite::workloads::{all_workloads, LogisticRegression, Pca, Workload, WorkloadParams};
@@ -58,32 +61,35 @@ fn iteration_models_are_bit_identical_to_sequential() {
     assert_eq!(seq_json, par_json);
 }
 
-/// Forwards to an inner workload while counting `build` calls — the DAG
-/// constructions the pipeline actually performs.
+/// Forwards to an inner workload while counting `build` calls (fresh
+/// DAG constructions) and `build_sized` calls (grid points sized against
+/// a known lineage) — the DAG constructions the pipeline actually
+/// performs.
 struct CountingWorkload<'a> {
     inner: &'a dyn Workload,
-    builds: std::sync::atomic::AtomicU32,
+    builds: AtomicU32,
+    sized: AtomicU32,
 }
 
 impl Workload for CountingWorkload<'_> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
-    fn build(
-        &self,
-        params: &juggler_suite::workloads::WorkloadParams,
-    ) -> juggler_suite::dagflow::Application {
-        self.builds
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    fn build(&self, params: &WorkloadParams) -> Application {
+        self.builds.fetch_add(1, Ordering::Relaxed);
         self.inner.build(params)
     }
-    fn paper_params(&self) -> juggler_suite::workloads::WorkloadParams {
+    fn build_sized(&self, params: &WorkloadParams, lineages: &Lineages<'_>) -> Application {
+        self.sized.fetch_add(1, Ordering::Relaxed);
+        self.inner.build_sized(params, lineages)
+    }
+    fn paper_params(&self) -> WorkloadParams {
         self.inner.paper_params()
     }
     fn sim_params(&self) -> juggler_suite::cluster_sim::SimParams {
         self.inner.sim_params()
     }
-    fn sample_params(&self) -> juggler_suite::workloads::WorkloadParams {
+    fn sample_params(&self) -> WorkloadParams {
         self.inner.sample_params()
     }
     fn training_axes(&self) -> (Vec<f64>, Vec<f64>) {
@@ -93,31 +99,43 @@ impl Workload for CountingWorkload<'_> {
 
 /// Pins the grid sharing contract: per-grid-point runs share one
 /// application across schedules instead of cloning it
-/// per cell, and the nine grid points of stages 2 and 4, which differ only
-/// in sizes, share one `EnginePrep` per stage. Every paper family trains
-/// its schedules over a 9-point grid, so builds are 1 (stage-1 sample) +
-/// 9 (stage-2 grid) + 1 (stage-3 memory calibration) + 9 (stage-4, one
-/// per grid point — NOT one per cell; LOR has 18), and preps are
+/// per cell, each lineage is built afresh once and every other grid point
+/// is sized against it, and the nine grid points of stages 2 and 4, which
+/// differ only in sizes, share one `EnginePrep` per stage. Every paper
+/// family trains its schedules over a 9-point grid. Fresh builds are 2
+/// per training: the stage-1 sample app, which is the lineage of stages 2
+/// and 3 (both run at the sample's iteration count), and stage 4's first
+/// grid point, the paper-scale lineage. Sized builds are 9 + 1 + 8: the
+/// stage-2 grid, the stage-3 memory calibration and the rest of stage 4,
+/// one per grid point — NOT one per cell; LOR has 18. Preps are
 /// 1 + 1 + 1 + 1 (stages 2 and 4 each plan their instrumented or plain
-/// grid once). A regression that moves the build back inside the per-cell
-/// closure, or plans each grid point again, breaks these
-/// counts immediately. A one-thread training runs on this thread, so the
+/// grid once). A regression
+/// that moves the build back inside the per-cell closure, builds a grid
+/// point afresh, or plans each grid point again, breaks these counts
+/// immediately. A one-thread training runs on this thread, so the
 /// thread's prep count sees every prep it builds.
 #[test]
 fn grid_point_runs_share_the_app_dag() {
     for w in all_workloads() {
         let counting = CountingWorkload {
             inner: w.as_ref(),
-            builds: std::sync::atomic::AtomicU32::new(0),
+            builds: AtomicU32::new(0),
+            sized: AtomicU32::new(0),
         };
         let preps_before = EnginePrep::built_on_this_thread();
         let trained =
             OfflineTraining::run(&counting, &config_with_threads(1)).expect("training succeeds");
         let preps = EnginePrep::built_on_this_thread() - preps_before;
         assert_eq!(
-            counting.builds.load(std::sync::atomic::Ordering::Relaxed),
-            1 + 9 + 1 + 9,
-            "{}: stage 4 must build one app per grid point, shared across schedules",
+            counting.builds.load(Ordering::Relaxed),
+            1 + 1,
+            "{}: one fresh build per lineage: the sample app and stage 4's first point",
+            w.name()
+        );
+        assert_eq!(
+            counting.sized.load(Ordering::Relaxed),
+            9 + 1 + 8,
+            "{}: every other grid point is sized, one app per point, shared across schedules",
             w.name()
         );
         assert_eq!(

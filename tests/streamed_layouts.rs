@@ -2,12 +2,15 @@
 //! replaced: a profiling run that folds each task as it finishes must
 //! derive exactly the metrics of a run whose traces are collected and
 //! then ingested, a sizes-only run must report exactly the sizes of the
-//! full profiling run, and the stage plans one shared planner builds for
+//! full profiling run while recording only the steps it measures, and the
+//! stage plans one shared planner builds for
 //! every job of an application must equal plans built one job at a time.
 
 use std::collections::BTreeSet;
 
-use juggler_suite::cluster_sim::{ClusterConfig, Engine, EnginePrep, MachineSpec, RunOptions};
+use juggler_suite::cluster_sim::{
+    ClusterConfig, Engine, EnginePrep, MachineSpec, RunOptions, StepKind, TaskTrace,
+};
 use juggler_suite::dagflow::{Application, DatasetId, JobId, Schedule, StagePlan};
 use juggler_suite::instrument::{
     derive_metrics, inject, profile_run, profile_sizes, DatasetMetrics, ProfilingDatabase,
@@ -163,6 +166,97 @@ fn sizes_only_run_matches_under_memory_pressure() {
         recomputed > 0,
         "no persisted shadow was evicted and recomputed"
     );
+}
+
+/// The steps of a trace that `watch` flags, as comparable bits.
+fn watched_steps(trace: &TaskTrace, watch: &[bool]) -> Vec<(DatasetId, StepKind, u64, u64, u64)> {
+    trace
+        .steps
+        .iter()
+        .filter(|s| watch[s.dataset.index()])
+        .map(|s| {
+            let (start, finish) = (s.start.to_bits(), s.finish.to_bits());
+            (s.dataset, s.kind, start, finish, s.out_bytes)
+        })
+        .collect()
+}
+
+/// Every workload's nine stage-2 grid points, measuring the sizes of the
+/// default schedule's datasets and the first one: the watched size run
+/// (`profile_sizes`) reports the sizes, `total_time_s` bits and digest of
+/// the full observed run (`profile_run`, which records every step). A
+/// watched `run_observed` hands on exactly the tasks of the full run that
+/// hold a watched step, each with exactly its watched steps, and never a
+/// task without one.
+#[test]
+fn watched_size_runs_match_full_observed_runs() {
+    let (mut runs, mut skipped) = (0, 0u64);
+    for name in WORKLOADS {
+        let w = workload_by_name(name).expect("known workload");
+        let (e_axis, f_axis) = w.training_axes();
+        let iterations = w.sample_params().iterations;
+        for (gi, &(e, f)) in ParamCalibration::training_grid(&e_axis, &f_axis)
+            .iter()
+            .enumerate()
+        {
+            let what = format!("{name} point {gi}");
+            let app = w.build(&WorkloadParams::auto(e as u64, f as u64, iterations));
+            let mut wanted: BTreeSet<DatasetId> =
+                app.default_schedule().persisted().into_iter().collect();
+            wanted.insert(DatasetId(0));
+            let cluster = ClusterConfig::new(1, MachineSpec::calibration_node());
+            let mut params = w.sim_params();
+            params.seed = 2 + gi as u64;
+            let full = profile_run(&app, app.default_schedule(), cluster, params.clone()).unwrap();
+            let instr = &full.instrumented;
+            let engine = Engine::new(&instr.app, cluster, params);
+
+            let (report, sizes) =
+                profile_sizes(&engine, instr, app.default_schedule(), &wanted).unwrap();
+            let want: Vec<(DatasetId, u64)> = sizes_of(&full.metrics)
+                .into_iter()
+                .filter(|(d, _)| wanted.contains(d))
+                .collect();
+            assert_eq!(sizes, want, "{what}");
+            assert_eq!(
+                report.total_time_s.to_bits(),
+                full.report.total_time_s.to_bits(),
+                "{what}"
+            );
+            assert_eq!(report.digest(), full.report.digest(), "{what}");
+
+            let watch: Vec<bool> = instr
+                .copy_of
+                .iter()
+                .zip(&instr.profiles)
+                .map(|(c, p)| c.or(*p).is_some_and(|d| wanted.contains(&d)))
+                .collect();
+            let mapped = instr.map_schedule(app.default_schedule());
+            let mut every = Vec::new();
+            engine
+                .run_observed(&mapped, RunOptions::default(), None, &mut |t| {
+                    let steps = watched_steps(t, &watch);
+                    if !steps.is_empty() {
+                        every.push(steps);
+                    }
+                })
+                .unwrap();
+            let mut watched = Vec::new();
+            let observed = engine
+                .run_observed(&mapped, RunOptions::default(), Some(&watch), &mut |t| {
+                    assert!(!t.steps.is_empty(), "{what}: a task without a watched step");
+                    assert_eq!(watched_steps(t, &watch).len(), t.steps.len(), "{what}");
+                    watched.push(watched_steps(t, &watch));
+                })
+                .unwrap();
+            assert_eq!(watched, every, "{what}");
+            assert_eq!(observed.digest(), full.report.digest(), "{what}");
+            skipped += observed.total_tasks - watched.len() as u64;
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 72);
+    assert!(skipped > 0, "no task ran without a watched step");
 }
 
 /// `EnginePrep` plans every job of an application with one shared
