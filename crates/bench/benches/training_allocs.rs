@@ -8,8 +8,9 @@
 //! seconds beside them are informational.
 //!
 //! `cargo bench --offline -p bench --bench training_allocs -- --baseline
-//! <file>` also embeds an artifact this bench wrote at another commit,
-//! with each family's change in allocations: run the bench at the parent
+//! <file>` also embeds an artifact this bench wrote at another commit
+//! (its own fields, without the artifact that one embedded), with each
+//! family's change in allocations: run the bench at the parent
 //! commit, keep its artifact, then run it here with that file.
 //! Results land in `results/BENCH_training_allocs.json`.
 
@@ -136,7 +137,11 @@ fn main() {
         "reps": REPS,
         "rows": rows,
     });
-    if let Some((raw, _)) = base {
+    if let Some((mut raw, _)) = base {
+        // The parent's own fields only, not the artifact it embedded.
+        if let serde_json::Value::Object(fields) = &mut raw {
+            fields.retain(|(key, _)| key != "baseline");
+        }
         json["baseline"] = raw;
     }
     harness::publish(

@@ -244,12 +244,7 @@ impl Default for DurationHistogram {
 impl DurationHistogram {
     /// Records one duration.
     pub fn record(&mut self, duration_us: u64) {
-        let bucket = if duration_us == 0 {
-            0
-        } else {
-            (duration_us.ilog2() as usize).min(HIST_BUCKETS - 1)
-        };
-        self.buckets[bucket] += 1;
+        self.buckets[obs::log2_bucket(duration_us).min(HIST_BUCKETS - 1)] += 1;
         self.count += 1;
         self.total_us = self.total_us.saturating_add(duration_us);
         self.max_us = self.max_us.max(duration_us);

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use cluster_sim::{ClusterConfig, Engine, RunOptions};
+use cluster_sim::{ClusterConfig, Engine, EnginePrep, RunOptions};
 use workloads::Workload;
 
 use crate::diagnostics::{LedgerEntry, PredictionLedger, TrainingDiagnostics};
@@ -79,16 +79,18 @@ fn doctor_inner(
     let (e, f) = (paper.examples as f64, paper.features as f64);
     let menu = trained.recommend(e, f);
 
-    // Validate each surviving option with one simulated run. Seeds are
-    // fixed per schedule index, so the ledger is deterministic.
+    // Validate each surviving option with one simulated run of the one
+    // paper-scale app. Seeds are fixed per schedule index, so the ledger
+    // is deterministic.
+    let app = workload.build(&paper);
+    let prep = Arc::new(EnginePrep::new(&app));
     let mut ledger = PredictionLedger::default();
     for opt in &menu.options {
-        let app = workload.build(&paper);
         let mut sim = workload.sim_params();
         sim.seed = config.seed.wrapping_add(7000 + opt.schedule_index as u64);
         let cluster = ClusterConfig::new(opt.machines.max(1), config.target_spec);
-        let report =
-            Engine::new(&app, cluster, sim).run_shared(&opt.schedule, RunOptions::default())?;
+        let report = Engine::with_prep(&app, cluster, sim, Arc::clone(&prep))
+            .run_shared(&opt.schedule, RunOptions::default())?;
         registry
             .counter(
                 "prediction_validations_total",

@@ -18,7 +18,8 @@
 //! What the runs of one grid share is planned once: `GridPlan` sizes one
 //! application per grid point against the grid's lineages and holds one
 //! [`EnginePrep`] (and, for instrumented runs, one `inject`) per
-//! lineage, planned by whichever run needs it first. Nothing here
+//! lineage, planned by whichever run needs it first or handed in by
+//! the caller that already made it. Nothing here
 //! retries: a training run fails only when its schedule does not fit its
 //! application, which no seed changes.
 //!
@@ -154,8 +155,9 @@ where
 /// count in a grid without a given lineage, is a lineage of its own,
 /// built afresh. A lineage's prep is planned on first use from the
 /// application its point runs — the point's own, or an instrumented one
-/// (see [`GridPlan::instrumented`]). One plan serves one of the two,
-/// never both.
+/// (see [`GridPlan::instrumented`]) — unless it was handed in with the
+/// given lineage's `inject` ([`GridPlan::give_instrumented`]). One plan
+/// serves one of the two, never both.
 pub(crate) struct GridPlan<'l> {
     points: Vec<PlannedPoint>,
     lineages: Vec<Lineage<'l>>,
@@ -225,6 +227,17 @@ impl<'l> GridPlan<'l> {
             plan.points.push(PlannedPoint { app, lineage });
         }
         plan
+    }
+
+    /// Hands the given lineage (see [`GridPlan::build`]) an `inject` of
+    /// its application, with the default overhead, and that plan's prep,
+    /// made before the grid — stage 1's sample run makes both.
+    pub(crate) fn give_instrumented(&self, instrumented: Instrumented, prep: Arc<EnginePrep>) {
+        let given = &self.lineages[0];
+        let unplanned = matches!(given.leader, Leader::Given(_))
+            && given.instrumented.set(instrumented).is_ok()
+            && given.prep.set(prep).is_ok();
+        assert!(unplanned, "the grid has no unplanned given lineage");
     }
 
     /// Lineage `k`'s own application.

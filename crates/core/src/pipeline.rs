@@ -278,43 +278,15 @@ impl TrainedJuggler {
         pricing: &dyn CostModel,
     ) -> RecommendationMenu {
         let _prof = obs::prof::scope("menu");
-        let candidates: Vec<Recommendation> = self
-            .schedules
-            .iter()
-            .enumerate()
-            .map(|(i, rs)| {
-                let size = self
-                    .sizes
-                    .predict_schedule_size(&rs.schedule, examples, features);
-                let machines = self
-                    .memory_factor
-                    .recommend_machines(size, &self.target_spec)
-                    .min(self.max_machines);
-                let time = self.time_models[i].predict(examples, features);
-                Recommendation {
-                    schedule_index: i,
-                    schedule: Arc::clone(&rs.schedule),
-                    predicted_size_bytes: size,
-                    machines,
-                    predicted_time_s: time,
-                    predicted_cost_machine_min: pricing.cost(machines, time),
-                }
-            })
-            .collect();
-        RecommendationMenu::from_candidates(candidates)
+        self.menu(examples, features, &self.target_spec, None, pricing)
     }
 
     /// Recommended machine count for one schedule at `(e, f)` (Eq. 6).
     #[must_use]
     pub fn machines_for(&self, schedule_index: usize, examples: f64, features: f64) -> u32 {
-        let size = self.sizes.predict_schedule_size(
-            &self.schedules[schedule_index].schedule,
-            examples,
-            features,
-        );
-        self.memory_factor
-            .recommend_machines(size, &self.target_spec)
-            .min(self.max_machines)
+        let schedule = &self.schedules[schedule_index].schedule;
+        let (_, machines) = self.eq6(schedule, (examples, features), &self.target_spec);
+        machines
     }
 
     /// The §6.2 cross-machine-type flow: the *optimization* models (sizes,
@@ -331,18 +303,26 @@ impl TrainedJuggler {
         spec: &MachineSpec,
         transfer: Option<&crate::TransferModel>,
     ) -> RecommendationMenu {
+        self.menu(examples, features, spec, transfer, &MachineMinutes)
+    }
+
+    /// One candidate per schedule at `(e, f)` on `spec`: Eq. 6's machine
+    /// count, the time model's prediction (bridged by `transfer` if any)
+    /// and its price.
+    fn menu(
+        &self,
+        examples: f64,
+        features: f64,
+        spec: &MachineSpec,
+        transfer: Option<&crate::TransferModel>,
+        pricing: &dyn CostModel,
+    ) -> RecommendationMenu {
         let candidates: Vec<Recommendation> = self
             .schedules
             .iter()
             .enumerate()
             .map(|(i, rs)| {
-                let size = self
-                    .sizes
-                    .predict_schedule_size(&rs.schedule, examples, features);
-                let machines = self
-                    .memory_factor
-                    .recommend_machines(size, spec)
-                    .min(self.max_machines);
+                let (size, machines) = self.eq6(&rs.schedule, (examples, features), spec);
                 let base = self.time_models[i].predict(examples, features);
                 let time = transfer.map_or(base, |t| t.predict(base));
                 Recommendation {
@@ -351,11 +331,23 @@ impl TrainedJuggler {
                     predicted_size_bytes: size,
                     machines,
                     predicted_time_s: time,
-                    predicted_cost_machine_min: MachineMinutes.cost(machines, time),
+                    predicted_cost_machine_min: pricing.cost(machines, time),
                 }
             })
             .collect();
         RecommendationMenu::from_candidates(candidates)
+    }
+
+    /// [`eq6`] with this artifact's models and machine cap.
+    fn eq6(&self, schedule: &Schedule, point: (f64, f64), spec: &MachineSpec) -> (u64, u32) {
+        eq6(
+            &self.sizes,
+            &self.memory_factor,
+            schedule,
+            point,
+            spec,
+            self.max_machines,
+        )
     }
 
     /// Fits a §6.2 transfer model for a new machine type from a few probe
@@ -379,18 +371,28 @@ impl TrainedJuggler {
             .into_iter()
             .map(|i| {
                 let (e, f) = candidates[i];
-                let size = self
-                    .sizes
-                    .predict_schedule_size(&self.schedules[0].schedule, e, f);
-                let machines = self
-                    .memory_factor
-                    .recommend_machines(size, spec)
-                    .min(self.max_machines);
+                let (_, machines) = self.eq6(&self.schedules[0].schedule, (e, f), spec);
                 (base_preds[i], runner(e, f, machines))
             })
             .collect();
         crate::TransferModel::fit(&pairs)
     }
+}
+
+/// Eq. 6: the predicted size of `schedule` at `(e, f)` and the number of
+/// `spec` machines whose caching memory holds it, capped at
+/// `max_machines`.
+fn eq6(
+    sizes: &ParamCalibration,
+    memory_factor: &MemoryFactor,
+    schedule: &Schedule,
+    (e, f): (f64, f64),
+    spec: &MachineSpec,
+    max_machines: u32,
+) -> (u64, u32) {
+    let size = sizes.predict_schedule_size(schedule, e, f);
+    let machines = memory_factor.recommend_machines(size, spec);
+    (size, machines.min(max_machines))
 }
 
 /// Runs the four offline-training stages.
@@ -476,17 +478,18 @@ impl OfflineTraining {
             ParamCalibration::datasets_of(schedules.iter().map(|s| s.schedule.as_ref()));
         // One application per grid point, sized against the sample app's
         // lineage (the grid runs at the sample's iteration count) and
-        // shared into the fan-out. The lineage is injected once; each
-        // point runs that instrumented plan with its own sizes, and the
-        // points of one lineage (all nine, in every paper family) share
-        // one instrumented prep. Only the sizes of the schedules' datasets
-        // are fitted, so the runs record nothing else.
+        // shared into the fan-out. Stage 1's inject of that lineage and
+        // its prep serve every point of it (all nine, in every paper
+        // family): each point runs the instrumented plan with its own
+        // sizes. Only the sizes of the schedules' datasets are fitted, so
+        // the runs record nothing else.
         let grid_plan = GridPlan::build(
             workload,
             Some((&sample_app, sample)),
             grid.iter()
                 .map(|&(e, f)| WorkloadParams::auto(e as u64, f as u64, sample.iterations)),
         );
+        grid_plan.give_instrumented(out.instrumented, out.prep);
         let grid_runs = run_indexed(grid.len(), threads, |gi| {
             let (instrumented, app, prep) = {
                 let _plan = obs::prof::scope("plan");
@@ -701,13 +704,18 @@ fn recommended_cluster(
     sizes: &ParamCalibration,
     memory_factor: &MemoryFactor,
     schedule: &Schedule,
-    (e, f): (f64, f64),
+    point: (f64, f64),
 ) -> ClusterConfig {
-    let size = sizes.predict_schedule_size(schedule, e, f);
-    let machines = memory_factor
-        .recommend_machines(size, &config.target_spec)
-        .min(config.max_machines);
-    ClusterConfig::new(machines, config.target_spec)
+    let spec = config.target_spec;
+    let (_, machines) = eq6(
+        sizes,
+        memory_factor,
+        schedule,
+        point,
+        &spec,
+        config.max_machines,
+    );
+    ClusterConfig::new(machines, spec)
 }
 
 impl OfflineTraining {

@@ -20,8 +20,8 @@
 //! Everything downstream of `to_micro` is integer arithmetic, so a
 //! [`HealthReport`] — verdicts, onsets, magnitudes, digest — is
 //! bit-identical at any `JUGGLER_THREADS`, across repeat folds, and
-//! across machines. Like run manifests, reports are content-addressed
-//! (the digest covers no wall-clock) and stored via [`obs::LedgerStore`].
+//! across machines. A report's digest covers no wall-clock, so the same
+//! window and SLO always give the same digest.
 
 use serde::{Deserialize, Serialize};
 
@@ -559,9 +559,7 @@ fn err_stats(series: &[(i64, usize)]) -> (i64, i64, i64, i64) {
     let mut buckets = vec![0u64; obs::HIST_BUCKETS];
     for &(x, _) in series {
         sum += i128::from(x);
-        let v = u64::try_from(x.max(0)).unwrap_or(0);
-        let bucket = if v == 0 { 0 } else { v.ilog2() as usize };
-        buckets[bucket] += 1;
+        buckets[obs::log2_bucket(u64::try_from(x).unwrap_or(0))] += 1;
     }
     let count = series.len() as u64;
     let mean = i64::try_from(sum / i128::from(count)).unwrap_or(i64::MAX);
@@ -628,7 +626,7 @@ impl HealthReport {
         obs::sha256_hex(self.canonical_json().as_bytes())
     }
 
-    /// Pretty JSON for the health store (trailing newline).
+    /// Pretty JSON, `juggler health --format json` (trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = serde_json::to_string_pretty(self).expect("HealthReport always serializes");
@@ -636,7 +634,7 @@ impl HealthReport {
         s
     }
 
-    /// Parses a stored report.
+    /// Parses a report printed by [`Self::to_json`].
     pub fn from_json(raw: &str) -> Result<Self, String> {
         serde_json::from_str(raw).map_err(|e| format!("health report: {e}"))
     }

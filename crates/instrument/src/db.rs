@@ -3,7 +3,7 @@
 //! per-dataset state [`derive_metrics`](crate::derive_metrics) finishes.
 //! No task, stage or observation rows are kept.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use cluster_sim::{Engine, RunOptions, RunReport, StepKind, TaskTrace};
 use dagflow::{DagError, DatasetId, JobId, Schedule, StageId};
@@ -60,7 +60,7 @@ impl ProfilingDatabase {
     /// profiling-operator boundaries, and folds one observation per
     /// original transformation — using only profile-visible timestamps.
     pub fn ingest(&self, instr: &Instrumented, report: &RunReport) {
-        let mut fold = self.fold.lock();
+        let mut fold = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
         fold.cover(instr.shadow.len());
         for trace in &report.traces {
             Self::fold_task(&mut fold, instr, trace);
@@ -82,7 +82,7 @@ impl ProfilingDatabase {
         instr: &Instrumented,
         schedule: &Schedule,
     ) -> Result<RunReport, DagError> {
-        let mut fold = self.fold.lock();
+        let mut fold = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
         fold.cover(instr.shadow.len());
         engine.run_observed(schedule, RunOptions::default(), None, &mut |trace| {
             Self::fold_task(&mut fold, instr, trace);

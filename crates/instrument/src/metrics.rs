@@ -51,7 +51,10 @@ pub fn derive_metrics(
     app: &Application,
     total_cores: u32,
 ) -> Vec<DatasetMetrics> {
-    db.fold.lock().finish(app, total_cores)
+    db.fold
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .finish(app, total_cores)
 }
 
 /// ENT intervals of one `(job, stage)` for one dataset half.

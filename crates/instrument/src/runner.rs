@@ -19,6 +19,9 @@ use crate::metrics::{derive_metrics, DatasetMetrics, PartitionSizes};
 pub struct ProfileRunOutput {
     /// The instrumented plan and id mappings.
     pub instrumented: Instrumented,
+    /// The prep of the instrumented plan's lineage, which later runs of
+    /// the same lineage can share ([`Engine::with_prep`]).
+    pub prep: Arc<EnginePrep>,
     /// The simulator report of the instrumented run. Its `traces` are
     /// empty: each task was folded into the profiling database as it
     /// finished and not kept (run [`Engine::run`] with
@@ -44,12 +47,13 @@ pub fn profile_run(
         (instrumented, prep)
     };
     let mapped = instrumented.map_schedule(schedule);
-    let engine = Engine::with_prep(&instrumented.app, cluster, params, prep);
+    let engine = Engine::with_prep(&instrumented.app, cluster, params, Arc::clone(&prep));
     let db = ProfilingDatabase::new();
     let report = db.ingest_run(&engine, &instrumented, &mapped)?;
     let metrics = derive_metrics(&db, app, cluster.total_cores());
     Ok(ProfileRunOutput {
         instrumented,
+        prep,
         report,
         metrics,
     })

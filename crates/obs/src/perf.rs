@@ -380,11 +380,11 @@ pub fn default_checks(bench: &str) -> Option<Vec<Check>> {
         // beside them are not gated.
         "training_allocs" => {
             let ceilings = [
-                ("LIR", 3_099.0),
-                ("LOR", 4_663.0),
-                ("PCA", 4_828.0),
-                ("RFC", 4_165.0),
-                ("SVM", 5_604.0),
+                ("LIR", 3_012.0),
+                ("LOR", 4_572.0),
+                ("PCA", 4_718.0),
+                ("RFC", 4_057.0),
+                ("SVM", 5_500.0),
             ];
             let shape = ["seed", "threads"].map(|path| Check::new(path, CheckOp::Equals));
             let counts = ceilings.map(|(family, max)| {

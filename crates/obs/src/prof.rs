@@ -469,8 +469,8 @@ impl Profile {
     }
 
     /// Canonical JSON [`Value`] (fixed key order, integer times) — what
-    /// the profile ledger stores and [`Profile::from_value`] reads
-    /// back.
+    /// `juggler profile --format json` prints and [`Profile::from_value`]
+    /// reads back.
     #[must_use]
     pub fn to_value(&self) -> Value {
         Value::Object(vec![

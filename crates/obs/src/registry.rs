@@ -21,9 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Number of log2 buckets in a registry histogram; bucket `i` counts
 /// values in `[2^i, 2^(i+1))` (bucket 0 additionally holds zero), which
@@ -110,12 +108,7 @@ impl HistogramCell {
     }
 
     fn record(&self, value: u64) {
-        let bucket = if value == 0 {
-            0
-        } else {
-            value.ilog2() as usize
-        };
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[log2_bucket(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
@@ -305,7 +298,7 @@ impl Registry {
     }
 
     fn cell(&self, name: &str, help: &str, class: MetricClass, kind: MetricKind) -> Option<Cell> {
-        let mut metrics = self.metrics.lock();
+        let mut metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             class,
@@ -331,7 +324,7 @@ impl Registry {
     /// [`MetricClass::Timing`] metrics are omitted.
     #[must_use]
     pub fn snapshot(&self, include_timings: bool) -> Snapshot {
-        let metrics = self.metrics.lock();
+        let metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = Vec::with_capacity(metrics.len());
         for (name, entry) in metrics.iter() {
             if entry.class == MetricClass::Timing && !include_timings {
@@ -379,6 +372,14 @@ pub struct Metric {
     pub class: MetricClass,
     /// The recorded value.
     pub value: MetricValue,
+}
+
+/// The log2 bucket of `value`: `floor(log2(value))`, with zero in bucket
+/// 0 beside `[1, 2)`. Every log2 histogram in the workspace buckets by
+/// this rule, so [`log2_quantile`] reads any of them.
+#[must_use]
+pub fn log2_bucket(value: u64) -> usize {
+    value.checked_ilog2().map_or(0, |b| b as usize)
 }
 
 /// Deterministic quantile estimate over log2 histogram buckets: the

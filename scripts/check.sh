@@ -91,11 +91,11 @@ cargo test -q --offline --test profile_golden
 echo "== health determinism (fold digest is thread-count-stable) =="
 cargo test -q --offline --test health_determinism
 
-echo "== health golden (drift drill names the onset run; tree is byte-stable) =="
+echo "== health golden (drift drill names the onset run; tree is byte-stable; health files no report beside the ledger's manifests and sample cache) =="
 cargo test -q --offline --test health_golden
 
-echo "== ledger read path (runs list/watch/health see only verified runs; atomic re-record; sample cache stays put) =="
-cargo test -q --offline --test ledger_cli
+echo "== ledger read path (runs list/watch/health see only verified runs; atomic re-record; sample cache stays put; profile --diff reads a saved --format json profile) =="
+cargo test -q --offline --test ledger_cli --test profile_cli
 cargo test -q --offline -p obs --lib -- ledger::
 
 echo "== overhead (paired median ratio; every budgeted row ≤ its limit; records results/BENCH_overhead.json) =="

@@ -244,8 +244,8 @@ USAGE:
   juggler dot <WORKLOAD> [--schedule N]
   juggler trace <WORKLOAD> [--machines N] [--width N] [--format gantt|collapsed]
                  [--out FILE] [--jsonl FILE] [--no-pipeline] [--threads N]
-  juggler profile <WORKLOAD> [--format tree|collapsed|json] [--diff <RUN>]
-                 [--store DIR] [--threads N]
+  juggler profile <WORKLOAD> [--format tree|collapsed|json] [--diff FILE]
+                 [--threads N]
   juggler doctor <WORKLOAD> [--threads N] [--timings] [--format text|json]
   juggler chaos <WORKLOAD> [--plan loss|slow|flaky|pressure|combo|drill]
                  [--machines N] [--seed S]
@@ -257,7 +257,7 @@ USAGE:
   juggler runs show <RUN> [--store DIR]
   juggler runs diff <RUN_A> <RUN_B> [--store DIR] [--tol-coeff X] [--tol-pred X]
   juggler health <WORKLOAD> [--slo FILE] [--format tree|json|prom]
-                 [--since RUN] [--limit N] [--store DIR] [--report-store DIR]
+                 [--since RUN] [--limit N] [--store DIR]
   juggler watch [--slo FILE] [--store DIR]
   juggler perf-report [--results DIR] [--baselines DIR] [--write-baselines]
 
@@ -266,16 +266,14 @@ WORKLOAD: KMEANS | LIR | LOR | PCA | RFC | SQLJOIN | STREAM | SVM
 `profile` trains the workload with the hierarchical phase profiler
 enabled and prints the merged self/total-time call tree (--format tree),
 collapsed stacks loadable in inferno/speedscope (--format collapsed), or
-the canonical JSON document (--format json). Every invocation also files
-the canonical JSON, content-addressed by SHA-256, in the profile ledger
-(default store: results/profiles/). --diff RUN compares the fresh
-profile against a stored one (id, unambiguous prefix, or path) and
-reports per-phase time deltas plus the largest regressions. The tree
-structure — phase names, call counts, counters — is deterministic at any
---threads setting; timings are host wall clock. `trace --format
-collapsed` folds the simulated task spans of one run through the same
-stack folder. Progress chatter on stderr is off by default; set
-JUGGLER_LOG=info (or debug) to enable it.
+the canonical JSON document (--format json). --diff FILE compares the
+fresh profile against a saved one (a `profile --format json` document
+or a bare profile JSON) and reports per-phase time deltas plus the
+largest regressions. The tree structure — phase names, call counts,
+counters — is deterministic at any --threads setting; timings are host
+wall clock. `trace --format collapsed` folds the simulated task spans
+of one run through the same stack folder. Progress chatter on stderr
+is off by default; set JUGGLER_LOG=info (or debug) to enable it.
 
 `doctor` trains the workload with a metrics registry of its own, scoped
 to the run and its worker threads (there is no global registry and no
@@ -322,13 +320,13 @@ hash, or is not a run manifest at all, is skipped with a warning by
 deterministic drift detectors (CUSUM on model-coefficient deviation,
 Page–Hinkley on prediction relative error, EWMA bands on residuals) and
 evaluates it against the error-budget SLO (defaults, or a JSON spec via
---slo — see examples/slo.json). The resulting HealthReport is filed,
-content-addressed, under results/health/ (--report-store) and printed as
-a tree (default), canonical JSON, or Prometheus gauges (--format prom).
---since RUN and --limit N narrow the fold window; exit status is 1 when
-any model or the error budget is Drifted, so the command doubles as a CI
-gate. `watch` is the one-shot sweep: one verdict line per workload in
-the run ledger, exit 1 if any is Drifted. The run ledger keeps a cache
+--slo — see examples/slo.json). The resulting HealthReport, a pure
+function of the fold window and the SLO, is printed as a tree (default),
+JSON, or Prometheus gauges (--format prom). --since RUN and --limit N
+narrow the fold window; exit status is 1 when any model or the error
+budget is Drifted, so the command doubles as a CI gate. `watch` is the
+one-shot sweep: one verdict line per workload in the run ledger, exit 1
+if any is Drifted. The run ledger keeps a cache
 of what these commands read from each manifest in its own directory
 (`sample_cache`), so a repeat read parses only runs recorded since.
 
@@ -715,14 +713,13 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 
 // ───────────────────────── phase profiling ─────────────────────────
 
-/// Loads the profile tree out of a stored profile document (or a bare
-/// profile JSON file, for hand-fed paths).
-fn load_profile(store: &obs::LedgerStore, reference: &str) -> Result<obs::prof::Profile, String> {
-    let (path, raw) = store.load(reference)?;
-    let doc: serde_json::Value =
-        serde_json::from_str(&raw).map_err(|e| format!("{}: {e}", path.display()))?;
+/// Loads the profile tree out of a saved `profile --format json`
+/// document, or out of a bare profile JSON file.
+fn load_profile(path: &str) -> Result<obs::prof::Profile, String> {
+    let raw = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let doc: serde_json::Value = serde_json::from_str(&raw).map_err(|e| format!("{path}: {e}"))?;
     let tree = doc.get("profile").unwrap_or(&doc);
-    obs::prof::Profile::from_value(tree).map_err(|e| format!("{}: {e}", path.display()))
+    obs::prof::Profile::from_value(tree).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
@@ -755,38 +752,25 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         obs::fmt_duration_s(profile.total_ns() as f64 / 1e9)
     );
 
-    // File the canonical document in the profile ledger before rendering,
-    // so every profile a human looks at is also diffable later.
-    let doc = serde_json::json!({
-        "version": 1,
-        "workload": w.name(),
-        "structure_digest": profile.structure_digest(),
-        "profile": profile.to_value(),
-    });
-    let doc_json = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
-    let hash = obs::sha256_hex(doc_json.as_bytes());
-    // The profile ledger lives apart from the run-manifest ledger, so
-    // `juggler runs list` (which parses manifests) never trips over it.
-    let store = obs::LedgerStore::new(args.dir("--store", "results/profiles"));
-    let stored = store
-        .record(&hash, &doc_json)
-        .map_err(|e| format!("recording profile: {e}"))?;
-
     match format {
         "tree" => print!("{}", profile.render_tree()),
         "collapsed" => print!("{}", profile.to_collapsed()),
-        _ => println!("{doc_json}"),
+        _ => {
+            let doc = serde_json::json!({
+                "version": 1,
+                "workload": w.name(),
+                "structure_digest": profile.structure_digest(),
+                "profile": profile.to_value(),
+            });
+            let doc_json = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
+            println!("{doc_json}");
+        }
     }
-    eprintln!(
-        "recorded profile {} ({})",
-        obs::LedgerStore::id_of(&hash),
-        stored.display()
-    );
 
-    if let Some(reference) = args.value("--diff") {
-        let base = load_profile(&store, reference)?;
+    if let Some(path) = args.value("--diff") {
+        let base = load_profile(path)?;
         let diff = obs::prof::ProfileDiff::between(&base, &profile);
-        println!("\nphase deltas vs {reference} (base -> new):");
+        println!("\nphase deltas vs {path} (base -> new):");
         print!("{}", diff.render());
         let top = diff.top_regressed(3);
         if !top.is_empty() {
@@ -1139,9 +1123,6 @@ fn cmd_health(args: &Args) -> Result<ExitCode, String> {
         None => 0usize,
     };
     let store = ledger_store(args);
-    // Health reports are filed apart from the run ledger, so
-    // `juggler runs list` never parses them.
-    let reports = obs::LedgerStore::new(args.dir("--report-store", "results/health"));
     let report = Watchtower::new(slo).fold_ledger(&store, &name, since, limit)?;
     if report.window.is_empty() {
         return Err(format!(
@@ -1149,9 +1130,6 @@ fn cmd_health(args: &Args) -> Result<ExitCode, String> {
             store.root().display()
         ));
     }
-    let stored = reports
-        .record(&report.digest(), &report.to_json())
-        .map_err(|e| format!("recording health report: {e}"))?;
     match format {
         "json" => print!("{}", report.to_json()),
         "prom" => {
@@ -1161,7 +1139,6 @@ fn cmd_health(args: &Args) -> Result<ExitCode, String> {
         }
         _ => print!("{}", report.render_tree()),
     }
-    obs::log_info!("health report filed at {}", stored.display());
     Ok(verdict_exit(&report.verdict))
 }
 

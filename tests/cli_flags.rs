@@ -33,6 +33,16 @@ fn bad_flags_exit_2_with_the_usage_line() {
             "`--limit` given twice",
             "juggler health <WORKLOAD> [--slo FILE]",
         ),
+        (
+            &["profile", "LOR", "--store", "DIR"],
+            "unknown flag `--store`",
+            "juggler profile <WORKLOAD> [--format tree|collapsed|json] [--diff FILE]",
+        ),
+        (
+            &["health", "LOR", "--report-store", "DIR"],
+            "unknown flag `--report-store`",
+            "juggler health <WORKLOAD> [--slo FILE]",
+        ),
     ] {
         let out = juggler(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

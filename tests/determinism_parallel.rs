@@ -108,11 +108,11 @@ impl Workload for CountingWorkload<'_> {
 /// grid point, the paper-scale lineage. Sized builds are 9 + 1 + 8: the
 /// stage-2 grid, the stage-3 memory calibration and the rest of stage 4,
 /// one per grid point — NOT one per cell; LOR has 18. Preps are
-/// 1 + 1 + 1 + 1 (stages 2 and 4 each plan their instrumented or plain
-/// grid once). A regression
+/// 1 + 0 + 1 + 1: stage 2 runs stage 1's instrumented prep, and stage 4
+/// plans its grid once. A regression
 /// that moves the build back inside the per-cell closure, builds a grid
-/// point afresh, or plans each grid point again, breaks these counts
-/// immediately. A one-thread training runs on this thread, so the
+/// point afresh, or plans or injects the sample lineage again, breaks
+/// these counts immediately. A one-thread training runs on this thread, so the
 /// thread's prep count sees every prep it builds.
 #[test]
 fn grid_point_runs_share_the_app_dag() {
@@ -140,8 +140,8 @@ fn grid_point_runs_share_the_app_dag() {
         );
         assert_eq!(
             preps,
-            1 + 1 + 1 + 1,
-            "{}: stages 2 and 4 must each plan their grid once",
+            3,
+            "{}: stages 1, 3 and 4 plan one prep each; stage 2 reuses stage 1's",
             w.name()
         );
         if w.name() != "LOR" {
@@ -195,8 +195,9 @@ impl Workload for TwoLineages {
 
 /// Stages 2 and 4 plan one prep per lineage of their grid, whatever the
 /// order of the points: here three of nine points (the largest `e`) have
-/// a lineage of their own, so each stage plans two preps, and the stage-1
-/// and stage-3 runs one each. Builds run in stage order (1 + 9 + 1 + 9),
+/// a lineage of their own, so stage 4 plans two preps, stage 2 one (its
+/// other lineage is the sample app's, whose prep stage 1 hands on), and
+/// the stage-1 and stage-3 runs one each. Builds run in stage order (1 + 9 + 1 + 9),
 /// so the prep counts seen at the first build of each stage split the
 /// total. The shared preps must not change the artifact at any thread
 /// count.
@@ -213,7 +214,7 @@ fn grid_stages_plan_one_prep_per_lineage() {
         seen[11] - seen[10],
         end - seen[11],
     ];
-    assert_eq!(per_stage, [1, 2, 1, 2], "preps per stage");
+    assert_eq!(per_stage, [1, 1, 1, 2], "preps per stage");
     let sequential = serde_json::to_string_pretty(&trained).expect("artifact serializes");
     for threads in [2, 8] {
         assert_eq!(

@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 use common::TinyScoring;
 use juggler_suite::juggler::pipeline::TrainingConfig;
 use juggler_suite::juggler::provenance::RunManifest;
-use juggler_suite::juggler::watchtower::Watchtower;
+use juggler_suite::juggler::watchtower::{Watchtower, SAMPLE_CACHE_FILE};
 use juggler_suite::obs::health::Verdict;
 use juggler_suite::obs::LedgerStore;
 use juggler_suite::workloads::Workload;
@@ -143,7 +143,6 @@ fn health_cli_exit_codes_follow_the_verdict() {
         std::env::temp_dir().join(format!("juggler-health-golden-{}", std::process::id()));
     let drifted_dir = scratch.join("drifted");
     let clean_dir = scratch.join("clean");
-    let reports_dir = scratch.join("reports");
     seed_store(&drifted_dir, &drill(Some(8)));
     seed_store(&clean_dir, &drill(None));
 
@@ -151,8 +150,6 @@ fn health_cli_exit_codes_follow_the_verdict() {
         std::process::Command::new(env!("CARGO_BIN_EXE_juggler"))
             .args(["health", "TINY", "--store"])
             .arg(store)
-            .arg("--report-store")
-            .arg(&reports_dir)
             .output()
             .expect("juggler health runs")
     };
@@ -187,6 +184,20 @@ fn health_cli_exit_codes_follow_the_verdict() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let out = watch(&clean_dir);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    // Nothing but the manifests and the sample cache: no report is filed.
+    let mut files: Vec<String> = std::fs::read_dir(&drifted_dir)
+        .expect("ledger lists")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut expected: Vec<String> = drill(Some(8))
+        .iter()
+        .map(|m| format!("{}.json", m.id()))
+        .chain([SAMPLE_CACHE_FILE.to_owned()])
+        .collect();
+    expected.sort();
+    assert_eq!(files, expected);
 
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -201,7 +201,6 @@ fn foreign_and_tampered_documents_appear_in_neither_list_nor_watch() {
 #[test]
 fn repeat_health_on_an_unchanged_store_leaves_the_cache_untouched() {
     let dir = scratch("health");
-    let reports = scratch("health-reports");
     let store = seed_store(&dir, &runs());
     // Unverifiable files are re-read every time but never cached, so
     // they must not make the cache look dirty either.
@@ -210,8 +209,6 @@ fn repeat_health_on_an_unchanged_store_leaves_the_cache_untouched() {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_juggler"))
             .args(["health", "TINY", "--store"])
             .arg(&dir)
-            .arg("--report-store")
-            .arg(&reports)
             .output()
             .expect("juggler health runs");
         stdout(&out)
@@ -234,5 +231,4 @@ fn repeat_health_on_an_unchanged_store_leaves_the_cache_untouched() {
     assert_eq!(text.matches("\"workload\":").count(), 3, "{text}");
 
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&reports);
 }
