@@ -117,7 +117,7 @@ pub fn train(w: &dyn Workload) -> TrainedJuggler {
 
 /// Trains Juggler for every evaluated workload, whole workloads fanned
 /// across the worker pool (each training itself sequential so the pool is
-/// not oversubscribed). Returns artifacts in [`workloads`] order —
+/// not oversubscribed). Returns artifacts in [`workloads()`] order —
 /// bit-identical to training them one by one.
 #[must_use]
 pub fn train_all() -> Vec<TrainedJuggler> {

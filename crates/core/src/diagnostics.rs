@@ -20,7 +20,7 @@ use modeling::FitReport;
 use crate::hotspot::HotspotAudit;
 
 /// The model-quality and decision evidence gathered during one offline
-/// training (see [`crate::OfflineTraining::run_full`]).
+/// training (see [`crate::OfflineTraining::run_traced`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainingDiagnostics {
     /// The hotspot-detection decision trace (stage 1).
@@ -30,7 +30,7 @@ pub struct TrainingDiagnostics {
     /// Per-schedule time-model fit reports (stage 4), aligned with the
     /// trained artifact's schedule order.
     pub time_fits: Vec<FitReport>,
-    /// Calibration notes (same strings as the pipeline timings' notes).
+    /// Non-fatal calibration anomalies, human-readable.
     pub notes: Vec<String>,
 }
 

@@ -10,9 +10,8 @@
 //! process can write into.
 //!
 //! [`DoctorReport::render`] is fully deterministic for a given
-//! (workload, config): it contains no wall-clock values — host timings
-//! live in the separate [`PipelineTimings`] field, which callers print
-//! (or don't) themselves.
+//! (workload, config): it contains no wall-clock values. Host stage
+//! timings are the phase profile's (`juggler profile`).
 
 use std::sync::Arc;
 
@@ -20,9 +19,7 @@ use cluster_sim::{ClusterConfig, Engine, EnginePrep, RunOptions};
 use workloads::Workload;
 
 use crate::diagnostics::{LedgerEntry, PredictionLedger, TrainingDiagnostics};
-use crate::pipeline::{
-    OfflineTraining, PipelineTimings, TrainedJuggler, TrainingConfig, TrainingError,
-};
+use crate::pipeline::{OfflineTraining, TrainedJuggler, TrainingConfig, TrainingError};
 use crate::provenance::RunManifest;
 use crate::recommend::RecommendationMenu;
 use crate::watchtower::{HealthReport, ResidualSeed, Watchtower};
@@ -42,17 +39,12 @@ pub struct DoctorReport {
     pub ledger: PredictionLedger,
     /// Deterministic counter snapshot taken after the validations.
     pub snapshot: obs::Snapshot,
-    /// The registry this run recorded into; snapshot it with timings for
-    /// the host wall-clock gauges.
-    pub registry: Arc<obs::Registry>,
     /// Single-run health baseline: this run's own manifest folded
     /// through the watchtower against the default SLO, with EWMA bands
     /// seeded from the training holdout residuals. Deliberately ignores
     /// the on-disk ledger so the render stays a pure function of
     /// (workload, config) — `juggler health` is the history view.
     pub health: HealthReport,
-    /// Host-side stage timings (never part of [`Self::render`]).
-    pub timings: PipelineTimings,
 }
 
 /// Trains `workload`, validates the menu's predictions, and gathers the
@@ -65,15 +57,7 @@ pub fn doctor(
 ) -> Result<DoctorReport, TrainingError> {
     let registry = Arc::new(obs::Registry::new());
     let _scope = registry.install();
-    doctor_inner(workload, config, registry)
-}
-
-fn doctor_inner(
-    workload: &dyn Workload,
-    config: &TrainingConfig,
-    registry: Arc<obs::Registry>,
-) -> Result<DoctorReport, TrainingError> {
-    let (trained, timings, diagnostics) = OfflineTraining::run_full(workload, config)?;
+    let (trained, diagnostics) = OfflineTraining::run_traced(workload, config)?;
 
     let paper = workload.paper_params();
     let (e, f) = (paper.examples as f64, paper.features as f64);
@@ -117,10 +101,8 @@ fn doctor_inner(
         menu,
         params: (e, f),
         ledger,
-        snapshot: registry.snapshot(false),
-        registry,
+        snapshot: registry.snapshot(),
         health: Watchtower::default().fold(&[]),
-        timings,
     };
     let manifest = RunManifest::from_doctor(&report, config, &paper);
     let seeds = residual_seeds(&report.diagnostics);

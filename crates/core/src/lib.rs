@@ -64,9 +64,7 @@ pub use hotspot::{
 pub use memory_calibration::{MemoryCalibration, MemoryFactor, ScaleOutcome, ScaledParams};
 pub use parallel::{resolve_threads, run_indexed, try_run_indexed};
 pub use param_calibration::{ParamCalibration, SizeModel};
-pub use pipeline::{
-    OfflineTraining, PipelineStageTiming, PipelineTimings, TrainedJuggler, TrainingConfig,
-};
+pub use pipeline::{OfflineTraining, TrainedJuggler, TrainingConfig};
 pub use provenance::{
     schedule_digest, DiffTolerances, Drift, ManifestContent, ManifestDiff, ManifestEnvelope,
     ModelRecord, RunManifest, ScheduleRecord,

@@ -112,82 +112,6 @@ impl Default for TrainingConfig {
     }
 }
 
-/// Wall-clock timing of one offline-pipeline stage. Host timing only —
-/// never part of the serialized artifact (it would break the bit-identical
-/// determinism contract).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PipelineStageTiming {
-    /// Stage label (`"1: hotspot detection"`, …).
-    pub stage: String,
-    /// Host wall-clock seconds the stage took.
-    pub wall_s: f64,
-    /// Experiment runs the stage performed.
-    pub runs: u32,
-}
-
-/// Per-stage wall-clock timings of one pipeline execution, plus
-/// calibration notes (e.g. a clamped stage-3 scale target).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PipelineTimings {
-    /// Stages in execution order.
-    pub stages: Vec<PipelineStageTiming>,
-    /// Non-fatal calibration anomalies, human-readable.
-    pub notes: Vec<String>,
-}
-
-impl PipelineTimings {
-    fn push(&mut self, stage: &str, started: std::time::Instant, runs: u32) {
-        let wall_s = started.elapsed().as_secs_f64();
-        if let Some(reg) = obs::Registry::current() {
-            reg.counter(
-                "pipeline_stage_runs_total",
-                "experiment runs across pipeline stages",
-            )
-            .add(u64::from(runs));
-            let idx = self.stages.len() + 1;
-            reg.gauge(
-                &format!("pipeline_stage{idx}_seconds"),
-                "pipeline stage wall-clock seconds (host timing)",
-                obs::MetricClass::Timing,
-            )
-            .set(wall_s);
-        }
-        self.stages.push(PipelineStageTiming {
-            stage: stage.to_owned(),
-            wall_s,
-            runs,
-        });
-    }
-
-    /// Total wall-clock seconds across recorded stages.
-    #[must_use]
-    pub fn total_wall_s(&self) -> f64 {
-        self.stages.iter().map(|s| s.wall_s).sum()
-    }
-
-    /// Multi-line human summary.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for s in &self.stages {
-            out.push_str(&format!(
-                "  stage {:<28} {:>9}  ({} runs)\n",
-                s.stage,
-                obs::fmt_duration_s(s.wall_s),
-                s.runs
-            ));
-        }
-        out.push_str(&format!(
-            "  total {:>32}\n",
-            obs::fmt_duration_s(self.total_wall_s())
-        ));
-        for n in &self.notes {
-            out.push_str(&format!("  note: {n}\n"));
-        }
-        out
-    }
-}
-
 /// Cost of one training stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageCost {
@@ -409,27 +333,18 @@ impl OfflineTraining {
         Self::run_traced(workload, config).map(|(trained, _)| trained)
     }
 
-    /// Like [`OfflineTraining::run`], also returning per-stage wall-clock
-    /// timings and calibration notes. The timings are host-side
-    /// observability only; the returned [`TrainedJuggler`] is byte-for-byte
-    /// the one [`OfflineTraining::run`] produces.
+    /// Like [`OfflineTraining::run`], also returning the
+    /// [`TrainingDiagnostics`] (hotspot decision trace, per-model fit
+    /// reports, calibration notes) that `juggler doctor` renders. The
+    /// trained artifact is byte-for-byte the one [`OfflineTraining::run`]
+    /// produces. Host wall-clock per stage is the phase profile's
+    /// (`obs::prof`, shown by `juggler profile`).
     pub fn run_traced(
         workload: &dyn Workload,
         config: &TrainingConfig,
-    ) -> Result<(TrainedJuggler, PipelineTimings), TrainingError> {
-        Self::run_full(workload, config).map(|(trained, timings, _)| (trained, timings))
-    }
-
-    /// The full-evidence variant: [`OfflineTraining::run_traced`] plus the
-    /// [`TrainingDiagnostics`] (hotspot decision trace, per-model fit
-    /// reports) that `juggler doctor` renders. The trained artifact is
-    /// byte-for-byte the one [`OfflineTraining::run`] produces.
-    pub fn run_full(
-        workload: &dyn Workload,
-        config: &TrainingConfig,
-    ) -> Result<(TrainedJuggler, PipelineTimings, TrainingDiagnostics), TrainingError> {
+    ) -> Result<(TrainedJuggler, TrainingDiagnostics), TrainingError> {
         let _prof = obs::prof::scope("training");
-        let mut timings = PipelineTimings::default();
+        let mut notes = Vec::new();
         let mut costs = TrainingCosts::default();
         let sim = |seed_off: u64| seeded(workload, config, seed_off);
         // Resolve the worker count once for the whole pipeline.
@@ -442,7 +357,6 @@ impl OfflineTraining {
 
         // ── Stage 1: hotspot detection (one instrumented sample run). ──
         let stage_prof = obs::prof::scope("stage1_hotspot");
-        let clock = std::time::Instant::now();
         let sample = workload.sample_params();
         let sample_app = {
             let _plan = obs::prof::scope("plan");
@@ -461,7 +375,6 @@ impl OfflineTraining {
             let _detect = obs::prof::scope("detect");
             detect_hotspots_audited(&sample_app, &metrics, &config.hotspot)
         };
-        timings.push("1: hotspot detection", clock, costs.hotspot.runs);
         obs::log_info!(
             "stage 1 done: {} candidate schedules from the sample run",
             schedules.len()
@@ -471,7 +384,6 @@ impl OfflineTraining {
         // ── Stage 2: parameter calibration (3×3 instrumented runs, one
         //    grid point per worker; each point owns its seed). ──
         let stage_prof = obs::prof::scope("stage2_calibration");
-        let clock = std::time::Instant::now();
         let (e_axis, f_axis) = workload.training_axes();
         let grid = ParamCalibration::training_grid(&e_axis, &f_axis);
         let wanted: BTreeSet<DatasetId> =
@@ -522,7 +434,7 @@ impl OfflineTraining {
                 }
                 Err(err) => {
                     obs::log_warn!("stage-2 grid point (e={e:.0}, f={f:.0}) skipped: {err}");
-                    timings.notes.push(format!(
+                    notes.push(format!(
                         "stage-2 run at (e={e:.0}, f={f:.0}) failed; grid point skipped: {err}"
                     ));
                 }
@@ -535,11 +447,6 @@ impl OfflineTraining {
             Err(e) => return Err(e.into()),
         };
         drop(fit_prof);
-        timings.push(
-            "2: parameter calibration",
-            clock,
-            costs.param_calibration.runs,
-        );
         obs::log_info!(
             "stage 2 done: {} calibration runs, {} dataset size models",
             costs.param_calibration.runs,
@@ -549,7 +456,6 @@ impl OfflineTraining {
 
         // ── Stage 3: memory calibration (one run filling M). ──
         let stage_prof = obs::prof::scope("stage3_memory");
-        let clock = std::time::Instant::now();
         let memory_factor = if let Some(first) = schedules.first() {
             let m_bytes = config.calibration_spec.unified_memory() as f64;
             let (e0, f0) = (
@@ -560,7 +466,7 @@ impl OfflineTraining {
                 sizes.predict_schedule_size(&first.schedule, e, f) as f64
             });
             if let Some(note) = scaled.outcome.note(m_bytes) {
-                timings.notes.push(note);
+                notes.push(note);
             }
             let params = WorkloadParams::auto(scaled.e as u64, scaled.f as u64, sample.iterations);
             let plan = GridPlan::build(
@@ -577,17 +483,12 @@ impl OfflineTraining {
             )?;
             costs.memory_calibration.add(&report);
             if let Some(trace) = &report.trace {
-                timings.notes.push(format!("stage-3 {}", trace.summary()));
+                notes.push(format!("stage-3 {}", trace.summary()));
             }
             MemoryFactor::from_run(plan.app(0), &first.schedule, &report)
         } else {
             MemoryFactor { factor: 1.0 }
         };
-        timings.push(
-            "3: memory calibration",
-            clock,
-            costs.memory_calibration.runs,
-        );
         obs::log_info!("stage 3 done: memory factor {:.3}", memory_factor.factor);
         drop(stage_prof);
 
@@ -596,7 +497,6 @@ impl OfflineTraining {
         //    (schedule × grid-point) matrix is flattened onto the worker
         //    pool; the seed offset `40 + k` matches the sequential loop. ──
         let stage_prof = obs::prof::scope("stage4_time_models");
-        let clock = std::time::Instant::now();
         let paper = workload.paper_params();
         let cells = schedules.len() * grid.len();
         // The cell application depends only on the grid point — every
@@ -640,7 +540,7 @@ impl OfflineTraining {
                         obs::log_warn!(
                             "stage-4 cell (schedule {si}, e={e:.0}, f={f:.0}) skipped: {err}"
                         );
-                        timings.notes.push(format!(
+                        notes.push(format!(
                             "stage-4 run (schedule {si}, e={e:.0}, f={f:.0}) failed; \
                              point skipped: {err}"
                         ));
@@ -653,7 +553,6 @@ impl OfflineTraining {
             time_models.push(model);
             time_fits.push(report);
         }
-        timings.push("4: execution-time models", clock, costs.time_models.runs);
         obs::log_info!(
             "stage 4 done: {} matrix runs, {} time models",
             costs.time_models.runs,
@@ -662,6 +561,17 @@ impl OfflineTraining {
         drop(stage_prof);
 
         if let Some(reg) = obs::Registry::current() {
+            let stages = [
+                costs.hotspot,
+                costs.param_calibration,
+                costs.memory_calibration,
+                costs.time_models,
+            ];
+            reg.counter(
+                "pipeline_stage_runs_total",
+                "experiment runs across pipeline stages",
+            )
+            .add(stages.iter().map(|s| u64::from(s.runs)).sum());
             reg.counter("pipeline_trainings_total", "offline trainings completed")
                 .inc();
         }
@@ -670,7 +580,7 @@ impl OfflineTraining {
             hotspot: hotspot_audit,
             size_fits,
             time_fits,
-            notes: timings.notes.clone(),
+            notes,
         };
         Ok((
             TrainedJuggler {
@@ -683,7 +593,6 @@ impl OfflineTraining {
                 max_machines: config.max_machines,
                 costs,
             },
-            timings,
             diagnostics,
         ))
     }

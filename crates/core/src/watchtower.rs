@@ -718,7 +718,6 @@ impl HealthReport {
             .gauge(
                 "health_level",
                 "overall health verdict level (0 healthy, 1 warn, 2 drifted)",
-                obs::MetricClass::Deterministic,
             )
             .set(f64::from(self.verdict.level()));
         registry
@@ -734,7 +733,6 @@ impl HealthReport {
             .gauge(
                 "health_budget_burn_micro",
                 "error-budget burn rate in micro-units (1e6 = exhausted)",
-                obs::MetricClass::Deterministic,
             )
             .set(self.budget.burn_rate_micro as f64);
         let hist = registry.histogram(
@@ -746,7 +744,6 @@ impl HealthReport {
                 .gauge(
                     &format!("health_model_{}_level", sanitize_metric(&m.name)),
                     "model verdict level (0 healthy, 1 warn, 2 drifted)",
-                    obs::MetricClass::Deterministic,
                 )
                 .set(f64::from(m.verdict.level()));
             if m.mean_err_micro >= 0 {
@@ -1289,7 +1286,7 @@ mod tests {
         let report = Watchtower::default().fold(&w);
         let reg = obs::Registry::new();
         report.register_metrics(&reg);
-        let snap = reg.snapshot(false);
+        let snap = reg.snapshot();
         let prom = snap.to_prometheus();
         assert!(prom.contains("health_level 2"), "{prom}");
         assert!(prom.contains("health_model_time_0_level 2"), "{prom}");
@@ -1298,6 +1295,6 @@ mod tests {
         // Repeat registration into a fresh registry is byte-identical.
         let reg2 = obs::Registry::new();
         report.register_metrics(&reg2);
-        assert_eq!(prom, reg2.snapshot(false).to_prometheus());
+        assert_eq!(prom, reg2.snapshot().to_prometheus());
     }
 }

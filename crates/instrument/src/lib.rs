@@ -13,7 +13,7 @@
 //!
 //! This crate reproduces that pipeline against the simulator:
 //!
-//! * [`inject`] rewrites an application plan, giving every dataset a
+//! * [`inject()`] rewrites an application plan, giving every dataset a
 //!   profiling shadow and rewiring children (and job targets, and persist
 //!   directives) to the shadows — exactly the dependency surgery of the
 //!   paper's Figure 6;

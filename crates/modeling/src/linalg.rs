@@ -1,4 +1,4 @@
-//! Minimal dense matrix type: the design rows handed to [`crate::nnls`]
+//! Minimal dense matrix type: the design rows handed to [`crate::nnls()`]
 //! and the Gram log-determinant of D-optimal experiment design. The NNLS
 //! solver itself runs over row-major slices in its own workspace.
 

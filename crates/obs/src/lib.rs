@@ -68,6 +68,6 @@ pub use perf::{
     CheckOutcome, PerfReport,
 };
 pub use registry::{
-    log2_bucket, log2_quantile, Counter, Gauge, Histogram, InstallGuard, Metric, MetricClass,
-    MetricKind, MetricValue, Registry, Snapshot, HIST_BUCKETS,
+    log2_bucket, log2_quantile, Counter, Gauge, Histogram, InstallGuard, Metric, MetricKind,
+    MetricValue, Registry, Snapshot, HIST_BUCKETS,
 };

@@ -2,8 +2,9 @@
 //!
 //! The workspace's human-facing *results* go to stdout and are often
 //! golden-tested byte-for-byte; progress and diagnostic chatter must
-//! never mix into them. The [`log_warn!`], [`log_info!`], and
-//! [`log_debug!`] macros write to **stderr**, and only when `JUGGLER_LOG`
+//! never mix into them. The [`log_warn!`](crate::log_warn!),
+//! [`log_info!`](crate::log_info!) and [`log_debug!`](crate::log_debug!)
+//! macros write to **stderr**, and only when `JUGGLER_LOG`
 //! enables their level — off by default, so stdout *and* stderr are
 //! byte-stable unless a human opts in. Disabled calls cost one relaxed
 //! atomic load; format arguments are not evaluated.

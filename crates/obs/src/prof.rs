@@ -22,9 +22,9 @@
 //! values — is a pure function of the work performed and therefore
 //! bit-identical at any `JUGGLER_THREADS` count, provided fan-out sites
 //! propagate their phase context to workers with [`fork`]/[`ForkCtx::attach`].
-//! Timings are host wall-clock and excluded from [`Profile::structure_digest`],
-//! exactly like `MetricClass::Timing` metrics are excluded from default
-//! registry snapshots.
+//! Timings are host wall-clock and excluded from [`Profile::structure_digest`].
+//! Outside the benches this is the one reader of the host clock: per-stage
+//! training wall-clock is the `training` → `stageN_*` subtree here.
 //!
 //! Exports: a rendered tree report ([`Profile::render_tree`]), collapsed
 //! stacks for inferno/speedscope flamegraphs ([`Profile::to_collapsed`],

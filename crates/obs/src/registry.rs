@@ -28,33 +28,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// covers the full `u64` range.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Whether a metric is a pure function of the work performed
-/// (`Deterministic`) or derived from host wall-clock time (`Timing`).
-///
-/// Deterministic metrics are byte-stable across machines and worker-thread
-/// counts for a fixed workload; timing metrics are not. The default export
-/// ([`Registry::snapshot`] with `include_timings = false`) contains only
-/// deterministic metrics, so `juggler metrics` output can be golden-tested
-/// and compared across thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricClass {
-    /// Pure function of the work performed; byte-stable across runs.
-    Deterministic,
-    /// Host wall-clock derived; varies run to run.
-    Timing,
-}
-
-impl MetricClass {
-    /// Lowercase label used in exports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            MetricClass::Deterministic => "deterministic",
-            MetricClass::Timing => "timing",
-        }
-    }
-}
-
 /// The kind of a registered metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
@@ -210,7 +183,6 @@ impl Cell {
 #[derive(Debug)]
 struct Entry {
     help: String,
-    class: MetricClass,
     cell: Cell,
 }
 
@@ -268,16 +240,16 @@ impl Registry {
     /// Registers (or looks up) a deterministic counter. Returns a no-op
     /// handle when `name` is already registered as a different kind.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        match self.cell(name, help, MetricClass::Deterministic, MetricKind::Counter) {
+        match self.cell(name, help, MetricKind::Counter) {
             Some(Cell::Counter(c)) => Counter(Some(c)),
             _ => Counter::default(),
         }
     }
 
-    /// Registers (or looks up) a gauge of the given class. Returns a
-    /// no-op handle when `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &str, help: &str, class: MetricClass) -> Gauge {
-        match self.cell(name, help, class, MetricKind::Gauge) {
+    /// Registers (or looks up) a gauge. Returns a no-op handle when
+    /// `name` is already registered as a different kind.
+    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
+        match self.cell(name, help, MetricKind::Gauge) {
             Some(Cell::Gauge(g)) => Gauge(Some(g)),
             _ => Gauge::default(),
         }
@@ -286,22 +258,16 @@ impl Registry {
     /// Registers (or looks up) a deterministic log2 histogram. Returns a
     /// no-op handle when `name` is already registered as a different kind.
     pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        match self.cell(
-            name,
-            help,
-            MetricClass::Deterministic,
-            MetricKind::Histogram,
-        ) {
+        match self.cell(name, help, MetricKind::Histogram) {
             Some(Cell::Histogram(h)) => Histogram(Some(h)),
             _ => Histogram::default(),
         }
     }
 
-    fn cell(&self, name: &str, help: &str, class: MetricClass, kind: MetricKind) -> Option<Cell> {
+    fn cell(&self, name: &str, help: &str, kind: MetricKind) -> Option<Cell> {
         let mut metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
-            class,
             cell: match kind {
                 MetricKind::Counter => Cell::Counter(Arc::new(CounterCell::default())),
                 MetricKind::Gauge => Cell::Gauge(Arc::new(GaugeCell::default())),
@@ -319,17 +285,12 @@ impl Registry {
         })
     }
 
-    /// Takes a point-in-time snapshot, sorted by metric name. With
-    /// `include_timings = false` (the byte-stable default export),
-    /// [`MetricClass::Timing`] metrics are omitted.
+    /// Takes a point-in-time snapshot, sorted by metric name.
     #[must_use]
-    pub fn snapshot(&self, include_timings: bool) -> Snapshot {
+    pub fn snapshot(&self) -> Snapshot {
         let metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = Vec::with_capacity(metrics.len());
         for (name, entry) in metrics.iter() {
-            if entry.class == MetricClass::Timing && !include_timings {
-                continue;
-            }
             let value = match &entry.cell {
                 Cell::Counter(c) => MetricValue::Counter(c.value.load(Ordering::Relaxed)),
                 Cell::Gauge(g) => {
@@ -353,7 +314,6 @@ impl Registry {
             out.push(Metric {
                 name: name.clone(),
                 help: entry.help.clone(),
-                class: entry.class,
                 value,
             });
         }
@@ -368,8 +328,6 @@ pub struct Metric {
     pub name: String,
     /// Help text supplied at registration.
     pub help: String,
-    /// Deterministic vs timing classification.
-    pub class: MetricClass,
     /// The recorded value.
     pub value: MetricValue,
 }
@@ -550,7 +508,6 @@ impl serde::Serialize for Snapshot {
                 MetricValue::Histogram { .. } => MetricKind::Histogram,
             };
             w.field("kind", kind.label());
-            w.field("class", m.class.label());
             w.field("help", m.help.as_str());
             match &m.value {
                 MetricValue::Counter(v) => w.field("value", v),
@@ -607,7 +564,7 @@ mod tests {
     }
 
     fn site_count(reg: &Registry) -> Option<u64> {
-        reg.snapshot(false).counter("site_total")
+        reg.snapshot().counter("site_total")
     }
 
     #[test]
@@ -679,7 +636,7 @@ mod tests {
         a.add(3);
         b.inc();
         assert_eq!(a.get(), 4);
-        assert_eq!(reg.snapshot(false).counter("x_total"), Some(4));
+        assert_eq!(reg.snapshot().counter("x_total"), Some(4));
     }
 
     #[test]
@@ -689,7 +646,7 @@ mod tests {
         // Release builds return a no-op handle; debug builds assert, so
         // only exercise the conflict path when debug_assertions are off.
         if !cfg!(debug_assertions) {
-            let g = reg.gauge("x", "conflicting kind", MetricClass::Deterministic);
+            let g = reg.gauge("x", "conflicting kind");
             g.set(1.0);
             assert_eq!(g.get(), 0.0);
         }
@@ -698,7 +655,7 @@ mod tests {
     #[test]
     fn gauge_stores_f64() {
         let reg = Registry::new();
-        let g = reg.gauge("ratio", "a gauge", MetricClass::Deterministic);
+        let g = reg.gauge("ratio", "a gauge");
         g.set(0.375);
         assert_eq!(g.get(), 0.375);
     }
@@ -711,7 +668,7 @@ mod tests {
         h.record(1); // bucket 0
         h.record(2); // bucket 1
         h.record(1024); // bucket 10
-        let snap = reg.snapshot(false);
+        let snap = reg.snapshot();
         match &snap.get("dur_us").expect("present").value {
             MetricValue::Histogram {
                 buckets,
@@ -734,13 +691,9 @@ mod tests {
     #[test]
     fn snapshot_sorts_and_filters_timings() {
         let reg = Registry::new();
-        reg.gauge("z_seconds", "wall clock", MetricClass::Timing)
-            .set(1.25);
+        reg.gauge("z_seconds", "a gauge").set(1.25);
         reg.counter("a_total", "a counter").inc();
-        let stable = reg.snapshot(false);
-        assert_eq!(stable.metrics.len(), 1);
-        assert_eq!(stable.metrics[0].name, "a_total");
-        let full = reg.snapshot(true);
+        let full = reg.snapshot();
         let names: Vec<&str> = full.metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["a_total", "z_seconds"], "name-sorted");
     }
@@ -749,12 +702,11 @@ mod tests {
     fn prometheus_export_shape() {
         let reg = Registry::new();
         reg.counter("hits_total", "cache hits").add(7);
-        reg.gauge("err_ratio", "relative error", MetricClass::Deterministic)
-            .set(0.5);
+        reg.gauge("err_ratio", "relative error").set(0.5);
         let h = reg.histogram("dur_us", "durations");
         h.record(1);
         h.record(3);
-        let prom = reg.snapshot(false).to_prometheus();
+        let prom = reg.snapshot().to_prometheus();
         assert!(prom.contains("# HELP hits_total cache hits\n"), "{prom}");
         assert!(prom.contains("# TYPE hits_total counter\nhits_total 7\n"));
         assert!(prom.contains("# TYPE err_ratio gauge\nerr_ratio 0.5\n"));
@@ -769,11 +721,9 @@ mod tests {
     fn json_export_shape() {
         let reg = Registry::new();
         reg.counter("hits_total", "cache \"hits\"").add(7);
-        reg.gauge("bad", "non-finite", MetricClass::Deterministic)
-            .set(f64::NAN);
-        reg.gauge("whole", "integral", MetricClass::Deterministic)
-            .set(2.0);
-        let json = reg.snapshot(false).to_json();
+        reg.gauge("bad", "non-finite").set(f64::NAN);
+        reg.gauge("whole", "integral").set(2.0);
+        let json = reg.snapshot().to_json();
         assert!(json.starts_with("{\"metrics\":["), "{json}");
         assert!(json.contains("\"name\":\"hits_total\""));
         assert!(json.contains("\"help\":\"cache \\\"hits\\\"\""), "{json}");
@@ -783,6 +733,7 @@ mod tests {
             json.contains("\"value\":2.0"),
             "gauges print as floats: {json}"
         );
+        assert!(!json.contains("\"class\""), "no class key: {json}");
     }
 
     #[test]
@@ -791,7 +742,7 @@ mod tests {
             let reg = Registry::new();
             reg.counter("a_total", "a").add(2);
             reg.histogram("h_us", "h").record(9);
-            reg.snapshot(false)
+            reg.snapshot()
         };
         let (s1, s2) = (build(), build());
         assert_eq!(s1.to_prometheus(), s2.to_prometheus());
@@ -840,7 +791,7 @@ mod tests {
         }
         h.record(700_000); // bucket 19
         h.record(900_000); // bucket 19
-        let snap = reg.snapshot(false);
+        let snap = reg.snapshot();
         let value = &snap.get("err_micro").expect("present").value;
         assert_eq!(value.quantile_upper_bound(50, 100), Some(131_071));
         assert_eq!(value.quantile_upper_bound(95, 100), Some(131_071));
@@ -853,7 +804,7 @@ mod tests {
         // Empty histograms export null quantiles.
         let reg = Registry::new();
         let _ = reg.histogram("empty_micro", "no samples");
-        let json = reg.snapshot(false).to_json();
+        let json = reg.snapshot().to_json();
         assert!(
             json.contains("\"p50\":null,\"p95\":null,\"p99\":null"),
             "{json}"

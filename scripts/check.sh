@@ -17,14 +17,14 @@ cargo test -q --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== compat JSON: round-trip, serde attributes, depth limit, malformed input, old artifacts, profile parity, number-text parity with std; >=1.3x f64 text speedup (records results/BENCH_json_throughput.json) =="
+echo "== rustdoc (deny warnings: no broken or ambiguous intra-doc link; --lib because the juggler binary and library share one doc page) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
+echo "== compat JSON: round-trip, serde attributes, depth limit, JSON reader strictness (RFC 8259: leading zeros, a point without digits on both sides and raw control bytes in strings are errors), malformed input, old artifacts, profile parity, number-text parity with std; >=1.3x f64 text speedup (records results/BENCH_json_throughput.json) =="
 cargo test -q --offline -p serde -p serde_json -p serde_derive
 cargo test -q --offline --test malformed_inputs --test old_artifacts
 cargo test -q --offline -p obs --lib -- prof::tests::committed_profile_round_trips_byte_identically
 cargo bench --offline -p bench --bench json_throughput
-
-echo "== JSON reader strictness (RFC 8259: leading zeros, a point without digits on both sides and raw control bytes in strings are errors) =="
-cargo test -q --offline -p serde
 
 echo "== profiling fold (database fold == hash-map oracle; streamed fold == collect then ingest; watched size runs == full runs; shared planner == fresh plans; sized grid points == fresh builds; instrumentation fidelity) =="
 cargo test -q --offline -p instrument
@@ -42,18 +42,12 @@ cargo test -q --offline --test metrics_registry --test doctor_golden --test chao
 echo "== doctor golden (diagnostics report is byte-stable) =="
 cargo test -q --offline --test doctor_golden
 
-echo "== artifact digest golden (paper-scale training artifacts and menus are bit-identical) =="
-cargo test -q --offline --test artifact_digest_golden
-
-echo "== hash parity (SHA-NI and portable SHA-256 agree; every digest golden is unchanged) =="
+echo "== hash parity, artifact digest golden and ledger determinism (SHA-NI and portable SHA-256 agree; paper-scale training artifacts and menus are bit-identical; manifest hash is thread-count-stable) =="
 cargo test -q --offline -p obs --lib -- hash::
 cargo test -q --offline --test ledger_determinism --test artifact_digest_golden
 
 echo "== hash throughput (>=3x SHA-NI speedup at 5.5 KB where the CPU has it; records results/BENCH_hash_throughput.json) =="
 cargo bench --offline -p bench --bench hash_throughput
-
-echo "== ledger determinism (manifest hash is thread-count-stable) =="
-cargo test -q --offline --test ledger_determinism
 
 echo "== chaos matrix (workload x fault plan x seed recovery invariants) =="
 cargo test -q --offline --test chaos

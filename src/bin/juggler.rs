@@ -7,8 +7,8 @@
 //! juggler schedules SVM                      # Table 2 view for one workload
 //! juggler sweep SVM --schedule 1             # cost on 1..12 machines
 //! juggler dot LOR > lor.dot                  # Graphviz DAG export
-//! juggler trace SVM --machines 4             # Gantt + Chrome trace JSON + stage timings
-//! juggler profile LOR --format tree          # hierarchical phase profile -> ledger
+//! juggler trace SVM --machines 4             # Gantt + Chrome trace JSON of one run
+//! juggler profile LOR --format tree          # phase profile: where training's time went
 //! juggler doctor KMEANS                      # model-quality & decision diagnostics
 //! juggler metrics LOR --format prom          # framework metrics export
 //! juggler runs record LOR                    # run -> provenance manifest in results/runs/
@@ -243,15 +243,14 @@ USAGE:
   juggler sweep <WORKLOAD> [--schedule N | --ops \"p(1) u(1) p(2)\"]
   juggler dot <WORKLOAD> [--schedule N]
   juggler trace <WORKLOAD> [--machines N] [--width N] [--format gantt|collapsed]
-                 [--out FILE] [--jsonl FILE] [--no-pipeline] [--threads N]
+                 [--out FILE] [--jsonl FILE]
   juggler profile <WORKLOAD> [--format tree|collapsed|json] [--diff FILE]
                  [--threads N]
-  juggler doctor <WORKLOAD> [--threads N] [--timings] [--format text|json]
+  juggler doctor <WORKLOAD> [--threads N] [--format text|json]
   juggler chaos <WORKLOAD> [--plan loss|slow|flaky|pressure|combo|drill]
                  [--machines N] [--seed S]
   juggler tenants [SPEC.json]
-  juggler metrics <WORKLOAD> [--format prom|json] [--output FILE]
-                 [--timings] [--threads N]
+  juggler metrics <WORKLOAD> [--format prom|json] [--output FILE] [--threads N]
   juggler runs record <WORKLOAD> [--threads N] [--store DIR]
   juggler runs list [--store DIR] [--workload W] [--limit N]
   juggler runs show <RUN> [--store DIR]
@@ -271,8 +270,10 @@ fresh profile against a saved one (a `profile --format json` document
 or a bare profile JSON) and reports per-phase time deltas plus the
 largest regressions. The tree structure — phase names, call counts,
 counters — is deterministic at any --threads setting; timings are host
-wall clock. `trace --format collapsed` folds the simulated task spans
-of one run through the same stack folder. Progress chatter on stderr
+wall clock, and the `training` subtree is the one record of how long
+each training stage took. `trace` simulates one traced run at sample
+scale; `trace --format collapsed` folds its simulated task spans
+through the same stack folder. Progress chatter on stderr
 is off by default; set JUGGLER_LOG=info (or debug) to enable it.
 
 `doctor` trains the workload with a metrics registry of its own, scoped
@@ -281,8 +282,8 @@ on/off switch), validates every Pareto option's predicted time/size
 against a simulated run, and prints model-quality (per-model LOO-CV
 winner and error) and decision (hotspot accept/reject reasons)
 diagnostics. `metrics` runs the same flow and exports that run's
-registry (Prometheus text by default); --timings includes host
-wall-clock gauges, which makes the output non-deterministic.
+registry (Prometheus text by default). Both outputs are deterministic;
+host wall-clock per training stage is `profile`'s to report.
 `doctor --format json` emits the run's provenance manifest instead of the
 human report; `metrics --output FILE` writes the export to a file.
 
@@ -615,10 +616,16 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         Some(m) => parse_num(m, "--machines")?,
         None => 2,
     };
+    if machines == 0 {
+        return Err("--machines must be at least 1".into());
+    }
     let width: usize = match args.value("--width") {
         Some(v) => parse_num(v, "--width")?,
         None => 100,
     };
+    if width < 10 {
+        return Err("--width must be at least 10 columns".into());
+    }
     let format = args.value("--format").unwrap_or("gantt");
     if format != "gantt" && format != "collapsed" {
         return Err(format!(
@@ -686,28 +693,6 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         println!("wrote JSONL event log to {path}");
     }
 
-    // Per-pipeline-stage wall-clock timings (stage 1 through the stage-5
-    // menu construction), skipped with --no-pipeline.
-    if !args.given("--no-pipeline") {
-        let config = args.training_config()?;
-        obs::log_info!("timing the offline pipeline for {}...", w.name());
-        let (trained, timings) =
-            OfflineTraining::run_traced(w.as_ref(), &config).map_err(|e| e.to_string())?;
-        let paper = w.paper_params();
-        let clock = std::time::Instant::now();
-        let menu = trained.recommend(paper.e(), paper.f());
-        let menu_s = clock.elapsed().as_secs_f64();
-        println!("pipeline stage timings:");
-        print!("{}", timings.summary());
-        println!(
-            "  stage {:<28} {:>9}  ({} options, {} dominated, {} invalid)",
-            "5: menu construction",
-            obs::fmt_duration_s(menu_s),
-            menu.options.len(),
-            menu.dominated.len(),
-            menu.invalid.len()
-        );
-    }
     Ok(())
 }
 
@@ -806,11 +791,6 @@ fn cmd_doctor(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     print!("{}", report.render());
-    // Host wall-clock timings are kept out of the deterministic report.
-    if args.given("--timings") {
-        println!("\nhost stage timings (wall clock, non-deterministic)");
-        print!("{}", report.timings.summary());
-    }
     Ok(())
 }
 
@@ -883,13 +863,7 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
         w.name()
     );
     let report = juggler_suite::juggler::doctor(w.as_ref(), &config).map_err(|e| e.to_string())?;
-    // --timings re-snapshots the doctor's registry with the wall-clock
-    // gauges included; the default export is deterministic metrics only.
-    let snapshot = if args.given("--timings") {
-        report.registry.snapshot(true)
-    } else {
-        report.snapshot
-    };
+    let snapshot = report.snapshot;
     let rendered = match format {
         "prom" => snapshot.to_prometheus(),
         _ => format!("{}\n", snapshot.to_json()),
@@ -1135,7 +1109,7 @@ fn cmd_health(args: &Args) -> Result<ExitCode, String> {
         "prom" => {
             let registry = obs::Registry::new();
             report.register_metrics(&registry);
-            print!("{}", registry.snapshot(false).to_prometheus());
+            print!("{}", registry.snapshot().to_prometheus());
         }
         _ => print!("{}", report.render_tree()),
     }

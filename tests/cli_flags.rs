@@ -43,6 +43,26 @@ fn bad_flags_exit_2_with_the_usage_line() {
             "unknown flag `--report-store`",
             "juggler health <WORKLOAD> [--slo FILE]",
         ),
+        (
+            &["doctor", "LOR", "--timings"],
+            "unknown flag `--timings`",
+            "juggler doctor <WORKLOAD> [--threads N] [--format text|json]",
+        ),
+        (
+            &["metrics", "LOR", "--timings"],
+            "unknown flag `--timings`",
+            "juggler metrics <WORKLOAD> [--format prom|json]",
+        ),
+        (
+            &["trace", "LOR", "--no-pipeline"],
+            "unknown flag `--no-pipeline`",
+            "juggler trace <WORKLOAD> [--machines N] [--width N]",
+        ),
+        (
+            &["trace", "LOR", "--threads", "2"],
+            "unknown flag `--threads`",
+            "juggler trace <WORKLOAD> [--machines N] [--width N]",
+        ),
     ] {
         let out = juggler(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -77,5 +97,25 @@ fn schedule_zero_is_rejected_before_any_work() {
             "{command}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{command} printed: {out:?}");
+    }
+}
+
+#[test]
+fn trace_rejects_zero_machines_and_a_narrow_gantt_before_any_work() {
+    for (args, error) in [
+        (
+            &["trace", "LOR", "--machines", "0"][..],
+            "--machines must be at least 1",
+        ),
+        (
+            &["trace", "LOR", "--width", "9"],
+            "--width must be at least 10",
+        ),
+    ] {
+        let out = juggler(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(error), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed: {out:?}");
     }
 }

@@ -34,18 +34,14 @@ fn concurrent_increments_are_exact() {
     });
     assert_eq!(counter.get(), 80_000);
     assert_eq!(hist.count(), 80_000);
-    let snap = reg.snapshot(false);
+    let snap = reg.snapshot();
     assert_eq!(snap.counter("t_total"), Some(80_000));
 }
 
 #[test]
 fn gauge_last_write_wins_under_contention() {
     let reg = Registry::new();
-    let gauge = reg.gauge(
-        "t_gauge",
-        "test gauge",
-        juggler_suite::obs::MetricClass::Deterministic,
-    );
+    let gauge = reg.gauge("t_gauge", "test gauge");
     std::thread::scope(|s| {
         for t in 0..4 {
             let gauge = gauge.clone();

@@ -34,8 +34,8 @@ fn strip(v: &mut Value) -> usize {
 #[test]
 fn artifacts_without_pressure_or_contention_load() {
     let config = TrainingConfig::default();
-    let (trained, _, diagnostics) =
-        OfflineTraining::run_full(&TinyScoring, &config).expect("TINY trains");
+    let (trained, diagnostics) =
+        OfflineTraining::run_traced(&TinyScoring, &config).expect("TINY trains");
     let app = TinyScoring.build(&TinyScoring.sample_params());
     let report = Engine::new(
         &app,
