@@ -33,7 +33,6 @@ use std::sync::Arc;
 use bench::harness::{self, Budget, LorBatch, ENGINE_RUNS, MAX_PAIRS, MIN_PAIRS};
 use cluster_sim::{
     FaultKind, FaultPlan, RetryPolicy, RunOptions, RunReport, SimParams, Tenant, TenantSet,
-    TraceConfig,
 };
 use dagflow::Application;
 use juggler::pipeline::TrainingConfig;
@@ -120,7 +119,6 @@ fn speculation_armed(params: &mut SimParams) {
     params.retry = RetryPolicy {
         speculation: true,
         speculation_multiplier: 1.0e9,
-        ..RetryPolicy::default()
     };
 }
 
@@ -236,12 +234,12 @@ fn main() {
     };
     let plain_engine = engine(plain, RunOptions::default());
     let traced = RunOptions {
-        trace: TraceConfig::enabled(),
+        trace: true,
         ..RunOptions::default()
     };
     let config = &harness::training_config();
     let traced_config = &TrainingConfig {
-        trace: TraceConfig::enabled(),
+        trace: true,
         ..harness::training_config()
     };
     let train = move |_: usize| harness::time_training(config);

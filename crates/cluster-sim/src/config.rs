@@ -174,20 +174,13 @@ impl Default for NoiseParams {
 
 /// Engine-level simulation parameters. The workload crate ships calibrated
 /// values per application; these defaults describe a generic Spark 2.4 +
-/// YARN deployment.
+/// YARN deployment, whose fixed overheads are constants beside the code
+/// that charges them (`engine::APP_STARTUP_S` and the driver's per-job
+/// terms, `task::SHUFFLE_CONNECTION_S`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimParams {
-    /// One-off application start-up (container launch, context init).
-    pub app_startup_s: f64,
-    /// Serial driver time per job (DAG construction, result handling).
-    pub driver_per_job_s: f64,
-    /// Extra serial driver time per machine per job (coordination,
-    /// result aggregation fan-in) — the area-B growth term.
-    pub driver_per_machine_s: f64,
     /// Serial driver cost of launching one task (scheduling loop).
     pub task_launch_s: f64,
-    /// Fixed latency per shuffle-read connection to one peer machine.
-    pub shuffle_connection_s: f64,
     /// Execution memory the application claims, as a fraction of the
     /// unified region M when all cores run tasks (each task claims
     /// `fraction × M / cores` — Spark's fair-share execution pool). This
@@ -226,11 +219,7 @@ pub struct SimParams {
 impl Default for SimParams {
     fn default() -> Self {
         SimParams {
-            app_startup_s: 8.0,
-            driver_per_job_s: 0.25,
-            driver_per_machine_s: 0.03,
             task_launch_s: 0.004,
-            shuffle_connection_s: 0.02,
             exec_mem_per_task_factor: 0.15,
             spill_penalty: 1.6,
             eviction_policy: crate::eviction::EvictionPolicyKind::Lru,

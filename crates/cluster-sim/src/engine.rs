@@ -6,6 +6,10 @@
 //! modified version of Spark that overwrites the developer-cached datasets
 //! with the recommended schedule by injecting cache/unpersist instructions
 //! into the DAG" (§5.3) — run with any other schedule.
+//!
+//! The driver overheads are the fixed deployment's constants:
+//! [`APP_STARTUP_S`] once per run, and [`DRIVER_PER_JOB_S`] plus
+//! [`DRIVER_PER_MACHINE_S`] per machine after every job.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,7 +26,15 @@ use crate::memory::{BlockLayout, BlockStore};
 use crate::report::{CacheStats, ContentionSummary, RunReport, StageTiming, TaskTrace};
 use crate::rng::TaskNoise;
 use crate::task::{Sizing, TaskEnv};
-use crate::trace::{TraceConfig, TraceCounters, TraceRecorder};
+use crate::trace::{TraceCounters, TraceRecorder};
+
+/// One-off application start-up (container launch, context init), s.
+pub const APP_STARTUP_S: f64 = 8.0;
+/// Serial driver time per job (DAG construction, result handling), s.
+pub const DRIVER_PER_JOB_S: f64 = 0.25;
+/// Extra serial driver time per machine per job (coordination, result
+/// fan-in), s — the area-B growth term.
+pub const DRIVER_PER_MACHINE_S: f64 = 0.03;
 
 /// Per-run options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,10 +45,11 @@ pub struct RunOptions {
     pub collect_traces: bool,
     /// Per-partition size skew amplitude (0 = perfectly even partitions).
     pub partition_skew: f64,
-    /// Structured trace recording (spans + counters into a ring buffer,
-    /// exported via [`crate::trace::RunTrace`]). Disabled by default; when
-    /// disabled every recording call is a no-op.
-    pub trace: TraceConfig,
+    /// Record structured trace events (spans + counters into a ring
+    /// buffer of [`crate::trace::DEFAULT_TRACE_CAPACITY`] events, exported
+    /// via [`crate::trace::RunTrace`]). Off by default; when off every
+    /// recording call is a no-op.
+    pub trace: bool,
 }
 
 /// Feeds one finished run's counters into the metrics registry in scope,
@@ -558,7 +571,7 @@ impl<'a> JobStepper<'a> {
             swap,
             state,
             chaos: ChaosState::new(&params.faults, params.retry, machines as usize),
-            now: params.app_startup_s + startup_jitter,
+            now: APP_STARTUP_S + startup_jitter,
             next_job: 0,
             job_times: Vec::with_capacity(jobs),
             per_job_cache: Vec::with_capacity(jobs),
@@ -712,8 +725,8 @@ impl<'a> JobStepper<'a> {
         // Serial driver work: job bookkeeping plus per-machine
         // coordination (the area-B term), with a small absolute wobble
         // from cluster dynamics.
-        self.now += self.params.driver_per_job_s
-            + self.params.driver_per_machine_s * f64::from(self.machines)
+        self.now += DRIVER_PER_JOB_S
+            + DRIVER_PER_MACHINE_S * f64::from(self.machines)
             + self.state.noise.uniform() * self.params.cluster_jitter_s * 0.02;
         self.job_times.push(self.now - job_start);
         self.recorder.job_span(job.0, job_start, self.now);
@@ -1331,7 +1344,7 @@ pub(crate) mod tests {
             .run(&Schedule::empty(), RunOptions::default())
             .unwrap();
         let sum: f64 = r.job_times_s.iter().sum();
-        assert!((r.total_time_s - (sum + quiet_params().app_startup_s)).abs() < 1e-9);
+        assert!((r.total_time_s - (sum + APP_STARTUP_S)).abs() < 1e-9);
         assert_eq!(r.job_times_s.len(), 5);
     }
 
@@ -1430,7 +1443,7 @@ pub(crate) mod tests {
         assert!(plain.trace.is_none());
 
         let opts = RunOptions {
-            trace: crate::trace::TraceConfig::enabled(),
+            trace: true,
             ..RunOptions::default()
         };
         let traced = engine
@@ -1466,7 +1479,7 @@ pub(crate) mod tests {
             .run(&Schedule::empty(), RunOptions::default())
             .unwrap();
         assert!(!r.stage_times.is_empty());
-        let startup = quiet_params().app_startup_s;
+        let startup = APP_STARTUP_S;
         for st in &r.stage_times {
             assert!(st.start >= startup - 1e-9);
             assert!(st.finish <= r.total_time_s + 1e-9);
@@ -1643,7 +1656,7 @@ pub(crate) mod tests {
         let hot = engine
             .run(&Schedule::persist_all([agg]), RunOptions::default())
             .unwrap();
-        let startup = quiet_params().app_startup_s;
+        let startup = APP_STARTUP_S;
         assert!(
             hot.total_time_s - startup < (cold.total_time_s - startup) * 0.5,
             "hot {} vs cold {}",

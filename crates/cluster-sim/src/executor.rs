@@ -12,7 +12,7 @@
 
 use dagflow::{DatasetId, JobId, Stage};
 
-use crate::fault::ChaosState;
+use crate::fault::{ChaosState, MAX_ATTEMPTS, RETRY_BACKOFF_S, SPECULATION_MIN_TASKS};
 use crate::memory::BlockStore;
 use crate::report::TaskTrace;
 use crate::rng::TaskNoise;
@@ -471,18 +471,18 @@ pub fn run_stage(
             }
             state.task_attempts += 1;
             if chaos.take_failure(start) {
-                if attempt + 1 < policy.max_attempts {
+                if attempt + 1 < MAX_ATTEMPTS {
                     let fail_at = start + duration * 0.5;
                     state.set_core_free(machine, slot, fail_at);
                     store.release_exec(machine, claimed);
                     chaos.record_retry(machine, fail_at);
                     attempt += 1;
                     avoid = if machines > 1 { Some(machine) } else { None };
-                    retry_ready = fail_at + policy.retry_backoff_s * f64::from(attempt);
+                    retry_ready = fail_at + RETRY_BACKOFF_S * f64::from(attempt);
                     continue;
                 }
                 // Retry budget exhausted: real Spark fails the job after
-                // max_attempts; the simulator completes the final attempt
+                // MAX_ATTEMPTS; the simulator completes the final attempt
                 // and records the exhaustion so chaos runs terminate.
                 chaos.note_exhausted();
             }
@@ -505,7 +505,7 @@ pub fn run_stage(
         // loser is killed at that instant.
         let mut winner = (machine, slot, start);
         let mut speculated = false;
-        if track_speculation && done_tasks >= u64::from(policy.speculation_min_tasks) {
+        if track_speculation && done_tasks >= u64::from(SPECULATION_MIN_TASKS) {
             let median = state.spec_durations.get();
             if duration > policy.speculation_multiplier * median {
                 let detect_at = start + policy.speculation_multiplier * median;
@@ -640,8 +640,6 @@ mod tests {
     use dagflow::{AppBuilder, Application, ComputeCost, NarrowKind, SourceFormat, StagePlan};
     use std::collections::HashMap;
 
-    use crate::trace::TraceConfig;
-
     use crate::config::{ClusterConfig, MachineSpec, NoiseParams, SimParams};
     use crate::fault::{FaultPlan, RetryPolicy};
     use crate::memory::BlockLayout;
@@ -719,7 +717,7 @@ mod tests {
                 TaskNoise::new(0, NoiseParams::NONE),
             );
             let plan = StagePlan::build(&app, dagflow::JobId(0));
-            let mut recorder = TraceRecorder::new(TraceConfig::default());
+            let mut recorder = TraceRecorder::new(false);
             let mut chaos = inert_chaos(machines);
             let finish = run_stage(
                 &env,
@@ -763,7 +761,7 @@ mod tests {
         let mut state = ExecutorState::new(2, 4, TaskNoise::new(0, NoiseParams::NONE));
         let plan = StagePlan::build(&app, dagflow::JobId(0));
         let mut traces = Vec::new();
-        let mut recorder = TraceRecorder::new(TraceConfig::default());
+        let mut recorder = TraceRecorder::new(false);
         let mut chaos = inert_chaos(cluster.machines);
         run_stage(
             &env,
@@ -833,7 +831,7 @@ mod tests {
         let mut state = ExecutorState::new(2, 4, TaskNoise::new(7, params.noise));
         let plan = StagePlan::build(&app, dagflow::JobId(0));
         let mut traces = Vec::new();
-        let mut recorder = TraceRecorder::new(TraceConfig::default());
+        let mut recorder = TraceRecorder::new(false);
         let mut chaos = inert_chaos(cluster.machines);
         run_stage(
             &env,
@@ -916,7 +914,7 @@ mod tests {
                 &[],
                 0.0,
                 Some(&mut |t: &TaskTrace| traces.push(t.clone())),
-                &mut TraceRecorder::new(TraceConfig::default()),
+                &mut TraceRecorder::new(false),
             );
             assert_eq!(traces.len(), 48);
             let mut cache_reads = Vec::new();
@@ -983,7 +981,7 @@ mod tests {
         let mut store = store_for(&env);
         let mut state = ExecutorState::new(1, 4, TaskNoise::new(0, NoiseParams::NONE));
         let plan = StagePlan::build(&app, dagflow::JobId(0));
-        let mut recorder = TraceRecorder::new(TraceConfig::default());
+        let mut recorder = TraceRecorder::new(false);
         let mut chaos = inert_chaos(cluster.machines);
         let finish = run_stage(
             &env,

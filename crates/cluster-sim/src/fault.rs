@@ -1,11 +1,13 @@
 //! Fault injection and Spark-style fault tolerance.
 //!
 //! A [`FaultPlan`] is an ordered schedule of injected events — executor
-//! loss, slow node, transient task failures, memory-pressure spikes — and
-//! a [`RetryPolicy`] describes how the simulated driver reacts: capped
-//! task retries with deterministic backoff (`spark.task.maxFailures`),
-//! executor blacklisting after repeated failures on one machine, and
-//! speculative re-execution of straggler tasks (`spark.speculation`).
+//! loss, slow node, transient task failures, memory-pressure spikes. The
+//! simulated driver reacts the way Spark's defaults do: capped task
+//! retries with deterministic backoff ([`MAX_ATTEMPTS`],
+//! `spark.task.maxFailures`; [`RETRY_BACKOFF_S`]) and executor
+//! blacklisting after [`BLACKLIST_AFTER`] failures on one machine. A
+//! [`RetryPolicy`] holds the one choice callers make: speculative
+//! re-execution of straggler tasks (`spark.speculation`).
 //!
 //! Event semantics:
 //!
@@ -162,42 +164,39 @@ impl FaultPlan {
     }
 }
 
-/// How the simulated driver reacts to task failures and stragglers.
-/// The default mirrors Spark's: 4 attempts per task, no speculation.
+/// Maximum attempts per task (`spark.task.maxFailures`). After the
+/// budget is exhausted real Spark fails the job; the simulator lets the
+/// final attempt complete and records the exhaustion, so chaos runs
+/// always terminate.
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before retry attempt `n` launches: `n × RETRY_BACKOFF_S`
+/// seconds after the failure instant.
+pub const RETRY_BACKOFF_S: f64 = 0.5;
+/// A machine is blacklisted once this many task attempts failed on it; it
+/// then receives no new attempts unless every machine is blacklisted.
+pub const BLACKLIST_AFTER: u32 = 2;
+/// Minimum completed tasks in a stage before speculation may trigger.
+pub const SPECULATION_MIN_TASKS: u32 = 4;
+
+/// Whether the simulated driver speculates on stragglers. The default
+/// mirrors Spark's: no speculation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetryPolicy {
-    /// Maximum attempts per task (`spark.task.maxFailures`). After the
-    /// budget is exhausted real Spark fails the job; the simulator lets
-    /// the final attempt complete and records the exhaustion, so chaos
-    /// runs always terminate.
-    pub max_attempts: u32,
-    /// Deterministic backoff before retry attempt `n` launches:
-    /// `n × retry_backoff_s` after the failure instant.
-    pub retry_backoff_s: f64,
-    /// Blacklist a machine once this many task attempts failed on it
-    /// (0 disables blacklisting). A blacklisted machine receives no new
-    /// attempts unless every machine is blacklisted.
-    pub blacklist_after: u32,
     /// Enable speculative re-execution of stragglers
     /// (`spark.speculation`).
     pub speculation: bool,
     /// A running task is a straggler once its duration exceeds
     /// `multiplier × mean(completed tasks in the stage)`
-    /// (`spark.speculation.multiplier`).
+    /// (`spark.speculation.multiplier`); speculation waits for
+    /// [`SPECULATION_MIN_TASKS`] completed tasks.
     pub speculation_multiplier: f64,
-    /// Minimum completed tasks in a stage before speculation may trigger.
-    pub speculation_min_tasks: u32,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            max_attempts: 4,
-            retry_backoff_s: 0.5,
-            blacklist_after: 2,
             speculation: false,
             speculation_multiplier: 1.5,
-            speculation_min_tasks: 4,
         }
     }
 }
@@ -482,7 +481,7 @@ impl ChaosState {
 
     /// Consumes one armed transient failure applicable to an attempt
     /// starting at `start`, if any. The caller decides retry vs
-    /// exhaustion from [`RetryPolicy::max_attempts`].
+    /// exhaustion from [`MAX_ATTEMPTS`].
     pub fn take_failure(&mut self, start: f64) -> bool {
         if self.pending_failure_total == 0 || start < self.first_failure_s {
             return false;
@@ -509,10 +508,7 @@ impl ChaosState {
     pub fn record_retry(&mut self, machine: usize, at: f64) {
         self.retried_attempts += 1;
         self.machine_failures[machine] += 1;
-        if self.policy.blacklist_after > 0
-            && self.machine_failures[machine] >= self.policy.blacklist_after
-            && !self.blacklisted[machine]
-        {
+        if self.machine_failures[machine] >= BLACKLIST_AFTER && !self.blacklisted[machine] {
             self.blacklisted[machine] = true;
             self.any_blacklisted = true;
             self.all_blacklisted = self.blacklisted.iter().all(|&b| b);

@@ -56,7 +56,5 @@ pub use report::{
     StepKind, TaskTrace,
 };
 pub use tenant::{TenancyReport, Tenant, TenantSet};
-pub use trace::{
-    DurationHistogram, RunTrace, TraceConfig, TraceCounters, TraceEvent, TraceRecorder,
-};
+pub use trace::{DurationHistogram, RunTrace, TraceCounters, TraceEvent, TraceRecorder};
 pub use trace_view::render_gantt;

@@ -6,8 +6,8 @@
 //! * persisted + resident ⇒ cache read (fast; the 97×-cheaper path of the
 //!   paper's Figure 2 discussion);
 //! * source ⇒ stable-storage read at disk bandwidth;
-//! * wide ⇒ shuffle read (network fetch from every machine + reduce
-//!   compute);
+//! * wide ⇒ shuffle read (network fetch from every machine, each peer
+//!   adding [`SHUFFLE_CONNECTION_S`], + reduce compute);
 //! * narrow ⇒ recurse into parents, then apply the operator's compute cost.
 //!
 //! After computing a persisted dataset's partition the walker tries to
@@ -35,6 +35,10 @@ use dagflow::{Application, Bytes, ComputeCost, Dataset, DatasetId, OpKind};
 use crate::config::{ClusterConfig, SimParams};
 use crate::memory::BlockStore;
 use crate::report::{PipelineStep, StepKind};
+
+/// Fixed latency per shuffle-read connection to one peer machine, s: the
+/// fetch term that grows with cluster size (area B).
+pub const SHUFFLE_CONNECTION_S: f64 = 0.02;
 
 /// Deterministic per-partition size skew: a factor in `[1−s, 1+s]` drawn
 /// from a hash of `(dataset, partition)`, so it is stable across runs and
@@ -270,7 +274,7 @@ impl ShuffleRead {
         let w = env.app.dataset(wide);
         let fetched = shuffled_bytes(env.app, wide) / f64::from(w.partitions.max(1));
         let fetch = fetched / spec.network_bandwidth
-            + f64::from(env.cluster.machines) * env.params.shuffle_connection_s;
+            + f64::from(env.cluster.machines) * SHUFFLE_CONNECTION_S;
         if wide_combines(w.op) {
             let merge = (w.compute.fixed_s + w.compute.per_input_byte_s * fetched) / spec.cpu_speed;
             ShuffleRead::Combined(fetch + merge)
@@ -632,7 +636,7 @@ pub(crate) mod recursive {
         let w = env.app.dataset(wide);
         let fetched = shuffled_bytes(env.app, wide) / f64::from(w.partitions.max(1));
         let fetch = fetched / spec.network_bandwidth
-            + f64::from(env.cluster.machines) * env.params.shuffle_connection_s;
+            + f64::from(env.cluster.machines) * SHUFFLE_CONNECTION_S;
         let compute = if wide_combines(w.op) {
             (w.compute.fixed_s + w.compute.per_input_byte_s * fetched) / spec.cpu_speed
         } else {
@@ -886,7 +890,7 @@ mod tests {
         // treeAggregate combines map-side: the reducer fetches 8 partial
         // aggregates of 1024 B and merges them.
         let fetched = 1024.0 * 8.0;
-        let fetch = fetched / 125.0e6 + 2.0 * params.shuffle_connection_s;
+        let fetch = fetched / 125.0e6 + 2.0 * SHUFFLE_CONNECTION_S;
         let merge = 0.02 + 1e-9 * fetched;
         assert!(
             (walk.duration - (fetch + merge)).abs() < 1e-9,

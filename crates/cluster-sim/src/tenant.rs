@@ -186,7 +186,9 @@ impl<'a> TenantSet<'a> {
             let tenant = &self.tenants[ti];
 
             // FAIR share at this instant: running tenants that have
-            // arrived by the chosen cursor.
+            // arrived by the chosen cursor. The share never exceeds the
+            // machine: `cores × weight` overflows to infinity for a huge
+            // weight, which would otherwise saturate to `u32::MAX` cores.
             let present: f64 = self
                 .tenants
                 .iter()
@@ -194,9 +196,10 @@ impl<'a> TenantSet<'a> {
                 .filter(|(t, s)| s.is_some() && t.arrival_offset_s <= global_now)
                 .map(|(t, _)| t.weight)
                 .sum();
+            let cores = self.cluster.spec.cores;
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let share = ((f64::from(self.cluster.spec.cores) * tenant.weight / present).floor()
-                as u32)
+            let share = ((f64::from(cores) * tenant.weight / present).floor() as u32)
+                .min(cores)
                 .max(1);
             let fair = ClusterConfig::new(
                 machines,
@@ -397,6 +400,26 @@ mod tests {
         assert!((tr.makespan_s - plain.total_time_s).abs() < 1e-12);
     }
 
+    /// A lone tenant whose weight overflows `cores × weight` gets the
+    /// whole machine, not `u32::MAX` cores: it is the plain engine.
+    #[test]
+    fn huge_weight_share_clamps_to_the_machine() {
+        let app = iterative_app("huge", 3);
+        let cluster = ClusterConfig::new(2, MachineSpec::paper_example());
+        let plain = Engine::new(&app, cluster, quiet_params(7))
+            .run_shared(&persist_parsed(), RunOptions::default())
+            .unwrap();
+        let set = TenantSet {
+            cluster,
+            tenants: vec![Tenant {
+                weight: 1e308,
+                ..Tenant::new(&app, persist_parsed(), quiet_params(7))
+            }],
+        };
+        let tr = set.run(RunOptions::default()).unwrap();
+        assert_eq!(tr.reports[0], plain);
+    }
+
     /// A lone active tenant next to a weightless one reproduces the plain
     /// engine's whole report — quiet, and again traced on a small,
     /// memory-tight cluster under executor loss, task failures and memory
@@ -405,7 +428,6 @@ mod tests {
     #[test]
     fn inactive_second_tenant_is_invisible() {
         use crate::fault::{FaultKind, FaultPlan};
-        use crate::trace::TraceConfig;
 
         let app_a = iterative_app("a", 6);
         let app_b = iterative_app("b", 3);
@@ -433,7 +455,7 @@ mod tests {
         };
         let traced = RunOptions {
             collect_traces: true,
-            trace: TraceConfig::enabled(),
+            trace: true,
             ..RunOptions::default()
         };
         for (cluster, params, options) in [

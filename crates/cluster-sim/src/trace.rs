@@ -28,27 +28,12 @@ use serde::{Deserialize, JsonWriter, Serialize};
 
 /// Ring-buffer capacity of a recorded trace, events: enough for every
 /// event of a training-sized run, and a bound on a long run's memory.
+/// Once full, the oldest events are dropped (and counted in
+/// [`RunTrace::dropped_events`]).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// Number of log2 buckets in the task-duration histogram.
 const HIST_BUCKETS: usize = 32;
-
-/// Trace knob carried by [`crate::RunOptions`]: whether to record. The
-/// ring buffer holds [`DEFAULT_TRACE_CAPACITY`] events; once full, the
-/// oldest events are dropped (and counted in [`RunTrace::dropped_events`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceConfig {
-    /// Record structured trace events for this run.
-    pub enabled: bool,
-}
-
-impl TraceConfig {
-    /// Tracing on.
-    #[must_use]
-    pub fn enabled() -> Self {
-        TraceConfig { enabled: true }
-    }
-}
 
 /// Converts simulator seconds to integer trace microseconds. Quantizing
 /// keeps every export byte-stable: no float formatting is involved.
@@ -262,7 +247,7 @@ impl DurationHistogram {
 }
 
 /// The structured trace of one run, attached to
-/// [`crate::RunReport::trace`] when [`TraceConfig::enabled`] is set.
+/// [`crate::RunReport::trace`] when [`crate::RunOptions::trace`] is set.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunTrace {
     /// Events in execution order (oldest first; the ring keeps the tail).
@@ -539,7 +524,7 @@ fn args<T: Serialize>(w: &mut JsonWriter, values: &[(&str, T)]) {
 }
 
 /// Per-run recorder owned by the engine. All recording methods are no-ops
-/// when the config has tracing disabled — a single branch, no allocation.
+/// when tracing is off — a single branch, no allocation.
 #[derive(Debug)]
 pub struct TraceRecorder {
     buf: Option<TraceBuffer>,
@@ -547,13 +532,11 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder honouring `config`.
+    /// A recorder that records when `enabled`.
     #[must_use]
-    pub fn new(config: TraceConfig) -> Self {
+    pub fn new(enabled: bool) -> Self {
         TraceRecorder {
-            buf: config
-                .enabled
-                .then(|| TraceBuffer::new(DEFAULT_TRACE_CAPACITY)),
+            buf: enabled.then(|| TraceBuffer::new(DEFAULT_TRACE_CAPACITY)),
             hist: DurationHistogram::default(),
         }
     }
@@ -708,7 +691,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_produces_nothing() {
-        let mut r = TraceRecorder::new(TraceConfig::default());
+        let mut r = TraceRecorder::new(false);
         assert!(!r.enabled());
         r.job_span(0, 0.0, 1.0);
         r.task_span(0, 0, 0, 0, 0, 0.0, 1.0, false, false);
@@ -743,7 +726,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_json_with_expected_shape() {
-        let mut r = TraceRecorder::new(TraceConfig::enabled());
+        let mut r = TraceRecorder::new(true);
         r.task_span(0, 0, 0, 1, 2, 0.0, 0.5, true, false);
         r.wave_span(0, 0, 0, 0.0, 0.5, 1);
         r.stage_span(0, 0, 0.0, 0.5, 1);
@@ -780,7 +763,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_events() {
-        let mut r = TraceRecorder::new(TraceConfig::enabled());
+        let mut r = TraceRecorder::new(true);
         r.task_span(1, 2, 3, 0, 1, 0.1, 0.2, false, true);
         r.counter_snapshot(0.2, TraceCounters::default());
         let trace = r.finish(TraceCounters::default()).unwrap();
@@ -795,7 +778,7 @@ mod tests {
 
     #[test]
     fn collapsed_export_folds_task_spans() {
-        let mut r = TraceRecorder::new(TraceConfig::enabled());
+        let mut r = TraceRecorder::new(true);
         // Two tasks of the same stage on machine 0 fold into one line.
         r.task_span(0, 0, 0, 0, 0, 0.0, 0.001, false, false);
         r.task_span(0, 0, 1, 0, 1, 0.0, 0.002, false, false);
@@ -815,7 +798,7 @@ mod tests {
 
     #[test]
     fn summary_mentions_counts() {
-        let mut r = TraceRecorder::new(TraceConfig::enabled());
+        let mut r = TraceRecorder::new(true);
         r.task_span(0, 0, 0, 0, 0, 0.0, 1.0, false, false);
         let trace = r
             .finish(TraceCounters {

@@ -19,9 +19,9 @@
 //!   right before its successor caches, shrinking the schedule's memory
 //!   budget to `max` instead of sum.
 //!
-//! Schedules with equal memory budget keep only the highest-benefit one
-//! (lines 30–32) — this is why PCA ends up with a single (the third)
-//! schedule in Table 2.
+//! Schedules with equal memory budget (within [`COST_TOLERANCE`]) keep
+//! only the highest-benefit one (lines 30–32) — this is why PCA ends up
+//! with a single (the third) schedule in Table 2.
 //!
 //! Deviations from the paper's pseudocode, both documented in DESIGN.md:
 //! the incremental count bookkeeping (`n_p −= …`) is replaced by an exact
@@ -45,9 +45,6 @@ pub struct HotspotConfig {
     /// Benefit floor, in seconds (at sample-run scale): datasets whose
     /// benefit falls to or below this leave the candidate pool.
     pub min_benefit_s: f64,
-    /// Relative tolerance when comparing schedule memory budgets for the
-    /// equal-cost discard rule.
-    pub cost_tolerance: f64,
     /// Cache-contention pressure factor (≥ 0). Under multi-tenant
     /// contention a cached block's expected residency shrinks with its
     /// size — bigger blocks attract eviction pressure sooner — so each
@@ -64,7 +61,6 @@ impl Default for HotspotConfig {
     fn default() -> Self {
         HotspotConfig {
             min_benefit_s: 0.005,
-            cost_tolerance: 1e-6,
             pressure: 0.0,
         }
     }
@@ -341,7 +337,7 @@ pub fn detect_hotspots_audited(
         });
     }
 
-    let keep = dedup_keep_flags(&schedules, config);
+    let keep = dedup_keep_flags(&schedules);
     let schedule_audits: Vec<ScheduleAudit> = schedules
         .iter()
         .zip(&keep)
@@ -458,9 +454,13 @@ fn assemble_schedule(la: &LineageAnalysis<'_>, cached: &[DatasetId]) -> Schedule
     Schedule::from_ops(ops)
 }
 
+/// Relative tolerance when comparing schedule memory budgets for the
+/// equal-cost discard rule (lines 30–32 of Algorithm 1).
+pub const COST_TOLERANCE: f64 = 1e-6;
+
 /// Marks, among schedules with (approximately) equal memory budget, only
 /// the one with the highest benefit as kept.
-fn dedup_keep_flags(schedules: &[RankedSchedule], config: &HotspotConfig) -> Vec<bool> {
+fn dedup_keep_flags(schedules: &[RankedSchedule]) -> Vec<bool> {
     let mut discard = vec![false; schedules.len()];
     for i in 0..schedules.len() {
         for j in 0..schedules.len() {
@@ -469,7 +469,7 @@ fn dedup_keep_flags(schedules: &[RankedSchedule], config: &HotspotConfig) -> Vec
             }
             let a = schedules[i].budget_bytes as f64;
             let b = schedules[j].budget_bytes as f64;
-            let close = (a - b).abs() <= config.cost_tolerance * a.max(b).max(1.0);
+            let close = (a - b).abs() <= COST_TOLERANCE * a.max(b).max(1.0);
             if close {
                 // Discard the lower benefit; ties discard the earlier one.
                 let (lo, hi) = if schedules[i].benefit_s < schedules[j].benefit_s

@@ -77,6 +77,6 @@ pub use tenants::{
 pub use time_model::TimeModel;
 pub use transfer::{select_probes, InstanceCatalog, InstanceType, TransferModel};
 pub use watchtower::{
-    ledger_samples, BudgetHealth, DetectorTuning, HealthReport, ModelHealth, ModelSample,
-    RefitAdvice, ResidualSeed, RunSample, Watchtower, SAMPLE_CACHE_FILE, SAMPLE_SCHEMA_VERSION,
+    ledger_samples, BudgetHealth, HealthReport, ModelHealth, ModelSample, RefitAdvice,
+    ResidualSeed, RunSample, Watchtower, SAMPLE_CACHE_FILE, SAMPLE_SCHEMA_VERSION,
 };

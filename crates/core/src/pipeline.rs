@@ -10,9 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use cluster_sim::{
-    ClusterConfig, Engine, MachineSpec, RunOptions, RunReport, SimParams, TraceConfig,
-};
+use cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, RunReport, SimParams};
 use dagflow::{DagError, DatasetId, Schedule};
 use instrument::{profile_run, profile_sizes};
 use workloads::{Workload, WorkloadParams};
@@ -91,11 +89,11 @@ pub struct TrainingConfig {
     /// path. Every run owns its seed, so the trained artifact is
     /// bit-identical at any setting.
     pub threads: usize,
-    /// Structured-trace recording for the pipeline's single-run stages
-    /// (the stage-3 memory-calibration run). Disabled by default; the
+    /// Record a structured trace of the pipeline's single-run stages
+    /// (the stage-3 memory-calibration run). Off by default; the
     /// trace never enters the serialized [`TrainedJuggler`], so artifacts
     /// stay bit-identical with or without it.
-    pub trace: TraceConfig,
+    pub trace: bool,
 }
 
 impl Default for TrainingConfig {
@@ -107,7 +105,7 @@ impl Default for TrainingConfig {
             max_machines: 12,
             seed: 0x5EED,
             threads: 0,
-            trace: TraceConfig::default(),
+            trace: false,
         }
     }
 }

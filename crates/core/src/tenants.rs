@@ -316,6 +316,22 @@ pub fn run_tenants(spec: &TenantsSpec) -> Result<TenantsOutcome, String> {
     if spec.machines < 1 {
         return Err("tenants spec needs `machines` of at least 1".to_owned());
     }
+    // FAIR shares divide by the active weights' sum, so it must be finite.
+    let mut active_weight = 0.0;
+    for (i, t) in spec.tenants.iter().enumerate() {
+        for (key, value) in [
+            ("weight", t.weight),
+            ("arrival_offset_s", t.arrival_offset_s),
+        ] {
+            if !value.is_finite() {
+                return Err(format!("tenant {i}: `{key}` must be finite, not {value}"));
+            }
+        }
+        active_weight += t.weight.max(0.0);
+    }
+    if !active_weight.is_finite() {
+        return Err("tenants spec: the `weight`s must sum to a finite number".to_owned());
+    }
     let workloads: Vec<Box<dyn Workload>> = spec
         .tenants
         .iter()

@@ -17,6 +17,10 @@
 //!   coefficients silently walked away from the baseline is only
 //!   visible here. This is the detector the drift drill must trip.
 //!
+//! The detectors' thresholds are fixed constants ([`COEFF_SLACK_MICRO`]
+//! and its neighbours), each with the reason for its value; a
+//! [`Watchtower`] carries only the SLO it evaluates against.
+//!
 //! Everything downstream of `to_micro` is integer arithmetic, so a
 //! [`HealthReport`] — verdicts, onsets, magnitudes, digest — is
 //! bit-identical at any `JUGGLER_THREADS`, across repeat folds, and
@@ -29,52 +33,34 @@ use obs::health::{to_micro, Cusum, EwmaBand, PageHinkley, SloSpec, Verdict, MICR
 
 use crate::provenance::RunManifest;
 
-/// Detector thresholds, in micro-units. The defaults are tuned to the
-/// repo's determinism contract: coefficient deviation in a healthy
-/// ledger is exactly zero (training is bit-deterministic), so the CUSUM
-/// slack only needs to absorb fixed-point rounding, while the
-/// error-stream detectors absorb the few-percent scatter real
-/// validation errors show.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DetectorTuning {
-    /// CUSUM slack on the coefficient-deviation stream.
-    pub coeff_slack_micro: i64,
-    /// CUSUM alarm threshold on the coefficient-deviation stream.
-    pub coeff_threshold_micro: i64,
-    /// Page–Hinkley per-sample slack on the prediction-error stream.
-    pub err_delta_micro: i64,
-    /// Page–Hinkley alarm threshold on the prediction-error stream.
-    pub err_lambda_micro: i64,
-    /// EWMA smoothing numerator (alpha = num/den).
-    pub ewma_num: i64,
-    /// EWMA smoothing denominator.
-    pub ewma_den: i64,
-    /// EWMA band half-width in deviations.
-    pub ewma_k: i64,
-    /// EWMA minimum band half-width.
-    pub ewma_min_band_micro: i64,
-}
+// Detector thresholds, in micro-units. They are tuned to the repo's
+// determinism contract: coefficient deviation in a healthy ledger is
+// exactly zero (training is bit-deterministic), so the CUSUM slack only
+// needs to absorb fixed-point rounding, while the error-stream detectors
+// absorb the few-percent scatter real validation errors show.
 
-impl Default for DetectorTuning {
-    fn default() -> Self {
-        DetectorTuning {
-            // Healthy coefficient deviation is 0 exactly; 1 % slack and
-            // a 10 % cumulative threshold mean a 50 % perturbation fires
-            // on the very sample it appears.
-            coeff_slack_micro: 10_000,
-            coeff_threshold_micro: 100_000,
-            // Prediction errors sit in the 5–10 % range for the bundled
-            // workloads; 0.5 % slack + 15 % cumulative threshold needs a
-            // sustained shift, not one bad run.
-            err_delta_micro: 5_000,
-            err_lambda_micro: 150_000,
-            ewma_num: 1,
-            ewma_den: 4,
-            ewma_k: 4,
-            ewma_min_band_micro: 20_000,
-        }
-    }
-}
+/// CUSUM slack on the coefficient-deviation stream. Healthy coefficient
+/// deviation is 0 exactly; 1 % slack and a 10 % cumulative threshold
+/// ([`COEFF_THRESHOLD_MICRO`]) mean a 50 % perturbation fires on the very
+/// sample it appears.
+pub const COEFF_SLACK_MICRO: i64 = 10_000;
+/// CUSUM alarm threshold on the coefficient-deviation stream.
+pub const COEFF_THRESHOLD_MICRO: i64 = 100_000;
+/// Page–Hinkley per-sample slack on the prediction-error stream.
+/// Prediction errors sit in the 5–10 % range for the bundled workloads;
+/// 0.5 % slack and a 15 % cumulative threshold ([`ERR_LAMBDA_MICRO`])
+/// need a sustained shift, not one bad run.
+pub const ERR_DELTA_MICRO: i64 = 5_000;
+/// Page–Hinkley alarm threshold on the prediction-error stream.
+pub const ERR_LAMBDA_MICRO: i64 = 150_000;
+/// EWMA smoothing numerator (alpha = num/den).
+pub const EWMA_NUM: i64 = 1;
+/// EWMA smoothing denominator.
+pub const EWMA_DEN: i64 = 4;
+/// EWMA band half-width in deviations.
+pub const EWMA_K: i64 = 4;
+/// EWMA minimum band half-width.
+pub const EWMA_MIN_BAND_MICRO: i64 = 20_000;
 
 /// Health of one fitted model over the window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,13 +138,12 @@ pub struct HealthReport {
     pub advice: Vec<RefitAdvice>,
 }
 
-/// The watchtower: an SLO plus detector tuning, ready to fold windows.
+/// The watchtower: an SLO, ready to fold windows with the fixed detector
+/// thresholds above.
 #[derive(Debug, Clone, Default)]
 pub struct Watchtower {
     /// The error budget to evaluate against.
     pub slo: SloSpec,
-    /// Detector thresholds.
-    pub tuning: DetectorTuning,
 }
 
 /// Schema version of the cached [`RunSample`] projection. Bump when the
@@ -285,13 +270,10 @@ pub struct ResidualSeed {
 }
 
 impl Watchtower {
-    /// A watchtower with the given SLO and default detector tuning.
+    /// A watchtower with the given SLO.
     #[must_use]
     pub fn new(slo: SloSpec) -> Self {
-        Watchtower {
-            slo,
-            tuning: DetectorTuning::default(),
-        }
+        Watchtower { slo }
     }
 
     /// Folds a window of manifests (oldest first) into a health report.
@@ -356,7 +338,6 @@ impl Watchtower {
         window: &[String],
         seeds: &[ResidualSeed],
     ) -> ModelHealth {
-        let t = &self.tuning;
         // (sample, window index it came from) so a firing maps back to
         // the onset run id.
         let mut err_series: Vec<(i64, usize)> = Vec::new();
@@ -375,7 +356,7 @@ impl Watchtower {
             }
         }
 
-        let mut cusum = Cusum::new(0, t.coeff_slack_micro, t.coeff_threshold_micro);
+        let mut cusum = Cusum::new(0, COEFF_SLACK_MICRO, COEFF_THRESHOLD_MICRO);
         let mut coeff_onset = None;
         let mut max_coeff_dev = 0i64;
         for &(x, idx) in &coeff_series {
@@ -385,8 +366,8 @@ impl Watchtower {
             }
         }
 
-        let mut ph = PageHinkley::new(t.err_delta_micro, t.err_lambda_micro);
-        let mut band = EwmaBand::new(t.ewma_num, t.ewma_den, t.ewma_k, t.ewma_min_band_micro);
+        let mut ph = PageHinkley::new(ERR_DELTA_MICRO, ERR_LAMBDA_MICRO);
+        let mut band = EwmaBand::new(EWMA_NUM, EWMA_DEN, EWMA_K, EWMA_MIN_BAND_MICRO);
         if let Some(seed) = seeds.iter().find(|s| s.model == name) {
             band.seed(&seed.residuals_micro);
         }

@@ -8,6 +8,7 @@ use dagflow::{
     AppBuilder, Application, ComputeCost, DatasetId, LineageAnalysis, NarrowKind, SourceFormat,
     WideKind,
 };
+use juggler::hotspot::COST_TOLERANCE;
 use juggler::{detect_hotspots, DatasetMetricsView, HotspotConfig};
 
 #[derive(Debug, Clone)]
@@ -129,14 +130,13 @@ proptest! {
     #[test]
     fn no_equal_cost_survivors(r in recipe()) {
         let (app, metrics) = build(&r);
-        let cfg = HotspotConfig::default();
-        let schedules = detect_hotspots(&app, &metrics, &cfg);
+        let schedules = detect_hotspots(&app, &metrics, &HotspotConfig::default());
         for i in 0..schedules.len() {
             for j in i + 1..schedules.len() {
                 let a = schedules[i].budget_bytes as f64;
                 let b = schedules[j].budget_bytes as f64;
                 prop_assert!(
-                    (a - b).abs() > cfg.cost_tolerance * a.max(b).max(1.0),
+                    (a - b).abs() > COST_TOLERANCE * a.max(b).max(1.0),
                     "schedules {i} and {j} tie on budget {a}"
                 );
             }

@@ -45,6 +45,11 @@ pub enum DagError {
     },
     /// The application has no jobs; nothing would ever be computed.
     NoJobs,
+    /// A schedule's notation holds a token that is not `p(N)` or `u(N)`.
+    MalformedScheduleToken {
+        /// The offending whitespace-separated token.
+        token: String,
+    },
     /// A schedule refers to a dataset that does not exist in the application.
     UnknownScheduleDataset {
         /// The missing dataset id.
@@ -91,6 +96,12 @@ impl fmt::Display for DagError {
                 write!(f, "dataset {dataset}: {detail}")
             }
             DagError::NoJobs => write!(f, "application has no jobs"),
+            DagError::MalformedScheduleToken { token } => {
+                write!(
+                    f,
+                    "malformed schedule token `{token}` (expected p(N) or u(N))"
+                )
+            }
             DagError::UnknownScheduleDataset { dataset } => {
                 write!(f, "schedule references unknown dataset {dataset}")
             }

@@ -196,25 +196,16 @@ impl Schedule {
         }
         let mut ops = Vec::new();
         for token in trimmed.split_whitespace() {
-            if !token.is_char_boundary(1) {
-                return Err(crate::DagError::UnknownScheduleDataset {
-                    dataset: DatasetId(u32::MAX),
-                });
-            }
-            let (kind, rest) = token.split_at(1);
-            let id: u32 = rest
-                .strip_prefix('(')
-                .and_then(|r| r.strip_suffix(')'))
-                .and_then(|r| r.parse().ok())
-                .ok_or(crate::DagError::UnknownScheduleDataset {
-                    dataset: DatasetId(u32::MAX),
-                })?;
-            let op = match kind {
-                "p" => ScheduleOp::Persist(DatasetId(id)),
-                "u" => ScheduleOp::Unpersist(DatasetId(id)),
+            let id = |prefix: &str| -> Option<DatasetId> {
+                let digits = token.strip_prefix(prefix)?.strip_suffix(')')?;
+                digits.parse().ok().map(DatasetId)
+            };
+            let op = match (id("p("), id("u(")) {
+                (Some(d), _) => ScheduleOp::Persist(d),
+                (_, Some(d)) => ScheduleOp::Unpersist(d),
                 _ => {
-                    return Err(crate::DagError::UnknownScheduleDataset {
-                        dataset: DatasetId(id),
+                    return Err(crate::DagError::MalformedScheduleToken {
+                        token: token.to_owned(),
                     })
                 }
             };
@@ -367,9 +358,32 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(Schedule::parse("persist(1)").is_err());
-        assert!(Schedule::parse("p(x)").is_err());
-        assert!(Schedule::parse("p(1").is_err());
+        for (text, token) in [
+            ("x", "x"),
+            ("p()", "p()"),
+            ("p(1", "p(1"),
+            ("p(-1)", "p(-1)"),
+            ("s(1,2)", "s(1,2)"),
+            ("persist(1)", "persist(1)"),
+            ("p(x)", "p(x)"),
+            ("p(1) q(2)", "q(2)"),
+            ("é", "é"),
+        ] {
+            assert_eq!(
+                Schedule::parse(text),
+                Err(crate::DagError::MalformedScheduleToken {
+                    token: token.to_owned()
+                }),
+                "{text}"
+            );
+        }
+        assert_eq!(
+            crate::DagError::MalformedScheduleToken {
+                token: "x".to_owned()
+            }
+            .to_string(),
+            "malformed schedule token `x` (expected p(N) or u(N))"
+        );
         assert!(
             Schedule::parse("u(1)").is_err(),
             "dangling unpersist fails check()"

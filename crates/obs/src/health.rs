@@ -320,9 +320,19 @@ impl SloSpec {
     /// default), wrong kinds are an error, absent keys keep defaults.
     pub fn from_json(raw: &str) -> Result<Self, String> {
         let slo: SloSpec = serde_json::from_str(raw).map_err(|e| format!("slo spec: {e}"))?;
-        // JSON has no non-finite numbers, so <= is exhaustive.
+        // JSON has no non-finite numbers, so <= and < are exhaustive.
         if slo.budget_breach_fraction <= 0.0 {
             return Err("slo spec: `budget_breach_fraction` must be positive".into());
+        }
+        for (key, value) in [
+            ("max_mean_time_rel_error", slo.max_mean_time_rel_error),
+            ("max_p95_time_rel_error", slo.max_p95_time_rel_error),
+            ("max_mean_size_rel_error", slo.max_mean_size_rel_error),
+            ("warn_burn_rate", slo.warn_burn_rate),
+        ] {
+            if value < 0.0 {
+                return Err(format!("slo spec: `{key}` must not be negative"));
+            }
         }
         Ok(slo)
     }

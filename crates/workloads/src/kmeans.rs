@@ -168,7 +168,7 @@ mod tests {
         let t5 = run(5);
         let t40 = run(40);
         // Compare net of the constant application startup.
-        let startup = KMeans::default().sim_params().app_startup_s;
+        let startup = cluster_sim::engine::APP_STARTUP_S;
         assert!(
             t40 - startup > 1.8 * (t5 - startup),
             "k=40 took {t40}, k=5 took {t5}"

@@ -28,7 +28,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use juggler_suite::cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, TraceConfig};
+use juggler_suite::cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions};
 use juggler_suite::dagflow::to_dot;
 use juggler_suite::juggler::pipeline::{OfflineTraining, TrainedJuggler, TrainingConfig};
 use juggler_suite::juggler::provenance::{DiffTolerances, ManifestDiff, RunManifest};
@@ -644,7 +644,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         RunOptions {
             collect_traces: true,
             partition_skew: 0.15,
-            trace: TraceConfig::enabled(),
+            trace: true,
         },
     )
     .map_err(|e| e.to_string())?;
@@ -717,6 +717,11 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         ));
     }
     let config = args.training_config()?;
+    // The baseline is read before any work, so a bad file costs nothing.
+    let base = args
+        .value("--diff")
+        .map(|path| load_profile(path).map(|base| (path, base)))
+        .transpose()?;
     obs::log_info!(
         "profile: training {} with the phase profiler enabled...",
         w.name()
@@ -752,8 +757,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         }
     }
 
-    if let Some(path) = args.value("--diff") {
-        let base = load_profile(path)?;
+    if let Some((path, base)) = base {
         let diff = obs::prof::ProfileDiff::between(&base, &profile);
         println!("\nphase deltas vs {path} (base -> new):");
         print!("{}", diff.render());

@@ -119,3 +119,20 @@ fn trace_rejects_zero_machines_and_a_narrow_gantt_before_any_work() {
         assert!(out.stdout.is_empty(), "{args:?} printed: {out:?}");
     }
 }
+
+#[test]
+fn sweep_ops_names_a_malformed_token_apart_from_an_unknown_dataset() {
+    for (ops, error) in [
+        ("x", "malformed schedule token `x` (expected p(N) or u(N))"),
+        ("p(1", "malformed schedule token `p(1`"),
+        ("p(-1)", "malformed schedule token `p(-1)`"),
+        ("p(1) q(2)", "malformed schedule token `q(2)`"),
+        ("p(9999)", "schedule references unknown dataset D9999"),
+    ] {
+        let out = juggler(&["sweep", "LOR", "--ops", ops]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{ops}: {stderr}");
+        assert!(stderr.contains(error), "{ops}: {stderr}");
+        assert!(out.stdout.is_empty(), "{ops} printed: {out:?}");
+    }
+}

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use juggler_suite::cluster_sim::{
     ClusterConfig, Engine, EvictionPolicyKind, MachineSpec, RunOptions, RunReport, TenancyReport,
-    Tenant, TenantSet, TraceConfig,
+    Tenant, TenantSet,
 };
 use juggler_suite::dagflow::{DatasetId, Schedule};
 use juggler_suite::juggler::workload_by_name;
@@ -162,7 +162,7 @@ fn render() -> String {
     }
     let seed = TENANT_SEEDS[0];
     let traced = RunOptions {
-        trace: TraceConfig::enabled(),
+        trace: true,
         ..RunOptions::default()
     };
     for r in &tenant_run(seed, traced).reports {

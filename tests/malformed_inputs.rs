@@ -5,9 +5,11 @@
 //! at every truncation point and with random byte flips. No reader may
 //! panic; a manifest is accepted only when its content hash verifies,
 //! which pins the accepted content to the original, and an accepted
-//! health report or spec re-reads to itself. A tenancy spec with a typoed
+//! health report or spec re-reads to itself. An SLO with a negative error
+//! ceiling or warn burn rate is rejected. A tenancy spec with a typoed
 //! key, a fractional machine count or a negative seed is rejected, and
-//! zero machines is a drill error rather than a simulator panic.
+//! zero machines, a non-finite weight or arrival offset and weights that
+//! sum to infinity are drill errors rather than simulator panics.
 
 mod common;
 
@@ -143,6 +145,28 @@ fn corrupt_slo_and_tenants_specs_are_rejected_without_panics() {
     });
 }
 
+/// An SLO whose error ceilings or warn burn rate are negative would breach
+/// on every run (`mean<=-100%`); like a non-positive budget fraction it
+/// is a parse error naming the key.
+#[test]
+fn slo_spec_negative_ceilings_are_errors() {
+    for key in [
+        "max_mean_time_rel_error",
+        "max_p95_time_rel_error",
+        "max_mean_size_rel_error",
+        "warn_burn_rate",
+    ] {
+        let raw = format!(r#"{{"{key}": -1}}"#);
+        let err = SloSpec::from_json(&raw).expect_err(&raw);
+        assert!(
+            err.contains(&format!("`{key}` must not be negative")),
+            "{raw}: {err}"
+        );
+        let zero = format!(r#"{{"{key}": 0}}"#);
+        assert!(SloSpec::from_json(&zero).is_ok(), "{zero}");
+    }
+}
+
 /// Spec values the hand-written reader once took silently: a typoed key
 /// at either level, a fractional machine count and a negative seed are
 /// parse errors, and zero machines is a drill error naming `machines`,
@@ -174,4 +198,46 @@ fn tenants_spec_typos_and_impossible_values_are_errors() {
         let err = TenantsSpec::from_json(raw).expect_err(raw);
         assert!(err.contains(key), "{raw}: {err}");
     }
+}
+
+/// A spec whose weights overflow, or whose weights or arrival offsets are
+/// not finite, is a drill error naming the field, before any run: two
+/// `1e308` weights once saturated a lone tenant's FAIR share to
+/// `u32::MAX` cores and aborted the process on a 100 GB allocation.
+#[test]
+fn tenants_spec_with_non_finite_weights_or_offsets_is_rejected() {
+    use juggler_suite::juggler::tenants::run_tenants;
+
+    let huge =
+        r#"{"tenants":[{"workload":"LOR","weight":1e308},{"workload":"SVM","weight":1e308}]}"#;
+    let spec = TenantsSpec::from_json(huge).expect("finite weights parse");
+    let err = run_tenants(&spec).expect_err("the weights sum to infinity");
+    assert!(err.contains("`weight`"), "{err}");
+
+    let mut spec = TenantsSpec::drill();
+    spec.tenants[1].weight = f64::NAN;
+    let err = run_tenants(&spec).expect_err("a NaN weight cannot run");
+    assert!(err.contains("tenant 1: `weight`"), "{err}");
+    let mut spec = TenantsSpec::drill();
+    spec.tenants[0].arrival_offset_s = f64::INFINITY;
+    let err = run_tenants(&spec).expect_err("an infinite offset cannot run");
+    assert!(err.contains("tenant 0: `arrival_offset_s`"), "{err}");
+
+    let path = std::env::temp_dir().join(format!(
+        "juggler-malformed-tenants-{}.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, huge).expect("write the spec");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_juggler"))
+        .arg("tenants")
+        .arg(&path)
+        .output()
+        .expect("juggler runs");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("`weight`"),
+        "{out:?}"
+    );
 }

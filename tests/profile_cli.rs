@@ -1,6 +1,7 @@
 //! `juggler profile --diff FILE` reads a profile saved from `profile
 //! --format json`: the saved document keeps its four keys, and a later
-//! profile diffed against it prints the per-phase delta table.
+//! profile diffed against it prints the per-phase delta table. A
+//! malformed baseline is rejected before any training.
 
 fn juggler(args: &[&str]) -> std::process::Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_juggler"))
@@ -43,4 +44,28 @@ fn diff_reads_a_saved_json_profile() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A malformed baseline fails before any training: exit 1, the reason on
+/// stderr, nothing on stdout.
+#[test]
+fn diff_rejects_a_malformed_baseline_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("juggler-profile-cli-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bad = dir.join("bad.json");
+    std::fs::write(&bad, r#"{"version": 1}"#).expect("write the baseline");
+
+    let out = juggler(&[
+        "profile",
+        "LOR",
+        "--diff",
+        bad.to_str().expect("utf-8 path"),
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "printed: {out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("roots"),
+        "{out:?}"
+    );
 }

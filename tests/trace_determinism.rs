@@ -4,7 +4,7 @@
 //! its RNG seed, timestamps are quantized to integer microseconds, and
 //! the exporters emit integers only.
 
-use juggler_suite::cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions, TraceConfig};
+use juggler_suite::cluster_sim::{ClusterConfig, Engine, MachineSpec, RunOptions};
 use juggler_suite::dagflow::{DatasetId, Schedule};
 use juggler_suite::juggler::run_indexed;
 use juggler_suite::workloads::{LogisticRegression, Workload};
@@ -27,7 +27,7 @@ fn traced_streams(n: usize, threads: usize) -> Vec<(String, String)> {
             .run(
                 &schedule,
                 RunOptions {
-                    trace: TraceConfig::enabled(),
+                    trace: true,
                     ..RunOptions::default()
                 },
             )

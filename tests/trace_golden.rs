@@ -4,7 +4,7 @@
 //! an intentional format change, and review the diff.
 
 use juggler_suite::cluster_sim::{
-    ClusterConfig, Engine, MachineSpec, NoiseParams, RunOptions, SimParams, TraceConfig,
+    ClusterConfig, Engine, MachineSpec, NoiseParams, RunOptions, SimParams,
 };
 use juggler_suite::dagflow::{
     AppBuilder, ComputeCost, DatasetId, NarrowKind, Schedule, SourceFormat, WideKind,
@@ -55,7 +55,7 @@ fn export() -> String {
         .run(
             &Schedule::persist_all([DatasetId(1)]),
             RunOptions {
-                trace: TraceConfig::enabled(),
+                trace: true,
                 ..RunOptions::default()
             },
         )
